@@ -209,22 +209,6 @@ def pv_cauchy_pwlin(sgrid, f, lam):
     return out
 
 
-def pv_weight_matrix(sgrid, lam):
-    """Matrix W with (f @ W)_i = p.v. integral f(s)/(s - lam_i) ds.
-
-    The p.v. transform is linear in the samples f; W is built by pushing
-    identity basis chunks through pv_cauchy_pwlin (chunked to bound memory).
-    """
-    sgrid = np.asarray(sgrid, dtype=float)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    ns = sgrid.size
-    w = np.empty((ns, lam.size))
-    eye = np.eye(ns)
-    for k in range(0, ns, 16):
-        w[k:k + 16] = pv_cauchy_pwlin(sgrid, eye[k:k + 16], lam)
-    return w
-
-
 # ----------------------------------------------------------------------
 # eta and its boundary values
 # ----------------------------------------------------------------------

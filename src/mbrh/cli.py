@@ -20,21 +20,18 @@ from . import __version__
 from .broadening import BroadeningProfile, eta_boundary, gamma_trace
 from .direct import integrate_direct
 from .errors import InvariantError, MBRHError, SchemaError
-from .jump import JumpData, jump_mixed, jump_wholeline, k_solve, shear_matrices
+from .jump import JumpData, jump_mixed, spectral_data
 from .rhsolver import (
     contour_build,
     sie_solve,
     soliton_circle_jump,
     soliton_closed_form,
 )
-from .spectral import (
-    DEFAULT_STEP,
-    ScenarioData,
-    jost_phi,
-    jost_w,
-    locate_a_zeros,
-    transition_and_reflection,
-)
+from .spectral import DEFAULT_STEP, ScenarioData, locate_a_zeros
+
+LAM_WINDOW = (-20.0, 20.0)      # default detuning window of a scenario
+POLE_RADIUS = 0.15              # regularizing circle radius, capped at 0.45 Im z
+POLE_STEP = 0.02                # Magnus step of the pole search
 
 
 # ----------------------------------------------------------------------
@@ -223,47 +220,33 @@ def parallel_map(fn, items):
 # pipelines
 # ----------------------------------------------------------------------
 
-def rh_field_grid(scenario, profile, t_vals, x_vals, window=(-20.0, 20.0),
-                  n_panels=24, nodes_per_panel=16, step=DEFAULT_STEP,
-                  find_poles=True, pole_window=(-5.0, 5.0, 0.05, 3.0),
-                  pole_radius=0.15):
-    """Mixed-problem contour pipeline: spectra -> shears -> auxiliary
-    x-banks -> per-stamp jump assembly and contour solve.
+def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
+                  n_panels=24, nodes_per_panel=16, find_poles=True,
+                  pole_window=(-5.0, 5.0, 0.05, 3.0)):
+    """Mixed-problem contour pipeline: pole search -> contour -> spectral
+    data and K_pm on the x lattice -> per-stamp jump assembly and contour
+    solve.
 
     Returns (E grid (Nt, Nx), diagnostics dict).
     """
     t_vals = np.asarray(t_vals, dtype=float)
     x_vals = np.asarray(x_vals, dtype=float)
-    base = contour_build(window=window, n_panels=n_panels,
-                         nodes_per_panel=nodes_per_panel)
-    lam = base.nodes.real
-
-    Phi0, _, _ = jost_phi(scenario, lam, step=step)
-    _, wp = jost_w(scenario, profile, lam, bank="+", x_out=np.array([0.0]),
-                   step=step)
-    _, wm = jost_w(scenario, profile, lam, bank="-", x_out=np.array([0.0]),
-                   step=step)
-    table = transition_and_reflection(lam, Phi0, wp[0], wm[0])
-    Sp, Sm = shear_matrices(table.r_plus, table.r_bar_minus)
+    scenario.validate()         # refuse bad data before the pole search
 
     poles = []
     if find_poles and profile.sign < 0:
         poles = locate_a_zeros(scenario, profile, window=pole_window,
-                               step=max(step, 0.02))
-
+                               step=POLE_STEP)
     circles = []
     for (zj, _) in poles:
-        r = min(pole_radius, 0.45 * zj.imag)
-        circles.append((zj, r))
-        circles.append((np.conj(zj), r))
+        r = min(POLE_RADIUS, 0.45 * zj.imag)
+        circles += [(zj, r), (np.conj(zj), r)]
     contour = contour_build(window=window, n_panels=n_panels,
                             nodes_per_panel=nodes_per_panel, circles=circles)
-    n_real = base.n_nodes
-
-    _, Kp = k_solve(scenario, profile, lam, Sp, bank="+", x_out=x_vals,
-                    step=step)
-    _, Km = k_solve(scenario, profile, lam, Sm, bank="-", x_out=x_vals,
-                    step=step)
+    # the real-axis panels come first in the node list
+    n_real = n_panels * nodes_per_panel
+    lam = contour.nodes[:n_real].real
+    _, Kp, Km = spectral_data(scenario, profile, lam, x_out=x_vals)
 
     def solve_stamp(args):
         it, ix = args
@@ -290,10 +273,8 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=(-20.0, 20.0),
                "n_poles": len(poles), "n_nodes": contour.n_nodes}
 
 
-def soliton_field_grid(nu, t_vals, x_vals, profile=None, residue=1.0):
-    if profile is None:
-        profile = BroadeningProfile.delta_approx(1e-3, sign=-1)
-    poles = [(1j * float(nu), complex(residue))]
+def soliton_field_grid(nu, t_vals, x_vals, profile):
+    poles = [(1j * float(nu), 1.0 + 0.0j)]
     E = np.array([[soliton_closed_form(poles, profile, t, x)[0]
                    for x in x_vals] for t in t_vals])
     return E, poles
@@ -311,13 +292,24 @@ def _parse_range(spec, path):
         raise SchemaError(f"{path}: expected start:stop:count, got '{spec}'") from exc
 
 
-def _profile_from_args(args):
+def _profile_from_args(args, l=1.0, eps=0.5):
+    """Profile from --profile/--l/--eps/--sign.  The width the shape needs
+    (l for a Lorentzian, eps otherwise) takes its default when unset."""
     block = {"shape": args.profile, "sign": args.sign}
-    if args.l is not None:
-        block["l"] = args.l
-    if args.eps is not None:
-        block["eps"] = args.eps
+    need = "l" if args.profile == "lorentzian" else "eps"
+    for key, default in (("l", l), ("eps", eps)):
+        val = getattr(args, key)
+        if val is None and key == need:
+            val = default
+        if val is not None:
+            block[key] = val
     return profile_from_config(block, path="profile"), block
+
+
+def _lam_grid(cfg):
+    """Detuning grid of a scenario: lam_points nodes on lam_window."""
+    lo, hi = cfg.get("lam_window", LAM_WINDOW)
+    return np.linspace(lo, hi, int(cfg.get("lam_points", 401)))
 
 
 def _add_profile_args(p):
@@ -329,10 +321,6 @@ def _add_profile_args(p):
 
 
 def cmd_eta(args):
-    if args.profile == "lorentzian" and args.l is None:
-        args.l = 1.0
-    if args.profile in ("rectangular", "delta_approx") and args.eps is None:
-        args.eps = 0.5
     profile, block = _profile_from_args(args)
     lam = np.linspace(args.window[0], args.window[1], args.grid)
     ev = eta_boundary(profile, lam)
@@ -351,10 +339,6 @@ def cmd_eta(args):
 
 
 def cmd_curve(args):
-    if args.profile == "lorentzian" and args.l is None:
-        args.l = 1.0
-    if args.profile in ("rectangular", "delta_approx") and args.eps is None:
-        args.eps = 0.5
     profile, block = _profile_from_args(args)
     curve = gamma_trace(profile)
     pts = curve.points
@@ -370,15 +354,8 @@ def cmd_curve(args):
 
 def cmd_spectra(args):
     scenario, profile, cfg = load_scenario(args.scenario)
-    lam = np.linspace(cfg.get("lam_window", [-20.0, 20.0])[0],
-                      cfg.get("lam_window", [-20.0, 20.0])[1],
-                      int(cfg.get("lam_points", 401)))
-    Phi0, _, _ = jost_phi(scenario, lam, step=args.step)
-    _, wp = jost_w(scenario, profile, lam, bank="+", x_out=np.array([0.0]),
-                   step=args.step)
-    _, wm = jost_w(scenario, profile, lam, bank="-", x_out=np.array([0.0]),
-                   step=args.step)
-    table = transition_and_reflection(lam, Phi0, wp[0], wm[0])
+    lam = _lam_grid(cfg)
+    table, _, _ = spectral_data(scenario, profile, lam, step=args.step)
     tables = {"spectra.csv": (
         ["lambda", "re_a", "im_a", "re_b", "im_b", "abs_r"],
         [lam, table.a_plus.real, table.a_plus.imag, table.b_plus.real,
@@ -392,17 +369,8 @@ def cmd_spectra(args):
 
 def cmd_jump(args):
     scenario, profile, cfg = load_scenario(args.scenario)
-    lam = np.linspace(cfg.get("lam_window", [-20.0, 20.0])[0],
-                      cfg.get("lam_window", [-20.0, 20.0])[1],
-                      int(cfg.get("lam_points", 401)))
-    Phi0, _, _ = jost_phi(scenario, lam)
-    _, wp = jost_w(scenario, profile, lam, bank="+", x_out=np.array([0.0]))
-    _, wm = jost_w(scenario, profile, lam, bank="-", x_out=np.array([0.0]))
-    table = transition_and_reflection(lam, Phi0, wp[0], wm[0])
-    Sp, Sm = shear_matrices(table.r_plus, table.r_bar_minus)
-    xo = np.array([args.x])
-    _, Kp = k_solve(scenario, profile, lam, Sp, bank="+", x_out=xo)
-    _, Km = k_solve(scenario, profile, lam, Sm, bank="-", x_out=xo)
+    lam = _lam_grid(cfg)
+    _, Kp, Km = spectral_data(scenario, profile, lam, x_out=[args.x])
     jd = jump_mixed(args.t, args.x, lam, Kp[0], Km[0], profile)
     J = jd.J
     tables = {"jump.csv": (
@@ -423,7 +391,7 @@ def cmd_solve_rh(args):
     t_vals = _parse_range(args.t, "--t")
     x_vals = _parse_range(args.x, "--x")
     E, diag = rh_field_grid(scenario, profile, t_vals, x_vals,
-                            window=tuple(cfg.get("lam_window", [-20.0, 20.0])),
+                            window=tuple(cfg.get("lam_window", LAM_WINDOW)),
                             n_panels=int(cfg.get("n_panels", 24)),
                             nodes_per_panel=int(cfg.get("nodes_per_panel", 16)),
                             find_poles=not args.no_poles)
@@ -438,10 +406,7 @@ def cmd_solve_rh(args):
 
 def cmd_solve_direct(args):
     scenario, profile, cfg = load_scenario(args.scenario)
-    lam = np.linspace(cfg.get("lam_window", [-20.0, 20.0])[0],
-                      cfg.get("lam_window", [-20.0, 20.0])[1],
-                      int(cfg.get("lam_points", 401)))
-    st = integrate_direct(scenario, profile, lam, dt=args.dt)
+    st = integrate_direct(scenario, profile, _lam_grid(cfg), dt=args.dt)
     emit_results(args.out,
                  {"fields.csv": field_table(st.t_grid, st.x_grid, st.E)},
                  {"command": "solve-direct", "scenario": cfg, "dt": args.dt},
@@ -455,12 +420,8 @@ def cmd_solve_direct(args):
 def cmd_soliton(args):
     t_vals = _parse_range(args.t, "--t")
     x_vals = _parse_range(args.x, "--x")
-    if args.profile == "lorentzian" and args.l is None:
-        args.l = 1.0
-    if args.profile in ("rectangular", "delta_approx") and args.eps is None:
-        args.eps = 1e-3
-    profile, block = _profile_from_args(args)
-    E, poles = soliton_field_grid(args.nu, t_vals, x_vals, profile=profile)
+    profile, block = _profile_from_args(args, eps=1e-3)
+    E, poles = soliton_field_grid(args.nu, t_vals, x_vals, profile)
     emit_results(args.out, {"fields.csv": field_table(t_vals, x_vals, E)},
                  {"command": "soliton", "nu": args.nu, "profile": block,
                   "t": args.t, "x": args.x},

@@ -32,10 +32,6 @@ class StencilTooCoarse(MBRHError):
 
 
 # --- spectral -----------------------------------------------------------
-class ODEStepRejected(MBRHError):
-    """Adaptive step-size underflow in a Lax-equation integration."""
-
-
 class DecayViolation(MBRHError):
     """Boundary pulse has not decayed at the end of the time window."""
 

@@ -1,9 +1,10 @@
 """Jump-matrix assembly for the conjugation problem.
 
-Three problem classes: the mixed problem (jump built from the auxiliary
-terminal-value solve K_pm of the x-equations), the whole-line problem
-(explicit closed-form jump), and the amplifier oval (jump from the
-continued scattering functions a, b on the Im eta = 0 curve).
+Three problem classes: the mixed problem (jump built from K_pm = w_pm S_pm,
+the x-equation Jost solutions times the reflection shears), the
+whole-line problem (explicit closed-form jump), and the amplifier oval
+(jump from the continued scattering functions a, b on the Im eta = 0
+curve).
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,13 @@ import numpy as np
 from .broadening import eta_boundary
 from .errors import RegularityViolation, SingularK
 from .mat2 import dagger, det2, diag_exp, inv2
-from .spectral import DEFAULT_STEP, xbank_propagate
+from .spectral import (
+    DEFAULT_STEP,
+    jost_phi,
+    jost_w,
+    transition_and_reflection,
+    xbank_propagate,
+)
 
 
 @dataclass(frozen=True)
@@ -44,13 +51,35 @@ def shear_matrices(r_plus, r_bar_minus):
     return sp, sm
 
 
+def spectral_data(scenario, profile, lam, x_out=(0.0,), step=DEFAULT_STEP):
+    """Scattering table and mixed-problem terminal data K_pm on x_out.
+
+    One t-equation solve (Phi at x = 0) and one x-equation solve per bank
+    (w_pm on x_out and x = 0).  The table comes from w_pm(0), the shears
+    S_pm from its reflection coefficients, and K_pm = w_pm S_pm: the
+    x-equation is linear in its terminal data, so this is the solution
+    with terminal value e^{i L eta_pm sigma_3} S_pm.  Returns
+    (table, K+, K-) with K of shape (len(x_out), len(lam), 2, 2).
+    """
+    lam = np.asarray(lam, dtype=float)
+    x_out = np.asarray(x_out, dtype=float)
+    xs = np.union1d(x_out, [0.0])
+    at, at0 = np.searchsorted(xs, x_out), np.searchsorted(xs, 0.0)
+    Phi0, _, _ = jost_phi(scenario, lam, step=step)
+    _, wp = jost_w(scenario, profile, lam, bank="+", x_out=xs, step=step)
+    _, wm = jost_w(scenario, profile, lam, bank="-", x_out=xs, step=step)
+    table = transition_and_reflection(lam, Phi0, wp[at0], wm[at0])
+    Sp, Sm = shear_matrices(table.r_plus, table.r_bar_minus)
+    return table, wp[at] @ Sp, wm[at] @ Sm
+
+
 def k_solve(scenario, profile, lam_grid, S, bank="+", x_out=None,
             step=DEFAULT_STEP):
     """Solve the x-equation with terminal value e^{i L eta_pm sigma_3} S.
 
-    Independent of the Jost path (different terminal data, same
-    discretization); equals w_pm S by linearity, which callers may use as
-    a consistency check.
+    Independent reference for `spectral_data` (different terminal data,
+    same discretization): by linearity it equals w_pm S.  The pipelines
+    use `spectral_data`; tests compare the two.
     """
     lam = np.asarray(lam_grid, dtype=float)
     if x_out is None:

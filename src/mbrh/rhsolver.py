@@ -28,7 +28,7 @@ from .errors import (
     WeightVanishes,
 )
 from .jump import JumpData, posdef_check
-from .mat2 import det2, inv2
+from .mat2 import inv2
 
 
 # ----------------------------------------------------------------------
@@ -259,11 +259,6 @@ def _moment_and_field(contour, Q, J):
     # (Born) limit against the forward transform
     E = -4j * m[0, 1]
     return m, E
-
-
-def reconstruct_field(result: RHResult, contour: ContourSigma, jd: JumpData):
-    """(m, E) by contour quadrature of (I+Q)(J-I)."""
-    return _moment_and_field(contour, result.Q, jd.J)
 
 
 def evaluate_M(result: RHResult, contour: ContourSigma, jd: JumpData, z,

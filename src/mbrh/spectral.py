@@ -262,7 +262,6 @@ def wplus_column_continuation(scenario, profile, z, step=DEFAULT_STEP):
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     eta_z = eta_eval(profile, z)
-    lamw = None
 
     _, e0 = scenario.e0_samples()
     trivial_all = scenario.medium_is_trivial and np.max(np.abs(e0)) == 0.0
@@ -384,7 +383,8 @@ def locate_a_zeros(scenario, profile, window=(-5.0, 5.0, 1e-3, 5.0),
     Argument-principle count on the window, recursive subdivision down to
     isolated zeros, then Newton refinement with a central-difference
     derivative.  Attenuator profiles only (a is analytic in the upper
-    half-plane there).
+    half-plane there).  Raises CountMismatch when a Newton refinement
+    does not converge inside the subwindow its zero was counted in.
     """
     if profile.sign > 0:
         raise ValueError("zero location applies to attenuator profiles")
@@ -400,9 +400,7 @@ def locate_a_zeros(scenario, profile, window=(-5.0, 5.0, 1e-3, 5.0),
             return
         x0, x1, y0, y1 = win
         if count == 1 or max(x1 - x0, y1 - y0) < 0.02:
-            zeros.append(_newton_refine(afun, complex(0.5 * (x0 + x1),
-                                                      0.5 * (y0 + y1)),
-                                        newton_tol))
+            zeros.append(_newton_refine(afun, win, newton_tol))
             return
         if x1 - x0 >= y1 - y0:
             xm = 0.5 * (x0 + x1)
@@ -432,8 +430,10 @@ def locate_a_zeros(scenario, profile, window=(-5.0, 5.0, 1e-3, 5.0),
     return poles
 
 
-def _newton_refine(afun, z0, tol, max_iter=60):
-    z = z0
+def _newton_refine(afun, win, tol, max_iter=60):
+    """Newton from the centre of win; the root must converge inside win."""
+    x0, x1, y0, y1 = win
+    z = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
     for _ in range(max_iter):
         hstep = 1e-5 * (1.0 + abs(z))
         vals = afun(np.array([z, z - hstep, z + hstep]))
@@ -441,5 +441,11 @@ def _newton_refine(afun, z0, tol, max_iter=60):
         dz = vals[0] / deriv
         z = z - dz
         if abs(dz) < tol:
-            return z
-    return z
+            if (x0 - tol <= z.real <= x1 + tol
+                    and y0 - tol <= z.imag <= y1 + tol):
+                return z
+            raise CountMismatch(
+                f"Newton root {z:.6g} lies outside its subwindow {win}")
+    raise CountMismatch(
+        f"Newton refinement in subwindow {win} did not converge "
+        f"in {max_iter} steps (last iterate {z:.6g})")

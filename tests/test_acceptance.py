@@ -19,13 +19,12 @@ from mbrh.broadening import (
 )
 from mbrh.direct import integrate_direct
 from mbrh.jump import (
-    JumpData,
     jump_mixed,
     jump_wholeline,
     k_solve,
     posdef_check,
     schwartz_error,
-    shear_matrices,
+    spectral_data,
 )
 from mbrh.lax import mb_residual
 from mbrh.mat2 import det2
@@ -41,9 +40,7 @@ from mbrh.rhsolver import (
 from mbrh.spectral import (
     ScenarioData,
     jost_phi,
-    jost_w,
     locate_a_zeros,
-    transition_and_reflection,
 )
 
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
@@ -175,19 +172,15 @@ def test_criterion_05_unimodularity_and_symmetry_suite():
                             nodes_per_panel=12)
     lam = contour.nodes.real
     Phi0, _, _ = jost_phi(sc, lam)
-    _, wp = jost_w(sc, LOR, lam, bank="+", x_out=np.array([0.0]))
-    _, wm = jost_w(sc, LOR, lam, bank="-", x_out=np.array([0.0]))
-    table = transition_and_reflection(lam, Phi0, wp[0], wm[0])
+    table, Kp, Km = spectral_data(sc, LOR, lam, x_out=[1.0])
+    # det K = det w since the shears S are unimodular
     det_errs = {
         "Phi": float(np.max(np.abs(det2(Phi0) - 1.0))),
-        "w+": float(np.max(np.abs(det2(wp[0]) - 1.0))),
-        "w-": float(np.max(np.abs(det2(wm[0]) - 1.0))),
+        "K+": float(np.max(np.abs(det2(Kp[0]) - 1.0))),
+        "K-": float(np.max(np.abs(det2(Km[0]) - 1.0))),
         "T+": table.diagnostics["det_Tp_err"],
         "T-": table.diagnostics["det_Tm_err"],
     }
-    Sp, Sm = shear_matrices(table.r_plus, table.r_bar_minus)
-    _, Kp = k_solve(sc, LOR, lam, Sp, bank="+", x_out=np.array([1.0]))
-    _, Km = k_solve(sc, LOR, lam, Sm, bank="-", x_out=np.array([1.0]))
     jd = jump_mixed(2.5, 1.0, lam, Kp[0], Km[0], LOR)
     det_errs["J"] = jd.det_error()
     res = sie_solve(contour, jd)
@@ -366,14 +359,8 @@ def test_criterion_12_medium_reconstruction_consistency(desk_direct):
     contour = contour_build(window=(-16.0, 16.0), n_panels=24,
                             nodes_per_panel=16)
     lam = contour.nodes.real
-    Phi0, _, _ = jost_phi(sc, lam)
-    _, wp = jost_w(sc, LOR, lam, bank="+", x_out=np.array([0.0]))
-    _, wm = jost_w(sc, LOR, lam, bank="-", x_out=np.array([0.0]))
-    table = transition_and_reflection(lam, Phi0, wp[0], wm[0])
-    Sp, Sm = shear_matrices(table.r_plus, table.r_bar_minus)
     x_out = np.array([x - hx, x, x + hx])
-    _, Kp = k_solve(sc, LOR, lam, Sp, bank="+", x_out=x_out)
-    _, Km = k_solve(sc, LOR, lam, Sm, bank="-", x_out=x_out)
+    _, Kp, Km = spectral_data(sc, LOR, lam, x_out=x_out)
     jds = [jump_mixed(t, xv, lam, Kp[i], Km[i], LOR)
            for i, xv in enumerate(x_out)]
     sols = [sie_solve(contour, jd) for jd in jds]

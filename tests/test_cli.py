@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mbrh import jump, spectral
 from mbrh.cli import (
     load_scenario,
     pulse_from_config,
@@ -178,3 +179,22 @@ class TestCommands:
         rc = run_command(["solve-rh", "--scenario", path, "--t", "3:3:1",
                           "--x", "0:0:1", "--no-poles", "--out", out])
         assert rc == 0
+
+    def test_solve_rh_runs_one_xbank_solve_per_bank(self, monkeypatch, tmp_path):
+        calls = []
+        orig = spectral.xbank_propagate
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "xbank_propagate", counted)
+        monkeypatch.setattr(jump, "xbank_propagate", counted)
+        path = write_scenario(tmp_path, n_panels=4, nodes_per_panel=8,
+                              E0={"pulse": "gaussian", "amplitude": 0.2,
+                                  "center": 1.0, "width": 0.3})
+        rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:2",
+                          "--x", "0:2:3", "--no-poles",
+                          "--out", str(tmp_path / "rh")])
+        assert rc == 0
+        assert sorted(calls) == ["+", "-"]

@@ -5,9 +5,9 @@ import pytest
 from scipy.special import gamma as cgamma
 
 from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
+from mbrh.cli import rho0_from_config
 from mbrh.errors import RegularityViolation
 from mbrh.jump import (
-    JumpData,
     jump_mixed,
     jump_oval,
     jump_wholeline,
@@ -15,8 +15,9 @@ from mbrh.jump import (
     posdef_check,
     schwartz_error,
     shear_matrices,
+    spectral_data,
 )
-from mbrh.mat2 import det2, diag_exp, inv2
+from mbrh.mat2 import diag_exp, inv2
 from mbrh.spectral import (
     ScenarioData,
     jost_phi,
@@ -33,6 +34,19 @@ def smooth_scenario():
     E_in = lambda t: 0.8 * np.exp(-((t - 4.0) / 0.8) ** 2) * np.exp(0.3j * t)
     E0 = lambda x: 0.3 * np.exp(-((x - 2.5) / 0.5) ** 2)
     return ScenarioData(T=10.0, L=5.0, E_in=E_in, E0=E0, rho0=None)
+
+
+def excited_scenario():
+    """Desk pulse on L = 2 over an excited medium: an E0 bump and a rho0
+    table, so the x-banks run the full Magnus path through the medium."""
+    E_in = lambda t: 0.8 * np.exp(-((np.asarray(t) - 3.0) / 0.7) ** 2) + 0j
+    E0 = lambda x: 0.3 * np.exp(-((np.asarray(x) - 1.0) / 0.3) ** 2) + 0j
+    xg = np.linspace(0.0, 2.0, 41)
+    lg = np.linspace(-8.0, 8.0, 65)
+    re = 0.3 * np.exp(-((xg[:, None] - 0.7) / 0.25) ** 2 - lg[None, :] ** 2 / 2)
+    rho0 = rho0_from_config({"x": xg.tolist(), "lam": lg.tolist(),
+                             "re": re.tolist()})
+    return ScenarioData(T=10.0, L=2.0, E_in=E_in, E0=E0, rho0=rho0)
 
 
 @pytest.fixture(scope="module")
@@ -68,13 +82,17 @@ class TestKSolve:
         want = diag_exp(1j * x_out[:, None] * ev.eta_minus) @ S
         assert np.max(np.abs(K - want)) < 1e-12
 
-    def test_consistency_with_jost_path(self, smooth_data):
-        sc, lam, tab, _, _ = smooth_data
-        sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
-        x_out = np.linspace(0, sc.L, 6)
-        _, K = k_solve(sc, ATT, lam, sp, bank="+", x_out=x_out)
-        _, w = jost_w(sc, ATT, lam, bank="+", x_out=x_out)
-        assert np.max(np.abs(K - w @ sp)) < 1e-7
+    def test_consistency_with_jost_path(self):
+        # K = w S from the Jost banks equals the solve from terminal data
+        # e^{i L eta} S, because the x-equation is linear
+        lam = np.linspace(-20, 20, 41)
+        for sc in (smooth_scenario(), excited_scenario()):
+            x_out = np.linspace(0, sc.L, 6)
+            tab, Kp, Km = spectral_data(sc, ATT, lam, x_out=x_out)
+            sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
+            for K, S, bank in ((Kp, sp, "+"), (Km, sm, "-")):
+                _, ref = k_solve(sc, ATT, lam, S, bank=bank, x_out=x_out)
+                assert np.max(np.abs(K - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 class TestJumpMixed:

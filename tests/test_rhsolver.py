@@ -20,7 +20,6 @@ from mbrh.rhsolver import (
     evaluate_M,
     reconstruct_F,
     reconstruct_F_nodes,
-    reconstruct_field,
     segment_panel,
     sie_solve,
     soliton_circle_jump,
@@ -130,8 +129,6 @@ class TestSieSolve:
             res = sie_solve(c, jd)
             want = (2 * eps / np.sqrt(np.pi)) * np.exp(-t ** 2)
             assert abs(res.E - want) < 5e-5
-            m2, E2 = reconstruct_field(res, c, jd)
-            assert E2 == res.E and np.all(m2 == res.m)
 
     def test_roundtrip_forward_inverse(self):
         # forward scattering of a soliton-free pulse, then the inverse

@@ -9,6 +9,7 @@ from mbrh.lax import coupling_matrix
 from mbrh.mat2 import det2, diag_exp, sigma2_conj
 from mbrh.spectral import (
     ScenarioData,
+    _newton_refine,
     continued_a,
     jost_phi,
     jost_w,
@@ -209,6 +210,18 @@ class TestLocateAZeros:
         got = continued_a(sc, self.p, zs, step=0.01)
         want = (zs - 0.5j) / (zs + 0.5j)
         assert np.max(np.abs(got - want)) < 1e-7
+
+    def test_newton_refuses_zero_free_function(self):
+        with pytest.raises(CountMismatch, match="did not converge"):
+            _newton_refine(lambda z: np.exp(1j * z), (-1.0, 1.0, 0.05, 1.0),
+                           1e-10)
+
+    def test_newton_refuses_root_outside_subwindow(self):
+        # a root in the lower half-plane, as a near-axis zero can send
+        # the iteration there
+        with pytest.raises(CountMismatch, match="outside its subwindow"):
+            _newton_refine(lambda z: z + 6.4584j, (-1.0, 1.0, 1e-3, 1.0),
+                           1e-10)
 
 
 class TestConvergenceOrder:
