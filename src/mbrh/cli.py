@@ -265,6 +265,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
 
     stamps = [(it, ix) for it in range(t_vals.size)
               for ix in range(x_vals.size)]
+    contour.cauchy_plus()       # build the shared matrix once, before the pool
     out = parallel_map(solve_stamp, stamps)
     E = np.array([e for e, _ in out]).reshape(t_vals.size, x_vals.size)
     worst = max(d["residual_rel"] for _, d in out)

@@ -2,11 +2,12 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
-from mbrh import jump, spectral
+from mbrh import jump, rhsolver, spectral
 from mbrh.cli import (
     load_scenario,
     pulse_from_config,
@@ -132,6 +133,11 @@ class TestCommands:
         assert b1 == b2
         meta = json.load(open(os.path.join(out1, "meta.json")))
         assert "config_hash" in meta and "versions" in meta
+        diag = meta["diagnostics"]
+        # T = 6, L = 2 at dt 0.05; 41 detunings on [-8, 8]
+        assert (diag["steps"], diag["nx"], diag["nlam"]) == (120, 41, 41)
+        assert abs(diag["lam_spacing_over_pi_T"] - 0.4 * 6.0 / np.pi) < 1e-12
+        assert diag["conservation_error"] <= 1e-6
 
     def test_spectra_command(self, tmp_path):
         path = write_scenario(tmp_path, lam_points=101,
@@ -198,3 +204,23 @@ class TestCommands:
                           "--out", str(tmp_path / "rh")])
         assert rc == 0
         assert sorted(calls) == ["+", "-"]
+
+    def test_solve_rh_builds_cauchy_matrix_once(self, monkeypatch, tmp_path):
+        # the build is slowed so that every pool thread reaches the
+        # cache before it is filled, were it filled inside the pool
+        monkeypatch.setenv("MB_RH_THREADS", "2")
+        calls = []
+        orig = rhsolver._build_cauchy_plus
+
+        def counted(contour):
+            calls.append(contour)
+            time.sleep(0.2)
+            return orig(contour)
+
+        monkeypatch.setattr(rhsolver, "_build_cauchy_plus", counted)
+        path = write_scenario(tmp_path, n_panels=4, nodes_per_panel=8)
+        rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:2",
+                          "--x", "0:2:2", "--no-poles",
+                          "--out", str(tmp_path / "rh")])
+        assert rc == 0
+        assert len(calls) == 1

@@ -7,12 +7,41 @@ from scipy.integrate import quad
 from mbrh.broadening import BroadeningProfile
 from mbrh.direct import FieldState, bloch_rotation, integrate_direct, rho_average
 from mbrh.errors import CFLViolation
-from mbrh.lax import MediumSlice
+from mbrh.lax import MediumSlice, coupling_matrix
+from mbrh.mat2 import dagger, expm2
 from mbrh.rhsolver import soliton_closed_form, soliton_evaluate_M
 from mbrh.spectral import ScenarioData
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
+
+
+def reference_rotation(E_mid, lam, h, rho, N):
+    """R F R^dagger with R = expm2(h A), A = -i lam sigma3 - H(E_mid)."""
+    E_mid = np.asarray(E_mid, dtype=complex)
+    lam = np.asarray(lam, dtype=float)
+    shape = np.broadcast_shapes(E_mid.shape + (1,) if E_mid.ndim else (1,),
+                                lam.shape, np.shape(rho), np.shape(N))
+    A = np.zeros(shape + (2, 2), dtype=complex)
+    A[..., 0, 0] = -1j * lam
+    A[..., 1, 1] = 1j * lam
+    Hm = coupling_matrix(E_mid)
+    A[..., 0, 1] -= Hm[..., None, 0, 1]
+    A[..., 1, 0] -= Hm[..., None, 1, 0]
+    R = expm2(h * A)
+    F = np.zeros(shape + (2, 2), dtype=complex)
+    F[..., 0, 0] = N
+    F[..., 1, 1] = -N
+    F[..., 0, 1] = rho
+    F[..., 1, 0] = np.conj(rho)
+    Fn = R @ F @ dagger(R)
+    return Fn[..., 0, 1], Fn[..., 0, 0].real
+
+
+def random_bloch(rng, shape):
+    th = rng.uniform(0, np.pi, shape)
+    phi = rng.uniform(0, 2 * np.pi, shape)
+    return np.sin(th) * np.exp(1j * phi), np.cos(th)
 
 
 class TestRhoAverage:
@@ -63,6 +92,52 @@ class TestBlochRotation:
         assert np.max(np.abs(N2 ** 2 + np.abs(r2) ** 2 - 1.0)) < 1e-13
 
 
+class TestClosedFormAgainstExpm:
+    """The Cayley-Klein rotation against the 2x2 exponential and conjugation."""
+
+    @staticmethod
+    def assert_matches(E, lam, h, rho, N):
+        r1, N1 = bloch_rotation(E, lam, h, rho, N)
+        r0, N0 = reference_rotation(E, lam, h, rho, N)
+        assert np.max(np.abs(r1 - r0)) < 1e-14
+        assert np.max(np.abs(N1 - N0)) < 1e-14
+        assert np.isrealobj(N1)
+
+    def test_scalar_field_and_detuning(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            E = complex(rng.normal(), rng.normal())
+            lam = float(rng.normal(scale=3.0))
+            rho, N = random_bloch(rng, ())
+            self.assert_matches(E, lam, 0.1, complex(rho), float(N))
+
+    def test_field_per_x_against_detuning_grid(self):
+        rng = np.random.default_rng(12)
+        E = rng.normal(size=31) + 1j * rng.normal(size=31)
+        lam = np.linspace(-8.0, 8.0, 65)
+        rho, N = random_bloch(rng, (31, 65))
+        self.assert_matches(E, lam, 0.05, rho, N)
+
+    def test_zero_field_at_zero_detuning(self):
+        # w = 0: the rotation is the identity there
+        rng = np.random.default_rng(13)
+        E = np.array([0.0, 0.5 - 0.3j, 0.0])
+        lam = np.linspace(-2.0, 2.0, 9)            # holds lam = 0
+        rho, N = random_bloch(rng, (3, 9))
+        self.assert_matches(E, lam, 0.2, rho, N)
+        r1, N1 = bloch_rotation(E, lam, 0.2, rho, N)
+        assert r1[0, 4] == rho[0, 4] and N1[0, 4] == N[0, 4]
+        assert np.all(np.isfinite(r1)) and np.all(np.isfinite(N1))
+
+    def test_large_field_step(self):
+        # |E| h = 12: about a full turn of the Bloch vector in one step
+        rng = np.random.default_rng(14)
+        E = 6.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, 7))
+        lam = rng.normal(size=21)
+        rho, N = random_bloch(rng, (7, 21))
+        self.assert_matches(E, lam, 2.0, rho, N)
+
+
 def gaussian_scenario():
     return ScenarioData(T=8.0, L=2.0,
                         E_in=lambda t: 0.8 * np.exp(-((t - 3.0) / 0.7) ** 2),
@@ -90,6 +165,22 @@ class TestIntegrateDirect:
                               np.linspace(-8, 8, 65), dt=0.05)
         assert st.diagnostics["max_step_drift"] <= 1e-10
         assert st.conservation_error() <= 1e-7
+
+    def test_conservation_diagnostic_matches_history(self):
+        # the running maximum over slices, taken as they are made, equals
+        # the maximum over the stored history
+        rng = np.random.default_rng(5)
+        lam = np.linspace(-4, 4, 17)
+        table = random_bloch(rng, (5, lam.size))[0] * 0.9
+
+        def rho0(x, lam_):
+            return table[min(int(x / 0.5), 4)]
+
+        sc = ScenarioData(T=2.0, L=2.0, E_in=gaussian_scenario().E_in,
+                          E0=ZERO, rho0=rho0)
+        st = integrate_direct(sc, LOR, lam, dt=0.1)
+        assert st.diagnostics["conservation_error"] == st.conservation_error()
+        assert st.conservation_error() > 0.0
 
     def test_boundary_and_initial_rows(self):
         sc = gaussian_scenario()
