@@ -8,9 +8,13 @@ analytic function
     eta(z) = z - (1/4) * integral n(s) / (s - z) ds,
 
 its boundary values eta_pm on the real axis, and (for amplifiers) the
-level curve Im eta = 0 bounding the domains D+-.
+level curve Im eta = 0 bounding the domains D+-.  Cauchy integrals of
+piecewise-linear data are products f @ W with one weight matrix W per
+(grid, targets) pair, built once and reused across a propagation.
 """
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -90,6 +94,14 @@ class BroadeningProfile:
     def closed_form(self):
         return self.shape in ("lorentzian", "rectangular", "delta_approx")
 
+    def on_edge(self, lam):
+        """True where lam sits on a jump of n (the box edges +-eps of the
+        rectangular and delta_approx shapes), where eta_pm is log-infinite."""
+        lam = np.asarray(lam, dtype=float)
+        if self.shape not in ("rectangular", "delta_approx"):
+            return np.zeros(lam.shape, dtype=bool)
+        return np.abs(np.abs(lam) - self.eps) < 1e-12 * max(self.eps, 1.0)
+
     def mass_between(self, a, b):
         """integral_a^b n(s) ds (closed forms analytic, tabulated trapezoid)."""
         if self.shape == "lorentzian":
@@ -156,24 +168,84 @@ def profile_normalize(profile: BroadeningProfile) -> BroadeningProfile:
 # Cauchy integrals of piecewise-linear data
 # ----------------------------------------------------------------------
 
+# a propagation evaluates the same (grid, targets) pair at every Magnus
+# node: keep the last few weight matrices, keyed on the array values
+_WEIGHT_MEMO_SIZE = 4
+_weight_memo = OrderedDict()
+_weight_lock = threading.Lock()
+
+
+def _sum_by_parts(sgrid, targets, D):
+    """Weights W (Ns, Nt) from the panel log increments D (Ns - 1, Nt).
+
+    Panel j contributes [f_j (1 - t_j) + f_{j+1} t_j] D_j + f_{j+1} - f_j,
+    t_j = (target - s_j)/h_j, so node k collects
+    W[k] = (1 - t_k) D_k + t_{k-1} D_{k-1} + (delta_{k,last} - delta_{k,0}).
+    """
+    t = (targets - sgrid[:-1, None]) / np.diff(sgrid)[:, None]
+    W = np.zeros((sgrid.size, targets.size), dtype=D.dtype)
+    W[:-1] += (1.0 - t) * D
+    W[1:] += t * D
+    W[-1] += 1.0
+    W[0] -= 1.0
+    return W
+
+
+def _pv_weights(sgrid, lam):
+    """Real W with p.v. integral f(s)/(s - lam) ds = f @ W.
+
+    D_j = log|s_{j+1} - lam| - log|s_j - lam|.  For lam on a node the
+    coefficient of that node's log vanishes analytically, so the
+    log-infinite term is dropped (set to 0) rather than multiplied by 0.
+    """
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(sgrid[:, None] - lam))          # (Ns, Nlam)
+    logs[np.isinf(logs)] = 0.0
+    return _sum_by_parts(sgrid, lam, np.diff(logs, axis=0))
+
+
+def _cauchy_weights(sgrid, z):
+    """Complex W with integral f(s)/(s - z) ds = f @ W, Im z != 0.
+
+    D_j = log((s_{j+1} - z)/(s_j - z)), which never crosses the branch
+    cut for z off the axis.
+    """
+    D = np.log((sgrid[1:, None] - z) / (sgrid[:-1, None] - z))
+    return _sum_by_parts(sgrid, z, D)
+
+
+def _weights(build, sgrid, targets):
+    """build(sgrid, targets), memoized on the values of both arrays.
+
+    Pool threads may reach this concurrently: a miss builds outside the
+    lock (two threads may both build), and an entry is only ever stored
+    under the key of the arrays it was built from.
+    """
+    key = (build, sgrid.tobytes(), targets.tobytes())
+    with _weight_lock:
+        W = _weight_memo.get(key)
+        if W is not None:
+            _weight_memo.move_to_end(key)
+            return W
+    W = build(sgrid, targets)
+    W.flags.writeable = False
+    with _weight_lock:
+        _weight_memo[key] = W
+        while len(_weight_memo) > _WEIGHT_MEMO_SIZE:
+            _weight_memo.popitem(last=False)
+    return W
+
+
 def cauchy_pwlin(sgrid, f, z):
     """integral f(s)/(s - z) ds, exact for piecewise-linear f, Im z != 0.
 
     f may be batched: shape (..., Ns).  z is scalar or 1-d; the result has
-    shape broadcast(f_batch, z).
+    shape (..., Nz).  Computed as f @ W with the weight matrix of the
+    (sgrid, z) pair, built once and reused while the pair recurs.
     """
     sgrid = np.asarray(sgrid, dtype=float)
-    f = np.asarray(f)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    a, b = sgrid[:-1], sgrid[1:]
-    h = b - a
-    fa, fb = f[..., :-1], f[..., 1:]
-    d = (fb - fa) / h
-    # log((b - z)/(a - z)) never crosses the branch cut for z off-axis
-    L = np.log((b[:, None] - z) / (a[:, None] - z))          # (Np, Nz)
-    coeff = fa[..., None] + d[..., None] * (z - a[:, None])  # (..., Np, Nz)
-    out = np.sum(coeff * L, axis=-2) + np.sum(fb - fa, axis=-1)[..., None]
-    return out
+    return np.asarray(f) @ _weights(_cauchy_weights, sgrid, z)
 
 
 def pv_cauchy_pwlin(sgrid, f, lam):
@@ -181,29 +253,18 @@ def pv_cauchy_pwlin(sgrid, f, lam):
 
     lam may lie on grid nodes (the divergent log coefficients cancel there
     and are dropped explicitly).  f may be batched with shape (..., Ns);
-    output shape is (..., Nlam).
+    output shape is (..., Nlam).  Computed as f @ W with the real weight
+    matrix of the (sgrid, lam) pair, built once and reused while the pair
+    recurs; complex f takes two real products.
     """
     sgrid = np.asarray(sgrid, dtype=float)
     f = np.asarray(f)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    a, b = sgrid[:-1], sgrid[1:]
-    d = (f[..., 1:] - f[..., :-1]) / (b - a)
-
-    # node-wise grouping: sum_j c_j(lam) [ln|b_j-lam| - ln|a_j-lam|] with
-    # c_j the panel-j linear extension at lam; group log|s_k - lam| terms.
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(sgrid[:, None] - lam))          # (Ns, Nlam)
-    # coefficient of log|s_k - lam|: c_{k-1}(lam) - c_k(lam) for interior k
-    cpan = f[..., :-1, None] + d[..., None] * (lam - a[:, None])  # (..., Np, Nlam)
-    coef = np.zeros(f.shape[:-1] + (sgrid.size, lam.size), dtype=cpan.dtype)
-    coef[..., -1, :] = cpan[..., -1, :]
-    coef[..., 0, :] = -cpan[..., 0, :]
-    coef[..., 1:-1, :] = cpan[..., :-1, :] - cpan[..., 1:, :]
-    # at lam exactly on a node the coefficient vanishes analytically;
-    # kill the 0 * (-inf) product explicitly
-    on_node = np.isinf(logs)
-    term = coef * np.where(on_node, 0.0, logs)
-    out = np.sum(term, axis=-2) + np.sum(f[..., 1:] - f[..., :-1], axis=-1)[..., None]
+    W = _weights(_pv_weights, sgrid, lam)
+    if np.iscomplexobj(f):
+        out = (f.real @ W) + 1j * (f.imag @ W)
+    else:
+        out = f @ W
     if not np.all(np.isfinite(out)):
         raise PrincipalValueFailure("p.v. quadrature produced non-finite values")
     return out
@@ -281,10 +342,11 @@ def eta_boundary(profile, lam) -> EtaValues:
         gm = -s / (4.0 * (lam - 1j * profile.l))
     elif profile.shape in ("rectangular", "delta_approx"):
         eps = profile.eps
-        edge = np.abs(np.abs(lam) - eps) < 1e-12 * max(eps, 1.0)
+        edge = profile.on_edge(lam)
         if np.any(edge):
             raise PrincipalValueFailure(
-                "p.v. integral diverges at the rectangular profile edge")
+                f"p.v. integral diverges at the {profile.shape} profile edge "
+                f"lambda = {lam[edge][0]:.12g}")
         with np.errstate(divide="ignore"):
             pv = (s / (8.0 * eps)) * np.log(np.abs((eps - lam) / (eps + lam)))
         gp = pv + 0.25j * np.pi * nval

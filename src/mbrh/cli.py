@@ -268,10 +268,14 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     contour.cauchy_plus()       # build the shared matrix once, before the pool
     out = parallel_map(solve_stamp, stamps)
     E = np.array([e for e, _ in out]).reshape(t_vals.size, x_vals.size)
-    worst = max(d["residual_rel"] for _, d in out)
-    cond = max(d["cond"] for _, d in out)
-    return E, {"max_residual_rel": worst, "max_cond": cond,
-               "n_poles": len(poles), "n_nodes": contour.n_nodes}
+    diag = {"n_poles": len(poles), "n_nodes": contour.n_nodes,
+            "n_stamps": len(stamps)}
+    for key in ("residual_rel", "cond"):
+        vals = np.array([d[key] for _, d in out])
+        diag[key] = {"p50": float(np.median(vals)), "max": float(vals.max())}
+    diag["max_residual_rel"] = diag["residual_rel"]["max"]
+    diag["max_cond"] = diag["cond"]["max"]
+    return E, diag
 
 
 def soliton_field_grid(nu, t_vals, x_vals, profile):
@@ -324,6 +328,11 @@ def _add_profile_args(p):
 def cmd_eta(args):
     profile, block = _profile_from_args(args)
     lam = np.linspace(args.window[0], args.window[1], args.grid)
+    # eta_pm is log-infinite on the edges of a box profile: leave those
+    # nodes out of the table and name them in meta.json
+    edge = profile.on_edge(lam)
+    edge_lam = lam[edge].tolist()
+    lam = lam[~edge]
     ev = eta_boundary(profile, lam)
     tables = {"eta.csv": (
         ["lambda", "re_eta_plus", "im_eta_plus", "re_eta_minus",
@@ -332,10 +341,12 @@ def cmd_eta(args):
          ev.eta_minus.imag, ev.n])}
     emit_results(args.out, tables, {"command": "eta", "profile": block,
                                     "grid": args.grid,
-                                    "window": list(args.window)}, {})
+                                    "window": list(args.window)},
+                 {"edge_nodes_omitted": edge_lam})
     jump_err = float(np.max(np.abs(
-        (ev.eta_plus - ev.eta_minus) + 0.5j * np.pi * ev.n)))
-    print(f"eta: {args.grid} nodes, boundary-jump identity error {jump_err:.3e}")
+        (ev.eta_plus - ev.eta_minus) + 0.5j * np.pi * ev.n), initial=0.0))
+    print(f"eta: {lam.size} nodes ({len(edge_lam)} profile-edge nodes "
+          f"omitted), boundary-jump identity error {jump_err:.3e}")
     return 0
 
 

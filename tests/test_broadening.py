@@ -1,9 +1,14 @@
 """Weight/phase-function module: normalization, eta, boundary values, curve."""
 
+import sys
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mbrh import broadening
 from mbrh.broadening import (
     BroadeningProfile,
     average_weights,
@@ -38,6 +43,50 @@ def _brute_pv(fgrid, fvals, lam):
                         epsabs=1e-13, epsrel=1e-13)
         total += v
     return total
+
+
+def reference_cauchy(sgrid, f, z):
+    """Panel-by-panel sum of the exact piecewise-linear Cauchy integral
+    (the kernel body before the weight-matrix form), kept as a reference."""
+    sgrid = np.asarray(sgrid, dtype=float)
+    f = np.asarray(f)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    a, b = sgrid[:-1], sgrid[1:]
+    d = (f[..., 1:] - f[..., :-1]) / (b - a)
+    L = np.log((b[:, None] - z) / (a[:, None] - z))
+    coeff = f[..., :-1, None] + d[..., None] * (z - a[:, None])
+    return np.sum(coeff * L, axis=-2) + np.sum(f[..., 1:] - f[..., :-1], axis=-1)[..., None]
+
+
+def reference_pv(sgrid, f, lam):
+    """p.v. sum with the log|s_k - lam| terms grouped per node (the kernel
+    body before the weight-matrix form), kept as a reference."""
+    sgrid = np.asarray(sgrid, dtype=float)
+    f = np.asarray(f)
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    a, b = sgrid[:-1], sgrid[1:]
+    d = (f[..., 1:] - f[..., :-1]) / (b - a)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(sgrid[:, None] - lam))
+    cpan = f[..., :-1, None] + d[..., None] * (lam - a[:, None])
+    coef = np.zeros(f.shape[:-1] + (sgrid.size, lam.size), dtype=cpan.dtype)
+    coef[..., -1, :] = cpan[..., -1, :]
+    coef[..., 0, :] = -cpan[..., 0, :]
+    coef[..., 1:-1, :] = cpan[..., :-1, :] - cpan[..., 1:, :]
+    term = coef * np.where(np.isinf(logs), 0.0, logs)
+    return np.sum(term, axis=-2) + np.sum(f[..., 1:] - f[..., :-1], axis=-1)[..., None]
+
+
+def _medium_like(grid):
+    """Batched complex (3, Ns) data shaped like the medium deviations."""
+    g = np.exp(-grid ** 2 / 8)
+    return np.stack([(np.cos(grid) - 1.0) * g,
+                     (0.3 + 0.7j) * np.sin(0.5 * grid) * g,
+                     (0.2 - 0.4j) * grid * g])
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +218,14 @@ class TestEtaBoundary:
         with pytest.raises(PrincipalValueFailure):
             eta_boundary(p, 0.5)
 
+    def test_edge_message_names_shape_and_lambda(self):
+        p = BroadeningProfile.delta_approx(0.25, sign=-1)
+        with pytest.raises(PrincipalValueFailure,
+                           match=r"delta_approx profile edge lambda = -0\.25"):
+            eta_boundary(p, [0.0, -0.25, 0.25])
+        assert list(p.on_edge([0.0, -0.25, 0.25, 1.0])) == [False, True, True, False]
+        assert not np.any(BroadeningProfile.lorentzian(1.0).on_edge([0.25, 1.0]))
+
     @pytest.mark.parametrize("p", [
         BroadeningProfile.lorentzian(1.0, sign=-1),
         BroadeningProfile.lorentzian(0.5, sign=+1),
@@ -227,6 +284,114 @@ class TestPwlinCauchy:
         for i in range(2):
             for j in range(3):
                 assert abs(out[i, j] - _brute_pv(grid, fb[i], lam[j])) < 1e-8
+
+
+class TestWeightKernels:
+    """pv_cauchy_pwlin / cauchy_pwlin as f @ W against the pre-weight-matrix
+    kernel bodies, closed forms, and the (grid, targets) memo."""
+
+    GRID = np.linspace(-20, 20, 384)
+
+    @pytest.mark.parametrize("lam", [
+        GRID,                                 # every target on a node
+        GRID[:-1] + 0.37 * np.diff(GRID),     # every target off-node
+        np.array([GRID[100], 0.0123, GRID[-1]]),
+        1.2345,                               # scalar target
+    ])
+    def test_pv_matches_reference(self, lam):
+        f = _medium_like(self.GRID)
+        got = pv_cauchy_pwlin(self.GRID, f, lam)
+        want = reference_pv(self.GRID, f, lam)
+        assert got.shape == want.shape == (3, np.atleast_1d(lam).size)
+        assert _rel(got, want) <= 1e-12
+        # unbatched data keeps the 1-d output shape
+        one = pv_cauchy_pwlin(self.GRID, f[1], lam)
+        assert one.shape == (np.atleast_1d(lam).size,)
+        assert _rel(one, got[1]) <= 1e-13
+
+    @pytest.mark.parametrize("z", [
+        np.linspace(-25, 25, 101) + 0.3j,
+        np.array([0.5 - 2j, 3 + 1e-3j, GRID[7] + 0.05j]),
+        1.0 + 2.0j,                           # scalar target
+    ])
+    def test_cauchy_matches_reference(self, z):
+        f = _medium_like(self.GRID)
+        got = cauchy_pwlin(self.GRID, f, z)
+        want = reference_cauchy(self.GRID, f, z)
+        assert got.shape == want.shape == (3, np.atleast_1d(z).size)
+        assert _rel(got, want) <= 1e-12
+        one = cauchy_pwlin(self.GRID, f[0].real, z)
+        assert one.shape == (np.atleast_1d(z).size,)
+        assert _rel(one, reference_cauchy(self.GRID, f[0].real, z)) <= 1e-12
+
+    def test_single_panel_linear_closed_form(self):
+        # f = alpha s + beta on [a, b]: the p.v. integral is
+        # alpha (b - a) + (alpha lam + beta) log|(b - lam)/(a - lam)|
+        a, b, alpha, beta = -0.7, 1.3, 0.8 - 0.2j, -0.35 + 1.1j
+        grid = np.array([a, b])
+        lam = np.array([-2.5, -0.1, 0.4, 1.0, 3.0])
+        got = pv_cauchy_pwlin(grid, alpha * grid + beta, lam)
+        exact = alpha * (b - a) + (alpha * lam + beta) * np.log(
+            np.abs((b - lam) / (a - lam)))
+        assert np.max(np.abs(got - exact)) < 1e-14
+
+    def test_equal_shape_grids_never_share_weights(self):
+        g1 = np.linspace(-4, 4, 81)
+        g2 = np.linspace(-5, 3, 81)
+        lam = np.linspace(-2.95, 2.95, 23)
+        z = lam + 0.4j
+        for _ in range(2):                    # second pass reads the memo
+            for g in (g1, g2):
+                f = _medium_like(g)
+                assert _rel(pv_cauchy_pwlin(g, f, lam),
+                            reference_pv(g, f, lam)) <= 1e-12
+                assert _rel(cauchy_pwlin(g, f, z),
+                            reference_cauchy(g, f, z)) <= 1e-12
+        # targets of equal shape but different values as well
+        f = _medium_like(g1)
+        assert _rel(pv_cauchy_pwlin(g1, f, lam + 0.01),
+                    reference_pv(g1, f, lam + 0.01)) <= 1e-12
+
+    def test_memo_is_bounded_and_read_only(self, monkeypatch):
+        monkeypatch.setattr(broadening, "_weight_memo", OrderedDict())
+        g = np.linspace(-1, 1, 21)
+        for k in range(10):
+            pv_cauchy_pwlin(g, np.cos(g), np.array([0.1 * k + 0.05]))
+        assert len(broadening._weight_memo) == broadening._WEIGHT_MEMO_SIZE
+        W = next(iter(broadening._weight_memo.values()))
+        with pytest.raises(ValueError):
+            W[0, 0] = 1.0
+
+    def test_memo_under_threads(self, monkeypatch):
+        # more distinct (grid, targets) pairs than memo entries, from a
+        # pool: every call gets the weights of its own arrays
+        monkeypatch.setattr(broadening, "_weight_memo", OrderedDict())
+        grids = [np.linspace(-3 - 0.1 * k, 3, 61) for k in range(6)]
+        lam = np.linspace(-2.5, 2.5, 17)
+
+        def one(k):
+            g = grids[k % len(grids)]
+            f = _medium_like(g)
+            return _rel(pv_cauchy_pwlin(g, f, lam), reference_pv(g, f, lam))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(one, k) for k in range(60)]
+                errs = [fut.result(timeout=60) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(errs) <= 1e-12
+        assert len(broadening._weight_memo) <= broadening._WEIGHT_MEMO_SIZE
+
+    def test_nan_data_raises(self):
+        f = _medium_like(self.GRID)
+        f[1, 50] = np.nan
+        with pytest.raises(PrincipalValueFailure):
+            pv_cauchy_pwlin(self.GRID, f, self.GRID[:10])
+        with pytest.raises(PrincipalValueFailure):
+            pv_cauchy_pwlin(self.GRID, f[1].real, 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,20 @@ class TestCommands:
         assert np.max(np.abs(jump + 0.5j * np.pi * data["n"])) < 1e-10
         assert os.path.exists(os.path.join(out, "meta.json"))
 
+    @pytest.mark.parametrize("shape", ["rectangular", "delta_approx"])
+    def test_eta_box_profile_defaults_omit_edge_nodes(self, tmp_path, shape):
+        # the default 401-node grid on [-20, 20] puts nodes on +-eps = +-0.5,
+        # where eta_pm is log-infinite; those rows are left out and named
+        out = str(tmp_path / shape)
+        assert run_command(["eta", "--profile", shape, "--out", out]) == 0
+        data = np.genfromtxt(os.path.join(out, "eta.csv"),
+                             delimiter=",", names=True)
+        assert data.shape == (399,)
+        assert np.all(np.isfinite(data["re_eta_plus"]))
+        assert np.min(np.abs(np.abs(data["lambda"]) - 0.5)) > 0.09
+        meta = json.load(open(os.path.join(out, "meta.json")))
+        assert meta["diagnostics"]["edge_nodes_omitted"] == pytest.approx([-0.5, 0.5])
+
     def test_soliton_peak(self, tmp_path):
         out = str(tmp_path / "sol")
         rc = run_command(["soliton", "--nu", "0.5", "--t", "0:20:101",
@@ -163,6 +177,12 @@ class TestCommands:
         data = np.genfromtxt(os.path.join(out, "fields.csv"),
                              delimiter=",", names=True)
         assert data.shape == (6,)
+        diag = json.load(open(os.path.join(out, "meta.json")))["diagnostics"]
+        assert diag["n_stamps"] == 6
+        for key in ("residual_rel", "cond"):
+            spread = diag[key]
+            assert 0 < spread["p50"] <= spread["max"]
+            assert spread["max"] == diag[f"max_{key}"]
 
     def test_exit_2_on_config_error(self, tmp_path):
         assert run_command(["spectra", "--scenario",

@@ -1,9 +1,12 @@
 """Jump-matrix assembly: mixed, whole-line, and amplifier-oval classes."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from scipy.special import gamma as cgamma
 
+from mbrh import broadening, lax, spectral
 from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
 from mbrh.cli import rho0_from_config
 from mbrh.errors import RegularityViolation
@@ -19,11 +22,13 @@ from mbrh.jump import (
 )
 from mbrh.mat2 import diag_exp, inv2
 from mbrh.spectral import (
+    continued_a,
     ScenarioData,
     jost_phi,
     jost_w,
     phi_column_continuation,
     transition_and_reflection,
+    xbank_propagate,
 )
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
@@ -93,6 +98,48 @@ class TestKSolve:
             for K, S, bank in ((Kp, sp, "+"), (Km, sm, "-")):
                 _, ref = k_solve(sc, ATT, lam, S, bank=bank, x_out=x_out)
                 assert np.max(np.abs(K - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+class TestKernelReuse:
+    """The x-banks of an excited medium build each Cauchy weight matrix
+    once per propagation and apply it at every Magnus Gauss node."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name, log):
+        orig = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            log.append(name)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_xbank_builds_pv_weights_once(self, monkeypatch):
+        monkeypatch.setattr(broadening, "_weight_memo", OrderedDict())
+        builds, calls = [], []
+        self._count(monkeypatch, broadening, "_pv_weights", builds)
+        self._count(monkeypatch, lax, "pv_cauchy_pwlin", calls)
+        sc = excited_scenario()
+        lam = np.linspace(-20, 20, 41)
+        x_out = np.linspace(0, sc.L, 3)
+        step = 0.05
+        terminal = diag_exp(1j * sc.L * eta_boundary(ATT, lam).eta_plus)
+        xbank_propagate(sc, ATT, lam, "+", terminal, x_out, step=step)
+        steps = spectral._refined_grid(np.union1d(x_out, [0.0, sc.L]), step).size - 1
+        assert len(builds) == 1
+        assert len(calls) == 2 * steps
+
+    def test_continued_a_builds_cauchy_weights_once(self, monkeypatch):
+        monkeypatch.setattr(broadening, "_weight_memo", OrderedDict())
+        builds, calls = [], []
+        self._count(monkeypatch, broadening, "_cauchy_weights", builds)
+        self._count(monkeypatch, lax, "cauchy_pwlin", calls)
+        sc = excited_scenario()
+        step = 0.05
+        continued_a(sc, ATT, np.array([0.3 + 0.5j, -1.0 + 0.2j, 2.0 + 1.0j]),
+                    step=step)
+        assert len(builds) == 1
+        assert len(calls) == 2 * int(np.ceil(sc.L / step))
 
 
 class TestJumpMixed:
