@@ -34,6 +34,10 @@ AMPLIFIER = +1
 # Quadrature floor for the adaptive off-axis path (closed forms exempt).
 _AXIS_FLOOR = 1e-8
 
+# Data counts as vanished at a grid end when |f| there is at most this
+# fraction of max |f| (tabulated weights, p.v. targets on an end node).
+_END_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class BroadeningProfile:
@@ -155,7 +159,7 @@ def profile_normalize(profile: BroadeningProfile) -> BroadeningProfile:
     vals = profile.values
     grid = profile.grid
     vmax = np.max(np.abs(vals))
-    if vmax > 0 and max(abs(vals[0]), abs(vals[-1])) > 1e-6 * vmax:
+    if vmax > 0 and max(abs(vals[0]), abs(vals[-1])) > _END_TOL * vmax:
         raise NonDecaying("tabulated weight does not decay at the grid ends")
     mass = np.trapezoid(vals, grid)
     if abs(mass) < 1e-14:
@@ -251,15 +255,25 @@ def cauchy_pwlin(sgrid, f, z):
 def pv_cauchy_pwlin(sgrid, f, lam):
     """p.v. integral f(s)/(s - lam) ds, exact for piecewise-linear f.
 
-    lam may lie on grid nodes (the divergent log coefficients cancel there
-    and are dropped explicitly).  f may be batched with shape (..., Ns);
-    output shape is (..., Nlam).  Computed as f @ W with the real weight
-    matrix of the (sgrid, lam) pair, built once and reused while the pair
-    recurs; complex f takes two real products.
+    lam may lie on interior grid nodes (the divergent log coefficients
+    cancel there and are dropped explicitly).  On the first or last node
+    the integral diverges like f(end) log|s - lam|, so such a target
+    raises PrincipalValueFailure unless f has vanished at that end (|f|
+    at most _END_TOL of max |f|, per batch row).  f may be batched with
+    shape (..., Ns); output shape is (..., Nlam).  Computed as f @ W with
+    the real weight matrix of the (sgrid, lam) pair, built once and
+    reused while the pair recurs; complex f takes two real products.
     """
     sgrid = np.asarray(sgrid, dtype=float)
     f = np.asarray(f)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    for end in (0, -1):
+        if np.any(lam == sgrid[end]):
+            fabs = np.abs(f)
+            if np.any(fabs[..., end] > _END_TOL * np.max(fabs, axis=-1)):
+                raise PrincipalValueFailure(
+                    f"p.v. integral diverges: target on the grid end "
+                    f"{sgrid[end]:g}, where f does not vanish")
     W = _weights(_pv_weights, sgrid, lam)
     if np.iscomplexobj(f):
         out = (f.real @ W) + 1j * (f.imag @ W)

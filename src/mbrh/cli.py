@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import __version__ as _scipy_version
@@ -193,27 +192,19 @@ def field_table(t_vals, x_vals, E):
 
 
 # ----------------------------------------------------------------------
-# parallel map
+# stamp loop
 # ----------------------------------------------------------------------
 
 def thread_width():
-    raw = os.environ.get("MB_RH_THREADS", "")
-    try:
-        w = int(raw)
-    except ValueError:
-        w = 0
-    if w <= 0:
-        w = min(4, os.cpu_count() or 1)
-    return w
+    """Stamps solved at once: 1.  Each stamp's Cauchy products already
+    run on the BLAS threads, and a stamp pool on top of them measured
+    slower (`benchmark/child.py` reports this as the pool width)."""
+    return 1
 
 
 def parallel_map(fn, items):
-    width = thread_width()
-    items = list(items)
-    if width <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, items))
+    """The stamp loop: fn over items, one at a time (see thread_width)."""
+    return [fn(it) for it in items]
 
 
 # ----------------------------------------------------------------------
@@ -265,14 +256,19 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
 
     stamps = [(it, ix) for it in range(t_vals.size)
               for ix in range(x_vals.size)]
-    contour.cauchy_plus()       # build the shared matrix once, before the pool
     out = parallel_map(solve_stamp, stamps)
     E = np.array([e for e, _ in out]).reshape(t_vals.size, x_vals.size)
+    col = {key: np.array([d[key] for _, d in out])
+           for key in ("residual_rel", "cond", "iterations", "posdef_min")}
     diag = {"n_poles": len(poles), "n_nodes": contour.n_nodes,
-            "n_stamps": len(stamps)}
-    for key in ("residual_rel", "cond"):
-        vals = np.array([d[key] for _, d in out])
-        diag[key] = {"p50": float(np.median(vals)), "max": float(vals.max())}
+            "n_stamps": len(stamps),
+            "lu_stamps": int(np.count_nonzero(col["iterations"] == 0))}
+    for key, name in (("residual_rel", "residual_rel"), ("cond", "cond"),
+                      ("iterations", "krylov_iters")):
+        vals = col[key]
+        diag[name] = {"p50": float(np.median(vals)), "max": float(vals.max())}
+    diag["posdef_min"] = {"p50": float(np.median(col["posdef_min"])),
+                          "min": float(col["posdef_min"].min())}
     diag["max_residual_rel"] = diag["residual_rel"]["max"]
     diag["max_cond"] = diag["cond"]["max"]
     return E, diag

@@ -6,6 +6,12 @@ parameterizes M(z) = I + (1/2 pi i) int (I+Q)(I-J)/(s-z) ds.  The field
 envelope is read off the z^{-1} moment of M, and the medium matrix from
 the boundary jump of the x-logarithmic derivative.
 
+A contour of real-axis panels only is solved matrix-free by GMRES, with a
+Hessenberg (kappa_2 lower bound) condition certificate; a contour with
+pole circles, and any stamp the Krylov path cannot certify, takes the
+dense LU with the `zgecon` estimate, which alone refuses ill-conditioned
+systems.
+
 Pure-soliton (reflectionless) data bypasses the contour entirely through
 the closed-form residue algebra, optionally cross-checked by replacing
 each pole with a small clockwise circle carrying a rank-one jump.
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from scipy.linalg.lapack import zgecon
 
 from .broadening import eta_boundary, eta_eval
@@ -202,6 +208,11 @@ def _build_cauchy_plus(contour):
 # singular integral equation
 # ----------------------------------------------------------------------
 
+KRYLOV_RTOL = 1e-15         # GMRES stops at residual norm <= this * ||b||_2
+KRYLOV_BUDGET = 100         # Arnoldi steps before the LU fallback
+KRYLOV_RESIDUAL = 1e-13     # a-posteriori max-norm residual, relative to C+[I-J]
+
+
 @dataclass
 class RHResult:
     Q: np.ndarray               # (N, 2, 2) plus-boundary correction M+ - I
@@ -212,22 +223,78 @@ class RHResult:
 
 def sie_solve(contour: ContourSigma, jd: JumpData, cond_limit=1e12,
               require_posdef=True) -> RHResult:
-    """Dense collocation solve of Q - C+[Q(I-J)] = C+[I-J]."""
+    """Collocation solve of Q - C+[Q(I-J)] = C+[I-J].
+
+    A contour of real-axis segments only is solved matrix-free by
+    unrestarted GMRES (`_gmres`); `cond` is then s_max/s_min of its
+    Hessenberg matrix, a lower bound on kappa_2 of the operator.  The
+    dense LU path, with `cond` the 1-norm estimate of `zgecon`, solves
+    every contour with a circle panel, and every real-axis stamp whose
+    Krylov estimate exceeds cond_limit/1e3, whose iteration budget runs
+    out, or whose a-posteriori residual exceeds KRYLOV_RESIDUAL.  Only
+    the LU path refuses with `IllConditioned` (estimate above
+    cond_limit).  `iterations` is 0 on the LU path.
+    """
     J = jd.J
     n = contour.n_nodes
     if J.shape[0] != n:
         raise ValueError("jump data does not match the contour nodes")
+    posdef_min = None
     if require_posdef and np.any(jd.nodes.imag == 0.0):
-        cert = posdef_check(jd)
-        if cert <= 0.0:
-            raise PosdefViolated(f"real-axis Hermitian-part minimum {cert:.3e}")
+        posdef_min = posdef_check(jd)
+        if posdef_min <= 0.0:
+            raise PosdefViolated(
+                f"real-axis Hermitian-part minimum {posdef_min:.3e}")
 
     CP = contour.cauchy_plus()
     IJ = np.eye(2) - J                                   # (N, 2, 2)
+    R = _cauchy_apply(CP, IJ)
+    rnorm = max(float(np.max(np.abs(R))), 1e-300)
+
+    # pole circles stay on LU: there the right-hand side can lie in a small
+    # invariant subspace, and a Hessenberg estimate started from it reads
+    # ~1 where kappa is astronomically large
+    krylov = None
+    if all(p.kind == "segment" for p in contour.panels):
+        krylov = _gmres(CP, IJ, R, cond_limit / 1e3)
+    if krylov is not None:
+        Q, cond, iterations = krylov
+        res = _residual(CP, IJ, Q, R)
+    if krylov is None or res > KRYLOV_RESIDUAL * rnorm:
+        Q, cond = _lu_solve(CP, IJ, R, cond_limit)
+        iterations = 0
+        res = _residual(CP, IJ, Q, R)
+
+    m, E = _moment_and_field(contour, Q, J)
+    return RHResult(Q=Q, m=m, E=E,
+                    diagnostics={"residual": res, "residual_rel": res / rnorm,
+                                 "cond": cond, "iterations": iterations,
+                                 "posdef_min": posdef_min})
+
+
+def _cauchy_apply(CP, X):
+    """C+[X] for nodal 2x2 data X (N, 2, 2): one (N x N)(N x 4) product."""
+    return (CP @ X.reshape(-1, 4)).reshape(X.shape)
+
+
+def _times(Q, X):
+    """Q @ X for stacks of 2x2 matrices (N, 2, 2), as two broadcast
+    products: a stacked 2x2 matmul costs more than the Cauchy product."""
+    return Q[..., :1] * X[:, None, 0, :] + Q[..., 1:] * X[:, None, 1, :]
+
+
+def _residual(CP, IJ, Q, R):
+    """Max-norm a-posteriori residual of the discrete equation."""
+    return float(np.max(np.abs(Q - _cauchy_apply(CP, _times(Q, IJ)) - R)))
+
+
+def _lu_solve(CP, IJ, R, cond_limit):
+    """Dense LU of the 2N x 2N operator (each row of Q decouples), with
+    the `zgecon` 1-norm condition estimate.  Returns (Q, cond)."""
+    n = CP.shape[0]
     # T[(i,b),(j,a)] = CP[i,j] * (I-J)[j][a,b]
     T = np.einsum("ij,jab->ibja", CP, IJ).reshape(2 * n, 2 * n)
     A = np.eye(2 * n, dtype=complex) - T
-    R = np.einsum("ij,jab->iab", CP, IJ)                 # (N, 2, 2)
 
     lu, piv = lu_factor(A)
     anorm = np.linalg.norm(A, 1)
@@ -239,16 +306,69 @@ def sie_solve(contour: ContourSigma, jd: JumpData, cond_limit=1e12,
     for r in range(2):
         rhs = R[:, r, :].reshape(2 * n)
         Q[:, r, :] = lu_solve((lu, piv), rhs).reshape(n, 2)
+    return Q, 1.0 / rcond
 
-    # a-posteriori residual of the discrete equation
-    KQ = np.einsum("ij,jab->iab", CP, Q @ IJ)
-    res = float(np.max(np.abs(Q - KQ - R)))
-    rnorm = max(float(np.max(np.abs(R))), 1e-300)
 
-    m, E = _moment_and_field(contour, Q, J)
-    return RHResult(Q=Q, m=m, E=E,
-                    diagnostics={"residual": res, "residual_rel": res / rnorm,
-                                 "cond": 1.0 / rcond})
+def _gmres(CP, IJ, R, cond_max):
+    """Unrestarted GMRES for Q -> Q - C+[Q(I-J)], both rows of Q in one
+    4N vector, from Q = 0 (Saad & Schultz 1986).
+
+    Arnoldi by classical Gram-Schmidt applied twice; Givens rotations
+    track the residual norm.  Returns (Q, cond, iterations), with cond =
+    s_max/s_min of the (k+1) x k Hessenberg matrix, or None when the
+    right-hand side vanishes, the budget runs out, or cond > cond_max.
+    """
+    n = R.shape[0]
+    b = R.reshape(-1)
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return None
+    m = KRYLOV_BUDGET
+    V = np.empty((m + 1, b.size), dtype=complex)
+    H = np.zeros((m + 1, m), dtype=complex)       # Arnoldi Hessenberg
+    U = np.zeros((m, m), dtype=complex)           # its rotated triangle
+    cs, sn = [], []
+    g = [complex(beta)]                           # rotated beta e1
+    V[0] = b / beta
+    for k in range(m):
+        w = V[k] - _cauchy_apply(CP, _times(V[k].reshape(n, 2, 2), IJ)).ravel()
+        Vk = V[:k + 1]
+        h = (Vk @ w.conj()).conj()
+        w -= h @ Vk
+        h2 = (Vk @ w.conj()).conj()
+        w -= h2 @ Vk
+        h += h2
+        hn = float(np.linalg.norm(w))
+        H[:k + 1, k] = h
+        H[k + 1, k] = hn
+
+        col = h.tolist()
+        for i in range(k):
+            a, d = col[i], col[i + 1]
+            col[i] = cs[i] * a + sn[i] * d
+            col[i + 1] = -sn[i].conjugate() * a + cs[i] * d
+        a = col[k]
+        r = float(np.hypot(abs(a), hn))
+        if a == 0:
+            c, s = 0.0, 1.0
+        else:
+            c, s = abs(a) / r, (a / abs(a)) * hn / r
+        cs.append(c)
+        sn.append(s)
+        col[k] = c * a + s * hn
+        U[:k + 1, k] = col
+        g.append(-s.conjugate() * g[k])
+        g[k] = c * g[k]
+
+        if abs(g[k + 1]) <= KRYLOV_RTOL * beta or hn == 0.0:
+            sv = np.linalg.svd(H[:k + 2, :k + 1], compute_uv=False)
+            cond = float(sv[0] / sv[-1])
+            if cond > cond_max:
+                return None
+            y = solve_triangular(U[:k + 1, :k + 1], np.array(g[:k + 1]))
+            return (y @ Vk).reshape(n, 2, 2), cond, k + 1
+        V[k + 1] = w / hn
+    return None
 
 
 def _moment_and_field(contour, Q, J):

@@ -275,6 +275,19 @@ class TestPwlinCauchy:
         # even samples on a symmetric grid: the p.v. at 0 vanishes identically
         assert abs(on) < 1e-12
 
+    def test_pv_end_node_target(self):
+        # f(end) log|s - lam| diverges on an end node: refuse, do not drop it
+        grid = np.linspace(-1, 1, 21)
+        for lam in (-1.0, 1.0):
+            with pytest.raises(PrincipalValueFailure):
+                pv_cauchy_pwlin(grid, np.ones(21), lam)
+        batch = np.stack([1.0 + grid, np.ones(21)])
+        with pytest.raises(PrincipalValueFailure):
+            pv_cauchy_pwlin(grid, batch, np.array([0.05, -1.0]))
+        # data that vanish at the end: finite, and exact for linear f
+        assert abs(pv_cauchy_pwlin(grid, 1.0 + grid, -1.0)[0] - 2.0) < 1e-14
+        assert abs(pv_cauchy_pwlin(grid, 1.0 - grid, 1.0)[0] + 2.0) < 1e-14
+
     def test_pv_batched(self):
         grid = np.linspace(-2, 2, 401)
         fb = np.stack([np.exp(-grid ** 2), grid * np.exp(-grid ** 2)])

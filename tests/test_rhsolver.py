@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from mbrh import rhsolver
 from mbrh.broadening import BroadeningProfile, eta_eval
 from mbrh.errors import (
     EmptyContour,
+    IllConditioned,
     PosdefViolated,
     SingularResidueSystem,
     TooCloseToContour,
     WeightVanishes,
 )
-from mbrh.jump import JumpData, jump_wholeline
+from mbrh.jump import JumpData, jump_mixed, jump_wholeline, posdef_check, spectral_data
 from mbrh.mat2 import det2, dagger, inv2
 from mbrh.rhsolver import (
     ContourSigma,
@@ -165,6 +167,92 @@ class TestSieSolve:
                       nodes=c.nodes, J=J)
         with pytest.raises(PosdefViolated):
             sie_solve(c, jd)
+
+
+def desk_stamps(ts=(2.0, 3.5, 6.0), xs=(0.0, 2.5)):
+    """Mixed-problem jumps of the desk pulse on a 192-node real axis."""
+    sc = ScenarioData(T=10.0, L=5.0,
+                      E_in=lambda t: 0.8 * np.exp(-((t - 3.0) / 0.7) ** 2)
+                      + 0j * t,
+                      E0=lambda x: np.zeros_like(np.asarray(x, complex)),
+                      rho0=None)
+    c = contour_build(window=(-16.0, 16.0), n_panels=16, nodes_per_panel=12)
+    lam = c.nodes.real
+    _, Kp, Km = spectral_data(sc, LOR, lam, x_out=xs)
+    return c, [jump_mixed(t, x, lam, Kp[i], Km[i], LOR)
+               for t in ts for i, x in enumerate(xs)]
+
+
+def dense_operator(contour, jd):
+    """I - T of the row-decoupled 2N x 2N system, and the right-hand side."""
+    n = contour.n_nodes
+    CP = contour.cauchy_plus()
+    IJ = np.eye(2) - jd.J
+    T = np.einsum("ij,jab->ibja", CP, IJ).reshape(2 * n, 2 * n)
+    R = np.einsum("ij,jab->iab", CP, IJ)
+    return np.eye(2 * n) - T, R
+
+
+class TestKrylovPath:
+    def test_matches_dense_solve_and_svd_condition(self):
+        c, jds = desk_stamps()
+        for jd in jds:
+            res = sie_solve(c, jd)
+            A, R = dense_operator(c, jd)
+            Q = np.stack([np.linalg.solve(A, R[:, r, :].ravel()).reshape(-1, 2)
+                          for r in range(2)], axis=1)
+            assert np.max(np.abs(res.Q - Q)) < 1e-13
+            d = res.diagnostics
+            assert 0 < d["iterations"] <= rhsolver.KRYLOV_BUDGET
+            sv = np.linalg.svd(A, compute_uv=False)
+            kappa2 = sv[0] / sv[-1]
+            # the Hessenberg estimate is a lower bound, and a tight one here
+            assert 0.9 * kappa2 <= d["cond"] <= kappa2 * (1 + 1e-12)
+            assert d["residual_rel"] < 1e-14
+            assert d["posdef_min"] == posdef_check(jd)
+
+    def test_budget_exhausted_falls_back_to_lu(self, monkeypatch):
+        c, jds = desk_stamps(ts=(3.0,), xs=(1.0,))
+        krylov = sie_solve(c, jds[0])
+        monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", 2)
+        lu = sie_solve(c, jds[0])
+        assert krylov.diagnostics["iterations"] > 2
+        assert lu.diagnostics["iterations"] == 0
+        assert abs(lu.E - krylov.E) < 1e-14
+        assert np.max(np.abs(lu.Q - krylov.Q)) < 1e-13
+        assert lu.diagnostics["residual_rel"] < 1e-14
+
+    def test_fallback_counted_in_field_grid(self, monkeypatch):
+        from mbrh.cli import rh_field_grid
+        sc = ScenarioData(T=10.0, L=5.0,
+                          E_in=lambda t: 0.8 * np.exp(-((t - 3.0) / 0.7) ** 2)
+                          + 0j * t,
+                          E0=lambda x: np.zeros_like(np.asarray(x, complex)),
+                          rho0=None)
+        kw = dict(window=(-16.0, 16.0), n_panels=16, nodes_per_panel=12,
+                  find_poles=False)
+        E, diag = rh_field_grid(sc, LOR, [2.5, 3.5], [0.0], **kw)
+        assert diag["lu_stamps"] == 0 and diag["krylov_iters"]["p50"] > 2
+        monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", 2)
+        E_lu, diag_lu = rh_field_grid(sc, LOR, [2.5, 3.5], [0.0], **kw)
+        assert diag_lu["lu_stamps"] == 2
+        assert diag_lu["krylov_iters"] == {"p50": 0.0, "max": 0.0}
+        assert np.max(np.abs(E_lu - E)) < 1e-14
+        assert 0 < diag_lu["posdef_min"]["min"] <= diag_lu["posdef_min"]["p50"]
+
+    def test_pole_circles_keep_lu_refusal(self):
+        # real axis plus circles at +-i/2: the right-hand side lies in a
+        # tiny invariant subspace, so a Krylov estimate reads ~1 while the
+        # operator is ill-conditioned as |c_j|^2 ~ e^{t}; only LU refuses
+        c = contour_build(window=(-16.0, 16.0), n_panels=16,
+                          nodes_per_panel=12,
+                          circles=[(0.5j, 0.15), (-0.5j, 0.15)])
+        poles = [(0.5j, 1.0 + 0.0j)]
+        jd = soliton_circle_jump(poles, LOR, 16.0, 0.0, c)
+        with pytest.raises(IllConditioned):
+            sie_solve(c, jd)
+        ok = sie_solve(c, soliton_circle_jump(poles, LOR, 1.0, 0.0, c))
+        assert ok.diagnostics["iterations"] == 0
 
 
 class TestEvaluateM:
