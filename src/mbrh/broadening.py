@@ -10,11 +10,10 @@ analytic function
 its boundary values eta_pm on the real axis, and (for amplifiers) the
 level curve Im eta = 0 bounding the domains D+-.  Cauchy integrals of
 piecewise-linear data are products f @ W with one weight matrix W per
-(grid, targets) pair, built once and reused across a propagation.
+(grid, targets) pair; a caller that applies the same pair many times
+builds W once (`pv_weights`, `cauchy_weights`).
 """
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +29,8 @@ from .errors import (
 
 ATTENUATOR = -1
 AMPLIFIER = +1
+
+LAM_WINDOW = (-20.0, 20.0)      # default detuning window
 
 # Quadrature floor for the adaptive off-axis path (closed forms exempt).
 _AXIS_FLOOR = 1e-8
@@ -172,13 +173,6 @@ def profile_normalize(profile: BroadeningProfile) -> BroadeningProfile:
 # Cauchy integrals of piecewise-linear data
 # ----------------------------------------------------------------------
 
-# a propagation evaluates the same (grid, targets) pair at every Magnus
-# node: keep the last few weight matrices, keyed on the array values
-_WEIGHT_MEMO_SIZE = 4
-_weight_memo = OrderedDict()
-_weight_lock = threading.Lock()
-
-
 def _sum_by_parts(sgrid, targets, D):
     """Weights W (Ns, Nt) from the panel log increments D (Ns - 1, Nt).
 
@@ -195,7 +189,7 @@ def _sum_by_parts(sgrid, targets, D):
     return W
 
 
-def _pv_weights(sgrid, lam):
+def pv_weights(sgrid, lam):
     """Real W with p.v. integral f(s)/(s - lam) ds = f @ W.
 
     D_j = log|s_{j+1} - lam| - log|s_j - lam|.  For lam on a node the
@@ -208,7 +202,7 @@ def _pv_weights(sgrid, lam):
     return _sum_by_parts(sgrid, lam, np.diff(logs, axis=0))
 
 
-def _cauchy_weights(sgrid, z):
+def cauchy_weights(sgrid, z):
     """Complex W with integral f(s)/(s - z) ds = f @ W, Im z != 0.
 
     D_j = log((s_{j+1} - z)/(s_j - z)), which never crosses the branch
@@ -218,55 +212,40 @@ def _cauchy_weights(sgrid, z):
     return _sum_by_parts(sgrid, z, D)
 
 
-def _weights(build, sgrid, targets):
-    """build(sgrid, targets), memoized on the values of both arrays.
-
-    Pool threads may reach this concurrently: a miss builds outside the
-    lock (two threads may both build), and an entry is only ever stored
-    under the key of the arrays it was built from.
-    """
-    key = (build, sgrid.tobytes(), targets.tobytes())
-    with _weight_lock:
-        W = _weight_memo.get(key)
-        if W is not None:
-            _weight_memo.move_to_end(key)
-            return W
-    W = build(sgrid, targets)
-    W.flags.writeable = False
-    with _weight_lock:
-        _weight_memo[key] = W
-        while len(_weight_memo) > _WEIGHT_MEMO_SIZE:
-            _weight_memo.popitem(last=False)
-    return W
-
-
 def cauchy_pwlin(sgrid, f, z):
     """integral f(s)/(s - z) ds, exact for piecewise-linear f, Im z != 0.
 
     f may be batched: shape (..., Ns).  z is scalar or 1-d; the result has
-    shape (..., Nz).  Computed as f @ W with the weight matrix of the
-    (sgrid, z) pair, built once and reused while the pair recurs.
+    shape (..., Nz).  Computed as f @ W with W = cauchy_weights(sgrid, z).
     """
     sgrid = np.asarray(sgrid, dtype=float)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return np.asarray(f) @ _weights(_cauchy_weights, sgrid, z)
+    return np.asarray(f) @ cauchy_weights(sgrid, z)
 
 
 def pv_cauchy_pwlin(sgrid, f, lam):
     """p.v. integral f(s)/(s - lam) ds, exact for piecewise-linear f.
 
     lam may lie on interior grid nodes (the divergent log coefficients
-    cancel there and are dropped explicitly).  On the first or last node
-    the integral diverges like f(end) log|s - lam|, so such a target
-    raises PrincipalValueFailure unless f has vanished at that end (|f|
-    at most _END_TOL of max |f|, per batch row).  f may be batched with
-    shape (..., Ns); output shape is (..., Nlam).  Computed as f @ W with
-    the real weight matrix of the (sgrid, lam) pair, built once and
-    reused while the pair recurs; complex f takes two real products.
+    cancel there and are dropped explicitly).  f may be batched with
+    shape (..., Ns); output shape is (..., Nlam).  Computed as
+    pv_apply(sgrid, f, lam, pv_weights(sgrid, lam)).
     """
     sgrid = np.asarray(sgrid, dtype=float)
-    f = np.asarray(f)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    return pv_apply(sgrid, f, lam, pv_weights(sgrid, lam))
+
+
+def pv_apply(sgrid, f, lam, W):
+    """f @ W for p.v. weights W of the (sgrid, lam) pair (or a multiple).
+
+    On the first or last node the integral diverges like
+    f(end) log|s - lam|, so such a target raises PrincipalValueFailure
+    unless f has vanished at that end (|f| at most _END_TOL of max |f|,
+    per batch row); so does a non-finite result.  Complex f takes two
+    real products.
+    """
+    f = np.asarray(f)
     for end in (0, -1):
         if np.any(lam == sgrid[end]):
             fabs = np.abs(f)
@@ -274,7 +253,6 @@ def pv_cauchy_pwlin(sgrid, f, lam):
                 raise PrincipalValueFailure(
                     f"p.v. integral diverges: target on the grid end "
                     f"{sgrid[end]:g}, where f does not vanish")
-    W = _weights(_pv_weights, sgrid, lam)
     if np.iscomplexobj(f):
         out = (f.real @ W) + 1j * (f.imag @ W)
     else:
@@ -397,7 +375,7 @@ def _nu_root(profile, lam, nu_floor=1e-9, nu_cap=8.0, tol=1e-13):
                   xtol=tol, rtol=1e-14)
 
 
-def gamma_trace(profile, lam_window=(-20.0, 20.0), n_scan=401,
+def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
                 curve_tol=1e-9) -> GammaCurve:
     """Trace gamma = {Im eta = 0, Im z > 0} by lambda-scan with nu-bisection.
 

@@ -16,7 +16,8 @@ import numpy as np
 from scipy import __version__ as _scipy_version
 
 from . import __version__
-from .broadening import BroadeningProfile, eta_boundary, gamma_trace
+from .broadening import (LAM_WINDOW, BroadeningProfile, eta_boundary,
+                         gamma_trace, profile_normalize)
 from .direct import integrate_direct
 from .errors import InvariantError, MBRHError, SchemaError
 from .jump import JumpData, jump_mixed, spectral_data
@@ -28,7 +29,6 @@ from .rhsolver import (
 )
 from .spectral import DEFAULT_STEP, ScenarioData, locate_a_zeros
 
-LAM_WINDOW = (-20.0, 20.0)      # default detuning window of a scenario
 POLE_RADIUS = 0.15              # regularizing circle radius, capped at 0.45 Im z
 POLE_STEP = 0.02                # Magnus step of the pole search
 
@@ -61,9 +61,9 @@ def profile_from_config(block, path="profile"):
         if shape == "delta_approx":
             return BroadeningProfile.delta_approx(_require(block, "eps", path, (int, float)), sign=sign)
         if shape == "tabulated":
-            return BroadeningProfile.tabulated(_require(block, "grid", path, list),
-                                               _require(block, "values", path, list),
-                                               sign=sign)
+            return profile_normalize(BroadeningProfile.tabulated(
+                _require(block, "grid", path, list),
+                _require(block, "values", path, list), sign=sign))
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     raise SchemaError(f"{path}.shape: unknown shape '{shape}'")
@@ -237,12 +237,13 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     # the real-axis panels come first in the node list
     n_real = n_panels * nodes_per_panel
     lam = contour.nodes[:n_real].real
+    ev = eta_boundary(profile, lam)
     _, Kp, Km = spectral_data(scenario, profile, lam, x_out=x_vals)
 
     def solve_stamp(args):
         it, ix = args
         t, x = t_vals[it], x_vals[ix]
-        jd_real = jump_mixed(t, x, lam, Kp[ix], Km[ix], profile)
+        jd_real = jump_mixed(t, x, ev, Kp[ix], Km[ix])
         if poles:
             jd_circ = soliton_circle_jump(poles, profile, t, x, contour)
             J = jd_circ.J.copy()
@@ -379,7 +380,7 @@ def cmd_jump(args):
     scenario, profile, cfg = load_scenario(args.scenario)
     lam = _lam_grid(cfg)
     _, Kp, Km = spectral_data(scenario, profile, lam, x_out=[args.x])
-    jd = jump_mixed(args.t, args.x, lam, Kp[0], Km[0], profile)
+    jd = jump_mixed(args.t, args.x, eta_boundary(profile, lam), Kp[0], Km[0])
     J = jd.J
     tables = {"jump.csv": (
         ["lambda", "re_J11", "im_J11", "re_J12", "im_J12",
@@ -478,7 +479,7 @@ def build_parser():
     p = sub.add_parser("eta", help="boundary values of the shifted spectral map")
     _add_profile_args(p)
     p.add_argument("--grid", type=int, default=401)
-    p.add_argument("--window", type=float, nargs=2, default=(-20.0, 20.0))
+    p.add_argument("--window", type=float, nargs=2, default=LAM_WINDOW)
     p.add_argument("--out", default="out-eta")
     p.set_defaults(fn=cmd_eta)
 

@@ -18,6 +18,9 @@ from .broadening import average_weights
 from .errors import CFLViolation, ConstraintDrift
 from .lax import MediumSlice
 
+STEP_TOL = 1e-10            # largest per-step change of N^2 + |rho|^2
+DRIFT_TOL = 1e-6            # largest distance of N^2 + |rho|^2 from 1
+
 
 @dataclass
 class FieldState:
@@ -69,15 +72,15 @@ def bloch_rotation(E_mid, lam, h, rho, N):
     return rho_new, N_new
 
 
-def integrate_direct(scenario, profile, lam_grid, dt, x_max=None, t_max=None,
-                     step_tol=1e-10, drift_tol=1e-6) -> FieldState:
+def integrate_direct(scenario, profile, lam_grid, dt, x_max=None,
+                     t_max=None) -> FieldState:
     """Advance the coupled system on a characteristics-aligned lattice.
 
     dt is used for both directions (dx = dt); x_max defaults to the
     scenario depth L and t_max to the scenario horizon T; dt must divide
     both.  The diagnostics hold the largest per-step change of
-    N^2 + |rho|^2 (refused above step_tol), its largest distance from 1
-    over the history (refused above drift_tol), the lattice sizes
+    N^2 + |rho|^2 (refused above STEP_TOL), its largest distance from 1
+    over the history (refused above DRIFT_TOL), the lattice sizes
     (steps, nx and nlam points), and the largest detuning spacing over
     pi/t_max: the polarization oscillates like e^{-2 i lam t}, with
     period pi/t_max in lam at the horizon.
@@ -130,13 +133,13 @@ def integrate_direct(scenario, profile, lam_grid, dt, x_max=None, t_max=None,
         sphere_next = N[k + 1] ** 2 + np.abs(rho[k + 1]) ** 2
         drift = np.max(np.abs(sphere_next - sphere))
         max_step_drift = max(max_step_drift, float(drift))
-        if drift > step_tol:
+        if drift > STEP_TOL:
             raise ConstraintDrift(
                 f"per-step sphere drift {drift:.3e} at t={t_grid[k + 1]:.4f}")
         total = max(total, float(np.max(np.abs(sphere_next - 1.0))))
         sphere = sphere_next
 
-    if total > drift_tol:
+    if total > DRIFT_TOL:
         raise ConstraintDrift(f"cumulative sphere drift {total:.3e}")
     spacing = float(np.max(np.diff(lam))) if lam.size > 1 else 0.0
     diagnostics = {"max_step_drift": max_step_drift,

@@ -22,6 +22,8 @@ from .spectral import (
     xbank_propagate,
 )
 
+DET_TOL = 1e-5              # refuse K+- whose det deviates from 1 by more
+
 
 @dataclass(frozen=True)
 class JumpData:
@@ -91,16 +93,18 @@ def k_solve(scenario, profile, lam_grid, S, bank="+", x_out=None,
         scenario, profile, lam, bank, terminal, x_out, step=step)
 
 
-def jump_mixed(t, x, lam_grid, K_plus, K_minus, profile,
-               det_tol=1e-5) -> JumpData:
-    """Mixed-problem jump J = e^{-i(lam t - x eta+) s3} K+^{-1} K- e^{i(lam t - x eta-) s3}."""
-    lam = np.asarray(lam_grid, dtype=float)
+def jump_mixed(t, x, ev, K_plus, K_minus) -> JumpData:
+    """Mixed-problem jump J = e^{-i(lam t - x eta+) s3} K+^{-1} K- e^{i(lam t - x eta-) s3}.
+
+    ev holds eta_pm on the nodes lam (`eta_boundary`), which a run
+    evaluates once for all its stamps.
+    """
+    lam = ev.lam
     for name, K in (("K+", K_plus), ("K-", K_minus)):
         err = np.max(np.abs(det2(K) - 1.0))
-        if err > det_tol:
+        if err > DET_TOL:
             raise SingularK(f"det {name} deviates from 1 by {err:.2e}")
     J0 = inv2(K_plus) @ K_minus
-    ev = eta_boundary(profile, lam)
     left = diag_exp(-1j * (lam * t - x * ev.eta_plus))
     right = diag_exp(1j * (lam * t - x * ev.eta_minus))
     J = left @ J0 @ right

@@ -1,16 +1,17 @@
-"""Zero-curvature (AKNS) matrices for the Maxwell-Bloch system.
+"""Zero-curvature (AKNS) generators of the Maxwell-Bloch Lax pair.
 
-Provides the generator of the time equation, the generators of the two
-half-plane x-equations (which involve the Cauchy transform of the medium
-matrix F against the weight n), and finite-difference residual checks of
-the evolution equations themselves.
+U(z, E) generates the time equation and V(z, E, G) the two half-plane
+x-equations; G is the Cauchy transform of the medium matrix F against
+the weight n, built per propagation by `medium_transform`.  Also
+finite-difference residual checks of the evolution equations themselves.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .broadening import average_weights, cauchy_pwlin, eta_boundary, eta_eval, pv_cauchy_pwlin
+from .broadening import (average_weights, cauchy_weights, eta_boundary,
+                         eta_eval, pv_apply, pv_weights)
 from .errors import GridCoverage, StencilTooCoarse
 from .mat2 import SIGMA3
 
@@ -19,20 +20,12 @@ COVERAGE_THRESHOLD = 0.999
 
 @dataclass(frozen=True)
 class MediumSlice:
-    """Medium state (inversion N, polarization rho) on a detuning grid at fixed t, x."""
+    """Medium state (inversion N, polarization rho) on a detuning grid at
+    fixed t, x; F = [[N, rho], [rho*, -N]] is its Hermitian medium matrix."""
 
     lam_grid: np.ndarray
     N: np.ndarray
     rho: np.ndarray
-
-    def F(self):
-        """Hermitian traceless medium matrix [[N, rho], [rho*, -N]] per grid point."""
-        out = np.empty(self.lam_grid.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = self.N
-        out[..., 0, 1] = self.rho
-        out[..., 1, 0] = np.conj(self.rho)
-        out[..., 1, 1] = -self.N
-        return out
 
 
 def medium_from_rho(lam_grid, rho):
@@ -54,8 +47,27 @@ def coupling_matrix(E):
     return out
 
 
-def check_coverage(profile, grid, threshold=COVERAGE_THRESHOLD):
-    """Require the grid to capture enough of the weight's mass.
+def U(z, E):
+    """Generator of the t-equation, U = -i z sigma_3 - H(E).
+
+    Linear in (z, E): U(z, E) = U(z, 0) + U(0, E), so a propagation in t
+    builds its z part once.
+    """
+    return -1j * np.asarray(z)[..., None, None] * SIGMA3 - coupling_matrix(E)
+
+
+def V(z, E, G):
+    """Generator of the x-equation, V = i z sigma_3 - i G + H(E).
+
+    G is the medium term (2x2 per z, see `medium_transform`).  Linear in
+    (z, E, G) like U.
+    """
+    return (1j * np.asarray(z)[..., None, None] * SIGMA3 - 1j * np.asarray(G)
+            + coupling_matrix(E))
+
+
+def check_coverage(profile, grid):
+    """Require the grid to capture COVERAGE_THRESHOLD of the weight's mass.
 
     Closed-form shapes carry their tails analytically in every quadrature
     here (the constant part of F is transformed in closed form), so only
@@ -65,70 +77,69 @@ def check_coverage(profile, grid, threshold=COVERAGE_THRESHOLD):
         return
     total = abs(profile.mass_between(profile.grid[0], profile.grid[-1]))
     covered = abs(profile.mass_between(grid[0], grid[-1])) / total
-    if covered < threshold:
-        raise GridCoverage(
-            f"grid captures {covered:.4f} of the weight mass < {threshold}")
+    if covered < COVERAGE_THRESHOLD:
+        raise GridCoverage(f"grid captures {covered:.4f} of the weight mass "
+                           f"< {COVERAGE_THRESHOLD}")
 
 
-def cauchy_transform_F(slice_, profile, z=None, boundary=None):
-    """(1/4) integral F(s) n(s) / (s - z) ds, off-axis or as a boundary value.
+def medium_transform(profile, grid, z, boundary=None):
+    """The medium term G of the x-equation at the targets z, as a function
+    of the medium slice on grid.
 
-    boundary: None for off-axis z; "+" or "-" for the lambda +- i0 limits,
-    which add the local +-(pi i / 4) F(lam) n(lam) term.  The constant part
-    of F (sigma_3 at infinity) is transformed exactly through eta, so tail
-    truncation only touches the deviation F - sigma_3.
+    G = (1/4) integral F(s) n(s) / (s - z) ds, off-axis (boundary None),
+    or its lam +- i0 limit (boundary "+" or "-"), which adds the local
+    +-(pi i / 4) F(lam) n(lam) term.  The constant part of F (sigma_3 at
+    infinity) is transformed exactly through eta, so tail truncation only
+    touches the deviation F - sigma_3.  What depends on (grid, z) alone
+    -- the coverage check, n on the grid, eta, the local weight and the
+    weight matrix W -- is computed here once; the returned function maps
+    a slice to G, shape (Nz, 2, 2), by one product with W.
     """
-    check_coverage(profile, slice_.lam_grid)
-    grid = slice_.lam_grid
+    check_coverage(profile, grid)
+    grid = np.asarray(grid, dtype=float)
     nvals = profile.n(grid)
-    dev11 = (slice_.N - 1.0) * nvals
-    dev12 = slice_.rho * nvals
-    dev21 = np.conj(slice_.rho) * nvals
-    chans = np.stack([dev11, dev12, dev21])
+
+    def channels(slice_):
+        return np.stack([(slice_.N - 1.0) * nvals, slice_.rho * nvals,
+                         np.conj(slice_.rho) * nvals])
 
     if boundary is None:
-        z_in = z
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        c = 0.25 * cauchy_pwlin(grid, chans, z)              # (3, Nz)
-        base = (z - eta_eval(profile, z))                    # scalar sigma_3 part
-        out = np.empty(z.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = c[0] + base
-        out[..., 0, 1] = c[1]
-        out[..., 1, 0] = c[2]
-        out[..., 1, 1] = -c[0] - base
-        return out if np.shape(z_in) else out[0]
+        W = 0.25 * cauchy_weights(grid, z)
+        base = z - eta_eval(profile, z)              # scalar sigma_3 part
 
-    lam_in = z
+        def G(slice_):
+            c = channels(slice_) @ W                 # (3, Nz)
+            return _traceless(c[0] + base, c[1], c[2])
+
+        return G
+
     lam = np.atleast_1d(np.asarray(z, dtype=float))
-    pv = 0.25 * pv_cauchy_pwlin(grid, chans, lam)            # (3, Nlam)
+    W = 0.25 * pv_weights(grid, lam)
     ev = eta_boundary(profile, lam)
-    gbase = ev.g_plus if boundary == "+" else ev.g_minus
-    sgn = 1.0 if boundary == "+" else -1.0
-    nloc = profile.n(lam)
-    loc11 = np.interp(lam, grid, slice_.N) - 1.0
-    loc12 = np.interp(lam, grid, slice_.rho.real) + 1j * np.interp(lam, grid, slice_.rho.imag)
-    d11 = pv[0] + sgn * 0.25j * np.pi * nloc * loc11 + gbase
-    d12 = pv[1] + sgn * 0.25j * np.pi * nloc * loc12
-    d21 = pv[2] + sgn * 0.25j * np.pi * nloc * np.conj(loc12)
-    out = np.empty(lam.shape + (2, 2), dtype=complex)
+    base = ev.g_plus if boundary == "+" else ev.g_minus
+    local = (1.0 if boundary == "+" else -1.0) * 0.25j * np.pi * profile.n(lam)
+
+    def G(slice_):
+        pv = pv_apply(grid, channels(slice_), lam, W)       # (3, Nlam)
+        loc11 = np.interp(lam, grid, slice_.N) - 1.0
+        loc12 = (np.interp(lam, grid, slice_.rho.real)
+                 + 1j * np.interp(lam, grid, slice_.rho.imag))
+        return _traceless(pv[0] + local * loc11 + base,
+                          pv[1] + local * loc12,
+                          pv[2] + local * np.conj(loc12))
+
+    return G
+
+
+def _traceless(d11, d12, d21):
+    """[[d11, d12], [d21, -d11]] per target."""
+    out = np.empty(d11.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = d11
     out[..., 0, 1] = d12
     out[..., 1, 0] = d21
     out[..., 1, 1] = -d11
-    return out if np.shape(lam_in) else out[0]
-
-
-def akns_matrices(z, E, G):
-    """Generators of the Lax pair: U for the t-equation, V for the x-equation.
-
-    U = -i z sigma_3 - H,  V = i z sigma_3 + H - i G.
-    """
-    z = np.asarray(z, dtype=complex)
-    H = coupling_matrix(E)
-    diag = z[..., None, None] * SIGMA3
-    U = -1j * diag - H
-    V = 1j * diag + H - 1j * np.asarray(G, dtype=complex)
-    return U, V
+    return out
 
 
 def conservation_check(slice_):

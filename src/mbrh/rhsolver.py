@@ -24,7 +24,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from scipy.linalg.lapack import zgecon
 
-from .broadening import eta_boundary, eta_eval
+from .broadening import LAM_WINDOW, eta_boundary, eta_eval
 from .errors import (
     EmptyContour,
     IllConditioned,
@@ -128,10 +128,10 @@ def circle_panel(center, radius, n_nodes, offset=0.5):
                  endpoints=None, center=complex(center), radius=float(radius))
 
 
-def contour_build(window=(-20.0, 20.0), n_panels=24, nodes_per_panel=16,
-                  edges=None, circles=(), circle_nodes=64,
+def contour_build(window=LAM_WINDOW, n_panels=24, nodes_per_panel=16,
+                  circles=(), circle_nodes=64,
                   include_real=True) -> ContourSigma:
-    """Real-axis panels (left to right) plus clockwise circles.
+    """Equal real-axis panels on window (left to right) plus clockwise circles.
 
     circles: iterable of (center, radius); conjugate closure of the node
     multiset is the caller's responsibility (add circles in conjugate
@@ -139,8 +139,7 @@ def contour_build(window=(-20.0, 20.0), n_panels=24, nodes_per_panel=16,
     """
     panels = []
     if include_real:
-        if edges is None:
-            edges = np.linspace(window[0], window[1], n_panels + 1)
+        edges = np.linspace(window[0], window[1], n_panels + 1)
         for a, b in zip(edges[:-1], edges[1:]):
             panels.append(segment_panel(a, b, nodes_per_panel))
     for (c, r) in circles:
@@ -208,9 +207,11 @@ def _build_cauchy_plus(contour):
 # singular integral equation
 # ----------------------------------------------------------------------
 
+COND_LIMIT = 1e12           # LU condition estimate above which a stamp is refused
 KRYLOV_RTOL = 1e-15         # GMRES stops at residual norm <= this * ||b||_2
 KRYLOV_BUDGET = 100         # Arnoldi steps before the LU fallback
 KRYLOV_RESIDUAL = 1e-13     # a-posteriori max-norm residual, relative to C+[I-J]
+EVAL_FLOOR = 2.0            # off-contour M within this many node spacings is refused
 
 
 @dataclass
@@ -221,26 +222,26 @@ class RHResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def sie_solve(contour: ContourSigma, jd: JumpData, cond_limit=1e12,
-              require_posdef=True) -> RHResult:
+def sie_solve(contour: ContourSigma, jd: JumpData) -> RHResult:
     """Collocation solve of Q - C+[Q(I-J)] = C+[I-J].
 
-    A contour of real-axis segments only is solved matrix-free by
+    Jump data with real-axis nodes must have a positive-definite
+    Hermitian part there (`PosdefViolated` otherwise).  A contour of real-axis segments only is solved matrix-free by
     unrestarted GMRES (`_gmres`); `cond` is then s_max/s_min of its
     Hessenberg matrix, a lower bound on kappa_2 of the operator.  The
     dense LU path, with `cond` the 1-norm estimate of `zgecon`, solves
     every contour with a circle panel, and every real-axis stamp whose
-    Krylov estimate exceeds cond_limit/1e3, whose iteration budget runs
+    Krylov estimate exceeds COND_LIMIT/1e3, whose iteration budget runs
     out, or whose a-posteriori residual exceeds KRYLOV_RESIDUAL.  Only
     the LU path refuses with `IllConditioned` (estimate above
-    cond_limit).  `iterations` is 0 on the LU path.
+    COND_LIMIT).  `iterations` is 0 on the LU path.
     """
     J = jd.J
     n = contour.n_nodes
     if J.shape[0] != n:
         raise ValueError("jump data does not match the contour nodes")
     posdef_min = None
-    if require_posdef and np.any(jd.nodes.imag == 0.0):
+    if np.any(jd.nodes.imag == 0.0):
         posdef_min = posdef_check(jd)
         if posdef_min <= 0.0:
             raise PosdefViolated(
@@ -256,12 +257,12 @@ def sie_solve(contour: ContourSigma, jd: JumpData, cond_limit=1e12,
     # ~1 where kappa is astronomically large
     krylov = None
     if all(p.kind == "segment" for p in contour.panels):
-        krylov = _gmres(CP, IJ, R, cond_limit / 1e3)
+        krylov = _gmres(CP, IJ, R, COND_LIMIT / 1e3)
     if krylov is not None:
         Q, cond, iterations = krylov
         res = _residual(CP, IJ, Q, R)
     if krylov is None or res > KRYLOV_RESIDUAL * rnorm:
-        Q, cond = _lu_solve(CP, IJ, R, cond_limit)
+        Q, cond = _lu_solve(CP, IJ, R)
         iterations = 0
         res = _residual(CP, IJ, Q, R)
 
@@ -288,7 +289,7 @@ def _residual(CP, IJ, Q, R):
     return float(np.max(np.abs(Q - _cauchy_apply(CP, _times(Q, IJ)) - R)))
 
 
-def _lu_solve(CP, IJ, R, cond_limit):
+def _lu_solve(CP, IJ, R):
     """Dense LU of the 2N x 2N operator (each row of Q decouples), with
     the `zgecon` 1-norm condition estimate.  Returns (Q, cond)."""
     n = CP.shape[0]
@@ -299,7 +300,7 @@ def _lu_solve(CP, IJ, R, cond_limit):
     lu, piv = lu_factor(A)
     anorm = np.linalg.norm(A, 1)
     rcond, _ = zgecon(lu, anorm)
-    if rcond == 0.0 or 1.0 / rcond > cond_limit:
+    if rcond == 0.0 or 1.0 / rcond > COND_LIMIT:
         raise IllConditioned(f"condition estimate {1.0 / max(rcond, 1e-300):.2e}")
 
     Q = np.empty((n, 2, 2), dtype=complex)
@@ -381,11 +382,13 @@ def _moment_and_field(contour, Q, J):
     return m, E
 
 
-def evaluate_M(result: RHResult, contour: ContourSigma, jd: JumpData, z,
-               floor_factor=2.0):
-    """Off-contour M(z) = I + (1/2 pi i) int (I+Q)(I-J)/(s-z) ds."""
+def evaluate_M(result: RHResult, contour: ContourSigma, jd: JumpData, z):
+    """Off-contour M(z) = I + (1/2 pi i) int (I+Q)(I-J)/(s-z) ds.
+
+    Refuses z closer to a node than EVAL_FLOOR node spacings.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    floor = floor_factor * contour.spacing_floor()
+    floor = EVAL_FLOOR * contour.spacing_floor()
     dist = np.min(np.abs(z[:, None] - contour.nodes[None, :]), axis=1)
     if np.any(dist < floor):
         raise TooCloseToContour(f"evaluation point within {floor:.3e} of a node")

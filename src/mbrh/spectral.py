@@ -15,20 +15,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .broadening import eta_boundary, eta_eval
+from .broadening import LAM_WINDOW, eta_boundary, eta_eval
 from .errors import (
     CountMismatch,
     DecayViolation,
     MediumNotAsymptotic,
     SpectralSingularity,
 )
-from .lax import cauchy_transform_F, coupling_matrix, medium_from_rho
+from .lax import U, V, medium_from_rho, medium_transform
 from .mat2 import SIGMA3, det2, diag_exp, expm2, inv2
 
 _GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
 DEFAULT_STEP = 0.01
+SINGULAR_FLOOR = 1e-8       # |a| below this on the axis is a spectral singularity
+NEWTON_TOL = 1e-10          # Newton step at which a zero of a counts as found
 
 
 @dataclass(frozen=True)
@@ -52,31 +54,29 @@ class ScenarioData:
         zero = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
         return cls(T=T, L=L, E_in=zero, E0=zero, rho0=None)
 
-    def e_in_samples(self, npts=2001):
-        t = np.linspace(0.0, self.T, npts)
-        return t, np.asarray(self.E_in(t), dtype=complex)
-
-    def e0_samples(self, npts=2001):
-        x = np.linspace(0.0, self.L, npts)
-        return x, np.asarray(self.E0(x), dtype=complex)
-
     @property
     def medium_is_trivial(self):
         return self.rho0 is None
 
+    @property
+    def field_free(self):
+        """Unexcited medium and E0 = 0 on 2001 samples of [0, L]: the
+        x-equation is then solved by plane waves."""
+        x = np.linspace(0.0, self.L, 2001)
+        return self.medium_is_trivial and np.max(np.abs(self.E0(x))) == 0.0
+
     def medium_slice(self, x, lam_grid):
-        if self.rho0 is None:
-            return medium_from_rho(lam_grid, np.zeros(np.shape(lam_grid), complex))
+        """Slice of the excited medium (rho0 not None) at depth x."""
         return medium_from_rho(lam_grid, np.asarray(self.rho0(x, lam_grid), complex))
 
     def validate(self):
-        _, e = self.e_in_samples()
+        e = np.asarray(self.E_in(np.linspace(0.0, self.T, 2001)), complex)
         peak = np.max(np.abs(e))
         if peak > 0 and np.abs(e[-1]) > 1e-6 * peak:
             raise DecayViolation(
                 f"boundary pulse at t=T is {abs(e[-1]):.2e}, above 1e-6 of peak")
         if self.rho0 is not None:
-            lam = np.linspace(-20, 20, 101)
+            lam = np.linspace(*LAM_WINDOW, 101)
             tail = np.max(np.abs(np.asarray(self.rho0(self.L, lam))))
             if tail > 1e-8:
                 raise MediumNotAsymptotic(
@@ -149,48 +149,53 @@ def _refined_grid(targets, step):
     return np.concatenate(pieces)
 
 
+def _t_generator(scenario, z, shift=0.0):
+    """A(t) = U(z, E_in(t)) + shift I, with U(z, 0) + shift I built once
+    (shift: the scalar rephasing of a continued column)."""
+    free = U(z, 0.0) + np.multiply.outer(shift, np.eye(2))
+    return lambda t: free + U(0.0, complex(scenario.E_in(t)))
+
+
+def _x_generator(scenario, z, G, shift=0.0):
+    """A(x) = V(z, E0(x), G) + shift I, with its z part built once.
+
+    G is a constant (unexcited medium) or a function of x (the medium
+    transform of the slice at depth x).
+    """
+    const, Gx = (0.0, G) if callable(G) else (G, lambda x: 0.0)
+    free = V(z, 0.0, const) + np.multiply.outer(shift, np.eye(2))
+    return lambda x: free + V(0.0, complex(scenario.E0(x)), Gx(x))
+
+
 # ----------------------------------------------------------------------
 # t-equation Jost solution at x = 0
 # ----------------------------------------------------------------------
 
-def jost_phi(scenario, lam_grid, step=DEFAULT_STEP, validate=True):
+def jost_phi(scenario, lam_grid, step=DEFAULT_STEP):
     """Jost matrix of the t-equation at t = 0 for each real lam.
 
     Integrates backward from the plane-wave terminal value at t = T.
     Returns (Phi0, A, B) with A = Phi0[1,1], B = Phi0[0,1].
     """
-    if validate:
-        scenario.validate()
+    scenario.validate()
     lam = np.asarray(lam_grid, dtype=float)
-    s = np.linspace(0.0, scenario.T, int(np.ceil(scenario.T / step)) + 1)
-    diag = -1j * lam[:, None, None] * SIGMA3
-
-    def Afun(t):
-        return diag - coupling_matrix(complex(scenario.E_in(t)))
-
-    terminal = diag_exp(-1j * lam * scenario.T)
-    Phi0 = magnus_propagate(Afun, s, terminal)
+    Phi0 = magnus_propagate(_t_generator(scenario, lam),
+                            _refined_grid([0.0, scenario.T], step),
+                            diag_exp(-1j * lam * scenario.T))
     return Phi0, Phi0[..., 1, 1], Phi0[..., 0, 1]
 
 
 def phi_column_continuation(scenario, z, step=DEFAULT_STEP):
     """Analytic continuation of (A, B) to complex z (second Jost column).
 
-    The rephased column v = Phi[:, 2] e^{-izt} obeys
-    v' = (diag(-2iz, 0) - H) v with v(T) = (0, 1); backward integration is
-    contractive for Im z > 0.
+    The rephased column v = Phi[:, 2] e^{-izt} obeys v' = (U - iz) v with
+    v(T) = (0, 1); backward integration is contractive for Im z > 0.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    s = np.linspace(0.0, scenario.T, int(np.ceil(scenario.T / step)) + 1)
-    base = np.zeros(z.shape + (2, 2), dtype=complex)
-    base[..., 0, 0] = -2j * z
-
-    def Afun(t):
-        return base - coupling_matrix(complex(scenario.E_in(t)))
-
     terminal = np.zeros(z.shape + (2, 1), dtype=complex)
     terminal[..., 1, 0] = 1.0
-    v0 = magnus_propagate(Afun, s, terminal)
+    v0 = magnus_propagate(_t_generator(scenario, z, -1j * z),
+                          _refined_grid([0.0, scenario.T], step), terminal)
     return v0[..., 1, 0], v0[..., 0, 0]          # A(z), B(z)
 
 
@@ -204,45 +209,36 @@ def xbank_propagate(scenario, profile, lam_grid, bank, terminal, x_out,
 
     terminal is the (Nlam, 2, 2) value at x = L; the trajectory is returned
     on x_out.  Shared by the Jost solve and the auxiliary terminal-data
-    solve of the jump assembly.
+    solve of the jump assembly.  An excited medium's transform is
+    integrated on lam_grid itself.
     """
     lam = np.asarray(lam_grid, dtype=float)
     x_out = np.asarray(x_out, dtype=float)
-    ev = eta_boundary(profile, lam)
-    eta_b = ev.eta_plus if bank == "+" else ev.eta_minus
-
-    _, e0 = scenario.e0_samples()
-    if scenario.medium_is_trivial and np.max(np.abs(e0)) == 0.0:
-        # exact solution: pure phase relative to the terminal data
-        phase = diag_exp(1j * (x_out[:, None] - scenario.L) * eta_b)
-        return phase @ terminal
-
     if scenario.medium_is_trivial:
-        def Afun(x):
-            return (1j * eta_b[:, None, None] * SIGMA3
-                    + coupling_matrix(complex(scenario.E0(x))))
+        ev = eta_boundary(profile, lam)
+        g = ev.g_plus if bank == "+" else ev.g_minus      # eta_pm = lam - g_pm
+        if scenario.field_free:
+            # exact solution: pure phase relative to the terminal data
+            return diag_exp(1j * (x_out[:, None] - scenario.L) * (lam - g)) @ terminal
+        G = g[:, None, None] * SIGMA3
     else:
-        def Afun(x):
-            sl = scenario.medium_slice(x, lam)
-            G = cauchy_transform_F(sl, profile, lam, boundary=bank)
-            return (1j * lam[:, None, None] * SIGMA3 - 1j * G
-                    + coupling_matrix(complex(scenario.E0(x))))
+        transform = medium_transform(profile, lam, lam, boundary=bank)
+        G = lambda x: transform(scenario.medium_slice(x, lam))
 
     grid = _refined_grid(np.union1d(x_out, [0.0, scenario.L]), step)
-    traj = magnus_propagate(Afun, grid, terminal, keep="all")
-    idx = np.searchsorted(grid, x_out)
-    return traj[idx]
+    traj = magnus_propagate(_x_generator(scenario, lam, G), grid, terminal,
+                            keep="all")
+    return traj[np.searchsorted(grid, x_out)]
 
 
 def jost_w(scenario, profile, lam_grid, bank="+", x_out=None,
-           step=DEFAULT_STEP, validate=True):
+           step=DEFAULT_STEP):
     """Jost matrix of the half-plane x-equation at t = 0 on an x lattice.
 
     Integrates backward from w(L) = e^{i L eta_pm sigma_3}.  Returns
     (x_out, w) with w of shape (len(x_out), len(lam), 2, 2).
     """
-    if validate:
-        scenario.validate()
+    scenario.validate()
     lam = np.asarray(lam_grid, dtype=float)
     if x_out is None:
         x_out = np.array([0.0, scenario.L])
@@ -258,36 +254,24 @@ def wplus_column_continuation(scenario, profile, z, step=DEFAULT_STEP):
     """Continuation of (alpha, beta) to complex z (first column of w+).
 
     The rephased column u = w[:, 1] e^{-i eta(z) x} obeys
-    u' = (i z sigma_3 - i G(z) + H - i eta(z)) u with u(L) = (1, 0).
+    u' = (V - i eta(z)) u with u(L) = (1, 0).  An excited medium is
+    transformed on 401 nodes of LAM_WINDOW.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     eta_z = eta_eval(profile, z)
-
-    _, e0 = scenario.e0_samples()
-    trivial_all = scenario.medium_is_trivial and np.max(np.abs(e0)) == 0.0
-    if trivial_all:
+    if scenario.field_free:
         return np.ones(z.shape, complex), np.zeros(z.shape, complex)
-
     if scenario.medium_is_trivial:
-        base = np.zeros(z.shape + (2, 2), dtype=complex)
-        base[..., 1, 1] = -2j * eta_z
-
-        def Afun(x):
-            return base + coupling_matrix(complex(scenario.E0(x)))
+        G = (z - eta_z)[:, None, None] * SIGMA3
     else:
-        lam_med = np.linspace(-20, 20, 401)
+        lam_med = np.linspace(*LAM_WINDOW, 401)
+        transform = medium_transform(profile, lam_med, z)
+        G = lambda x: transform(scenario.medium_slice(x, lam_med))
 
-        def Afun(x):
-            sl = scenario.medium_slice(x, lam_med)
-            G = cauchy_transform_F(sl, profile, z)
-            return (1j * z[:, None, None] * SIGMA3 - 1j * G
-                    - 1j * eta_z[:, None, None] * np.eye(2)
-                    + coupling_matrix(complex(scenario.E0(x))))
-
-    s = np.linspace(0.0, scenario.L, int(np.ceil(scenario.L / step)) + 1)
     terminal = np.zeros(z.shape + (2, 1), dtype=complex)
     terminal[..., 0, 0] = 1.0
-    u0 = magnus_propagate(Afun, s, terminal)
+    u0 = magnus_propagate(_x_generator(scenario, z, G, -1j * eta_z),
+                          _refined_grid([0.0, scenario.L], step), terminal)
     return u0[..., 0, 0], u0[..., 1, 0]          # alpha(z), beta(z)
 
 
@@ -295,15 +279,14 @@ def wplus_column_continuation(scenario, profile, z, step=DEFAULT_STEP):
 # transition matrices and reflection coefficients
 # ----------------------------------------------------------------------
 
-def transition_and_reflection(lam_grid, Phi0, w_plus0, w_minus0,
-                              singular_floor=1e-8):
+def transition_and_reflection(lam_grid, Phi0, w_plus0, w_minus0):
     """Scattering table from T_pm = (w_pm(0))^{-1} Phi(0)."""
     lam = np.asarray(lam_grid, dtype=float)
     Tp = inv2(w_plus0) @ Phi0
     Tm = inv2(w_minus0) @ Phi0
 
     a_plus = Tp[..., 1, 1]
-    if np.min(np.abs(a_plus)) < singular_floor:
+    if np.min(np.abs(a_plus)) < SINGULAR_FLOOR:
         k = int(np.argmin(np.abs(a_plus)))
         raise SpectralSingularity(
             f"a vanishes on the real axis near lam={lam[k]:.4f}")
@@ -377,7 +360,7 @@ def _winding_adaptive(afun, window, n0=32, max_pts=4096):
 
 
 def locate_a_zeros(scenario, profile, window=(-5.0, 5.0, 1e-3, 5.0),
-                   step=DEFAULT_STEP, newton_tol=1e-10):
+                   step=DEFAULT_STEP):
     """Zeros of the continued a(z) with residue constants, in a rectangle.
 
     Argument-principle count on the window, recursive subdivision down to
@@ -400,7 +383,7 @@ def locate_a_zeros(scenario, profile, window=(-5.0, 5.0, 1e-3, 5.0),
             return
         x0, x1, y0, y1 = win
         if count == 1 or max(x1 - x0, y1 - y0) < 0.02:
-            zeros.append(_newton_refine(afun, win, newton_tol))
+            zeros.append(_newton_refine(afun, win, NEWTON_TOL))
             return
         if x1 - x0 >= y1 - y0:
             xm = 0.5 * (x0 + x1)

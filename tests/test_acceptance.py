@@ -148,11 +148,12 @@ def test_criterion_04_trivial_scenario_end_to_end():
     x_vals = np.linspace(0.0, sc.L, 10)
     _, Kp = k_solve(sc, LOR, lam, eye, bank="+", x_out=x_vals)
     _, Km = k_solve(sc, LOR, lam, eye, bank="-", x_out=x_vals)
+    ev = eta_boundary(LOR, lam)
     jerr = 0.0
     emax = 0.0
     for it, t in enumerate(t_vals):
         for ix, x in enumerate(x_vals):
-            jd = jump_mixed(t, x, lam, Kp[ix], Km[ix], LOR)
+            jd = jump_mixed(t, x, ev, Kp[ix], Km[ix])
             jerr = max(jerr, float(np.max(np.abs(jd.J - np.eye(2)))))
             res = sie_solve(contour, jd)
             emax = max(emax, abs(res.E))
@@ -181,7 +182,7 @@ def test_criterion_05_unimodularity_and_symmetry_suite():
         "T+": table.diagnostics["det_Tp_err"],
         "T-": table.diagnostics["det_Tm_err"],
     }
-    jd = jump_mixed(2.5, 1.0, lam, Kp[0], Km[0], LOR)
+    jd = jump_mixed(2.5, 1.0, eta_boundary(LOR, lam), Kp[0], Km[0])
     det_errs["J"] = jd.det_error()
     res = sie_solve(contour, jd)
     z_off = np.array([0.7 + 1.5j, -2.0 + 2.0j, 1.0 - 1.8j])
@@ -361,8 +362,8 @@ def test_criterion_12_medium_reconstruction_consistency(desk_direct):
     lam = contour.nodes.real
     x_out = np.array([x - hx, x, x + hx])
     _, Kp, Km = spectral_data(sc, LOR, lam, x_out=x_out)
-    jds = [jump_mixed(t, xv, lam, Kp[i], Km[i], LOR)
-           for i, xv in enumerate(x_out)]
+    ev = eta_boundary(LOR, lam)
+    jds = [jump_mixed(t, xv, ev, Kp[i], Km[i]) for i, xv in enumerate(x_out)]
     sols = [sie_solve(contour, jd) for jd in jds]
     mask = np.abs(lam) <= 2.5
     lam_out, N, rho = reconstruct_F_nodes(

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from mbrh import jump, rhsolver, spectral
+from mbrh import broadening, jump, rhsolver, spectral
 from mbrh.cli import (
     load_scenario,
     pulse_from_config,
@@ -14,7 +14,14 @@ from mbrh.cli import (
     rho0_from_config,
     run_command,
 )
-from mbrh.errors import InvariantError, SchemaError
+from mbrh.errors import InvariantError, NonDecaying, SchemaError
+
+
+def gaussian_table(sign=-1):
+    """Positive, unnormalized Gaussian line on 801 nodes of [-20, 20]."""
+    grid = np.linspace(-20, 20, 801)
+    return {"shape": "tabulated", "sign": sign, "grid": grid.tolist(),
+            "values": np.exp(-grid ** 2 / 2).tolist()}
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -78,6 +85,27 @@ class TestLoadScenario:
                  "re": [[0.0, 0.4], [0.2, 0.6]]}
         rho0 = rho0_from_config(block)
         assert abs(rho0(0.5, np.array([0.0]))[0] - 0.3) < 1e-12
+
+    def test_tabulated_profile_is_normalized(self):
+        # a positive table loads with the sign of the medium and unit mass
+        prof = profile_from_config(gaussian_table(sign=-1))
+        lam = np.linspace(-20, 20, 801)
+        assert np.all(prof.n(lam) <= 0.0) and prof.n(0.0) < 0.0
+        assert abs(np.trapezoid(prof.values, prof.grid) + 1.0) < 1e-12
+        amp = profile_from_config(gaussian_table(sign=+1))
+        assert abs(np.trapezoid(amp.values, amp.grid) - 1.0) < 1e-12
+
+    def test_nondecaying_table_refused(self, tmp_path):
+        # a Lorentzian cut at +-30 keeps 1e-3 of its peak at the ends
+        grid = np.linspace(-30, 30, 601)
+        block = {"shape": "tabulated", "sign": -1, "grid": grid.tolist(),
+                 "values": (1.0 / (np.pi * (grid ** 2 + 1.0))).tolist()}
+        with pytest.raises(NonDecaying):
+            profile_from_config(block)
+        path = write_scenario(tmp_path, profile=block)
+        assert run_command(["solve-rh", "--scenario", path, "--t", "2:4:2",
+                            "--x", "0:1:2", "--no-poles",
+                            "--out", str(tmp_path / "rh")]) == 3
 
     def test_profile_errors(self):
         with pytest.raises(SchemaError, match="shape"):
@@ -236,3 +264,26 @@ class TestCommands:
                           "--out", str(tmp_path / "rh")])
         assert rc == 0
         assert len(calls) == 1
+
+
+def test_tabulated_solve_rh_builds_pv_weights_per_run(monkeypatch, tmp_path):
+    # eta_pm of a tabulated line is evaluated on the real nodes once per
+    # run, not once per stamp: 2x1 and 4x3 lattices build the same count
+    builds = []
+    orig = broadening.pv_weights
+
+    def counted(*args):
+        builds.append(args[1].size)
+        return orig(*args)
+
+    monkeypatch.setattr(broadening, "pv_weights", counted)
+    path = write_scenario(tmp_path, n_panels=4, nodes_per_panel=8,
+                          profile=gaussian_table())
+    counts = []
+    for t_spec, x_spec in (("2:4:2", "0:2:1"), ("2:4:4", "0:2:3")):
+        builds.clear()
+        assert run_command(["solve-rh", "--scenario", path, "--t", t_spec,
+                            "--x", x_spec, "--no-poles",
+                            "--out", str(tmp_path / "rh")]) == 0
+        counts.append(len(builds))
+    assert counts[0] == counts[1] > 0

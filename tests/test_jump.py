@@ -1,7 +1,5 @@
 """Jump-matrix assembly: mixed, whole-line, and amplifier-oval classes."""
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from scipy.special import gamma as cgamma
@@ -101,8 +99,9 @@ class TestKSolve:
 
 
 class TestKernelReuse:
-    """The x-banks of an excited medium build each Cauchy weight matrix
-    once per propagation and apply it at every Magnus Gauss node."""
+    """The x-banks and the continued column of an excited medium build the
+    medium transform's weight matrix once per propagation and apply it at
+    every Magnus Gauss node."""
 
     @staticmethod
     def _count(monkeypatch, module, name, log):
@@ -115,10 +114,9 @@ class TestKernelReuse:
         monkeypatch.setattr(module, name, counted)
 
     def test_xbank_builds_pv_weights_once(self, monkeypatch):
-        monkeypatch.setattr(broadening, "_weight_memo", OrderedDict())
         builds, calls = [], []
-        self._count(monkeypatch, broadening, "_pv_weights", builds)
-        self._count(monkeypatch, lax, "pv_cauchy_pwlin", calls)
+        self._count(monkeypatch, lax, "pv_weights", builds)
+        self._count(monkeypatch, lax, "pv_apply", calls)
         sc = excited_scenario()
         lam = np.linspace(-20, 20, 41)
         x_out = np.linspace(0, sc.L, 3)
@@ -130,16 +128,12 @@ class TestKernelReuse:
         assert len(calls) == 2 * steps
 
     def test_continued_a_builds_cauchy_weights_once(self, monkeypatch):
-        monkeypatch.setattr(broadening, "_weight_memo", OrderedDict())
-        builds, calls = [], []
-        self._count(monkeypatch, broadening, "_cauchy_weights", builds)
-        self._count(monkeypatch, lax, "cauchy_pwlin", calls)
+        builds = []
+        self._count(monkeypatch, lax, "cauchy_weights", builds)
         sc = excited_scenario()
-        step = 0.05
         continued_a(sc, ATT, np.array([0.3 + 0.5j, -1.0 + 0.2j, 2.0 + 1.0j]),
-                    step=step)
+                    step=0.05)
         assert len(builds) == 1
-        assert len(calls) == 2 * int(np.ceil(sc.L / step))
 
 
 class TestJumpMixed:
@@ -147,10 +141,11 @@ class TestJumpMixed:
         sc = ScenarioData.trivial()
         lam = np.linspace(-6, 6, 25)
         eye = np.broadcast_to(np.eye(2, dtype=complex), (25, 2, 2)).copy()
+        ev = eta_boundary(ATT, lam)
         for (t, x) in ((0.0, 0.0), (3.7, 1.2), (10.0, 5.0)):
             _, Kp = k_solve(sc, ATT, lam, eye, bank="+", x_out=np.array([x]))
             _, Km = k_solve(sc, ATT, lam, eye, bank="-", x_out=np.array([x]))
-            jd = jump_mixed(t, x, lam, Kp[0], Km[0], ATT)
+            jd = jump_mixed(t, x, ev, Kp[0], Km[0])
             assert np.max(np.abs(jd.J - np.eye(2))) < 1e-10
 
     def test_origin_equals_spectral_product(self, smooth_data):
@@ -158,7 +153,7 @@ class TestJumpMixed:
         sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
         _, Kp = k_solve(sc, ATT, lam, sp, bank="+", x_out=np.array([0.0]))
         _, Km = k_solve(sc, ATT, lam, sm, bank="-", x_out=np.array([0.0]))
-        jd = jump_mixed(0.0, 0.0, lam, Kp[0], Km[0], ATT)
+        jd = jump_mixed(0.0, 0.0, eta_boundary(ATT, lam), Kp[0], Km[0])
         want = inv2(sp) @ inv2(wp0) @ wm0 @ sm
         assert np.max(np.abs(jd.J - want)) < 1e-7
 
@@ -167,7 +162,7 @@ class TestJumpMixed:
         sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
         _, Kp = k_solve(sc, ATT, lam, sp, bank="+", x_out=np.array([2.0]))
         _, Km = k_solve(sc, ATT, lam, sm, bank="-", x_out=np.array([2.0]))
-        jd = jump_mixed(1.5, 2.0, lam, Kp[0], Km[0], ATT)
+        jd = jump_mixed(1.5, 2.0, eta_boundary(ATT, lam), Kp[0], Km[0])
         assert jd.det_error() < 1e-8
 
     def test_tail_decay_in_lambda(self, smooth_data):
@@ -175,7 +170,7 @@ class TestJumpMixed:
         sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
         _, Kp = k_solve(sc, ATT, lam, sp, bank="+", x_out=np.array([0.0]))
         _, Km = k_solve(sc, ATT, lam, sm, bank="-", x_out=np.array([0.0]))
-        jd = jump_mixed(0.0, 0.0, lam, Kp[0], Km[0], ATT)
+        jd = jump_mixed(0.0, 0.0, eta_boundary(ATT, lam), Kp[0], Km[0])
         dist = np.max(np.abs(jd.J - np.eye(2)), axis=(-2, -1))
         at = lambda v: dist[np.argmin(np.abs(lam - v))]
         assert at(20.0) <= 0.1 and at(-20.0) <= 0.1
@@ -184,13 +179,14 @@ class TestJumpMixed:
     def test_posdef_at_random_stamps(self, smooth_data):
         sc, lam, tab, _, _ = smooth_data
         sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
+        ev = eta_boundary(ATT, lam)
         rng = np.random.default_rng(5)
         for _ in range(5):
             t = rng.uniform(0, 10)
             x = rng.uniform(0, 5)
             _, Kp = k_solve(sc, ATT, lam, sp, bank="+", x_out=np.array([x]))
             _, Km = k_solve(sc, ATT, lam, sm, bank="-", x_out=np.array([x]))
-            jd = jump_mixed(t, x, lam, Kp[0], Km[0], ATT)
+            jd = jump_mixed(t, x, ev, Kp[0], Km[0])
             assert posdef_check(jd) > 0.0
 
 

@@ -1,4 +1,4 @@
-"""AKNS generators, medium Cauchy transform, and equation residuals."""
+"""AKNS generators, medium transform, and equation residuals."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,15 @@ import pytest
 from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
 from mbrh.errors import GridCoverage, StencilTooCoarse
 from mbrh.lax import (
+    U,
+    V,
     MediumSlice,
-    akns_matrices,
-    cauchy_transform_F,
     check_coverage,
     conservation_check,
     coupling_matrix,
     mb_residual,
     medium_from_rho,
+    medium_transform,
 )
 from mbrh.mat2 import SIGMA2, SIGMA3, dagger, sigma2_conj
 
@@ -29,7 +30,7 @@ class TestCauchyTransformF:
         grid = np.linspace(-15, 15, 301)
         s = _trivial_slice(grid)
         z = 2j
-        G = cauchy_transform_F(s, p, z)
+        G = medium_transform(p, grid, z)(s)
         want = (z - eta_eval(p, z)) * SIGMA3
         assert np.max(np.abs(G - want)) < 1e-12
 
@@ -38,10 +39,10 @@ class TestCauchyTransformF:
         grid = np.linspace(-15, 15, 301)
         s = _trivial_slice(grid)
         lam = 0.7
-        Gp = cauchy_transform_F(s, p, lam, boundary="+")
+        Gp = medium_transform(p, grid, lam, boundary="+")(s)
         ev = eta_boundary(p, lam)
         assert np.max(np.abs(Gp - ev.g_plus[0] * SIGMA3)) < 1e-12
-        Gm = cauchy_transform_F(s, p, lam, boundary="-")
+        Gm = medium_transform(p, grid, lam, boundary="-")(s)
         assert np.max(np.abs(Gm - ev.g_minus[0] * SIGMA3)) < 1e-12
 
     def test_generic_slice_vs_brute_trapezoid(self):
@@ -50,7 +51,7 @@ class TestCauchyTransformF:
         rho = 0.5 * np.exp(-grid ** 2) * (1 + 0.3j)
         s = medium_from_rho(grid, rho)
         z = 1 + 1j
-        G = cauchy_transform_F(s, p, z)
+        G = medium_transform(p, grid, z)(s)
         # brute oracle: trapezoid of the full integrand, dense where the
         # table lives (refinement divides the table spacing exactly) and
         # coarse on the sigma_3 tails
@@ -70,7 +71,23 @@ class TestCauchyTransformF:
         want[0, 1] = 0.25 * np.trapezoid(rho_b * kern, sb)
         want[1, 0] = 0.25 * np.trapezoid(np.conj(rho_b) * kern, sb)
         want[1, 1] = -want[0, 0]
-        assert np.max(np.abs(G - want)) < 1e-8
+        assert np.max(np.abs(G[0] - want)) < 1e-8
+
+    def test_one_transform_serves_every_slice(self):
+        # the (grid, z) work is done once; each slice only changes the data
+        p = BroadeningProfile.lorentzian(1.0, sign=-1)
+        grid = np.linspace(-10, 10, 401)
+        lam = grid[::40]
+        z = lam + 0.3j
+        offaxis = medium_transform(p, grid, z)
+        plus = medium_transform(p, grid, lam, boundary="+")
+        for amp in (0.0, 0.2, 0.5):
+            s = medium_from_rho(grid, amp * np.exp(-grid ** 2) * (1 - 0.4j))
+            fresh = medium_transform(p, grid, z)(s)
+            assert np.array_equal(offaxis(s), fresh)
+            assert np.array_equal(plus(s), medium_transform(
+                p, grid, lam, boundary="+")(s))
+            assert np.array_equal(fresh[:, 1, 1], -fresh[:, 0, 0])   # traceless
 
     def test_coverage_guard(self):
         grid = np.linspace(-6, 6, 601)
@@ -78,32 +95,40 @@ class TestCauchyTransformF:
         p = BroadeningProfile.tabulated(grid, vals, sign=-1)
         with pytest.raises(GridCoverage):
             check_coverage(p, np.linspace(-1, 1, 51))
+        with pytest.raises(GridCoverage):
+            medium_transform(p, np.linspace(-1, 1, 51), 0.5j)
         check_coverage(p, grid)   # full hull passes
 
 
 class TestAknsMatrices:
     def test_free_case(self):
         lam = 1.7
-        U, V = akns_matrices(lam, 0.0, np.zeros((2, 2)))
-        assert np.allclose(U, -1j * lam * SIGMA3)
-        assert np.allclose(V, 1j * lam * SIGMA3)
+        assert np.allclose(U(lam, 0.0), -1j * lam * SIGMA3)
+        assert np.allclose(V(lam, 0.0, np.zeros((2, 2))), 1j * lam * SIGMA3)
 
     def test_pure_coupling(self):
-        U, _ = akns_matrices(0.0, 2.0, np.zeros((2, 2)))
-        assert np.allclose(U, np.array([[0, -1], [1, 0]]))
+        assert np.allclose(U(0.0, 2.0), np.array([[0, -1], [1, 0]]))
 
     def test_H_antihermitian(self):
         H = coupling_matrix(1 + 1j)
         assert np.max(np.abs(H + dagger(H))) < 1e-15
+
+    def test_linear_split(self):
+        # the Magnus loops build U(z, 0) and V(z, 0, 0) once per propagation
+        # and add the E and G parts at each node
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=7) + 1j * rng.normal(size=7)
+        E = complex(rng.normal(), rng.normal())
+        G = rng.normal(size=(7, 2, 2)) + 1j * rng.normal(size=(7, 2, 2))
+        assert np.max(np.abs(U(z, E) - (U(z, 0.0) + U(0.0, E)))) < 1e-15
+        assert np.max(np.abs(V(z, E, G) - (V(z, 0.0, 0.0) + V(0.0, E, G)))) < 1e-14
 
     def test_sigma2_reduction_of_U(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
             z = complex(rng.normal(), rng.normal())
             E = complex(rng.normal(), rng.normal())
-            U, _ = akns_matrices(z, E, np.zeros((2, 2)))
-            Ustar, _ = akns_matrices(np.conj(z), E, np.zeros((2, 2)))
-            assert np.max(np.abs(U - sigma2_conj(Ustar))) < 1e-14
+            assert np.max(np.abs(U(z, E) - sigma2_conj(U(np.conj(z), E)))) < 1e-14
 
     def test_sigma2_reduction_of_V(self):
         # G inherits the reduction from Hermitian F, so V does too
@@ -112,9 +137,9 @@ class TestAknsMatrices:
         s = medium_from_rho(grid, 0.4 * np.exp(-grid ** 2) * (0.6 - 0.2j))
         z = 0.8 + 0.5j
         E = 0.3 + 0.1j
-        _, V = akns_matrices(z, E, cauchy_transform_F(s, p, z))
-        _, Vc = akns_matrices(np.conj(z), E, cauchy_transform_F(s, p, np.conj(z)))
-        assert np.max(np.abs(V - sigma2_conj(Vc))) < 1e-12
+        Vz = V(z, E, medium_transform(p, grid, z)(s))
+        Vc = V(np.conj(z), E, medium_transform(p, grid, np.conj(z))(s))
+        assert np.max(np.abs(Vz - sigma2_conj(Vc))) < 1e-12
 
 
 class TestConservation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mbrh import rhsolver
-from mbrh.broadening import BroadeningProfile, eta_eval
+from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
 from mbrh.errors import (
     EmptyContour,
     IllConditioned,
@@ -179,7 +179,8 @@ def desk_stamps(ts=(2.0, 3.5, 6.0), xs=(0.0, 2.5)):
     c = contour_build(window=(-16.0, 16.0), n_panels=16, nodes_per_panel=12)
     lam = c.nodes.real
     _, Kp, Km = spectral_data(sc, LOR, lam, x_out=xs)
-    return c, [jump_mixed(t, x, lam, Kp[i], Km[i], LOR)
+    ev = eta_boundary(LOR, lam)
+    return c, [jump_mixed(t, x, ev, Kp[i], Km[i])
                for t in ts for i, x in enumerate(xs)]
 
 
@@ -350,7 +351,7 @@ class TestPoleCircleRoute:
                           circle_nodes=48)
         for t, x in ((0.0, 0.0), (0.8, 0.3), (-1.2, 0.6)):
             jd = soliton_circle_jump(poles, prof, t, x, c)
-            res = sie_solve(c, jd, require_posdef=False)
+            res = sie_solve(c, jd)
             E_closed, _ = soliton_closed_form(poles, prof, t, x)
             assert abs(res.E - E_closed) < 1e-3
             assert abs(res.E - E_closed) < 1e-8  # spectral accuracy expected
@@ -362,7 +363,7 @@ class TestPoleCircleRoute:
                           circles=[(0.5j, 0.15), (-0.5j, 0.15)],
                           circle_nodes=48)
         jd = soliton_circle_jump(poles, prof, 0.3, 0.1, c)
-        res = sie_solve(c, jd, require_posdef=False)
+        res = sie_solve(c, jd)
         zs = np.array([2.0 + 1.0j, -1.0 - 2.0j, 0.0 + 3.0j])
         M_sie = evaluate_M(res, c, jd, zs)
         M_exact = soliton_evaluate_M(poles, prof, 0.3, 0.1, zs)

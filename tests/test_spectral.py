@@ -16,6 +16,7 @@ from mbrh.spectral import (
     locate_a_zeros,
     phi_column_continuation,
     transition_and_reflection,
+    wplus_column_continuation,
 )
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
@@ -123,6 +124,32 @@ class TestJostW:
         _, wm = jost_w(sc, p, lam, bank="-", x_out=x_out)
         assert np.max(np.abs(wm - sigma2_conj(wp))) < 1e-8
         assert np.max(np.abs(det2(wp) - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("excited", [False, True])
+    def test_continuation_matches_xbank(self, excited):
+        # (alpha, beta)(lam + i eps) tends to the first column of w+(0): the
+        # continued column and the x-bank share one x-generator
+        p = BroadeningProfile.lorentzian(1.0, sign=-1)
+        E0 = lambda x: 0.3 * np.exp(-((np.asarray(x) - 1.0) / 0.3) ** 2) + 0j
+        if excited:
+            rho0 = lambda x, lam: 0.3 * np.exp(
+                -((x - 0.7) / 0.25) ** 2 - np.asarray(lam) ** 2 / 2) + 0j
+            # the x-bank transforms the medium on its own lam grid: use the
+            # continuation's medium grid
+            lam = np.linspace(-20, 20, 401)
+            pick = np.array([190, 203, 215])
+        else:
+            rho0 = None
+            lam = np.array([-1.1, 0.3, 2.7])
+            pick = np.arange(3)
+        sc = ScenarioData(T=10.0, L=2.0, E_in=ZERO, E0=E0, rho0=rho0)
+        _, w = jost_w(sc, p, lam, bank="+", x_out=np.array([0.0]))
+        alpha, beta = wplus_column_continuation(sc, p, lam[pick] + 1e-8j)
+        # measured: at most 3.4e-11 in alpha and 1.5e-9 in beta
+        # (|beta| >= 0.04), both falling linearly with eps
+        assert np.max(np.abs(alpha - w[0, pick, 0, 0])) < 1e-9
+        assert np.max(np.abs(beta - w[0, pick, 1, 0])) < 1e-8
+        assert np.min(np.abs(beta)) > 1e-3
 
     def test_medium_guard(self):
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
