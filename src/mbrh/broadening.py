@@ -17,7 +17,6 @@ builds W once (`pv_weights`, `cauchy_weights`).
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
@@ -31,9 +30,6 @@ ATTENUATOR = -1
 AMPLIFIER = +1
 
 LAM_WINDOW = (-20.0, 20.0)      # default detuning window
-
-# Quadrature floor for the adaptive off-axis path (closed forms exempt).
-_AXIS_FLOOR = 1e-8
 
 # Data counts as vanished at a grid end when |f| there is at most this
 # fraction of max |f| (tabulated weights, p.v. targets on an end node).
@@ -276,48 +272,16 @@ def _eta_closed(profile, z):
     return z - (s / (8.0 * eps)) * np.log((eps - z) / (-eps - z))
 
 
-def eta_eval(profile, z, method="auto"):
-    """eta(z) off the real axis.
-
-    method: "auto" (closed form if available, else exact piecewise-linear
-    Cauchy integral), "closed", or "quadrature" (independent adaptive path).
-    """
+def eta_eval(profile, z):
+    """eta(z) off the real axis: the closed form where the shape has one,
+    else the exact Cauchy integral of the piecewise-linear weight."""
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag == 0.0):
         raise TooCloseToAxis("eta_eval requires Im z != 0; use eta_boundary")
-    if method == "closed" or (method == "auto" and profile.closed_form):
-        if not profile.closed_form:
-            raise ValueError(f"no closed form for shape {profile.shape!r}")
+    if profile.closed_form:
         return _eta_closed(profile, z)
-    if method == "quadrature":
-        return _eta_quadrature(profile, z)
-    # tabulated: exact Cauchy integral of the piecewise-linear weight
     c = cauchy_pwlin(profile.grid, profile.values, np.atleast_1d(z))
     return (z - 0.25 * c.reshape(np.shape(z))) if z.shape else (z - 0.25 * c[0])
-
-
-def _eta_quadrature(profile, z):
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(np.abs(zs.imag) < _AXIS_FLOOR):
-        raise TooCloseToAxis(
-            f"|Im z| below quadrature floor {_AXIS_FLOOR} for the adaptive path")
-    if profile.shape == "tabulated":
-        lo, hi = profile.grid[0], profile.grid[-1]
-    else:
-        lo, hi = -np.inf, np.inf
-    out = np.empty(zs.shape, dtype=complex)
-    for k, zk in enumerate(zs.ravel()):
-        fre = lambda s: (profile.n(s) / (s - zk)).real
-        fim = lambda s: (profile.n(s) / (s - zk)).imag
-        kw = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
-        if np.isfinite(lo):
-            kw["points"] = [zk.real] if lo < zk.real < hi else None
-            if kw["points"] is None:
-                del kw["points"]
-        re, _ = quad(fre, lo, hi, **kw)
-        im, _ = quad(fim, lo, hi, **kw)
-        out.ravel()[k] = zk - 0.25 * (re + 1j * im)
-    return out.reshape(np.shape(z)) if np.shape(z) else out[()]
 
 
 def eta_boundary(profile, lam) -> EtaValues:

@@ -31,6 +31,7 @@ from .spectral import DEFAULT_STEP, ScenarioData, locate_a_zeros
 
 POLE_RADIUS = 0.15              # regularizing circle radius, capped at 0.45 Im z
 POLE_STEP = 0.02                # Magnus step of the pole search
+POLE_WINDOW = (-5.0, 5.0, 0.05, 3.0)    # (re lo, re hi, im lo, im hi) searched
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +106,9 @@ def rho0_from_config(block, path="rho0"):
     lg = np.asarray(_require(block, "lam", path, list), dtype=float)
     re = np.asarray(_require(block, "re", path, list), dtype=float)
     im = np.asarray(block.get("im", np.zeros_like(re)), dtype=float)
+    for key, grid in (("x", xg), ("lam", lg)):
+        if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
+            raise SchemaError(f"{path}.{key}: must be a strictly increasing list")
     if re.shape != (xg.size, lg.size) or im.shape != re.shape:
         raise SchemaError(f"{path}.re/im: table shape must be (len(x), len(lam))")
     mag = np.hypot(re, im)
@@ -118,19 +122,37 @@ def rho0_from_config(block, path="rho0"):
     tab = re + 1j * im
 
     def rho0(x, lam):
-        lam = np.asarray(lam, dtype=float)
-        # bilinear: interpolate each lam column in x, then along lam
-        col = np.array([np.interp(x, xg, tab[:, k]) for k in range(lg.size)])
-        return np.interp(lam, lg, col)
+        """Bilinear in the table: the two x rows that bracket x, then
+        along lam; x and lam outside the table clamp to its edge rows and
+        columns, as np.interp does."""
+        if x <= xg[0]:
+            row = tab[0]
+        elif x >= xg[-1]:
+            row = tab[-1]
+        else:
+            j = int(np.searchsorted(xg, x, side="right")) - 1
+            # np.interp's operation order, so the row matches it bitwise
+            slope = (tab[j + 1] - tab[j]) * (1.0 / (xg[j + 1] - xg[j]))
+            row = tab[j] if x == xg[j] else slope * (x - xg[j]) + tab[j]
+        return np.interp(np.asarray(lam, dtype=float), lg, row)
 
     return rho0
+
+
+def _finite_float(text):
+    """JSON number (or NaN/Infinity constant) -> float, refusing non-finite."""
+    val = float(text)
+    if not np.isfinite(val):
+        raise SchemaError(f"non-finite number {text} in the scenario file")
+    return val
 
 
 def load_scenario(path):
     """Scenario JSON -> (ScenarioData, profile, resolved config dict)."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_float,
+                            parse_constant=_finite_float)
     except FileNotFoundError as exc:
         raise SchemaError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -212,8 +234,7 @@ def parallel_map(fn, items):
 # ----------------------------------------------------------------------
 
 def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
-                  n_panels=24, nodes_per_panel=16, find_poles=True,
-                  pole_window=(-5.0, 5.0, 0.05, 3.0)):
+                  n_panels=24, nodes_per_panel=16, find_poles=True):
     """Mixed-problem contour pipeline: pole search -> contour -> spectral
     data and K_pm on the x lattice -> per-stamp jump assembly and contour
     solve.
@@ -226,7 +247,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
 
     poles = []
     if find_poles and profile.sign < 0:
-        poles = locate_a_zeros(scenario, profile, window=pole_window,
+        poles = locate_a_zeros(scenario, profile, window=POLE_WINDOW,
                                step=POLE_STEP)
     circles = []
     for (zj, _) in poles:
@@ -238,7 +259,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     n_real = n_panels * nodes_per_panel
     lam = contour.nodes[:n_real].real
     ev = eta_boundary(profile, lam)
-    _, Kp, Km = spectral_data(scenario, profile, lam, x_out=x_vals)
+    _, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals)
 
     def solve_stamp(args):
         it, ix = args
@@ -364,7 +385,8 @@ def cmd_curve(args):
 def cmd_spectra(args):
     scenario, profile, cfg = load_scenario(args.scenario)
     lam = _lam_grid(cfg)
-    table, _, _ = spectral_data(scenario, profile, lam, step=args.step)
+    table, _, _ = spectral_data(scenario, profile, eta_boundary(profile, lam),
+                                step=args.step)
     tables = {"spectra.csv": (
         ["lambda", "re_a", "im_a", "re_b", "im_b", "abs_r"],
         [lam, table.a_plus.real, table.a_plus.imag, table.b_plus.real,
@@ -378,14 +400,14 @@ def cmd_spectra(args):
 
 def cmd_jump(args):
     scenario, profile, cfg = load_scenario(args.scenario)
-    lam = _lam_grid(cfg)
-    _, Kp, Km = spectral_data(scenario, profile, lam, x_out=[args.x])
-    jd = jump_mixed(args.t, args.x, eta_boundary(profile, lam), Kp[0], Km[0])
+    ev = eta_boundary(profile, _lam_grid(cfg))
+    _, Kp, Km = spectral_data(scenario, profile, ev, x_out=[args.x])
+    jd = jump_mixed(args.t, args.x, ev, Kp[0], Km[0])
     J = jd.J
     tables = {"jump.csv": (
         ["lambda", "re_J11", "im_J11", "re_J12", "im_J12",
          "re_J21", "im_J21", "re_J22", "im_J22"],
-        [lam, J[:, 0, 0].real, J[:, 0, 0].imag, J[:, 0, 1].real,
+        [ev.lam, J[:, 0, 0].real, J[:, 0, 0].imag, J[:, 0, 1].real,
          J[:, 0, 1].imag, J[:, 1, 0].real, J[:, 1, 0].imag,
          J[:, 1, 1].real, J[:, 1, 1].imag])}
     emit_results(args.out, tables,

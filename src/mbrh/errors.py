@@ -22,13 +22,9 @@ class PrincipalValueFailure(MBRHError):
     """Principal-value quadrature did not converge."""
 
 
-# --- lax / averaging ----------------------------------------------------
+# --- lax ----------------------------------------------------------------
 class GridCoverage(MBRHError):
     """Detuning grid does not cover enough of the weight's mass."""
-
-
-class StencilTooCoarse(MBRHError):
-    """Finite-difference stencil has fewer than 3 points per direction."""
 
 
 # --- spectral -----------------------------------------------------------
@@ -70,16 +66,8 @@ class PosdefViolated(MBRHError):
     """Real-axis jump failed the positive-definiteness precondition."""
 
 
-class TooCloseToContour(MBRHError):
-    """Off-contour evaluation point within the node-spacing floor."""
-
-
 class SingularResidueSystem(MBRHError):
     """Degenerate pole configuration in the reflectionless solve."""
-
-
-class WeightVanishes(MBRHError):
-    """n(lambda) too small for the medium-reconstruction jump formula."""
 
 
 # --- direct -------------------------------------------------------------

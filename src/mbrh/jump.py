@@ -14,13 +14,7 @@ import numpy as np
 from .broadening import eta_boundary
 from .errors import RegularityViolation, SingularK
 from .mat2 import dagger, det2, diag_exp, inv2
-from .spectral import (
-    DEFAULT_STEP,
-    jost_phi,
-    jost_w,
-    transition_and_reflection,
-    xbank_propagate,
-)
+from .spectral import DEFAULT_STEP, jost_phi, jost_w, transition_and_reflection
 
 DET_TOL = 1e-5              # refuse K+- whose det deviates from 1 by more
 
@@ -53,44 +47,27 @@ def shear_matrices(r_plus, r_bar_minus):
     return sp, sm
 
 
-def spectral_data(scenario, profile, lam, x_out=(0.0,), step=DEFAULT_STEP):
+def spectral_data(scenario, profile, ev, x_out=(0.0,), step=DEFAULT_STEP):
     """Scattering table and mixed-problem terminal data K_pm on x_out.
 
-    One t-equation solve (Phi at x = 0) and one x-equation solve per bank
-    (w_pm on x_out and x = 0).  The table comes from w_pm(0), the shears
-    S_pm from its reflection coefficients, and K_pm = w_pm S_pm: the
-    x-equation is linear in its terminal data, so this is the solution
-    with terminal value e^{i L eta_pm sigma_3} S_pm.  Returns
-    (table, K+, K-) with K of shape (len(x_out), len(lam), 2, 2).
+    ev is the `EtaValues` of the real nodes lam (`eta_boundary`), which a
+    run evaluates once.  One t-equation solve (Phi at x = 0) and one
+    x-equation solve per bank (w_pm on x_out and x = 0).  The table comes
+    from w_pm(0), the shears S_pm from its reflection coefficients, and
+    K_pm = w_pm S_pm: the x-equation is linear in its terminal data, so
+    this is the solution with terminal value e^{i L eta_pm sigma_3} S_pm.
+    Returns (table, K+, K-) with K of shape (len(x_out), len(lam), 2, 2).
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = ev.lam
     x_out = np.asarray(x_out, dtype=float)
     xs = np.union1d(x_out, [0.0])
     at, at0 = np.searchsorted(xs, x_out), np.searchsorted(xs, 0.0)
     Phi0, _, _ = jost_phi(scenario, lam, step=step)
-    _, wp = jost_w(scenario, profile, lam, bank="+", x_out=xs, step=step)
-    _, wm = jost_w(scenario, profile, lam, bank="-", x_out=xs, step=step)
+    _, wp = jost_w(scenario, profile, ev, bank="+", x_out=xs, step=step)
+    _, wm = jost_w(scenario, profile, ev, bank="-", x_out=xs, step=step)
     table = transition_and_reflection(lam, Phi0, wp[at0], wm[at0])
     Sp, Sm = shear_matrices(table.r_plus, table.r_bar_minus)
     return table, wp[at] @ Sp, wm[at] @ Sm
-
-
-def k_solve(scenario, profile, lam_grid, S, bank="+", x_out=None,
-            step=DEFAULT_STEP):
-    """Solve the x-equation with terminal value e^{i L eta_pm sigma_3} S.
-
-    Independent reference for `spectral_data` (different terminal data,
-    same discretization): by linearity it equals w_pm S.  The pipelines
-    use `spectral_data`; tests compare the two.
-    """
-    lam = np.asarray(lam_grid, dtype=float)
-    if x_out is None:
-        x_out = np.array([0.0, scenario.L])
-    ev = eta_boundary(profile, lam)
-    eta_b = ev.eta_plus if bank == "+" else ev.eta_minus
-    terminal = diag_exp(1j * scenario.L * eta_b) @ S
-    return np.asarray(x_out, float), xbank_propagate(
-        scenario, profile, lam, bank, terminal, x_out, step=step)
 
 
 def jump_mixed(t, x, ev, K_plus, K_minus) -> JumpData:
@@ -171,20 +148,3 @@ def posdef_check(jd: JumpData):
     rad = np.sqrt((0.5 * (H[..., 0, 0] - H[..., 1, 1]).real) ** 2
                   + np.abs(H[..., 0, 1]) ** 2)
     return float(np.min(mean - rad))
-
-
-def schwartz_error(jd: JumpData):
-    """Max over conjugate node pairs of |J^{-1}(z) - J(z*)^dagger|."""
-    z = jd.nodes
-    up = np.nonzero(z.imag > 0)[0]
-    if up.size == 0:
-        return 0.0
-    err = 0.0
-    zc = np.conj(z)
-    for i in up:
-        j = np.argmin(np.abs(z - zc[i]))
-        if abs(z[j] - zc[i]) > 1e-12:
-            continue
-        err = max(err, float(np.max(np.abs(
-            inv2(jd.J[i]) - dagger(jd.J[j])))))
-    return err

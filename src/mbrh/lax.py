@@ -2,17 +2,15 @@
 
 U(z, E) generates the time equation and V(z, E, G) the two half-plane
 x-equations; G is the Cauchy transform of the medium matrix F against
-the weight n, built per propagation by `medium_transform`.  Also
-finite-difference residual checks of the evolution equations themselves.
+the weight n, built per propagation by `medium_transform`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .broadening import (average_weights, cauchy_weights, eta_boundary,
-                         eta_eval, pv_apply, pv_weights)
-from .errors import GridCoverage, StencilTooCoarse
+from .broadening import cauchy_weights, eta_eval, pv_apply, pv_weights
+from .errors import GridCoverage
 from .mat2 import SIGMA3
 
 COVERAGE_THRESHOLD = 0.999
@@ -82,18 +80,20 @@ def check_coverage(profile, grid):
                            f"< {COVERAGE_THRESHOLD}")
 
 
-def medium_transform(profile, grid, z, boundary=None):
-    """The medium term G of the x-equation at the targets z, as a function
+def medium_transform(profile, grid, targets, boundary=None):
+    """The medium term G of the x-equation at the targets, as a function
     of the medium slice on grid.
 
-    G = (1/4) integral F(s) n(s) / (s - z) ds, off-axis (boundary None),
-    or its lam +- i0 limit (boundary "+" or "-"), which adds the local
-    +-(pi i / 4) F(lam) n(lam) term.  The constant part of F (sigma_3 at
-    infinity) is transformed exactly through eta, so tail truncation only
-    touches the deviation F - sigma_3.  What depends on (grid, z) alone
-    -- the coverage check, n on the grid, eta, the local weight and the
-    weight matrix W -- is computed here once; the returned function maps
-    a slice to G, shape (Nz, 2, 2), by one product with W.
+    G = (1/4) integral F(s) n(s) / (s - z) ds at complex points z off the
+    axis (targets, boundary None), or its lam +- i0 limit (boundary "+"
+    or "-"; targets is then the `EtaValues` of the real points lam),
+    which adds the local +-(pi i / 4) F(lam) n(lam) term.  The constant
+    part of F (sigma_3 at infinity) is transformed exactly through eta,
+    so tail truncation only touches the deviation F - sigma_3.  What
+    depends on (grid, targets) alone -- the coverage check, n on the
+    grid, eta, the local weight and the weight matrix W -- is computed
+    here once; the returned function maps a slice to G, shape
+    (Nz, 2, 2), by one product with W.
     """
     check_coverage(profile, grid)
     grid = np.asarray(grid, dtype=float)
@@ -104,7 +104,7 @@ def medium_transform(profile, grid, z, boundary=None):
                          np.conj(slice_.rho) * nvals])
 
     if boundary is None:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        z = np.atleast_1d(np.asarray(targets, dtype=complex))
         W = 0.25 * cauchy_weights(grid, z)
         base = z - eta_eval(profile, z)              # scalar sigma_3 part
 
@@ -114,11 +114,11 @@ def medium_transform(profile, grid, z, boundary=None):
 
         return G
 
-    lam = np.atleast_1d(np.asarray(z, dtype=float))
+    ev = targets
+    lam = ev.lam
     W = 0.25 * pv_weights(grid, lam)
-    ev = eta_boundary(profile, lam)
     base = ev.g_plus if boundary == "+" else ev.g_minus
-    local = (1.0 if boundary == "+" else -1.0) * 0.25j * np.pi * profile.n(lam)
+    local = (1.0 if boundary == "+" else -1.0) * 0.25j * np.pi * ev.n
 
     def G(slice_):
         pv = pv_apply(grid, channels(slice_), lam, W)       # (3, Nlam)
@@ -140,38 +140,3 @@ def _traceless(d11, d12, d21):
     out[..., 1, 0] = d21
     out[..., 1, 1] = -d11
     return out
-
-
-def conservation_check(slice_):
-    """Max deviation of the Bloch-sphere constraint N^2 + |rho|^2 = 1."""
-    return float(np.max(np.abs(slice_.N ** 2 + np.abs(slice_.rho) ** 2 - 1.0)))
-
-
-def mb_residual(state, profile):
-    """Sup-norms of centered finite-difference residuals of the three equations.
-
-    state needs attributes t_grid, x_grid, lam_grid, E (t, x),
-    rho (t, x, lam), N (t, x, lam).  Second-order interior stencils.
-    """
-    t, x, lam = state.t_grid, state.x_grid, state.lam_grid
-    if t.size < 3 or x.size < 3:
-        raise StencilTooCoarse("need at least 3 points per direction")
-    dt = t[1] - t[0]
-    dx = x[1] - x[0]
-    E, rho, N = state.E, state.rho, state.N
-
-    w = average_weights(profile, lam)
-    avg = rho @ w
-
-    E_t = (E[2:, 1:-1] - E[:-2, 1:-1]) / (2 * dt)
-    E_x = (E[1:-1, 2:] - E[1:-1, :-2]) / (2 * dx)
-    r1 = E_t + E_x - avg[1:-1, 1:-1]
-
-    rho_t = (rho[2:] - rho[:-2]) / (2 * dt)
-    r2 = rho_t + 2j * lam * rho[1:-1] - N[1:-1] * E[1:-1, :, None]
-
-    N_t = (N[2:] - N[:-2]) / (2 * dt)
-    r3 = N_t + np.real(np.conj(E[1:-1, :, None]) * rho[1:-1])
-
-    return (float(np.max(np.abs(r1))), float(np.max(np.abs(r2))),
-            float(np.max(np.abs(r3))))

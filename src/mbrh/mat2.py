@@ -7,7 +7,6 @@ import numpy as np
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-SIGMA2 = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
 
 
 def det2(a):
@@ -20,11 +19,6 @@ def tr2(a):
 
 def dagger(a):
     return np.conj(np.swapaxes(a, -1, -2))
-
-
-def sigma2_conj(a):
-    """sigma_2 A^* sigma_2, the antilinear reduction map of the AKNS system."""
-    return SIGMA2 @ np.conj(a) @ SIGMA2
 
 
 def inv2(a):

@@ -3,8 +3,7 @@
 The conjugation problem M- = M+ J on the contour Sigma is recast through
 the plus-side Cauchy operator as Q - C+[Q(I-J)] = C+[I-J]; the solution
 parameterizes M(z) = I + (1/2 pi i) int (I+Q)(I-J)/(s-z) ds.  The field
-envelope is read off the z^{-1} moment of M, and the medium matrix from
-the boundary jump of the x-logarithmic derivative.
+envelope is read off the z^{-1} moment of M.
 
 A contour of real-axis panels only is solved matrix-free by GMRES, with a
 Hessenberg (kappa_2 lower bound) condition certificate; a contour with
@@ -13,8 +12,8 @@ dense LU with the `zgecon` estimate, which alone refuses ill-conditioned
 systems.
 
 Pure-soliton (reflectionless) data bypasses the contour entirely through
-the closed-form residue algebra, optionally cross-checked by replacing
-each pole with a small clockwise circle carrying a rank-one jump.
+the closed-form residue algebra; inside a contour solve each pole is
+replaced by a small clockwise circle carrying a rank-one jump.
 """
 
 from dataclasses import dataclass, field
@@ -24,22 +23,22 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from scipy.linalg.lapack import zgecon
 
-from .broadening import LAM_WINDOW, eta_boundary, eta_eval
+from .broadening import LAM_WINDOW, eta_eval
 from .errors import (
     EmptyContour,
     IllConditioned,
     PosdefViolated,
     SingularResidueSystem,
-    TooCloseToContour,
-    WeightVanishes,
 )
 from .jump import JumpData, posdef_check
-from .mat2 import inv2
 
 
 # ----------------------------------------------------------------------
 # contour
 # ----------------------------------------------------------------------
+
+CIRCLE_NODES = 64           # trapezoid nodes per pole circle
+
 
 @dataclass
 class Panel:
@@ -68,11 +67,6 @@ class ContourSigma:
     @property
     def n_nodes(self):
         return sum(p.nodes.size for p in self.panels)
-
-    def spacing_floor(self):
-        gaps = [np.min(np.abs(np.diff(p.nodes))) for p in self.panels
-                if p.nodes.size > 1]
-        return min(gaps) if gaps else 0.0
 
     def cauchy_plus(self):
         if self._cp is None:
@@ -129,21 +123,20 @@ def circle_panel(center, radius, n_nodes, offset=0.5):
 
 
 def contour_build(window=LAM_WINDOW, n_panels=24, nodes_per_panel=16,
-                  circles=(), circle_nodes=64,
-                  include_real=True) -> ContourSigma:
-    """Equal real-axis panels on window (left to right) plus clockwise circles.
+                  circles=()) -> ContourSigma:
+    """Equal real-axis panels on window (left to right) plus clockwise
+    circles of CIRCLE_NODES nodes.
 
     circles: iterable of (center, radius); conjugate closure of the node
     multiset is the caller's responsibility (add circles in conjugate
     pairs for off-axis data).
     """
     panels = []
-    if include_real:
-        edges = np.linspace(window[0], window[1], n_panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            panels.append(segment_panel(a, b, nodes_per_panel))
+    edges = np.linspace(window[0], window[1], n_panels + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        panels.append(segment_panel(a, b, nodes_per_panel))
     for (c, r) in circles:
-        panels.append(circle_panel(c, r, circle_nodes))
+        panels.append(circle_panel(c, r, CIRCLE_NODES))
     if not panels:
         raise EmptyContour("no panels requested")
     return ContourSigma(panels=panels)
@@ -211,7 +204,6 @@ COND_LIMIT = 1e12           # LU condition estimate above which a stamp is refus
 KRYLOV_RTOL = 1e-15         # GMRES stops at residual norm <= this * ||b||_2
 KRYLOV_BUDGET = 100         # Arnoldi steps before the LU fallback
 KRYLOV_RESIDUAL = 1e-13     # a-posteriori max-norm residual, relative to C+[I-J]
-EVAL_FLOOR = 2.0            # off-contour M within this many node spacings is refused
 
 
 @dataclass
@@ -382,23 +374,6 @@ def _moment_and_field(contour, Q, J):
     return m, E
 
 
-def evaluate_M(result: RHResult, contour: ContourSigma, jd: JumpData, z):
-    """Off-contour M(z) = I + (1/2 pi i) int (I+Q)(I-J)/(s-z) ds.
-
-    Refuses z closer to a node than EVAL_FLOOR node spacings.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    floor = EVAL_FLOOR * contour.spacing_floor()
-    dist = np.min(np.abs(z[:, None] - contour.nodes[None, :]), axis=1)
-    if np.any(dist < floor):
-        raise TooCloseToContour(f"evaluation point within {floor:.3e} of a node")
-    P = np.eye(2) + result.Q
-    Y = P @ (np.eye(2) - jd.J)                           # (N, 2, 2)
-    kern = contour.weights[None, :] / (contour.nodes[None, :] - z[:, None])
-    out = np.eye(2) + np.einsum("zj,jab->zab", kern, Y) / (2j * np.pi)
-    return out
-
-
 # ----------------------------------------------------------------------
 # pure-soliton residue algebra
 # ----------------------------------------------------------------------
@@ -452,23 +427,6 @@ def soliton_closed_form(poles, profile, t, x):
     return E, a
 
 
-def soliton_evaluate_M(poles, profile, t, x, z):
-    """Meromorphic M(z) of the reflectionless solution at points z."""
-    E, a = soliton_closed_form(poles, profile, t, x)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zj = np.array([zz for zz, _ in poles], dtype=complex)
-    out = np.broadcast_to(np.eye(2, dtype=complex), z.shape + (2, 2)).copy()
-    for j in range(len(poles)):
-        Aj = np.zeros((2, 2), complex)
-        Aj[:, 1] = a[j]
-        Bj = np.zeros((2, 2), complex)
-        Bj[0, 0] = np.conj(a[j, 1])
-        Bj[1, 0] = -np.conj(a[j, 0])
-        out += (Aj[None] / (z - zj[j])[:, None, None]
-                + Bj[None] / (z - np.conj(zj[j]))[:, None, None])
-    return out
-
-
 def soliton_circle_jump(poles, profile, t, x, contour):
     """Jump data on pole-enclosing clockwise circles equivalent to the
     residue conditions: J = I - c_j/(z - z_j) E12 around z_j and
@@ -493,83 +451,3 @@ def soliton_circle_jump(poles, profile, t, x, contour):
             J[idx, 1, 0] = np.conj(cj[j]) / (p.nodes - np.conj(zj[j]))
     return JumpData(problem_class="mixed", t=float(t), x=float(x),
                     nodes=nodes, J=J)
-
-
-# ----------------------------------------------------------------------
-# medium reconstruction
-# ----------------------------------------------------------------------
-
-def reconstruct_F_nodes(result, result_xp, result_xm, jd, jd_xp, jd_xm,
-                        profile, hx, node_mask=None):
-    """Medium state at real collocation nodes from boundary values.
-
-    Dual route to reconstruct_F: instead of approaching the axis from
-    either side, use the solved plus-boundary M+ = I + Q at the nodes,
-    M- = M+ J, and the closed-form x-derivative of the jump phases,
-    with Q_x by central differences from solves at x +- hx.  Returns
-    (lam, N, rho) over the selected real nodes.
-    """
-    lam_all = jd.nodes
-    if node_mask is None:
-        node_mask = lam_all.imag == 0.0
-    lam = lam_all[node_mask].real
-    nv = profile.n(lam)
-    if np.any(np.abs(nv) < 1e-6):
-        raise WeightVanishes("n(lambda) too small for the jump formula")
-    ev = eta_boundary(profile, lam)
-    sig = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-    Mp = np.eye(2) + result.Q[node_mask]
-    Mp_x = (result_xp.Q[node_mask] - result_xm.Q[node_mask]) / (2 * hx)
-    J = jd.J[node_mask]
-    # the jump carries x-dependence beyond the explicit phases (its
-    # undressed factor evolves with the medium), so differentiate the
-    # assembled jump numerically
-    J_x = (jd_xp.J[node_mask] - jd_xm.J[node_mask]) / (2 * hx)
-    Mm = Mp @ J
-    Mm_x = Mp_x @ J + Mp @ J_x
-    up = Mp_x @ inv2(Mp) \
-        + 1j * ev.eta_plus[:, None, None] * (Mp @ sig @ inv2(Mp))
-    dn = Mm_x @ inv2(Mm) \
-        + 1j * ev.eta_minus[:, None, None] * (Mm @ sig @ inv2(Mm))
-    F = (up - dn) * (2.0 / (np.pi * nv))[:, None, None]
-    N = F[:, 0, 0].real
-    rho = 0.5 * (F[:, 0, 1] + np.conj(F[:, 1, 0]))
-    return lam, N, rho
-
-
-def reconstruct_F(evalM, profile, t, x, lam_targets, delta=0.05, hx=1e-3):
-    """Medium state from the boundary jump of the x-logarithmic derivative.
-
-    evalM(t, x, z) -> (Nz, 2, 2) must evaluate the solved M off the
-    contour.  Uses Phi_x Phi^{-1} = M_x M^{-1} + i eta(z) M sigma3 M^{-1}
-    at lam +- i delta, Richardson-extrapolated from delta and delta/2,
-    with M_x by central differences.  Returns (N, rho) arrays.
-    """
-    lam = np.atleast_1d(np.asarray(lam_targets, dtype=float))
-    nv = profile.n(lam)
-    if np.any(np.abs(nv) < 1e-6):
-        raise WeightVanishes("n(lambda) too small for the jump formula")
-
-    def logderiv(zs):
-        M0 = evalM(t, x, zs)
-        Mp = evalM(t, x + hx, zs)
-        Mm = evalM(t, x - hx, zs)
-        Mx = (Mp - Mm) / (2 * hx)
-        Minv = inv2(M0)
-        sig = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-        eta_z = eta_eval(profile, zs)
-        return Mx @ Minv + 1j * eta_z[:, None, None] * (M0 @ sig @ Minv)
-
-    def jump_at(d):
-        up = logderiv(lam + 1j * d)
-        dn = logderiv(lam - 1j * d)
-        return up - dn
-
-    j1 = jump_at(delta)
-    j2 = jump_at(delta / 2)
-    jmp = 2.0 * j2 - j1                       # linear Richardson in delta
-    F = jmp * (2.0 / (np.pi * nv))[:, None, None]
-    N = F[:, 0, 0].real
-    rho = 0.5 * (F[:, 0, 1] + np.conj(F[:, 1, 0]))
-    return N, rho

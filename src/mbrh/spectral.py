@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .broadening import LAM_WINDOW, eta_boundary, eta_eval
+from .broadening import LAM_WINDOW, eta_eval
 from .errors import (
     CountMismatch,
     DecayViolation,
@@ -48,11 +48,6 @@ class ScenarioData:
     E_in: object
     E0: object
     rho0: object = None
-
-    @classmethod
-    def trivial(cls, T=10.0, L=5.0):
-        zero = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
-        return cls(T=T, L=L, E_in=zero, E0=zero, rho0=None)
 
     @property
     def medium_is_trivial(self):
@@ -203,26 +198,24 @@ def phi_column_continuation(scenario, z, step=DEFAULT_STEP):
 # x-equation Jost solutions at t = 0
 # ----------------------------------------------------------------------
 
-def xbank_propagate(scenario, profile, lam_grid, bank, terminal, x_out,
+def xbank_propagate(scenario, profile, ev, bank, terminal, x_out,
                     step=DEFAULT_STEP):
     """Backward-propagate the half-plane x-equation from x = L.
 
-    terminal is the (Nlam, 2, 2) value at x = L; the trajectory is returned
-    on x_out.  Shared by the Jost solve and the auxiliary terminal-data
-    solve of the jump assembly.  An excited medium's transform is
-    integrated on lam_grid itself.
+    ev is the `EtaValues` of the real nodes lam; terminal is the
+    (Nlam, 2, 2) value at x = L; the trajectory is returned on x_out.  An
+    excited medium's transform is integrated on lam itself.
     """
-    lam = np.asarray(lam_grid, dtype=float)
+    lam = ev.lam
     x_out = np.asarray(x_out, dtype=float)
     if scenario.medium_is_trivial:
-        ev = eta_boundary(profile, lam)
         g = ev.g_plus if bank == "+" else ev.g_minus      # eta_pm = lam - g_pm
         if scenario.field_free:
             # exact solution: pure phase relative to the terminal data
             return diag_exp(1j * (x_out[:, None] - scenario.L) * (lam - g)) @ terminal
         G = g[:, None, None] * SIGMA3
     else:
-        transform = medium_transform(profile, lam, lam, boundary=bank)
+        transform = medium_transform(profile, lam, ev, boundary=bank)
         G = lambda x: transform(scenario.medium_slice(x, lam))
 
     grid = _refined_grid(np.union1d(x_out, [0.0, scenario.L]), step)
@@ -231,22 +224,20 @@ def xbank_propagate(scenario, profile, lam_grid, bank, terminal, x_out,
     return traj[np.searchsorted(grid, x_out)]
 
 
-def jost_w(scenario, profile, lam_grid, bank="+", x_out=None,
-           step=DEFAULT_STEP):
+def jost_w(scenario, profile, ev, bank="+", x_out=None, step=DEFAULT_STEP):
     """Jost matrix of the half-plane x-equation at t = 0 on an x lattice.
 
-    Integrates backward from w(L) = e^{i L eta_pm sigma_3}.  Returns
-    (x_out, w) with w of shape (len(x_out), len(lam), 2, 2).
+    ev is the `EtaValues` of the real nodes lam.  Integrates backward from
+    w(L) = e^{i L eta_pm sigma_3}.  Returns (x_out, w) with w of shape
+    (len(x_out), len(lam), 2, 2).
     """
     scenario.validate()
-    lam = np.asarray(lam_grid, dtype=float)
     if x_out is None:
         x_out = np.array([0.0, scenario.L])
     x_out = np.asarray(x_out, dtype=float)
-    ev = eta_boundary(profile, lam)
     eta_b = ev.eta_plus if bank == "+" else ev.eta_minus
     terminal = diag_exp(1j * scenario.L * eta_b)
-    return x_out, xbank_propagate(scenario, profile, lam, bank, terminal,
+    return x_out, xbank_propagate(scenario, profile, ev, bank, terminal,
                                   x_out, step=step)
 
 

@@ -1,0 +1,239 @@
+"""Independent references and checks that more than one test file uses.
+
+None of this runs in an `mb-rh` command: each function here is a second
+route to a quantity the package computes (the x-equation from other
+terminal data, eta by adaptive quadrature, M off the contour, the medium
+from the solved problem), or a check that tests apply to its output.
+"""
+
+import numpy as np
+from scipy.integrate import quad
+
+from mbrh.broadening import average_weights, eta_boundary
+from mbrh.direct import bloch_rotation
+from mbrh.errors import MBRHError, TooCloseToAxis
+from mbrh.mat2 import dagger, diag_exp, inv2
+from mbrh.rhsolver import soliton_closed_form
+from mbrh.spectral import DEFAULT_STEP, ScenarioData, xbank_propagate
+
+SIGMA2 = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
+AXIS_FLOOR = 1e-8           # |Im z| below which the adaptive eta path refuses
+EVAL_FLOOR = 2.0            # off-contour M within this many node spacings is refused
+
+
+class StencilTooCoarse(MBRHError):
+    """Finite-difference stencil has fewer than 3 points per direction."""
+
+
+class TooCloseToContour(MBRHError):
+    """Off-contour evaluation point within the node-spacing floor."""
+
+
+class WeightVanishes(MBRHError):
+    """n(lambda) too small for the medium-reconstruction jump formula."""
+
+
+def trivial_scenario(T=10.0, L=5.0):
+    """Zero pulse, zero initial field, unexcited medium."""
+    zero = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
+    return ScenarioData(T=T, L=L, E_in=zero, E0=zero, rho0=None)
+
+
+def sigma2_conj(a):
+    """sigma_2 A^* sigma_2, the antilinear reduction map of the AKNS system."""
+    return SIGMA2 @ np.conj(a) @ SIGMA2
+
+
+# ----------------------------------------------------------------------
+# line shape and x-equation
+# ----------------------------------------------------------------------
+
+def eta_quadrature(profile, z):
+    """eta(z) = z - (1/4) int n(s)/(s - z) ds by adaptive quadrature."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any(np.abs(zs.imag) < AXIS_FLOOR):
+        raise TooCloseToAxis(
+            f"|Im z| below quadrature floor {AXIS_FLOOR} for the adaptive path")
+    if profile.shape == "tabulated":
+        lo, hi = profile.grid[0], profile.grid[-1]
+    else:
+        lo, hi = -np.inf, np.inf
+    out = np.empty(zs.shape, dtype=complex)
+    for k, zk in enumerate(zs.ravel()):
+        fre = lambda s: (profile.n(s) / (s - zk)).real
+        fim = lambda s: (profile.n(s) / (s - zk)).imag
+        kw = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
+        if np.isfinite(lo) and lo < zk.real < hi:
+            kw["points"] = [zk.real]
+        re, _ = quad(fre, lo, hi, **kw)
+        im, _ = quad(fim, lo, hi, **kw)
+        out.ravel()[k] = zk - 0.25 * (re + 1j * im)
+    return out.reshape(np.shape(z)) if np.shape(z) else out[()]
+
+
+def k_solve(scenario, profile, lam_grid, S, bank="+", x_out=None,
+            step=DEFAULT_STEP):
+    """Solve the x-equation with terminal value e^{i L eta_pm sigma_3} S.
+
+    Independent reference for `spectral_data` (different terminal data,
+    same discretization): by linearity it equals w_pm S.
+    """
+    ev = eta_boundary(profile, lam_grid)
+    if x_out is None:
+        x_out = np.array([0.0, scenario.L])
+    eta_b = ev.eta_plus if bank == "+" else ev.eta_minus
+    terminal = diag_exp(1j * scenario.L * eta_b) @ S
+    return np.asarray(x_out, float), xbank_propagate(
+        scenario, profile, ev, bank, terminal, x_out, step=step)
+
+
+# ----------------------------------------------------------------------
+# direct route: medium columns and equation residuals
+# ----------------------------------------------------------------------
+
+def medium_history(scenario, st, ix=slice(None)):
+    """(rho, N) on every time slice at the x columns ix (a slice or an
+    index list) of a direct run, shapes (Nt, Nix, Nlam).
+
+    The medium at a fixed x depends only on E(., x), so the columns are
+    rebuilt from st.E by the integrator's own rotations, with the field
+    frozen at each step midpoint.
+    """
+    lam, dt = st.lam_grid, st.t_grid[1] - st.t_grid[0]
+    E, x = st.E[:, ix], st.x_grid[ix]
+    rho = np.zeros((E.shape[0], x.size, lam.size), dtype=complex)
+    N = np.ones((E.shape[0], x.size, lam.size))
+    if scenario.rho0 is not None:
+        for j, xj in enumerate(x):
+            sl = scenario.medium_slice(xj, lam)
+            rho[0, j] = sl.rho
+            N[0, j] = sl.N
+    for k in range(E.shape[0] - 1):
+        rho[k + 1], N[k + 1] = bloch_rotation(
+            0.5 * (E[k] + E[k + 1]), lam, dt, rho[k], N[k])
+    return rho, N
+
+
+def mb_residual(state, profile):
+    """Sup-norms of centered finite-difference residuals of the three equations.
+
+    state needs attributes t_grid, x_grid, lam_grid, E (t, x),
+    rho (t, x, lam), N (t, x, lam).  Second-order interior stencils.
+    """
+    t, x, lam = state.t_grid, state.x_grid, state.lam_grid
+    if t.size < 3 or x.size < 3:
+        raise StencilTooCoarse("need at least 3 points per direction")
+    dt = t[1] - t[0]
+    dx = x[1] - x[0]
+    E, rho, N = state.E, state.rho, state.N
+
+    w = average_weights(profile, lam)
+    avg = rho @ w
+
+    E_t = (E[2:, 1:-1] - E[:-2, 1:-1]) / (2 * dt)
+    E_x = (E[1:-1, 2:] - E[1:-1, :-2]) / (2 * dx)
+    r1 = E_t + E_x - avg[1:-1, 1:-1]
+
+    rho_t = (rho[2:] - rho[:-2]) / (2 * dt)
+    r2 = rho_t + 2j * lam * rho[1:-1] - N[1:-1] * E[1:-1, :, None]
+
+    N_t = (N[2:] - N[:-2]) / (2 * dt)
+    r3 = N_t + np.real(np.conj(E[1:-1, :, None]) * rho[1:-1])
+
+    return (float(np.max(np.abs(r1))), float(np.max(np.abs(r2))),
+            float(np.max(np.abs(r3))))
+
+
+# ----------------------------------------------------------------------
+# contour route: M off the contour, symmetry, medium readout
+# ----------------------------------------------------------------------
+
+def schwartz_error(jd):
+    """Max over conjugate node pairs of |J^{-1}(z) - J(z*)^dagger|."""
+    z = jd.nodes
+    up = np.nonzero(z.imag > 0)[0]
+    if up.size == 0:
+        return 0.0
+    err = 0.0
+    zc = np.conj(z)
+    for i in up:
+        j = np.argmin(np.abs(z - zc[i]))
+        if abs(z[j] - zc[i]) > 1e-12:
+            continue
+        err = max(err, float(np.max(np.abs(
+            inv2(jd.J[i]) - dagger(jd.J[j])))))
+    return err
+
+
+def evaluate_M(result, contour, jd, z):
+    """Off-contour M(z) = I + (1/2 pi i) int (I+Q)(I-J)/(s-z) ds.
+
+    Refuses z closer to a node than EVAL_FLOOR times the smallest node
+    spacing within a panel.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    floor = EVAL_FLOOR * min(np.min(np.abs(np.diff(p.nodes)))
+                             for p in contour.panels if p.nodes.size > 1)
+    dist = np.min(np.abs(z[:, None] - contour.nodes[None, :]), axis=1)
+    if np.any(dist < floor):
+        raise TooCloseToContour(f"evaluation point within {floor:.3e} of a node")
+    P = np.eye(2) + result.Q
+    Y = P @ (np.eye(2) - jd.J)                           # (N, 2, 2)
+    kern = contour.weights[None, :] / (contour.nodes[None, :] - z[:, None])
+    return np.eye(2) + np.einsum("zj,jab->zab", kern, Y) / (2j * np.pi)
+
+
+def soliton_evaluate_M(poles, profile, t, x, z):
+    """Meromorphic M(z) of the reflectionless solution at points z."""
+    _, a = soliton_closed_form(poles, profile, t, x)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    zj = np.array([zz for zz, _ in poles], dtype=complex)
+    out = np.broadcast_to(np.eye(2, dtype=complex), z.shape + (2, 2)).copy()
+    for j in range(len(poles)):
+        Aj = np.zeros((2, 2), complex)
+        Aj[:, 1] = a[j]
+        Bj = np.zeros((2, 2), complex)
+        Bj[0, 0] = np.conj(a[j, 1])
+        Bj[1, 0] = -np.conj(a[j, 0])
+        out += (Aj[None] / (z - zj[j])[:, None, None]
+                + Bj[None] / (z - np.conj(zj[j]))[:, None, None])
+    return out
+
+
+def reconstruct_F_nodes(result, result_xp, result_xm, jd, jd_xp, jd_xm,
+                        profile, hx, node_mask=None):
+    """Medium state at real collocation nodes from boundary values.
+
+    Uses the solved plus-boundary M+ = I + Q at the nodes, M- = M+ J,
+    and Phi_x Phi^{-1} = M_x M^{-1} + i eta M sigma3 M^{-1} on each side,
+    with Q_x and J_x by central differences from solves at x +- hx; the
+    jump of that derivative is (pi i / 2) n F.  Returns (lam, N, rho)
+    over the selected real nodes.
+    """
+    lam_all = jd.nodes
+    if node_mask is None:
+        node_mask = lam_all.imag == 0.0
+    lam = lam_all[node_mask].real
+    nv = profile.n(lam)
+    if np.any(np.abs(nv) < 1e-6):
+        raise WeightVanishes("n(lambda) too small for the jump formula")
+    ev = eta_boundary(profile, lam)
+    sig = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+    Mp = np.eye(2) + result.Q[node_mask]
+    Mp_x = (result_xp.Q[node_mask] - result_xm.Q[node_mask]) / (2 * hx)
+    J = jd.J[node_mask]
+    # the jump carries x-dependence beyond the explicit phases (its
+    # undressed factor evolves with the medium), so differentiate the
+    # assembled jump numerically
+    J_x = (jd_xp.J[node_mask] - jd_xm.J[node_mask]) / (2 * hx)
+    Mm = Mp @ J
+    Mm_x = Mp_x @ J + Mp @ J_x
+    up = Mp_x @ inv2(Mp) \
+        + 1j * ev.eta_plus[:, None, None] * (Mp @ sig @ inv2(Mp))
+    dn = Mm_x @ inv2(Mm) \
+        + 1j * ev.eta_minus[:, None, None] * (Mm @ sig @ inv2(Mm))
+    F = (up - dn) * (2.0 / (np.pi * nv))[:, None, None]
+    N = F[:, 0, 0].real
+    rho = 0.5 * (F[:, 0, 1] + np.conj(F[:, 1, 0]))
+    return lam, N, rho

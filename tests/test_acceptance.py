@@ -18,29 +18,25 @@ from mbrh.broadening import (
     profile_normalize,
 )
 from mbrh.direct import integrate_direct
-from mbrh.jump import (
-    jump_mixed,
-    jump_wholeline,
-    k_solve,
-    posdef_check,
-    schwartz_error,
-    spectral_data,
-)
-from mbrh.lax import mb_residual
+from mbrh.jump import jump_mixed, jump_wholeline, posdef_check, spectral_data
 from mbrh.mat2 import det2
 from mbrh.rhsolver import (
     contour_build,
-    evaluate_M,
-    reconstruct_F_nodes,
     sie_solve,
     soliton_circle_jump,
     soliton_closed_form,
-    soliton_evaluate_M,
 )
-from mbrh.spectral import (
-    ScenarioData,
-    jost_phi,
-    locate_a_zeros,
+from mbrh.spectral import ScenarioData, jost_phi, locate_a_zeros
+from references import (
+    eta_quadrature,
+    evaluate_M,
+    k_solve,
+    mb_residual,
+    medium_history,
+    reconstruct_F_nodes,
+    schwartz_error,
+    soliton_evaluate_M,
+    trivial_scenario,
 )
 
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
@@ -80,8 +76,7 @@ def desk_rh(desk_direct):
     sc, _, st = desk_direct
     t_vals = st.t_grid[::10]            # 41 stamps in t
     x_vals = st.x_grid[::20]            # 11 stamps in x
-    E, diag = rh_field_grid(sc, LOR, t_vals, x_vals,
-                            pole_window=(-3.0, 3.0, 0.05, 2.0))
+    E, diag = rh_field_grid(sc, LOR, t_vals, x_vals)
     return t_vals, x_vals, E, diag
 
 
@@ -93,8 +88,8 @@ def test_criterion_01_lorentzian_eta_quadrature_vs_closed():
     tic = time.perf_counter()
     for sign in (-1, +1):
         prof = BroadeningProfile.lorentzian(1.0, sign=sign)
-        quad = eta_eval(prof, z, method="quadrature")
-        closed = eta_eval(prof, z, method="closed")
+        quad = eta_quadrature(prof, z)
+        closed = eta_eval(prof, z)
         worst = max(worst, float(np.max(np.abs(quad - closed))))
     dt = time.perf_counter() - tic
     report(1, worst <= 1e-8 and dt < 1.0,
@@ -138,7 +133,7 @@ def test_criterion_03_delta_limit_curve_and_lorentzian_peak():
 
 def test_criterion_04_trivial_scenario_end_to_end():
     tic = time.perf_counter()
-    sc = ScenarioData.trivial(T=10.0, L=5.0)
+    sc = trivial_scenario(T=10.0, L=5.0)
     contour = contour_build(window=(-16.0, 16.0), n_panels=16,
                             nodes_per_panel=12)
     lam = contour.nodes.real
@@ -173,7 +168,8 @@ def test_criterion_05_unimodularity_and_symmetry_suite():
                             nodes_per_panel=12)
     lam = contour.nodes.real
     Phi0, _, _ = jost_phi(sc, lam)
-    table, Kp, Km = spectral_data(sc, LOR, lam, x_out=[1.0])
+    ev = eta_boundary(LOR, lam)
+    table, Kp, Km = spectral_data(sc, LOR, ev, x_out=[1.0])
     # det K = det w since the shears S are unimodular
     det_errs = {
         "Phi": float(np.max(np.abs(det2(Phi0) - 1.0))),
@@ -182,7 +178,7 @@ def test_criterion_05_unimodularity_and_symmetry_suite():
         "T+": table.diagnostics["det_Tp_err"],
         "T-": table.diagnostics["det_Tm_err"],
     }
-    jd = jump_mixed(2.5, 1.0, eta_boundary(LOR, lam), Kp[0], Km[0])
+    jd = jump_mixed(2.5, 1.0, ev, Kp[0], Km[0])
     det_errs["J"] = jd.det_error()
     res = sie_solve(contour, jd)
     z_off = np.array([0.7 + 1.5j, -2.0 + 2.0j, 1.0 - 1.8j])
@@ -288,7 +284,7 @@ def test_criterion_09_one_soliton_triangle():
         E0=lambda x: np.array([E_cl(0.0, xv) for xv in np.atleast_1d(x)]),
         rho0=rho0)
     lam = np.linspace(-1e-3, 1e-3, 9)
-    st = integrate_direct(sc, prof, lam, dt=0.01, x_max=2.0)
+    st = integrate_direct(sc, prof, lam, dt=0.01)
     ts = st.t_grid[::8][:200]
     xs = st.x_grid[:200]
     closed = np.array([[E_cl(t, x) for x in xs] for t in ts])
@@ -337,9 +333,10 @@ def test_criterion_11_mixed_problem_cross_validation(desk_direct, desk_rh):
 
     # residual yardstick: the same medium state with the two fields, on
     # the same coarse stencil lattice
+    rho, N = medium_history(sc, st, slice(None, None, 20))
     sub = types.SimpleNamespace(
         t_grid=t_vals, x_grid=x_vals, lam_grid=lam,
-        E=E_d, rho=st.rho[::10][:, ::20], N=st.N[::10][:, ::20])
+        E=E_d, rho=rho[::10], N=N[::10])
     hyb = types.SimpleNamespace(
         t_grid=t_vals, x_grid=x_vals, lam_grid=lam,
         E=E_rh, rho=sub.rho, N=sub.N)
@@ -361,8 +358,8 @@ def test_criterion_12_medium_reconstruction_consistency(desk_direct):
                             nodes_per_panel=16)
     lam = contour.nodes.real
     x_out = np.array([x - hx, x, x + hx])
-    _, Kp, Km = spectral_data(sc, LOR, lam, x_out=x_out)
     ev = eta_boundary(LOR, lam)
+    _, Kp, Km = spectral_data(sc, LOR, ev, x_out=x_out)
     jds = [jump_mixed(t, xv, ev, Kp[i], Km[i]) for i, xv in enumerate(x_out)]
     sols = [sie_solve(contour, jd) for jd in jds]
     mask = np.abs(lam) <= 2.5
@@ -374,9 +371,10 @@ def test_criterion_12_medium_reconstruction_consistency(desk_direct):
 
     it = int(round(t / (st.t_grid[1] - st.t_grid[0])))
     ix = int(round(x / (st.x_grid[1] - st.x_grid[0])))
-    rho_d = (np.interp(lam_out[pick], lam_d, st.rho[it, ix].real)
-             + 1j * np.interp(lam_out[pick], lam_d, st.rho[it, ix].imag))
-    N_d = np.interp(lam_out[pick], lam_d, st.N[it, ix])
+    rho_col, N_col = medium_history(sc, st, [ix])
+    rho_d = (np.interp(lam_out[pick], lam_d, rho_col[it, 0].real)
+             + 1j * np.interp(lam_out[pick], lam_d, rho_col[it, 0].imag))
+    N_d = np.interp(lam_out[pick], lam_d, N_col[it, 0])
     agree = max(float(np.max(np.abs(rho[pick] - rho_d))),
                 float(np.max(np.abs(N[pick] - N_d))))
     report(12, sphere <= 1e-4 and agree <= 5e-2,

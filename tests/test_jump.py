@@ -12,9 +12,7 @@ from mbrh.jump import (
     jump_mixed,
     jump_oval,
     jump_wholeline,
-    k_solve,
     posdef_check,
-    schwartz_error,
     shear_matrices,
     spectral_data,
 )
@@ -28,6 +26,7 @@ from mbrh.spectral import (
     transition_and_reflection,
     xbank_propagate,
 )
+from references import k_solve, schwartz_error, trivial_scenario
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 ATT = BroadeningProfile.lorentzian(1.0, sign=-1)
@@ -57,15 +56,16 @@ def smooth_data():
     sc = smooth_scenario()
     lam = np.linspace(-20, 20, 81)
     Phi0, _, _ = jost_phi(sc, lam)
-    _, wp = jost_w(sc, ATT, lam)
-    _, wm = jost_w(sc, ATT, lam, bank="-")
+    ev = eta_boundary(ATT, lam)
+    _, wp = jost_w(sc, ATT, ev)
+    _, wm = jost_w(sc, ATT, ev, bank="-")
     tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
     return sc, lam, tab, wp[0], wm[0]
 
 
 class TestKSolve:
     def test_trivial_identity_terminal(self):
-        sc = ScenarioData.trivial()
+        sc = trivial_scenario()
         lam = np.linspace(-4, 4, 17)
         eye = np.broadcast_to(np.eye(2, dtype=complex), (17, 2, 2))
         x_out = np.array([0.0, 1.5, 5.0])
@@ -75,7 +75,7 @@ class TestKSolve:
         assert np.max(np.abs(K - want)) < 1e-12
 
     def test_trivial_generic_terminal(self):
-        sc = ScenarioData.trivial()
+        sc = trivial_scenario()
         lam = np.linspace(-4, 4, 9)
         rng = np.random.default_rng(11)
         S = rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))
@@ -91,7 +91,8 @@ class TestKSolve:
         lam = np.linspace(-20, 20, 41)
         for sc in (smooth_scenario(), excited_scenario()):
             x_out = np.linspace(0, sc.L, 6)
-            tab, Kp, Km = spectral_data(sc, ATT, lam, x_out=x_out)
+            tab, Kp, Km = spectral_data(sc, ATT, eta_boundary(ATT, lam),
+                                        x_out=x_out)
             sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
             for K, S, bank in ((Kp, sp, "+"), (Km, sm, "-")):
                 _, ref = k_solve(sc, ATT, lam, S, bank=bank, x_out=x_out)
@@ -121,8 +122,9 @@ class TestKernelReuse:
         lam = np.linspace(-20, 20, 41)
         x_out = np.linspace(0, sc.L, 3)
         step = 0.05
-        terminal = diag_exp(1j * sc.L * eta_boundary(ATT, lam).eta_plus)
-        xbank_propagate(sc, ATT, lam, "+", terminal, x_out, step=step)
+        ev = eta_boundary(ATT, lam)
+        terminal = diag_exp(1j * sc.L * ev.eta_plus)
+        xbank_propagate(sc, ATT, ev, "+", terminal, x_out, step=step)
         steps = spectral._refined_grid(np.union1d(x_out, [0.0, sc.L]), step).size - 1
         assert len(builds) == 1
         assert len(calls) == 2 * steps
@@ -138,7 +140,7 @@ class TestKernelReuse:
 
 class TestJumpMixed:
     def test_trivial_identity(self):
-        sc = ScenarioData.trivial()
+        sc = trivial_scenario()
         lam = np.linspace(-6, 6, 25)
         eye = np.broadcast_to(np.eye(2, dtype=complex), (25, 2, 2)).copy()
         ev = eta_boundary(ATT, lam)

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
-from mbrh.errors import GridCoverage, StencilTooCoarse
+from mbrh.errors import GridCoverage
 from mbrh.lax import (
     U,
     V,
     MediumSlice,
     check_coverage,
-    conservation_check,
     coupling_matrix,
-    mb_residual,
     medium_from_rho,
     medium_transform,
 )
-from mbrh.mat2 import SIGMA2, SIGMA3, dagger, sigma2_conj
+from mbrh.mat2 import SIGMA3, dagger
+from references import StencilTooCoarse, mb_residual, sigma2_conj
 
 
 def _trivial_slice(grid):
@@ -38,11 +37,10 @@ class TestCauchyTransformF:
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
         grid = np.linspace(-15, 15, 301)
         s = _trivial_slice(grid)
-        lam = 0.7
-        Gp = medium_transform(p, grid, lam, boundary="+")(s)
-        ev = eta_boundary(p, lam)
+        ev = eta_boundary(p, 0.7)
+        Gp = medium_transform(p, grid, ev, boundary="+")(s)
         assert np.max(np.abs(Gp - ev.g_plus[0] * SIGMA3)) < 1e-12
-        Gm = medium_transform(p, grid, lam, boundary="-")(s)
+        Gm = medium_transform(p, grid, ev, boundary="-")(s)
         assert np.max(np.abs(Gm - ev.g_minus[0] * SIGMA3)) < 1e-12
 
     def test_generic_slice_vs_brute_trapezoid(self):
@@ -79,14 +77,15 @@ class TestCauchyTransformF:
         grid = np.linspace(-10, 10, 401)
         lam = grid[::40]
         z = lam + 0.3j
+        ev = eta_boundary(p, lam)
         offaxis = medium_transform(p, grid, z)
-        plus = medium_transform(p, grid, lam, boundary="+")
+        plus = medium_transform(p, grid, ev, boundary="+")
         for amp in (0.0, 0.2, 0.5):
             s = medium_from_rho(grid, amp * np.exp(-grid ** 2) * (1 - 0.4j))
             fresh = medium_transform(p, grid, z)(s)
             assert np.array_equal(offaxis(s), fresh)
             assert np.array_equal(plus(s), medium_transform(
-                p, grid, lam, boundary="+")(s))
+                p, grid, ev, boundary="+")(s))
             assert np.array_equal(fresh[:, 1, 1], -fresh[:, 0, 0])   # traceless
 
     def test_coverage_guard(self):
@@ -143,19 +142,22 @@ class TestAknsMatrices:
 
 
 class TestConservation:
+    """`medium_from_rho` puts a slice on the sphere N^2 + |rho|^2 = 1."""
+
     def test_trivial(self):
-        grid = np.linspace(-1, 1, 5)
-        assert conservation_check(_trivial_slice(grid)) == 0.0
+        s = medium_from_rho(np.linspace(-1, 1, 5), np.zeros(5))
+        assert np.array_equal(s.N, np.ones(5))
+        assert np.max(np.abs(s.N ** 2 + np.abs(s.rho) ** 2 - 1.0)) == 0.0
 
     def test_on_sphere(self):
-        grid = np.zeros(1)
-        s = MediumSlice(grid, N=np.array([0.6]), rho=np.array([0.8 + 0j]))
-        assert conservation_check(s) < 1e-15
+        s = medium_from_rho(np.zeros(1), np.array([0.8 + 0j]))
+        assert abs(s.N[0] - 0.6) < 1e-15
+        assert np.max(np.abs(s.N ** 2 + np.abs(s.rho) ** 2 - 1.0)) < 1e-15
 
     def test_off_sphere(self):
-        grid = np.zeros(1)
-        s = MediumSlice(grid, N=np.array([0.6]), rho=np.array([0.9 + 0j]))
-        assert abs(conservation_check(s) - 0.17) < 1e-12
+        # |rho| > 1 has no point on the sphere
+        with pytest.raises(ValueError):
+            medium_from_rho(np.zeros(1), np.array([1.1 + 0j]))
 
 
 class _State:

@@ -10,8 +10,6 @@ from mbrh.errors import (
     IllConditioned,
     PosdefViolated,
     SingularResidueSystem,
-    TooCloseToContour,
-    WeightVanishes,
 )
 from mbrh.jump import JumpData, jump_mixed, jump_wholeline, posdef_check, spectral_data
 from mbrh.mat2 import det2, dagger, inv2
@@ -19,18 +17,59 @@ from mbrh.rhsolver import (
     ContourSigma,
     circle_panel,
     contour_build,
-    evaluate_M,
-    reconstruct_F,
-    reconstruct_F_nodes,
     segment_panel,
     sie_solve,
     soliton_circle_jump,
     soliton_closed_form,
-    soliton_evaluate_M,
 )
 from mbrh.spectral import ScenarioData, jost_phi
+from references import (
+    TooCloseToContour,
+    WeightVanishes,
+    evaluate_M,
+    reconstruct_F_nodes,
+    soliton_evaluate_M,
+)
 
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
+
+
+def reconstruct_F(evalM, profile, t, x, lam_targets, delta=0.05, hx=1e-3):
+    """Medium state from the boundary jump of the x-logarithmic derivative.
+
+    Off-axis route, independent of `reconstruct_F_nodes`: evalM(t, x, z)
+    -> (Nz, 2, 2) evaluates the solved M off the contour.  Uses
+    Phi_x Phi^{-1} = M_x M^{-1} + i eta(z) M sigma3 M^{-1} at lam +- i
+    delta, Richardson-extrapolated from delta and delta/2, with M_x by
+    central differences.  Returns (N, rho) arrays.
+    """
+    lam = np.atleast_1d(np.asarray(lam_targets, dtype=float))
+    nv = profile.n(lam)
+    if np.any(np.abs(nv) < 1e-6):
+        raise WeightVanishes("n(lambda) too small for the jump formula")
+
+    def logderiv(zs):
+        M0 = evalM(t, x, zs)
+        Mp = evalM(t, x + hx, zs)
+        Mm = evalM(t, x - hx, zs)
+        Mx = (Mp - Mm) / (2 * hx)
+        Minv = inv2(M0)
+        sig = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+        eta_z = eta_eval(profile, zs)
+        return Mx @ Minv + 1j * eta_z[:, None, None] * (M0 @ sig @ Minv)
+
+    def jump_at(d):
+        up = logderiv(lam + 1j * d)
+        dn = logderiv(lam - 1j * d)
+        return up - dn
+
+    j1 = jump_at(delta)
+    j2 = jump_at(delta / 2)
+    jmp = 2.0 * j2 - j1                       # linear Richardson in delta
+    F = jmp * (2.0 / (np.pi * nv))[:, None, None]
+    N = F[:, 0, 0].real
+    rho = 0.5 * (F[:, 0, 1] + np.conj(F[:, 1, 0]))
+    return N, rho
 
 
 def identity_jump(contour, t=0.0, x=0.0):
@@ -65,7 +104,7 @@ class TestContour:
 
     def test_empty_contour(self):
         with pytest.raises(EmptyContour):
-            contour_build(include_real=False, circles=())
+            contour_build(n_panels=0, circles=())
 
     def test_segment_diff_matrix(self):
         p = segment_panel(-1.0, 2.0, 14)
@@ -178,8 +217,8 @@ def desk_stamps(ts=(2.0, 3.5, 6.0), xs=(0.0, 2.5)):
                       rho0=None)
     c = contour_build(window=(-16.0, 16.0), n_panels=16, nodes_per_panel=12)
     lam = c.nodes.real
-    _, Kp, Km = spectral_data(sc, LOR, lam, x_out=xs)
     ev = eta_boundary(LOR, lam)
+    _, Kp, Km = spectral_data(sc, LOR, ev, x_out=xs)
     return c, [jump_mixed(t, x, ev, Kp[i], Km[i])
                for t in ts for i, x in enumerate(xs)]
 
@@ -346,9 +385,8 @@ class TestPoleCircleRoute:
     def test_sie_on_circles_matches_residue_algebra(self):
         prof = BroadeningProfile.delta_approx(1e-3, sign=-1)
         poles = [(0.5j, 1.0 + 0.0j)]
-        c = contour_build(include_real=False,
-                          circles=[(0.5j, 0.15), (-0.5j, 0.15)],
-                          circle_nodes=48)
+        c = ContourSigma(panels=[circle_panel(0.5j, 0.15, 48),
+                                 circle_panel(-0.5j, 0.15, 48)])
         for t, x in ((0.0, 0.0), (0.8, 0.3), (-1.2, 0.6)):
             jd = soliton_circle_jump(poles, prof, t, x, c)
             res = sie_solve(c, jd)
@@ -359,9 +397,8 @@ class TestPoleCircleRoute:
     def test_circle_M_matches_meromorphic_M(self):
         prof = BroadeningProfile.delta_approx(1e-3, sign=-1)
         poles = [(0.5j, 1.0 + 0.0j)]
-        c = contour_build(include_real=False,
-                          circles=[(0.5j, 0.15), (-0.5j, 0.15)],
-                          circle_nodes=48)
+        c = ContourSigma(panels=[circle_panel(0.5j, 0.15, 48),
+                                 circle_panel(-0.5j, 0.15, 48)])
         jd = soliton_circle_jump(poles, prof, 0.3, 0.1, c)
         res = sie_solve(c, jd)
         zs = np.array([2.0 + 1.0j, -1.0 - 2.0j, 0.0 + 3.0j])

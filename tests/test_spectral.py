@@ -6,7 +6,7 @@ import pytest
 from mbrh.broadening import BroadeningProfile, eta_boundary
 from mbrh.errors import CountMismatch, DecayViolation, MediumNotAsymptotic
 from mbrh.lax import coupling_matrix
-from mbrh.mat2 import det2, diag_exp, sigma2_conj
+from mbrh.mat2 import det2, diag_exp
 from mbrh.spectral import (
     ScenarioData,
     _newton_refine,
@@ -18,6 +18,7 @@ from mbrh.spectral import (
     transition_and_reflection,
     wplus_column_continuation,
 )
+from references import sigma2_conj, trivial_scenario
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 
@@ -36,7 +37,7 @@ def smooth_scenario():
 
 class TestJostPhi:
     def test_trivial_identity(self):
-        sc = ScenarioData.trivial()
+        sc = trivial_scenario()
         lam = np.linspace(-5, 5, 21)
         Phi0, A, B = jost_phi(sc, lam)
         assert np.max(np.abs(Phi0 - np.eye(2))) < 1e-12
@@ -79,12 +80,12 @@ class TestJostPhi:
 
 class TestJostW:
     def test_trivial_closed_form(self):
-        sc = ScenarioData.trivial()
+        sc = trivial_scenario()
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
         lam = np.linspace(-5, 5, 41)
         x_out = np.linspace(0, sc.L, 6)
-        _, w = jost_w(sc, p, lam, bank="+", x_out=x_out)
         ev = eta_boundary(p, lam)
+        _, w = jost_w(sc, p, ev, bank="+", x_out=x_out)
         want = diag_exp(1j * x_out[:, None] * ev.eta_plus)
         assert np.max(np.abs(w - want)) < 1e-12
         assert np.max(np.abs(w[0] - np.eye(2))) < 1e-12
@@ -110,7 +111,7 @@ class TestJostW:
                 P = tw[:, None, None] * (free_inv @ H @ w)
                 S = np.cumsum(P[::-1], axis=0)[::-1] - 0.5 * P    # suffix trapezoid
                 w = free @ (np.eye(2) - S)
-            _, wode = jost_w(sc, p, lam[k:k + 1], bank="+",
+            _, wode = jost_w(sc, p, eta_boundary(p, lam[k]), bank="+",
                              x_out=np.array([0.0, 2.5, 5.0]))
             for j, idx in ((0, 0), (1, 4000), (2, 8000)):
                 assert np.max(np.abs(wode[j, 0] - w[idx])) < 1e-7
@@ -120,8 +121,9 @@ class TestJostW:
         sc = smooth_scenario()
         lam = np.linspace(-6, 6, 25)
         x_out = np.array([0.0, 2.0, 5.0])
-        _, wp = jost_w(sc, p, lam, bank="+", x_out=x_out)
-        _, wm = jost_w(sc, p, lam, bank="-", x_out=x_out)
+        ev = eta_boundary(p, lam)
+        _, wp = jost_w(sc, p, ev, bank="+", x_out=x_out)
+        _, wm = jost_w(sc, p, ev, bank="-", x_out=x_out)
         assert np.max(np.abs(wm - sigma2_conj(wp))) < 1e-8
         assert np.max(np.abs(det2(wp) - 1.0)) < 1e-9
 
@@ -143,7 +145,7 @@ class TestJostW:
             lam = np.array([-1.1, 0.3, 2.7])
             pick = np.arange(3)
         sc = ScenarioData(T=10.0, L=2.0, E_in=ZERO, E0=E0, rho0=rho0)
-        _, w = jost_w(sc, p, lam, bank="+", x_out=np.array([0.0]))
+        _, w = jost_w(sc, p, eta_boundary(p, lam), x_out=np.array([0.0]))
         alpha, beta = wplus_column_continuation(sc, p, lam[pick] + 1e-8j)
         # measured: at most 3.4e-11 in alpha and 1.5e-9 in beta
         # (|beta| >= 0.04), both falling linearly with eps
@@ -156,17 +158,18 @@ class TestJostW:
         sc = ScenarioData(T=10.0, L=5.0, E_in=ZERO, E0=ZERO,
                           rho0=lambda x, lam: 0.5 * np.ones(np.shape(lam)))
         with pytest.raises(MediumNotAsymptotic):
-            jost_w(sc, p, np.array([0.0]))
+            jost_w(sc, p, eta_boundary(p, np.array([0.0])))
 
 
 class TestTransition:
     def test_trivial(self):
-        sc = ScenarioData.trivial()
+        sc = trivial_scenario()
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
         lam = np.linspace(-5, 5, 21)
         Phi0, _, _ = jost_phi(sc, lam)
-        _, wp = jost_w(sc, p, lam, bank="+")
-        _, wm = jost_w(sc, p, lam, bank="-")
+        ev = eta_boundary(p, lam)
+        _, wp = jost_w(sc, p, ev, bank="+")
+        _, wm = jost_w(sc, p, ev, bank="-")
         tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
         assert np.max(np.abs(tab.a_plus - 1)) < 1e-12
         assert np.max(np.abs(tab.r_plus)) < 1e-12
@@ -176,8 +179,9 @@ class TestTransition:
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
         lam = np.linspace(-20, 20, 201)
         Phi0, _, _ = jost_phi(sc, lam)
-        _, wp = jost_w(sc, p, lam, bank="+")
-        _, wm = jost_w(sc, p, lam, bank="-")
+        ev = eta_boundary(p, lam)
+        _, wp = jost_w(sc, p, ev, bank="+")
+        _, wm = jost_w(sc, p, ev, bank="-")
         tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
         assert np.max(np.abs(tab.r_plus)) <= 1e-5
 
@@ -186,8 +190,9 @@ class TestTransition:
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
         lam = np.linspace(-10, 10, 81)
         Phi0, _, _ = jost_phi(sc, lam)
-        _, wp = jost_w(sc, p, lam, bank="+")
-        _, wm = jost_w(sc, p, lam, bank="-")
+        ev = eta_boundary(p, lam)
+        _, wp = jost_w(sc, p, ev, bank="+")
+        _, wm = jost_w(sc, p, ev, bank="-")
         tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
         assert tab.diagnostics["det_Tp_err"] < 1e-8
         assert tab.diagnostics["det_Tm_err"] < 1e-8
@@ -200,8 +205,9 @@ class TestTransition:
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
         lam = np.array([-20.0, 20.0, -10.0, 10.0])
         Phi0, _, _ = jost_phi(sc, lam)
-        _, wp = jost_w(sc, p, lam, bank="+")
-        _, wm = jost_w(sc, p, lam, bank="-")
+        ev = eta_boundary(p, lam)
+        _, wp = jost_w(sc, p, ev, bank="+")
+        _, wm = jost_w(sc, p, ev, bank="-")
         tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
         assert np.max(np.abs(tab.a_plus - 1)) < 0.2
         assert np.max(np.abs(tab.b_plus)) < 0.2
@@ -212,7 +218,7 @@ class TestLocateAZeros:
         self.p = BroadeningProfile.lorentzian(1.0, sign=-1)
 
     def test_trivial_empty(self):
-        sc = ScenarioData.trivial()
+        sc = trivial_scenario()
         poles = locate_a_zeros(sc, self.p, window=(-2, 2, 0.05, 2), step=0.05)
         assert poles == []
 
