@@ -17,7 +17,6 @@ builds W once (`pv_weights`, `cauchy_weights`).
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     NonDecaying,
@@ -53,20 +52,20 @@ class BroadeningProfile:
 
     @classmethod
     def rectangular(cls, eps, sign=ATTENUATOR):
-        if eps <= 0:
-            raise ValueError("rectangular half-width must be positive")
+        if not 0 < eps < np.inf:
+            raise ValueError("rectangular half-width must be positive and finite")
         return cls(shape="rectangular", sign=int(sign), eps=float(eps))
 
     @classmethod
     def lorentzian(cls, l, sign=ATTENUATOR):
-        if l <= 0:
-            raise ValueError("lorentzian scale must be positive")
+        if not 0 < l < np.inf:
+            raise ValueError("lorentzian scale must be positive and finite")
         return cls(shape="lorentzian", sign=int(sign), l=float(l))
 
     @classmethod
     def delta_approx(cls, eps, sign=ATTENUATOR):
-        if eps <= 0:
-            raise ValueError("delta_approx half-width must be positive")
+        if not 0 < eps < np.inf:
+            raise ValueError("delta_approx half-width must be positive and finite")
         return cls(shape="delta_approx", sign=int(sign), eps=float(eps))
 
     @classmethod
@@ -238,8 +237,8 @@ def pv_apply(sgrid, f, lam, W):
     On the first or last node the integral diverges like
     f(end) log|s - lam|, so such a target raises PrincipalValueFailure
     unless f has vanished at that end (|f| at most _END_TOL of max |f|,
-    per batch row); so does a non-finite result.  Complex f takes two
-    real products.
+    per batch row); so does a non-finite result.  Complex f takes one
+    real product of its stacked real and imaginary parts.
     """
     f = np.asarray(f)
     for end in (0, -1):
@@ -250,7 +249,8 @@ def pv_apply(sgrid, f, lam, W):
                     f"p.v. integral diverges: target on the grid end "
                     f"{sgrid[end]:g}, where f does not vanish")
     if np.iscomplexobj(f):
-        out = (f.real @ W) + 1j * (f.imag @ W)
+        out = np.stack([f.real, f.imag]) @ W
+        out = out[0] + 1j * out[1]
     else:
         out = f @ W
     if not np.all(np.isfinite(out)):
@@ -327,6 +327,7 @@ def _im_eta(profile, lam, nu):
 
 def _nu_root(profile, lam, nu_floor=1e-9, nu_cap=8.0, tol=1e-13):
     """Height of gamma above lam, or None if the curve does not pass here."""
+    from scipy.optimize import brentq         # loaded by `mb-rh curve` only
     f0 = _im_eta(profile, lam, nu_floor)
     if not (f0 < 0.0):
         return None
@@ -347,6 +348,7 @@ def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
     empty.  A curve reaching the lambda-window edge is reported truncated
     (the Lorentzian D+ is unbounded along the real line).
     """
+    from scipy.optimize import minimize_scalar
     empty = GammaCurve(points=np.empty(0, complex), lam_minus=None,
                        lam_plus=None, nu_max=0.0, bounded=True, truncated=False)
     if profile.sign < 0:

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 import numpy as np
 from scipy import __version__ as _scipy_version
@@ -27,7 +28,8 @@ from .rhsolver import (
     soliton_circle_jump,
     soliton_closed_form,
 )
-from .spectral import DEFAULT_STEP, ScenarioData, locate_a_zeros
+from .spectral import (DEFAULT_STEP, ScenarioData, locate_a_zeros,
+                       magnus_steps_taken)
 
 POLE_RADIUS = 0.15              # regularizing circle radius, capped at 0.45 Im z
 POLE_STEP = 0.02                # Magnus step of the pole search
@@ -124,17 +126,18 @@ def rho0_from_config(block, path="rho0"):
     def rho0(x, lam):
         """Bilinear in the table: the two x rows that bracket x, then
         along lam; x and lam outside the table clamp to its edge rows and
-        columns, as np.interp does."""
-        if x <= xg[0]:
-            row = tab[0]
-        elif x >= xg[-1]:
-            row = tab[-1]
-        else:
-            j = int(np.searchsorted(xg, x, side="right")) - 1
-            # np.interp's operation order, so the row matches it bitwise
-            slope = (tab[j + 1] - tab[j]) * (1.0 / (xg[j + 1] - xg[j]))
-            row = tab[j] if x == xg[j] else slope * (x - xg[j]) + tab[j]
-        return np.interp(np.asarray(lam, dtype=float), lg, row)
+        columns, as np.interp does.  An array x gives one row per depth,
+        each equal to the call at that depth."""
+        xs = np.ravel(np.asarray(x, dtype=float))
+        j = np.clip(np.searchsorted(xg, xs, side="right") - 1, 0, xg.size - 2)
+        rows = tab[np.where(xs >= xg[-1], -1, j)]      # clamped or on a row
+        mid = (xs > xg[0]) & (xs < xg[-1]) & (xs != xg[j])
+        j = j[mid]
+        # np.interp's operation order, so each row matches it bitwise
+        slope = (tab[j + 1] - tab[j]) * (1.0 / (xg[j + 1] - xg[j]))[:, None]
+        rows[mid] = slope * (xs[mid] - xg[j])[:, None] + tab[j]
+        out = np.array([np.interp(lam, lg, row) for row in rows])
+        return out if np.ndim(x) else out[0]
 
     return rho0
 
@@ -239,12 +242,14 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     data and K_pm on the x lattice -> per-stamp jump assembly and contour
     solve.
 
-    Returns (E grid (Nt, Nx), diagnostics dict).
+    Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
+    wall time of the pole search, the spectral data and the stamp loop.
     """
     t_vals = np.asarray(t_vals, dtype=float)
     x_vals = np.asarray(x_vals, dtype=float)
     scenario.validate()         # refuse bad data before the pole search
 
+    steps0, marks = magnus_steps_taken(), [time.perf_counter()]
     poles = []
     if find_poles and profile.sign < 0:
         poles = locate_a_zeros(scenario, profile, window=POLE_WINDOW,
@@ -253,6 +258,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     for (zj, _) in poles:
         r = min(POLE_RADIUS, 0.45 * zj.imag)
         circles += [(zj, r), (np.conj(zj), r)]
+    marks.append(time.perf_counter())
     contour = contour_build(window=window, n_panels=n_panels,
                             nodes_per_panel=nodes_per_panel, circles=circles)
     # the real-axis panels come first in the node list
@@ -260,6 +266,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     lam = contour.nodes[:n_real].real
     ev = eta_boundary(profile, lam)
     _, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals)
+    marks.append(time.perf_counter())
 
     def solve_stamp(args):
         it, ix = args
@@ -279,12 +286,16 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     stamps = [(it, ix) for it in range(t_vals.size)
               for ix in range(x_vals.size)]
     out = parallel_map(solve_stamp, stamps)
+    marks.append(time.perf_counter())
+    stages = dict(zip(("pole_search_s", "spectral_s", "stamp_loop_s"),
+                      np.diff(marks).tolist()))
     E = np.array([e for e, _ in out]).reshape(t_vals.size, x_vals.size)
     col = {key: np.array([d[key] for _, d in out])
            for key in ("residual_rel", "cond", "iterations", "posdef_min")}
     diag = {"n_poles": len(poles), "n_nodes": contour.n_nodes,
             "n_stamps": len(stamps),
-            "lu_stamps": int(np.count_nonzero(col["iterations"] == 0))}
+            "lu_stamps": int(np.count_nonzero(col["iterations"] == 0)),
+            "stages": stages, "magnus_steps": magnus_steps_taken() - steps0}
     for key, name in (("residual_rel", "residual_rel"), ("cond", "cond"),
                       ("iterations", "krylov_iters")):
         vals = col[key]

@@ -1,8 +1,10 @@
-"""Zero-curvature (AKNS) generators of the Maxwell-Bloch Lax pair.
+"""Medium term of the Maxwell-Bloch Lax pair.
 
-U(z, E) generates the time equation and V(z, E, G) the two half-plane
-x-equations; G is the Cauchy transform of the medium matrix F against
-the weight n, built per propagation by `medium_transform`.
+The time equation is generated by U = -i z sigma_3 - H(E) and the two
+half-plane x-equations by V = i z sigma_3 - i G + H(E), with the field
+coupling H(E) = [[0, E/2], [-E*/2, 0]] (`spectral` builds both in
+component form).  G is the Cauchy transform of the medium matrix F
+against the weight n, built per propagation by `medium_transform`.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,6 @@ import numpy as np
 
 from .broadening import cauchy_weights, eta_eval, pv_apply, pv_weights
 from .errors import GridCoverage
-from .mat2 import SIGMA3
 
 COVERAGE_THRESHOLD = 0.999
 
@@ -27,41 +28,14 @@ class MediumSlice:
 
 
 def medium_from_rho(lam_grid, rho):
-    """Slice with the inversion fixed by the positive square-root branch."""
+    """Slice with the inversion fixed by the positive square-root branch
+    (rho of shape (Ngrid,), or (m, Ngrid) for m stacked slices)."""
     rho = np.asarray(rho, dtype=complex)
     mag2 = np.abs(rho) ** 2
     if np.any(mag2 > 1.0 + 1e-12):
         raise ValueError("|rho| > 1 has no admissible inversion")
     return MediumSlice(lam_grid=np.asarray(lam_grid, float), rho=rho,
                        N=np.sqrt(np.maximum(1.0 - mag2, 0.0)))
-
-
-def coupling_matrix(E):
-    """Off-diagonal field coupling H = [[0, E/2], [-E*/2, 0]] (anti-Hermitian)."""
-    E = np.asarray(E, dtype=complex)
-    out = np.zeros(E.shape + (2, 2), dtype=complex)
-    out[..., 0, 1] = 0.5 * E
-    out[..., 1, 0] = -0.5 * np.conj(E)
-    return out
-
-
-def U(z, E):
-    """Generator of the t-equation, U = -i z sigma_3 - H(E).
-
-    Linear in (z, E): U(z, E) = U(z, 0) + U(0, E), so a propagation in t
-    builds its z part once.
-    """
-    return -1j * np.asarray(z)[..., None, None] * SIGMA3 - coupling_matrix(E)
-
-
-def V(z, E, G):
-    """Generator of the x-equation, V = i z sigma_3 - i G + H(E).
-
-    G is the medium term (2x2 per z, see `medium_transform`).  Linear in
-    (z, E, G) like U.
-    """
-    return (1j * np.asarray(z)[..., None, None] * SIGMA3 - 1j * np.asarray(G)
-            + coupling_matrix(E))
 
 
 def check_coverage(profile, grid):
@@ -93,15 +67,19 @@ def medium_transform(profile, grid, targets, boundary=None):
     depends on (grid, targets) alone -- the coverage check, n on the
     grid, eta, the local weight and the weight matrix W -- is computed
     here once; the returned function maps a slice to G, shape
-    (Nz, 2, 2), by one product with W.
+    (Nz, 2, 2), or m stacked slices to shape (m, Nz, 2, 2), by one
+    product with W.
     """
     check_coverage(profile, grid)
     grid = np.asarray(grid, dtype=float)
     nvals = profile.n(grid)
 
-    def channels(slice_):
-        return np.stack([(slice_.N - 1.0) * nvals, slice_.rho * nvals,
-                         np.conj(slice_.rho) * nvals])
+    def channels(slice_, product):
+        """product of the three channels of every slice, stacked as rows
+        of one (3 m, Ngrid) matrix; returned as (3, m, Nz)."""
+        ch = np.stack([(slice_.N - 1.0) * nvals, slice_.rho * nvals,
+                       np.conj(slice_.rho) * nvals])
+        return product(ch.reshape(-1, grid.size)).reshape(ch.shape[:-1] + (-1,))
 
     if boundary is None:
         z = np.atleast_1d(np.asarray(targets, dtype=complex))
@@ -109,7 +87,7 @@ def medium_transform(profile, grid, targets, boundary=None):
         base = z - eta_eval(profile, z)              # scalar sigma_3 part
 
         def G(slice_):
-            c = channels(slice_) @ W                 # (3, Nz)
+            c = channels(slice_, lambda f: f @ W)
             return _traceless(c[0] + base, c[1], c[2])
 
         return G
@@ -119,12 +97,16 @@ def medium_transform(profile, grid, targets, boundary=None):
     W = 0.25 * pv_weights(grid, lam)
     base = ev.g_plus if boundary == "+" else ev.g_minus
     local = (1.0 if boundary == "+" else -1.0) * 0.25j * np.pi * ev.n
+    # slice data at lam, row by row: linear with clamped ends as np.interp,
+    # and exact where lam is a grid node
+    j = np.clip(np.searchsorted(grid, lam, side="right") - 1, 0, grid.size - 2)
+    t = np.clip((lam - grid[j]) / (grid[j + 1] - grid[j]), 0.0, 1.0)
+    interp = lambda f: f[..., j] * (1.0 - t) + f[..., j + 1] * t
 
     def G(slice_):
-        pv = pv_apply(grid, channels(slice_), lam, W)       # (3, Nlam)
-        loc11 = np.interp(lam, grid, slice_.N) - 1.0
-        loc12 = (np.interp(lam, grid, slice_.rho.real)
-                 + 1j * np.interp(lam, grid, slice_.rho.imag))
+        pv = channels(slice_, lambda f: pv_apply(grid, f, lam, W))
+        loc11 = interp(slice_.N) - 1.0
+        loc12 = interp(slice_.rho)
         return _traceless(pv[0] + local * loc11 + base,
                           pv[1] + local * loc12,
                           pv[2] + local * np.conj(loc12))

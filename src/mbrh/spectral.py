@@ -6,9 +6,14 @@ the two half-plane x-equations at t = 0.  Transition matrices between the
 two give the scattering functions a, b and the reflection coefficients.
 
 All integrations use a fixed-step 4th-order Magnus scheme (two Gauss nodes
-per step, single commutator).  Its generators are traceless, so every
-propagator has unit determinant to machine precision, which the downstream
-jump-matrix certificates rely on.
+per step, single commutator) in component form.  The generators are
+traceless, [[a, b], [c, -a]], plus a scalar shift per z for a continued
+column, so Omega is traceless in closed form and
+exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega, mu^2 = a^2 + bc, times
+e^{h shift}: every propagator has unit determinant to machine precision,
+which the downstream jump-matrix certificates rely on.  Blocks of
+MAGNUS_BLOCK steps take one generator call at all their Gauss nodes and
+one batch of exponentials, then a sequential sweep over the steps.
 """
 
 from dataclasses import dataclass, field
@@ -22,13 +27,14 @@ from .errors import (
     MediumNotAsymptotic,
     SpectralSingularity,
 )
-from .lax import U, V, medium_from_rho, medium_transform
-from .mat2 import SIGMA3, det2, diag_exp, expm2, inv2
+from .lax import medium_from_rho, medium_transform
+from .mat2 import det2, diag_exp, inv2
 
 _GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
 DEFAULT_STEP = 0.01
+MAGNUS_BLOCK = 64           # steps whose exponentials are built at once
 SINGULAR_FLOOR = 1e-8       # |a| below this on the axis is a spectral singularity
 NEWTON_TOL = 1e-10          # Newton step at which a zero of a counts as found
 
@@ -39,8 +45,9 @@ class ScenarioData:
 
     E_in and E0 are vectorized callables (boundary pulse and initial field);
     rho0(x, lam) is the initial polarization table, or None for the
-    unexcited medium.  The inversion N0 always takes the positive branch
-    sqrt(1 - |rho0|^2).
+    unexcited medium; the x-equation calls it with a column (m, 1) of
+    depths for m rows at once.  The inversion N0 always takes the
+    positive branch sqrt(1 - |rho0|^2).
     """
 
     T: float
@@ -61,7 +68,10 @@ class ScenarioData:
         return self.medium_is_trivial and np.max(np.abs(self.E0(x))) == 0.0
 
     def medium_slice(self, x, lam_grid):
-        """Slice of the excited medium (rho0 not None) at depth x."""
+        """Slice of the excited medium (rho0 not None) at depth x; a 1-d x
+        gives the stacked slices, one row per depth."""
+        if np.ndim(x):
+            x = np.asarray(x, dtype=float)[:, None]
         return medium_from_rho(lam_grid, np.asarray(self.rho0(x, lam_grid), complex))
 
     def validate(self):
@@ -107,31 +117,59 @@ class SpectralTable:
 # Magnus propagation
 # ----------------------------------------------------------------------
 
-def magnus_step(Afun, s1, h, U):
-    """One 4th-order Magnus update from s1 to s1 + h (h of either sign)."""
-    A1 = Afun(s1 + _GAUSS_C1 * h)
-    A2 = Afun(s1 + _GAUSS_C2 * h)
-    Om = (0.5 * h) * (A1 + A2) + (np.sqrt(3.0) / 12.0 * h * h) * (A2 @ A1 - A1 @ A2)
-    return expm2(Om) @ U
+_magnus_steps = 0           # Magnus steps taken by this process
 
 
-def magnus_propagate(Afun, s_grid, terminal, keep="ends"):
-    """Integrate dU/ds = A(s) U backward from s_grid[-1] to s_grid[0].
+def magnus_steps_taken():
+    """Magnus steps taken by this process so far (run traces difference it)."""
+    return _magnus_steps
 
-    terminal is U(s_grid[-1]) with shape (..., 2, k).  keep="all" returns
-    the trajectory at every grid node (index aligned with s_grid),
-    keep="ends" just U(s_grid[0]).
+
+def magnus_propagate(gen, s_grid, terminal, shift=0.0, at=None):
+    """Integrate dU/ds = (A(s) + shift) U backward from s_grid[-1] to s_grid[0].
+
+    gen maps an array of m nodes s to the entries (a, b, c) of the
+    traceless A = [[a, b], [c, -a]], each broadcastable to (m, Nz); shift
+    is a scalar per z.  terminal is U(s_grid[-1]), shape (Nz, 2, k).
+    Returns U(s_grid[0]), or with `at` (indices into s_grid) the stack
+    of U at those nodes.
     """
-    U = np.array(terminal, dtype=complex)
-    if keep == "all":
-        traj = np.empty((len(s_grid),) + U.shape, dtype=complex)
-        traj[-1] = U
-    for i in range(len(s_grid) - 1, 0, -1):
-        h = s_grid[i - 1] - s_grid[i]
-        U = magnus_step(Afun, s_grid[i], h, U)
-        if keep == "all":
-            traj[i - 1] = U
-    return traj if keep == "all" else U
+    global _magnus_steps
+    s = np.asarray(s_grid, dtype=float)
+    n = s.size - 1
+    keep = {0} if at is None else set(np.atleast_1d(at).tolist())
+    u0 = np.array(terminal[..., 0, :], dtype=complex)       # rows of U, (Nz, k)
+    u1 = np.array(terminal[..., 1, :], dtype=complex)
+    kept = {n: np.stack([u0, u1], axis=-2)} if n in keep else {}
+    for top in range(n, 0, -MAGNUS_BLOCK):
+        i = np.arange(top, max(top - MAGNUS_BLOCK, 0), -1)    # steps s_i -> s_{i-1}
+        h = s[i - 1] - s[i]
+        nodes = np.concatenate([s[i] + _GAUSS_C1 * h, s[i] + _GAUSS_C2 * h])
+        (a1, a2), (b1, b2), (c1, c2) = (
+            np.split(v, 2) for v in np.broadcast_arrays(*gen(nodes)))
+        h = h[:, None]
+        r = np.sqrt(3.0) / 12.0 * h * h
+        # Omega = h/2 (A1 + A2) + r [A2, A1], traceless in closed form
+        oa = 0.5 * h * (a1 + a2) + r * (b2 * c1 - c2 * b1)
+        ob = 0.5 * h * (b1 + b2) + 2.0 * r * (a2 * b1 - b2 * a1)
+        oc = 0.5 * h * (c1 + c2) + 2.0 * r * (c2 * a1 - a2 * c1)
+        # exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega, mu^2 = -det Omega
+        mu2 = oa * oa + ob * oc
+        mu = np.sqrt(mu2)
+        small = np.abs(mu) < 1e-6
+        safe = np.where(small, 1.0, mu)
+        shc = np.where(small, 1.0 + mu2 / 6.0, np.sinh(safe) / safe)
+        ch, scale = np.cosh(mu), np.exp(h * shift)
+        e00, e01, e10, e11 = (v[..., None] for v in (
+            scale * (ch + shc * oa), scale * shc * ob, scale * shc * oc,
+            scale * (ch - shc * oa)))
+        for j, step in enumerate(i):
+            u0, u1 = e00[j] * u0 + e01[j] * u1, e10[j] * u0 + e11[j] * u1
+            if step - 1 in keep:
+                kept[step - 1] = np.stack([u0, u1], axis=-2)
+    _magnus_steps += n
+    return kept[0] if at is None else np.stack(
+        [kept[g] for g in np.atleast_1d(at)])
 
 
 def _refined_grid(targets, step):
@@ -144,22 +182,36 @@ def _refined_grid(targets, step):
     return np.concatenate(pieces)
 
 
-def _t_generator(scenario, z, shift=0.0):
-    """A(t) = U(z, E_in(t)) + shift I, with U(z, 0) + shift I built once
-    (shift: the scalar rephasing of a continued column)."""
-    free = U(z, 0.0) + np.multiply.outer(shift, np.eye(2))
-    return lambda t: free + U(0.0, complex(scenario.E_in(t)))
+def _t_generator(scenario, z):
+    """Entries of U = -i z sigma_3 - H(E_in(t)) at nodes t, with
+    H(E) = [[0, E/2], [-E*/2, 0]]."""
+    a = -1j * np.asarray(z)[None, :]
+
+    def gen(t):
+        e = 0.5 * np.asarray(scenario.E_in(t), dtype=complex)[:, None]
+        return a, -e, np.conj(e)
+
+    return gen
 
 
-def _x_generator(scenario, z, G, shift=0.0):
-    """A(x) = V(z, E0(x), G) + shift I, with its z part built once.
+def _x_generator(scenario, z, G):
+    """Entries of V = i z sigma_3 - i G + H(E0(x)) at depths x.
 
-    G is a constant (unexcited medium) or a function of x (the medium
-    transform of the slice at depth x).
+    G is g sigma_3 with g per z (unexcited medium; pass g), or a function
+    of the depths giving the stacked (m, Nz, 2, 2) medium terms of their
+    slices.
     """
-    const, Gx = (0.0, G) if callable(G) else (G, lambda x: 0.0)
-    free = V(z, 0.0, const) + np.multiply.outer(shift, np.eye(2))
-    return lambda x: free + V(0.0, complex(scenario.E0(x)), Gx(x))
+    z = np.asarray(z)[None, :]
+
+    def gen(x):
+        e = 0.5 * np.asarray(scenario.E0(x), dtype=complex)[:, None]
+        if not callable(G):
+            return 1j * (z - G), e, -np.conj(e)
+        g = G(x)
+        return (1j * (z - g[..., 0, 0]), e - 1j * g[..., 0, 1],
+                -np.conj(e) - 1j * g[..., 1, 0])
+
+    return gen
 
 
 # ----------------------------------------------------------------------
@@ -189,8 +241,9 @@ def phi_column_continuation(scenario, z, step=DEFAULT_STEP):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     terminal = np.zeros(z.shape + (2, 1), dtype=complex)
     terminal[..., 1, 0] = 1.0
-    v0 = magnus_propagate(_t_generator(scenario, z, -1j * z),
-                          _refined_grid([0.0, scenario.T], step), terminal)
+    v0 = magnus_propagate(_t_generator(scenario, z),
+                          _refined_grid([0.0, scenario.T], step), terminal,
+                          shift=-1j * z)
     return v0[..., 1, 0], v0[..., 0, 0]          # A(z), B(z)
 
 
@@ -203,7 +256,7 @@ def xbank_propagate(scenario, profile, ev, bank, terminal, x_out,
     """Backward-propagate the half-plane x-equation from x = L.
 
     ev is the `EtaValues` of the real nodes lam; terminal is the
-    (Nlam, 2, 2) value at x = L; the trajectory is returned on x_out.  An
+    (Nlam, 2, 2) value at x = L; the solution is returned on x_out.  An
     excited medium's transform is integrated on lam itself.
     """
     lam = ev.lam
@@ -213,15 +266,14 @@ def xbank_propagate(scenario, profile, ev, bank, terminal, x_out,
         if scenario.field_free:
             # exact solution: pure phase relative to the terminal data
             return diag_exp(1j * (x_out[:, None] - scenario.L) * (lam - g)) @ terminal
-        G = g[:, None, None] * SIGMA3
+        G = g
     else:
         transform = medium_transform(profile, lam, ev, boundary=bank)
         G = lambda x: transform(scenario.medium_slice(x, lam))
 
     grid = _refined_grid(np.union1d(x_out, [0.0, scenario.L]), step)
-    traj = magnus_propagate(_x_generator(scenario, lam, G), grid, terminal,
-                            keep="all")
-    return traj[np.searchsorted(grid, x_out)]
+    return magnus_propagate(_x_generator(scenario, lam, G), grid, terminal,
+                            at=np.searchsorted(grid, x_out))
 
 
 def jost_w(scenario, profile, ev, bank="+", x_out=None, step=DEFAULT_STEP):
@@ -253,7 +305,7 @@ def wplus_column_continuation(scenario, profile, z, step=DEFAULT_STEP):
     if scenario.field_free:
         return np.ones(z.shape, complex), np.zeros(z.shape, complex)
     if scenario.medium_is_trivial:
-        G = (z - eta_z)[:, None, None] * SIGMA3
+        G = z - eta_z
     else:
         lam_med = np.linspace(*LAM_WINDOW, 401)
         transform = medium_transform(profile, lam_med, z)
@@ -261,8 +313,9 @@ def wplus_column_continuation(scenario, profile, z, step=DEFAULT_STEP):
 
     terminal = np.zeros(z.shape + (2, 1), dtype=complex)
     terminal[..., 0, 0] = 1.0
-    u0 = magnus_propagate(_x_generator(scenario, z, G, -1j * eta_z),
-                          _refined_grid([0.0, scenario.L], step), terminal)
+    u0 = magnus_propagate(_x_generator(scenario, z, G),
+                          _refined_grid([0.0, scenario.L], step), terminal,
+                          shift=-1j * eta_z)
     return u0[..., 0, 0], u0[..., 1, 0]          # alpha(z), beta(z)
 
 

@@ -1,15 +1,17 @@
 """Independent references and checks that more than one test file uses.
 
 None of this runs in an `mb-rh` command: each function here is a second
-route to a quantity the package computes (the x-equation from other
-terminal data, eta by adaptive quadrature, M off the contour, the medium
-from the solved problem), or a check that tests apply to its output.
+route to a quantity the package computes (the Lax generators and the
+Magnus propagation in matrix form, the x-equation from other terminal
+data, eta by adaptive quadrature, M off the contour, the medium from the
+solved problem), or a check that tests apply to its output.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
 from mbrh.broadening import average_weights, eta_boundary
+from mbrh.cli import rho0_from_config
 from mbrh.direct import bloch_rotation
 from mbrh.errors import MBRHError, TooCloseToAxis
 from mbrh.mat2 import dagger, diag_exp, inv2
@@ -17,6 +19,9 @@ from mbrh.rhsolver import soliton_closed_form
 from mbrh.spectral import DEFAULT_STEP, ScenarioData, xbank_propagate
 
 SIGMA2 = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
+SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
+_GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 AXIS_FLOOR = 1e-8           # |Im z| below which the adaptive eta path refuses
 EVAL_FLOOR = 2.0            # off-contour M within this many node spacings is refused
 
@@ -39,9 +44,112 @@ def trivial_scenario(T=10.0, L=5.0):
     return ScenarioData(T=T, L=L, E_in=zero, E0=zero, rho0=None)
 
 
+def desk_scenario():
+    """The desk scenario: T = 10, L = 5, a Gaussian boundary pulse of
+    amplitude 0.8 at t = 3 (width 0.7), no initial field, empty medium."""
+    zero = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
+    E_in = lambda t: 0.8 * np.exp(-((np.asarray(t) - 3.0) / 0.7) ** 2) + 0j
+    return ScenarioData(T=10.0, L=5.0, E_in=E_in, E0=zero, rho0=None)
+
+
+def excited_scenario():
+    """Desk pulse on L = 2 over an excited medium: an E0 bump and a rho0
+    table, so the x-banks run the full Magnus path through the medium."""
+    E_in = lambda t: 0.8 * np.exp(-((np.asarray(t) - 3.0) / 0.7) ** 2) + 0j
+    E0 = lambda x: 0.3 * np.exp(-((np.asarray(x) - 1.0) / 0.3) ** 2) + 0j
+    xg = np.linspace(0.0, 2.0, 41)
+    lg = np.linspace(-8.0, 8.0, 65)
+    re = 0.3 * np.exp(-((xg[:, None] - 0.7) / 0.25) ** 2 - lg[None, :] ** 2 / 2)
+    rho0 = rho0_from_config({"x": xg.tolist(), "lam": lg.tolist(),
+                             "re": re.tolist()})
+    return ScenarioData(T=10.0, L=2.0, E_in=E_in, E0=E0, rho0=rho0)
+
+
 def sigma2_conj(a):
     """sigma_2 A^* sigma_2, the antilinear reduction map of the AKNS system."""
     return SIGMA2 @ np.conj(a) @ SIGMA2
+
+
+# ----------------------------------------------------------------------
+# Lax generators and Magnus propagation in (..., 2, 2) matrix form
+# ----------------------------------------------------------------------
+
+def coupling_matrix(E):
+    """Off-diagonal field coupling H = [[0, E/2], [-E*/2, 0]] (anti-Hermitian)."""
+    E = np.asarray(E, dtype=complex)
+    out = np.zeros(E.shape + (2, 2), dtype=complex)
+    out[..., 0, 1] = 0.5 * E
+    out[..., 1, 0] = -0.5 * np.conj(E)
+    return out
+
+
+def U(z, E):
+    """Generator of the t-equation, U = -i z sigma_3 - H(E)."""
+    return -1j * np.asarray(z)[..., None, None] * SIGMA3 - coupling_matrix(E)
+
+
+def V(z, E, G):
+    """Generator of the x-equation, V = i z sigma_3 - i G + H(E), with G
+    the medium term (2x2 per z, see `mbrh.lax.medium_transform`)."""
+    return (1j * np.asarray(z)[..., None, None] * SIGMA3 - 1j * np.asarray(G)
+            + coupling_matrix(E))
+
+
+def _sinhc(mu):
+    """sinh(mu)/mu with a series fallback near 0."""
+    small = np.abs(mu) < 1e-6
+    mu_safe = np.where(small, 1.0, mu)
+    return np.where(small, 1.0 + mu * mu / 6.0, np.sinh(mu_safe) / mu_safe)
+
+
+def expm2(m):
+    """Matrix exponential of 2x2 blocks via the Cayley-Hamilton closed form."""
+    s = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
+    m0 = m - s[..., None, None] * np.eye(2)
+    # mu^2 = -det(m0); any branch of the square root works (even functions).
+    mu = np.sqrt(-(m0[..., 0, 0] * m0[..., 1, 1] - m0[..., 0, 1] * m0[..., 1, 0])
+                 + 0j)
+    out = (np.cosh(mu)[..., None, None] * np.eye(2)
+           + _sinhc(mu)[..., None, None] * m0)
+    return np.exp(s)[..., None, None] * out
+
+
+def magnus_step(Afun, s1, h, Y):
+    """One 4th-order Magnus update of Y from s1 to s1 + h (h of either sign)."""
+    A1 = Afun(s1 + _GAUSS_C1 * h)
+    A2 = Afun(s1 + _GAUSS_C2 * h)
+    Om = (0.5 * h) * (A1 + A2) + (np.sqrt(3.0) / 12.0 * h * h) * (A2 @ A1 - A1 @ A2)
+    return expm2(Om) @ Y
+
+
+def magnus_propagate(Afun, s_grid, terminal):
+    """Integrate dY/ds = A(s) Y backward from s_grid[-1] to s_grid[0], one
+    step and one generator evaluation per Gauss node at a time.  Returns
+    the trajectory at every grid node (index aligned with s_grid)."""
+    Y = np.array(terminal, dtype=complex)
+    traj = np.empty((len(s_grid),) + Y.shape, dtype=complex)
+    traj[-1] = Y
+    for i in range(len(s_grid) - 1, 0, -1):
+        Y = magnus_step(Afun, s_grid[i], s_grid[i - 1] - s_grid[i], Y)
+        traj[i - 1] = Y
+    return traj
+
+
+def t_generator(scenario, z, shift=0.0):
+    """A(t) = U(z, E_in(t)) + shift I, with U(z, 0) + shift I built once."""
+    free = U(z, 0.0) + np.multiply.outer(shift, np.eye(2))
+    return lambda t: free + U(0.0, complex(scenario.E_in(t)))
+
+
+def x_generator(scenario, z, G, shift=0.0):
+    """A(x) = V(z, E0(x), G) + shift I, with its z part built once.
+
+    G is a constant (unexcited medium) or a function of x (the medium
+    transform of the slice at depth x).
+    """
+    const, Gx = (0.0, G) if callable(G) else (G, lambda x: 0.0)
+    free = V(z, 0.0, const) + np.multiply.outer(shift, np.eye(2))
+    return lambda x: free + V(0.0, complex(scenario.E0(x)), Gx(x))
 
 
 # ----------------------------------------------------------------------

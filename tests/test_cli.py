@@ -109,6 +109,25 @@ class TestLoadScenario:
             want = np.interp(lam, lg, col)
             assert np.max(np.abs(rho0(x, lam) - want)) <= 1e-15
 
+    def test_rho0_depth_array_rows_equal_scalar_calls(self):
+        # a Magnus block reads its medium slices in one call
+        rng = np.random.default_rng(7)
+        xg = np.sort(rng.uniform(0.0, 2.0, 41))
+        lg = np.linspace(-8.0, 8.0, 65)
+        tab = 0.3 * (rng.uniform(-1, 1, (41, 65))
+                     + 1j * rng.uniform(-1, 1, (41, 65)))
+        rho0 = rho0_from_config({"x": xg.tolist(), "lam": lg.tolist(),
+                                 "re": tab.real.tolist(),
+                                 "im": tab.imag.tolist()})
+        lam = np.linspace(-10.0, 10.0, 201)
+        xs = np.concatenate([rng.uniform(0.0, 2.0, 200), xg,
+                             [-1.0, xg[0] - 1e-12, 3.0, xg[-1] + 1e-12]])
+        rows = rho0(xs, lam)
+        assert rows.shape == (xs.size, lam.size)
+        for x, row in zip(xs, rows):
+            assert np.array_equal(row, rho0(x, lam))
+        assert np.array_equal(rho0(xs[:, None], lam), rows)
+
     @pytest.mark.parametrize("key", ["x", "lam"])
     def test_rho0_grid_must_increase(self, key):
         # np.interp does not check its grid: a reversed x list read a
@@ -193,6 +212,23 @@ class TestCommands:
         meta = json.load(open(os.path.join(out, "meta.json")))
         assert meta["diagnostics"]["edge_nodes_omitted"] == pytest.approx([-0.5, 0.5])
 
+    @pytest.mark.parametrize("argv", [
+        ["eta", "--l", "nan"],
+        ["eta", "--profile", "rectangular", "--eps", "inf"],
+        ["curve", "--sign", "1", "--l", "nan"],
+        ["curve", "--sign", "1", "--profile", "delta_approx", "--eps", "inf"],
+        ["soliton", "--nu", "0.5", "--t", "0:1:3", "--x", "0:1:2",
+         "--profile", "lorentzian", "--l", "nan"],
+        ["soliton", "--nu", "0.5", "--t", "0:1:3", "--x", "0:1:2",
+         "--eps", "inf"],
+    ])
+    def test_non_finite_profile_width_refused(self, tmp_path, argv):
+        # NaN passed the `l <= 0` check: eta wrote an all-NaN table and
+        # curve printed "0 points", both with exit code 0
+        out = str(tmp_path / "out")
+        assert run_command(argv + ["--out", out]) == 2
+        assert not os.path.exists(out)
+
     def test_soliton_peak(self, tmp_path):
         out = str(tmp_path / "sol")
         rc = run_command(["soliton", "--nu", "0.5", "--t", "0:20:101",
@@ -264,6 +300,12 @@ class TestCommands:
         assert diag["lu_stamps"] == 0
         assert 0 < diag["krylov_iters"]["p50"] <= diag["krylov_iters"]["max"]
         assert 0 < diag["posdef_min"]["min"] <= diag["posdef_min"]["p50"]
+        # stage trace: one t-equation solve, T / DEFAULT_STEP = 600 steps;
+        # the two x-banks take the plane-wave shortcut here
+        assert set(diag["stages"]) == {"pole_search_s", "spectral_s",
+                                       "stamp_loop_s"}
+        assert all(v >= 0.0 for v in diag["stages"].values())
+        assert diag["magnus_steps"] == 600
 
     def test_exit_2_on_config_error(self, tmp_path):
         assert run_command(["spectra", "--scenario",
@@ -344,6 +386,16 @@ def test_cli_import_leaves_out_scipy_integrate():
     src = os.path.dirname(os.path.dirname(os.path.abspath(mbrh.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, mbrh.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # only `mb-rh curve` root-finds (gamma_trace), so it alone imports it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mbrh.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, mbrh.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

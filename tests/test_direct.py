@@ -7,11 +7,11 @@ from scipy.integrate import quad
 from mbrh.broadening import BroadeningProfile, average_weights
 from mbrh.direct import bloch_rotation, integrate_direct
 from mbrh.errors import CFLViolation, ConstraintDrift
-from mbrh.lax import coupling_matrix
-from mbrh.mat2 import dagger, expm2
+from mbrh.mat2 import dagger
 from mbrh.rhsolver import soliton_closed_form
 from mbrh.spectral import ScenarioData
-from references import medium_history, soliton_evaluate_M, trivial_scenario
+from references import (coupling_matrix, expm2, medium_history,
+                        soliton_evaluate_M, trivial_scenario)
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)

@@ -6,7 +6,6 @@ from scipy.special import gamma as cgamma
 
 from mbrh import broadening, lax, spectral
 from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
-from mbrh.cli import rho0_from_config
 from mbrh.errors import RegularityViolation
 from mbrh.jump import (
     jump_mixed,
@@ -26,7 +25,7 @@ from mbrh.spectral import (
     transition_and_reflection,
     xbank_propagate,
 )
-from references import k_solve, schwartz_error, trivial_scenario
+from references import excited_scenario, k_solve, schwartz_error, trivial_scenario
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 ATT = BroadeningProfile.lorentzian(1.0, sign=-1)
@@ -36,19 +35,6 @@ def smooth_scenario():
     E_in = lambda t: 0.8 * np.exp(-((t - 4.0) / 0.8) ** 2) * np.exp(0.3j * t)
     E0 = lambda x: 0.3 * np.exp(-((x - 2.5) / 0.5) ** 2)
     return ScenarioData(T=10.0, L=5.0, E_in=E_in, E0=E0, rho0=None)
-
-
-def excited_scenario():
-    """Desk pulse on L = 2 over an excited medium: an E0 bump and a rho0
-    table, so the x-banks run the full Magnus path through the medium."""
-    E_in = lambda t: 0.8 * np.exp(-((np.asarray(t) - 3.0) / 0.7) ** 2) + 0j
-    E0 = lambda x: 0.3 * np.exp(-((np.asarray(x) - 1.0) / 0.3) ** 2) + 0j
-    xg = np.linspace(0.0, 2.0, 41)
-    lg = np.linspace(-8.0, 8.0, 65)
-    re = 0.3 * np.exp(-((xg[:, None] - 0.7) / 0.25) ** 2 - lg[None, :] ** 2 / 2)
-    rho0 = rho0_from_config({"x": xg.tolist(), "lam": lg.tolist(),
-                             "re": re.tolist()})
-    return ScenarioData(T=10.0, L=2.0, E_in=E_in, E0=E0, rho0=rho0)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +113,8 @@ class TestKernelReuse:
         xbank_propagate(sc, ATT, ev, "+", terminal, x_out, step=step)
         steps = spectral._refined_grid(np.union1d(x_out, [0.0, sc.L]), step).size - 1
         assert len(builds) == 1
-        assert len(calls) == 2 * steps
+        # one p.v. product per block of steps, both Gauss nodes stacked
+        assert len(calls) == -(-steps // spectral.MAGNUS_BLOCK)
 
     def test_continued_a_builds_cauchy_weights_once(self, monkeypatch):
         builds = []

@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
-from mbrh.errors import GridCoverage
+from mbrh.errors import GridCoverage, PrincipalValueFailure
 from mbrh.lax import (
-    U,
-    V,
     MediumSlice,
     check_coverage,
-    coupling_matrix,
     medium_from_rho,
     medium_transform,
 )
-from mbrh.mat2 import SIGMA3, dagger
-from references import StencilTooCoarse, mb_residual, sigma2_conj
+from mbrh.mat2 import dagger
+from references import (
+    SIGMA3,
+    U,
+    V,
+    StencilTooCoarse,
+    coupling_matrix,
+    mb_residual,
+    sigma2_conj,
+)
 
 
 def _trivial_slice(grid):
@@ -97,6 +102,44 @@ class TestCauchyTransformF:
         with pytest.raises(GridCoverage):
             medium_transform(p, np.linspace(-1, 1, 51), 0.5j)
         check_coverage(p, grid)   # full hull passes
+
+
+class TestStackedSlices:
+    """G of m stacked slices is the stack of the m single-slice G."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.p = BroadeningProfile.lorentzian(1.0, sign=-1)
+        self.grid = np.linspace(-20, 20, 161)
+        bump = np.exp(-self.grid ** 2 / 2)
+        self.rho = 0.4 * bump * (rng.uniform(-1, 1, (5, 1))
+                                 + 1j * rng.uniform(-1, 1, (5, 1)))
+
+    def _check(self, G):
+        stacked = G(medium_from_rho(self.grid, self.rho))
+        single = np.array([G(medium_from_rho(self.grid, r)) for r in self.rho])
+        assert stacked.shape == single.shape
+        assert np.max(np.abs(stacked - single)) <= 1e-15 * np.max(np.abs(single))
+
+    @pytest.mark.parametrize("bank", ["+", "-"])
+    def test_boundary(self, bank):
+        ev = eta_boundary(self.p, self.grid)
+        self._check(medium_transform(self.p, self.grid, ev, boundary=bank))
+
+    def test_off_axis(self):
+        z = np.array([0.3 + 0.5j, -2.0 + 1e-3j, 4.0 + 3.0j])
+        self._check(medium_transform(self.p, self.grid, z))
+
+    def test_one_bad_row_refused(self):
+        # the targets include the grid ends, where the p.v. integral of a
+        # row that has not vanished diverges
+        ev = eta_boundary(self.p, self.grid)
+        G = medium_transform(self.p, self.grid, ev, boundary="+")
+        rho = self.rho.copy()
+        rho[3, -1] = 0.1
+        G(medium_from_rho(self.grid, np.delete(rho, 3, axis=0)))
+        with pytest.raises(PrincipalValueFailure):
+            G(medium_from_rho(self.grid, rho))
 
 
 class TestAknsMatrices:

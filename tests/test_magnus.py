@@ -1,0 +1,114 @@
+"""The block-batched Magnus kernel against the one-step matrix-form
+reference (`references.magnus_propagate`): same scheme, same nodes, so the
+two agree to rounding."""
+
+import numpy as np
+import pytest
+
+import references as ref
+from mbrh.broadening import LAM_WINDOW, BroadeningProfile, eta_boundary, eta_eval
+from mbrh.lax import medium_transform
+from mbrh.mat2 import det2, diag_exp
+from mbrh.spectral import (
+    DEFAULT_STEP,
+    MAGNUS_BLOCK,
+    _refined_grid,
+    _t_generator,
+    jost_phi,
+    magnus_propagate,
+    phi_column_continuation,
+    wplus_column_continuation,
+    xbank_propagate,
+)
+
+LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
+TOL = 1e-13
+SCENARIOS = {"desk": ref.desk_scenario, "excited": ref.excited_scenario}
+
+
+def rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def column_terminal(z, row):
+    out = np.zeros((z.size, 2, 1), dtype=complex)
+    out[:, row, 0] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_jost_phi_matches_matrix_form(name):
+    sc = SCENARIOS[name]()
+    lam = np.linspace(*LAM_WINDOW, 101)
+    Phi0, _, _ = jost_phi(sc, lam)
+    want = ref.magnus_propagate(ref.t_generator(sc, lam),
+                                _refined_grid([0.0, sc.T], DEFAULT_STEP),
+                                diag_exp(-1j * lam * sc.T))[0]
+    assert rel(Phi0, want) <= TOL
+    assert np.max(np.abs(det2(Phi0) - 1.0)) <= TOL
+
+
+def test_phi_continuation_matches_matrix_form():
+    # the shift path: v' = (U - i z) v, Im z from 1e-3 to 5
+    sc = ref.desk_scenario()
+    z = np.linspace(-5.0, 5.0, 9) + 1j * np.geomspace(1e-3, 5.0, 9)
+    A, B = phi_column_continuation(sc, z)
+    want = ref.magnus_propagate(ref.t_generator(sc, z, -1j * z),
+                                _refined_grid([0.0, sc.T], DEFAULT_STEP),
+                                column_terminal(z, 1))[0]
+    assert rel(A, want[:, 1, 0]) <= TOL
+    assert rel(B, want[:, 0, 0]) <= TOL
+
+
+@pytest.mark.parametrize("bank", ["+", "-"])
+def test_xbank_matches_matrix_form(bank):
+    # output depths off the block boundaries, unsorted, L included
+    sc = ref.excited_scenario()
+    lam = np.linspace(*LAM_WINDOW, 161)
+    ev = eta_boundary(LOR, lam)
+    eta_b = ev.eta_plus if bank == "+" else ev.eta_minus
+    terminal = diag_exp(1j * sc.L * eta_b)
+    x_out = np.array([1.3, 0.0, 0.641, 2.0, 0.37])
+    w = xbank_propagate(sc, LOR, ev, bank, terminal, x_out)
+    transform = medium_transform(LOR, lam, ev, boundary=bank)
+    grid = _refined_grid(np.union1d(x_out, [0.0, sc.L]), DEFAULT_STEP)
+    assert (grid.size - 1) % MAGNUS_BLOCK != 0
+    traj = ref.magnus_propagate(
+        ref.x_generator(sc, lam, lambda x: transform(sc.medium_slice(x, lam))),
+        grid, terminal)
+    want = traj[np.searchsorted(grid, x_out)]
+    assert w.shape == want.shape
+    assert rel(w, want) <= TOL
+    assert np.max(np.abs(det2(w) - 1.0)) <= TOL
+
+
+def test_wplus_continuation_matches_matrix_form():
+    sc = ref.excited_scenario()
+    z = np.array([0.3 + 0.5j, -1.0 + 0.2j, 2.0 + 1.0j, 0.1 + 1e-3j, -3.0 + 5.0j])
+    alpha, beta = wplus_column_continuation(sc, LOR, z)
+    lam_med = np.linspace(*LAM_WINDOW, 401)
+    transform = medium_transform(LOR, lam_med, z)
+    G = lambda x: transform(sc.medium_slice(x, lam_med))
+    want = ref.magnus_propagate(
+        ref.x_generator(sc, z, G, -1j * eta_eval(LOR, z)),
+        _refined_grid([0.0, sc.L], DEFAULT_STEP), column_terminal(z, 0))[0]
+    assert rel(alpha, want[:, 0, 0]) <= TOL
+    assert rel(beta, want[:, 1, 0]) <= TOL
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
+def test_block_boundaries(steps):
+    sc = ref.desk_scenario()
+    rng = np.random.default_rng(steps)
+    z = rng.normal(size=5) + 1j * rng.uniform(0.0, 2.0, size=5)
+    s_grid = np.linspace(0.0, 4.0, steps + 1)
+    terminal = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    at = np.unique([0, steps // 3, steps - 1, steps])
+    want = ref.magnus_propagate(ref.t_generator(sc, z, -1j * z), s_grid,
+                                terminal)
+    got = magnus_propagate(_t_generator(sc, z), s_grid, terminal,
+                           shift=-1j * z, at=at)
+    assert rel(got, want[at]) <= TOL
+    end = magnus_propagate(_t_generator(sc, z), s_grid, terminal,
+                           shift=-1j * z)
+    assert np.array_equal(end, got[0])

@@ -5,7 +5,6 @@ import pytest
 
 from mbrh.broadening import BroadeningProfile, eta_boundary
 from mbrh.errors import CountMismatch, DecayViolation, MediumNotAsymptotic
-from mbrh.lax import coupling_matrix
 from mbrh.mat2 import det2, diag_exp
 from mbrh.spectral import (
     ScenarioData,
@@ -18,7 +17,7 @@ from mbrh.spectral import (
     transition_and_reflection,
     wplus_column_continuation,
 )
-from references import sigma2_conj, trivial_scenario
+from references import coupling_matrix, sigma2_conj, trivial_scenario
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 
