@@ -150,11 +150,23 @@ def _finite_float(text):
     return val
 
 
+def _float_range_int(text):
+    """JSON integer -> int, refusing one that no float can hold."""
+    try:
+        val = int(text)
+        float(val)
+    except (OverflowError, ValueError) as exc:   # ValueError: digit limit
+        raise SchemaError(f"integer {text[:12]}... ({len(text)} digits) "
+                          "beyond float range in the scenario file") from exc
+    return val
+
+
 def load_scenario(path):
     """Scenario JSON -> (ScenarioData, profile, resolved config dict)."""
     try:
         with open(path) as fh:
             cfg = json.load(fh, parse_float=_finite_float,
+                            parse_int=_float_range_int,
                             parse_constant=_finite_float)
     except FileNotFoundError as exc:
         raise SchemaError(f"scenario file not found: {path}") from exc
@@ -178,17 +190,14 @@ def load_scenario(path):
 # output emission
 # ----------------------------------------------------------------------
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
 def write_csv(path, header, columns):
-    cols = [np.asarray(c).ravel() for c in columns]
-    n = cols[0].size
+    """Every value as format(float(v), ".17g"): one %-template per row
+    on columns converted to Python floats once."""
+    cols = [np.asarray(c, dtype=float).ravel().tolist() for c in columns]
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(_fmt(c[i]) for c in cols) + "\n")
+        fh.writelines(row % vals for vals in zip(*cols))
 
 
 def emit_results(outdir, tables, config, diagnostics):
@@ -327,16 +336,14 @@ def _parse_range(spec, path):
 
 
 def _profile_from_args(args, l=1.0, eps=0.5):
-    """Profile from --profile/--l/--eps/--sign.  The width the shape needs
-    (l for a Lorentzian, eps otherwise) takes its default when unset."""
-    block = {"shape": args.profile, "sign": args.sign}
-    need = "l" if args.profile == "lorentzian" else "eps"
-    for key, default in (("l", l), ("eps", eps)):
-        val = getattr(args, key)
-        if val is None and key == need:
-            val = default
-        if val is not None:
-            block[key] = val
+    """Profile from --profile/--l/--eps/--sign.  The block records only
+    the width the shape reads (l for a Lorentzian, eps otherwise), which
+    takes its default when unset; the other width is ignored."""
+    key = "l" if args.profile == "lorentzian" else "eps"
+    val = getattr(args, key)
+    if val is None:
+        val = l if key == "l" else eps
+    block = {"shape": args.profile, "sign": args.sign, key: val}
     return profile_from_config(block, path="profile"), block
 
 

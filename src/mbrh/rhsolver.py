@@ -9,7 +9,9 @@ A contour of real-axis panels only is solved matrix-free by GMRES, with a
 Hessenberg (kappa_2 lower bound) condition certificate; a contour with
 pole circles, and any stamp the Krylov path cannot certify, takes the
 dense LU with the `zgecon` estimate, which alone refuses ill-conditioned
-systems.
+systems.  The Krylov path runs on numpy alone; `scipy.linalg` is
+imported by the first LU stamp, so only a run with one (`lu_stamps` > 0
+in `meta.json`) pays for loading it.
 
 Pure-soliton (reflectionless) data bypasses the contour entirely through
 the closed-form residue algebra; inside a contour solve each pole is
@@ -20,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
-from scipy.linalg.lapack import zgecon
 
 from .broadening import LAM_WINDOW, eta_eval
 from .errors import (
@@ -284,6 +284,9 @@ def _residual(CP, IJ, Q, R):
 def _lu_solve(CP, IJ, R):
     """Dense LU of the 2N x 2N operator (each row of Q decouples), with
     the `zgecon` 1-norm condition estimate.  Returns (Q, cond)."""
+    from scipy.linalg import lu_factor, lu_solve   # loaded by an LU stamp only
+    from scipy.linalg.lapack import zgecon
+
     n = CP.shape[0]
     # T[(i,b),(j,a)] = CP[i,j] * (I-J)[j][a,b]
     T = np.einsum("ij,jab->ibja", CP, IJ).reshape(2 * n, 2 * n)
@@ -358,7 +361,7 @@ def _gmres(CP, IJ, R, cond_max):
             cond = float(sv[0] / sv[-1])
             if cond > cond_max:
                 return None
-            y = solve_triangular(U[:k + 1, :k + 1], np.array(g[:k + 1]))
+            y = np.linalg.solve(U[:k + 1, :k + 1], np.array(g[:k + 1]))
             return (y @ Vk).reshape(n, 2, 2), cond, k + 1
         V[k + 1] = w / hn
     return None

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mbrh.cli import (
     profile_from_config,
     rho0_from_config,
     run_command,
+    write_csv,
 )
 from mbrh.errors import InvariantError, NonDecaying, SchemaError
 
@@ -155,6 +157,21 @@ class TestLoadScenario:
                             "--out", str(tmp_path / "d")]) == 2
         assert not os.path.exists(tmp_path / "d")
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_integer_beyond_float_range_refused(self, tmp_path, digits):
+        # float(int) raised an uncaught OverflowError, and past the
+        # interpreter's digit limit int() itself raises ValueError
+        path = write_scenario(tmp_path)
+        with open(path) as fh:
+            raw = fh.read()
+        with open(path, "w") as fh:
+            fh.write(raw.replace('"T": 6.0', '"T": 1' + "0" * digits))
+        with pytest.raises(SchemaError, match="beyond float range"):
+            load_scenario(path)
+        assert run_command(["spectra", "--scenario", path,
+                            "--out", str(tmp_path / "sp")]) == 2
+        assert not os.path.exists(tmp_path / "sp")
+
     def test_tabulated_profile_is_normalized(self):
         # a positive table loads with the sign of the medium and unit mass
         prof = profile_from_config(gaussian_table(sign=-1))
@@ -181,6 +198,28 @@ class TestLoadScenario:
             profile_from_config({"shape": "cauchy"})
         with pytest.raises(SchemaError, match="sign"):
             profile_from_config({"shape": "lorentzian", "l": 1.0, "sign": 2})
+
+
+def test_write_csv_bytes_match_per_value_format(tmp_path):
+    # the %.17g row template writes what format(float(v), ".17g") wrote
+    # value by value, on every kind of double
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, 5e-324, -2.2e-310, 1e308, -1e308,
+                        np.finfo(float).max, np.nan, np.inf, -np.inf, 1.0,
+                        0.1, 1 / 3, -123456789.0])
+    n = special.size
+    cols = [special,
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            np.arange(n),
+            rng.standard_normal((2, n // 2))]
+    header = ["a", "b", "n", "m"]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), header, cols)
+    flat = [np.asarray(c).ravel() for c in cols]
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(format(float(c[i]), ".17g") for c in flat) + "\n"
+        for i in range(flat[0].size))
+    assert path.read_bytes() == expected.encode()
 
 
 class TestCommands:
@@ -228,6 +267,21 @@ class TestCommands:
         out = str(tmp_path / "out")
         assert run_command(argv + ["--out", out]) == 2
         assert not os.path.exists(out)
+
+    def test_unused_profile_width_left_out_of_meta(self, tmp_path):
+        # a Lorentzian reads only l: an unused --eps nan went into
+        # meta.json as NaN, which is not valid JSON
+        out = str(tmp_path / "eta")
+        assert run_command(["eta", "--eps", "nan", "--grid", "11",
+                            "--out", out]) == 0
+
+        def refuse(text):
+            raise ValueError(f"non-JSON constant {text}")
+
+        with open(os.path.join(out, "meta.json")) as fh:
+            meta = json.load(fh, parse_constant=refuse)
+        assert meta["config"]["profile"] == {"shape": "lorentzian",
+                                             "sign": -1, "l": 1.0}
 
     def test_soliton_peak(self, tmp_path):
         out = str(tmp_path / "sol")
@@ -380,22 +434,69 @@ def test_tabulated_solve_rh_builds_pv_weights_per_run(monkeypatch, tmp_path):
     assert counts == [1, 1]
 
 
+def _fresh_interpreter(code):
+    """Last stdout line of `code` run by a new interpreter on this mbrh."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mbrh.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1]
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # adaptive quadrature serves only the test references; an mb-rh
     # process does not pay for its import
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mbrh.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, mbrh.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_interpreter(code) == "False"
 
 
 def test_cli_import_leaves_out_scipy_optimize():
     # only `mb-rh curve` root-finds (gamma_trace), so it alone imports it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mbrh.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, mbrh.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_lu_free_runs_leave_out_scipy_linalg(tmp_path):
+    # the Krylov path solves its triangle with numpy, so import, a
+    # solve-direct run and a pole-free solve-rh never load scipy.linalg
+    path = write_scenario(tmp_path, T=10.0, L=5.0,
+                          E_in={"pulse": "gaussian", "amplitude": 0.8,
+                                "center": 3.0, "width": 0.7},
+                          lam_points=41)
+    code = textwrap.dedent(f"""\
+        import sys
+        from mbrh.cli import run_command
+        seen = []
+        loaded = lambda: seen.append('scipy.linalg' in sys.modules)
+        loaded()
+        assert run_command(["solve-direct", "--scenario", {path!r},
+                            "--dt", "0.1", "--out", {str(tmp_path / "d")!r}]) == 0
+        loaded()
+        assert run_command(["solve-rh", "--scenario", {path!r},
+                            "--t", "2:4:2", "--x", "0:1:2",
+                            "--out", {str(tmp_path / "rh")!r}]) == 0
+        loaded()
+        print(seen)
+        """)
+    assert _fresh_interpreter(code) == "[False, False, False]"
+    with open(tmp_path / "rh" / "meta.json") as fh:
+        diag = json.load(fh)["diagnostics"]
+    assert (diag["n_poles"], diag["lu_stamps"]) == (0, 0)
+
+
+def test_pole_circle_solve_loads_scipy_linalg():
+    # a contour with pole circles takes the dense LU, which imports
+    # scipy.linalg on its first call
+    code = textwrap.dedent("""\
+        import sys
+        from mbrh.broadening import BroadeningProfile
+        from mbrh.rhsolver import contour_build, sie_solve, soliton_circle_jump
+        c = contour_build(window=(-16.0, 16.0), n_panels=4, nodes_per_panel=8,
+                          circles=[(0.5j, 0.15), (-0.5j, 0.15)])
+        prof = BroadeningProfile.lorentzian(1.0)
+        jd = soliton_circle_jump([(0.5j, 1.0 + 0.0j)], prof, 1.0, 0.0, c)
+        before = 'scipy.linalg' in sys.modules
+        iterations = sie_solve(c, jd).diagnostics["iterations"]
+        print(before, iterations, 'scipy.linalg' in sys.modules)
+        """)
+    assert _fresh_interpreter(code) == "False 0 True"

@@ -280,6 +280,23 @@ class TestKrylovPath:
         assert np.max(np.abs(E_lu - E)) < 1e-14
         assert 0 < diag_lu["posdef_min"]["min"] <= diag_lu["posdef_min"]["p50"]
 
+    def test_triangle_solve_matches_lapack_trsv(self):
+        # _gmres solves its rotated triangle with np.linalg.solve, which
+        # keeps scipy.linalg off the Krylov path; on an upper triangle
+        # its LU does no row exchange and reduces to back substitution
+        from scipy.linalg import solve_triangular
+        rng = np.random.default_rng(11)
+        for n in range(1, 101):
+            U = np.triu(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+            # row diagonal dominance keeps the system well conditioned
+            phase = np.exp(2j * np.pi * rng.random(n))
+            U[np.diag_indices(n)] = phase * (1.0 + np.sum(np.abs(U), axis=1))
+            g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            ref = solve_triangular(U, g)
+            y = np.linalg.solve(U, g)
+            assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+
     def test_pole_circles_keep_lu_refusal(self):
         # real axis plus circles at +-i/2: the right-hand side lies in a
         # tiny invariant subspace, so a Krylov estimate reads ~1 while the
