@@ -245,6 +245,13 @@ def parallel_map(fn, items):
 # pipelines
 # ----------------------------------------------------------------------
 
+def _median(vals):
+    """np.median of a 1-d array, NaN included, without its numpy.ma import."""
+    v = np.sort(vals)              # a NaN sorts last
+    mid = 0.5 * (v[(v.size - 1) // 2] + v[v.size // 2])
+    return float(v[-1] if np.isnan(v[-1]) else mid)
+
+
 def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                   n_panels=24, nodes_per_panel=16, find_poles=True):
     """Mixed-problem contour pipeline: pole search -> contour -> spectral
@@ -308,8 +315,8 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     for key, name in (("residual_rel", "residual_rel"), ("cond", "cond"),
                       ("iterations", "krylov_iters")):
         vals = col[key]
-        diag[name] = {"p50": float(np.median(vals)), "max": float(vals.max())}
-    diag["posdef_min"] = {"p50": float(np.median(col["posdef_min"])),
+        diag[name] = {"p50": _median(vals), "max": float(vals.max())}
+    diag["posdef_min"] = {"p50": _median(col["posdef_min"]),
                           "min": float(col["posdef_min"].min())}
     diag["max_residual_rel"] = diag["residual_rel"]["max"]
     diag["max_cond"] = diag["cond"]["max"]

@@ -49,10 +49,6 @@ class SingularK(MBRHError):
     """det K drifted too far from 1."""
 
 
-class RegularityViolation(MBRHError):
-    """a or b vanishes on the oval contour."""
-
-
 # --- rhsolver -----------------------------------------------------------
 class EmptyContour(MBRHError):
     """Contour construction produced no panels."""

@@ -1,20 +1,17 @@
 """Jump-matrix assembly for the conjugation problem.
 
-Three problem classes: the mixed problem (jump built from K_pm = w_pm S_pm,
-the x-equation Jost solutions times the reflection shears), the
-whole-line problem (explicit closed-form jump), and the amplifier oval
-(jump from the continued scattering functions a, b on the Im eta = 0
-curve).
+The mixed problem's jump is built from K_pm = w_pm S_pm, the x-equation
+Jost solutions times the reflection shears.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .broadening import eta_boundary
-from .errors import RegularityViolation, SingularK
+from .errors import SingularK
 from .mat2 import dagger, det2, diag_exp, inv2
-from .spectral import DEFAULT_STEP, jost_phi, jost_w, transition_and_reflection
+from .spectral import (DEFAULT_STEP, jost_phi, jost_w, sorted_union,
+                       transition_and_reflection)
 
 DET_TOL = 1e-5              # refuse K+- whose det deviates from 1 by more
 
@@ -60,7 +57,7 @@ def spectral_data(scenario, profile, ev, x_out=(0.0,), step=DEFAULT_STEP):
     """
     lam = ev.lam
     x_out = np.asarray(x_out, dtype=float)
-    xs = np.union1d(x_out, [0.0])
+    xs = sorted_union(x_out, [0.0])
     at, at0 = np.searchsorted(xs, x_out), np.searchsorted(xs, 0.0)
     Phi0, _, _ = jost_phi(scenario, lam, step=step)
     _, wp = jost_w(scenario, profile, ev, bank="+", x_out=xs, step=step)
@@ -88,56 +85,6 @@ def jump_mixed(t, x, ev, K_plus, K_minus) -> JumpData:
     return JumpData(problem_class="mixed", t=float(t), x=float(x),
                     nodes=lam.astype(complex), J=J,
                     diagnostics={"J0_det_err": float(np.max(np.abs(det2(J0) - 1.0)))})
-
-
-def jump_wholeline(t, x, lam_grid, r_plus, profile) -> JumpData:
-    """Explicit whole-line jump; unimodular by construction.
-
-    The diagonal growth factor e^{2ix(eta+ - eta-)} = e^{pi n(lam) x} decays
-    for attenuators, which is the transparency mechanism.
-    """
-    lam = np.asarray(lam_grid, dtype=float)
-    r = np.asarray(r_plus, dtype=complex)
-    ev = eta_boundary(profile, lam)
-    grow = np.exp(2j * x * (ev.eta_plus - ev.eta_minus))
-    J = np.empty(lam.shape + (2, 2), dtype=complex)
-    J[..., 0, 0] = 1.0 + np.abs(r) ** 2 * grow
-    J[..., 0, 1] = -r * np.exp(-2j * lam * t + 2j * x * ev.eta_plus)
-    J[..., 1, 0] = -np.conj(r) * np.exp(2j * lam * t - 2j * x * ev.eta_minus)
-    J[..., 1, 1] = 1.0
-    return JumpData(problem_class="whole-line", t=float(t), x=float(x),
-                    nodes=lam.astype(complex), J=J)
-
-
-def jump_oval(z_nodes, a_vals, b_vals, t, x, eta_vals,
-              floor=1e-8) -> JumpData:
-    """Amplifier oval jump at off-axis nodes.
-
-    For a node z in the upper half-plane a_vals/b_vals are the continued
-    a(z), b(z); for a node in the lower half-plane they are the values at
-    the reflected point z*, entering through the Schwartz-conjugate form.
-    eta_vals are eta(z) at the nodes.
-    """
-    z = np.asarray(z_nodes, dtype=complex)
-    a = np.asarray(a_vals, dtype=complex)
-    b = np.asarray(b_vals, dtype=complex)
-    if np.min(np.abs(a)) < floor or np.min(np.abs(b)) < floor:
-        raise RegularityViolation("a or b vanishes on the oval contour")
-    J0 = np.zeros(z.shape + (2, 2), dtype=complex)
-    up = z.imag > 0
-    J0[up, 0, 0] = 0.0
-    J0[up, 0, 1] = -(b / a)[up]
-    J0[up, 1, 0] = (a / b)[up]
-    J0[up, 1, 1] = 1.0
-    dn = ~up
-    J0[dn, 0, 0] = 1.0
-    J0[dn, 0, 1] = -(np.conj(a) / np.conj(b))[dn]
-    J0[dn, 1, 0] = (np.conj(b) / np.conj(a))[dn]
-    J0[dn, 1, 1] = 0.0
-    theta = z * t - x * np.asarray(eta_vals, dtype=complex)
-    J = diag_exp(-1j * theta) @ J0 @ diag_exp(1j * theta)
-    return JumpData(problem_class="amplifier-oval", t=float(t), x=float(x),
-                    nodes=z, J=J)
 
 
 def posdef_check(jd: JumpData):

@@ -66,9 +66,9 @@ def medium_transform(profile, grid, targets, boundary=None):
     so tail truncation only touches the deviation F - sigma_3.  What
     depends on (grid, targets) alone -- the coverage check, n on the
     grid, eta, the local weight and the weight matrix W -- is computed
-    here once; the returned function maps a slice to G, shape
-    (Nz, 2, 2), or m stacked slices to shape (m, Nz, 2, 2), by one
-    product with W.
+    here once; the returned function maps a slice to the entries
+    (g11, g12, g21) of G = [[g11, g12], [g21, -g11]], each (Nz,), or
+    (m, Nz) for m stacked slices, by one product with W.
     """
     check_coverage(profile, grid)
     grid = np.asarray(grid, dtype=float)
@@ -88,7 +88,7 @@ def medium_transform(profile, grid, targets, boundary=None):
 
         def G(slice_):
             c = channels(slice_, lambda f: f @ W)
-            return _traceless(c[0] + base, c[1], c[2])
+            return c[0] + base, c[1], c[2]
 
         return G
 
@@ -107,18 +107,7 @@ def medium_transform(profile, grid, targets, boundary=None):
         pv = channels(slice_, lambda f: pv_apply(grid, f, lam, W))
         loc11 = interp(slice_.N) - 1.0
         loc12 = interp(slice_.rho)
-        return _traceless(pv[0] + local * loc11 + base,
-                          pv[1] + local * loc12,
-                          pv[2] + local * np.conj(loc12))
+        return (pv[0] + local * loc11 + base, pv[1] + local * loc12,
+                pv[2] + local * np.conj(loc12))
 
     return G
-
-
-def _traceless(d11, d12, d21):
-    """[[d11, d12], [d21, -d11]] per target."""
-    out = np.empty(d11.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = d11
-    out[..., 0, 1] = d12
-    out[..., 1, 0] = d21
-    out[..., 1, 1] = -d11
-    return out

@@ -172,6 +172,13 @@ def magnus_propagate(gen, s_grid, terminal, shift=0.0, at=None):
         [kept[g] for g in np.atleast_1d(at)])
 
 
+def sorted_union(*values):
+    """np.union1d of 1-d inputs by a sort and a neighbour mask (np.unique
+    imports numpy.ma, which no run needs otherwise)."""
+    v = np.sort(np.concatenate([np.ravel(a) for a in values]).astype(float))
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
 def _refined_grid(targets, step):
     """Uniform refinement of a target lattice so every target is a node."""
     targets = np.asarray(targets, dtype=float)
@@ -198,8 +205,8 @@ def _x_generator(scenario, z, G):
     """Entries of V = i z sigma_3 - i G + H(E0(x)) at depths x.
 
     G is g sigma_3 with g per z (unexcited medium; pass g), or a function
-    of the depths giving the stacked (m, Nz, 2, 2) medium terms of their
-    slices.
+    of the depths giving the entries (g11, g12, g21), each (m, Nz), of
+    the medium terms [[g11, g12], [g21, -g11]] of their slices.
     """
     z = np.asarray(z)[None, :]
 
@@ -207,9 +214,8 @@ def _x_generator(scenario, z, G):
         e = 0.5 * np.asarray(scenario.E0(x), dtype=complex)[:, None]
         if not callable(G):
             return 1j * (z - G), e, -np.conj(e)
-        g = G(x)
-        return (1j * (z - g[..., 0, 0]), e - 1j * g[..., 0, 1],
-                -np.conj(e) - 1j * g[..., 1, 0])
+        g11, g12, g21 = G(x)
+        return 1j * (z - g11), e - 1j * g12, -np.conj(e) - 1j * g21
 
     return gen
 
@@ -271,7 +277,7 @@ def xbank_propagate(scenario, profile, ev, bank, terminal, x_out,
         transform = medium_transform(profile, lam, ev, boundary=bank)
         G = lambda x: transform(scenario.medium_slice(x, lam))
 
-    grid = _refined_grid(np.union1d(x_out, [0.0, scenario.L]), step)
+    grid = _refined_grid(sorted_union(x_out, [0.0, scenario.L]), step)
     return magnus_propagate(_x_generator(scenario, lam, G), grid, terminal,
                             at=np.searchsorted(grid, x_out))
 

@@ -4,7 +4,9 @@ None of this runs in an `mb-rh` command: each function here is a second
 route to a quantity the package computes (the Lax generators and the
 Magnus propagation in matrix form, the x-equation from other terminal
 data, eta by adaptive quadrature, M off the contour, the medium from the
-solved problem), or a check that tests apply to its output.
+solved problem, the direct route as a plain loop), the whole-line and
+amplifier-oval jumps whose identities the tests check, or a check that
+tests apply to its output.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from mbrh.broadening import average_weights, eta_boundary
 from mbrh.cli import rho0_from_config
 from mbrh.direct import bloch_rotation
 from mbrh.errors import MBRHError, TooCloseToAxis
+from mbrh.jump import JumpData
 from mbrh.mat2 import dagger, diag_exp, inv2
 from mbrh.rhsolver import soliton_closed_form
 from mbrh.spectral import DEFAULT_STEP, ScenarioData, xbank_propagate
@@ -36,6 +39,10 @@ class TooCloseToContour(MBRHError):
 
 class WeightVanishes(MBRHError):
     """n(lambda) too small for the medium-reconstruction jump formula."""
+
+
+class RegularityViolation(MBRHError):
+    """a or b vanishes on the oval contour."""
 
 
 def trivial_scenario(T=10.0, L=5.0):
@@ -88,9 +95,21 @@ def U(z, E):
     return -1j * np.asarray(z)[..., None, None] * SIGMA3 - coupling_matrix(E)
 
 
+def medium_matrix(g):
+    """G = [[g11, g12], [g21, -g11]] from the entries (g11, g12, g21)
+    that `mbrh.lax.medium_transform` returns."""
+    g11, g12, g21 = (np.asarray(e, dtype=complex) for e in g)
+    out = np.empty(g11.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = g11
+    out[..., 0, 1] = g12
+    out[..., 1, 0] = g21
+    out[..., 1, 1] = -g11
+    return out
+
+
 def V(z, E, G):
     """Generator of the x-equation, V = i z sigma_3 - i G + H(E), with G
-    the medium term (2x2 per z, see `mbrh.lax.medium_transform`)."""
+    the medium term (2x2 per z, see `medium_matrix`)."""
     return (1j * np.asarray(z)[..., None, None] * SIGMA3 - 1j * np.asarray(G)
             + coupling_matrix(E))
 
@@ -145,9 +164,10 @@ def x_generator(scenario, z, G, shift=0.0):
     """A(x) = V(z, E0(x), G) + shift I, with its z part built once.
 
     G is a constant (unexcited medium) or a function of x (the medium
-    transform of the slice at depth x).
+    transform of the slice at depth x, as its three entries).
     """
-    const, Gx = (0.0, G) if callable(G) else (G, lambda x: 0.0)
+    const, Gx = ((0.0, lambda x: medium_matrix(G(x))) if callable(G)
+                 else (G, lambda x: 0.0))
     free = V(z, 0.0, const) + np.multiply.outer(shift, np.eye(2))
     return lambda x: free + V(0.0, complex(scenario.E0(x)), Gx(x))
 
@@ -196,8 +216,118 @@ def k_solve(scenario, profile, lam_grid, S, bank="+", x_out=None,
 
 
 # ----------------------------------------------------------------------
+# whole-line and amplifier-oval jumps: the paper's other problem classes
+# ----------------------------------------------------------------------
+
+def jump_wholeline(t, x, lam_grid, r_plus, profile) -> JumpData:
+    """Explicit whole-line jump; unimodular by construction.
+
+    The diagonal growth factor e^{2ix(eta+ - eta-)} = e^{pi n(lam) x} decays
+    for attenuators, which is the transparency mechanism.
+    """
+    lam = np.asarray(lam_grid, dtype=float)
+    r = np.asarray(r_plus, dtype=complex)
+    ev = eta_boundary(profile, lam)
+    grow = np.exp(2j * x * (ev.eta_plus - ev.eta_minus))
+    J = np.empty(lam.shape + (2, 2), dtype=complex)
+    J[..., 0, 0] = 1.0 + np.abs(r) ** 2 * grow
+    J[..., 0, 1] = -r * np.exp(-2j * lam * t + 2j * x * ev.eta_plus)
+    J[..., 1, 0] = -np.conj(r) * np.exp(2j * lam * t - 2j * x * ev.eta_minus)
+    J[..., 1, 1] = 1.0
+    return JumpData(problem_class="whole-line", t=float(t), x=float(x),
+                    nodes=lam.astype(complex), J=J)
+
+
+def jump_oval(z_nodes, a_vals, b_vals, t, x, eta_vals,
+              floor=1e-8) -> JumpData:
+    """Amplifier oval jump at off-axis nodes.
+
+    For a node z in the upper half-plane a_vals/b_vals are the continued
+    a(z), b(z); for a node in the lower half-plane they are the values at
+    the reflected point z*, entering through the Schwartz-conjugate form.
+    eta_vals are eta(z) at the nodes.
+    """
+    z = np.asarray(z_nodes, dtype=complex)
+    a = np.asarray(a_vals, dtype=complex)
+    b = np.asarray(b_vals, dtype=complex)
+    if np.min(np.abs(a)) < floor or np.min(np.abs(b)) < floor:
+        raise RegularityViolation("a or b vanishes on the oval contour")
+    J0 = np.zeros(z.shape + (2, 2), dtype=complex)
+    up = z.imag > 0
+    J0[up, 0, 0] = 0.0
+    J0[up, 0, 1] = -(b / a)[up]
+    J0[up, 1, 0] = (a / b)[up]
+    J0[up, 1, 1] = 1.0
+    dn = ~up
+    J0[dn, 0, 0] = 1.0
+    J0[dn, 0, 1] = -(np.conj(a) / np.conj(b))[dn]
+    J0[dn, 1, 0] = (np.conj(b) / np.conj(a))[dn]
+    J0[dn, 1, 1] = 0.0
+    theta = z * t - x * np.asarray(eta_vals, dtype=complex)
+    J = diag_exp(-1j * theta) @ J0 @ diag_exp(1j * theta)
+    return JumpData(problem_class="amplifier-oval", t=float(t), x=float(x),
+                    nodes=z, J=J)
+
+
+# ----------------------------------------------------------------------
 # direct route: medium columns and equation residuals
 # ----------------------------------------------------------------------
+
+def cayley_klein_rotation(E_mid, lam, h, rho, N):
+    """`mbrh.direct.bloch_rotation` in complex Cayley-Klein form: R is
+    [[a, b], [-conj b, conj a]] with a = cos(hw) - i lam s, b = -E s/2,
+    s = sin(hw)/w, and R F R^dagger is written out elementwise."""
+    E_mid = np.asarray(E_mid, dtype=complex)
+    lam = np.asarray(lam, dtype=float)
+    rho = np.asarray(rho, dtype=complex)
+    N = np.asarray(N, dtype=float)
+    if E_mid.ndim:
+        E_mid = E_mid[..., None]
+    w = np.sqrt(lam * lam + 0.25 * (E_mid.real ** 2 + E_mid.imag ** 2))
+    hw = h * w
+    s = h * np.sinc(hw / np.pi)         # sin(hw)/w, finite at w = 0
+    a = np.cos(hw) - 1j * (lam * s)
+    b = -0.5 * s * E_mid
+    rho_new = a * a * rho - b * b * np.conj(rho) - 2.0 * a * b * N
+    N_new = ((a.real ** 2 + a.imag ** 2 - b.real ** 2 - b.imag ** 2) * N
+             + 2.0 * (a * np.conj(b) * rho).real)
+    return rho_new, N_new
+
+
+def integrate_direct_reference(scenario, profile, lam_grid, dt):
+    """`mbrh.direct.integrate_direct` as a plain loop: complex medium,
+    every column rotated on every step by `cayley_klein_rotation`, fresh
+    arrays throughout.  Returns (E, rho, N, conservation error)."""
+    lam = np.asarray(lam_grid, dtype=float)
+    nt = int(round(scenario.T / dt))
+    nx = int(round(scenario.L / dt))
+    t_grid = np.arange(nt + 1) * dt
+    x_grid = np.arange(nx + 1) * dt
+    w = average_weights(profile, lam)
+    E = np.zeros((nt + 1, nx + 1), dtype=complex)
+    rho = np.zeros((nx + 1, lam.size), dtype=complex)
+    N = np.ones((nx + 1, lam.size))
+    E[0, :] = np.asarray(scenario.E0(x_grid), dtype=complex)
+    E[:, 0] = np.asarray(scenario.E_in(t_grid), dtype=complex)
+    if scenario.rho0 is not None:
+        for j, xj in enumerate(x_grid):
+            sl = scenario.medium_slice(xj, lam)
+            rho[j] = sl.rho
+            N[j] = sl.N
+    total = float(np.max(np.abs(N ** 2 + np.abs(rho) ** 2 - 1.0)))
+    for k in range(nt):
+        Ek = E[k]
+        avg0 = rho @ w
+        Ep = np.empty_like(Ek)
+        Ep[0] = E[k + 1, 0]
+        Ep[1:] = Ek[:-1] + dt * avg0[:-1]
+        rho_p, _ = cayley_klein_rotation(0.5 * (Ek + Ep), lam, dt, rho, N)
+        avg1 = rho_p @ w
+        E[k + 1, 1:] = Ek[:-1] + 0.5 * dt * (avg0[:-1] + avg1[1:])
+        rho, N = cayley_klein_rotation(0.5 * (Ek + E[k + 1]), lam, dt, rho, N)
+        total = max(total, float(np.max(np.abs(N ** 2 + np.abs(rho) ** 2 - 1.0))))
+    return E, rho, N, total
+
 
 def medium_history(scenario, st, ix=slice(None)):
     """(rho, N) on every time slice at the x columns ix (a slice or an

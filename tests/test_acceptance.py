@@ -18,7 +18,7 @@ from mbrh.broadening import (
     profile_normalize,
 )
 from mbrh.direct import integrate_direct
-from mbrh.jump import jump_mixed, jump_wholeline, posdef_check, spectral_data
+from mbrh.jump import jump_mixed, posdef_check, spectral_data
 from mbrh.mat2 import det2
 from mbrh.rhsolver import (
     contour_build,
@@ -30,6 +30,7 @@ from mbrh.spectral import ScenarioData, jost_phi, locate_a_zeros
 from references import (
     eta_quadrature,
     evaluate_M,
+    jump_wholeline,
     k_solve,
     mb_residual,
     medium_history,

@@ -319,6 +319,12 @@ class TestCommands:
         assert (diag["steps"], diag["nx"], diag["nlam"]) == (120, 41, 41)
         assert abs(diag["lam_spacing_over_pi_T"] - 0.4 * 6.0 / np.pi) < 1e-12
         assert diag["conservation_error"] <= 1e-6
+        # E0 = 0 in an empty medium: step k rotates the k + 2 columns the
+        # pulse can have reached
+        front = np.minimum(np.arange(120) + 2, 41)
+        assert diag["rotated_cells"] == front.sum() * 41 < 120 * 41 * 41
+        assert set(diag["stages"]) == {"setup_s", "step_loop_s"}
+        assert all(v >= 0.0 for v in diag["stages"].values())
 
     def test_spectra_command(self, tmp_path):
         path = write_scenario(tmp_path, lam_points=101,
@@ -482,6 +488,27 @@ def test_lu_free_runs_leave_out_scipy_linalg(tmp_path):
     with open(tmp_path / "rh" / "meta.json") as fh:
         diag = json.load(fh)["diagnostics"]
     assert (diag["n_poles"], diag["lu_stamps"]) == (0, 0)
+
+
+def test_contour_commands_leave_out_numpy_ma(tmp_path):
+    # np.unique and np.median import numpy.ma; a pole-free desk solve-rh,
+    # spectra and jump use neither
+    path = write_scenario(tmp_path, T=10.0, L=5.0,
+                          E_in={"pulse": "gaussian", "amplitude": 0.8,
+                                "center": 3.0, "width": 0.7},
+                          lam_points=41)
+    code = textwrap.dedent(f"""\
+        import sys
+        from mbrh.cli import run_command
+        seen = []
+        for cmd in (["solve-rh", "--t", "2:4:2", "--x", "0:1:2"],
+                    ["spectra"], ["jump", "--t", "1", "--x", "1"]):
+            assert run_command([cmd[0], "--scenario", {path!r}, *cmd[1:],
+                                "--out", {str(tmp_path / "o")!r}]) == 0
+            seen.append('numpy.ma' in sys.modules)
+        print(seen)
+        """)
+    assert _fresh_interpreter(code) == "[False, False, False]"
 
 
 def test_pole_circle_solve_loads_scipy_linalg():

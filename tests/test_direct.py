@@ -10,7 +10,8 @@ from mbrh.errors import CFLViolation, ConstraintDrift
 from mbrh.mat2 import dagger
 from mbrh.rhsolver import soliton_closed_form
 from mbrh.spectral import ScenarioData
-from references import (coupling_matrix, expm2, medium_history,
+from references import (coupling_matrix, desk_scenario, excited_scenario,
+                        expm2, integrate_direct_reference, medium_history,
                         soliton_evaluate_M, trivial_scenario)
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
@@ -137,6 +138,17 @@ class TestClosedFormAgainstExpm:
         rho, N = random_bloch(rng, (7, 21))
         self.assert_matches(E, lam, 2.0, rho, N)
 
+    @pytest.mark.parametrize("turns", [1, 3])
+    def test_angle_through_the_half_angle_pole(self, turns):
+        # h w within 1e-9 of pi and 3 pi: tan(hw/2) passes its pole there
+        rng = np.random.default_rng(15)
+        h = 0.05
+        delta = np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9])
+        lam = (turns * np.pi + delta) / h
+        E = np.array([0.0, 1e-5 * (1 + 1j)])
+        rho, N = random_bloch(rng, (2, lam.size))
+        self.assert_matches(E, lam, h, rho, N)
+
 
 def gaussian_scenario():
     return ScenarioData(T=8.0, L=2.0,
@@ -190,8 +202,10 @@ class TestIntegrateDirect:
         st = integrate_direct(sc, LOR, lam, dt=0.1)
         rho, N = medium_history(sc, st)
         assert np.array_equal(rho[-1], st.rho) and np.array_equal(N[-1], st.N)
-        history = max(float(np.max(np.abs(Nk ** 2 + np.abs(rk) ** 2 - 1.0)))
-                      for rk, Nk in zip(rho, N))
+        # |rho|^2 in components, as the integrator forms it
+        history = max(float(np.max(np.abs(
+            Nk ** 2 + (rk.real ** 2 + rk.imag ** 2) - 1.0)))
+            for rk, Nk in zip(rho, N))
         assert st.diagnostics["conservation_error"] == history > 0.0
 
     def test_boundary_and_initial_rows(self):
@@ -243,3 +257,60 @@ class TestIntegrateDirect:
         want = np.array([E_cl(t, 2.0) for t in st.t_grid])
         err = np.max(np.abs(st.E[:, -1] - want)) / np.max(np.abs(want))
         assert err < 1e-2
+
+
+def compact_scenario(T=4.0):
+    """Pulse entering a medium whose initial field vanishes from x = 2 on,
+    the middle of the lattice."""
+    E0 = lambda x: np.where(np.asarray(x) < 2.0,
+                            0.3 * np.sin(0.5 * np.pi * np.asarray(x)) ** 2, 0.0) + 0j
+    return ScenarioData(T=T, L=4.0, E_in=gaussian_scenario().E_in,
+                        E0=E0, rho0=None)
+
+
+class TestAgainstReferenceLoop:
+    """The in-place step behind the front against the plain loop that
+    rotates every column with the Cayley-Klein kernel."""
+
+    @pytest.mark.parametrize("make", [desk_scenario, excited_scenario,
+                                      compact_scenario])
+    def test_same_field_and_medium(self, make):
+        sc = make()
+        lam = np.linspace(-16.0, 16.0, 129)
+        st = integrate_direct(sc, LOR, lam, dt=0.05)
+        E, rho, N, total = integrate_direct_reference(sc, LOR, lam, 0.05)
+        for got, want in ((st.E, E), (st.rho, rho), (st.N, N)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # the Rodrigues step keeps the sphere at least as well
+        assert st.diagnostics["conservation_error"] <= total
+
+
+class TestCausalFront:
+    """Columns the pulse has not reached are never rotated."""
+
+    def test_cells_ahead_of_the_front_are_untouched(self):
+        # the boundary pulse moves at unit speed; after 10 steps of 0.1
+        # the last rotated column is 10 of 20
+        sc = ScenarioData(T=1.0, L=2.0,
+                          E_in=lambda t: 0.8 * np.exp(-((t - 0.5) / 0.3) ** 2) + 0j,
+                          E0=ZERO, rho0=None)
+        lam = np.linspace(-4, 4, 17)
+        st = integrate_direct(sc, LOR, lam, dt=0.1)
+        assert np.all(st.rho[11:] == 0.0) and np.all(st.N[11:] == 1.0)
+        assert np.min(np.abs(st.rho[10])) > 0.0
+        steps = np.arange(10)
+        assert st.diagnostics["rotated_cells"] == \
+            np.sum(np.minimum(steps + 2, 21)) * lam.size
+
+    def test_front_starts_behind_the_initial_field(self):
+        # E0 vanishes from x = 2 (column 20) on, so the field of row k
+        # vanishes beyond column 19 + k, and 10 steps rotate columns up
+        # to 29 of 40
+        st = integrate_direct(compact_scenario(T=1.0), LOR,
+                              np.linspace(-4, 4, 17), dt=0.1)
+        for k in range(st.t_grid.size):
+            assert np.all(st.E[k, 20 + k:] == 0.0)
+            assert np.abs(st.E[k, 19 + k]) > 0.0
+        assert np.all(st.rho[30:] == 0.0) and np.all(st.N[30:] == 1.0)
+        assert np.min(np.abs(st.rho[29])) > 0.0

@@ -6,11 +6,8 @@ from scipy.special import gamma as cgamma
 
 from mbrh import broadening, lax, spectral
 from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
-from mbrh.errors import RegularityViolation
 from mbrh.jump import (
     jump_mixed,
-    jump_oval,
-    jump_wholeline,
     posdef_check,
     shear_matrices,
     spectral_data,
@@ -25,7 +22,9 @@ from mbrh.spectral import (
     transition_and_reflection,
     xbank_propagate,
 )
-from references import excited_scenario, k_solve, schwartz_error, trivial_scenario
+from references import (RegularityViolation, excited_scenario, jump_oval,
+                        jump_wholeline, k_solve, schwartz_error,
+                        trivial_scenario)
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 ATT = BroadeningProfile.lorentzian(1.0, sign=-1)

@@ -19,6 +19,7 @@ from references import (
     StencilTooCoarse,
     coupling_matrix,
     mb_residual,
+    medium_matrix,
     sigma2_conj,
 )
 
@@ -34,7 +35,7 @@ class TestCauchyTransformF:
         grid = np.linspace(-15, 15, 301)
         s = _trivial_slice(grid)
         z = 2j
-        G = medium_transform(p, grid, z)(s)
+        G = medium_matrix(medium_transform(p, grid, z)(s))
         want = (z - eta_eval(p, z)) * SIGMA3
         assert np.max(np.abs(G - want)) < 1e-12
 
@@ -43,9 +44,9 @@ class TestCauchyTransformF:
         grid = np.linspace(-15, 15, 301)
         s = _trivial_slice(grid)
         ev = eta_boundary(p, 0.7)
-        Gp = medium_transform(p, grid, ev, boundary="+")(s)
+        Gp = medium_matrix(medium_transform(p, grid, ev, boundary="+")(s))
         assert np.max(np.abs(Gp - ev.g_plus[0] * SIGMA3)) < 1e-12
-        Gm = medium_transform(p, grid, ev, boundary="-")(s)
+        Gm = medium_matrix(medium_transform(p, grid, ev, boundary="-")(s))
         assert np.max(np.abs(Gm - ev.g_minus[0] * SIGMA3)) < 1e-12
 
     def test_generic_slice_vs_brute_trapezoid(self):
@@ -54,7 +55,7 @@ class TestCauchyTransformF:
         rho = 0.5 * np.exp(-grid ** 2) * (1 + 0.3j)
         s = medium_from_rho(grid, rho)
         z = 1 + 1j
-        G = medium_transform(p, grid, z)(s)
+        G = medium_matrix(medium_transform(p, grid, z)(s))
         # brute oracle: trapezoid of the full integrand, dense where the
         # table lives (refinement divides the table spacing exactly) and
         # coarse on the sigma_3 tails
@@ -91,7 +92,6 @@ class TestCauchyTransformF:
             assert np.array_equal(offaxis(s), fresh)
             assert np.array_equal(plus(s), medium_transform(
                 p, grid, ev, boundary="+")(s))
-            assert np.array_equal(fresh[:, 1, 1], -fresh[:, 0, 0])   # traceless
 
     def test_coverage_guard(self):
         grid = np.linspace(-6, 6, 601)
@@ -116,8 +116,9 @@ class TestStackedSlices:
                                  + 1j * rng.uniform(-1, 1, (5, 1)))
 
     def _check(self, G):
-        stacked = G(medium_from_rho(self.grid, self.rho))
-        single = np.array([G(medium_from_rho(self.grid, r)) for r in self.rho])
+        stacked = medium_matrix(G(medium_from_rho(self.grid, self.rho)))
+        single = np.array([medium_matrix(G(medium_from_rho(self.grid, r)))
+                           for r in self.rho])
         assert stacked.shape == single.shape
         assert np.max(np.abs(stacked - single)) <= 1e-15 * np.max(np.abs(single))
 
@@ -179,8 +180,9 @@ class TestAknsMatrices:
         s = medium_from_rho(grid, 0.4 * np.exp(-grid ** 2) * (0.6 - 0.2j))
         z = 0.8 + 0.5j
         E = 0.3 + 0.1j
-        Vz = V(z, E, medium_transform(p, grid, z)(s))
-        Vc = V(np.conj(z), E, medium_transform(p, grid, np.conj(z))(s))
+        Vz = V(z, E, medium_matrix(medium_transform(p, grid, z)(s)))
+        Vc = V(np.conj(z), E,
+               medium_matrix(medium_transform(p, grid, np.conj(z))(s)))
         assert np.max(np.abs(Vz - sigma2_conj(Vc))) < 1e-12
 
 

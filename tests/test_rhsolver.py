@@ -11,7 +11,7 @@ from mbrh.errors import (
     PosdefViolated,
     SingularResidueSystem,
 )
-from mbrh.jump import JumpData, jump_mixed, jump_wholeline, posdef_check, spectral_data
+from mbrh.jump import JumpData, jump_mixed, posdef_check, spectral_data
 from mbrh.mat2 import det2, dagger, inv2
 from mbrh.rhsolver import (
     ContourSigma,
@@ -27,6 +27,7 @@ from references import (
     TooCloseToContour,
     WeightVanishes,
     evaluate_M,
+    jump_wholeline,
     reconstruct_F_nodes,
     soliton_evaluate_M,
 )
