@@ -252,6 +252,18 @@ def _median(vals):
     return float(v[-1] if np.isnan(v[-1]) else mid)
 
 
+def _line_err(E_line, coords, data, key):
+    """{"value", key}: max |E - data| along a lattice line (E_line of
+    shape (n, 1)) relative to sup |data| on it, absolute where the data
+    vanish, and where it occurs; None when the lattice lacks the line."""
+    if E_line.shape[1] == 0:
+        return None
+    want = np.asarray(data(coords), dtype=complex)
+    err = np.abs(E_line[:, 0] - want)
+    i, sup = int(np.argmax(err)), float(np.max(np.abs(want)))
+    return {"value": float(err[i] / (sup or 1.0)), key: float(coords[i])}
+
+
 def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                   n_panels=24, nodes_per_panel=16, find_poles=True):
     """Mixed-problem contour pipeline: pole search -> contour -> spectral
@@ -259,7 +271,10 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     solve.
 
     Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
-    wall time of the pole search, the spectral data and the stamp loop.
+    wall time of the pole search, the spectral data and the stamp loop,
+    and the per-stamp `jump_mixed` and `sie_solve` times summed over
+    stamps.  `boundary_err` and `initial_err` compare the field on the
+    lattice's x = 0 column with E_in and on its t = 0 row with E0.
     """
     t_vals = np.asarray(t_vals, dtype=float)
     x_vals = np.asarray(x_vals, dtype=float)
@@ -287,7 +302,9 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     def solve_stamp(args):
         it, ix = args
         t, x = t_vals[it], x_vals[ix]
+        tic = time.perf_counter()
         jd_real = jump_mixed(t, x, ev, Kp[ix], Km[ix])
+        jump_s = time.perf_counter() - tic
         if poles:
             jd_circ = soliton_circle_jump(poles, profile, t, x, contour)
             J = jd_circ.J.copy()
@@ -296,8 +313,9 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                           nodes=contour.nodes, J=J)
         else:
             jd = jd_real
+        tic = time.perf_counter()
         res = sie_solve(contour, jd)
-        return res.E, res.diagnostics
+        return res.E, res.diagnostics, (jump_s, time.perf_counter() - tic)
 
     stamps = [(it, ix) for it in range(t_vals.size)
               for ix in range(x_vals.size)]
@@ -305,8 +323,9 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     marks.append(time.perf_counter())
     stages = dict(zip(("pole_search_s", "spectral_s", "stamp_loop_s"),
                       np.diff(marks).tolist()))
-    E = np.array([e for e, _ in out]).reshape(t_vals.size, x_vals.size)
-    col = {key: np.array([d[key] for _, d in out])
+    stages["jump_s"], stages["sie_s"] = np.sum([s for *_, s in out], axis=0).tolist()
+    E = np.array([e for e, _, _ in out]).reshape(t_vals.size, x_vals.size)
+    col = {key: np.array([d[key] for _, d, _ in out])
            for key in ("residual_rel", "cond", "iterations", "posdef_min")}
     diag = {"n_poles": len(poles), "n_nodes": contour.n_nodes,
             "n_stamps": len(stamps),
@@ -320,6 +339,10 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                           "min": float(col["posdef_min"].min())}
     diag["max_residual_rel"] = diag["residual_rel"]["max"]
     diag["max_cond"] = diag["cond"]["max"]
+    diag["boundary_err"] = _line_err(E[:, x_vals == 0.0], t_vals,
+                                     scenario.E_in, "t")
+    diag["initial_err"] = _line_err(E[t_vals == 0.0].T, x_vals,
+                                    scenario.E0, "x")
     return E, diag
 
 

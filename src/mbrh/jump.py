@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularK
-from .mat2 import dagger, det2, diag_exp, inv2
+from .mat2 import dagger, det2
 from .spectral import (DEFAULT_STEP, jost_phi, jost_w, sorted_union,
                        transition_and_reflection)
 
@@ -71,20 +71,28 @@ def jump_mixed(t, x, ev, K_plus, K_minus) -> JumpData:
     """Mixed-problem jump J = e^{-i(lam t - x eta+) s3} K+^{-1} K- e^{i(lam t - x eta-) s3}.
 
     ev holds eta_pm on the nodes lam (`eta_boundary`), which a run
-    evaluates once for all its stamps.
+    evaluates once for all its stamps.  J0 = K+^{-1} K- and the phase
+    conjugation are formed entry by entry: J_ab = l_a J0_ab r_b with
+    l = e^{-+i(lam t - x eta+)} and r = e^{+-i(lam t - x eta-)}.
     """
     lam = ev.lam
     for name, K in (("K+", K_plus), ("K-", K_minus)):
         err = np.max(np.abs(det2(K) - 1.0))
         if err > DET_TOL:
             raise SingularK(f"det {name} deviates from 1 by {err:.2e}")
-    J0 = inv2(K_plus) @ K_minus
-    left = diag_exp(-1j * (lam * t - x * ev.eta_plus))
-    right = diag_exp(1j * (lam * t - x * ev.eta_minus))
-    J = left @ J0 @ right
+    (a, b, c, d), k = K_plus.reshape(-1, 4).T, K_minus.reshape(-1, 4).T
+    # adj(K+) K- / det K+, row-major entries
+    J0 = np.stack([d * k[0] - b * k[2], d * k[1] - b * k[3],
+                   a * k[2] - c * k[0], a * k[3] - c * k[1]],
+                  axis=-1) / (a * d - b * c)[:, None]
+    l0 = np.exp(-1j * (lam * t - x * ev.eta_plus))
+    r0 = np.exp(1j * (lam * t - x * ev.eta_minus))
+    l1, r1 = 1.0 / l0, 1.0 / r0
+    J = (J0 * np.stack([l0 * r0, l0 * r1, l1 * r0, l1 * r1], axis=-1)).reshape(-1, 2, 2)
+    det_J0 = J0[:, 0] * J0[:, 3] - J0[:, 1] * J0[:, 2]
     return JumpData(problem_class="mixed", t=float(t), x=float(x),
                     nodes=lam.astype(complex), J=J,
-                    diagnostics={"J0_det_err": float(np.max(np.abs(det2(J0) - 1.0)))})
+                    diagnostics={"J0_det_err": float(np.max(np.abs(det_J0 - 1.0)))})
 
 
 def posdef_check(jd: JumpData):

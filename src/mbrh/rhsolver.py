@@ -3,15 +3,17 @@
 The conjugation problem M- = M+ J on the contour Sigma is recast through
 the plus-side Cauchy operator as Q - C+[Q(I-J)] = C+[I-J]; the solution
 parameterizes M(z) = I + (1/2 pi i) int (I+Q)(I-J)/(s-z) ds.  The field
-envelope is read off the z^{-1} moment of M.
+envelope E = -4i m12, m the z^{-1} moment of M, needs only the first row
+of Q, and the rows decouple, so only that row is solved.
 
-A contour of real-axis panels only is solved matrix-free by GMRES, with a
-Hessenberg (kappa_2 lower bound) condition certificate; a contour with
-pole circles, and any stamp the Krylov path cannot certify, takes the
-dense LU with the `zgecon` estimate, which alone refuses ill-conditioned
-systems.  The Krylov path runs on numpy alone; `scipy.linalg` is
-imported by the first LU stamp, so only a run with one (`lu_stamps` > 0
-in `meta.json`) pays for loading it.
+A contour of real-axis panels only, where C+ = I/2 + iH with H real, is
+solved matrix-free by GMRES on H, with a Hessenberg (kappa_2 lower bound)
+condition certificate; a contour with pole circles, and any stamp the
+Krylov path cannot certify, takes the dense LU with the `zgecon`
+estimate, which alone refuses ill-conditioned systems.  The Krylov path
+runs on numpy alone; `scipy.linalg` is imported by the first LU stamp,
+so only a run with one (`lu_stamps` > 0 in `meta.json`) pays for
+loading it.
 
 Pure-soliton (reflectionless) data bypasses the contour entirely through
 the closed-form residue algebra; inside a contour solve each pole is
@@ -54,7 +56,7 @@ class Panel:
 @dataclass
 class ContourSigma:
     panels: list
-    _cp: np.ndarray = field(default=None, repr=False)
+    _cp: np.ndarray = field(default=None, repr=False)   # see _kernel
 
     @property
     def nodes(self):
@@ -68,10 +70,29 @@ class ContourSigma:
     def n_nodes(self):
         return sum(p.nodes.size for p in self.panels)
 
-    def cauchy_plus(self):
+    @property
+    def real_axis(self):
+        return all(p.kind == "segment" for p in self.panels)
+
+    def _kernel(self):
+        """The one cached N x N matrix: on a real-axis contour C+ is
+        exactly I/2 + iH with H real, and H is kept; else C+ itself."""
         if self._cp is None:
-            self._cp = _build_cauchy_plus(self)
+            CP = _build_cauchy_plus(self)
+            self._cp = CP.imag.copy() if self.real_axis else CP
         return self._cp
+
+    def cauchy_plus(self):
+        K = self._kernel()
+        return K if K.dtype == complex else 0.5 * np.eye(len(K)) + 1j * K
+
+    def cauchy_apply(self, X):
+        """C+[X] for nodal data X (N, k); with H, X/2 + i(HX) by one real
+        (N x N)(N x 2k) product on the float view of X."""
+        K = self._kernel()
+        if K.dtype == complex:
+            return K @ X
+        return 0.5 * X + 1j * (K @ np.ascontiguousarray(X).view(float)).view(complex)
 
 
 def _barycentric_diff(x):
@@ -203,30 +224,32 @@ def _build_cauchy_plus(contour):
 COND_LIMIT = 1e12           # LU condition estimate above which a stamp is refused
 KRYLOV_RTOL = 1e-15         # GMRES stops at residual norm <= this * ||b||_2
 KRYLOV_BUDGET = 100         # Arnoldi steps before the LU fallback
-KRYLOV_RESIDUAL = 1e-13     # a-posteriori max-norm residual, relative to C+[I-J]
+KRYLOV_RESIDUAL = 1e-13     # a-posteriori max-norm residual, relative to C+[e1^T(I-J)]
 
 
 @dataclass
 class RHResult:
-    Q: np.ndarray               # (N, 2, 2) plus-boundary correction M+ - I
-    m: np.ndarray               # 2x2 z^{-1} moment of M
+    Q: np.ndarray               # (N, 2) first row of the plus-boundary correction M+ - I
     E: complex
     diagnostics: dict = field(default_factory=dict)
 
 
 def sie_solve(contour: ContourSigma, jd: JumpData) -> RHResult:
-    """Collocation solve of Q - C+[Q(I-J)] = C+[I-J].
+    """Collocation solve of the first row q of Q - C+[Q(I-J)] = C+[I-J]:
+    q - C+[q(I-J)] = C+[e1^T(I-J)], whose 2N x 2N operator A each row of
+    Q shares.
 
     Jump data with real-axis nodes must have a positive-definite
-    Hermitian part there (`PosdefViolated` otherwise).  A contour of real-axis segments only is solved matrix-free by
-    unrestarted GMRES (`_gmres`); `cond` is then s_max/s_min of its
-    Hessenberg matrix, a lower bound on kappa_2 of the operator.  The
-    dense LU path, with `cond` the 1-norm estimate of `zgecon`, solves
-    every contour with a circle panel, and every real-axis stamp whose
-    Krylov estimate exceeds COND_LIMIT/1e3, whose iteration budget runs
-    out, or whose a-posteriori residual exceeds KRYLOV_RESIDUAL.  Only
-    the LU path refuses with `IllConditioned` (estimate above
-    COND_LIMIT).  `iterations` is 0 on the LU path.
+    Hermitian part there (`PosdefViolated` otherwise).  A contour of
+    real-axis segments only is solved matrix-free by unrestarted GMRES
+    (`_gmres`); `cond` is then s_max/s_min of its Hessenberg matrix, a
+    lower bound on kappa_2(A).  The dense LU path, with `cond` the 1-norm
+    estimate of `zgecon`, solves every contour with a circle panel, and
+    every real-axis stamp whose Krylov estimate exceeds COND_LIMIT/1e3,
+    whose iteration budget runs out, or whose a-posteriori residual
+    exceeds KRYLOV_RESIDUAL.  Only the LU path refuses with
+    `IllConditioned` (estimate above COND_LIMIT).  `iterations` is 0 on
+    the LU path.
     """
     J = jd.J
     n = contour.n_nodes
@@ -239,51 +262,46 @@ def sie_solve(contour: ContourSigma, jd: JumpData) -> RHResult:
             raise PosdefViolated(
                 f"real-axis Hermitian-part minimum {posdef_min:.3e}")
 
-    CP = contour.cauchy_plus()
     IJ = np.eye(2) - J                                   # (N, 2, 2)
-    R = _cauchy_apply(CP, IJ)
-    rnorm = max(float(np.max(np.abs(R))), 1e-300)
+    ij0, ij1 = IJ[:, 0].copy(), IJ[:, 1].copy()          # its rows
+
+    def op(v):
+        """q - C+[q(I-J)] for a row q (N, 2), flattened to v."""
+        q = v.reshape(n, 2)
+        return (q - contour.cauchy_apply(q[:, :1] * ij0 + q[:, 1:] * ij1)).ravel()
+
+    b = contour.cauchy_apply(ij0).ravel()
+    rnorm = max(float(np.max(np.abs(b))), 1e-300)
 
     # pole circles stay on LU: there the right-hand side can lie in a small
     # invariant subspace, and a Hessenberg estimate started from it reads
     # ~1 where kappa is astronomically large
     krylov = None
-    if all(p.kind == "segment" for p in contour.panels):
-        krylov = _gmres(CP, IJ, R, COND_LIMIT / 1e3)
+    if contour.real_axis:
+        krylov = _gmres(op, b, COND_LIMIT / 1e3)
     if krylov is not None:
-        Q, cond, iterations = krylov
-        res = _residual(CP, IJ, Q, R)
+        v, cond, iterations = krylov
+        res = float(np.max(np.abs(op(v) - b)))
     if krylov is None or res > KRYLOV_RESIDUAL * rnorm:
-        Q, cond = _lu_solve(CP, IJ, R)
+        v, cond = _lu_solve(contour.cauchy_plus(), IJ, b)
         iterations = 0
-        res = _residual(CP, IJ, Q, R)
+        res = float(np.max(np.abs(op(v) - b)))
 
-    m, E = _moment_and_field(contour, Q, J)
-    return RHResult(Q=Q, m=m, E=E,
+    # E = -4i m12, m the z^{-1} moment (1/2 pi i) int (I+Q)(J-I) ds; sign
+    # fixed by the linearized (Born) limit against the forward transform
+    q = v.reshape(n, 2)
+    m12 = contour.weights @ ((1.0 + q[:, 0]) * J[:, 0, 1]
+                             + q[:, 1] * (J[:, 1, 1] - 1.0)) / (2j * np.pi)
+    return RHResult(Q=q, E=-4j * m12,
                     diagnostics={"residual": res, "residual_rel": res / rnorm,
                                  "cond": cond, "iterations": iterations,
                                  "posdef_min": posdef_min})
 
 
-def _cauchy_apply(CP, X):
-    """C+[X] for nodal 2x2 data X (N, 2, 2): one (N x N)(N x 4) product."""
-    return (CP @ X.reshape(-1, 4)).reshape(X.shape)
-
-
-def _times(Q, X):
-    """Q @ X for stacks of 2x2 matrices (N, 2, 2), as two broadcast
-    products: a stacked 2x2 matmul costs more than the Cauchy product."""
-    return Q[..., :1] * X[:, None, 0, :] + Q[..., 1:] * X[:, None, 1, :]
-
-
-def _residual(CP, IJ, Q, R):
-    """Max-norm a-posteriori residual of the discrete equation."""
-    return float(np.max(np.abs(Q - _cauchy_apply(CP, _times(Q, IJ)) - R)))
-
-
-def _lu_solve(CP, IJ, R):
-    """Dense LU of the 2N x 2N operator (each row of Q decouples), with
-    the `zgecon` 1-norm condition estimate.  Returns (Q, cond)."""
+def _lu_solve(CP, IJ, b):
+    """Dense LU of the 2N x 2N operator of one row, with the `zgecon`
+    1-norm condition estimate.  Returns (x, cond) for the flattened
+    right-hand side b."""
     from scipy.linalg import lu_factor, lu_solve   # loaded by an LU stamp only
     from scipy.linalg.lapack import zgecon
 
@@ -297,25 +315,17 @@ def _lu_solve(CP, IJ, R):
     rcond, _ = zgecon(lu, anorm)
     if rcond == 0.0 or 1.0 / rcond > COND_LIMIT:
         raise IllConditioned(f"condition estimate {1.0 / max(rcond, 1e-300):.2e}")
-
-    Q = np.empty((n, 2, 2), dtype=complex)
-    for r in range(2):
-        rhs = R[:, r, :].reshape(2 * n)
-        Q[:, r, :] = lu_solve((lu, piv), rhs).reshape(n, 2)
-    return Q, 1.0 / rcond
+    return lu_solve((lu, piv), b), 1.0 / rcond
 
 
-def _gmres(CP, IJ, R, cond_max):
-    """Unrestarted GMRES for Q -> Q - C+[Q(I-J)], both rows of Q in one
-    4N vector, from Q = 0 (Saad & Schultz 1986).
+def _gmres(op, b, cond_max):
+    """Unrestarted GMRES for op(x) = b from x = 0 (Saad & Schultz 1986).
 
     Arnoldi by classical Gram-Schmidt applied twice; Givens rotations
-    track the residual norm.  Returns (Q, cond, iterations), with cond =
+    track the residual norm.  Returns (x, cond, iterations), with cond =
     s_max/s_min of the (k+1) x k Hessenberg matrix, or None when the
     right-hand side vanishes, the budget runs out, or cond > cond_max.
     """
-    n = R.shape[0]
-    b = R.reshape(-1)
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return None
@@ -327,7 +337,7 @@ def _gmres(CP, IJ, R, cond_max):
     g = [complex(beta)]                           # rotated beta e1
     V[0] = b / beta
     for k in range(m):
-        w = V[k] - _cauchy_apply(CP, _times(V[k].reshape(n, 2, 2), IJ)).ravel()
+        w = op(V[k])
         Vk = V[:k + 1]
         h = (Vk @ w.conj()).conj()
         w -= h @ Vk
@@ -362,19 +372,9 @@ def _gmres(CP, IJ, R, cond_max):
             if cond > cond_max:
                 return None
             y = np.linalg.solve(U[:k + 1, :k + 1], np.array(g[:k + 1]))
-            return (y @ Vk).reshape(n, 2, 2), cond, k + 1
+            return y @ Vk, cond, k + 1
         V[k + 1] = w / hn
     return None
-
-
-def _moment_and_field(contour, Q, J):
-    w = contour.weights
-    X = (np.eye(2) + Q) @ (J - np.eye(2))
-    m = np.einsum("j,jab->ab", w, X) / (2j * np.pi)
-    # field envelope from the moment; sign fixed by the linearized
-    # (Born) limit against the forward transform
-    E = -4j * m[0, 1]
-    return m, E
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,14 @@
 None of this runs in an `mb-rh` command: each function here is a second
 route to a quantity the package computes (the Lax generators and the
 Magnus propagation in matrix form, the x-equation from other terminal
-data, eta by adaptive quadrature, M off the contour, the medium from the
-solved problem, the direct route as a plain loop), the whole-line and
+data, eta by adaptive quadrature, the mixed jump by stacked matmuls, both
+rows of the contour solve, M off the contour, the medium from the solved
+problem, the direct route as a plain loop), the whole-line and
 amplifier-oval jumps whose identities the tests check, or a check that
 tests apply to its output.
 """
+
+import dataclasses
 
 import numpy as np
 from scipy.integrate import quad
@@ -15,12 +18,13 @@ from scipy.integrate import quad
 from mbrh.broadening import average_weights, eta_boundary
 from mbrh.cli import rho0_from_config
 from mbrh.direct import bloch_rotation
-from mbrh.errors import MBRHError, TooCloseToAxis
-from mbrh.jump import JumpData
-from mbrh.mat2 import dagger, diag_exp, inv2
-from mbrh.rhsolver import soliton_closed_form
+from mbrh.errors import MBRHError, SingularK, TooCloseToAxis
+from mbrh.jump import DET_TOL, JumpData
+from mbrh.mat2 import dagger, det2, diag_exp, inv2
+from mbrh.rhsolver import sie_solve, soliton_closed_form
 from mbrh.spectral import DEFAULT_STEP, ScenarioData, xbank_propagate
 
+SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
@@ -269,6 +273,22 @@ def jump_oval(z_nodes, a_vals, b_vals, t, x, eta_vals,
                     nodes=z, J=J)
 
 
+def jump_mixed_reference(t, x, ev, K_plus, K_minus) -> JumpData:
+    """`mbrh.jump.jump_mixed` by stacked 2x2 matmuls: J0 = K+^{-1} K- and
+    J = e^{-i(lam t - x eta+) s3} J0 e^{i(lam t - x eta-) s3}."""
+    lam = ev.lam
+    for name, K in (("K+", K_plus), ("K-", K_minus)):
+        err = np.max(np.abs(det2(K) - 1.0))
+        if err > DET_TOL:
+            raise SingularK(f"det {name} deviates from 1 by {err:.2e}")
+    J0 = inv2(K_plus) @ K_minus
+    left = diag_exp(-1j * (lam * t - x * ev.eta_plus))
+    right = diag_exp(1j * (lam * t - x * ev.eta_minus))
+    return JumpData(problem_class="mixed", t=float(t), x=float(x),
+                    nodes=lam.astype(complex), J=left @ J0 @ right,
+                    diagnostics={"J0_det_err": float(np.max(np.abs(det2(J0) - 1.0)))})
+
+
 # ----------------------------------------------------------------------
 # direct route: medium columns and equation residuals
 # ----------------------------------------------------------------------
@@ -403,8 +423,24 @@ def schwartz_error(jd):
     return err
 
 
-def evaluate_M(result, contour, jd, z):
-    """Off-contour M(z) = I + (1/2 pi i) int (I+Q)(I-J)/(s-z) ds.
+def sie_solve_full(contour, jd):
+    """Both rows of Q = M+ - I, shape (N, 2, 2), and the z^{-1} moment m
+    of M, from two first-row solves by `mbrh.rhsolver.sie_solve`.
+
+    Row 2 of Q - C+[Q(I-J)] = C+[I-J] is row 1 of the problem with jump
+    sigma1 J sigma1, multiplied on the right by sigma1.
+    """
+    row1 = sie_solve(contour, jd).Q
+    swapped = dataclasses.replace(jd, J=SIGMA1 @ jd.J @ SIGMA1)
+    row2 = sie_solve(contour, swapped).Q @ SIGMA1
+    Q = np.stack([row1, row2], axis=1)
+    X = (np.eye(2) + Q) @ (jd.J - np.eye(2))
+    return Q, np.einsum("j,jab->ab", contour.weights, X) / (2j * np.pi)
+
+
+def evaluate_M(Q, contour, jd, z):
+    """Off-contour M(z) = I + (1/2 pi i) int (I+Q)(I-J)/(s-z) ds, with Q
+    both rows of M+ - I (`sie_solve_full`).
 
     Refuses z closer to a node than EVAL_FLOOR times the smallest node
     spacing within a panel.
@@ -415,7 +451,7 @@ def evaluate_M(result, contour, jd, z):
     dist = np.min(np.abs(z[:, None] - contour.nodes[None, :]), axis=1)
     if np.any(dist < floor):
         raise TooCloseToContour(f"evaluation point within {floor:.3e} of a node")
-    P = np.eye(2) + result.Q
+    P = np.eye(2) + Q
     Y = P @ (np.eye(2) - jd.J)                           # (N, 2, 2)
     kern = contour.weights[None, :] / (contour.nodes[None, :] - z[:, None])
     return np.eye(2) + np.einsum("zj,jab->zab", kern, Y) / (2j * np.pi)
@@ -438,12 +474,13 @@ def soliton_evaluate_M(poles, profile, t, x, z):
     return out
 
 
-def reconstruct_F_nodes(result, result_xp, result_xm, jd, jd_xp, jd_xm,
+def reconstruct_F_nodes(Q, Q_xp, Q_xm, jd, jd_xp, jd_xm,
                         profile, hx, node_mask=None):
     """Medium state at real collocation nodes from boundary values.
 
-    Uses the solved plus-boundary M+ = I + Q at the nodes, M- = M+ J,
-    and Phi_x Phi^{-1} = M_x M^{-1} + i eta M sigma3 M^{-1} on each side,
+    Uses the solved plus-boundary M+ = I + Q at the nodes (Q of both
+    rows, `sie_solve_full`), M- = M+ J, and
+    Phi_x Phi^{-1} = M_x M^{-1} + i eta M sigma3 M^{-1} on each side,
     with Q_x and J_x by central differences from solves at x +- hx; the
     jump of that derivative is (pi i / 2) n F.  Returns (lam, N, rho)
     over the selected real nodes.
@@ -458,8 +495,8 @@ def reconstruct_F_nodes(result, result_xp, result_xm, jd, jd_xp, jd_xm,
     ev = eta_boundary(profile, lam)
     sig = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-    Mp = np.eye(2) + result.Q[node_mask]
-    Mp_x = (result_xp.Q[node_mask] - result_xm.Q[node_mask]) / (2 * hx)
+    Mp = np.eye(2) + Q[node_mask]
+    Mp_x = (Q_xp[node_mask] - Q_xm[node_mask]) / (2 * hx)
     J = jd.J[node_mask]
     # the jump carries x-dependence beyond the explicit phases (its
     # undressed factor evolves with the medium), so differentiate the

@@ -36,6 +36,7 @@ from references import (
     medium_history,
     reconstruct_F_nodes,
     schwartz_error,
+    sie_solve_full,
     soliton_evaluate_M,
     trivial_scenario,
 )
@@ -181,9 +182,9 @@ def test_criterion_05_unimodularity_and_symmetry_suite():
     }
     jd = jump_mixed(2.5, 1.0, ev, Kp[0], Km[0])
     det_errs["J"] = jd.det_error()
-    res = sie_solve(contour, jd)
+    Q, _ = sie_solve_full(contour, jd)
     z_off = np.array([0.7 + 1.5j, -2.0 + 2.0j, 1.0 - 1.8j])
-    M = evaluate_M(res, contour, jd, z_off)
+    M = evaluate_M(Q, contour, jd, z_off)
     det_errs["M"] = float(np.max(np.abs(det2(M) - 1.0)))
     det_worst = max(det_errs.values())
 
@@ -362,7 +363,7 @@ def test_criterion_12_medium_reconstruction_consistency(desk_direct):
     ev = eta_boundary(LOR, lam)
     _, Kp, Km = spectral_data(sc, LOR, ev, x_out=x_out)
     jds = [jump_mixed(t, xv, ev, Kp[i], Km[i]) for i, xv in enumerate(x_out)]
-    sols = [sie_solve(contour, jd) for jd in jds]
+    sols = [sie_solve_full(contour, jd)[0] for jd in jds]
     mask = np.abs(lam) <= 2.5
     lam_out, N, rho = reconstruct_F_nodes(
         sols[1], sols[2], sols[0], jds[1], jds[2], jds[0], LOR, hx,

@@ -362,10 +362,15 @@ class TestCommands:
         assert 0 < diag["posdef_min"]["min"] <= diag["posdef_min"]["p50"]
         # stage trace: one t-equation solve, T / DEFAULT_STEP = 600 steps;
         # the two x-banks take the plane-wave shortcut here
-        assert set(diag["stages"]) == {"pole_search_s", "spectral_s",
-                                       "stamp_loop_s"}
-        assert all(v >= 0.0 for v in diag["stages"].values())
+        stages = diag["stages"]
+        assert set(stages) == {"pole_search_s", "spectral_s",
+                               "stamp_loop_s", "jump_s", "sie_s"}
+        assert all(v >= 0.0 for v in stages.values())
+        assert stages["jump_s"] + stages["sie_s"] <= stages["stamp_loop_s"]
         assert diag["magnus_steps"] == 600
+        # the lattice holds the x = 0 column but no t = 0 row
+        assert set(diag["boundary_err"]) == {"value", "t"}
+        assert diag["initial_err"] is None
 
     def test_exit_2_on_config_error(self, tmp_path):
         assert run_command(["spectra", "--scenario",
@@ -415,6 +420,46 @@ class TestCommands:
                           "--out", str(tmp_path / "rh")])
         assert rc == 0
         assert len(calls) == 1
+
+
+class TestReproductionFigures:
+    """`boundary_err` and `initial_err`: the contour field on the lattice's
+    x = 0 column against E_in and on its t = 0 row against E0."""
+
+    def run(self, tmp_path, t, x, **cfg):
+        path = write_scenario(tmp_path, **cfg)
+        out = str(tmp_path / "rh")
+        rc = run_command(["solve-rh", "--scenario", path, "--t", t,
+                          "--x", x, "--out", out])
+        return rc, json.load(open(os.path.join(out, "meta.json")))["diagnostics"]
+
+    def test_desk_run_reproduces_its_data(self, tmp_path):
+        rc, diag = self.run(tmp_path, "0:10:21", "0:5:6", T=10.0, L=5.0,
+                            E_in={"pulse": "gaussian", "amplitude": 0.8,
+                                  "center": 3.0, "width": 0.7})
+        assert rc == 0
+        assert diag["boundary_err"]["value"] < 1e-4
+        assert 0.0 <= diag["boundary_err"]["t"] <= 10.0
+        # E0 = 0: the t = 0 row is compared in absolute terms
+        assert diag["initial_err"]["value"] < 1e-6
+        assert 0.0 <= diag["initial_err"]["x"] <= 5.0
+
+    def test_missed_soliton_shows_at_the_boundary(self, tmp_path):
+        # 1.04 sech(t - 20) carries a zero of a near 0.02i, below the pole
+        # search window: the run passes every solver certificate and
+        # exits 0, but its x = 0 column is 18 % off E_in at t = 20
+        rc, diag = self.run(tmp_path, "10:20:2", "0:5:2", T=40.0, L=5.0,
+                            E_in={"pulse": "sech", "amplitude": 1.04,
+                                  "center": 20.0, "width": 1.0})
+        assert rc == 0 and diag["n_poles"] == 0
+        assert diag["boundary_err"]["value"] > 0.1
+        assert diag["boundary_err"]["t"] == 20.0
+        assert diag["initial_err"] is None
+
+    def test_absent_lines_are_null(self, tmp_path):
+        rc, diag = self.run(tmp_path, "2:4:2", "1:2:2")
+        assert rc == 0
+        assert diag["boundary_err"] is None and diag["initial_err"] is None
 
 
 def test_tabulated_solve_rh_builds_pv_weights_per_run(monkeypatch, tmp_path):

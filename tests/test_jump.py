@@ -6,6 +6,7 @@ from scipy.special import gamma as cgamma
 
 from mbrh import broadening, lax, spectral
 from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
+from mbrh.errors import SingularK
 from mbrh.jump import (
     jump_mixed,
     posdef_check,
@@ -22,9 +23,10 @@ from mbrh.spectral import (
     transition_and_reflection,
     xbank_propagate,
 )
-from references import (RegularityViolation, excited_scenario, jump_oval,
-                        jump_wholeline, k_solve, schwartz_error,
-                        trivial_scenario)
+from mbrh.rhsolver import contour_build
+from references import (RegularityViolation, desk_scenario, excited_scenario,
+                        jump_mixed_reference, jump_oval, jump_wholeline,
+                        k_solve, schwartz_error, trivial_scenario)
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 ATT = BroadeningProfile.lorentzian(1.0, sign=-1)
@@ -176,6 +178,42 @@ class TestJumpMixed:
             _, Km = k_solve(sc, ATT, lam, sm, bank="-", x_out=np.array([x]))
             jd = jump_mixed(t, x, ev, Kp[0], Km[0])
             assert posdef_check(jd) > 0.0
+
+
+class TestJumpComponentForm:
+    """`jump_mixed` entry by entry against the stacked-matmul reference,
+    on the K banks of a run's real contour nodes."""
+
+    @pytest.fixture(scope="class", params=["desk", "excited"])
+    def banks(self, request):
+        sc = desk_scenario() if request.param == "desk" else excited_scenario()
+        ev = eta_boundary(ATT, contour_build().nodes.real)
+        xs = np.linspace(0.0, sc.L, 5)
+        _, Kp, Km = spectral_data(sc, ATT, ev, x_out=xs)
+        return sc, ev, xs, Kp, Km
+
+    def test_matches_stacked_reference(self, banks):
+        sc, ev, xs, Kp, Km = banks
+        for t in np.linspace(0.0, sc.T, 6):
+            for i, x in enumerate(xs):
+                if t == 0.0 and x == 0.0:
+                    continue
+                jd = jump_mixed(t, x, ev, Kp[i], Km[i])
+                ref = jump_mixed_reference(t, x, ev, Kp[i], Km[i])
+                scale = np.max(np.abs(ref.J))
+                assert np.max(np.abs(jd.J - ref.J)) <= 1e-14 * scale
+                assert jd.J.shape == ref.J.shape and jd.J.flags.c_contiguous
+                assert abs(jd.diagnostics["J0_det_err"]
+                           - ref.diagnostics["J0_det_err"]) <= 1e-15
+
+    def test_singular_k_refusal_unchanged(self, banks):
+        _, ev, _, Kp, Km = banks
+        for bad in ((1.001 * Kp[1], Km[1]), (Kp[1], 1.001 * Km[1])):
+            with pytest.raises(SingularK) as new:
+                jump_mixed(2.0, 1.0, ev, *bad)
+            with pytest.raises(SingularK) as ref:
+                jump_mixed_reference(2.0, 1.0, ev, *bad)
+            assert str(new.value) == str(ref.value)
 
 
 class TestJumpWholeline:

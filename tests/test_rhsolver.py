@@ -29,6 +29,7 @@ from references import (
     evaluate_M,
     jump_wholeline,
     reconstruct_F_nodes,
+    sie_solve_full,
     soliton_evaluate_M,
 )
 
@@ -139,13 +140,38 @@ class TestCauchyPlus:
         assert np.max(np.abs(CP @ f_in)) < 1e-12
 
 
+class TestRealKernel:
+    def test_real_contour_keeps_real_hilbert_matrix(self):
+        c = contour_build(window=(-16.0, 16.0), n_panels=16, nodes_per_panel=12)
+        CP = rhsolver._build_cauchy_plus(c)
+        # on the real axis C+ is exactly I/2 + iH with H real
+        assert np.max(np.abs(CP.real - 0.5 * np.eye(c.n_nodes))) == 0.0
+        assert c.real_axis and np.array_equal(c.cauchy_plus(), CP)
+        assert c._cp.dtype == np.float64 and c._cp.shape == CP.shape
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((c.n_nodes, 2)) + 1j * rng.standard_normal((c.n_nodes, 2))
+        want = CP @ X
+        for Y in (X, np.asfortranarray(X)):
+            assert np.max(np.abs(c.cauchy_apply(Y) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_circle_contour_keeps_complex_matrix(self):
+        c = contour_build(window=(-16.0, 16.0), n_panels=4, nodes_per_panel=8,
+                          circles=[(0.5j, 0.15), (-0.5j, 0.15)])
+        CP = rhsolver._build_cauchy_plus(c)
+        assert not c.real_axis and np.array_equal(c.cauchy_plus(), CP)
+        assert c._cp is c.cauchy_plus()
+        X = np.exp(1j * np.arange(2 * c.n_nodes)).reshape(-1, 2)
+        assert np.array_equal(c.cauchy_apply(X), CP @ X)
+
+
 class TestSieSolve:
     def test_trivial_jump(self):
         c = contour_build(n_panels=12, nodes_per_panel=8)
         res = sie_solve(c, identity_jump(c))
-        assert np.max(np.abs(res.Q)) < 1e-13
+        Q, m = sie_solve_full(c, identity_jump(c))
+        assert np.max(np.abs(Q)) < 1e-13
         assert abs(res.E) < 1e-13
-        assert np.max(np.abs(res.m)) < 1e-13
+        assert np.max(np.abs(m)) < 1e-13
         assert res.diagnostics["residual"] < 1e-13
 
     def test_born_regime_operator(self):
@@ -153,11 +179,11 @@ class TestSieSolve:
         lam = c.nodes.real
         r = 0.01 * np.exp(-lam ** 2)
         jd = jump_wholeline(1.0, 0.5, lam, r, LOR)
-        res = sie_solve(c, jd)
+        Q, _ = sie_solve_full(c, jd)
         CP = c.cauchy_plus()
         R = np.einsum("ij,jab->iab", CP, np.eye(2) - jd.J)
         # first Born correction is quadratic in r
-        assert np.max(np.abs(res.Q - R)) < 0.05 * np.max(np.abs(R))
+        assert np.max(np.abs(Q - R)) < 0.05 * np.max(np.abs(R))
 
     def test_linear_limit_reconstructs_gaussian_field(self):
         # r(lam) = 0.5 * Fourier transform of E at this order, so the
@@ -240,9 +266,8 @@ class TestKrylovPath:
         for jd in jds:
             res = sie_solve(c, jd)
             A, R = dense_operator(c, jd)
-            Q = np.stack([np.linalg.solve(A, R[:, r, :].ravel()).reshape(-1, 2)
-                          for r in range(2)], axis=1)
-            assert np.max(np.abs(res.Q - Q)) < 1e-13
+            q = np.linalg.solve(A, R[:, 0, :].ravel()).reshape(-1, 2)
+            assert np.max(np.abs(res.Q - q)) < 1e-13
             d = res.diagnostics
             assert 0 < d["iterations"] <= rhsolver.KRYLOV_BUDGET
             sv = np.linalg.svd(A, compute_uv=False)
@@ -252,15 +277,39 @@ class TestKrylovPath:
             assert d["residual_rel"] < 1e-14
             assert d["posdef_min"] == posdef_check(jd)
 
+    def test_full_reference_matches_dense_two_row_solve(self):
+        # row 2 through the sigma1-swapped jump, on the Krylov path
+        # (desk stamps) and on the LU path (pole circles).  Two backward
+        # stable solves agree to about kappa_2 u max|Q|: the circle stamp
+        # at t = 0 has kappa_2 = 48 and max|Q| = 3.3
+        c, jds = desk_stamps()
+        circ = contour_build(window=(-16.0, 16.0), n_panels=16,
+                             nodes_per_panel=12,
+                             circles=[(0.5j, 0.15), (-0.5j, 0.15)])
+        jd_circ = soliton_circle_jump([(0.5j, 1.0 + 0.0j)], LOR, 0.0, 0.0, circ)
+        for cc, jd in [(c, jd) for jd in jds] + [(circ, jd_circ)]:
+            Q, m = sie_solve_full(cc, jd)
+            A, R = dense_operator(cc, jd)
+            want = np.stack([np.linalg.solve(A, R[:, r, :].ravel()).reshape(-1, 2)
+                             for r in range(2)], axis=1)
+            assert np.max(np.abs(Q - want)) < 1e-13
+            assert abs(-4j * m[0, 1] - sie_solve(cc, jd).E) < 1e-14
+            # both rows solve the two-row system
+            CP = cc.cauchy_plus()
+            resid = Q - np.einsum("ij,jab->iab", CP, Q @ (np.eye(2) - jd.J)) - R
+            assert np.max(np.abs(resid)) < 1e-14 * np.max(np.abs(R))
+
     def test_budget_exhausted_falls_back_to_lu(self, monkeypatch):
         c, jds = desk_stamps(ts=(3.0,), xs=(1.0,))
         krylov = sie_solve(c, jds[0])
+        Q_krylov, _ = sie_solve_full(c, jds[0])
         monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", 2)
         lu = sie_solve(c, jds[0])
+        Q_lu, _ = sie_solve_full(c, jds[0])
         assert krylov.diagnostics["iterations"] > 2
         assert lu.diagnostics["iterations"] == 0
         assert abs(lu.E - krylov.E) < 1e-14
-        assert np.max(np.abs(lu.Q - krylov.Q)) < 1e-13
+        assert np.max(np.abs(Q_lu - Q_krylov)) < 1e-13
         assert lu.diagnostics["residual_rel"] < 1e-14
 
     def test_fallback_counted_in_field_grid(self, monkeypatch):
@@ -319,25 +368,25 @@ class TestEvaluateM:
                                nodes_per_panel=16)
         lam = self.c.nodes.real
         self.jd = jump_wholeline(0.5, 0.3, lam, 0.3 * np.exp(-lam ** 2), LOR)
-        self.res = sie_solve(self.c, self.jd)
+        self.Q, self.m = sie_solve_full(self.c, self.jd)
 
     def test_unimodular_off_contour(self):
         zs = np.array([2j, -3j, 1.5 + 2.5j, -4 - 1j])
-        M = evaluate_M(self.res, self.c, self.jd, zs)
+        M = evaluate_M(self.Q, self.c, self.jd, zs)
         assert np.max(np.abs(det2(M) - 1.0)) < 1e-6
 
     def test_moment_asymptotics(self):
         # M(z) - I - m/z = O(1/z^2)
         for R in (30.0, 60.0):
             z = np.array([R * np.exp(1j * np.pi / 3)])
-            M = evaluate_M(self.res, self.c, self.jd, z)
-            err = np.max(np.abs(M[0] - np.eye(2) - self.res.m / z[0]))
+            M = evaluate_M(self.Q, self.c, self.jd, z)
+            err = np.max(np.abs(M[0] - np.eye(2) - self.m / z[0]))
             assert err < 10.0 / R ** 2
 
     def test_too_close_guard(self):
         z0 = self.c.nodes[10] + 1e-8j
         with pytest.raises(TooCloseToContour):
-            evaluate_M(self.res, self.c, self.jd, np.array([z0]))
+            evaluate_M(self.Q, self.c, self.jd, np.array([z0]))
 
 
 class TestSolitonClosedForm:
@@ -418,9 +467,9 @@ class TestPoleCircleRoute:
         c = ContourSigma(panels=[circle_panel(0.5j, 0.15, 48),
                                  circle_panel(-0.5j, 0.15, 48)])
         jd = soliton_circle_jump(poles, prof, 0.3, 0.1, c)
-        res = sie_solve(c, jd)
+        Q, _ = sie_solve_full(c, jd)
         zs = np.array([2.0 + 1.0j, -1.0 - 2.0j, 0.0 + 3.0j])
-        M_sie = evaluate_M(res, c, jd, zs)
+        M_sie = evaluate_M(Q, c, jd, zs)
         M_exact = soliton_evaluate_M(poles, prof, 0.3, 0.1, zs)
         assert np.max(np.abs(M_sie - M_exact)) < 1e-8
 
@@ -459,27 +508,27 @@ class TestReconstructFNodes:
 
         def solve(xv):
             jd = jump_wholeline(t, xv, lam, r_amp * np.exp(-lam ** 2), LOR)
-            return jd, sie_solve(c, jd)
+            return jd, sie_solve_full(c, jd)[0]
 
-        jd, res = solve(x)
-        jd_p, res_p = solve(x + hx)
-        jd_m, res_m = solve(x - hx)
-        return c, lam, jd, res, jd_p, res_p, jd_m, res_m
+        jd, Q = solve(x)
+        jd_p, Q_p = solve(x + hx)
+        jd_m, Q_m = solve(x - hx)
+        return c, lam, jd, Q, jd_p, Q_p, jd_m, Q_m
 
     def test_trivial_gives_rest_state(self):
-        c, lam, jd, res, jd_p, res_p, jd_m, res_m = \
+        c, lam, jd, Q, jd_p, Q_p, jd_m, Q_m = \
             self.make_solves(0.0, 0.3, 0.5, 1e-3)
-        lam_out, N, rho = reconstruct_F_nodes(res, res_p, res_m,
+        lam_out, N, rho = reconstruct_F_nodes(Q, Q_p, Q_m,
                                               jd, jd_p, jd_m, LOR, 1e-3)
         assert np.max(np.abs(N - 1.0)) < 1e-10
         assert np.max(np.abs(rho)) < 1e-10
 
     def test_sphere_and_route_agreement(self):
         t, x, hx = 0.6, 0.8, 1e-3
-        c, lam, jd, res, jd_p, res_p, jd_m, res_m = \
+        c, lam, jd, Q, jd_p, Q_p, jd_m, Q_m = \
             self.make_solves(0.3, t, x, hx)
         mask = (np.abs(lam) < 3.0) & (jd.nodes.imag == 0.0)
-        lam_out, N, rho = reconstruct_F_nodes(res, res_p, res_m,
+        lam_out, N, rho = reconstruct_F_nodes(Q, Q_p, Q_m,
                                               jd, jd_p, jd_m, LOR, hx,
                                               node_mask=mask)
         assert np.max(np.abs(N ** 2 + np.abs(rho) ** 2 - 1.0)) < 1e-6
@@ -492,9 +541,9 @@ class TestReconstructFNodes:
             if key not in cache:
                 jdx = jump_wholeline(tv, xv, lam,
                                      0.3 * np.exp(-lam ** 2), LOR)
-                cache[key] = (jdx, sie_solve(c, jdx))
-            jdx, rx = cache[key]
-            return evaluate_M(rx, c, jdx, zs)
+                cache[key] = (jdx, sie_solve_full(c, jdx)[0])
+            jdx, Qx = cache[key]
+            return evaluate_M(Qx, c, jdx, zs)
 
         targets = lam_out[::16]
         N2, rho2 = reconstruct_F(evalM, LOR, t, x, targets,
