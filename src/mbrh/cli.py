@@ -10,10 +10,23 @@ import argparse
 import hashlib
 import json
 import os
+import pickle
+import signal
 import sys
+import threading
 import time
 
-import numpy as np
+# The stamp loop runs in forked processes (parallel_map), each with one
+# BLAS thread.  BLAS reads these once, when numpy first loads it; a
+# variable the environment already sets is left as it is.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_ONE_THREAD = "numpy" not in sys.modules  # else BLAS read them already
+if _BLAS_ONE_THREAD:
+    for _var in _BLAS_VARS:
+        os.environ.setdefault(_var, "1")
+    _BLAS_ONE_THREAD = all(os.environ[v] == "1" for v in _BLAS_VARS)
+
+import numpy as np  # noqa: E402  (after the BLAS thread variables)
 from scipy import __version__ as _scipy_version
 
 from . import __version__
@@ -230,15 +243,101 @@ def field_table(t_vals, x_vals, E):
 # ----------------------------------------------------------------------
 
 def thread_width():
-    """Stamps solved at once: 1.  Each stamp's Cauchy products already
-    run on the BLAS threads, and a stamp pool on top of them measured
-    slower (`benchmark/child.py` reports this as the pool width)."""
-    return 1
+    """Processes that solve stamps at once: one per CPU this process may
+    run on.  It is 1 where a fork cannot pay or is unsafe: without
+    `os.fork` or `os.sched_getaffinity`, with other threads running, or
+    when BLAS may run more than one thread (numpy loaded before this
+    module, or a variable of _BLAS_VARS set to other than 1).  Workers
+    with two BLAS threads each measured 2-10x slower than the serial
+    loop on two cores.  `benchmark/child.py` reports this as the pool
+    width."""
+    if not (_BLAS_ONE_THREAD and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_chunk(fn, chunk):
+    """(results, exception): fn over chunk in order, up to the first
+    item that raises; exception is None when none did."""
+    out = []
+    for it in chunk:
+        try:
+            out.append(fn(it))
+        except Exception as exc:
+            return out, exc
+    return out, None
+
+
+def _worker(fn, chunk, fd):
+    """Body of a forked worker: send _run_chunk's pair, pickled, down
+    the pipe fd and leave without running the parent's exit handlers."""
+    code = 1
+    try:
+        out, exc = _run_chunk(fn, chunk)
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:           # an exception that does not round-trip
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump((out, exc), fh)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def parallel_map(fn, items):
-    """The stamp loop: fn over items, one at a time (see thread_width)."""
-    return [fn(it) for it in items]
+    """[fn(it) for it in items], split across thread_width() processes.
+
+    The parent forks the workers, so whatever fn reads that was built
+    before the call is shared copy-on-write.  Process w of the width
+    solves items[w::width] in order (w = 0 is the parent) and stops at
+    its first exception; each worker sends back its results pickled
+    through a pipe.  As in the serial loop, the exception of the lowest
+    failing item is raised.  A worker that dies raises RuntimeError, and
+    every worker is reaped before this returns or raises.
+    """
+    items = list(items)
+    width = min(thread_width(), len(items))
+    if width <= 1:
+        return [fn(it) for it in items]
+    procs, blobs = [], []
+    try:
+        for w in range(1, width):
+            r, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                _worker(fn, items[w::width], wfd)
+            os.close(wfd)
+            procs.append((pid, os.fdopen(r, "rb")))
+        chunks = [_run_chunk(fn, items[0::width])]
+        blobs = [fh.read() for _, fh in procs]
+    finally:
+        statuses = []
+        for i, (pid, fh) in enumerate(procs):
+            fh.close()
+            if i >= len(blobs):         # still at work: this call is leaving
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for w, (blob, code) in enumerate(zip(blobs, statuses), start=1):
+        if code != 0:
+            how = f"signal {-code}" if code < 0 else f"exit code {code}"
+            raise RuntimeError(f"stamp worker {w} of {width} died ({how})")
+        chunks.append(pickle.loads(blob))
+    failures = [(len(out) * width + w, exc)
+                for w, (out, exc) in enumerate(chunks) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    out = [None] * len(items)
+    for w, (chunk, _) in enumerate(chunks):
+        out[w::width] = chunk
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -273,8 +372,10 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
     wall time of the pole search, the spectral data and the stamp loop,
     and the per-stamp `jump_mixed` and `sie_solve` times summed over
-    stamps.  `boundary_err` and `initial_err` compare the field on the
-    lattice's x = 0 column with E_in and on its t = 0 row with E0.
+    stamps, whichever process solved them (`workers` counts those
+    processes; see parallel_map).  `boundary_err` and `initial_err`
+    compare the field on the lattice's x = 0 column with E_in and on its
+    t = 0 row with E0.
     """
     t_vals = np.asarray(t_vals, dtype=float)
     x_vals = np.asarray(x_vals, dtype=float)
@@ -299,6 +400,8 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     _, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals)
     marks.append(time.perf_counter())
 
+    contour.kernel()            # built once, before the stamp loop forks
+
     def solve_stamp(args):
         it, ix = args
         t, x = t_vals[it], x_vals[ix]
@@ -315,20 +418,21 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
             jd = jd_real
         tic = time.perf_counter()
         res = sie_solve(contour, jd)
-        return res.E, res.diagnostics, (jump_s, time.perf_counter() - tic)
+        return (res.E, res.diagnostics, (jump_s, time.perf_counter() - tic),
+                os.getpid())
 
     stamps = [(it, ix) for it in range(t_vals.size)
               for ix in range(x_vals.size)]
-    out = parallel_map(solve_stamp, stamps)
+    E, diags, times, pids = zip(*parallel_map(solve_stamp, stamps))
     marks.append(time.perf_counter())
     stages = dict(zip(("pole_search_s", "spectral_s", "stamp_loop_s"),
                       np.diff(marks).tolist()))
-    stages["jump_s"], stages["sie_s"] = np.sum([s for *_, s in out], axis=0).tolist()
-    E = np.array([e for e, _, _ in out]).reshape(t_vals.size, x_vals.size)
-    col = {key: np.array([d[key] for _, d, _ in out])
+    stages["jump_s"], stages["sie_s"] = np.sum(times, axis=0).tolist()
+    E = np.array(E).reshape(t_vals.size, x_vals.size)
+    col = {key: np.array([d[key] for d in diags])
            for key in ("residual_rel", "cond", "iterations", "posdef_min")}
     diag = {"n_poles": len(poles), "n_nodes": contour.n_nodes,
-            "n_stamps": len(stamps),
+            "n_stamps": len(stamps), "workers": len(set(pids)),
             "lu_stamps": int(np.count_nonzero(col["iterations"] == 0)),
             "stages": stages, "magnus_steps": magnus_steps_taken() - steps0}
     for key, name in (("residual_rel", "residual_rel"), ("cond", "cond"),

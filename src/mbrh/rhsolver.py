@@ -56,7 +56,7 @@ class Panel:
 @dataclass
 class ContourSigma:
     panels: list
-    _cp: np.ndarray = field(default=None, repr=False)   # see _kernel
+    _cp: np.ndarray = field(default=None, repr=False)   # see kernel
 
     @property
     def nodes(self):
@@ -74,7 +74,7 @@ class ContourSigma:
     def real_axis(self):
         return all(p.kind == "segment" for p in self.panels)
 
-    def _kernel(self):
+    def kernel(self):
         """The one cached N x N matrix: on a real-axis contour C+ is
         exactly I/2 + iH with H real, and H is kept; else C+ itself."""
         if self._cp is None:
@@ -83,13 +83,13 @@ class ContourSigma:
         return self._cp
 
     def cauchy_plus(self):
-        K = self._kernel()
+        K = self.kernel()
         return K if K.dtype == complex else 0.5 * np.eye(len(K)) + 1j * K
 
     def cauchy_apply(self, X):
         """C+[X] for nodal data X (N, k); with H, X/2 + i(HX) by one real
         (N x N)(N x 2k) product on the float view of X."""
-        K = self._kernel()
+        K = self.kernel()
         if K.dtype == complex:
             return K @ X
         return 0.5 * X + 1j * (K @ np.ascontiguousarray(X).view(float)).view(complex)

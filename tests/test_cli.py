@@ -2,15 +2,17 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
 import mbrh
-from mbrh import broadening, rhsolver, spectral
+from mbrh import broadening, cli, rhsolver, spectral
 from mbrh.cli import (
     load_scenario,
     pulse_from_config,
@@ -19,7 +21,8 @@ from mbrh.cli import (
     run_command,
     write_csv,
 )
-from mbrh.errors import InvariantError, NonDecaying, SchemaError
+from mbrh.errors import (IllConditioned, InvariantError, NonDecaying,
+                         SchemaError)
 
 
 def gaussian_table(sign=-1):
@@ -405,21 +408,27 @@ class TestCommands:
         assert sorted(calls) == ["+", "-"]
 
     def test_solve_rh_builds_cauchy_matrix_once(self, monkeypatch, tmp_path):
-        # every stamp shares the contour's Cauchy matrix
-        calls = []
-        orig = rhsolver._build_cauchy_plus
+        # every stamp shares the contour's Cauchy matrix, built before the
+        # stamp loop, so forked workers inherit it rather than build it
+        calls, at_loop = [], []
+        orig, loop = rhsolver._build_cauchy_plus, cli.parallel_map
 
         def counted(contour):
             calls.append(contour)
             return orig(contour)
 
+        def entered(fn, items):
+            at_loop.append(len(calls))
+            return loop(fn, items)
+
         monkeypatch.setattr(rhsolver, "_build_cauchy_plus", counted)
+        monkeypatch.setattr(cli, "parallel_map", entered)
         path = write_scenario(tmp_path, n_panels=4, nodes_per_panel=8)
         rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:2",
                           "--x", "0:2:2", "--no-poles",
                           "--out", str(tmp_path / "rh")])
         assert rc == 0
-        assert len(calls) == 1
+        assert len(calls) == 1 and at_loop == [1]
 
 
 class TestReproductionFigures:
@@ -485,10 +494,11 @@ def test_tabulated_solve_rh_builds_pv_weights_per_run(monkeypatch, tmp_path):
     assert counts == [1, 1]
 
 
-def _fresh_interpreter(code):
-    """Last stdout line of `code` run by a new interpreter on this mbrh."""
+def _fresh_interpreter(code, env=None):
+    """Last stdout line of `code` run by a new interpreter on this mbrh,
+    in `env` (default: this process's environment)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(mbrh.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ if env is None else env, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                          capture_output=True, text=True, check=True)
     return out.stdout.splitlines()[-1]
@@ -572,3 +582,153 @@ def test_pole_circle_solve_loads_scipy_linalg():
         print(before, iterations, 'scipy.linalg' in sys.modules)
         """)
     assert _fresh_interpreter(code) == "False 0 True"
+
+
+# ----------------------------------------------------------------------
+# forked stamp loop (cli.parallel_map): the serial loop's bytes,
+# diagnostics and refusals, and no worker left behind on any exit path
+# ----------------------------------------------------------------------
+
+DESK = dict(T=10.0, L=5.0, E_in={"pulse": "gaussian", "amplitude": 0.8,
+                                 "center": 3.0, "width": 0.7})
+# one zero of a near the imaginary axis: two pole circles, LU on every stamp
+POLE = dict(T=32.0, L=1.0, n_panels=8, nodes_per_panel=8,
+            E_in={"pulse": "sech", "amplitude": 2.0, "center": 16.0,
+                  "width": 1.0})
+
+
+def _solve_rh_width(path, t, x, out, width):
+    """fields.csv bytes and meta.json diagnostics of an `mb-rh solve-rh`
+    process whose stamp loop has `width` processes."""
+    _fresh_interpreter(textwrap.dedent(f"""\
+        from mbrh import cli
+        cli.thread_width = lambda: {width}
+        assert cli.run_command(["solve-rh", "--scenario", {path!r},
+                                "--t", {t!r}, "--x", {x!r},
+                                "--out", {str(out)!r}]) == 0
+        """))
+    with open(out / "meta.json") as fh:
+        diag = json.load(fh)["diagnostics"]
+    return (out / "fields.csv").read_bytes(), diag
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cfg, t, x, lu_stamps", [
+    (DESK, "0:10:21", "0:5:6", 0),
+    (POLE, "14:18:3", "0:1:2", 6),
+], ids=["desk", "pole-circles"])
+def test_forked_stamp_loop_matches_serial(tmp_path, cfg, t, x, lu_stamps):
+    path = write_scenario(tmp_path, **cfg)
+    serial, d1 = _solve_rh_width(path, t, x, tmp_path / "serial", 1)
+    forked, d2 = _solve_rh_width(path, t, x, tmp_path / "forked", 2)
+    assert forked == serial
+    assert (d1["workers"], d2["workers"], d2["lu_stamps"]) == (1, 2, lu_stamps)
+    # every diagnostic but the timings and the process count
+    untimed = lambda d: {k: v for k, v in d.items()
+                         if k not in ("stages", "workers")}
+    assert untimed(d2) == untimed(d1)
+
+
+def test_thread_width_and_parallel_map_order(monkeypatch):
+    # the two hooks benchmark/child.py and spans.py read
+    width = cli.thread_width()
+    assert isinstance(width, int) and width >= 1
+    items = list(range(11))
+    for w in (1, 3):
+        monkeypatch.setattr(cli, "thread_width", lambda: w)
+        out = cli.parallel_map(lambda i: (i, os.getpid()), items)
+        assert [i for i, _ in out] == items
+        assert len({pid for _, pid in out}) == w
+    _assert_no_child()
+
+
+def test_blas_runs_one_thread_unless_preset():
+    code = ("import os, mbrh.cli as c; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], c.thread_width())")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    assert _fresh_interpreter(code, env).split() \
+        == ["1", str(len(os.sched_getaffinity(0)))]
+    assert _fresh_interpreter(code, dict(env, OPENBLAS_NUM_THREADS="2")) \
+        == "2 1"
+
+
+@pytest.mark.parametrize("fails, raised", [
+    ({5: "a", 7: "b"}, "a"),        # both in workers: item 5 comes first
+    ({3: "a", 8: "b"}, "a"),        # the parent's own chunk comes first
+    ({6: "a", 4: "b"}, "b"),        # a worker's item comes first
+])
+def test_parallel_map_raises_lowest_failing_item(monkeypatch, fails, raised):
+    monkeypatch.setattr(cli, "thread_width", lambda: 3)
+
+    def fn(i):
+        if i in fails:
+            raise IllConditioned(fails[i])
+        return i
+
+    with pytest.raises(IllConditioned, match=f"^{raised}$"):
+        cli.parallel_map(fn, range(12))
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("die", [
+    lambda: os._exit(5),
+    lambda: os.kill(os.getpid(), signal.SIGKILL),
+], ids=["exit", "signal"])
+def test_parallel_map_worker_death_raises(monkeypatch, die):
+    monkeypatch.setattr(cli, "thread_width", lambda: 3)
+    parent = os.getpid()
+
+    def fn(i):
+        if i == 4 and os.getpid() != parent:
+            die()
+        return i
+
+    with pytest.raises(RuntimeError, match="stamp worker 1 of 3 died"):
+        cli.parallel_map(fn, range(12))
+    _assert_no_child()
+
+
+def test_parallel_map_interrupt_kills_workers(monkeypatch):
+    monkeypatch.setattr(cli, "thread_width", lambda: 2)
+
+    def fn(i):
+        if i % 2:
+            time.sleep(60)          # a worker still at work
+        elif i == 2:
+            raise KeyboardInterrupt
+        return i
+
+    tic = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli.parallel_map(fn, range(8))
+    assert time.monotonic() - tic < 30
+    _assert_no_child()
+
+
+def test_worker_refusal_exits_as_serial(monkeypatch, capsys, tmp_path):
+    # stamp 3 (t = 3, x = 1) falls to the worker, stamp 4 (t = 4, x = 0)
+    # to the parent: both runs refuse with stamp 3's message
+    orig = cli.sie_solve
+
+    def refusing(contour, jd):
+        if (jd.t, jd.x) in ((3.0, 1.0), (4.0, 0.0)):
+            raise IllConditioned(f"stamp t={jd.t} x={jd.x}")
+        return orig(contour, jd)
+
+    monkeypatch.setattr(cli, "sie_solve", refusing)
+    path = write_scenario(tmp_path, n_panels=4, nodes_per_panel=8, **DESK)
+    seen = []
+    for width in (1, 2):
+        monkeypatch.setattr(cli, "thread_width", lambda: width)
+        rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:3",
+                          "--x", "0:1:2", "--out", str(tmp_path / "rh")])
+        seen.append((rc, capsys.readouterr().err))
+        _assert_no_child()
+    assert seen[0] == seen[1] == (
+        3, "numerical failure (IllConditioned): stamp t=3.0 x=1.0\n")
