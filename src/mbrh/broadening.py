@@ -26,7 +26,6 @@ from .errors import (
 )
 
 ATTENUATOR = -1
-AMPLIFIER = +1
 
 LAM_WINDOW = (-20.0, 20.0)      # default detuning window
 
@@ -134,8 +133,6 @@ class GammaCurve:
     """Polyline of the Im eta = 0 level curve gamma in the upper half-plane."""
 
     points: np.ndarray            # complex, ordered by Re z, Im > 0; may be empty
-    lam_minus: float | None
-    lam_plus: float | None
     nu_max: float
     bounded: bool
     truncated: bool               # curve left the lambda-window
@@ -349,8 +346,8 @@ def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
     (the Lorentzian D+ is unbounded along the real line).
     """
     from scipy.optimize import minimize_scalar
-    empty = GammaCurve(points=np.empty(0, complex), lam_minus=None,
-                       lam_plus=None, nu_max=0.0, bounded=True, truncated=False)
+    empty = GammaCurve(points=np.empty(0, complex), nu_max=0.0, bounded=True,
+                       truncated=False)
     if profile.sign < 0:
         return empty
     lams = np.linspace(lam_window[0], lam_window[1], n_scan)
@@ -362,25 +359,7 @@ def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
     lam_found = np.array([lam for lam, _ in found])
     nu_found = np.array([nu for _, nu in found])
 
-    def _edge(lam_in, lam_out):
-        # bisect the has-root predicate toward the real-axis crossing
-        for _ in range(60):
-            mid = 0.5 * (lam_in + lam_out)
-            if _nu_root(profile, mid) is None:
-                lam_out = mid
-            else:
-                lam_in = mid
-        return lam_in
-
-    truncated = False
-    if lam_found[0] > lams[0]:
-        lam_minus = _edge(lam_found[0], lam_found[0] - (lams[1] - lams[0]))
-    else:
-        lam_minus, truncated = lams[0], True
-    if lam_found[-1] < lams[-1]:
-        lam_plus = _edge(lam_found[-1], lam_found[-1] + (lams[1] - lams[0]))
-    else:
-        lam_plus, truncated = lams[-1], True
+    truncated = bool(lam_found[0] <= lams[0] or lam_found[-1] >= lams[-1])
 
     # refine nu_max around the scan maximum
     k = int(np.argmax(nu_found))
@@ -397,9 +376,8 @@ def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
     bad = np.abs(_im_eta(profile, pts.real, pts.imag)) > curve_tol
     if np.any(bad):
         raise PrincipalValueFailure("curve tracer left residual Im eta > tol")
-    return GammaCurve(points=pts, lam_minus=float(lam_minus),
-                      lam_plus=float(lam_plus), nu_max=float(nu_max),
-                      bounded=not truncated, truncated=truncated)
+    return GammaCurve(points=pts, nu_max=float(nu_max), bounded=not truncated,
+                      truncated=truncated)
 
 
 # ----------------------------------------------------------------------

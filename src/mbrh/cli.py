@@ -34,8 +34,10 @@ from .broadening import (LAM_WINDOW, BroadeningProfile, eta_boundary,
                          gamma_trace, profile_normalize)
 from .direct import integrate_direct
 from .errors import InvariantError, MBRHError, SchemaError
-from .jump import JumpData, jump_mixed, spectral_data
+from .jump import jump_mixed, spectral_data
 from .rhsolver import (
+    N_PANELS,
+    NODES_PER_PANEL,
     contour_build,
     sie_solve,
     soliton_circle_jump,
@@ -45,8 +47,7 @@ from .spectral import (DEFAULT_STEP, ScenarioData, locate_a_zeros,
                        magnus_steps_taken)
 
 POLE_RADIUS = 0.15              # regularizing circle radius, capped at 0.45 Im z
-POLE_STEP = 0.02                # Magnus step of the pole search
-POLE_WINDOW = (-5.0, 5.0, 0.05, 3.0)    # (re lo, re hi, im lo, im hi) searched
+LAM_POINTS = 401                # default detuning nodes of a scenario
 
 
 # ----------------------------------------------------------------------
@@ -174,8 +175,29 @@ def _float_range_int(text):
     return val
 
 
+def discretization(cfg):
+    """(lam_window, lam_points, n_panels, nodes_per_panel) of a scenario
+    config, defaults where unset; SchemaError names a bad key."""
+    win = cfg.get("lam_window", LAM_WINDOW)     # type(), as a bool is an int
+    if not (isinstance(win, (list, tuple)) and len(win) == 2
+            and all(type(v) in (int, float) for v in win) and win[0] < win[1]):
+        raise SchemaError("scenario.lam_window: must be two numbers lo < hi, "
+                          f"got {win!r}")
+    counts = []
+    for key, least, default in (("lam_points", 2, LAM_POINTS),
+                                ("n_panels", 1, N_PANELS),
+                                ("nodes_per_panel", 1, NODES_PER_PANEL)):
+        val = cfg.get(key, default)
+        if type(val) is not int or val < least:
+            raise SchemaError(f"scenario.{key}: must be an integer >= "
+                              f"{least}, got {val!r}")
+        counts.append(val)
+    return ((float(win[0]), float(win[1])), *counts)
+
+
 def load_scenario(path):
-    """Scenario JSON -> (ScenarioData, profile, resolved config dict)."""
+    """Scenario JSON -> (ScenarioData, profile, config dict as read); a bad
+    discretization key is refused here, before any command computes."""
     try:
         with open(path) as fh:
             cfg = json.load(fh, parse_float=_finite_float,
@@ -195,6 +217,7 @@ def load_scenario(path):
     E0 = pulse_from_config(cfg.get("E0"), L, "E0")
     rho0 = rho0_from_config(cfg.get("rho0"))
     profile = profile_from_config(_require(cfg, "profile", "scenario", dict))
+    discretization(cfg)
     scenario = ScenarioData(T=T, L=L, E_in=E_in, E0=E0, rho0=rho0)
     return scenario, profile, cfg
 
@@ -364,7 +387,8 @@ def _line_err(E_line, coords, data, key):
 
 
 def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
-                  n_panels=24, nodes_per_panel=16, find_poles=True):
+                  n_panels=N_PANELS, nodes_per_panel=NODES_PER_PANEL,
+                  find_poles=True):
     """Mixed-problem contour pipeline: pole search -> contour -> spectral
     data and K_pm on the x lattice -> per-stamp jump assembly and contour
     solve.
@@ -375,7 +399,8 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     stamps, whichever process solved them (`workers` counts those
     processes; see parallel_map).  `boundary_err` and `initial_err`
     compare the field on the lattice's x = 0 column with E_in and on its
-    t = 0 row with E0.
+    t = 0 row with E0.  `spectral` holds the scattering table's det and
+    reduction errors, `J0_det_err` the largest det(J0) error of a stamp.
     """
     t_vals = np.asarray(t_vals, dtype=float)
     x_vals = np.asarray(x_vals, dtype=float)
@@ -384,12 +409,9 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     steps0, marks = magnus_steps_taken(), [time.perf_counter()]
     poles = []
     if find_poles and profile.sign < 0:
-        poles = locate_a_zeros(scenario, profile, window=POLE_WINDOW,
-                               step=POLE_STEP)
-    circles = []
-    for (zj, _) in poles:
-        r = min(POLE_RADIUS, 0.45 * zj.imag)
-        circles += [(zj, r), (np.conj(zj), r)]
+        poles = locate_a_zeros(scenario, profile)
+    circles = [(z, min(POLE_RADIUS, 0.45 * zj.imag))
+               for zj, _ in poles for z in (zj, np.conj(zj))]
     marks.append(time.perf_counter())
     contour = contour_build(window=window, n_panels=n_panels,
                             nodes_per_panel=nodes_per_panel, circles=circles)
@@ -397,7 +419,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     n_real = n_panels * nodes_per_panel
     lam = contour.nodes[:n_real].real
     ev = eta_boundary(profile, lam)
-    _, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals)
+    table, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals)
     marks.append(time.perf_counter())
 
     contour.kernel()            # built once, before the stamp loop forks
@@ -408,18 +430,14 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
         tic = time.perf_counter()
         jd_real = jump_mixed(t, x, ev, Kp[ix], Km[ix])
         jump_s = time.perf_counter() - tic
-        if poles:
-            jd_circ = soliton_circle_jump(poles, profile, t, x, contour)
-            J = jd_circ.J.copy()
-            J[:n_real] = jd_real.J
-            jd = JumpData(problem_class="mixed", t=t, x=x,
-                          nodes=contour.nodes, J=J)
-        else:
-            jd = jd_real
+        jd = jd_real
+        if poles:               # the circle jump is I on the axis nodes
+            jd = soliton_circle_jump(poles, profile, t, x, contour)
+            jd.J[:n_real] = jd_real.J
         tic = time.perf_counter()
         res = sie_solve(contour, jd)
-        return (res.E, res.diagnostics, (jump_s, time.perf_counter() - tic),
-                os.getpid())
+        return (res.E, {**res.diagnostics, **jd_real.diagnostics},
+                (jump_s, time.perf_counter() - tic), os.getpid())
 
     stamps = [(it, ix) for it in range(t_vals.size)
               for ix in range(x_vals.size)]
@@ -430,11 +448,14 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     stages["jump_s"], stages["sie_s"] = np.sum(times, axis=0).tolist()
     E = np.array(E).reshape(t_vals.size, x_vals.size)
     col = {key: np.array([d[key] for d in diags])
-           for key in ("residual_rel", "cond", "iterations", "posdef_min")}
+           for key in ("residual_rel", "cond", "iterations", "posdef_min",
+                       "J0_det_err")}
     diag = {"n_poles": len(poles), "n_nodes": contour.n_nodes,
             "n_stamps": len(stamps), "workers": len(set(pids)),
             "lu_stamps": int(np.count_nonzero(col["iterations"] == 0)),
-            "stages": stages, "magnus_steps": magnus_steps_taken() - steps0}
+            "stages": stages, "magnus_steps": magnus_steps_taken() - steps0,
+            "spectral": dict(table.diagnostics),
+            "J0_det_err": float(col["J0_det_err"].max())}
     for key, name in (("residual_rel", "residual_rel"), ("cond", "cond"),
                       ("iterations", "krylov_iters")):
         vals = col[key]
@@ -464,9 +485,12 @@ def soliton_field_grid(nu, t_vals, x_vals, profile):
 def _parse_range(spec, path):
     try:
         a, b, n = spec.split(":")
+        if int(n) < 1:
+            raise ValueError("count below 1")
         return np.linspace(float(a), float(b), int(n))
     except ValueError as exc:
-        raise SchemaError(f"{path}: expected start:stop:count, got '{spec}'") from exc
+        raise SchemaError(f"{path}: expected start:stop:count with count >= 1, "
+                          f"got '{spec}'") from exc
 
 
 def _profile_from_args(args, l=1.0, eps=0.5):
@@ -483,8 +507,8 @@ def _profile_from_args(args, l=1.0, eps=0.5):
 
 def _lam_grid(cfg):
     """Detuning grid of a scenario: lam_points nodes on lam_window."""
-    lo, hi = cfg.get("lam_window", LAM_WINDOW)
-    return np.linspace(lo, hi, int(cfg.get("lam_points", 401)))
+    (lo, hi), points, _, _ = discretization(cfg)
+    return np.linspace(lo, hi, points)
 
 
 def _add_profile_args(p):
@@ -573,10 +597,9 @@ def cmd_solve_rh(args):
     scenario, profile, cfg = load_scenario(args.scenario)
     t_vals = _parse_range(args.t, "--t")
     x_vals = _parse_range(args.x, "--x")
-    E, diag = rh_field_grid(scenario, profile, t_vals, x_vals,
-                            window=tuple(cfg.get("lam_window", LAM_WINDOW)),
-                            n_panels=int(cfg.get("n_panels", 24)),
-                            nodes_per_panel=int(cfg.get("nodes_per_panel", 16)),
+    window, _, n_panels, nodes_per_panel = discretization(cfg)
+    E, diag = rh_field_grid(scenario, profile, t_vals, x_vals, window=window,
+                            n_panels=n_panels, nodes_per_panel=nodes_per_panel,
                             find_poles=not args.no_poles)
     emit_results(args.out, {"fields.csv": field_table(t_vals, x_vals, E)},
                  {"command": "solve-rh", "scenario": cfg,

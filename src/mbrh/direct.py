@@ -43,7 +43,7 @@ class FieldState:
     diagnostics: dict = field(default_factory=dict)
 
 
-def bloch_rotation(E_mid, lam, h, rho, N, out=None, work=None):
+def bloch_rotation(E_mid, lam, h, rho, N, out, work):
     """Advance (rho, N) over one step with the field frozen at midpoint.
 
     The pair evolves by conjugation of F = [[N, rho], [conj rho, -N]]
@@ -55,22 +55,14 @@ def bloch_rotation(E_mid, lam, h, rho, N, out=None, work=None):
     with c = cos(hw) = (1 - t^2)/(1 + t^2), sin(hw) = 2t/(1 + t^2) and
     t = tan(hw/2), for every hw.  At w = 0 the identity is exact.
 
-    With complex rho and real N, shapes broadcasting over (..., Nlam),
-    it returns the new (rho, N) in fresh arrays.  The in-place form takes
-    rho as the real pair (Re rho, Im rho) and N, each (m, Nlam), and
+    rho is the real pair (Re rho, Im rho) and N is real, each (m, Nlam)
+    or broadcasting to it against E_mid (one value per row) and lam.  It
     writes (Re rho', Im rho', N') into the arrays out, which may be the
     inputs (N' None: not formed), using SCRATCH work arrays.
     """
     E = np.asarray(E_mid, dtype=complex)
     lam = np.asarray(lam, dtype=float)
     E = E[..., None] if E.ndim else E                # per x, against lam
-    fresh = out is None
-    if fresh:
-        rho = np.asarray(rho, dtype=complex)
-        shape = np.broadcast_shapes(E.shape, lam.shape, rho.shape, np.shape(N))
-        out = [np.empty(shape) for _ in range(3)]
-        work = [np.empty(shape) for _ in range(SCRATCH)]
-        rho, N = (rho.real, rho.imag), np.asarray(N, dtype=float)
     s, cs, acc, tmp, *P = work
     np.sqrt(np.add(lam * lam, 0.25 * (E.real ** 2 + E.imag ** 2), out=acc),
             out=acc)                                 # w
@@ -98,7 +90,6 @@ def bloch_rotation(E_mid, lam, h, rho, N, out=None, work=None):
             acc *= s
             acc += np.multiply(cs, P[i], out=tmp)
             np.add(r[i], acc, out=out[i])
-    return (out[0] + 1j * out[1], out[2]) if fresh else out
 
 
 def _sphere(B, out, tmp):

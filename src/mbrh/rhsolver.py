@@ -40,6 +40,8 @@ from .jump import JumpData, posdef_check
 # ----------------------------------------------------------------------
 
 CIRCLE_NODES = 64           # trapezoid nodes per pole circle
+N_PANELS = 24               # default real-axis panels
+NODES_PER_PANEL = 16        # default Gauss-Legendre nodes per panel
 
 
 @dataclass
@@ -50,7 +52,6 @@ class Panel:
     diff: np.ndarray            # nodal differentiation matrix (d/dz)
     endpoints: tuple | None     # (a, b) for segments
     center: complex | None = None
-    radius: float | None = None
 
 
 @dataclass
@@ -140,11 +141,11 @@ def circle_panel(center, radius, n_nodes, offset=0.5):
     Dth = _trig_diff(n_nodes)
     D = Dth / dz[:, None]
     return Panel(kind="circle", nodes=nodes, weights=weights, diff=D,
-                 endpoints=None, center=complex(center), radius=float(radius))
+                 endpoints=None, center=complex(center))
 
 
-def contour_build(window=LAM_WINDOW, n_panels=24, nodes_per_panel=16,
-                  circles=()) -> ContourSigma:
+def contour_build(window=LAM_WINDOW, n_panels=N_PANELS,
+                  nodes_per_panel=NODES_PER_PANEL, circles=()) -> ContourSigma:
     """Equal real-axis panels on window (left to right) plus clockwise
     circles of CIRCLE_NODES nodes.
 
@@ -152,12 +153,10 @@ def contour_build(window=LAM_WINDOW, n_panels=24, nodes_per_panel=16,
     multiset is the caller's responsibility (add circles in conjugate
     pairs for off-axis data).
     """
-    panels = []
     edges = np.linspace(window[0], window[1], n_panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        panels.append(segment_panel(a, b, nodes_per_panel))
-    for (c, r) in circles:
-        panels.append(circle_panel(c, r, CIRCLE_NODES))
+    panels = [segment_panel(a, b, nodes_per_panel)
+              for a, b in zip(edges[:-1], edges[1:])]
+    panels += [circle_panel(c, r, CIRCLE_NODES) for c, r in circles]
     if not panels:
         raise EmptyContour("no panels requested")
     return ContourSigma(panels=panels)
@@ -381,6 +380,16 @@ def _gmres(op, b, cond_max):
 # pure-soliton residue algebra
 # ----------------------------------------------------------------------
 
+def residue_constants(poles, profile, t, x):
+    """(z_j, c_j) of poles [(z_j, m_j)] at the stamp (t, x):
+    c_j = m_j e^{-2i(z_j t - x eta(z_j))}, every z_j above the axis."""
+    zj = np.array([z for z, _ in poles], dtype=complex)
+    mj = np.array([m for _, m in poles], dtype=complex)
+    if np.any(zj.imag <= 0):
+        raise SingularResidueSystem("poles must lie strictly above the axis")
+    return zj, mj * np.exp(-2j * (zj * t - x * eta_eval(profile, zj)))
+
+
 def soliton_closed_form(poles, profile, t, x):
     """Reflectionless field from the residue linear system.
 
@@ -393,12 +402,7 @@ def soliton_closed_form(poles, profile, t, x):
     p = len(poles)
     if p == 0:
         return 0.0 + 0.0j, np.zeros((0, 2), complex)
-    zj = np.array([z for z, _ in poles], dtype=complex)
-    mj = np.array([m for _, m in poles], dtype=complex)
-    if np.any(zj.imag <= 0):
-        raise SingularResidueSystem("poles must lie strictly above the axis")
-    eta_j = eta_eval(profile, zj)
-    cj = mj * np.exp(-2j * (zj * t - x * eta_j))
+    zj, cj = residue_constants(poles, profile, t, x)
 
     # a_j - c_j sum_k S_jk conj(b-map(a_k)) = c_j e1, with
     # b_k = (conj(a_k2), -conj(a_k1)) and S_jk = 1/(z_j - conj(z_k))
@@ -434,10 +438,7 @@ def soliton_circle_jump(poles, profile, t, x, contour):
     """Jump data on pole-enclosing clockwise circles equivalent to the
     residue conditions: J = I - c_j/(z - z_j) E12 around z_j and
     J = I + conj(c_j)/(z - z_j*) E21 around z_j*."""
-    zj = np.array([zz for zz, _ in poles], dtype=complex)
-    mj = np.array([m for _, m in poles], dtype=complex)
-    eta_j = eta_eval(profile, zj)
-    cj = mj * np.exp(-2j * (zj * t - x * eta_j))
+    zj, cj = residue_constants(poles, profile, t, x)
     nodes = contour.nodes
     J = np.broadcast_to(np.eye(2, dtype=complex),
                         (nodes.size, 2, 2)).copy()
@@ -452,5 +453,4 @@ def soliton_circle_jump(poles, profile, t, x, contour):
         else:
             j = int(np.argmin(np.abs(np.conj(zj) - p.center)))
             J[idx, 1, 0] = np.conj(cj[j]) / (p.nodes - np.conj(zj[j]))
-    return JumpData(problem_class="mixed", t=float(t), x=float(x),
-                    nodes=nodes, J=J)
+    return JumpData(t=float(t), x=float(x), nodes=nodes, J=J)

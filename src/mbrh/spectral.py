@@ -90,26 +90,12 @@ class ScenarioData:
 
 @dataclass(frozen=True)
 class SpectralTable:
-    """Scattering functions on the real grid plus pole data."""
+    """Scattering functions on the real grid, with their certificates."""
 
-    lam_grid: np.ndarray
     a_plus: np.ndarray
     b_plus: np.ndarray
-    a_bar_plus: np.ndarray
-    b_bar_plus: np.ndarray
-    a_bar_minus: np.ndarray
-    b_bar_minus: np.ndarray
-    a_minus: np.ndarray
-    b_minus: np.ndarray
     r_plus: np.ndarray
     r_bar_minus: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    alpha_plus: np.ndarray
-    beta_plus: np.ndarray
-    alpha_minus: np.ndarray
-    beta_minus: np.ndarray
-    poles: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -341,32 +327,20 @@ def transition_and_reflection(lam_grid, Phi0, w_plus0, w_minus0):
         raise SpectralSingularity(
             f"a vanishes on the real axis near lam={lam[k]:.4f}")
 
-    table = SpectralTable(
-        lam_grid=lam,
+    # reductions a- = conj(a-bar+) and b-bar+ = conj(b-)
+    reduction = np.maximum(np.abs(Tm[..., 1, 1] - np.conj(Tp[..., 0, 0])),
+                           np.abs(Tp[..., 1, 0] + np.conj(Tm[..., 0, 1])))
+    return SpectralTable(
         a_plus=a_plus,
         b_plus=Tp[..., 0, 1],
-        a_bar_plus=Tp[..., 0, 0],
-        b_bar_plus=-Tp[..., 1, 0],
-        a_minus=Tm[..., 1, 1],
-        b_minus=Tm[..., 0, 1],
-        a_bar_minus=Tm[..., 0, 0],
-        b_bar_minus=-Tm[..., 1, 0],
         r_plus=Tp[..., 0, 1] / a_plus,
         r_bar_minus=-Tm[..., 1, 0] / Tm[..., 0, 0],
-        A=Phi0[..., 1, 1],
-        B=Phi0[..., 0, 1],
-        alpha_plus=w_plus0[..., 0, 0],
-        beta_plus=w_plus0[..., 1, 0],
-        alpha_minus=w_minus0[..., 0, 0],
-        beta_minus=w_minus0[..., 1, 0],
         diagnostics={
             "det_Tp_err": float(np.max(np.abs(det2(Tp) - 1.0))),
             "det_Tm_err": float(np.max(np.abs(det2(Tm) - 1.0))),
-            "reduction_err": float(np.max(np.abs(
-                Tm[..., 1, 1] - np.conj(Tp[..., 0, 0])))),
+            "reduction_err": float(np.max(reduction)),
         },
     )
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -409,9 +383,10 @@ def _winding_adaptive(afun, window, n0=32, max_pts=4096):
     raise CountMismatch("winding computation failed to resolve the boundary")
 
 
-def locate_a_zeros(scenario, profile, window=(-5.0, 5.0, 1e-3, 5.0),
-                   step=DEFAULT_STEP):
-    """Zeros of the continued a(z) with residue constants, in a rectangle.
+def locate_a_zeros(scenario, profile, window=(-5.0, 5.0, 0.05, 3.0),
+                   step=0.02):
+    """Zeros of the continued a(z) with residue constants, in the rectangle
+    window = (re lo, re hi, im lo, im hi), Magnus step `step`.
 
     Argument-principle count on the window, recursive subdivision down to
     isolated zeros, then Newton refinement with a central-difference

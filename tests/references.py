@@ -6,8 +6,9 @@ Magnus propagation in matrix form, the x-equation from other terminal
 data, eta by adaptive quadrature, the mixed jump by stacked matmuls, both
 rows of the contour solve, M off the contour, the medium from the solved
 problem, the direct route as a plain loop), the whole-line and
-amplifier-oval jumps whose identities the tests check, or a check that
-tests apply to its output.
+amplifier-oval jumps whose identities the tests check, a check that
+tests apply to its output, or the in-place Bloch rotation on fresh
+arrays.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ from scipy.integrate import quad
 
 from mbrh.broadening import average_weights, eta_boundary
 from mbrh.cli import rho0_from_config
-from mbrh.direct import bloch_rotation
+from mbrh.direct import SCRATCH, bloch_rotation
 from mbrh.errors import MBRHError, SingularK, TooCloseToAxis
 from mbrh.jump import DET_TOL, JumpData
 from mbrh.mat2 import dagger, det2, diag_exp, inv2
@@ -238,8 +239,7 @@ def jump_wholeline(t, x, lam_grid, r_plus, profile) -> JumpData:
     J[..., 0, 1] = -r * np.exp(-2j * lam * t + 2j * x * ev.eta_plus)
     J[..., 1, 0] = -np.conj(r) * np.exp(2j * lam * t - 2j * x * ev.eta_minus)
     J[..., 1, 1] = 1.0
-    return JumpData(problem_class="whole-line", t=float(t), x=float(x),
-                    nodes=lam.astype(complex), J=J)
+    return JumpData(t=float(t), x=float(x), nodes=lam.astype(complex), J=J)
 
 
 def jump_oval(z_nodes, a_vals, b_vals, t, x, eta_vals,
@@ -269,8 +269,7 @@ def jump_oval(z_nodes, a_vals, b_vals, t, x, eta_vals,
     J0[dn, 1, 1] = 0.0
     theta = z * t - x * np.asarray(eta_vals, dtype=complex)
     J = diag_exp(-1j * theta) @ J0 @ diag_exp(1j * theta)
-    return JumpData(problem_class="amplifier-oval", t=float(t), x=float(x),
-                    nodes=z, J=J)
+    return JumpData(t=float(t), x=float(x), nodes=z, J=J)
 
 
 def jump_mixed_reference(t, x, ev, K_plus, K_minus) -> JumpData:
@@ -284,7 +283,7 @@ def jump_mixed_reference(t, x, ev, K_plus, K_minus) -> JumpData:
     J0 = inv2(K_plus) @ K_minus
     left = diag_exp(-1j * (lam * t - x * ev.eta_plus))
     right = diag_exp(1j * (lam * t - x * ev.eta_minus))
-    return JumpData(problem_class="mixed", t=float(t), x=float(x),
+    return JumpData(t=float(t), x=float(x),
                     nodes=lam.astype(complex), J=left @ J0 @ right,
                     diagnostics={"J0_det_err": float(np.max(np.abs(det2(J0) - 1.0)))})
 
@@ -292,6 +291,21 @@ def jump_mixed_reference(t, x, ev, K_plus, K_minus) -> JumpData:
 # ----------------------------------------------------------------------
 # direct route: medium columns and equation residuals
 # ----------------------------------------------------------------------
+
+def bloch_rotation_fresh(E_mid, lam, h, rho, N):
+    """`mbrh.direct.bloch_rotation` on complex rho and real N, shapes
+    broadcasting over (..., Nlam): the integrator's in-place rotation
+    run on fresh arrays, returning the new (rho, N)."""
+    E = np.asarray(E_mid, dtype=complex)
+    lam = np.asarray(lam, dtype=float)
+    rho = np.asarray(rho, dtype=complex)
+    shape = np.broadcast_shapes(E[..., None].shape if E.ndim else (),
+                                lam.shape, rho.shape, np.shape(N))
+    out = [np.empty(shape) for _ in range(3)]
+    bloch_rotation(E, lam, h, (rho.real, rho.imag), np.asarray(N, float),
+                   out=out, work=[np.empty(shape) for _ in range(SCRATCH)])
+    return out[0] + 1j * out[1], out[2]
+
 
 def cayley_klein_rotation(E_mid, lam, h, rho, N):
     """`mbrh.direct.bloch_rotation` in complex Cayley-Klein form: R is
@@ -367,7 +381,7 @@ def medium_history(scenario, st, ix=slice(None)):
             rho[0, j] = sl.rho
             N[0, j] = sl.N
     for k in range(E.shape[0] - 1):
-        rho[k + 1], N[k + 1] = bloch_rotation(
+        rho[k + 1], N[k + 1] = bloch_rotation_fresh(
             0.5 * (E[k] + E[k + 1]), lam, dt, rho[k], N[k])
     return rho, N
 

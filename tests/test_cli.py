@@ -175,6 +175,61 @@ class TestLoadScenario:
                             "--out", str(tmp_path / "sp")]) == 2
         assert not os.path.exists(tmp_path / "sp")
 
+    @pytest.mark.parametrize("key, value, command", [
+        ("lam_window", [20, -20], "solve-direct"),
+        ("lam_window", [20, -20], "solve-rh"),
+        ("lam_window", [-20, 0, 20], "solve-rh"),
+        ("lam_window", [-20, 0, 20], "spectra"),
+        ("lam_window", [-20, 0, 20], "solve-direct"),
+        ("lam_window", [-20, True], "spectra"),
+        ("lam_points", "abc", "spectra"),
+        ("lam_points", "abc", "solve-direct"),
+        ("lam_points", True, "spectra"),
+        ("lam_points", 1, "spectra"),
+        ("n_panels", 0, "solve-rh"),
+        ("n_panels", -3, "solve-rh"),
+        ("n_panels", 2.7, "solve-rh"),
+        ("nodes_per_panel", 0, "solve-rh"),
+    ])
+    def test_bad_discretization_key_refused(self, tmp_path, key, value,
+                                            command):
+        # a reversed window ran with exit 0 and a wrong field, a 3-entry
+        # one ran solve-rh on its first two entries; the rest ended in a
+        # traceback or were silently truncated
+        path = write_scenario(tmp_path, **{key: value})
+        with pytest.raises(SchemaError, match=f"scenario.{key}"):
+            load_scenario(path)
+        args = {"solve-rh": ["--t", "2:4:2", "--x", "0:1:2", "--no-poles"],
+                "solve-direct": ["--dt", "0.1"], "spectra": []}[command]
+        out = tmp_path / "out"
+        assert run_command([command, "--scenario", path, *args,
+                            "--out", str(out)]) == 2
+        assert not os.path.exists(out)
+
+    def test_discretization_defaults_stay_out_of_the_config(self, tmp_path):
+        path = write_scenario(tmp_path)
+        _, _, cfg = load_scenario(path)
+        with open(path) as fh:
+            assert cfg == json.load(fh)
+        assert cli.discretization(cfg) == (broadening.LAM_WINDOW, 401,
+                                           rhsolver.N_PANELS,
+                                           rhsolver.NODES_PER_PANEL)
+        path = write_scenario(tmp_path, lam_window=[-16, 16], lam_points=257,
+                              n_panels=8, nodes_per_panel=12)
+        assert cli.discretization(load_scenario(path)[2]) == (
+            (-16.0, 16.0), 257, 8, 12)
+
+    @pytest.mark.parametrize("pulse", ["gaussian", "sech"])
+    def test_chirped_pulse(self, tmp_path, pulse):
+        block = {"pulse": pulse, "amplitude": 0.6, "center": 2.5,
+                 "width": 0.8, "chirp": 1.5}
+        sc, _, _ = load_scenario(write_scenario(tmp_path, E_in=block))
+        t = np.array([0.0, 1.3, 2.5, 3.7, 6.0])
+        u = (t - 2.5) / 0.8
+        g = np.exp(-u ** 2) if pulse == "gaussian" else 1.0 / np.cosh(u)
+        want = 0.6 * g * np.exp(1.5j * t)
+        assert np.max(np.abs(sc.E_in(t) - want)) <= 1e-15
+
     def test_tabulated_profile_is_normalized(self):
         # a positive table loads with the sign of the medium and unit mass
         prof = profile_from_config(gaussian_table(sign=-1))
@@ -374,6 +429,25 @@ class TestCommands:
         # the lattice holds the x = 0 column but no t = 0 row
         assert set(diag["boundary_err"]) == {"value", "t"}
         assert diag["initial_err"] is None
+        # the scattering table's certificates and the largest det(J0)
+        # error over the stamps
+        assert set(diag["spectral"]) == {"det_Tp_err", "det_Tm_err",
+                                         "reduction_err"}
+        assert all(0.0 <= v < 1e-10 for v in diag["spectral"].values())
+        assert 0.0 <= diag["J0_det_err"] < 1e-10
+
+    @pytest.mark.parametrize("argv", [
+        ["solve-rh", "--scenario", "SCENARIO", "--t", "0:10:0", "--x", "0:1:2"],
+        ["solve-rh", "--scenario", "SCENARIO", "--t", "0:1:2", "--x", "0:1:-1"],
+        ["soliton", "--nu", "0.5", "--t", "0:10:0", "--x", "0:1:2"],
+    ])
+    def test_range_count_below_one_refused(self, tmp_path, argv):
+        # a zero count ended solve-rh and soliton in a traceback
+        argv = [str(write_scenario(tmp_path)) if a == "SCENARIO" else a
+                for a in argv]
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 2
+        assert not os.path.exists(out)
 
     def test_exit_2_on_config_error(self, tmp_path):
         assert run_command(["spectra", "--scenario",

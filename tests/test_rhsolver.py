@@ -77,8 +77,7 @@ def reconstruct_F(evalM, profile, t, x, lam_targets, delta=0.05, hx=1e-3):
 def identity_jump(contour, t=0.0, x=0.0):
     n = contour.n_nodes
     J = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    return JumpData(problem_class="whole-line", t=t, x=x,
-                    nodes=contour.nodes, J=J)
+    return JumpData(t=t, x=x, nodes=contour.nodes, J=J)
 
 
 class TestContour:
@@ -229,8 +228,7 @@ class TestSieSolve:
         c = contour_build(n_panels=6, nodes_per_panel=6)
         J = np.broadcast_to(np.diag([-2.0 + 0j, 1.0]),
                             (c.n_nodes, 2, 2)).copy()
-        jd = JumpData(problem_class="whole-line", t=0.0, x=0.0,
-                      nodes=c.nodes, J=J)
+        jd = JumpData(t=0.0, x=0.0, nodes=c.nodes, J=J)
         with pytest.raises(PosdefViolated):
             sie_solve(c, jd)
 
