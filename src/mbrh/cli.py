@@ -471,26 +471,26 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     return E, diag
 
 
-def soliton_field_grid(nu, t_vals, x_vals, profile):
-    poles = [(1j * float(nu), 1.0 + 0.0j)]
-    E = np.array([[soliton_closed_form(poles, profile, t, x)[0]
-                   for x in x_vals] for t in t_vals])
-    return E, poles
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
-def _parse_range(spec, path):
+def _parse_range(spec, path, hi=None):
+    """start:stop:count -> np.linspace; with hi, every value must lie
+    in [0, hi]."""
     try:
         a, b, n = spec.split(":")
-        if int(n) < 1:
-            raise ValueError("count below 1")
-        return np.linspace(float(a), float(b), int(n))
+        a, b, n = float(a), float(b), int(n)
+        if n < 1 or not np.isfinite([a, b]).all():
+            raise ValueError("count below 1 or non-finite end")
     except ValueError as exc:
-        raise SchemaError(f"{path}: expected start:stop:count with count >= 1, "
-                          f"got '{spec}'") from exc
+        raise SchemaError(f"{path}: expected start:stop:count with finite "
+                          f"ends and count >= 1, got '{spec}'") from exc
+    vals = np.linspace(a, b, n)
+    if hi is not None and not (0.0 <= vals.min() and vals.max() <= hi):
+        raise SchemaError(f"{path}: '{spec}' leaves the problem's range "
+                          f"[0, {hi:g}]")
+    return vals
 
 
 def _profile_from_args(args, l=1.0, eps=0.5):
@@ -595,8 +595,8 @@ def cmd_jump(args):
 
 def cmd_solve_rh(args):
     scenario, profile, cfg = load_scenario(args.scenario)
-    t_vals = _parse_range(args.t, "--t")
-    x_vals = _parse_range(args.x, "--x")
+    t_vals = _parse_range(args.t, "--t", scenario.T)
+    x_vals = _parse_range(args.x, "--x", scenario.L)
     window, _, n_panels, nodes_per_panel = discretization(cfg)
     E, diag = rh_field_grid(scenario, profile, t_vals, x_vals, window=window,
                             n_panels=n_panels, nodes_per_panel=nodes_per_panel,
@@ -627,7 +627,9 @@ def cmd_soliton(args):
     t_vals = _parse_range(args.t, "--t")
     x_vals = _parse_range(args.x, "--x")
     profile, block = _profile_from_args(args, eps=1e-3)
-    E, poles = soliton_field_grid(args.nu, t_vals, x_vals, profile)
+    poles = [(1j * args.nu, 1.0 + 0.0j)]
+    E, _ = soliton_closed_form(poles, profile, t_vals[:, None],
+                               x_vals[None, :])
     emit_results(args.out, {"fields.csv": field_table(t_vals, x_vals, E)},
                  {"command": "soliton", "nu": args.nu, "profile": block,
                   "t": args.t, "x": args.x},

@@ -15,9 +15,12 @@ runs on numpy alone; `scipy.linalg` is imported by the first LU stamp,
 so only a run with one (`lu_stamps` > 0 in `meta.json`) pays for
 loading it.
 
-Pure-soliton (reflectionless) data bypasses the contour entirely through
-the closed-form residue algebra; inside a contour solve each pole is
-replaced by a small clockwise circle carrying a rank-one jump.
+Pure-soliton (reflectionless) data bypasses the contour entirely: its
+residue conditions are one complex 2p x 2p linear system per stamp, and
+a whole (t, x) lattice is solved by one batched call.  A residue
+constant c_j that overflows (2 Im z_j t past about 709) is refused.
+Inside a contour solve each pole is replaced by a small clockwise circle
+carrying a rank-one jump.
 """
 
 from dataclasses import dataclass, field
@@ -381,57 +384,50 @@ def _gmres(op, b, cond_max):
 # ----------------------------------------------------------------------
 
 def residue_constants(poles, profile, t, x):
-    """(z_j, c_j) of poles [(z_j, m_j)] at the stamp (t, x):
-    c_j = m_j e^{-2i(z_j t - x eta(z_j))}, every z_j above the axis."""
+    """(z_j, c_j) of poles [(z_j, m_j)] at the stamps (t, x), which
+    broadcast together: c_j = m_j e^{-2i(z_j t - x eta(z_j))} on a
+    trailing axis of length p, every z_j above the axis.  A c_j that
+    overflows is refused (`SingularResidueSystem`)."""
     zj = np.array([z for z, _ in poles], dtype=complex)
     mj = np.array([m for _, m in poles], dtype=complex)
     if np.any(zj.imag <= 0):
         raise SingularResidueSystem("poles must lie strictly above the axis")
-    return zj, mj * np.exp(-2j * (zj * t - x * eta_eval(profile, zj)))
+    t = np.asarray(t, dtype=float)[..., None]
+    x = np.asarray(x, dtype=float)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cj = mj * np.exp(-2j * (zj * t - x * eta_eval(profile, zj)))
+    if not np.all(np.isfinite(cj)):
+        raise SingularResidueSystem(
+            "residue constant c_j overflows (2 Im z_j t beyond float range)")
+    return zj, cj
 
 
 def soliton_closed_form(poles, profile, t, x):
-    """Reflectionless field from the residue linear system.
+    """Reflectionless field from the residue conditions, at every stamp
+    of t and x broadcast together.
 
     poles: list of (z_j in C+, m_j).  M = I + sum_j (A_j/(z - z_j)
-    + B_j/(z - z_j*)) with A_j supported on column 2 and B_j its
-    sigma2-conjugate; the residue conditions close into an antilinear
-    system for the column vectors a_j, solved as a real system of
-    dimension 4p.  Returns (E, a) with a the stacked column vectors.
+    + B_j/(z - z_j*)) with A_j = [0, a_j] and B_j its sigma2-conjugate.
+    With a_j = (u_j, v_j) and M_jk = c_j / (z_j - conj z_k), the
+    antilinear residue conditions u - M conj(v) = c, v + M conj(u) = 0
+    are complex-linear in (u, w = conj v):
+    [[I, -M], [conj M, I]] [u; w] = [c; 0], one 2p x 2p system per
+    stamp, all solved by one batched call.  Returns (E, a), a of shape
+    (..., p, 2) holding (u, conj w).
     """
-    p = len(poles)
-    if p == 0:
-        return 0.0 + 0.0j, np.zeros((0, 2), complex)
     zj, cj = residue_constants(poles, profile, t, x)
-
-    # a_j - c_j sum_k S_jk conj(b-map(a_k)) = c_j e1, with
-    # b_k = (conj(a_k2), -conj(a_k1)) and S_jk = 1/(z_j - conj(z_k))
-    S = 1.0 / (zj[:, None] - np.conj(zj)[None, :])
-
-    # real formulation: unknown u = [Re a; Im a], a flattened (p, 2)
-    dim = 2 * p
-    Lmap = np.zeros((2 * dim, 2 * dim))
-    # action: (T a)_j = c_j sum_k S_jk (conj(a_k2), -conj(a_k1))
-    # build as a real-linear operator on u
-    basis = np.eye(2 * dim)
-    for col in range(2 * dim):
-        u = basis[:, col]
-        a = (u[:dim] + 1j * u[dim:]).reshape(p, 2)
-        b = np.stack([np.conj(a[:, 1]), -np.conj(a[:, 0])], axis=1)
-        Ta = cj[:, None] * (S @ b)
-        Lmap[:, col] = np.concatenate([Ta.real.ravel(), Ta.imag.ravel()])
-    rhs_c = np.zeros((p, 2), complex)
-    rhs_c[:, 0] = cj
-    rhs = np.concatenate([rhs_c.real.ravel(), rhs_c.imag.ravel()])
-    sys = np.eye(2 * dim) - Lmap
+    p = zj.size
+    M = cj[..., :, None] / (zj[:, None] - np.conj(zj)[None, :])
+    eye = np.broadcast_to(np.eye(p), M.shape)
+    A = np.block([[eye, -M], [np.conj(M), eye]])
+    rhs = np.concatenate([cj, np.zeros_like(cj)], axis=-1)[..., None]
     try:
-        sol = np.linalg.solve(sys, rhs)
+        sol = np.linalg.solve(A, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularResidueSystem(str(exc)) from exc
-    a = (sol[:dim] + 1j * sol[dim:]).reshape(p, 2)
-    # z^{-1} moment: column-2 residues A_j contribute a_j1 at entry (1,2)
-    E = -4j * np.sum(a[:, 0])
-    return E, a
+    u, w = sol[..., :p], sol[..., p:]
+    # z^{-1} moment: column-2 residues A_j contribute u_j at entry (1,2)
+    return -4j * np.sum(u, axis=-1), np.stack([u, np.conj(w)], axis=-1)
 
 
 def soliton_circle_jump(poles, profile, t, x, contour):

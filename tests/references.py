@@ -4,7 +4,8 @@ None of this runs in an `mb-rh` command: each function here is a second
 route to a quantity the package computes (the Lax generators and the
 Magnus propagation in matrix form, the x-equation from other terminal
 data, eta by adaptive quadrature, the mixed jump by stacked matmuls, both
-rows of the contour solve, M off the contour, the medium from the solved
+rows of the contour solve, the residue algebra as a real 4p-dimensional
+map at one stamp, M off the contour, the medium from the solved
 problem, the direct route as a plain loop), the whole-line and
 amplifier-oval jumps whose identities the tests check, a check that
 tests apply to its output, or the in-place Bloch rotation on fresh
@@ -19,10 +20,11 @@ from scipy.integrate import quad
 from mbrh.broadening import average_weights, eta_boundary
 from mbrh.cli import rho0_from_config
 from mbrh.direct import SCRATCH, bloch_rotation
-from mbrh.errors import MBRHError, SingularK, TooCloseToAxis
+from mbrh.errors import (MBRHError, SingularK, SingularResidueSystem,
+                         TooCloseToAxis)
 from mbrh.jump import DET_TOL, JumpData
 from mbrh.mat2 import dagger, det2, diag_exp, inv2
-from mbrh.rhsolver import sie_solve, soliton_closed_form
+from mbrh.rhsolver import residue_constants, sie_solve, soliton_closed_form
 from mbrh.spectral import DEFAULT_STEP, ScenarioData, xbank_propagate
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -469,6 +471,52 @@ def evaluate_M(Q, contour, jd, z):
     Y = P @ (np.eye(2) - jd.J)                           # (N, 2, 2)
     kern = contour.weights[None, :] / (contour.nodes[None, :] - z[:, None])
     return np.eye(2) + np.einsum("zj,jab->zab", kern, Y) / (2j * np.pi)
+
+
+def soliton_closed_form_real(poles, profile, t, x):
+    """Reflectionless field from the residue linear system at one stamp
+    (t, x): the real form that `mbrh.rhsolver.soliton_closed_form`
+    replaced, kept as its reference.
+
+    poles: list of (z_j in C+, m_j).  M = I + sum_j (A_j/(z - z_j)
+    + B_j/(z - z_j*)) with A_j supported on column 2 and B_j its
+    sigma2-conjugate; the residue conditions close into an antilinear
+    system for the column vectors a_j, solved as a real system of
+    dimension 4p.  Returns (E, a) with a the stacked column vectors.
+    """
+    p = len(poles)
+    if p == 0:
+        return 0.0 + 0.0j, np.zeros((0, 2), complex)
+    zj, cj = residue_constants(poles, profile, t, x)
+
+    # a_j - c_j sum_k S_jk conj(b-map(a_k)) = c_j e1, with
+    # b_k = (conj(a_k2), -conj(a_k1)) and S_jk = 1/(z_j - conj(z_k))
+    S = 1.0 / (zj[:, None] - np.conj(zj)[None, :])
+
+    # real formulation: unknown u = [Re a; Im a], a flattened (p, 2)
+    dim = 2 * p
+    Lmap = np.zeros((2 * dim, 2 * dim))
+    # action: (T a)_j = c_j sum_k S_jk (conj(a_k2), -conj(a_k1))
+    # build as a real-linear operator on u
+    basis = np.eye(2 * dim)
+    for col in range(2 * dim):
+        u = basis[:, col]
+        a = (u[:dim] + 1j * u[dim:]).reshape(p, 2)
+        b = np.stack([np.conj(a[:, 1]), -np.conj(a[:, 0])], axis=1)
+        Ta = cj[:, None] * (S @ b)
+        Lmap[:, col] = np.concatenate([Ta.real.ravel(), Ta.imag.ravel()])
+    rhs_c = np.zeros((p, 2), complex)
+    rhs_c[:, 0] = cj
+    rhs = np.concatenate([rhs_c.real.ravel(), rhs_c.imag.ravel()])
+    sys = np.eye(2 * dim) - Lmap
+    try:
+        sol = np.linalg.solve(sys, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularResidueSystem(str(exc)) from exc
+    a = (sol[:dim] + 1j * sol[dim:]).reshape(p, 2)
+    # z^{-1} moment: column-2 residues A_j contribute a_j1 at entry (1,2)
+    E = -4j * np.sum(a[:, 0])
+    return E, a
 
 
 def soliton_evaluate_M(poles, profile, t, x, z):

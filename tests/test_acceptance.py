@@ -272,7 +272,8 @@ def test_criterion_09_one_soliton_triangle():
     t0 = 8.0
 
     def E_cl(t, x):
-        return soliton_closed_form(poles, prof, t - t0, x)[0]
+        """Closed-form field on t and x broadcast together."""
+        return soliton_closed_form(poles, prof, np.asarray(t) - t0, x)[0]
 
     def rho0(x, lam):
         M = soliton_evaluate_M(poles, prof, -t0, x,
@@ -280,16 +281,13 @@ def test_criterion_09_one_soliton_triangle():
         F = M @ SIG3 @ np.conj(np.swapaxes(M, -1, -2))
         return F[..., 0, 1]
 
-    sc = ScenarioData(
-        T=16.0, L=2.0,
-        E_in=lambda t: np.array([E_cl(tv, 0.0) for tv in np.atleast_1d(t)]),
-        E0=lambda x: np.array([E_cl(0.0, xv) for xv in np.atleast_1d(x)]),
-        rho0=rho0)
+    sc = ScenarioData(T=16.0, L=2.0, E_in=lambda t: E_cl(t, 0.0),
+                      E0=lambda x: E_cl(0.0, x), rho0=rho0)
     lam = np.linspace(-1e-3, 1e-3, 9)
     st = integrate_direct(sc, prof, lam, dt=0.01)
     ts = st.t_grid[::8][:200]
     xs = st.x_grid[:200]
-    closed = np.array([[E_cl(t, x) for x in xs] for t in ts])
+    closed = E_cl(ts[:, None], xs[None, :])
     sup = np.max(np.abs(closed))
     err_direct = np.max(np.abs(st.E[::8][:200, :200] - closed)) / sup
 

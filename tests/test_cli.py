@@ -449,6 +449,52 @@ class TestCommands:
         assert run_command(argv + ["--out", str(out)]) == 2
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve-rh", "--scenario", "SCENARIO", "--t=nan:4:2", "--x=0:1:2"],
+         "--t"),
+        (["solve-rh", "--scenario", "SCENARIO", "--t=0:inf:2", "--x=0:1:2"],
+         "--t"),
+        (["solve-rh", "--scenario", "SCENARIO", "--t=0:4:2", "--x=-inf:1:2"],
+         "--x"),
+        (["soliton", "--nu", "0.5", "--t=nan:4:2", "--x=0:1:2"], "--t"),
+        (["soliton", "--nu", "0.5", "--t=0:4:2", "--x=0:inf:2"], "--x"),
+    ])
+    def test_non_finite_range_refused(self, tmp_path, capsys, argv, flag):
+        # solve-rh --t nan:4:2 ended in a ValueError traceback
+        argv = [str(write_scenario(tmp_path)) if a == "SCENARIO" else a
+                for a in argv]
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 2
+        assert not os.path.exists(out)
+        assert capsys.readouterr().err.startswith(f"config error: {flag}:")
+
+    @pytest.mark.parametrize("t, x, flag", [
+        ("0:40:2", "0:1:2", "--t"),
+        ("-1:4:2", "0:1:2", "--t"),
+        ("0:4:2", "0:3:2", "--x"),
+        ("0:4:2", "-0.5:1:2", "--x"),
+    ])
+    def test_stamps_outside_the_rectangle_refused(self, tmp_path, capsys,
+                                                  t, x, flag):
+        # on T = 6, L = 2, --t 0:40:2 exited 0 with a field at t = 40 and
+        # boundary_err 2.3e5 there
+        path = write_scenario(tmp_path)
+        out = tmp_path / "rh"
+        assert run_command(["solve-rh", "--scenario", path, f"--t={t}",
+                            f"--x={x}", "--no-poles", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"config error: {flag}:")
+
+    def test_overflowing_soliton_refused(self, tmp_path, capsys):
+        # c = e^{2 nu t} overflows past t ~ 709: the run exited 0 and
+        # wrote NaN rows ("|E| peak nan")
+        out = tmp_path / "sol"
+        assert run_command(["soliton", "--nu", "0.5", "--t", "0:2000:3",
+                            "--x", "0:1:2", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "numerical failure (SingularResidueSystem)")
+
     def test_exit_2_on_config_error(self, tmp_path):
         assert run_command(["spectra", "--scenario",
                             str(tmp_path / "nope.json")]) == 2

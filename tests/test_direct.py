@@ -236,7 +236,8 @@ class TestIntegrateDirect:
         t0 = 8.0
 
         def E_cl(t, x):
-            return soliton_closed_form(poles, prof, t - t0, x)[0]
+            """Closed-form field on t and x broadcast together."""
+            return soliton_closed_form(poles, prof, np.asarray(t) - t0, x)[0]
 
         def rho0(x, lam):
             M = soliton_evaluate_M(poles, prof, -t0, x,
@@ -245,16 +246,11 @@ class TestIntegrateDirect:
             F = M @ sig @ np.conj(np.swapaxes(M, -1, -2))
             return F[..., 0, 1]
 
-        sc = ScenarioData(
-            T=16.0, L=2.0,
-            E_in=lambda t: np.array([E_cl(tv, 0.0)
-                                     for tv in np.atleast_1d(t)]),
-            E0=lambda x: np.array([E_cl(0.0, xv)
-                                   for xv in np.atleast_1d(x)]),
-            rho0=rho0)
+        sc = ScenarioData(T=16.0, L=2.0, E_in=lambda t: E_cl(t, 0.0),
+                          E0=lambda x: E_cl(0.0, x), rho0=rho0)
         lam = np.linspace(-1e-3, 1e-3, 9)
         st = integrate_direct(sc, prof, lam, dt=0.02)
-        want = np.array([E_cl(t, 2.0) for t in st.t_grid])
+        want = E_cl(st.t_grid, 2.0)
         err = np.max(np.abs(st.E[:, -1] - want)) / np.max(np.abs(want))
         assert err < 1e-2
 

@@ -17,6 +17,7 @@ from mbrh.rhsolver import (
     ContourSigma,
     circle_panel,
     contour_build,
+    residue_constants,
     segment_panel,
     sie_solve,
     soliton_circle_jump,
@@ -30,10 +31,12 @@ from references import (
     jump_wholeline,
     reconstruct_F_nodes,
     sie_solve_full,
+    soliton_closed_form_real,
     soliton_evaluate_M,
 )
 
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
+DELTA = BroadeningProfile.delta_approx(1e-3, sign=-1)
 
 
 def reconstruct_F(evalM, profile, t, x, lam_targets, delta=0.05, hx=1e-3):
@@ -410,8 +413,7 @@ class TestSolitonClosedForm:
         nu, kappa = 0.5, 0.5 + 0.5
         x = 0.7
         ts = np.linspace(-5, 8, 400)
-        amp = np.array([abs(soliton_closed_form(self.poles, self.prof,
-                                                t, x)[0]) for t in ts])
+        amp = np.abs(soliton_closed_form(self.poles, self.prof, ts, x)[0])
         assert abs(np.max(amp) - 4 * nu) < 1e-3
         d0 = 2 * kappa * x - 2 * nu * ts[np.argmax(amp)]
         want = 4 * nu / np.cosh(2 * nu * ts - 2 * kappa * x - d0)
@@ -444,6 +446,65 @@ class TestSolitonClosedForm:
         Ea, _ = soliton_closed_form(poles[:1], self.prof, 0.0, 0.0)
         Eb, _ = soliton_closed_form(poles[1:], self.prof, 0.0, 0.0)
         assert abs(E2 - (Ea + Eb)) < 1e-4
+
+
+def random_poles(seed):
+    """1 to 4 poles with Im z in [0.2, 1.5] and complex norming constants."""
+    rng = np.random.default_rng(seed)
+    p = 1 + seed % 4
+    z = rng.uniform(-1.0, 1.0, p) + 1j * rng.uniform(0.2, 1.5, p)
+    m = rng.normal(size=p) + 1j * rng.normal(size=p)
+    return list(zip(z, m))
+
+
+@pytest.mark.parametrize("profile, seed, tol", [(DELTA, None, 1e-14)] + [
+    (prof, seed, 1e-11) for prof in (LOR, DELTA) for seed in range(8)],
+    ids=["one-pole"] + [f"{name}-{seed}" for name in ("lorentzian", "delta")
+                        for seed in range(8)])
+def test_complex_system_matches_real_form(profile, seed, tol):
+    # the 2p x 2p complex system on a whole lattice against the real
+    # 4p-dimensional map solved stamp by stamp
+    poles = [(0.5j, 1.0 + 0.0j)] if seed is None else random_poles(seed)
+    t = np.linspace(-2.0, 2.0, 9)[:, None]
+    x = np.linspace(0.0, 1.5, 4)[None, :]
+    E, a = soliton_closed_form(poles, profile, t, x)
+    assert E.shape == (9, 4) and a.shape == (9, 4, len(poles), 2)
+    stamps = [[soliton_closed_form_real(poles, profile, tv, xv)
+               for xv in x[0]] for tv in t[:, 0]]
+    E_ref = np.array([[E_s for E_s, _ in row] for row in stamps])
+    a_ref = np.array([[a_s for _, a_s in row] for row in stamps])
+    assert np.max(np.abs(E - E_ref)) <= tol * np.max(np.abs(E_ref))
+    assert np.max(np.abs(a - a_ref)) <= tol * np.max(np.abs(a_ref))
+
+    # one lattice call is the stamp-by-stamp calls
+    each = np.array([[soliton_closed_form(poles, profile, tv, xv)[0]
+                      for xv in x[0]] for tv in t[:, 0]])
+    assert np.max(np.abs(E - each)) <= 1e-15 * np.max(np.abs(each))
+
+    # residue conditions a_j - c_j sum_k b_k / (z_j - conj z_k) = c_j e1,
+    # b_k = (conj a_k2, -conj a_k1), relative to max |c_j| per stamp
+    zj, cj = residue_constants(poles, profile, t, x)
+    b = np.stack([np.conj(a[..., 1]), -np.conj(a[..., 0])], axis=-1)
+    S = 1.0 / (zj[:, None] - np.conj(zj)[None, :])
+    res = a - cj[..., None] * np.einsum("jk,...kc->...jc", S, b)
+    res[..., 0] -= cj
+    worst = np.max(np.abs(res), axis=(-2, -1)) / np.max(np.abs(cj), axis=-1)
+    assert np.max(worst) < 1e-14
+
+
+def test_overflowing_residue_constant_refused():
+    # c_j = m_j e^{-2i z_j t} overflows once 2 Im z_j t passes ~709: the
+    # closed form wrote NaN and the circle jump would carry inf
+    poles = [(0.5j, 1.0 + 0.0j)]
+    c = ContourSigma(panels=[circle_panel(0.5j, 0.15, 16),
+                             circle_panel(-0.5j, 0.15, 16)])
+    for call in (lambda: soliton_closed_form(poles, DELTA, [0.0, 1000.0], 0.0),
+                 lambda: soliton_circle_jump(poles, DELTA, 1000.0, 0.0, c)):
+        with pytest.raises(SingularResidueSystem, match="overflows"):
+            call()
+    # 2 Im z t = 700 still solves, to the field's e^{-700} tail
+    E, _ = soliton_closed_form(poles, DELTA, 700.0, 0.0)
+    assert np.isfinite(E) and abs(E) < 1e-300
 
 
 class TestPoleCircleRoute:
