@@ -28,6 +28,7 @@ from .errors import (
 ATTENUATOR = -1
 
 LAM_WINDOW = (-20.0, 20.0)      # default detuning window
+LAM_POINTS = 401                # default detuning nodes on it
 
 # Data counts as vanished at a grid end when |f| there is at most this
 # fraction of max |f| (tabulated weights, p.v. targets on an end node).

@@ -30,8 +30,8 @@ import numpy as np  # noqa: E402  (after the BLAS thread variables)
 from scipy import __version__ as _scipy_version
 
 from . import __version__
-from .broadening import (LAM_WINDOW, BroadeningProfile, eta_boundary,
-                         gamma_trace, profile_normalize)
+from .broadening import (LAM_POINTS, LAM_WINDOW, BroadeningProfile,
+                         eta_boundary, gamma_trace, profile_normalize)
 from .direct import integrate_direct
 from .errors import InvariantError, MBRHError, SchemaError
 from .jump import jump_mixed, spectral_data
@@ -39,15 +39,12 @@ from .rhsolver import (
     N_PANELS,
     NODES_PER_PANEL,
     contour_build,
+    residue_constants,
     sie_solve,
-    soliton_circle_jump,
     soliton_closed_form,
 )
 from .spectral import (DEFAULT_STEP, ScenarioData, locate_a_zeros,
                        magnus_steps_taken)
-
-POLE_RADIUS = 0.15              # regularizing circle radius, capped at 0.45 Im z
-LAM_POINTS = 401                # default detuning nodes of a scenario
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +397,9 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     processes; see parallel_map).  `boundary_err` and `initial_err`
     compare the field on the lattice's x = 0 column with E_in and on its
     t = 0 row with E0.  `spectral` holds the scattering table's det and
-    reduction errors, `J0_det_err` the largest det(J0) error of a stamp.
+    reduction errors, `J0_det_err` the largest det(J0) error of a stamp,
+    and `residue_cond` the SVD condition of the stamps' residue systems
+    (None without poles).
     """
     t_vals = np.asarray(t_vals, dtype=float)
     x_vals = np.asarray(x_vals, dtype=float)
@@ -410,33 +409,27 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     poles = []
     if find_poles and profile.sign < 0:
         poles = locate_a_zeros(scenario, profile)
-    circles = [(z, min(POLE_RADIUS, 0.45 * zj.imag))
-               for zj, _ in poles for z in (zj, np.conj(zj))]
     marks.append(time.perf_counter())
     contour = contour_build(window=window, n_panels=n_panels,
-                            nodes_per_panel=nodes_per_panel, circles=circles)
-    # the real-axis panels come first in the node list
-    n_real = n_panels * nodes_per_panel
-    lam = contour.nodes[:n_real].real
-    ev = eta_boundary(profile, lam)
+                            nodes_per_panel=nodes_per_panel)
+    ev = eta_boundary(profile, contour.nodes.real)
     table, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals)
     marks.append(time.perf_counter())
 
     contour.kernel()            # built once, before the stamp loop forks
+    if poles:                   # (z_j, c_j) of every stamp, overflow refused
+        zj, cj = residue_constants(poles, profile, t_vals[:, None],
+                                   x_vals[None, :])
 
     def solve_stamp(args):
         it, ix = args
         t, x = t_vals[it], x_vals[ix]
         tic = time.perf_counter()
-        jd_real = jump_mixed(t, x, ev, Kp[ix], Km[ix])
+        jd = jump_mixed(t, x, ev, Kp[ix], Km[ix])
         jump_s = time.perf_counter() - tic
-        jd = jd_real
-        if poles:               # the circle jump is I on the axis nodes
-            jd = soliton_circle_jump(poles, profile, t, x, contour)
-            jd.J[:n_real] = jd_real.J
         tic = time.perf_counter()
-        res = sie_solve(contour, jd)
-        return (res.E, {**res.diagnostics, **jd_real.diagnostics},
+        res = sie_solve(contour, jd, (zj, cj[it, ix]) if poles else None)
+        return (res.E, {**res.diagnostics, **jd.diagnostics},
                 (jump_s, time.perf_counter() - tic), os.getpid())
 
     stamps = [(it, ix) for it in range(t_vals.size)
@@ -449,17 +442,19 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     E = np.array(E).reshape(t_vals.size, x_vals.size)
     col = {key: np.array([d[key] for d in diags])
            for key in ("residual_rel", "cond", "iterations", "posdef_min",
-                       "J0_det_err")}
+                       "J0_det_err", "lu", "residue_cond")}
     diag = {"n_poles": len(poles), "n_nodes": contour.n_nodes,
             "n_stamps": len(stamps), "workers": len(set(pids)),
-            "lu_stamps": int(np.count_nonzero(col["iterations"] == 0)),
+            "lu_stamps": int(np.count_nonzero(col["lu"])),
             "stages": stages, "magnus_steps": magnus_steps_taken() - steps0,
             "spectral": dict(table.diagnostics),
             "J0_det_err": float(col["J0_det_err"].max())}
     for key, name in (("residual_rel", "residual_rel"), ("cond", "cond"),
-                      ("iterations", "krylov_iters")):
-        vals = col[key]
-        diag[name] = {"p50": _median(vals), "max": float(vals.max())}
+                      ("iterations", "krylov_iters"),
+                      ("residue_cond", "residue_cond")):
+        vals = col[key]         # residue_cond: None on every stamp without poles
+        diag[name] = None if vals[0] is None else {
+            "p50": _median(vals), "max": float(vals.max())}
     diag["posdef_min"] = {"p50": _median(col["posdef_min"]),
                           "min": float(col["posdef_min"].min())}
     diag["max_residual_rel"] = diag["residual_rel"]["max"]
@@ -677,7 +672,7 @@ def build_parser():
 
     p = sub.add_parser("eta", help="boundary values of the shifted spectral map")
     _add_profile_args(p)
-    p.add_argument("--grid", type=int, default=401)
+    p.add_argument("--grid", type=int, default=LAM_POINTS)
     p.add_argument("--window", type=float, nargs=2, default=LAM_WINDOW)
     p.add_argument("--out", default="out-eta")
     p.set_defaults(fn=cmd_eta)

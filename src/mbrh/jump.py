@@ -94,9 +94,8 @@ def jump_mixed(t, x, ev, K_plus, K_minus) -> JumpData:
 
 
 def posdef_check(jd: JumpData):
-    """Smallest eigenvalue of the Hermitian part over the real-axis nodes."""
-    mask = jd.nodes.imag == 0.0
-    H = 0.5 * (jd.J[mask] + dagger(jd.J[mask]))
+    """Smallest eigenvalue of the Hermitian part over the (real) nodes."""
+    H = 0.5 * (jd.J + dagger(jd.J))
     mean = 0.5 * (H[..., 0, 0] + H[..., 1, 1]).real
     rad = np.sqrt((0.5 * (H[..., 0, 0] - H[..., 1, 1]).real) ** 2
                   + np.abs(H[..., 0, 1]) ** 2)

@@ -1,26 +1,29 @@
 """Contour discretization and the singular-integral-equation solver.
 
-The conjugation problem M- = M+ J on the contour Sigma is recast through
-the plus-side Cauchy operator as Q - C+[Q(I-J)] = C+[I-J]; the solution
-parameterizes M(z) = I + (1/2 pi i) int (I+Q)(I-J)/(s-z) ds.  The field
-envelope E = -4i m12, m the z^{-1} moment of M, needs only the first row
-of Q, and the rows decouple, so only that row is solved.
+The conjugation problem M- = M+ J on the real detuning axis, with simple
+poles of M at the zeros z_j of a and their conjugates, is solved for the
+first row m of M, whose z^{-1} moment gives the field E = -4i m12.  With
+m = e1 + P + C[mu(I-J)], mu = m+ on the axis, C the axis Cauchy
+transform and P the pole part (residues u_j of m12 at z_j, r_j of m11
+at conj z_j), the Cauchy part q = C+[mu(I-J)] solves
+q - C+[q(I-J)] = C+[(e1 + P)(I-J)], and the residue conditions
+u_j = c_j m11(z_j), r_j = -conj(c_j) m12(conj z_j) close it: the jump
+specialized to residue conditions (Deift & Zhou 1993).
 
-A contour of real-axis panels only, where C+ = I/2 + iH with H real, is
-solved matrix-free by GMRES on H, with a Hessenberg (kappa_2 lower bound)
-condition certificate; a contour with pole circles, and any stamp the
-Krylov path cannot certify, takes the dense LU with the `zgecon`
-estimate, which alone refuses ill-conditioned systems.  The Krylov path
-runs on numpy alone; `scipy.linalg` is imported by the first LU stamp,
-so only a run with one (`lu_stamps` > 0 in `meta.json`) pays for
-loading it.
+On the axis C+ = I/2 + iH with H real.  The row operator is solved
+matrix-free by GMRES on H, with a Hessenberg (kappa_2 lower bound)
+condition certificate, for 1 + 2p right-hand sides; the residues then
+follow from one complex 2p x 2p system (`sie_solve`).  Any stamp the
+Krylov path cannot certify takes the dense LU with the `zgecon`
+estimate.  The Krylov path runs on numpy alone; `scipy.linalg` is
+imported by the first LU stamp, so only a run with one (`lu_stamps` > 0
+in `meta.json`) pays for loading it.
 
 Pure-soliton (reflectionless) data bypasses the contour entirely: its
 residue conditions are one complex 2p x 2p linear system per stamp, and
 a whole (t, x) lattice is solved by one batched call.  A residue
-constant c_j that overflows (2 Im z_j t past about 709) is refused.
-Inside a contour solve each pole is replaced by a small clockwise circle
-carrying a rank-one jump.
+constant c_j that overflows (2 Im z_j t past about 709), and a residue
+system that does (a pole within about 1e-308 of the axis), are refused.
 """
 
 from dataclasses import dataclass, field
@@ -42,24 +45,21 @@ from .jump import JumpData, posdef_check
 # contour
 # ----------------------------------------------------------------------
 
-CIRCLE_NODES = 64           # trapezoid nodes per pole circle
 N_PANELS = 24               # default real-axis panels
 NODES_PER_PANEL = 16        # default Gauss-Legendre nodes per panel
 
 
 @dataclass
 class Panel:
-    kind: str                   # "segment" | "circle"
     nodes: np.ndarray           # complex
-    weights: np.ndarray         # complex, reproduce oriented int dz
-    diff: np.ndarray            # nodal differentiation matrix (d/dz)
-    endpoints: tuple | None     # (a, b) for segments
-    center: complex | None = None
+    weights: np.ndarray         # complex, reproduce int ds
+    diff: np.ndarray            # nodal differentiation matrix (d/ds)
+    endpoints: tuple            # (a, b)
 
 
 @dataclass
 class ContourSigma:
-    panels: list
+    panels: list                # real-axis segments, left to right
     _cp: np.ndarray = field(default=None, repr=False)   # see kernel
 
     @property
@@ -74,28 +74,20 @@ class ContourSigma:
     def n_nodes(self):
         return sum(p.nodes.size for p in self.panels)
 
-    @property
-    def real_axis(self):
-        return all(p.kind == "segment" for p in self.panels)
-
     def kernel(self):
-        """The one cached N x N matrix: on a real-axis contour C+ is
-        exactly I/2 + iH with H real, and H is kept; else C+ itself."""
+        """The one cached N x N matrix: C+ is exactly I/2 + iH with H
+        real, and H is kept."""
         if self._cp is None:
-            CP = _build_cauchy_plus(self)
-            self._cp = CP.imag.copy() if self.real_axis else CP
+            self._cp = _build_cauchy_plus(self).imag.copy()
         return self._cp
 
     def cauchy_plus(self):
-        K = self.kernel()
-        return K if K.dtype == complex else 0.5 * np.eye(len(K)) + 1j * K
+        return 0.5 * np.eye(self.n_nodes) + 1j * self.kernel()
 
     def cauchy_apply(self, X):
-        """C+[X] for nodal data X (N, k); with H, X/2 + i(HX) by one real
+        """C+[X] for nodal data X (N, k): X/2 + i(HX) by one real
         (N x N)(N x 2k) product on the float view of X."""
         K = self.kernel()
-        if K.dtype == complex:
-            return K @ X
         return 0.5 * X + 1j * (K @ np.ascontiguousarray(X).view(float)).view(complex)
 
 
@@ -112,54 +104,21 @@ def _barycentric_diff(x):
     return D
 
 
-def _trig_diff(m):
-    """Spectral differentiation in the angle for m uniform nodes (m even)."""
-    k = np.arange(m)
-    diffs = k[:, None] - k[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        D = 0.5 * (-1.0) ** diffs / np.tan(np.pi * diffs / m)
-    np.fill_diagonal(D, 0.0)
-    return D
-
-
 def segment_panel(a, b, n_nodes):
     xg, wg = leggauss(n_nodes)
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * xg
     weights = 0.5 * (b - a) * wg
     D = _barycentric_diff(nodes)
-    return Panel(kind="segment", nodes=nodes.astype(complex),
-                 weights=weights.astype(complex), diff=D.astype(complex),
-                 endpoints=(float(a), float(b)))
-
-
-def circle_panel(center, radius, n_nodes, offset=0.5):
-    """Clockwise circle (plus side outside); uniform-angle trapezoid nodes."""
-    if n_nodes % 2:
-        raise ValueError("circle panels need an even node count")
-    theta = (np.arange(n_nodes) + offset) * 2 * np.pi / n_nodes
-    nodes = center + radius * np.exp(-1j * theta)
-    # z(theta) = c + R e^{-i theta}: dz/dtheta = -i R e^{-i theta}
-    dz = -1j * radius * np.exp(-1j * theta)
-    weights = dz * (2 * np.pi / n_nodes)
-    Dth = _trig_diff(n_nodes)
-    D = Dth / dz[:, None]
-    return Panel(kind="circle", nodes=nodes, weights=weights, diff=D,
-                 endpoints=None, center=complex(center))
+    return Panel(nodes=nodes.astype(complex), weights=weights.astype(complex),
+                 diff=D.astype(complex), endpoints=(float(a), float(b)))
 
 
 def contour_build(window=LAM_WINDOW, n_panels=N_PANELS,
-                  nodes_per_panel=NODES_PER_PANEL, circles=()) -> ContourSigma:
-    """Equal real-axis panels on window (left to right) plus clockwise
-    circles of CIRCLE_NODES nodes.
-
-    circles: iterable of (center, radius); conjugate closure of the node
-    multiset is the caller's responsibility (add circles in conjugate
-    pairs for off-axis data).
-    """
+                  nodes_per_panel=NODES_PER_PANEL) -> ContourSigma:
+    """Equal real-axis panels on window, left to right."""
     edges = np.linspace(window[0], window[1], n_panels + 1)
     panels = [segment_panel(a, b, nodes_per_panel)
               for a, b in zip(edges[:-1], edges[1:])]
-    panels += [circle_panel(c, r, CIRCLE_NODES) for c, r in circles]
     if not panels:
         raise EmptyContour("no panels requested")
     return ContourSigma(panels=panels)
@@ -168,10 +127,9 @@ def contour_build(window=LAM_WINDOW, n_panels=N_PANELS,
 def _build_cauchy_plus(contour):
     """Dense discrete plus-side Cauchy operator (N x N, scalar samples).
 
-    Off-component entries are plain quadrature of 1/(s-z); the singular
-    same-component part uses global subtraction with the exact p.v. of the
-    constant (log of endpoint ratio for open segments, -i pi for closed
-    clockwise circles) and a nodal differentiation matrix for the
+    Off-diagonal entries are plain quadrature of 1/(s-z); the singular
+    part uses global subtraction with the exact p.v. of the constant (log
+    of the endpoint ratio) and a nodal differentiation matrix for the
     removable diagonal term.
     """
     z = contour.nodes
@@ -181,36 +139,12 @@ def _build_cauchy_plus(contour):
         K = w[None, :] / (z[None, :] - z[:, None])
     np.fill_diagonal(K, 0.0)
 
-    # group real segments into one component (shared endpoints), each
-    # circle its own
-    offs = np.cumsum([0] + [p.nodes.size for p in contour.panels])
-    seg_idx = [np.arange(offs[i], offs[i + 1])
-               for i, p in enumerate(contour.panels) if p.kind == "segment"]
-    comps = []
-    if seg_idx:
-        seg_pan = [p for p in contour.panels if p.kind == "segment"]
-        a = min(p.endpoints[0] for p in seg_pan)
-        b = max(p.endpoints[1] for p in seg_pan)
-        comps.append(("segment", np.concatenate(seg_idx), (a, b)))
-    for i, p in enumerate(contour.panels):
-        if p.kind == "circle":
-            comps.append(("circle", np.arange(offs[i], offs[i + 1]), None))
-
-    for kind, idx, ab in comps:
-        sub = np.ix_(idx, idx)
-        zc = z[idx]
-        if kind == "segment":
-            lam0 = np.log((ab[1] - zc) / (zc - ab[0]))
-        else:
-            lam0 = np.full(idx.size, -1j * np.pi)
-        # subtraction: move sum_j w_j/(z_j - z_i) onto the diagonal
-        Ksub = K[sub]
-        colsum = np.sum(Ksub, axis=1)
-        diag = lam0 - colsum
-        Ksub[np.arange(idx.size), np.arange(idx.size)] = diag
-        K[sub] = Ksub
+    # subtraction: move sum_j w_j/(z_j - z_i) onto the diagonal
+    a, b = contour.panels[0].endpoints[0], contour.panels[-1].endpoints[1]
+    np.fill_diagonal(K, np.log((b - z) / (z - a)) - np.sum(K, axis=1))
 
     # removable diagonal term: w_i f'(z_i), panel-spectral derivative
+    offs = np.cumsum([0] + [p.nodes.size for p in contour.panels])
     for i, p in enumerate(contour.panels):
         idx = np.arange(offs[i], offs[i + 1])
         sub = np.ix_(idx, idx)
@@ -223,46 +157,53 @@ def _build_cauchy_plus(contour):
 # singular integral equation
 # ----------------------------------------------------------------------
 
-COND_LIMIT = 1e12           # LU condition estimate above which a stamp is refused
+COND_LIMIT = 1e12           # condition above which a stamp is refused
 KRYLOV_RTOL = 1e-15         # GMRES stops at residual norm <= this * ||b||_2
 KRYLOV_BUDGET = 100         # Arnoldi steps before the LU fallback
-KRYLOV_RESIDUAL = 1e-13     # a-posteriori max-norm residual, relative to C+[e1^T(I-J)]
+KRYLOV_RESIDUAL = 1e-13     # a-posteriori max-norm residual, relative to the right-hand side
 
 
 @dataclass
 class RHResult:
-    Q: np.ndarray               # (N, 2) first row of the plus-boundary correction M+ - I
+    Q: np.ndarray               # (N, 2) Cauchy part q of the first row of M+ - I
     E: complex
     diagnostics: dict = field(default_factory=dict)
+    residues: np.ndarray = None     # (u_j, then r_j) of the pole part, with poles
 
 
-def sie_solve(contour: ContourSigma, jd: JumpData) -> RHResult:
-    """Collocation solve of the first row q of Q - C+[Q(I-J)] = C+[I-J]:
-    q - C+[q(I-J)] = C+[e1^T(I-J)], whose 2N x 2N operator A each row of
-    Q shares.
+def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
+    """Collocation solve for the first row of M: the Cauchy part q of
+    q - C+[q(I-J)] = C+[(e1 + P)(I-J)], whose 2N x 2N operator A each
+    row shares, and the residues of the pole part P.
 
-    Jump data with real-axis nodes must have a positive-definite
-    Hermitian part there (`PosdefViolated` otherwise).  A contour of
-    real-axis segments only is solved matrix-free by unrestarted GMRES
-    (`_gmres`); `cond` is then s_max/s_min of its Hessenberg matrix, a
-    lower bound on kappa_2(A).  The dense LU path, with `cond` the 1-norm
-    estimate of `zgecon`, solves every contour with a circle panel, and
-    every real-axis stamp whose Krylov estimate exceeds COND_LIMIT/1e3,
-    whose iteration budget runs out, or whose a-posteriori residual
-    exceeds KRYLOV_RESIDUAL.  Only the LU path refuses with
-    `IllConditioned` (estimate above COND_LIMIT).  `iterations` is 0 on
-    the LU path.
+    residues: the stamp's (z_j, c_j) (`residue_constants`), or None.
+    The jump must have a positive-definite Hermitian part
+    (`PosdefViolated`).  A is solved for b0 = C+[e1(I-J)] and per pole
+    for (C+[g1] - C[g1](z_j))/(lam - z_j) and (C+[g0] - C[g0](conj z_j))
+    /(lam - conj z_j), g_a row a of I - J: partial fractions, so no pole
+    term is sampled on the nodes.  Off the axis C[g] is a plain Gauss sum
+    (its zeta-derivative at the pole itself).  The residue conditions are
+    then a 2p x 2p system, each row divided by max(1, |c_j|); its SVD
+    condition is `residue_cond`, refused above COND_LIMIT
+    (`IllConditioned`), and a non-finite or singular system is refused
+    (`SingularResidueSystem`).
+
+    Each right-hand side is solved by unrestarted GMRES (`_gmres`):
+    `cond` is the largest s_max/s_min of their Hessenberg matrices, a
+    lower bound on kappa_2(A), and `iterations` their total Arnoldi
+    steps.  If any estimate exceeds COND_LIMIT/1e3, a budget runs out or
+    a residual exceeds KRYLOV_RESIDUAL, one dense LU solves them all
+    (`lu`; `iterations` 0, `cond` the `zgecon` estimate), refusing above
+    COND_LIMIT (`IllConditioned`).  `residual_rel` is the largest
+    residual relative to its right-hand side.
     """
     J = jd.J
     n = contour.n_nodes
     if J.shape[0] != n:
         raise ValueError("jump data does not match the contour nodes")
-    posdef_min = None
-    if np.any(jd.nodes.imag == 0.0):
-        posdef_min = posdef_check(jd)
-        if posdef_min <= 0.0:
-            raise PosdefViolated(
-                f"real-axis Hermitian-part minimum {posdef_min:.3e}")
+    posdef_min = posdef_check(jd)
+    if posdef_min <= 0.0:
+        raise PosdefViolated(f"real-axis Hermitian-part minimum {posdef_min:.3e}")
 
     IJ = np.eye(2) - J                                   # (N, 2, 2)
     ij0, ij1 = IJ[:, 0].copy(), IJ[:, 1].copy()          # its rows
@@ -272,38 +213,104 @@ def sie_solve(contour: ContourSigma, jd: JumpData) -> RHResult:
         q = v.reshape(n, 2)
         return (q - contour.cauchy_apply(q[:, :1] * ij0 + q[:, 1:] * ij1)).ravel()
 
-    b = contour.cauchy_apply(ij0).ravel()
-    rnorm = max(float(np.max(np.abs(b))), 1e-300)
+    B = [contour.cauchy_apply(ij0)]
+    if residues is not None:
+        # unknown l: u_j (pole z_j, density row 2), then r_j (conj z_j, row 1)
+        zj, cj = residues
+        p = zj.size
+        zeta = np.concatenate([zj, np.conj(zj)])
+        row, lam = np.repeat([1, 0], p), contour.nodes.real
+        kern = contour.weights / (lam - zeta[:, None]) / (2j * np.pi)
+        # [i, a, :]: C[g_a](zeta_i) and its zeta-derivative, Gauss sums
+        Cz, Dz = [(K @ IJ.reshape(n, 4)).reshape(-1, 2, 2)
+                  for K in (kern, kern / (lam - zeta[:, None]))]
+        CPg = (B[0], contour.cauchy_apply(ij1))
+        B += [(CPg[a] - Cz[l, a]) / (lam - zeta[l])[:, None]
+              for l, a in enumerate(row)]
+    V, cond, iterations, res, res_rel, lu = _axis_solve(contour, IJ, op, B)
+    Q = V.reshape(len(B), n, 2)
+    q, pole_m12, residue_cond, w = Q[0], 0.0, None, None
+    if residues is not None:
+        CQ = kern @ (Q[..., :1] * ij0 + Q[..., 1:] * ij1)   # C[q_l(I-J)](zeta_i)
+        w, residue_cond = _residue_solve(zeta, cj, Cz, Dz, CQ)
+        q = q + np.tensordot(w, Q[1:], axes=1)
+        pole_m12 = np.sum(w[:p]) - w @ Cz[np.arange(2 * p), row, 1]
 
-    # pole circles stay on LU: there the right-hand side can lie in a small
-    # invariant subspace, and a Hessenberg estimate started from it reads
-    # ~1 where kappa is astronomically large
-    krylov = None
-    if contour.real_axis:
-        krylov = _gmres(op, b, COND_LIMIT / 1e3)
-    if krylov is not None:
-        v, cond, iterations = krylov
-        res = float(np.max(np.abs(op(v) - b)))
-    if krylov is None or res > KRYLOV_RESIDUAL * rnorm:
-        v, cond = _lu_solve(contour.cauchy_plus(), IJ, b)
-        iterations = 0
-        res = float(np.max(np.abs(op(v) - b)))
-
-    # E = -4i m12, m the z^{-1} moment (1/2 pi i) int (I+Q)(J-I) ds; sign
-    # fixed by the linearized (Born) limit against the forward transform
-    q = v.reshape(n, 2)
+    # E = -4i m12, m the z^{-1} moment: sum u_j plus (1/2 pi i) int
+    # (e1 + P + q)(J-I) ds; sign fixed by the linearized (Born) limit
+    # against the forward transform
     m12 = contour.weights @ ((1.0 + q[:, 0]) * J[:, 0, 1]
                              + q[:, 1] * (J[:, 1, 1] - 1.0)) / (2j * np.pi)
-    return RHResult(Q=q, E=-4j * m12,
-                    diagnostics={"residual": res, "residual_rel": res / rnorm,
+    return RHResult(Q=q, E=-4j * (m12 + pole_m12),
+                    diagnostics={"residual": res, "residual_rel": res_rel,
                                  "cond": cond, "iterations": iterations,
-                                 "posdef_min": posdef_min})
+                                 "lu": lu, "posdef_min": posdef_min,
+                                 "residue_cond": residue_cond},
+                    residues=w)
 
 
-def _lu_solve(CP, IJ, b):
+def _axis_solve(contour, IJ, op, B):
+    """Solutions of op(v) = b for the right-hand sides b (N, 2) of B, as
+    rows of V: GMRES, or one LU for all when any solve is uncertified.
+    Returns (V, cond, iterations, residual, residual_rel, lu)."""
+    B = [b.ravel() for b in B]
+    out = []
+    for b in B:
+        krylov = _gmres(op, b, COND_LIMIT / 1e3)
+        if krylov is None:
+            break
+        res = float(np.max(np.abs(op(krylov[0]) - b)))
+        if res > KRYLOV_RESIDUAL * max(float(np.max(np.abs(b))), 1e-300):
+            break
+        out.append((res, *krylov))
+    lu = len(out) < len(B)
+    if lu:
+        V, cond = _lu_solve(contour.cauchy_plus(), IJ, np.stack(B, axis=1))
+        V, iterations = V.T, 0
+        res = [float(np.max(np.abs(op(v) - b))) for v, b in zip(V, B)]
+    else:
+        res, V, conds, its = zip(*out)
+        V, cond, iterations = np.array(V), max(conds), sum(its)
+    rel = [r / max(float(np.max(np.abs(b))), 1e-300) for r, b in zip(res, B)]
+    return V, cond, iterations, max(res), max(rel), lu
+
+
+def _residue_solve(zeta, cj, Cz, Dz, CQ):
+    """Residues w = (u_j, r_j), from u_j = c_j m11(z_j) and
+    r_j = -conj(c_j) m12(conj z_j) with m = e1 + P + C[(e1 + P + q)(I-J)],
+    q = q_0 + sum_l w_l q_l; each row divided by max(1, |c_j|).
+
+    zeta = (z_j, conj z_j); Cz and Dz [i, a, :] hold C[g_a] at zeta_i
+    and its derivative, g_a row a of I - J, and CQ [l, i, :] holds
+    C[q_l(I-J)](zeta_i).  Returns (w, SVD condition of the scaled
+    2p x 2p matrix)."""
+    k = np.arange(zeta.size)
+    row = np.repeat([1, 0], cj.size)    # the density row of unknown l
+    comp = 1 - row                      # the entry read: m11 at z_j, m12 at conj z_j
+    d = np.concatenate([cj, -np.conj(cj)])
+    s = 1.0 / np.maximum(1.0, np.abs(d))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dz = zeta[:, None] - zeta[None, :]
+        # [i, l]: C[g_l/(s - zeta_l)](zeta_i) by partial fractions, the
+        # derivative C'[g_l](zeta_l) where i = l; P(zeta_i); C[q_l(I-J)]
+        G = (Cz[k[:, None], row, comp[:, None]] - Cz[k, row, comp[:, None]]) / dz
+        G[k, k] = Dz[k, row, comp]
+        G += np.where(row == comp[:, None], 1.0 / dz, 0.0)
+        G += CQ[1:, k, comp].T
+        A = np.diag(s) - (s * d)[:, None] * G
+        rhs = s * d * ((comp == 0) + Cz[k, 0, comp] + CQ[0, k, comp])
+    w = _residue_linsolve(A, rhs)
+    sv = np.linalg.svd(A, compute_uv=False)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    if cond > COND_LIMIT:
+        raise IllConditioned(f"residue system condition {cond:.2e}")
+    return w, cond
+
+
+def _lu_solve(CP, IJ, B):
     """Dense LU of the 2N x 2N operator of one row, with the `zgecon`
-    1-norm condition estimate.  Returns (x, cond) for the flattened
-    right-hand side b."""
+    1-norm condition estimate.  Returns (X, cond) for the flattened
+    right-hand sides, the columns of B."""
     from scipy.linalg import lu_factor, lu_solve   # loaded by an LU stamp only
     from scipy.linalg.lapack import zgecon
 
@@ -317,7 +324,7 @@ def _lu_solve(CP, IJ, b):
     rcond, _ = zgecon(lu, anorm)
     if rcond == 0.0 or 1.0 / rcond > COND_LIMIT:
         raise IllConditioned(f"condition estimate {1.0 / max(rcond, 1e-300):.2e}")
-    return lu_solve((lu, piv), b), 1.0 / rcond
+    return lu_solve((lu, piv), B), 1.0 / rcond
 
 
 def _gmres(op, b, cond_max):
@@ -326,11 +333,12 @@ def _gmres(op, b, cond_max):
     Arnoldi by classical Gram-Schmidt applied twice; Givens rotations
     track the residual norm.  Returns (x, cond, iterations), with cond =
     s_max/s_min of the (k+1) x k Hessenberg matrix, or None when the
-    right-hand side vanishes, the budget runs out, or cond > cond_max.
+    budget runs out or cond > cond_max.  A vanishing right-hand side has
+    the solution 0, after no step, with cond 1.
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
-        return None
+        return np.zeros_like(b), 1.0, 0
     m = KRYLOV_BUDGET
     V = np.empty((m + 1, b.size), dtype=complex)
     H = np.zeros((m + 1, m), dtype=complex)       # Arnoldi Hessenberg
@@ -402,6 +410,19 @@ def residue_constants(poles, profile, t, x):
     return zj, cj
 
 
+def _residue_linsolve(A, rhs):
+    """np.linalg.solve(A, rhs) of a residue system, refusing one that is
+    not finite (a pole within about 1e-308 of the axis makes
+    1/(z_j - conj z_k) overflow) or singular (`SingularResidueSystem`)."""
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
+        raise SingularResidueSystem(
+            "residue system not finite (a pole too near the real axis)")
+    try:
+        return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularResidueSystem(str(exc)) from exc
+
+
 def soliton_closed_form(poles, profile, t, x):
     """Reflectionless field from the residue conditions, at every stamp
     of t and x broadcast together.
@@ -413,40 +434,17 @@ def soliton_closed_form(poles, profile, t, x):
     are complex-linear in (u, w = conj v):
     [[I, -M], [conj M, I]] [u; w] = [c; 0], one 2p x 2p system per
     stamp, all solved by one batched call.  Returns (E, a), a of shape
-    (..., p, 2) holding (u, conj w).
+    (..., p, 2) holding (u, conj w).  A non-finite or singular system is
+    refused (`_residue_linsolve`).
     """
     zj, cj = residue_constants(poles, profile, t, x)
     p = zj.size
-    M = cj[..., :, None] / (zj[:, None] - np.conj(zj)[None, :])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        M = cj[..., :, None] / (zj[:, None] - np.conj(zj)[None, :])
     eye = np.broadcast_to(np.eye(p), M.shape)
     A = np.block([[eye, -M], [np.conj(M), eye]])
     rhs = np.concatenate([cj, np.zeros_like(cj)], axis=-1)[..., None]
-    try:
-        sol = np.linalg.solve(A, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularResidueSystem(str(exc)) from exc
+    sol = _residue_linsolve(A, rhs)[..., 0]
     u, w = sol[..., :p], sol[..., p:]
     # z^{-1} moment: column-2 residues A_j contribute u_j at entry (1,2)
     return -4j * np.sum(u, axis=-1), np.stack([u, np.conj(w)], axis=-1)
-
-
-def soliton_circle_jump(poles, profile, t, x, contour):
-    """Jump data on pole-enclosing clockwise circles equivalent to the
-    residue conditions: J = I - c_j/(z - z_j) E12 around z_j and
-    J = I + conj(c_j)/(z - z_j*) E21 around z_j*."""
-    zj, cj = residue_constants(poles, profile, t, x)
-    nodes = contour.nodes
-    J = np.broadcast_to(np.eye(2, dtype=complex),
-                        (nodes.size, 2, 2)).copy()
-    for p in contour.panels:
-        if p.kind != "circle":
-            continue
-        i0 = int(np.nonzero(nodes == p.nodes[0])[0][0])
-        idx = np.arange(i0, i0 + p.nodes.size)
-        if p.center.imag > 0:
-            j = int(np.argmin(np.abs(zj - p.center)))
-            J[idx, 0, 1] = -cj[j] / (p.nodes - zj[j])
-        else:
-            j = int(np.argmin(np.abs(np.conj(zj) - p.center)))
-            J[idx, 1, 0] = np.conj(cj[j]) / (p.nodes - np.conj(zj[j]))
-    return JumpData(t=float(t), x=float(x), nodes=nodes, J=J)

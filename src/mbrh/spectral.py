@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .broadening import LAM_WINDOW, eta_eval
+from .broadening import LAM_POINTS, LAM_WINDOW, eta_eval
 from .errors import (
     CountMismatch,
     DecayViolation,
@@ -290,7 +290,7 @@ def wplus_column_continuation(scenario, profile, z, step=DEFAULT_STEP):
 
     The rephased column u = w[:, 1] e^{-i eta(z) x} obeys
     u' = (V - i eta(z)) u with u(L) = (1, 0).  An excited medium is
-    transformed on 401 nodes of LAM_WINDOW.
+    transformed on LAM_POINTS nodes of LAM_WINDOW.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     eta_z = eta_eval(profile, z)
@@ -299,7 +299,7 @@ def wplus_column_continuation(scenario, profile, z, step=DEFAULT_STEP):
     if scenario.medium_is_trivial:
         G = z - eta_z
     else:
-        lam_med = np.linspace(*LAM_WINDOW, 401)
+        lam_med = np.linspace(*LAM_WINDOW, LAM_POINTS)
         transform = medium_transform(profile, lam_med, z)
         G = lambda x: transform(scenario.medium_slice(x, lam_med))
 

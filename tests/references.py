@@ -439,6 +439,12 @@ def schwartz_error(jd):
     return err
 
 
+def identity_jump(contour, t=0.0, x=0.0):
+    """The trivial jump J = I on the contour nodes."""
+    J = np.broadcast_to(np.eye(2, dtype=complex), (contour.n_nodes, 2, 2)).copy()
+    return JumpData(t=t, x=x, nodes=contour.nodes, J=J)
+
+
 def sie_solve_full(contour, jd):
     """Both rows of Q = M+ - I, shape (N, 2, 2), and the z^{-1} moment m
     of M, from two first-row solves by `mbrh.rhsolver.sie_solve`.

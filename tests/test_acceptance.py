@@ -4,6 +4,7 @@ Each test prints a single pass/fail line with the measured figure of
 merit before asserting, so a full run doubles as a report.
 """
 
+import dataclasses
 import time
 import types
 
@@ -22,20 +23,20 @@ from mbrh.jump import jump_mixed, posdef_check, spectral_data
 from mbrh.mat2 import det2
 from mbrh.rhsolver import (
     contour_build,
+    residue_constants,
     sie_solve,
-    soliton_circle_jump,
     soliton_closed_form,
 )
 from mbrh.spectral import ScenarioData, jost_phi, locate_a_zeros
 from references import (
     eta_quadrature,
     evaluate_M,
+    identity_jump,
     jump_wholeline,
     k_solve,
     mb_residual,
     medium_history,
     reconstruct_F_nodes,
-    schwartz_error,
     sie_solve_full,
     soliton_evaluate_M,
     trivial_scenario,
@@ -194,16 +195,17 @@ def test_criterion_05_unimodularity_and_symmetry_suite():
         float(np.max(np.abs(Phi0[..., 1, 0] + np.conj(Phi0[..., 0, 1])))),
         table.diagnostics["reduction_err"])
 
-    # conjugate-pair symmetry of the regularizing circle jump
-    circ = contour_build(window=(-16.0, 16.0), n_panels=16,
-                         nodes_per_panel=12,
-                         circles=[(0.5j, 0.15), (-0.5j, 0.15)])
-    prof_d = BroadeningProfile.delta_approx(1e-3, sign=-1)
-    jd_c = soliton_circle_jump([(0.5j, 1.0 + 0.0j)], prof_d, 1.0, 0.5, circ)
-    sch_err = schwartz_error(jd_c)
-    ok = det_worst <= 1e-6 and red_err <= 1e-8 and sch_err <= 1e-8
+    # conjugation symmetry of the residue route: M~(z) = s3 conj(M(-conj z)) s3
+    # has the jump s3 conj(J(-lam)) s3 (the nodes are symmetric), poles
+    # -conj z_j with constants conj c_j, and the field -conj E
+    zj, cj = residue_constants([(0.3 + 0.5j, 0.8 - 0.4j)], LOR, 2.5, 1.0)
+    mirror = dataclasses.replace(jd, J=SIG3 @ np.conj(jd.J[::-1]) @ SIG3)
+    E = sie_solve(contour, jd, (zj, cj)).E
+    E_mirror = sie_solve(contour, mirror, (-np.conj(zj), np.conj(cj))).E
+    sym_err = abs(E_mirror + np.conj(E)) / abs(E)
+    ok = det_worst <= 1e-6 and red_err <= 1e-8 and sym_err <= 1e-8
     report(5, ok, f"max |det-1| {det_worst:.2e}, reduction sym {red_err:.2e}, "
-           f"conjugation sym {sch_err:.2e}")
+           f"conjugation sym {sym_err:.2e}")
 
 
 def test_criterion_06_posdef_randomized_attenuators():
@@ -291,15 +293,15 @@ def test_criterion_09_one_soliton_triangle():
     sup = np.max(np.abs(closed))
     err_direct = np.max(np.abs(st.E[::8][:200, :200] - closed)) / sup
 
-    # contour route: pole circles with trivial axis jump
-    circ = contour_build(window=(-16.0, 16.0), n_panels=16,
-                         nodes_per_panel=12,
-                         circles=[(0.5j, 0.15), (-0.5j, 0.15)])
+    # contour route: residue conditions with trivial axis jump
+    contour = contour_build(window=(-16.0, 16.0), n_panels=16,
+                            nodes_per_panel=12)
+    jd = identity_jump(contour)
     err_sie = 0.0
     for t in ts[::40]:
         for x in xs[::40]:
-            jd = soliton_circle_jump(poles, prof, t - t0, x, circ)
-            res = sie_solve(circ, jd)
+            res = sie_solve(contour, jd,
+                            residue_constants(poles, prof, t - t0, x))
             err_sie = max(err_sie, abs(res.E - E_cl(t, x)) / sup)
     dt = time.perf_counter() - tic
     report(9, err_sie <= 1e-3 and err_direct <= 1e-2 and dt < 300.0,

@@ -415,7 +415,7 @@ class TestCommands:
             assert 0 < spread["p50"] <= spread["max"]
             assert spread["max"] == diag[f"max_{key}"]
         # a pole-free contour: every stamp converges on the Krylov path
-        assert diag["lu_stamps"] == 0
+        assert diag["lu_stamps"] == 0 and diag["residue_cond"] is None
         assert 0 < diag["krylov_iters"]["p50"] <= diag["krylov_iters"]["max"]
         assert 0 < diag["posdef_min"]["min"] <= diag["posdef_min"]["p50"]
         # stage trace: one t-equation solve, T / DEFAULT_STEP = 600 steps;
@@ -494,6 +494,29 @@ class TestCommands:
         assert not out.exists()
         assert capsys.readouterr().err.startswith(
             "numerical failure (SingularResidueSystem)")
+
+    def test_soliton_pole_on_the_axis_refused(self, tmp_path, capsys):
+        # Im z = 1e-310: c is finite but 1/(z - conj z) overflows; the run
+        # exited 0 with NaN rows ("|E| peak nan") and two RuntimeWarnings
+        out = tmp_path / "sol"
+        assert run_command(["soliton", "--nu", "1e-310", "--t", "0:1:2",
+                            "--x", "0:1:2", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "numerical failure (SingularResidueSystem): residue system not finite")
+
+    def test_residue_condition_refusal_exits_3(self, monkeypatch, tmp_path,
+                                               capsys):
+        # a condition limit below 1 refuses every certificate, the residue
+        # system's (1.0 here) among them; test_rhsolver pins that one alone
+        monkeypatch.setattr(cli, "thread_width", lambda: 1)
+        path = write_scenario(tmp_path, **POLE)
+        argv = ["solve-rh", "--scenario", path, "--t", "16:16:1",
+                "--x", "0:1:2", "--out", str(tmp_path / "rh")]
+        assert run_command(argv) == 0
+        monkeypatch.setattr(rhsolver, "COND_LIMIT", 0.5)
+        assert run_command(argv) == 3
+        assert "numerical failure (IllConditioned)" in capsys.readouterr().err
 
     def test_exit_2_on_config_error(self, tmp_path):
         assert run_command(["spectra", "--scenario",
@@ -639,11 +662,13 @@ def test_cli_import_leaves_out_scipy_optimize():
 
 def test_lu_free_runs_leave_out_scipy_linalg(tmp_path):
     # the Krylov path solves its triangle with numpy, so import, a
-    # solve-direct run and a pole-free solve-rh never load scipy.linalg
+    # solve-direct run, a pole-free solve-rh and one with a pole (residue
+    # conditions, no LU) never load scipy.linalg
     path = write_scenario(tmp_path, T=10.0, L=5.0,
                           E_in={"pulse": "gaussian", "amplitude": 0.8,
                                 "center": 3.0, "width": 0.7},
                           lam_points=41)
+    pole = write_scenario(tmp_path, name="pole.json", **POLE)
     code = textwrap.dedent(f"""\
         import sys
         from mbrh.cli import run_command
@@ -657,12 +682,40 @@ def test_lu_free_runs_leave_out_scipy_linalg(tmp_path):
                             "--t", "2:4:2", "--x", "0:1:2",
                             "--out", {str(tmp_path / "rh")!r}]) == 0
         loaded()
+        assert run_command(["solve-rh", "--scenario", {pole!r},
+                            "--t", "14:18:3", "--x", "0:1:2",
+                            "--out", {str(tmp_path / "pole")!r}]) == 0
+        loaded()
         print(seen)
         """)
-    assert _fresh_interpreter(code) == "[False, False, False]"
-    with open(tmp_path / "rh" / "meta.json") as fh:
+    assert _fresh_interpreter(code) == "[False, False, False, False]"
+    for out, n_poles in (("rh", 0), ("pole", 1)):
+        with open(tmp_path / out / "meta.json") as fh:
+            diag = json.load(fh)["diagnostics"]
+        assert (diag["n_poles"], diag["lu_stamps"]) == (n_poles, 0)
+
+
+def test_lu_stamp_loads_scipy_linalg(tmp_path):
+    # a one-step Krylov budget leaves every stamp of a pole solve to the
+    # dense LU, which imports scipy.linalg on its first call; one process,
+    # so the import lands in this interpreter
+    pole = write_scenario(tmp_path, name="pole.json", **POLE)
+    code = textwrap.dedent(f"""\
+        import sys
+        from mbrh import cli, rhsolver
+        rhsolver.KRYLOV_BUDGET = 1
+        cli.thread_width = lambda: 1
+        before = 'scipy.linalg' in sys.modules
+        assert cli.run_command(["solve-rh", "--scenario", {pole!r},
+                                "--t", "14:18:3", "--x", "0:1:2",
+                                "--out", {str(tmp_path / "pole")!r}]) == 0
+        print(before, 'scipy.linalg' in sys.modules)
+        """)
+    assert _fresh_interpreter(code) == "False True"
+    with open(tmp_path / "pole" / "meta.json") as fh:
         diag = json.load(fh)["diagnostics"]
-    assert (diag["n_poles"], diag["lu_stamps"]) == (0, 0)
+    assert (diag["n_poles"], diag["lu_stamps"]) == (1, 6)
+    assert diag["krylov_iters"]["max"] == 0
 
 
 def test_contour_commands_leave_out_numpy_ma(tmp_path):
@@ -686,24 +739,6 @@ def test_contour_commands_leave_out_numpy_ma(tmp_path):
     assert _fresh_interpreter(code) == "[False, False, False]"
 
 
-def test_pole_circle_solve_loads_scipy_linalg():
-    # a contour with pole circles takes the dense LU, which imports
-    # scipy.linalg on its first call
-    code = textwrap.dedent("""\
-        import sys
-        from mbrh.broadening import BroadeningProfile
-        from mbrh.rhsolver import contour_build, sie_solve, soliton_circle_jump
-        c = contour_build(window=(-16.0, 16.0), n_panels=4, nodes_per_panel=8,
-                          circles=[(0.5j, 0.15), (-0.5j, 0.15)])
-        prof = BroadeningProfile.lorentzian(1.0)
-        jd = soliton_circle_jump([(0.5j, 1.0 + 0.0j)], prof, 1.0, 0.0, c)
-        before = 'scipy.linalg' in sys.modules
-        iterations = sie_solve(c, jd).diagnostics["iterations"]
-        print(before, iterations, 'scipy.linalg' in sys.modules)
-        """)
-    assert _fresh_interpreter(code) == "False 0 True"
-
-
 # ----------------------------------------------------------------------
 # forked stamp loop (cli.parallel_map): the serial loop's bytes,
 # diagnostics and refusals, and no worker left behind on any exit path
@@ -711,7 +746,7 @@ def test_pole_circle_solve_loads_scipy_linalg():
 
 DESK = dict(T=10.0, L=5.0, E_in={"pulse": "gaussian", "amplitude": 0.8,
                                  "center": 3.0, "width": 0.7})
-# one zero of a near the imaginary axis: two pole circles, LU on every stamp
+# one zero of a near the imaginary axis, on the Krylov path
 POLE = dict(T=32.0, L=1.0, n_panels=8, nodes_per_panel=8,
             E_in={"pulse": "sech", "amplitude": 2.0, "center": 16.0,
                   "width": 1.0})
@@ -737,16 +772,16 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cfg, t, x, lu_stamps", [
-    (DESK, "0:10:21", "0:5:6", 0),
-    (POLE, "14:18:3", "0:1:2", 6),
-], ids=["desk", "pole-circles"])
-def test_forked_stamp_loop_matches_serial(tmp_path, cfg, t, x, lu_stamps):
+@pytest.mark.parametrize("cfg, t, x", [
+    (DESK, "0:10:21", "0:5:6"),
+    (POLE, "14:18:3", "0:1:2"),
+], ids=["desk", "poles"])
+def test_forked_stamp_loop_matches_serial(tmp_path, cfg, t, x):
     path = write_scenario(tmp_path, **cfg)
     serial, d1 = _solve_rh_width(path, t, x, tmp_path / "serial", 1)
     forked, d2 = _solve_rh_width(path, t, x, tmp_path / "forked", 2)
     assert forked == serial
-    assert (d1["workers"], d2["workers"], d2["lu_stamps"]) == (1, 2, lu_stamps)
+    assert (d1["workers"], d2["workers"], d2["lu_stamps"]) == (1, 2, 0)
     # every diagnostic but the timings and the process count
     untimed = lambda d: {k: v for k, v in d.items()
                          if k not in ("stages", "workers")}
@@ -836,10 +871,10 @@ def test_worker_refusal_exits_as_serial(monkeypatch, capsys, tmp_path):
     # to the parent: both runs refuse with stamp 3's message
     orig = cli.sie_solve
 
-    def refusing(contour, jd):
+    def refusing(contour, jd, residues):
         if (jd.t, jd.x) in ((3.0, 1.0), (4.0, 0.0)):
             raise IllConditioned(f"stamp t={jd.t} x={jd.x}")
-        return orig(contour, jd)
+        return orig(contour, jd, residues)
 
     monkeypatch.setattr(cli, "sie_solve", refusing)
     path = write_scenario(tmp_path, n_panels=4, nodes_per_panel=8, **DESK)

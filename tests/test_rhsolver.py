@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from mbrh import rhsolver
 from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
@@ -14,13 +15,10 @@ from mbrh.errors import (
 from mbrh.jump import JumpData, jump_mixed, posdef_check, spectral_data
 from mbrh.mat2 import det2, dagger, inv2
 from mbrh.rhsolver import (
-    ContourSigma,
-    circle_panel,
     contour_build,
     residue_constants,
     segment_panel,
     sie_solve,
-    soliton_circle_jump,
     soliton_closed_form,
 )
 from mbrh.spectral import ScenarioData, jost_phi
@@ -28,6 +26,7 @@ from references import (
     TooCloseToContour,
     WeightVanishes,
     evaluate_M,
+    identity_jump,
     jump_wholeline,
     reconstruct_F_nodes,
     sie_solve_full,
@@ -77,12 +76,6 @@ def reconstruct_F(evalM, profile, t, x, lam_targets, delta=0.05, hx=1e-3):
     return N, rho
 
 
-def identity_jump(contour, t=0.0, x=0.0):
-    n = contour.n_nodes
-    J = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    return JumpData(t=t, x=x, nodes=contour.nodes, J=J)
-
-
 class TestContour:
     def test_weights_reproduce_integrals(self):
         c = contour_build(window=(-3.0, 5.0), n_panels=8, nodes_per_panel=12)
@@ -95,20 +88,9 @@ class TestContour:
         want = np.exp(5j) / 1j - np.exp(-3j) / 1j
         assert abs(np.sum(w * np.exp(1j * z.real)) - want) < 1e-12
 
-    def test_circle_weights_clockwise(self):
-        p = circle_panel(0.5j, 0.2, 32)
-        # clockwise residue integral: contour integral of 1/(z - c) = -2 pi i
-        val = np.sum(p.weights / (p.nodes - 0.5j))
-        assert abs(val - (-2j * np.pi)) < 1e-12
-        # conjugation closure across a mirror pair of circles
-        q = circle_panel(-0.5j, 0.2, 32)
-        both = np.concatenate([p.nodes, q.nodes])
-        dist = np.min(np.abs(np.conj(both)[:, None] - both[None, :]), axis=1)
-        assert np.max(dist) < 1e-12
-
     def test_empty_contour(self):
         with pytest.raises(EmptyContour):
-            contour_build(n_panels=0, circles=())
+            contour_build(n_panels=0)
 
     def test_segment_diff_matrix(self):
         p = segment_panel(-1.0, 2.0, 14)
@@ -131,16 +113,6 @@ class TestCauchyPlus:
         assert np.max(np.abs((CP @ f_up - f_up)[m])) < 1e-6
         assert np.max(np.abs((CP @ f_dn)[m])) < 1e-6
 
-    def test_circle_projection(self):
-        c = ContourSigma(panels=[circle_panel(1j, 0.3, 48)])
-        CP = c.cauchy_plus()
-        z = c.nodes
-        # plus side is the exterior of a clockwise circle
-        f_out = 1.0 / (z - (1j + 0.1 + 0.05j))     # pole inside -> plus fn
-        f_in = (z - 1j) ** 2                       # analytic inside -> killed
-        assert np.max(np.abs(CP @ f_out - f_out)) < 1e-8
-        assert np.max(np.abs(CP @ f_in)) < 1e-12
-
 
 class TestRealKernel:
     def test_real_contour_keeps_real_hilbert_matrix(self):
@@ -148,22 +120,13 @@ class TestRealKernel:
         CP = rhsolver._build_cauchy_plus(c)
         # on the real axis C+ is exactly I/2 + iH with H real
         assert np.max(np.abs(CP.real - 0.5 * np.eye(c.n_nodes))) == 0.0
-        assert c.real_axis and np.array_equal(c.cauchy_plus(), CP)
+        assert np.array_equal(c.cauchy_plus(), CP)
         assert c._cp.dtype == np.float64 and c._cp.shape == CP.shape
         rng = np.random.default_rng(3)
         X = rng.standard_normal((c.n_nodes, 2)) + 1j * rng.standard_normal((c.n_nodes, 2))
         want = CP @ X
         for Y in (X, np.asfortranarray(X)):
             assert np.max(np.abs(c.cauchy_apply(Y) - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_circle_contour_keeps_complex_matrix(self):
-        c = contour_build(window=(-16.0, 16.0), n_panels=4, nodes_per_panel=8,
-                          circles=[(0.5j, 0.15), (-0.5j, 0.15)])
-        CP = rhsolver._build_cauchy_plus(c)
-        assert not c.real_axis and np.array_equal(c.cauchy_plus(), CP)
-        assert c._cp is c.cauchy_plus()
-        X = np.exp(1j * np.arange(2 * c.n_nodes)).reshape(-1, 2)
-        assert np.array_equal(c.cauchy_apply(X), CP @ X)
 
 
 class TestSieSolve:
@@ -175,6 +138,18 @@ class TestSieSolve:
         assert abs(res.E) < 1e-13
         assert np.max(np.abs(m)) < 1e-13
         assert res.diagnostics["residual"] < 1e-13
+
+    def test_zero_right_hand_sides_solve_without_lu(self):
+        # I - J = 0 makes every right-hand side vanish: GMRES returns the
+        # zero solution after no step, and no stamp falls back to LU
+        c = contour_build(n_panels=12, nodes_per_panel=8)
+        x, cond, its = rhsolver._gmres(lambda v: v, np.zeros(8, complex), 1.0)
+        assert not np.any(x) and x.shape == (8,) and (cond, its) == (1.0, 0)
+        zj, cj = residue_constants([(0.5j, 1.0 + 0.0j)], DELTA, 0.4, 0.2)
+        for residues in (None, (zj, cj)):
+            d = sie_solve(c, identity_jump(c), residues).diagnostics
+            assert (d["lu"], d["iterations"], d["cond"]) == (False, 0, 1.0)
+            assert d["residual"] == 0.0
 
     def test_born_regime_operator(self):
         c = contour_build(window=(-12, 12), n_panels=24, nodes_per_panel=12)
@@ -280,23 +255,16 @@ class TestKrylovPath:
 
     def test_full_reference_matches_dense_two_row_solve(self):
         # row 2 through the sigma1-swapped jump, on the Krylov path
-        # (desk stamps) and on the LU path (pole circles).  Two backward
-        # stable solves agree to about kappa_2 u max|Q|: the circle stamp
-        # at t = 0 has kappa_2 = 48 and max|Q| = 3.3
         c, jds = desk_stamps()
-        circ = contour_build(window=(-16.0, 16.0), n_panels=16,
-                             nodes_per_panel=12,
-                             circles=[(0.5j, 0.15), (-0.5j, 0.15)])
-        jd_circ = soliton_circle_jump([(0.5j, 1.0 + 0.0j)], LOR, 0.0, 0.0, circ)
-        for cc, jd in [(c, jd) for jd in jds] + [(circ, jd_circ)]:
-            Q, m = sie_solve_full(cc, jd)
-            A, R = dense_operator(cc, jd)
+        for jd in jds:
+            Q, m = sie_solve_full(c, jd)
+            A, R = dense_operator(c, jd)
             want = np.stack([np.linalg.solve(A, R[:, r, :].ravel()).reshape(-1, 2)
                              for r in range(2)], axis=1)
             assert np.max(np.abs(Q - want)) < 1e-13
-            assert abs(-4j * m[0, 1] - sie_solve(cc, jd).E) < 1e-14
+            assert abs(-4j * m[0, 1] - sie_solve(c, jd).E) < 1e-14
             # both rows solve the two-row system
-            CP = cc.cauchy_plus()
+            CP = c.cauchy_plus()
             resid = Q - np.einsum("ij,jab->iab", CP, Q @ (np.eye(2) - jd.J)) - R
             assert np.max(np.abs(resid)) < 1e-14 * np.max(np.abs(R))
 
@@ -326,7 +294,7 @@ class TestKrylovPath:
         assert diag["lu_stamps"] == 0 and diag["krylov_iters"]["p50"] > 2
         monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", 2)
         E_lu, diag_lu = rh_field_grid(sc, LOR, [2.5, 3.5], [0.0], **kw)
-        assert diag_lu["lu_stamps"] == 2
+        assert diag_lu["lu_stamps"] == 2 and diag_lu["residue_cond"] is None
         assert diag_lu["krylov_iters"] == {"p50": 0.0, "max": 0.0}
         assert np.max(np.abs(E_lu - E)) < 1e-14
         assert 0 < diag_lu["posdef_min"]["min"] <= diag_lu["posdef_min"]["p50"]
@@ -348,19 +316,27 @@ class TestKrylovPath:
             y = np.linalg.solve(U, g)
             assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
 
-    def test_pole_circles_keep_lu_refusal(self):
-        # real axis plus circles at +-i/2: the right-hand side lies in a
-        # tiny invariant subspace, so a Krylov estimate reads ~1 while the
-        # operator is ill-conditioned as |c_j|^2 ~ e^{t}; only LU refuses
-        c = contour_build(window=(-16.0, 16.0), n_panels=16,
-                          nodes_per_panel=12,
-                          circles=[(0.5j, 0.15), (-0.5j, 0.15)])
-        poles = [(0.5j, 1.0 + 0.0j)]
-        jd = soliton_circle_jump(poles, LOR, 16.0, 0.0, c)
-        with pytest.raises(IllConditioned):
-            sie_solve(c, jd)
-        ok = sie_solve(c, soliton_circle_jump(poles, LOR, 1.0, 0.0, c))
-        assert ok.diagnostics["iterations"] == 0
+    def test_pole_stamps_solve_without_lu(self):
+        # 1 + 2p right-hand sides on the Krylov path: `iterations` sums
+        # their Arnoldi steps, `cond` is the largest Hessenberg estimate
+        c, jds = desk_stamps(ts=(3.0,), xs=(1.0,))
+        plain = sie_solve(c, jds[0]).diagnostics
+        poles = [(0.5j, 1.0 + 0.0j), (-0.4 + 0.8j, 0.3 - 2.0j)]
+        d = sie_solve(c, jds[0], residue_constants(poles, LOR, 3.0, 1.0)).diagnostics
+        assert not d["lu"] and d["iterations"] > 2 * plain["iterations"]
+        assert d["cond"] >= plain["cond"] and d["residual_rel"] < 1e-14
+        assert 1.0 <= d["residue_cond"] < 1e2 and plain["residue_cond"] is None
+
+    def test_residue_condition_refused(self, monkeypatch):
+        # the SVD condition of the scaled residue system is a certificate:
+        # on a trivial axis jump no other certificate can refuse
+        c = contour_build(window=(-16.0, 16.0), n_panels=16, nodes_per_panel=12)
+        residues = residue_constants([(0.5j, 1.0 + 0.0j)], LOR, 16.0, 0.0)
+        ok = sie_solve(c, identity_jump(c), residues)
+        assert abs(ok.diagnostics["residue_cond"] - 1.0) < 1e-12
+        monkeypatch.setattr(rhsolver, "COND_LIMIT", 0.5)
+        with pytest.raises(IllConditioned, match="residue system condition"):
+            sie_solve(c, identity_jump(c), residues)
 
 
 class TestEvaluateM:
@@ -494,43 +470,100 @@ def test_complex_system_matches_real_form(profile, seed, tol):
 
 def test_overflowing_residue_constant_refused():
     # c_j = m_j e^{-2i z_j t} overflows once 2 Im z_j t passes ~709: the
-    # closed form wrote NaN and the circle jump would carry inf
+    # closed form wrote NaN
     poles = [(0.5j, 1.0 + 0.0j)]
-    c = ContourSigma(panels=[circle_panel(0.5j, 0.15, 16),
-                             circle_panel(-0.5j, 0.15, 16)])
-    for call in (lambda: soliton_closed_form(poles, DELTA, [0.0, 1000.0], 0.0),
-                 lambda: soliton_circle_jump(poles, DELTA, 1000.0, 0.0, c)):
-        with pytest.raises(SingularResidueSystem, match="overflows"):
-            call()
+    with pytest.raises(SingularResidueSystem, match="overflows"):
+        soliton_closed_form(poles, DELTA, [0.0, 1000.0], 0.0)
     # 2 Im z t = 700 still solves, to the field's e^{-700} tail
     E, _ = soliton_closed_form(poles, DELTA, 700.0, 0.0)
     assert np.isfinite(E) and abs(E) < 1e-300
 
 
-class TestPoleCircleRoute:
-    def test_sie_on_circles_matches_residue_algebra(self):
-        prof = BroadeningProfile.delta_approx(1e-3, sign=-1)
-        poles = [(0.5j, 1.0 + 0.0j)]
-        c = ContourSigma(panels=[circle_panel(0.5j, 0.15, 48),
-                                 circle_panel(-0.5j, 0.15, 48)])
-        for t, x in ((0.0, 0.0), (0.8, 0.3), (-1.2, 0.6)):
-            jd = soliton_circle_jump(poles, prof, t, x, c)
-            res = sie_solve(c, jd)
-            E_closed, _ = soliton_closed_form(poles, prof, t, x)
-            assert abs(res.E - E_closed) < 1e-3
-            assert abs(res.E - E_closed) < 1e-8  # spectral accuracy expected
+def test_overflowing_residue_system_refused():
+    # a pole 1e-310 above the axis: c_j is finite, 1/(z_j - conj z_j)
+    # overflows; both residue systems refuse, and no warning escapes
+    poles = [(1e-310j, 1.0 + 0.0j)]
+    c = contour_build(n_panels=4, nodes_per_panel=8)
+    for call in (lambda: soliton_closed_form(poles, DELTA, [0.0, 1.0], 0.5),
+                 lambda: sie_solve(c, identity_jump(c),
+                                   residue_constants(poles, DELTA, 1.0, 0.5))):
+        with pytest.raises(SingularResidueSystem, match="not finite"):
+            call()
 
-    def test_circle_M_matches_meromorphic_M(self):
-        prof = BroadeningProfile.delta_approx(1e-3, sign=-1)
-        poles = [(0.5j, 1.0 + 0.0j)]
-        c = ContourSigma(panels=[circle_panel(0.5j, 0.15, 48),
-                                 circle_panel(-0.5j, 0.15, 48)])
-        jd = soliton_circle_jump(poles, prof, 0.3, 0.1, c)
-        Q, _ = sie_solve_full(c, jd)
-        zs = np.array([2.0 + 1.0j, -1.0 - 2.0j, 0.0 + 3.0j])
-        M_sie = evaluate_M(Q, c, jd, zs)
-        M_exact = soliton_evaluate_M(poles, prof, 0.3, 0.1, zs)
-        assert np.max(np.abs(M_sie - M_exact)) < 1e-8
+
+class TestResidueRoute:
+    """The residue route against `soliton_closed_form` on a full axis
+    jump.  Gauge the soliton's M by D = diag(delta, 1/delta) T, where
+    delta = e^h, h = C[f] for f(s) = 0.3 e^{-s^2} (h = 0.15 w above the
+    axis, w the Faddeeva function, and delta(conj z) = 1/conj delta(z)),
+    and T = [[1, psi], [0, 1]] above the axis, [[1, 0], [chi, 1]] below
+    it, psi and chi analytic there and O(1/z^2).  M D has the jump
+    D+^{-1} D-, the constants c_j / delta(z_j)^2 and the soliton's E.
+    psi(z) = (3i/(z + 3i))^16 / 2 makes the jump I to 1e-12 beyond the
+    window; chi(z) = -0.7 conj(psi(conj z))."""
+
+    poles = [(0.5j, 1.0 + 0.0j), (-0.6 + 0.9j, 0.4 - 1.5j)]
+
+    @staticmethod
+    def gauge(z, up=None):
+        """delta and the off-diagonal entry of T at z, above the axis
+        where up (default: where Im z > 0), else below it."""
+        up = z.imag > 0 if up is None else up
+        zu = np.where(up, z, np.conj(z))
+        delta, psi = np.exp(0.15 * wofz(zu)), 0.5 * (3j / (zu + 3j)) ** 16
+        return (np.where(up, delta, 1.0 / np.conj(delta)),
+                np.where(up, psi, -0.7 * np.conj(psi)))
+
+    def solve(self, t, x):
+        c = contour_build(window=(-16.0, 16.0), n_panels=24, nodes_per_panel=16)
+        lam = c.nodes.real
+        _, psi = self.gauge(lam + 0j, up=True)
+        _, chi = self.gauge(lam + 0j, up=False)
+        ef = np.exp(0.3 * np.exp(-lam ** 2))
+        # J = T+^{-1} diag(1/ef, ef) T-, entry by entry
+        J = np.stack([1.0 / ef - psi * ef * chi, -psi * ef, ef * chi, ef],
+                     axis=-1).reshape(-1, 2, 2)
+        zj, cj = residue_constants(self.poles, LOR, t, x)
+        delta, _ = self.gauge(zj)
+        res = sie_solve(c, JumpData(t=t, x=x, nodes=c.nodes, J=J),
+                        (zj, cj / delta ** 2))
+        return c, J, zj, delta, res
+
+    def test_field_matches_closed_form(self):
+        for t, x in ((0.0, 0.0), (0.8, 0.3), (-1.2, 0.6), (4.0, 0.5)):
+            *_, res = self.solve(t, x)
+            E_closed, _ = soliton_closed_form(self.poles, LOR, t, x)
+            assert res.diagnostics["residue_cond"] < 1e2
+            assert abs(res.E - E_closed) < 1e-8
+
+    def test_first_row_matches_gauged_soliton(self):
+        # residues u_j / delta(z_j) of m12 at z_j and conj(v_j / delta(z_j))
+        # of m11 at conj z_j; m = e1 + P + C[(e1 + P + q)(I-J)] off the
+        # axis against the first row of M D
+        t, x = 0.3, 0.1
+        c, J, zj, delta, res = self.solve(t, x)
+        _, a = soliton_closed_form(self.poles, LOR, t, x)
+        u, r = res.residues[:2], res.residues[2:]
+        assert np.max(np.abs(u - a[:, 0] / delta)) < 1e-8
+        assert np.max(np.abs(r - np.conj(a[:, 1] / delta))) < 1e-8
+
+        def pole_part(z):
+            return np.stack([np.sum(r / (z[:, None] - np.conj(zj)), axis=1),
+                             np.sum(u / (z[:, None] - zj), axis=1)], axis=1)
+
+        lam, w = c.nodes.real, c.weights
+        mu = np.array([1.0, 0.0]) + pole_part(lam) + res.Q
+        dens = np.einsum("ka,kab->kb", mu, np.eye(2) - J)
+        zs = np.array([2.0 + 1.0j, 0.5 + 2.5j, -1.0 - 2.0j, 0.5 - 1.0j])
+        m = (np.array([1.0, 0.0]) + pole_part(zs)
+             + (w / (lam - zs[:, None])) @ dens / (2j * np.pi))
+        M = soliton_evaluate_M(self.poles, LOR, t, x, zs)[:, 0]
+        d, off = self.gauge(zs)
+        row = np.stack([M[:, 0] * d, M[:, 1] / d], axis=1)     # M diag(d, 1/d)
+        up = zs.imag > 0
+        row[up, 1] += row[up, 0] * off[up]
+        row[~up, 0] += row[~up, 1] * off[~up]
+        assert np.max(np.abs(m - row)) < 1e-8
 
 
 class TestReconstructF:
