@@ -46,6 +46,8 @@ from .rhsolver import (
 from .spectral import (DEFAULT_STEP, ScenarioData, locate_a_zeros,
                        magnus_steps_taken)
 
+MAX_MAGNUS_STEPS = 10 ** 6  # --step may ask for at most this many on [0, T] or [0, L]
+
 
 # ----------------------------------------------------------------------
 # config loading
@@ -391,7 +393,9 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     solve.
 
     Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
-    wall time of the pole search, the spectral data and the stamp loop,
+    wall time of the pole search, of the spectral data (`spectral_s`, of
+    which the t- and x-equation Jost solves took `jost_phi_s` and
+    `jost_w_s`) and of the stamp loop,
     and the per-stamp `jump_mixed` and `sie_solve` times summed over
     stamps, whichever process solved them (`workers` counts those
     processes; see parallel_map).  `boundary_err` and `initial_err`
@@ -413,7 +417,9 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     contour = contour_build(window=window, n_panels=n_panels,
                             nodes_per_panel=nodes_per_panel)
     ev = eta_boundary(profile, contour.nodes.real)
-    table, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals)
+    stages = {}
+    table, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals,
+                                  stages=stages)
     marks.append(time.perf_counter())
 
     contour.kernel()            # built once, before the stamp loop forks
@@ -436,7 +442,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
               for ix in range(x_vals.size)]
     E, diags, times, pids = zip(*parallel_map(solve_stamp, stamps))
     marks.append(time.perf_counter())
-    stages = dict(zip(("pole_search_s", "spectral_s", "stamp_loop_s"),
+    stages.update(zip(("pole_search_s", "spectral_s", "stamp_loop_s"),
                       np.diff(marks).tolist()))
     stages["jump_s"], stages["sie_s"] = np.sum(times, axis=0).tolist()
     E = np.array(E).reshape(t_vals.size, x_vals.size)
@@ -553,8 +559,20 @@ def cmd_curve(args):
     return 0
 
 
+def _check_step(step, scenario):
+    """Refuse a Magnus step that is not finite and positive, or that takes
+    more than MAX_MAGNUS_STEPS steps on [0, T] or [0, L]."""
+    if not (np.isfinite(step) and step > 0.0) \
+            or max(scenario.T, scenario.L) / step > MAX_MAGNUS_STEPS:
+        raise SchemaError(
+            f"--step: must be finite and positive with at most "
+            f"{MAX_MAGNUS_STEPS:.0e} Magnus steps on [0, T] and [0, L], "
+            f"got {step}")
+
+
 def cmd_spectra(args):
     scenario, profile, cfg = load_scenario(args.scenario)
+    _check_step(args.step, scenario)
     lam = _lam_grid(cfg)
     table, _, _ = spectral_data(scenario, profile, eta_boundary(profile, lam),
                                 step=args.step)

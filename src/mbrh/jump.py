@@ -4,6 +4,7 @@ The mixed problem's jump is built from K_pm = w_pm S_pm, the x-equation
 Jost solutions times the reflection shears.
 """
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,24 +44,31 @@ def shear_matrices(r_plus, r_bar_minus):
     return sp, sm
 
 
-def spectral_data(scenario, profile, ev, x_out=(0.0,), step=DEFAULT_STEP):
+def spectral_data(scenario, profile, ev, x_out=(0.0,), step=DEFAULT_STEP,
+                  stages=None):
     """Scattering table and mixed-problem terminal data K_pm on x_out.
 
     ev is the `EtaValues` of the real nodes lam (`eta_boundary`), which a
     run evaluates once.  One t-equation solve (Phi at x = 0) and one
-    x-equation solve per bank (w_pm on x_out and x = 0).  The table comes
-    from w_pm(0), the shears S_pm from its reflection coefficients, and
-    K_pm = w_pm S_pm: the x-equation is linear in its terminal data, so
-    this is the solution with terminal value e^{i L eta_pm sigma_3} S_pm.
-    Returns (table, K+, K-) with K of shape (len(x_out), len(lam), 2, 2).
+    stacked x-equation sweep for both banks (w_pm on x_out and x = 0).
+    The table comes from w_pm(0), the shears S_pm from its reflection
+    coefficients, and K_pm = w_pm S_pm: the x-equation is linear in its
+    terminal data, so this is the solution with terminal value
+    e^{i L eta_pm sigma_3} S_pm.  Returns (table, K+, K-) with K of shape
+    (len(x_out), len(lam), 2, 2); a `stages` dict receives the wall time
+    of the two solves as jost_phi_s and jost_w_s.
     """
     lam = ev.lam
     x_out = np.asarray(x_out, dtype=float)
     xs = sorted_union(x_out, [0.0])
     at, at0 = np.searchsorted(xs, x_out), np.searchsorted(xs, 0.0)
+    marks = [time.perf_counter()]
     Phi0, _, _ = jost_phi(scenario, lam, step=step)
-    _, wp = jost_w(scenario, profile, ev, bank="+", x_out=xs, step=step)
-    _, wm = jost_w(scenario, profile, ev, bank="-", x_out=xs, step=step)
+    marks.append(time.perf_counter())
+    _, wp, wm = jost_w(scenario, profile, ev, x_out=xs, step=step)
+    marks.append(time.perf_counter())
+    if stages is not None:
+        stages.update(zip(("jost_phi_s", "jost_w_s"), np.diff(marks).tolist()))
     table = transition_and_reflection(lam, Phi0, wp[at0], wm[at0])
     Sp, Sm = shear_matrices(table.r_plus, table.r_bar_minus)
     return table, wp[at] @ Sp, wm[at] @ Sm

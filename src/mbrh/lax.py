@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .broadening import cauchy_weights, eta_eval, pv_apply, pv_weights
+from .broadening import (EtaValues, cauchy_weights, eta_eval, pv_apply,
+                         pv_weights)
 from .errors import GridCoverage
 
 COVERAGE_THRESHOLD = 0.999
@@ -54,60 +55,66 @@ def check_coverage(profile, grid):
                            f"< {COVERAGE_THRESHOLD}")
 
 
-def medium_transform(profile, grid, targets, boundary=None):
+def medium_transform(profile, grid, targets):
     """The medium term G of the x-equation at the targets, as a function
     of the medium slice on grid.
 
     G = (1/4) integral F(s) n(s) / (s - z) ds at complex points z off the
-    axis (targets, boundary None), or its lam +- i0 limit (boundary "+"
-    or "-"; targets is then the `EtaValues` of the real points lam),
-    which adds the local +-(pi i / 4) F(lam) n(lam) term.  The constant
-    part of F (sigma_3 at infinity) is transformed exactly through eta,
-    so tail truncation only touches the deviation F - sigma_3.  What
-    depends on (grid, targets) alone -- the coverage check, n on the
-    grid, eta, the local weight and the weight matrix W -- is computed
-    here once; the returned function maps a slice to the entries
-    (g11, g12, g21) of G = [[g11, g12], [g21, -g11]], each (Nz,), or
-    (m, Nz) for m stacked slices, by one product with W.
+    axis (targets), or, when targets is the `EtaValues` of real points
+    lam, its limits lam + i0 and lam - i0 for the two banks, which add
+    the local +-(pi i / 4) F(lam) n(lam) term to one shared p.v.
+    integral.  The constant part of F (sigma_3 at infinity) is
+    transformed exactly through eta, so tail truncation only touches the
+    deviation F - sigma_3.  What depends on (grid, targets) alone -- the
+    coverage check, n on the grid, eta, the local weight and the weight
+    matrix W -- is computed here once.  The returned function maps a
+    slice to the entries (g11, g12, g21) of G = [[g11, g12], [g21, -g11]],
+    each (Nz,), or (m, Nz) for m stacked slices; in the boundary form Nz
+    is 2 Nlam, the + bank on the first Nlam columns and the - bank on the
+    last.  rho* n is the conjugate of rho n, so F n enters through two
+    channels, (N - 1) n and rho n, all slices in one real product: in the
+    p.v. form `pv_apply` multiplies their real and imaginary parts by the
+    real W, and in the off-axis form the real rows (N - 1) n, Re(rho n)
+    and Im(rho n) are multiplied by [Re W | Im W].
     """
     check_coverage(profile, grid)
     grid = np.asarray(grid, dtype=float)
     nvals = profile.n(grid)
 
-    def channels(slice_, product):
-        """product of the three channels of every slice, stacked as rows
-        of one (3 m, Ngrid) matrix; returned as (3, m, Nz)."""
-        ch = np.stack([(slice_.N - 1.0) * nvals, slice_.rho * nvals,
-                       np.conj(slice_.rho) * nvals])
-        return product(ch.reshape(-1, grid.size)).reshape(ch.shape[:-1] + (-1,))
-
-    if boundary is None:
+    if not isinstance(targets, EtaValues):
         z = np.atleast_1d(np.asarray(targets, dtype=complex))
         W = 0.25 * cauchy_weights(grid, z)
+        W = np.concatenate([W.real, W.imag], axis=1)
         base = z - eta_eval(profile, z)              # scalar sigma_3 part
 
         def G(slice_):
-            c = channels(slice_, lambda f: f @ W)
-            return c[0] + base, c[1], c[2]
+            rho_n = slice_.rho * nvals
+            f = np.stack([(slice_.N - 1.0) * nvals, rho_n.real, rho_n.imag])
+            p = (f.reshape(-1, grid.size) @ W).reshape(f.shape[:-1] + (2, z.size))
+            re, im = p[..., 0, :], p[..., 1, :]      # products with Re W, Im W
+            return (re[0] + base + 1j * im[0], re[1] - im[2] + 1j * (im[1] + re[2]),
+                    re[1] + im[2] + 1j * (im[1] - re[2]))
 
         return G
 
-    ev = targets
-    lam = ev.lam
+    lam = targets.lam
     W = 0.25 * pv_weights(grid, lam)
-    base = ev.g_plus if boundary == "+" else ev.g_minus
-    local = (1.0 if boundary == "+" else -1.0) * 0.25j * np.pi * ev.n
+    base = np.concatenate([targets.g_plus, targets.g_minus])
+    local = 0.25j * np.pi * targets.n
     # slice data at lam, row by row: linear with clamped ends as np.interp,
     # and exact where lam is a grid node
     j = np.clip(np.searchsorted(grid, lam, side="right") - 1, 0, grid.size - 2)
     t = np.clip((lam - grid[j]) / (grid[j + 1] - grid[j]), 0.0, 1.0)
     interp = lambda f: f[..., j] * (1.0 - t) + f[..., j + 1] * t
+    banks = lambda pv, loc: np.concatenate([pv + loc, pv - loc], axis=-1)
 
     def G(slice_):
-        pv = channels(slice_, lambda f: pv_apply(grid, f, lam, W))
-        loc11 = interp(slice_.N) - 1.0
-        loc12 = interp(slice_.rho)
-        return (pv[0] + local * loc11 + base, pv[1] + local * loc12,
-                pv[2] + local * np.conj(loc12))
+        f = np.stack([(slice_.N - 1.0) * nvals, slice_.rho * nvals])
+        pv11, pv12 = pv_apply(grid, f.reshape(-1, grid.size), lam,
+                              W).reshape(f.shape[:-1] + (-1,))
+        rho = interp(slice_.rho)
+        return (banks(pv11, local * (interp(slice_.N) - 1.0)) + base,
+                banks(pv12, local * rho),
+                banks(np.conj(pv12), local * np.conj(rho)))
 
     return G

@@ -2,8 +2,10 @@
 
 The boundary pulse E_in enters through the Jost solution of the t-equation
 at x = 0; the initial data (E0, rho0) enter through the Jost solutions of
-the two half-plane x-equations at t = 0.  Transition matrices between the
-two give the scattering functions a, b and the reflection coefficients.
+the two half-plane x-equations at t = 0, which differ only in their local
+medium terms and are propagated together in one stacked sweep.
+Transition matrices between the two give the scattering functions a, b
+and the reflection coefficients.
 
 All integrations use a fixed-step 4th-order Magnus scheme (two Gauss nodes
 per step, single commutator) in component form.  The generators are
@@ -11,9 +13,10 @@ traceless, [[a, b], [c, -a]], plus a scalar shift per z for a continued
 column, so Omega is traceless in closed form and
 exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega, mu^2 = a^2 + bc, times
 e^{h shift}: every propagator has unit determinant to machine precision,
-which the downstream jump-matrix certificates rely on.  Blocks of
-MAGNUS_BLOCK steps take one generator call at all their Gauss nodes and
-one batch of exponentials, then a sequential sweep over the steps.
+which the downstream jump-matrix certificates rely on.  A block of up to
+MAGNUS_BLOCK steps takes one generator call at all its Gauss nodes, one
+batch of exponentials (series in mu^2) and rounds of pairwise products
+that compose them into the block's propagator.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +38,8 @@ _GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
 DEFAULT_STEP = 0.01
 MAGNUS_BLOCK = 64           # steps whose exponentials are built at once
+MAGNUS_WIDTH = 384          # columns z above which a block takes fewer steps
+_TAYLOR_TERMS = 10          # terms of the cosh and sinh(mu)/mu series in mu^2
 SINGULAR_FLOOR = 1e-8       # |a| below this on the axis is a spectral singularity
 NEWTON_TOL = 1e-10          # Newton step at which a zero of a counts as found
 
@@ -111,6 +116,52 @@ def magnus_steps_taken():
     return _magnus_steps
 
 
+def _cosh_sinhc(mu2):
+    """cosh(mu) and sinh(mu)/mu as functions of mu^2.
+
+    Taylor series in mu^2 of _TAYLOR_TERMS terms by Horner's rule, whose
+    truncation 1/20! is below the rounding of the leading 1 for
+    |mu^2| <= 1.  The closed form is kept only where |mu^2| > 1.
+    """
+    ch, shc = np.ones_like(mu2), np.ones_like(mu2)
+    for k in range(_TAYLOR_TERMS - 1, 0, -1):
+        ch *= mu2
+        ch *= 1.0 / ((2 * k - 1) * 2 * k)
+        ch += 1.0
+        shc *= mu2
+        shc *= 1.0 / (2 * k * (2 * k + 1))
+        shc += 1.0
+    big = np.abs(mu2) > 1.0
+    if np.any(big):
+        mu = np.sqrt(mu2[big])
+        ch[big], shc[big] = np.cosh(mu), np.sinh(mu) / mu
+    return ch, shc
+
+
+def _matmul(x, y):
+    """x @ y for 2x2 matrices given as entry tuples (m00, m01, m10, m11)."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _compose(e):
+    """Product e[B-1] ... e[1] e[0] of a stack of B step matrices, given
+    as the entry tuple of (B, Nz) arrays, by rounds of pairwise products."""
+    while len(e[0]) > 1:
+        odd = len(e[0]) % 2
+        pairs = _matmul(tuple(v[1::2] for v in e),
+                        tuple(v[:len(v) - odd:2] for v in e))
+        e = tuple(np.concatenate([p, v[len(v) - odd:]])
+                  for p, v in zip(pairs, e)) if odd else pairs
+    return tuple(v[0] for v in e)
+
+
+def _apply(m, u0, u1):
+    """Rows of m @ U for the rows u0, u1 (Nz, k) of U."""
+    m00, m01, m10, m11 = (v[:, None] for v in m)
+    return m00 * u0 + m01 * u1, m10 * u0 + m11 * u1
+
+
 def magnus_propagate(gen, s_grid, terminal, shift=0.0, at=None):
     """Integrate dU/ds = (A(s) + shift) U backward from s_grid[-1] to s_grid[0].
 
@@ -119,6 +170,15 @@ def magnus_propagate(gen, s_grid, terminal, shift=0.0, at=None):
     is a scalar per z.  terminal is U(s_grid[-1]), shape (Nz, 2, k).
     Returns U(s_grid[0]), or with `at` (indices into s_grid) the stack
     of U at those nodes.
+
+    A block of steps takes one generator call at all its Gauss nodes,
+    builds its step exponentials at once and composes them by pairwise
+    products; the state moves by the block's whole product, so U at
+    s_grid[0] does not depend on `at`.  Kept nodes inside a block are
+    read off one copy of the block's start state, stepped through the
+    block's steps up to the last of them.  Blocks hold MAGNUS_BLOCK
+    steps, fewer for more than MAGNUS_WIDTH columns z, so their arrays
+    stay the size of a MAGNUS_WIDTH-column block.
     """
     global _magnus_steps
     s = np.asarray(s_grid, dtype=float)
@@ -126,9 +186,10 @@ def magnus_propagate(gen, s_grid, terminal, shift=0.0, at=None):
     keep = {0} if at is None else set(np.atleast_1d(at).tolist())
     u0 = np.array(terminal[..., 0, :], dtype=complex)       # rows of U, (Nz, k)
     u1 = np.array(terminal[..., 1, :], dtype=complex)
+    block = max(1, min(MAGNUS_BLOCK, MAGNUS_BLOCK * MAGNUS_WIDTH // len(u0)))
     kept = {n: np.stack([u0, u1], axis=-2)} if n in keep else {}
-    for top in range(n, 0, -MAGNUS_BLOCK):
-        i = np.arange(top, max(top - MAGNUS_BLOCK, 0), -1)    # steps s_i -> s_{i-1}
+    for top in range(n, 0, -block):
+        i = np.arange(top, max(top - block, 0), -1)           # steps s_i -> s_{i-1}
         h = s[i - 1] - s[i]
         nodes = np.concatenate([s[i] + _GAUSS_C1 * h, s[i] + _GAUSS_C2 * h])
         (a1, a2), (b1, b2), (c1, c2) = (
@@ -140,19 +201,20 @@ def magnus_propagate(gen, s_grid, terminal, shift=0.0, at=None):
         ob = 0.5 * h * (b1 + b2) + 2.0 * r * (a2 * b1 - b2 * a1)
         oc = 0.5 * h * (c1 + c2) + 2.0 * r * (c2 * a1 - a2 * c1)
         # exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega, mu^2 = -det Omega
-        mu2 = oa * oa + ob * oc
-        mu = np.sqrt(mu2)
-        small = np.abs(mu) < 1e-6
-        safe = np.where(small, 1.0, mu)
-        shc = np.where(small, 1.0 + mu2 / 6.0, np.sinh(safe) / safe)
-        ch, scale = np.cosh(mu), np.exp(h * shift)
-        e00, e01, e10, e11 = (v[..., None] for v in (
-            scale * (ch + shc * oa), scale * shc * ob, scale * shc * oc,
-            scale * (ch - shc * oa)))
-        for j, step in enumerate(i):
-            u0, u1 = e00[j] * u0 + e01[j] * u1, e10[j] * u0 + e11[j] * u1
-            if step - 1 in keep:
-                kept[step - 1] = np.stack([u0, u1], axis=-2)
+        ch, shc = _cosh_sinhc(oa * oa + ob * oc)
+        steps = (ch + shc * oa, shc * ob, shc * oc, ch - shc * oa)
+        if np.any(shift):
+            scale = np.exp(h * shift)
+            steps = tuple(scale * v for v in steps)
+        inner = [j for j in range(i.size - 1) if i[j] - 1 in keep]
+        v = u0, u1                                            # kept interior nodes
+        for j in range(inner[-1] + 1 if inner else 0):
+            v = _apply(tuple(e[j] for e in steps), *v)
+            if i[j] - 1 in keep:
+                kept[i[j] - 1] = np.stack(v, axis=-2)
+        u0, u1 = _apply(_compose(steps), u0, u1)
+        if i[-1] - 1 in keep:
+            kept[i[-1] - 1] = np.stack([u0, u1], axis=-2)
     _magnus_steps += n
     return kept[0] if at is None else np.stack(
         [kept[g] for g in np.atleast_1d(at)])
@@ -243,46 +305,52 @@ def phi_column_continuation(scenario, z, step=DEFAULT_STEP):
 # x-equation Jost solutions at t = 0
 # ----------------------------------------------------------------------
 
-def xbank_propagate(scenario, profile, ev, bank, terminal, x_out,
+def xbank_propagate(scenario, profile, ev, terminal, x_out,
                     step=DEFAULT_STEP):
-    """Backward-propagate the half-plane x-equation from x = L.
+    """Backward-propagate both half-plane x-equations from x = L at once.
 
-    ev is the `EtaValues` of the real nodes lam; terminal is the
-    (Nlam, 2, 2) value at x = L; the solution is returned on x_out.  An
-    excited medium's transform is integrated on lam itself.
+    ev is the `EtaValues` of the real nodes lam.  The two banks are
+    stacked on the node axis: terminal is the (2 Nlam, 2, 2) value at
+    x = L, that of w+ on the first Nlam nodes and that of w- on the last,
+    and the solution on x_out is returned in the same layout.  The banks
+    share the generator but for their medium terms G+- (g+- sigma_3 for
+    an unexcited medium), so one Magnus sweep of width 2 Nlam serves
+    both; an excited medium is transformed on lam itself, each slice once
+    for both banks.  A field-free x-equation is the exact phase.
     """
-    lam = ev.lam
+    lam = np.concatenate([ev.lam, ev.lam])
     x_out = np.asarray(x_out, dtype=float)
     if scenario.medium_is_trivial:
-        g = ev.g_plus if bank == "+" else ev.g_minus      # eta_pm = lam - g_pm
+        g = np.concatenate([ev.g_plus, ev.g_minus])     # eta_pm = lam - g_pm
         if scenario.field_free:
             # exact solution: pure phase relative to the terminal data
             return diag_exp(1j * (x_out[:, None] - scenario.L) * (lam - g)) @ terminal
         G = g
     else:
-        transform = medium_transform(profile, lam, ev, boundary=bank)
-        G = lambda x: transform(scenario.medium_slice(x, lam))
+        transform = medium_transform(profile, ev.lam, ev)
+        G = lambda x: transform(scenario.medium_slice(x, ev.lam))
 
     grid = _refined_grid(sorted_union(x_out, [0.0, scenario.L]), step)
     return magnus_propagate(_x_generator(scenario, lam, G), grid, terminal,
                             at=np.searchsorted(grid, x_out))
 
 
-def jost_w(scenario, profile, ev, bank="+", x_out=None, step=DEFAULT_STEP):
-    """Jost matrix of the half-plane x-equation at t = 0 on an x lattice.
+def jost_w(scenario, profile, ev, x_out=None, step=DEFAULT_STEP):
+    """Jost matrices w+ and w- of the half-plane x-equations at t = 0 on
+    an x lattice, from one stacked sweep (`xbank_propagate`).
 
     ev is the `EtaValues` of the real nodes lam.  Integrates backward from
-    w(L) = e^{i L eta_pm sigma_3}.  Returns (x_out, w) with w of shape
-    (len(x_out), len(lam), 2, 2).
+    w_pm(L) = e^{i L eta_pm sigma_3}.  Returns (x_out, w+, w-), each w of
+    shape (len(x_out), len(lam), 2, 2).
     """
     scenario.validate()
     if x_out is None:
         x_out = np.array([0.0, scenario.L])
     x_out = np.asarray(x_out, dtype=float)
-    eta_b = ev.eta_plus if bank == "+" else ev.eta_minus
-    terminal = diag_exp(1j * scenario.L * eta_b)
-    return x_out, xbank_propagate(scenario, profile, ev, bank, terminal,
-                                  x_out, step=step)
+    terminal = diag_exp(1j * scenario.L * np.concatenate([ev.eta_plus,
+                                                          ev.eta_minus]))
+    w = xbank_propagate(scenario, profile, ev, terminal, x_out, step=step)
+    return x_out, w[:, :ev.lam.size], w[:, ev.lam.size:]
 
 
 def wplus_column_continuation(scenario, profile, z, step=DEFAULT_STEP):

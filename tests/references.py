@@ -2,8 +2,9 @@
 
 None of this runs in an `mb-rh` command: each function here is a second
 route to a quantity the package computes (the Lax generators and the
-Magnus propagation in matrix form, the x-equation from other terminal
-data, eta by adaptive quadrature, the mixed jump by stacked matmuls, both
+Magnus propagation in matrix form and extended precision, the x-equation
+from other terminal data, the medium term from one complex product per
+channel and bank, eta by adaptive quadrature, the mixed jump by stacked matmuls, both
 rows of the contour solve, the residue algebra as a real 4p-dimensional
 map at one stamp, M off the contour, the medium from the solved
 problem, the direct route as a plain loop), the whole-line and
@@ -17,7 +18,8 @@ import dataclasses
 import numpy as np
 from scipy.integrate import quad
 
-from mbrh.broadening import average_weights, eta_boundary
+from mbrh.broadening import (average_weights, cauchy_pwlin, eta_boundary,
+                             eta_eval, pv_cauchy_pwlin)
 from mbrh.cli import rho0_from_config
 from mbrh.direct import SCRATCH, bloch_rotation
 from mbrh.errors import (MBRHError, SingularK, SingularResidueSystem,
@@ -129,7 +131,8 @@ def _sinhc(mu):
 
 
 def expm2(m):
-    """Matrix exponential of 2x2 blocks via the Cayley-Hamilton closed form."""
+    """Matrix exponential of 2x2 blocks via the Cayley-Hamilton closed form,
+    in the precision of m."""
     s = 0.5 * (m[..., 0, 0] + m[..., 1, 1])
     m0 = m - s[..., None, None] * np.eye(2)
     # mu^2 = -det(m0); any branch of the square root works (even functions).
@@ -141,19 +144,24 @@ def expm2(m):
 
 
 def magnus_step(Afun, s1, h, Y):
-    """One 4th-order Magnus update of Y from s1 to s1 + h (h of either sign)."""
-    A1 = Afun(s1 + _GAUSS_C1 * h)
-    A2 = Afun(s1 + _GAUSS_C2 * h)
-    Om = (0.5 * h) * (A1 + A2) + (np.sqrt(3.0) / 12.0 * h * h) * (A2 @ A1 - A1 @ A2)
+    """One 4th-order Magnus update of Y from s1 to s1 + h (h of either
+    sign), in extended precision: the generator values stay double, the
+    exponential and the product are formed in np.clongdouble."""
+    h = np.longdouble(h)
+    A1 = np.asarray(Afun(s1 + _GAUSS_C1 * float(h)), dtype=np.clongdouble)
+    A2 = np.asarray(Afun(s1 + _GAUSS_C2 * float(h)), dtype=np.clongdouble)
+    r = np.sqrt(np.longdouble(3.0)) / 12 * h * h
+    Om = (h / 2) * (A1 + A2) + r * (A2 @ A1 - A1 @ A2)
     return expm2(Om) @ Y
 
 
 def magnus_propagate(Afun, s_grid, terminal):
     """Integrate dY/ds = A(s) Y backward from s_grid[-1] to s_grid[0], one
-    step and one generator evaluation per Gauss node at a time.  Returns
-    the trajectory at every grid node (index aligned with s_grid)."""
-    Y = np.array(terminal, dtype=complex)
-    traj = np.empty((len(s_grid),) + Y.shape, dtype=complex)
+    step and one generator evaluation per Gauss node at a time, in
+    extended precision (`magnus_step`).  Returns the trajectory at every
+    grid node (index aligned with s_grid), as np.clongdouble."""
+    Y = np.array(terminal, dtype=np.clongdouble)
+    traj = np.empty((len(s_grid),) + Y.shape, dtype=np.clongdouble)
     traj[-1] = Y
     for i in range(len(s_grid) - 1, 0, -1):
         Y = magnus_step(Afun, s_grid[i], s_grid[i - 1] - s_grid[i], Y)
@@ -206,20 +214,51 @@ def eta_quadrature(profile, z):
     return out.reshape(np.shape(z)) if np.shape(z) else out[()]
 
 
-def k_solve(scenario, profile, lam_grid, S, bank="+", x_out=None,
+def k_solve(scenario, profile, lam_grid, S_plus, S_minus, x_out=None,
             step=DEFAULT_STEP):
-    """Solve the x-equation with terminal value e^{i L eta_pm sigma_3} S.
+    """Solve the x-equations with terminal values e^{i L eta_pm sigma_3} S_pm.
 
     Independent reference for `spectral_data` (different terminal data,
-    same discretization): by linearity it equals w_pm S.
+    same discretization): by linearity it equals w_pm S_pm.  Returns
+    (x_out, K+, K-).
     """
     ev = eta_boundary(profile, lam_grid)
     if x_out is None:
         x_out = np.array([0.0, scenario.L])
-    eta_b = ev.eta_plus if bank == "+" else ev.eta_minus
-    terminal = diag_exp(1j * scenario.L * eta_b) @ S
-    return np.asarray(x_out, float), xbank_propagate(
-        scenario, profile, ev, bank, terminal, x_out, step=step)
+    terminal = np.concatenate([diag_exp(1j * scenario.L * ev.eta_plus) @ S_plus,
+                               diag_exp(1j * scenario.L * ev.eta_minus) @ S_minus])
+    K = xbank_propagate(scenario, profile, ev, terminal, x_out, step=step)
+    return np.asarray(x_out, float), K[:, :ev.lam.size], K[:, ev.lam.size:]
+
+
+def medium_channels(slice_, nvals):
+    """The complex channels (N - 1) n, rho n and rho* n of a medium slice."""
+    return np.stack([(slice_.N - 1.0) * nvals + 0j, slice_.rho * nvals,
+                     np.conj(slice_.rho) * nvals])
+
+
+def medium_transform_offaxis(profile, grid, z, slice_):
+    """Entries (g11, g12, g21) of G at complex z from one complex product
+    per channel (`cauchy_pwlin`)."""
+    c = 0.25 * cauchy_pwlin(grid, medium_channels(slice_, profile.n(grid)), z)
+    return c[0] + z - eta_eval(profile, z), c[1], c[2]
+
+
+def medium_transform_bank(profile, grid, ev, bank, slice_):
+    """Entries (g11, g12, g21) of the medium term of one bank ("+" or "-")
+    at the real points of ev: the p.v. transform of each complex channel
+    (`pv_cauchy_pwlin`, grid ends tested per channel) plus the local term
+    +-(pi i / 4) F(lam) n(lam), with F taken at lam by np.interp."""
+    pv = 0.25 * pv_cauchy_pwlin(grid, medium_channels(slice_, profile.n(grid)),
+                                ev.lam)
+    sign, g = (1.0, ev.g_plus) if bank == "+" else (-1.0, ev.g_minus)
+    at = lambda f: (np.interp(ev.lam, grid, f.real)
+                    + 1j * np.interp(ev.lam, grid, f.imag))
+    local = sign * 0.25j * np.pi * ev.n
+    rho = np.array([at(r) for r in np.atleast_2d(slice_.rho)]).reshape(pv[1].shape)
+    N = np.array([at(r) for r in np.atleast_2d(slice_.N)]).reshape(pv[0].shape)
+    return (pv[0] + local * (N - 1.0) + g, pv[1] + local * rho,
+            pv[2] + local * np.conj(rho))
 
 
 # ----------------------------------------------------------------------

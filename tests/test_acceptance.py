@@ -144,8 +144,7 @@ def test_criterion_04_trivial_scenario_end_to_end():
                           lam.shape + (2, 2)).copy()
     t_vals = np.linspace(0.0, sc.T, 10)
     x_vals = np.linspace(0.0, sc.L, 10)
-    _, Kp = k_solve(sc, LOR, lam, eye, bank="+", x_out=x_vals)
-    _, Km = k_solve(sc, LOR, lam, eye, bank="-", x_out=x_vals)
+    _, Kp, Km = k_solve(sc, LOR, lam, eye, eye, x_out=x_vals)
     ev = eta_boundary(LOR, lam)
     jerr = 0.0
     emax = 0.0

@@ -206,6 +206,31 @@ class TestLoadScenario:
                             "--out", str(out)]) == 2
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("step", ["-0.01", "inf", "-inf", "0", "nan",
+                                      "1e-9"])
+    def test_bad_step_refused(self, monkeypatch, tmp_path, capsys, step):
+        # a negative or infinite step ran one Magnus step over [0, T] and
+        # printed a wrong table with exit 0; 0 and nan ended in a
+        # traceback; 1e-9 tried to allocate 74.5 GiB for its grid.  Each
+        # is refused before any grid is built
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a Magnus grid was built")
+
+        monkeypatch.setattr(spectral, "_refined_grid", no_grid)
+        path = write_scenario(tmp_path)
+        out = tmp_path / "sp"
+        assert run_command(["spectra", "--scenario", path, "--step", step,
+                            "--out", str(out)]) == 2
+        assert "--step" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_step_limit_counts_magnus_steps(self, tmp_path):
+        # at most 10^6 Magnus steps on the longer of [0, T] and [0, L]
+        scenario, _, _ = load_scenario(write_scenario(tmp_path, L=8.0))
+        cli._check_step(8.0 / cli.MAX_MAGNUS_STEPS, scenario)
+        with pytest.raises(SchemaError, match="--step"):
+            cli._check_step(0.999 * 8.0 / cli.MAX_MAGNUS_STEPS, scenario)
+
     def test_discretization_defaults_stay_out_of_the_config(self, tmp_path):
         path = write_scenario(tmp_path)
         _, _, cfg = load_scenario(path)
@@ -419,11 +444,12 @@ class TestCommands:
         assert 0 < diag["krylov_iters"]["p50"] <= diag["krylov_iters"]["max"]
         assert 0 < diag["posdef_min"]["min"] <= diag["posdef_min"]["p50"]
         # stage trace: one t-equation solve, T / DEFAULT_STEP = 600 steps;
-        # the two x-banks take the plane-wave shortcut here
+        # the stacked x-sweep takes the plane-wave shortcut here
         stages = diag["stages"]
-        assert set(stages) == {"pole_search_s", "spectral_s",
-                               "stamp_loop_s", "jump_s", "sie_s"}
+        assert set(stages) == {"pole_search_s", "spectral_s", "jost_phi_s",
+                               "jost_w_s", "stamp_loop_s", "jump_s", "sie_s"}
         assert all(v >= 0.0 for v in stages.values())
+        assert stages["jost_phi_s"] + stages["jost_w_s"] <= stages["spectral_s"]
         assert stages["jump_s"] + stages["sie_s"] <= stages["stamp_loop_s"]
         assert diag["magnus_steps"] == 600
         # the lattice holds the x = 0 column but no t = 0 row
@@ -533,22 +559,26 @@ class TestCommands:
                             path, "--out", str(tmp_path / "x")]) == 3
 
     def test_solve_rh_runs_one_xbank_solve_per_bank(self, monkeypatch, tmp_path):
-        calls = []
+        # both banks in one stacked sweep: one call, 2 x 32 nodes wide
+        widths = []
         orig = spectral.xbank_propagate
 
         def counted(*args, **kwargs):
-            calls.append(args[3])
+            widths.append(len(args[3]))
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "xbank_propagate", counted)
         path = write_scenario(tmp_path, n_panels=4, nodes_per_panel=8,
                               E0={"pulse": "gaussian", "amplitude": 0.2,
                                   "center": 1.0, "width": 0.3})
+        out = tmp_path / "rh"
         rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:2",
-                          "--x", "0:2:3", "--no-poles",
-                          "--out", str(tmp_path / "rh")])
+                          "--x", "0:2:3", "--no-poles", "--out", str(out)])
         assert rc == 0
-        assert sorted(calls) == ["+", "-"]
+        assert widths == [2 * 4 * 8]
+        diag = json.load(open(out / "meta.json"))["diagnostics"]
+        # T = 6 and L = 2 at DEFAULT_STEP: the x-sweep's 200 steps count once
+        assert diag["magnus_steps"] == 600 + 200
 
     def test_solve_rh_builds_cauchy_matrix_once(self, monkeypatch, tmp_path):
         # every stamp shares the contour's Cauchy matrix, built before the

@@ -21,7 +21,6 @@ from mbrh.spectral import (
     jost_w,
     phi_column_continuation,
     transition_and_reflection,
-    xbank_propagate,
 )
 from mbrh.rhsolver import contour_build
 from references import (RegularityViolation, desk_scenario, excited_scenario,
@@ -44,8 +43,7 @@ def smooth_data():
     lam = np.linspace(-20, 20, 81)
     Phi0, _, _ = jost_phi(sc, lam)
     ev = eta_boundary(ATT, lam)
-    _, wp = jost_w(sc, ATT, ev)
-    _, wm = jost_w(sc, ATT, ev, bank="-")
+    _, wp, wm = jost_w(sc, ATT, ev)
     tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
     return sc, lam, tab, wp[0], wm[0]
 
@@ -56,10 +54,10 @@ class TestKSolve:
         lam = np.linspace(-4, 4, 17)
         eye = np.broadcast_to(np.eye(2, dtype=complex), (17, 2, 2))
         x_out = np.array([0.0, 1.5, 5.0])
-        _, K = k_solve(sc, ATT, lam, eye, bank="+", x_out=x_out)
+        _, Kp, Km = k_solve(sc, ATT, lam, eye, eye, x_out=x_out)
         ev = eta_boundary(ATT, lam)
-        want = diag_exp(1j * x_out[:, None] * ev.eta_plus)
-        assert np.max(np.abs(K - want)) < 1e-12
+        assert np.max(np.abs(Kp - diag_exp(1j * x_out[:, None] * ev.eta_plus))) < 1e-12
+        assert np.max(np.abs(Km - diag_exp(1j * x_out[:, None] * ev.eta_minus))) < 1e-12
 
     def test_trivial_generic_terminal(self):
         sc = trivial_scenario()
@@ -67,10 +65,12 @@ class TestKSolve:
         rng = np.random.default_rng(11)
         S = rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))
         x_out = np.array([0.0, 2.0])
-        _, K = k_solve(sc, ATT, lam, S, bank="-", x_out=x_out)
+        _, Kp, Km = k_solve(sc, ATT, lam, S, S.conj(), x_out=x_out)
         ev = eta_boundary(ATT, lam)
-        want = diag_exp(1j * x_out[:, None] * ev.eta_minus) @ S
-        assert np.max(np.abs(K - want)) < 1e-12
+        want = diag_exp(1j * x_out[:, None] * ev.eta_minus) @ S.conj()
+        assert np.max(np.abs(Km - want)) < 1e-12
+        want = diag_exp(1j * x_out[:, None] * ev.eta_plus) @ S
+        assert np.max(np.abs(Kp - want)) < 1e-12
 
     def test_consistency_with_jost_path(self):
         # K = w S from the Jost banks equals the solve from terminal data
@@ -81,8 +81,8 @@ class TestKSolve:
             tab, Kp, Km = spectral_data(sc, ATT, eta_boundary(ATT, lam),
                                         x_out=x_out)
             sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
-            for K, S, bank in ((Kp, sp, "+"), (Km, sm, "-")):
-                _, ref = k_solve(sc, ATT, lam, S, bank=bank, x_out=x_out)
+            _, ref_p, ref_m = k_solve(sc, ATT, lam, sp, sm, x_out=x_out)
+            for K, ref in ((Kp, ref_p), (Km, ref_m)):
                 assert np.max(np.abs(K - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -106,16 +106,20 @@ class TestKernelReuse:
         self._count(monkeypatch, lax, "pv_weights", builds)
         self._count(monkeypatch, lax, "pv_apply", calls)
         sc = excited_scenario()
-        lam = np.linspace(-20, 20, 41)
+        # 241 nodes: the stacked sweep is 482 wide, so its blocks are capped
+        lam = np.linspace(-20, 20, 241)
         x_out = np.linspace(0, sc.L, 3)
-        step = 0.05
+        step = 0.03
         ev = eta_boundary(ATT, lam)
-        terminal = diag_exp(1j * sc.L * ev.eta_plus)
-        xbank_propagate(sc, ATT, ev, "+", terminal, x_out, step=step)
+        jost_w(sc, ATT, ev, x_out=x_out, step=step)
         steps = spectral._refined_grid(np.union1d(x_out, [0.0, sc.L]), step).size - 1
+        cap = min(spectral.MAGNUS_BLOCK,
+                  spectral.MAGNUS_BLOCK * spectral.MAGNUS_WIDTH // (2 * lam.size))
+        assert cap < spectral.MAGNUS_BLOCK and steps % cap != 0
         assert len(builds) == 1
-        # one p.v. product per block of steps, both Gauss nodes stacked
-        assert len(calls) == -(-steps // spectral.MAGNUS_BLOCK)
+        # one p.v. product per capped block of steps, for both banks and
+        # both Gauss nodes
+        assert len(calls) == -(-steps // cap)
 
     def test_continued_a_builds_cauchy_weights_once(self, monkeypatch):
         builds = []
@@ -133,16 +137,14 @@ class TestJumpMixed:
         eye = np.broadcast_to(np.eye(2, dtype=complex), (25, 2, 2)).copy()
         ev = eta_boundary(ATT, lam)
         for (t, x) in ((0.0, 0.0), (3.7, 1.2), (10.0, 5.0)):
-            _, Kp = k_solve(sc, ATT, lam, eye, bank="+", x_out=np.array([x]))
-            _, Km = k_solve(sc, ATT, lam, eye, bank="-", x_out=np.array([x]))
+            _, Kp, Km = k_solve(sc, ATT, lam, eye, eye, x_out=np.array([x]))
             jd = jump_mixed(t, x, ev, Kp[0], Km[0])
             assert np.max(np.abs(jd.J - np.eye(2))) < 1e-10
 
     def test_origin_equals_spectral_product(self, smooth_data):
         sc, lam, tab, wp0, wm0 = smooth_data
         sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
-        _, Kp = k_solve(sc, ATT, lam, sp, bank="+", x_out=np.array([0.0]))
-        _, Km = k_solve(sc, ATT, lam, sm, bank="-", x_out=np.array([0.0]))
+        _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([0.0]))
         jd = jump_mixed(0.0, 0.0, eta_boundary(ATT, lam), Kp[0], Km[0])
         want = inv2(sp) @ inv2(wp0) @ wm0 @ sm
         assert np.max(np.abs(jd.J - want)) < 1e-7
@@ -150,16 +152,14 @@ class TestJumpMixed:
     def test_unimodular(self, smooth_data):
         sc, lam, tab, _, _ = smooth_data
         sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
-        _, Kp = k_solve(sc, ATT, lam, sp, bank="+", x_out=np.array([2.0]))
-        _, Km = k_solve(sc, ATT, lam, sm, bank="-", x_out=np.array([2.0]))
+        _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([2.0]))
         jd = jump_mixed(1.5, 2.0, eta_boundary(ATT, lam), Kp[0], Km[0])
         assert jd.det_error() < 1e-8
 
     def test_tail_decay_in_lambda(self, smooth_data):
         sc, lam, tab, _, _ = smooth_data
         sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
-        _, Kp = k_solve(sc, ATT, lam, sp, bank="+", x_out=np.array([0.0]))
-        _, Km = k_solve(sc, ATT, lam, sm, bank="-", x_out=np.array([0.0]))
+        _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([0.0]))
         jd = jump_mixed(0.0, 0.0, eta_boundary(ATT, lam), Kp[0], Km[0])
         dist = np.max(np.abs(jd.J - np.eye(2)), axis=(-2, -1))
         at = lambda v: dist[np.argmin(np.abs(lam - v))]
@@ -174,8 +174,7 @@ class TestJumpMixed:
         for _ in range(5):
             t = rng.uniform(0, 10)
             x = rng.uniform(0, 5)
-            _, Kp = k_solve(sc, ATT, lam, sp, bank="+", x_out=np.array([x]))
-            _, Km = k_solve(sc, ATT, lam, sm, bank="-", x_out=np.array([x]))
+            _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([x]))
             jd = jump_mixed(t, x, ev, Kp[0], Km[0])
             assert posdef_check(jd) > 0.0
 

@@ -20,6 +20,8 @@ from references import (
     coupling_matrix,
     mb_residual,
     medium_matrix,
+    medium_transform_bank,
+    medium_transform_offaxis,
     sigma2_conj,
 )
 
@@ -44,9 +46,8 @@ class TestCauchyTransformF:
         grid = np.linspace(-15, 15, 301)
         s = _trivial_slice(grid)
         ev = eta_boundary(p, 0.7)
-        Gp = medium_matrix(medium_transform(p, grid, ev, boundary="+")(s))
+        Gp, Gm = medium_matrix(medium_transform(p, grid, ev)(s))
         assert np.max(np.abs(Gp - ev.g_plus[0] * SIGMA3)) < 1e-12
-        Gm = medium_matrix(medium_transform(p, grid, ev, boundary="-")(s))
         assert np.max(np.abs(Gm - ev.g_minus[0] * SIGMA3)) < 1e-12
 
     def test_generic_slice_vs_brute_trapezoid(self):
@@ -85,13 +86,12 @@ class TestCauchyTransformF:
         z = lam + 0.3j
         ev = eta_boundary(p, lam)
         offaxis = medium_transform(p, grid, z)
-        plus = medium_transform(p, grid, ev, boundary="+")
+        boundary = medium_transform(p, grid, ev)
         for amp in (0.0, 0.2, 0.5):
             s = medium_from_rho(grid, amp * np.exp(-grid ** 2) * (1 - 0.4j))
             fresh = medium_transform(p, grid, z)(s)
             assert np.array_equal(offaxis(s), fresh)
-            assert np.array_equal(plus(s), medium_transform(
-                p, grid, ev, boundary="+")(s))
+            assert np.array_equal(boundary(s), medium_transform(p, grid, ev)(s))
 
     def test_coverage_guard(self):
         grid = np.linspace(-6, 6, 601)
@@ -115,17 +115,21 @@ class TestStackedSlices:
         self.rho = 0.4 * bump * (rng.uniform(-1, 1, (5, 1))
                                  + 1j * rng.uniform(-1, 1, (5, 1)))
 
-    def _check(self, G):
-        stacked = medium_matrix(G(medium_from_rho(self.grid, self.rho)))
-        single = np.array([medium_matrix(G(medium_from_rho(self.grid, r)))
+    def _check(self, G, cols=slice(None)):
+        stacked = medium_matrix(G(medium_from_rho(self.grid, self.rho)))[:, cols]
+        single = np.array([medium_matrix(G(medium_from_rho(self.grid, r)))[cols]
                            for r in self.rho])
         assert stacked.shape == single.shape
         assert np.max(np.abs(stacked - single)) <= 1e-15 * np.max(np.abs(single))
 
     @pytest.mark.parametrize("bank", ["+", "-"])
     def test_boundary(self, bank):
+        # the boundary form returns the + bank on the first grid.size
+        # columns and the - bank on the last
         ev = eta_boundary(self.p, self.grid)
-        self._check(medium_transform(self.p, self.grid, ev, boundary=bank))
+        n = self.grid.size
+        self._check(medium_transform(self.p, self.grid, ev),
+                    slice(0, n) if bank == "+" else slice(n, None))
 
     def test_off_axis(self):
         z = np.array([0.3 + 0.5j, -2.0 + 1e-3j, 4.0 + 3.0j])
@@ -135,12 +139,58 @@ class TestStackedSlices:
         # the targets include the grid ends, where the p.v. integral of a
         # row that has not vanished diverges
         ev = eta_boundary(self.p, self.grid)
-        G = medium_transform(self.p, self.grid, ev, boundary="+")
+        G = medium_transform(self.p, self.grid, ev)
         rho = self.rho.copy()
         rho[3, -1] = 0.1
         G(medium_from_rho(self.grid, np.delete(rho, 3, axis=0)))
         with pytest.raises(PrincipalValueFailure):
             G(medium_from_rho(self.grid, rho))
+
+    @pytest.mark.parametrize("end", [0, -1])
+    @pytest.mark.parametrize("value", [0.1, 0.1j, 1e-3 * (1 + 1j)])
+    def test_channel_not_vanishing_at_an_end_refused(self, end, value):
+        # real or imaginary polarization left at either grid end: the end
+        # test reads the complex channels' magnitudes, so a channel whose
+        # real or imaginary part vanishes there is refused as well
+        G = medium_transform(self.p, self.grid, eta_boundary(self.p, self.grid))
+        rho = self.rho[0].copy()
+        rho[end] = value
+        with pytest.raises(PrincipalValueFailure):
+            G(medium_from_rho(self.grid, rho))
+
+
+class TestOneRealProduct:
+    """The one real product of each form against one complex product per
+    channel (`references.medium_transform_offaxis` / `_bank`)."""
+
+    p = BroadeningProfile.lorentzian(1.0, sign=-1)
+    grid = np.linspace(-20, 20, 161)
+
+    def _slices(self):
+        rng = np.random.default_rng(4)
+        bump = np.exp(-self.grid ** 2 / 2)
+        return medium_from_rho(self.grid, 0.5 * bump * (
+            rng.uniform(-1, 1, (4, 1)) + 1j * rng.uniform(-1, 1, (4, 1))))
+
+    @staticmethod
+    def _rel(got, want):
+        got, want = np.array(got), np.array(want)
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    def test_off_axis(self):
+        z = np.array([0.3 + 0.5j, -2.0 + 1e-3j, 4.0 + 3.0j, 19.0 + 0.1j])
+        s = self._slices()
+        got = medium_transform(self.p, self.grid, z)(s)
+        assert self._rel(got, medium_transform_offaxis(self.p, self.grid, z, s)) < 1e-14
+
+    def test_boundary(self):
+        ev = eta_boundary(self.p, self.grid)
+        s = self._slices()
+        got = np.array(medium_transform(self.p, self.grid, ev)(s))
+        n = self.grid.size
+        for bank, cols in (("+", slice(0, n)), ("-", slice(n, None))):
+            want = medium_transform_bank(self.p, self.grid, ev, bank, s)
+            assert self._rel(got[..., cols], want) < 1e-14
 
 
 class TestAknsMatrices:

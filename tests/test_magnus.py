@@ -1,12 +1,16 @@
 """The block-batched Magnus kernel against the one-step matrix-form
 reference (`references.magnus_propagate`): same scheme, same nodes, so the
-two agree to rounding."""
+two agree to the kernel's rounding (the reference runs in extended
+precision)."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import references as ref
-from mbrh.broadening import LAM_WINDOW, BroadeningProfile, eta_boundary, eta_eval
+from mbrh.broadening import (LAM_WINDOW, BroadeningProfile, eta_boundary,
+                             eta_eval, profile_normalize)
 from mbrh.lax import medium_transform
 from mbrh.mat2 import det2, diag_exp
 from mbrh.spectral import (
@@ -60,26 +64,56 @@ def test_phi_continuation_matches_matrix_form():
     assert rel(B, want[:, 0, 0]) <= TOL
 
 
+def _check_stacked_xbank(sc, profile, lam, x_out, banks=("+", "-")):
+    """The stacked sweep of both banks against each bank's own one-step
+    matrix-form propagation, with its medium term from complex channels
+    (`references.medium_transform_bank`)."""
+    ev = eta_boundary(profile, lam)
+    terminal = diag_exp(1j * sc.L * np.concatenate([ev.eta_plus, ev.eta_minus]))
+    w = xbank_propagate(sc, profile, ev, terminal, x_out)
+    assert w.shape == (x_out.size, 2 * lam.size, 2, 2)
+    grid = _refined_grid(np.union1d(x_out, [0.0, sc.L]), DEFAULT_STEP)
+    for bank in banks:
+        half = slice(0, lam.size) if bank == "+" else slice(lam.size, None)
+        if sc.medium_is_trivial:
+            g = ev.g_plus if bank == "+" else ev.g_minus
+            G = g[:, None, None] * ref.SIGMA3
+        else:
+            G = lambda x: ref.medium_transform_bank(
+                profile, lam, ev, bank, sc.medium_slice(x, lam))
+        traj = ref.magnus_propagate(ref.x_generator(sc, lam, G), grid,
+                                    terminal[half])
+        assert rel(w[:, half], traj[np.searchsorted(grid, x_out)]) <= TOL
+    assert np.max(np.abs(det2(w) - 1.0)) <= TOL
+    return grid
+
+
 @pytest.mark.parametrize("bank", ["+", "-"])
 def test_xbank_matches_matrix_form(bank):
     # output depths off the block boundaries, unsorted, L included
     sc = ref.excited_scenario()
     lam = np.linspace(*LAM_WINDOW, 161)
-    ev = eta_boundary(LOR, lam)
-    eta_b = ev.eta_plus if bank == "+" else ev.eta_minus
-    terminal = diag_exp(1j * sc.L * eta_b)
-    x_out = np.array([1.3, 0.0, 0.641, 2.0, 0.37])
-    w = xbank_propagate(sc, LOR, ev, bank, terminal, x_out)
-    transform = medium_transform(LOR, lam, ev, boundary=bank)
-    grid = _refined_grid(np.union1d(x_out, [0.0, sc.L]), DEFAULT_STEP)
+    grid = _check_stacked_xbank(sc, LOR, lam,
+                                np.array([1.3, 0.0, 0.641, 2.0, 0.37]), (bank,))
     assert (grid.size - 1) % MAGNUS_BLOCK != 0
-    traj = ref.magnus_propagate(
-        ref.x_generator(sc, lam, lambda x: transform(sc.medium_slice(x, lam))),
-        grid, terminal)
-    want = traj[np.searchsorted(grid, x_out)]
-    assert w.shape == want.shape
-    assert rel(w, want) <= TOL
-    assert np.max(np.abs(det2(w) - 1.0)) <= TOL
+
+
+@pytest.mark.parametrize("medium", ["tabulated", "unexcited"])
+def test_stacked_xbank_other_media(medium):
+    # a tabulated line under the excited medium, and the constant medium
+    # terms g+- sigma_3 of an unexcited medium with E0 != 0; 241 nodes
+    # make the stacked width 482, so its blocks are capped below
+    # MAGNUS_BLOCK steps
+    lam = np.linspace(*LAM_WINDOW, 241)
+    if medium == "tabulated":
+        profile = profile_normalize(BroadeningProfile.tabulated(
+            lam, np.exp(-lam ** 2 / 2)))
+        sc = ref.excited_scenario()
+    else:
+        profile = LOR
+        sc = dataclasses.replace(ref.excited_scenario(), rho0=None)
+        assert not sc.field_free
+    _check_stacked_xbank(sc, profile, lam, np.array([0.0, 0.5, 1.7, 2.0]))
 
 
 def test_wplus_continuation_matches_matrix_form():
@@ -112,3 +146,8 @@ def test_block_boundaries(steps):
     end = magnus_propagate(_t_generator(sc, z), s_grid, terminal,
                            shift=-1j * z)
     assert np.array_equal(end, got[0])
+    # every node kept, as on a dense x lattice
+    every = magnus_propagate(_t_generator(sc, z), s_grid, terminal,
+                             shift=-1j * z, at=np.arange(steps + 1))
+    assert rel(every, want) <= TOL
+    assert np.array_equal(every[0], end)

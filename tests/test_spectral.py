@@ -84,10 +84,10 @@ class TestJostW:
         lam = np.linspace(-5, 5, 41)
         x_out = np.linspace(0, sc.L, 6)
         ev = eta_boundary(p, lam)
-        _, w = jost_w(sc, p, ev, bank="+", x_out=x_out)
-        want = diag_exp(1j * x_out[:, None] * ev.eta_plus)
-        assert np.max(np.abs(w - want)) < 1e-12
-        assert np.max(np.abs(w[0] - np.eye(2))) < 1e-12
+        _, wp, wm = jost_w(sc, p, ev, x_out=x_out)
+        for w, eta in ((wp, ev.eta_plus), (wm, ev.eta_minus)):
+            assert np.max(np.abs(w - diag_exp(1j * x_out[:, None] * eta))) < 1e-12
+            assert np.max(np.abs(w[0] - np.eye(2))) < 1e-12
 
     def test_picard_volterra_oracle(self):
         # hatted Volterra form: w(x) = e^{ix eta s3} - int_x^L e^{i(x-s) eta s3} H w ds
@@ -110,8 +110,8 @@ class TestJostW:
                 P = tw[:, None, None] * (free_inv @ H @ w)
                 S = np.cumsum(P[::-1], axis=0)[::-1] - 0.5 * P    # suffix trapezoid
                 w = free @ (np.eye(2) - S)
-            _, wode = jost_w(sc, p, eta_boundary(p, lam[k]), bank="+",
-                             x_out=np.array([0.0, 2.5, 5.0]))
+            _, wode, _ = jost_w(sc, p, eta_boundary(p, lam[k]),
+                                x_out=np.array([0.0, 2.5, 5.0]))
             for j, idx in ((0, 0), (1, 4000), (2, 8000)):
                 assert np.max(np.abs(wode[j, 0] - w[idx])) < 1e-7
 
@@ -121,8 +121,7 @@ class TestJostW:
         lam = np.linspace(-6, 6, 25)
         x_out = np.array([0.0, 2.0, 5.0])
         ev = eta_boundary(p, lam)
-        _, wp = jost_w(sc, p, ev, bank="+", x_out=x_out)
-        _, wm = jost_w(sc, p, ev, bank="-", x_out=x_out)
+        _, wp, wm = jost_w(sc, p, ev, x_out=x_out)
         assert np.max(np.abs(wm - sigma2_conj(wp))) < 1e-8
         assert np.max(np.abs(det2(wp) - 1.0)) < 1e-9
 
@@ -144,7 +143,7 @@ class TestJostW:
             lam = np.array([-1.1, 0.3, 2.7])
             pick = np.arange(3)
         sc = ScenarioData(T=10.0, L=2.0, E_in=ZERO, E0=E0, rho0=rho0)
-        _, w = jost_w(sc, p, eta_boundary(p, lam), x_out=np.array([0.0]))
+        _, w, _ = jost_w(sc, p, eta_boundary(p, lam), x_out=np.array([0.0]))
         alpha, beta = wplus_column_continuation(sc, p, lam[pick] + 1e-8j)
         # measured: at most 3.4e-11 in alpha and 1.5e-9 in beta
         # (|beta| >= 0.04), both falling linearly with eps
@@ -167,8 +166,7 @@ class TestTransition:
         lam = np.linspace(-5, 5, 21)
         Phi0, _, _ = jost_phi(sc, lam)
         ev = eta_boundary(p, lam)
-        _, wp = jost_w(sc, p, ev, bank="+")
-        _, wm = jost_w(sc, p, ev, bank="-")
+        _, wp, wm = jost_w(sc, p, ev)
         tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
         assert np.max(np.abs(tab.a_plus - 1)) < 1e-12
         assert np.max(np.abs(tab.r_plus)) < 1e-12
@@ -179,8 +177,7 @@ class TestTransition:
         lam = np.linspace(-20, 20, 201)
         Phi0, _, _ = jost_phi(sc, lam)
         ev = eta_boundary(p, lam)
-        _, wp = jost_w(sc, p, ev, bank="+")
-        _, wm = jost_w(sc, p, ev, bank="-")
+        _, wp, wm = jost_w(sc, p, ev)
         tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
         assert np.max(np.abs(tab.r_plus)) <= 1e-5
 
@@ -190,8 +187,7 @@ class TestTransition:
         lam = np.linspace(-10, 10, 81)
         Phi0, _, _ = jost_phi(sc, lam)
         ev = eta_boundary(p, lam)
-        _, wp = jost_w(sc, p, ev, bank="+")
-        _, wm = jost_w(sc, p, ev, bank="-")
+        _, wp, wm = jost_w(sc, p, ev)
         tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
         assert tab.diagnostics["det_Tp_err"] < 1e-8
         assert tab.diagnostics["det_Tm_err"] < 1e-8
@@ -204,8 +200,7 @@ class TestTransition:
         lam = np.array([-20.0, 20.0, -10.0, 10.0])
         Phi0, _, _ = jost_phi(sc, lam)
         ev = eta_boundary(p, lam)
-        _, wp = jost_w(sc, p, ev, bank="+")
-        _, wm = jost_w(sc, p, ev, bank="-")
+        _, wp, wm = jost_w(sc, p, ev)
         tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
         assert np.max(np.abs(tab.a_plus - 1)) < 0.2
         assert np.max(np.abs(tab.b_plus)) < 0.2
