@@ -169,7 +169,7 @@ def profile_normalize(profile: BroadeningProfile) -> BroadeningProfile:
 def _sum_by_parts(sgrid, targets, D):
     """Weights W (Ns, Nt) from the panel log increments D (Ns - 1, Nt).
 
-    Panel j contributes [f_j (1 - t_j) + f_{j+1} t_j] D_j + f_{j+1} - f_j,
+    Grid panel j contributes [f_j (1 - t_j) + f_{j+1} t_j] D_j + f_{j+1} - f_j,
     t_j = (target - s_j)/h_j, so node k collects
     W[k] = (1 - t_k) D_k + t_{k-1} D_{k-1} + (delta_{k,last} - delta_{k,0}).
     """

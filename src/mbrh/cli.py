@@ -174,21 +174,24 @@ def _float_range_int(text):
     return val
 
 
-def discretization(cfg):
+def discretization(cfg, names=None):
     """(lam_window, lam_points, n_panels, nodes_per_panel) of a scenario
-    config, defaults where unset; SchemaError names a bad key."""
+    config, defaults where unset; SchemaError names a bad key, as
+    scenario.<key> or by names[key] (a flag that gave the value)."""
+    name = lambda key: (names or {}).get(key, f"scenario.{key}")
     win = cfg.get("lam_window", LAM_WINDOW)     # type(), as a bool is an int
     if not (isinstance(win, (list, tuple)) and len(win) == 2
-            and all(type(v) in (int, float) for v in win) and win[0] < win[1]):
-        raise SchemaError("scenario.lam_window: must be two numbers lo < hi, "
-                          f"got {win!r}")
+            and all(type(v) in (int, float) and np.isfinite(v) for v in win)
+            and win[0] < win[1]):
+        raise SchemaError(f"{name('lam_window')}: must be two finite numbers "
+                          f"lo < hi, got {win!r}")
     counts = []
     for key, least, default in (("lam_points", 2, LAM_POINTS),
                                 ("n_panels", 1, N_PANELS),
                                 ("nodes_per_panel", 1, NODES_PER_PANEL)):
         val = cfg.get(key, default)
         if type(val) is not int or val < least:
-            raise SchemaError(f"scenario.{key}: must be an integer >= "
+            raise SchemaError(f"{name(key)}: must be an integer >= "
                               f"{least}, got {val!r}")
         counts.append(val)
     return ((float(win[0]), float(win[1])), *counts)
@@ -416,7 +419,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     marks.append(time.perf_counter())
     contour = contour_build(window=window, n_panels=n_panels,
                             nodes_per_panel=nodes_per_panel)
-    ev = eta_boundary(profile, contour.nodes.real)
+    ev = eta_boundary(profile, contour.nodes)
     stages = {}
     table, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals,
                                   stages=stages)
@@ -488,7 +491,12 @@ def _parse_range(spec, path, hi=None):
         raise SchemaError(f"{path}: expected start:stop:count with finite "
                           f"ends and count >= 1, got '{spec}'") from exc
     vals = np.linspace(a, b, n)
-    if hi is not None and not (0.0 <= vals.min() and vals.max() <= hi):
+    return vals if hi is None else _check_within(vals, spec, path, hi)
+
+
+def _check_within(vals, spec, path, hi):
+    """vals, refused unless every one lies in [0, hi] (a NaN does not)."""
+    if not np.all((0.0 <= vals) & (vals <= hi)):
         raise SchemaError(f"{path}: '{spec}' leaves the problem's range "
                           f"[0, {hi:g}]")
     return vals
@@ -506,9 +514,9 @@ def _profile_from_args(args, l=1.0, eps=0.5):
     return profile_from_config(block, path="profile"), block
 
 
-def _lam_grid(cfg):
+def _lam_grid(cfg, names=None):
     """Detuning grid of a scenario: lam_points nodes on lam_window."""
-    (lo, hi), points, _, _ = discretization(cfg)
+    (lo, hi), points, _, _ = discretization(cfg, names)
     return np.linspace(lo, hi, points)
 
 
@@ -522,7 +530,8 @@ def _add_profile_args(p):
 
 def cmd_eta(args):
     profile, block = _profile_from_args(args)
-    lam = np.linspace(args.window[0], args.window[1], args.grid)
+    lam = _lam_grid({"lam_window": args.window, "lam_points": args.grid},
+                    {"lam_window": "--window", "lam_points": "--grid"})
     # eta_pm is log-infinite on the edges of a box profile: leave those
     # nodes out of the table and name them in meta.json
     edge = profile.on_edge(lam)
@@ -589,6 +598,9 @@ def cmd_spectra(args):
 
 def cmd_jump(args):
     scenario, profile, cfg = load_scenario(args.scenario)
+    for flag, val, hi in (("--t", args.t, scenario.T),
+                          ("--x", args.x, scenario.L)):
+        _check_within(val, val, flag, hi)
     ev = eta_boundary(profile, _lam_grid(cfg))
     _, Kp, Km = spectral_data(scenario, profile, ev, x_out=[args.x])
     jd = jump_mixed(args.t, args.x, ev, Kp[0], Km[0])
@@ -625,6 +637,8 @@ def cmd_solve_rh(args):
 
 def cmd_solve_direct(args):
     scenario, profile, cfg = load_scenario(args.scenario)
+    if not (np.isfinite(args.dt) and args.dt > 0.0):
+        raise SchemaError(f"--dt: must be finite and positive, got {args.dt}")
     st = integrate_direct(scenario, profile, _lam_grid(cfg), dt=args.dt)
     emit_results(args.out,
                  {"fields.csv": field_table(st.t_grid, st.x_grid, st.E)},

@@ -23,7 +23,7 @@ class JumpData:
 
     t: float
     x: float
-    nodes: np.ndarray           # complex contour nodes
+    nodes: np.ndarray           # contour nodes, real on the axis
     J: np.ndarray               # (N, 2, 2)
     diagnostics: dict = field(default_factory=dict)
 
@@ -97,7 +97,7 @@ def jump_mixed(t, x, ev, K_plus, K_minus) -> JumpData:
     l1, r1 = 1.0 / l0, 1.0 / r0
     J = (J0 * np.stack([l0 * r0, l0 * r1, l1 * r0, l1 * r1], axis=-1)).reshape(-1, 2, 2)
     det_J0 = J0[:, 0] * J0[:, 3] - J0[:, 1] * J0[:, 2]
-    return JumpData(t=float(t), x=float(x), nodes=lam.astype(complex), J=J,
+    return JumpData(t=float(t), x=float(x), nodes=lam, J=J,
                     diagnostics={"J0_det_err": float(np.max(np.abs(det_J0 - 1.0)))})
 
 

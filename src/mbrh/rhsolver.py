@@ -10,14 +10,16 @@ q - C+[q(I-J)] = C+[(e1 + P)(I-J)], and the residue conditions
 u_j = c_j m11(z_j), r_j = -conj(c_j) m12(conj z_j) close it: the jump
 specialized to residue conditions (Deift & Zhou 1993).
 
-On the axis C+ = I/2 + iH with H real.  The row operator is solved
-matrix-free by GMRES on H, with a Hessenberg (kappa_2 lower bound)
-condition certificate, for 1 + 2p right-hand sides; the residues then
-follow from one complex 2p x 2p system (`sie_solve`).  Any stamp the
-Krylov path cannot certify takes the dense LU with the `zgecon`
-estimate.  The Krylov path runs on numpy alone; `scipy.linalg` is
-imported by the first LU stamp, so only a run with one (`lu_stamps` > 0
-in `meta.json`) pays for loading it.
+The axis is cut into Gauss-Legendre panels (`ContourSigma`: the panel
+edges and the real nodes and weights, panel by panel), on which
+C+ = I/2 + iH with H real, built from those arrays.  The row operator
+is solved matrix-free by GMRES on H, with a Hessenberg (kappa_2 lower
+bound) condition certificate, for 1 + 2p right-hand sides; the
+residues then follow from one complex 2p x 2p system (`sie_solve`).
+Any stamp the Krylov path cannot certify takes the dense LU with the
+`zgecon` estimate.  The Krylov path runs on numpy alone;
+`scipy.linalg` is imported by the first LU stamp, so only a run with
+one (`lu_stamps` > 0 in `meta.json`) pays for loading it.
 
 Pure-soliton (reflectionless) data bypasses the contour entirely: its
 residue conditions are one complex 2p x 2p linear system per stamp, and
@@ -50,36 +52,23 @@ NODES_PER_PANEL = 16        # default Gauss-Legendre nodes per panel
 
 
 @dataclass
-class Panel:
-    nodes: np.ndarray           # complex
-    weights: np.ndarray         # complex, reproduce int ds
-    diff: np.ndarray            # nodal differentiation matrix (d/ds)
-    endpoints: tuple            # (a, b)
-
-
-@dataclass
 class ContourSigma:
-    panels: list                # real-axis segments, left to right
-    _cp: np.ndarray = field(default=None, repr=False)   # see kernel
-
-    @property
-    def nodes(self):
-        return np.concatenate([p.nodes for p in self.panels])
-
-    @property
-    def weights(self):
-        return np.concatenate([p.weights for p in self.panels])
+    """Real-axis panels: edges left to right, nodes and weights by panel."""
+    edges: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray         # reproduce int ds
+    _H: np.ndarray = field(default=None, repr=False)    # see kernel
 
     @property
     def n_nodes(self):
-        return sum(p.nodes.size for p in self.panels)
+        return self.nodes.size
 
     def kernel(self):
         """The one cached N x N matrix: C+ is exactly I/2 + iH with H
         real, and H is kept."""
-        if self._cp is None:
-            self._cp = _build_cauchy_plus(self).imag.copy()
-        return self._cp
+        if self._H is None:
+            self._H = _build_cauchy_plus(self)
+        return self._H
 
     def cauchy_plus(self):
         return 0.5 * np.eye(self.n_nodes) + 1j * self.kernel()
@@ -92,65 +81,56 @@ class ContourSigma:
 
 
 def _barycentric_diff(x):
-    """Differentiation matrix for arbitrary distinct nodes."""
-    x = np.asarray(x)
-    n = x.size
-    diffs = x[:, None] - x[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    lam = 1.0 / np.prod(diffs, axis=1)
-    D = (lam[None, :] / lam[:, None]) / diffs
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -np.sum(D, axis=1))
+    """Differentiation matrices for distinct nodes on the last axis of x."""
+    diag = np.eye(x.shape[-1], dtype=bool)
+    diffs = x[..., :, None] - x[..., None, :]
+    diffs[..., diag] = 1.0
+    lam = 1.0 / np.prod(diffs, axis=-1)
+    D = (lam[..., None, :] / lam[..., :, None]) / diffs
+    D[..., diag] = 0.0
+    D[..., diag] = -np.sum(D, axis=-1)
     return D
-
-
-def segment_panel(a, b, n_nodes):
-    xg, wg = leggauss(n_nodes)
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * xg
-    weights = 0.5 * (b - a) * wg
-    D = _barycentric_diff(nodes)
-    return Panel(nodes=nodes.astype(complex), weights=weights.astype(complex),
-                 diff=D.astype(complex), endpoints=(float(a), float(b)))
 
 
 def contour_build(window=LAM_WINDOW, n_panels=N_PANELS,
                   nodes_per_panel=NODES_PER_PANEL) -> ContourSigma:
-    """Equal real-axis panels on window, left to right."""
-    edges = np.linspace(window[0], window[1], n_panels + 1)
-    panels = [segment_panel(a, b, nodes_per_panel)
-              for a, b in zip(edges[:-1], edges[1:])]
-    if not panels:
+    """Equal real-axis panels on window, nodes_per_panel Gauss nodes each."""
+    if n_panels < 1:
         raise EmptyContour("no panels requested")
-    return ContourSigma(panels=panels)
+    edges = np.linspace(window[0], window[1], n_panels + 1)
+    xg, wg = leggauss(nodes_per_panel)
+    a, b = edges[:-1, None], edges[1:, None]
+    return ContourSigma(edges=edges,
+                        nodes=(0.5 * (a + b) + 0.5 * (b - a) * xg).ravel(),
+                        weights=(0.5 * (b - a) * wg).ravel())
 
 
 def _build_cauchy_plus(contour):
-    """Dense discrete plus-side Cauchy operator (N x N, scalar samples).
+    """The real H of the discrete plus-side Cauchy operator C+ = I/2 + iH.
 
-    Off-diagonal entries are plain quadrature of 1/(s-z); the singular
-    part uses global subtraction with the exact p.v. of the constant (log
-    of the endpoint ratio) and a nodal differentiation matrix for the
-    removable diagonal term.
+    K is plain quadrature of 1/(s-z) off the diagonal; on it, the exact
+    p.v. of the constant (log of the endpoint ratio) minus the row sum
+    (global subtraction), plus w_i f'(z_i) by a nodal differentiation
+    matrix per panel.  K/(2 pi i) = iH, so H = -K/(2 pi).
     """
-    z = contour.nodes
-    w = contour.weights
-    n = z.size
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = w[None, :] / (z[None, :] - z[:, None])
+    z, w = contour.nodes, contour.weights
+    K = z[None, :] - z[:, None]
+    with np.errstate(divide="ignore"):
+        np.divide(w, K, out=K)
     np.fill_diagonal(K, 0.0)
 
     # subtraction: move sum_j w_j/(z_j - z_i) onto the diagonal
-    a, b = contour.panels[0].endpoints[0], contour.panels[-1].endpoints[1]
+    a, b = contour.edges[0], contour.edges[-1]
     np.fill_diagonal(K, np.log((b - z) / (z - a)) - np.sum(K, axis=1))
 
     # removable diagonal term: w_i f'(z_i), panel-spectral derivative
-    offs = np.cumsum([0] + [p.nodes.size for p in contour.panels])
-    for i, p in enumerate(contour.panels):
-        idx = np.arange(offs[i], offs[i + 1])
-        sub = np.ix_(idx, idx)
-        K[sub] += p.weights[:, None] * p.diff
-
-    return K / (2j * np.pi) + 0.5 * np.eye(n)
+    p = contour.edges.size - 1
+    zp, wp = z.reshape(p, -1), w.reshape(p, -1)
+    blocks = K.reshape(p, zp.shape[1], p, zp.shape[1])     # a view of K
+    on = np.arange(p)
+    blocks[on, :, on, :] += wp[..., None] * _barycentric_diff(zp)
+    K /= -2.0 * np.pi
+    return K
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +199,7 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
         zj, cj = residues
         p = zj.size
         zeta = np.concatenate([zj, np.conj(zj)])
-        row, lam = np.repeat([1, 0], p), contour.nodes.real
+        row, lam = np.repeat([1, 0], p), contour.nodes
         kern = contour.weights / (lam - zeta[:, None]) / (2j * np.pi)
         # [i, a, :]: C[g_a](zeta_i) and its zeta-derivative, Gauss sums
         Cz, Dz = [(K @ IJ.reshape(n, 4)).reshape(-1, 2, 2)

@@ -316,10 +316,14 @@ def xbank_propagate(scenario, profile, ev, terminal, x_out,
     share the generator but for their medium terms G+- (g+- sigma_3 for
     an unexcited medium), so one Magnus sweep of width 2 Nlam serves
     both; an excited medium is transformed on lam itself, each slice once
-    for both banks.  A field-free x-equation is the exact phase.
+    for both banks.  A field-free x-equation is the exact phase.  The
+    terminal value sits at x = L, so an x_out outside [0, L] is refused
+    (`ValueError`).
     """
     lam = np.concatenate([ev.lam, ev.lam])
     x_out = np.asarray(x_out, dtype=float)
+    if not np.all((0.0 <= x_out) & (x_out <= scenario.L)):
+        raise ValueError(f"x_out must lie in [0, L] = [0, {scenario.L:g}]")
     if scenario.medium_is_trivial:
         g = np.concatenate([ev.g_plus, ev.g_minus])     # eta_pm = lam - g_pm
         if scenario.field_free:

@@ -68,17 +68,23 @@ def desk_scenario():
     return ScenarioData(T=10.0, L=5.0, E_in=E_in, E0=zero, rho0=None)
 
 
-def excited_scenario():
+def excited_scenario(complex_rho=False):
     """Desk pulse on L = 2 over an excited medium: an E0 bump and a rho0
-    table, so the x-banks run the full Magnus path through the medium."""
+    table, so the x-banks run the full Magnus path through the medium.
+    complex_rho adds an `im` table off the real one: only then is the
+    medium term g21, the conjugate of g12's p.v. part, not equal to it."""
     E_in = lambda t: 0.8 * np.exp(-((np.asarray(t) - 3.0) / 0.7) ** 2) + 0j
     E0 = lambda x: 0.3 * np.exp(-((np.asarray(x) - 1.0) / 0.3) ** 2) + 0j
     xg = np.linspace(0.0, 2.0, 41)
     lg = np.linspace(-8.0, 8.0, 65)
-    re = 0.3 * np.exp(-((xg[:, None] - 0.7) / 0.25) ** 2 - lg[None, :] ** 2 / 2)
-    rho0 = rho0_from_config({"x": xg.tolist(), "lam": lg.tolist(),
-                             "re": re.tolist()})
-    return ScenarioData(T=10.0, L=2.0, E_in=E_in, E0=E0, rho0=rho0)
+    bump = lambda x0, l0: np.exp(-((xg[:, None] - x0) / 0.25) ** 2
+                                 - (lg[None, :] - l0) ** 2 / 2)
+    table = {"x": xg.tolist(), "lam": lg.tolist(),
+             "re": (0.3 * bump(0.7, 0.0)).tolist()}
+    if complex_rho:
+        table["im"] = (0.25 * bump(0.9, 1.0)).tolist()
+    return ScenarioData(T=10.0, L=2.0, E_in=E_in, E0=E0,
+                        rho0=rho0_from_config(table))
 
 
 def sigma2_conj(a):
@@ -280,7 +286,7 @@ def jump_wholeline(t, x, lam_grid, r_plus, profile) -> JumpData:
     J[..., 0, 1] = -r * np.exp(-2j * lam * t + 2j * x * ev.eta_plus)
     J[..., 1, 0] = -np.conj(r) * np.exp(2j * lam * t - 2j * x * ev.eta_minus)
     J[..., 1, 1] = 1.0
-    return JumpData(t=float(t), x=float(x), nodes=lam.astype(complex), J=J)
+    return JumpData(t=float(t), x=float(x), nodes=lam, J=J)
 
 
 def jump_oval(z_nodes, a_vals, b_vals, t, x, eta_vals,
@@ -325,7 +331,7 @@ def jump_mixed_reference(t, x, ev, K_plus, K_minus) -> JumpData:
     left = diag_exp(-1j * (lam * t - x * ev.eta_plus))
     right = diag_exp(1j * (lam * t - x * ev.eta_minus))
     return JumpData(t=float(t), x=float(x),
-                    nodes=lam.astype(complex), J=left @ J0 @ right,
+                    nodes=lam, J=left @ J0 @ right,
                     diagnostics={"J0_det_err": float(np.max(np.abs(det2(J0) - 1.0)))})
 
 
@@ -507,8 +513,8 @@ def evaluate_M(Q, contour, jd, z):
     spacing within a panel.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    floor = EVAL_FLOOR * min(np.min(np.abs(np.diff(p.nodes)))
-                             for p in contour.panels if p.nodes.size > 1)
+    panels = contour.nodes.reshape(contour.edges.size - 1, -1)
+    floor = EVAL_FLOOR * np.min(np.diff(panels, axis=1))
     dist = np.min(np.abs(z[:, None] - contour.nodes[None, :]), axis=1)
     if np.any(dist < floor):
         raise TooCloseToContour(f"evaluation point within {floor:.3e} of a node")

@@ -31,6 +31,7 @@ from mbrh.spectral import ScenarioData, jost_phi, locate_a_zeros
 from references import (
     eta_quadrature,
     evaluate_M,
+    excited_scenario,
     identity_jump,
     jump_wholeline,
     k_solve,
@@ -139,7 +140,7 @@ def test_criterion_04_trivial_scenario_end_to_end():
     sc = trivial_scenario(T=10.0, L=5.0)
     contour = contour_build(window=(-16.0, 16.0), n_panels=16,
                             nodes_per_panel=12)
-    lam = contour.nodes.real
+    lam = contour.nodes
     eye = np.broadcast_to(np.eye(2, dtype=complex),
                           lam.shape + (2, 2)).copy()
     t_vals = np.linspace(0.0, sc.T, 10)
@@ -160,15 +161,17 @@ def test_criterion_04_trivial_scenario_end_to_end():
 
 
 def test_criterion_05_unimodularity_and_symmetry_suite():
+    # an excited medium with a complex rho0: the reductions below then
+    # check the conjugate medium term g21 of the x-sweep
+    medium = excited_scenario(complex_rho=True)
     sc = ScenarioData(
         T=8.0, L=2.0,
         E_in=lambda t: 0.6 * np.exp(-((np.asarray(t) - 3.0) / 0.6) ** 2)
         + 0j * np.asarray(t),
-        E0=lambda x: np.zeros_like(np.asarray(x, dtype=complex)),
-        rho0=None)
+        E0=medium.E0, rho0=medium.rho0)
     contour = contour_build(window=(-16.0, 16.0), n_panels=16,
                             nodes_per_panel=12)
-    lam = contour.nodes.real
+    lam = contour.nodes
     Phi0, _, _ = jost_phi(sc, lam)
     ev = eta_boundary(LOR, lam)
     table, Kp, Km = spectral_data(sc, LOR, ev, x_out=[1.0])
@@ -357,7 +360,7 @@ def test_criterion_12_medium_reconstruction_consistency(desk_direct):
     t, x, hx = 4.0, 2.5, 1e-3
     contour = contour_build(window=(-16.0, 16.0), n_panels=24,
                             nodes_per_panel=16)
-    lam = contour.nodes.real
+    lam = contour.nodes
     x_out = np.array([x - hx, x, x + hx])
     ev = eta_boundary(LOR, lam)
     _, Kp, Km = spectral_data(sc, LOR, ev, x_out=x_out)

@@ -206,6 +206,14 @@ class TestLoadScenario:
                             "--out", str(out)]) == 2
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("win", [[float("nan"), 5.0], [-5.0, float("inf")],
+                                     [float("-inf"), float("inf")]])
+    def test_non_finite_window_refused(self, win):
+        # scenario JSON refuses non-finite numbers as it loads; a config
+        # built in code, or from flags, meets the check itself
+        with pytest.raises(SchemaError, match="scenario.lam_window"):
+            cli.discretization({"lam_window": win})
+
     @pytest.mark.parametrize("step", ["-0.01", "inf", "-inf", "0", "nan",
                                       "1e-9"])
     def test_bad_step_refused(self, monkeypatch, tmp_path, capsys, step):
@@ -508,6 +516,56 @@ class TestCommands:
         out = tmp_path / "rh"
         assert run_command(["solve-rh", "--scenario", path, f"--t={t}",
                             f"--x={x}", "--no-poles", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"config error: {flag}:")
+
+    @pytest.mark.parametrize("t, x, flag", [
+        ("1.0", "3.0", "--x"),
+        ("1.0", "-0.5", "--x"),
+        ("1.0", "nan", "--x"),
+        ("nan", "1.0", "--t"),
+        ("7.0", "1.0", "--t"),
+        ("-inf", "1.0", "--t"),
+    ])
+    def test_jump_stamp_outside_the_rectangle_refused(self, tmp_path, capsys,
+                                                      t, x, flag):
+        # on L = 2, --x 3 exited 0 with the terminal value w(L) put at
+        # x = 3; --t nan exited 0 with a NaN table ("det error nan")
+        path = write_scenario(tmp_path)
+        out = tmp_path / "jump"
+        assert run_command(["jump", "--scenario", path, f"--t={t}",
+                            f"--x={x}", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"config error: {flag}:")
+
+    @pytest.mark.parametrize("dt", ["0", "nan", "-0.05", "inf", "-inf"])
+    def test_bad_dt_refused(self, monkeypatch, tmp_path, capsys, dt):
+        # 0 ended in ZeroDivisionError, nan in ValueError and -0.05 in
+        # "negative dimensions are not allowed"; each is refused before
+        # the integrator builds any array
+        def no_run(*args, **kwargs):
+            raise AssertionError("the direct integrator ran")
+
+        monkeypatch.setattr(cli, "integrate_direct", no_run)
+        out = tmp_path / "d"
+        assert run_command(["solve-direct", "--scenario", write_scenario(tmp_path),
+                            f"--dt={dt}", "--out", str(out)]) == 2
+        assert "config error: --dt:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--window", "nan", "5"], "--window"),
+        (["--window", "-5", "inf"], "--window"),
+        (["--window", "5", "-5"], "--window"),
+        (["--grid", "-1"], "--grid"),
+        (["--grid", "1"], "--grid"),
+    ])
+    def test_bad_eta_grid_refused(self, tmp_path, capsys, argv, flag):
+        # --window nan 5 wrote a NaN table and 5 -5 a reversed grid, both
+        # with exit 0; --grid -1 ended in a traceback and --grid 1 wrote
+        # a one-node table.  The flags pass the lam_window/lam_points check
+        out = tmp_path / "eta"
+        assert run_command(["eta", *argv, "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"config error: {flag}:")
 

@@ -186,7 +186,7 @@ class TestJumpComponentForm:
     @pytest.fixture(scope="class", params=["desk", "excited"])
     def banks(self, request):
         sc = desk_scenario() if request.param == "desk" else excited_scenario()
-        ev = eta_boundary(ATT, contour_build().nodes.real)
+        ev = eta_boundary(ATT, contour_build().nodes)
         xs = np.linspace(0.0, sc.L, 5)
         _, Kp, Km = spectral_data(sc, ATT, ev, x_out=xs)
         return sc, ev, xs, Kp, Km

@@ -98,22 +98,37 @@ def test_xbank_matches_matrix_form(bank):
     assert (grid.size - 1) % MAGNUS_BLOCK != 0
 
 
-@pytest.mark.parametrize("medium", ["tabulated", "unexcited"])
+@pytest.mark.parametrize("medium", ["tabulated", "unexcited", "complex_rho"])
 def test_stacked_xbank_other_media(medium):
-    # a tabulated line under the excited medium, and the constant medium
-    # terms g+- sigma_3 of an unexcited medium with E0 != 0; 241 nodes
-    # make the stacked width 482, so its blocks are capped below
+    # a tabulated line under the excited medium, the constant medium
+    # terms g+- sigma_3 of an unexcited medium with E0 != 0, and a
+    # complex rho0, whose g21 differs from the p.v. part of g12; 241
+    # nodes make the stacked width 482, so its blocks are capped below
     # MAGNUS_BLOCK steps
     lam = np.linspace(*LAM_WINDOW, 241)
     if medium == "tabulated":
         profile = profile_normalize(BroadeningProfile.tabulated(
             lam, np.exp(-lam ** 2 / 2)))
         sc = ref.excited_scenario()
+    elif medium == "complex_rho":
+        profile, sc = LOR, ref.excited_scenario(complex_rho=True)
     else:
         profile = LOR
         sc = dataclasses.replace(ref.excited_scenario(), rho0=None)
         assert not sc.field_free
     _check_stacked_xbank(sc, profile, lam, np.array([0.0, 0.5, 1.7, 2.0]))
+
+
+@pytest.mark.parametrize("x_out", [[1.0, 3.0], [-0.5], [np.nan]])
+def test_xbank_refuses_depths_outside_the_medium(x_out):
+    # the terminal value belongs at x = L; with x_out = 3 on L = 2 it was
+    # put at x = 3, and a+ moved by 2.0 from its value at x_out = 1
+    sc = ref.excited_scenario()
+    ev = eta_boundary(LOR, np.linspace(-4.0, 4.0, 9))
+    terminal = diag_exp(1j * sc.L * np.concatenate([ev.eta_plus, ev.eta_minus]))
+    for case in (sc, dataclasses.replace(sc, E0=lambda x: 0.0 * x, rho0=None)):
+        with pytest.raises(ValueError, match="x_out must lie in"):
+            xbank_propagate(case, LOR, ev, terminal, np.array(x_out))
 
 
 def test_wplus_continuation_matches_matrix_form():
