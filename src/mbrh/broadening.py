@@ -14,7 +14,7 @@ piecewise-linear data are products f @ W with one weight matrix W per
 builds W once (`pv_weights`, `cauchy_weights`).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -128,6 +128,10 @@ class EtaValues:
     g_minus: np.ndarray
     n: np.ndarray
 
+    def take(self, idx):
+        """The boundary data at the nodes idx."""
+        return EtaValues(*(getattr(self, f.name)[idx] for f in fields(self)))
+
 
 @dataclass(frozen=True)
 class GammaCurve:
@@ -239,10 +243,12 @@ def pv_apply(sgrid, f, lam, W):
     real product of its stacked real and imaginary parts.
     """
     f = np.asarray(f)
-    for end in (0, -1):
-        if np.any(lam == sgrid[end]):
-            fabs = np.abs(f)
-            if np.any(fabs[..., end] > _END_TOL * np.max(fabs, axis=-1)):
+    ends = [end for end in (0, -1) if np.any(lam == sgrid[end])]
+    if ends:
+        fabs = np.abs(f)
+        floor = _END_TOL * np.max(fabs, axis=-1)
+        for end in ends:
+            if np.any(fabs[..., end] > floor):
                 raise PrincipalValueFailure(
                     f"p.v. integral diverges: target on the grid end "
                     f"{sgrid[end]:g}, where f does not vanish")

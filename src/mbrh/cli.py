@@ -43,7 +43,7 @@ from .rhsolver import (
     sie_solve,
     soliton_closed_form,
 )
-from .spectral import (DEFAULT_STEP, ScenarioData, locate_a_zeros,
+from .spectral import (T_STEP, X_STEP, ScenarioData, counted_a_zeros,
                        magnus_steps_taken)
 
 MAX_MAGNUS_STEPS = 10 ** 6  # --step may ask for at most this many on [0, T] or [0, L]
@@ -112,6 +112,24 @@ def pulse_from_config(block, domain, path):
         base(s) * np.exp(1j * chirp * np.asarray(s, float)), dtype=complex)
 
 
+def _slopes(grid, f):
+    """Slopes of f between the grid points along its first axis, as
+    np.interp's complex path forms them."""
+    return (f[1:] - f[:-1]) * (1.0 / np.diff(grid))[:, None]
+
+
+def _interp_rows(grid, f, slope, at):
+    """Rows np.interp(a, grid, f) for each point a of at, f interpolated
+    along its first axis with its `_slopes`, in the operation order of
+    np.interp's complex path, so equal to it bitwise; a outside the grid
+    clamps to its end."""
+    k = np.clip(np.searchsorted(grid, at, side="right") - 1, 0, grid.size - 2)
+    out = slope[k] * (at - grid[k])[:, None] + f[k]
+    out[at < grid[0]] = f[0]
+    out[at >= grid[-1]] = f[-1]
+    return out
+
+
 def rho0_from_config(block, path="rho0"):
     if block is None:
         return None
@@ -135,21 +153,22 @@ def rho0_from_config(block, path="rho0"):
             "the initial polarization must satisfy |rho0| <= 1 so the "
             "population inversion can take the positive square-root branch")
     tab = re + 1j * im
+    along_lam = []      # [lam, the table's rows on lam, their slopes in x]
 
     def rho0(x, lam):
-        """Bilinear in the table: the two x rows that bracket x, then
-        along lam; x and lam outside the table clamp to its edge rows and
-        columns, as np.interp does.  An array x gives one row per depth,
+        """Bilinear in the table: each x row along lam onto lam, then
+        between the two rows that bracket x; x and lam outside the table
+        clamp to its edge rows and columns, as np.interp does.  The rows
+        on lam are kept for the next call on the same lam (a Magnus sweep
+        makes one call per block).  An array x gives one row per depth,
         each equal to the call at that depth."""
+        lam = np.asarray(lam, dtype=float)
+        if not (along_lam and np.array_equal(along_lam[0], lam)):
+            rows = np.ascontiguousarray(_interp_rows(
+                lg, tab.T, _slopes(lg, tab.T), lam.ravel()).T)
+            along_lam[:] = [lam.copy(), rows, _slopes(xg, rows)]
         xs = np.ravel(np.asarray(x, dtype=float))
-        j = np.clip(np.searchsorted(xg, xs, side="right") - 1, 0, xg.size - 2)
-        rows = tab[np.where(xs >= xg[-1], -1, j)]      # clamped or on a row
-        mid = (xs > xg[0]) & (xs < xg[-1]) & (xs != xg[j])
-        j = j[mid]
-        # np.interp's operation order, so each row matches it bitwise
-        slope = (tab[j + 1] - tab[j]) * (1.0 / (xg[j + 1] - xg[j]))[:, None]
-        rows[mid] = slope * (xs[mid] - xg[j])[:, None] + tab[j]
-        out = np.array([np.interp(lam, lg, row) for row in rows])
+        out = _interp_rows(xg, *along_lam[1:], xs).reshape(xs.shape + lam.shape)
         return out if np.ndim(x) else out[0]
 
     return rho0
@@ -218,9 +237,11 @@ def load_scenario(path):
     E_in = pulse_from_config(cfg.get("E_in"), T, "E_in")
     E0 = pulse_from_config(cfg.get("E0"), L, "E0")
     rho0 = rho0_from_config(cfg.get("rho0"))
+    rho0_x = () if rho0 is None else tuple(map(float, cfg["rho0"]["x"]))
     profile = profile_from_config(_require(cfg, "profile", "scenario", dict))
     discretization(cfg)
-    scenario = ScenarioData(T=T, L=L, E_in=E_in, E0=E0, rho0=rho0)
+    scenario = ScenarioData(T=T, L=L, E_in=E_in, E0=E0, rho0=rho0,
+                            rho0_x=rho0_x)
     return scenario, profile, cfg
 
 
@@ -391,38 +412,40 @@ def _line_err(E_line, coords, data, key):
 def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                   n_panels=N_PANELS, nodes_per_panel=NODES_PER_PANEL,
                   find_poles=True):
-    """Mixed-problem contour pipeline: pole search -> contour -> spectral
-    data and K_pm on the x lattice -> per-stamp jump assembly and contour
-    solve.
+    """Mixed-problem contour pipeline: contour -> spectral data and K_pm on
+    the x lattice -> zeros of a, counted on the axis and searched for only
+    when needed -> per-stamp jump assembly and contour solve.
 
     Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
-    wall time of the pole search, of the spectral data (`spectral_s`, of
-    which the t- and x-equation Jost solves took `jost_phi_s` and
-    `jost_w_s`) and of the stamp loop,
+    wall time of the spectral data (`spectral_s`, of which the t- and
+    x-equation Jost solves took `jost_phi_s` and `jost_w_s`, and the
+    scattering table with its step-error estimate `step_err_s`), of the
+    zero count and pole search and of the stamp loop,
     and the per-stamp `jump_mixed` and `sie_solve` times summed over
     stamps, whichever process solved them (`workers` counts those
     processes; see parallel_map).  `boundary_err` and `initial_err`
     compare the field on the lattice's x = 0 column with E_in and on its
-    t = 0 row with E0.  `spectral` holds the scattering table's det and
-    reduction errors, `J0_det_err` the largest det(J0) error of a stamp,
-    and `residue_cond` the SVD condition of the stamps' residue systems
-    (None without poles).
+    t = 0 row with E0.  `spectral` holds the scattering table's det,
+    reduction and step errors, `pole_count` the axis and window counts of
+    the zeros of a (`counted_a_zeros`; None without the search),
+    `J0_det_err` the largest det(J0) error of a stamp, and `residue_cond`
+    the SVD condition of the stamps' residue systems (None without poles).
     """
     t_vals = np.asarray(t_vals, dtype=float)
     x_vals = np.asarray(x_vals, dtype=float)
-    scenario.validate()         # refuse bad data before the pole search
 
     steps0, marks = magnus_steps_taken(), [time.perf_counter()]
-    poles = []
-    if find_poles and profile.sign < 0:
-        poles = locate_a_zeros(scenario, profile)
-    marks.append(time.perf_counter())
     contour = contour_build(window=window, n_panels=n_panels,
                             nodes_per_panel=nodes_per_panel)
     ev = eta_boundary(profile, contour.nodes)
     stages = {}
     table, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals,
                                   stages=stages)
+    marks.append(time.perf_counter())
+    poles, pole_count = [], None
+    if find_poles and profile.sign < 0:
+        poles, pole_count = counted_a_zeros(scenario, profile, ev.lam,
+                                            table.a_plus)
     marks.append(time.perf_counter())
 
     contour.kernel()            # built once, before the stamp loop forks
@@ -445,14 +468,15 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
               for ix in range(x_vals.size)]
     E, diags, times, pids = zip(*parallel_map(solve_stamp, stamps))
     marks.append(time.perf_counter())
-    stages.update(zip(("pole_search_s", "spectral_s", "stamp_loop_s"),
+    stages.update(zip(("spectral_s", "pole_search_s", "stamp_loop_s"),
                       np.diff(marks).tolist()))
     stages["jump_s"], stages["sie_s"] = np.sum(times, axis=0).tolist()
     E = np.array(E).reshape(t_vals.size, x_vals.size)
     col = {key: np.array([d[key] for d in diags])
            for key in ("residual_rel", "cond", "iterations", "posdef_min",
                        "J0_det_err", "lu", "residue_cond")}
-    diag = {"n_poles": len(poles), "n_nodes": contour.n_nodes,
+    diag = {"n_poles": len(poles), "pole_count": pole_count,
+            "n_nodes": contour.n_nodes,
             "n_stamps": len(stamps), "workers": len(set(pids)),
             "lu_stamps": int(np.count_nonzero(col["lu"])),
             "stages": stages, "magnus_steps": magnus_steps_taken() - steps0,
@@ -570,7 +594,10 @@ def cmd_curve(args):
 
 def _check_step(step, scenario):
     """Refuse a Magnus step that is not finite and positive, or that takes
-    more than MAX_MAGNUS_STEPS steps on [0, T] or [0, L]."""
+    more than MAX_MAGNUS_STEPS steps on [0, T] or [0, L]; None takes
+    each equation's own step."""
+    if step is None:
+        return
     if not (np.isfinite(step) and step > 0.0) \
             or max(scenario.T, scenario.L) / step > MAX_MAGNUS_STEPS:
         raise SchemaError(
@@ -716,7 +743,9 @@ def build_parser():
 
     p = sub.add_parser("spectra", help="scattering data of a scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--step", type=float, default=None,
+                   help=f"Magnus step of both equations (default: "
+                        f"{T_STEP:g} for t, {X_STEP:g} for x)")
     p.add_argument("--out", default="out-spectra")
     p.set_defaults(fn=cmd_spectra)
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import SingularK
 from .mat2 import dagger, det2
-from .spectral import (DEFAULT_STEP, jost_phi, jost_w, sorted_union,
-                       transition_and_reflection)
+from .spectral import (equation_steps, jost_phi, jost_w, sorted_union,
+                       step_error, transition_and_reflection)
 
 DET_TOL = 1e-5              # refuse K+- whose det deviates from 1 by more
 
@@ -44,7 +44,7 @@ def shear_matrices(r_plus, r_bar_minus):
     return sp, sm
 
 
-def spectral_data(scenario, profile, ev, x_out=(0.0,), step=DEFAULT_STEP,
+def spectral_data(scenario, profile, ev, x_out=(0.0,), step=None,
                   stages=None):
     """Scattering table and mixed-problem terminal data K_pm on x_out.
 
@@ -55,21 +55,30 @@ def spectral_data(scenario, profile, ev, x_out=(0.0,), step=DEFAULT_STEP,
     coefficients, and K_pm = w_pm S_pm: the x-equation is linear in its
     terminal data, so this is the solution with terminal value
     e^{i L eta_pm sigma_3} S_pm.  Returns (table, K+, K-) with K of shape
-    (len(x_out), len(lam), 2, 2); a `stages` dict receives the wall time
-    of the two solves as jost_phi_s and jost_w_s.
+    (len(x_out), len(lam), 2, 2).  step is the Magnus step of both
+    equations, each its own (`equation_steps`) when None; the table's
+    diagnostics hold their `step_error` as step_err.  A `stages` dict
+    receives the wall time of the two solves as jost_phi_s and jost_w_s,
+    and that of the table with its step-error estimate as step_err_s.
     """
     lam = ev.lam
     x_out = np.asarray(x_out, dtype=float)
     xs = sorted_union(x_out, [0.0])
     at, at0 = np.searchsorted(xs, x_out), np.searchsorted(xs, 0.0)
     marks = [time.perf_counter()]
-    Phi0, _, _ = jost_phi(scenario, lam, step=step)
+    t_step, x_step = equation_steps(step)
+    Phi0, _, _ = jost_phi(scenario, lam, step=t_step)
     marks.append(time.perf_counter())
-    _, wp, wm = jost_w(scenario, profile, ev, x_out=xs, step=step)
+    _, wp, wm = jost_w(scenario, profile, ev, x_out=xs, step=x_step)
+    marks.append(time.perf_counter())
+    table = transition_and_reflection(lam, Phi0, wp[at0], wm[at0])
+    table.diagnostics["step_err"] = step_error(
+        scenario, profile, ev, Phi0, np.concatenate([wp[at0], wm[at0]]),
+        t_step, x_step)
     marks.append(time.perf_counter())
     if stages is not None:
-        stages.update(zip(("jost_phi_s", "jost_w_s"), np.diff(marks).tolist()))
-    table = transition_and_reflection(lam, Phi0, wp[at0], wm[at0])
+        stages.update(zip(("jost_phi_s", "jost_w_s", "step_err_s"),
+                          np.diff(marks).tolist()))
     Sp, Sm = shear_matrices(table.r_plus, table.r_bar_minus)
     return table, wp[at] @ Sp, wm[at] @ Sm
 

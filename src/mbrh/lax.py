@@ -72,10 +72,12 @@ def medium_transform(profile, grid, targets):
     each (Nz,), or (m, Nz) for m stacked slices; in the boundary form Nz
     is 2 Nlam, the + bank on the first Nlam columns and the - bank on the
     last.  rho* n is the conjugate of rho n, so F n enters through two
-    channels, (N - 1) n and rho n, all slices in one real product: in the
-    p.v. form `pv_apply` multiplies their real and imaginary parts by the
-    real W, and in the off-axis form the real rows (N - 1) n, Re(rho n)
-    and Im(rho n) are multiplied by [Re W | Im W].
+    channels, (N - 1) n and rho n, all slices at once: in the p.v. form
+    `pv_apply` multiplies the real (N - 1) n, and the real and imaginary
+    parts of rho n, by the real W, and in the off-axis form the real rows
+    (N - 1) n, Re(rho n) and Im(rho n) are multiplied by [Re W | Im W].
+    The local term takes the slice at lam itself when lam is the grid,
+    and its linear interpolant there otherwise.
     """
     check_coverage(profile, grid)
     grid = np.asarray(grid, dtype=float)
@@ -99,22 +101,31 @@ def medium_transform(profile, grid, targets):
 
     lam = targets.lam
     W = 0.25 * pv_weights(grid, lam)
+    n = lam.size
     base = np.concatenate([targets.g_plus, targets.g_minus])
     local = 0.25j * np.pi * targets.n
-    # slice data at lam, row by row: linear with clamped ends as np.interp,
-    # and exact where lam is a grid node
-    j = np.clip(np.searchsorted(grid, lam, side="right") - 1, 0, grid.size - 2)
-    t = np.clip((lam - grid[j]) / (grid[j + 1] - grid[j]), 0.0, 1.0)
-    interp = lambda f: f[..., j] * (1.0 - t) + f[..., j + 1] * t
-    banks = lambda pv, loc: np.concatenate([pv + loc, pv - loc], axis=-1)
+    if np.array_equal(lam, grid):
+        at = lambda f: f                     # the slice data are on lam
+    else:
+        # slice data at lam, row by row: linear with clamped ends as
+        # np.interp, and exact where lam is a grid node
+        j = np.clip(np.searchsorted(grid, lam, side="right") - 1, 0, grid.size - 2)
+        t = np.clip((lam - grid[j]) / (grid[j + 1] - grid[j]), 0.0, 1.0)
+        at = lambda f: f[..., j] * (1.0 - t) + f[..., j + 1] * t
 
     def G(slice_):
-        f = np.stack([(slice_.N - 1.0) * nvals, slice_.rho * nvals])
-        pv11, pv12 = pv_apply(grid, f.reshape(-1, grid.size), lam,
-                              W).reshape(f.shape[:-1] + (-1,))
-        rho = interp(slice_.rho)
-        return (banks(pv11, local * (interp(slice_.N) - 1.0)) + base,
-                banks(pv12, local * rho),
-                banks(np.conj(pv12), local * np.conj(rho)))
+        pv11 = pv_apply(grid, (slice_.N - 1.0) * nvals, lam, W)
+        pv12 = pv_apply(grid, slice_.rho * nvals, lam, W)
+        rho = at(slice_.rho)
+        # (g11, g12, g21) of both banks, written in place: the p.v. part
+        # plus the local term on the + bank, minus it on the - bank
+        g = np.empty((3,) + pv11.shape[:-1] + (2 * n,), dtype=complex)
+        for out, p, loc in ((g[0], pv11, local * (at(slice_.N) - 1.0)),
+                            (g[1], pv12, local * rho),
+                            (g[2], np.conj(pv12), local * np.conj(rho))):
+            np.add(p, loc, out=out[..., :n])
+            np.subtract(p, loc, out=out[..., n:])
+        g[0] += base
+        return g[0], g[1], g[2]
 
     return G

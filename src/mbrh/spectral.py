@@ -7,16 +7,20 @@ medium terms and are propagated together in one stacked sweep.
 Transition matrices between the two give the scattering functions a, b
 and the reflection coefficients.
 
-All integrations use a fixed-step 4th-order Magnus scheme (two Gauss nodes
-per step, single commutator) in component form.  The generators are
-traceless, [[a, b], [c, -a]], plus a scalar shift per z for a continued
-column, so Omega is traceless in closed form and
+All integrations use a fixed-step 6th-order Magnus scheme (three Gauss
+nodes per step, three commutators; Blanes, Casas, Oteo & Ros, Phys. Rep.
+470 (2009) 151) in component form.  The generators are traceless,
+[[a, b], [c, -a]], plus a scalar shift per z for a continued column, and
+the commutator of two such matrices is traceless again, so Omega is
+traceless in closed form and
 exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega, mu^2 = a^2 + bc, times
 e^{h shift}: every propagator has unit determinant to machine precision,
-which the downstream jump-matrix certificates rely on.  A block of up to
-MAGNUS_BLOCK steps takes one generator call at all its Gauss nodes, one
-batch of exponentials (series in mu^2) and rounds of pairwise products
-that compose them into the block's propagator.
+which the downstream jump-matrix certificates rely on.  A block of steps
+takes one generator call at all its Gauss nodes, one batch of
+exponentials (series in mu^2) and rounds of pairwise products that
+compose them into the block's propagator.  The x-grid puts a node on
+every x row of the rho0 table, where the medium is only piecewise linear
+in x, so the scheme keeps its order there.
 """
 
 from dataclasses import dataclass, field
@@ -33,15 +37,20 @@ from .errors import (
 from .lax import medium_from_rho, medium_transform
 from .mat2 import det2, diag_exp, inv2
 
-_GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
-_GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
+_SQRT15 = np.sqrt(15.0)
+_GAUSS = (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
 
-DEFAULT_STEP = 0.01
-MAGNUS_BLOCK = 64           # steps whose exponentials are built at once
-MAGNUS_WIDTH = 384          # columns z above which a block takes fewer steps
+T_STEP = 0.035              # Magnus step of the t-equation
+X_STEP = 0.025              # Magnus step of the x-equation
+KNOT_TOL = 1e-9             # grid knots closer than this many steps are one
+MAGNUS_BLOCK = 16           # steps whose exponentials are built at once
+MAGNUS_WIDTH = 384          # columns of a MAGNUS_BLOCK-step block; fewer, more steps
 _TAYLOR_TERMS = 10          # terms of the cosh and sinh(mu)/mu series in mu^2
+STEP_ERR_STRIDE = 16        # every this many nodes enter the step-error estimate
 SINGULAR_FLOOR = 1e-8       # |a| below this on the axis is a spectral singularity
 NEWTON_TOL = 1e-10          # Newton step at which a zero of a counts as found
+PHASE_STEP_TOL = 0.25       # arg step of a between axis nodes (rad) and
+END_DEV_TOL = 0.5           # |a - 1| at a window end that call for the zero search
 
 
 @dataclass(frozen=True)
@@ -51,8 +60,10 @@ class ScenarioData:
     E_in and E0 are vectorized callables (boundary pulse and initial field);
     rho0(x, lam) is the initial polarization table, or None for the
     unexcited medium; the x-equation calls it with a column (m, 1) of
-    depths for m rows at once.  The inversion N0 always takes the
-    positive branch sqrt(1 - |rho0|^2).
+    depths for m rows at once.  rho0_x holds the depths of the table's x
+    rows, between which rho0 is linear in x; the x-grid puts a node on
+    each.  The inversion N0 always takes the positive branch
+    sqrt(1 - |rho0|^2).
     """
 
     T: float
@@ -60,6 +71,7 @@ class ScenarioData:
     E_in: object
     E0: object
     rho0: object = None
+    rho0_x: tuple = ()
 
     @property
     def medium_is_trivial(self):
@@ -138,6 +150,13 @@ def _cosh_sinhc(mu2):
     return ch, shc
 
 
+def _comm(x, y):
+    """Entries (a, b, c) of [X, Y] for traceless X, Y = [[a, b], [c, -a]]
+    given as (a, b, c): the commutator is traceless again."""
+    return (x[1] * y[2] - y[1] * x[2], 2.0 * (x[0] * y[1] - x[1] * y[0]),
+            2.0 * (x[2] * y[0] - x[0] * y[2]))
+
+
 def _matmul(x, y):
     """x @ y for 2x2 matrices given as entry tuples (m00, m01, m10, m11)."""
     return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
@@ -162,7 +181,7 @@ def _apply(m, u0, u1):
     return m00 * u0 + m01 * u1, m10 * u0 + m11 * u1
 
 
-def magnus_propagate(gen, s_grid, terminal, shift=0.0, at=None):
+def magnus_propagate(gen, s_grid, terminal, shift=0.0, at=None, width=None):
     """Integrate dU/ds = (A(s) + shift) U backward from s_grid[-1] to s_grid[0].
 
     gen maps an array of m nodes s to the entries (a, b, c) of the
@@ -176,9 +195,12 @@ def magnus_propagate(gen, s_grid, terminal, shift=0.0, at=None):
     products; the state moves by the block's whole product, so U at
     s_grid[0] does not depend on `at`.  Kept nodes inside a block are
     read off one copy of the block's start state, stepped through the
-    block's steps up to the last of them.  Blocks hold MAGNUS_BLOCK
-    steps, fewer for more than MAGNUS_WIDTH columns z, so their arrays
-    stay the size of a MAGNUS_WIDTH-column block.
+    block's steps up to the last of them.  A block holds
+    MAGNUS_BLOCK * MAGNUS_WIDTH // max(Nz, width) steps, so its arrays
+    stay the size of a MAGNUS_BLOCK-step block of MAGNUS_WIDTH columns;
+    width is the row length of the widest array the generator builds
+    beyond Nz (the medium slices of an excited x-sweep span its whole
+    detuning grid).
     """
     global _magnus_steps
     s = np.asarray(s_grid, dtype=float)
@@ -186,23 +208,42 @@ def magnus_propagate(gen, s_grid, terminal, shift=0.0, at=None):
     keep = {0} if at is None else set(np.atleast_1d(at).tolist())
     u0 = np.array(terminal[..., 0, :], dtype=complex)       # rows of U, (Nz, k)
     u1 = np.array(terminal[..., 1, :], dtype=complex)
-    block = max(1, min(MAGNUS_BLOCK, MAGNUS_BLOCK * MAGNUS_WIDTH // len(u0)))
+    block = max(1, MAGNUS_BLOCK * MAGNUS_WIDTH // max(len(u0), width or 0))
     kept = {n: np.stack([u0, u1], axis=-2)} if n in keep else {}
     for top in range(n, 0, -block):
         i = np.arange(top, max(top - block, 0), -1)           # steps s_i -> s_{i-1}
         h = s[i - 1] - s[i]
-        nodes = np.concatenate([s[i] + _GAUSS_C1 * h, s[i] + _GAUSS_C2 * h])
-        (a1, a2), (b1, b2), (c1, c2) = (
-            np.split(v, 2) for v in np.broadcast_arrays(*gen(nodes)))
+        nodes = (s[i] + np.multiply.outer(_GAUSS, h)).ravel()
         h = h[:, None]
-        r = np.sqrt(3.0) / 12.0 * h * h
-        # Omega = h/2 (A1 + A2) + r [A2, A1], traceless in closed form
-        oa = 0.5 * h * (a1 + a2) + r * (b2 * c1 - c2 * b1)
-        ob = 0.5 * h * (b1 + b2) + 2.0 * r * (a2 * b1 - b2 * a1)
-        oc = 0.5 * h * (c1 + c2) + 2.0 * r * (c2 * a1 - a2 * c1)
+        # alpha_k of the three Gauss nodes, entries (a, b, c) of each; an
+        # entry constant in s stays one row (and one constant in z one
+        # column), and its alpha_2 and alpha_3 vanish, so its arithmetic
+        # stays small
+        al1, al2, al3 = [], [], []
+        for v in map(np.atleast_2d, gen(nodes)):
+            if len(v) == 1:
+                al1.append(h * v)
+                al2.append(0.0)
+                al3.append(0.0)
+            else:
+                x, y, z = np.split(v, 3)
+                al1.append(h * y)
+                al2.append(_SQRT15 / 3.0 * h * (z - x))
+                al3.append(10.0 / 3.0 * h * (z - 2.0 * y + x))
+        # Omega = al1 + al3/12 + [-20 al1 - al3 + C1, al2 + C2]/240 with
+        # C1 = [al1, al2], C2 = -[al1, 2 al3 + C1]/60, traceless; the
+        # 1/240 rides on y240 = (al2 + C2)/240
+        c1 = _comm(al1, al2)
+        y240 = _comm(al1, tuple(u * (-1.0 / 7200.0) + c * (-1.0 / 14400.0)
+                                for u, c in zip(al3, c1)))
+        y240 = tuple(v / 240.0 + c for v, c in zip(al2, y240))
+        c3 = _comm(tuple(-20.0 * v - u + c for v, u, c in zip(al1, al3, c1)),
+                   y240)
+        oa, ob, oc = (v + u / 12.0 + c for v, u, c in zip(al1, al3, c3))
         # exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega, mu^2 = -det Omega
         ch, shc = _cosh_sinhc(oa * oa + ob * oc)
-        steps = (ch + shc * oa, shc * ob, shc * oc, ch - shc * oa)
+        sa = shc * oa
+        steps = np.broadcast_arrays(ch + sa, shc * ob, shc * oc, ch - sa)
         if np.any(shift):
             scale = np.exp(h * shift)
             steps = tuple(scale * v for v in steps)
@@ -227,14 +268,32 @@ def sorted_union(*values):
     return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
-def _refined_grid(targets, step):
-    """Uniform refinement of a target lattice so every target is a node."""
+def _refined_grid(targets, step, knots=()):
+    """Uniform refinement of a sorted target lattice so every target is a
+    node, and so is every knot inside it that lies more than KNOT_TOL
+    steps from each target: a knot that rounding moved off a target (a
+    table row at 0.15000000000000002 for a target at 0.15) adds no
+    spurious short step, and neither does a ratio of spacing to step a
+    rounding above an integer.  Each interval is np.linspace'd."""
     targets = np.asarray(targets, dtype=float)
-    pieces = [targets[:1]]
-    for a, b in zip(targets[:-1], targets[1:]):
-        k = max(1, int(np.ceil((b - a) / step)))
-        pieces.append(np.linspace(a, b, k + 1)[1:])
-    return np.concatenate(pieces)
+    knots = np.asarray(knots, dtype=float)
+    knots = knots[(targets[0] < knots) & (knots < targets[-1])]
+    if knots.size:
+        gap = np.min(np.abs(knots[:, None] - targets[None, :]), axis=1)
+        targets = sorted_union(targets, knots[gap > KNOT_TOL * step])
+    a, b = targets[:-1], targets[1:]
+    k = np.maximum(1, np.ceil((b - a) / step - KNOT_TOL)).astype(int)
+    i = np.repeat(np.arange(k.size), k)         # interval of each new node
+    j = np.arange(1, k.sum() + 1) - np.repeat(np.cumsum(k) - k, k)
+    nodes = np.where(j == k[i], b[i], j * ((b - a) / k)[i] + a[i])
+    return np.concatenate([targets[:1], nodes])
+
+
+def _x_grid(scenario, x_out, step):
+    """x-grid of a sweep over [0, L] with nodes on x_out and on the rho0
+    table's x rows."""
+    return _refined_grid(sorted_union(x_out, [0.0, scenario.L]), step,
+                         scenario.rho0_x)
 
 
 def _t_generator(scenario, z):
@@ -272,7 +331,7 @@ def _x_generator(scenario, z, G):
 # t-equation Jost solution at x = 0
 # ----------------------------------------------------------------------
 
-def jost_phi(scenario, lam_grid, step=DEFAULT_STEP):
+def jost_phi(scenario, lam_grid, step=T_STEP):
     """Jost matrix of the t-equation at t = 0 for each real lam.
 
     Integrates backward from the plane-wave terminal value at t = T.
@@ -286,7 +345,7 @@ def jost_phi(scenario, lam_grid, step=DEFAULT_STEP):
     return Phi0, Phi0[..., 1, 1], Phi0[..., 0, 1]
 
 
-def phi_column_continuation(scenario, z, step=DEFAULT_STEP):
+def phi_column_continuation(scenario, z, step=T_STEP):
     """Analytic continuation of (A, B) to complex z (second Jost column).
 
     The rephased column v = Phi[:, 2] e^{-izt} obeys v' = (U - iz) v with
@@ -305,21 +364,25 @@ def phi_column_continuation(scenario, z, step=DEFAULT_STEP):
 # x-equation Jost solutions at t = 0
 # ----------------------------------------------------------------------
 
-def xbank_propagate(scenario, profile, ev, terminal, x_out,
-                    step=DEFAULT_STEP):
+def xbank_propagate(scenario, profile, ev, terminal, x_out, step=X_STEP,
+                    cols=None):
     """Backward-propagate both half-plane x-equations from x = L at once.
 
-    ev is the `EtaValues` of the real nodes lam.  The two banks are
-    stacked on the node axis: terminal is the (2 Nlam, 2, 2) value at
-    x = L, that of w+ on the first Nlam nodes and that of w- on the last,
-    and the solution on x_out is returned in the same layout.  The banks
-    share the generator but for their medium terms G+- (g+- sigma_3 for
-    an unexcited medium), so one Magnus sweep of width 2 Nlam serves
-    both; an excited medium is transformed on lam itself, each slice once
-    for both banks.  A field-free x-equation is the exact phase.  The
+    ev is the `EtaValues` of the real nodes lam, of which the nodes cols
+    (all by default) are propagated.  The two banks are stacked on the
+    node axis: terminal is the (2 Nlam, 2, 2) value at x = L, that of w+
+    on the first Nlam propagated nodes and that of w- on the last, and the
+    solution on x_out is returned in the same layout.  The banks share the
+    generator but for their medium terms G+- (g+- sigma_3 for an
+    unexcited medium), so one Magnus sweep of width 2 Nlam serves both;
+    an excited medium is transformed on all of lam, each slice once for
+    both banks.  A field-free x-equation is the exact phase.  The
     terminal value sits at x = L, so an x_out outside [0, L] is refused
     (`ValueError`).
     """
+    medium_lam = ev.lam
+    if cols is not None:
+        ev = ev.take(cols)
     lam = np.concatenate([ev.lam, ev.lam])
     x_out = np.asarray(x_out, dtype=float)
     if not np.all((0.0 <= x_out) & (x_out <= scenario.L)):
@@ -329,17 +392,18 @@ def xbank_propagate(scenario, profile, ev, terminal, x_out,
         if scenario.field_free:
             # exact solution: pure phase relative to the terminal data
             return diag_exp(1j * (x_out[:, None] - scenario.L) * (lam - g)) @ terminal
-        G = g
+        G, width = g, None
     else:
-        transform = medium_transform(profile, ev.lam, ev)
-        G = lambda x: transform(scenario.medium_slice(x, ev.lam))
+        transform = medium_transform(profile, medium_lam, ev)
+        G = lambda x: transform(scenario.medium_slice(x, medium_lam))
+        width = medium_lam.size
 
-    grid = _refined_grid(sorted_union(x_out, [0.0, scenario.L]), step)
+    grid = _x_grid(scenario, x_out, step)
     return magnus_propagate(_x_generator(scenario, lam, G), grid, terminal,
-                            at=np.searchsorted(grid, x_out))
+                            at=np.searchsorted(grid, x_out), width=width)
 
 
-def jost_w(scenario, profile, ev, x_out=None, step=DEFAULT_STEP):
+def jost_w(scenario, profile, ev, x_out=None, step=X_STEP):
     """Jost matrices w+ and w- of the half-plane x-equations at t = 0 on
     an x lattice, from one stacked sweep (`xbank_propagate`).
 
@@ -357,7 +421,7 @@ def jost_w(scenario, profile, ev, x_out=None, step=DEFAULT_STEP):
     return x_out, w[:, :ev.lam.size], w[:, ev.lam.size:]
 
 
-def wplus_column_continuation(scenario, profile, z, step=DEFAULT_STEP):
+def wplus_column_continuation(scenario, profile, z, step=X_STEP):
     """Continuation of (alpha, beta) to complex z (first column of w+).
 
     The rephased column u = w[:, 1] e^{-i eta(z) x} obeys
@@ -369,17 +433,18 @@ def wplus_column_continuation(scenario, profile, z, step=DEFAULT_STEP):
     if scenario.field_free:
         return np.ones(z.shape, complex), np.zeros(z.shape, complex)
     if scenario.medium_is_trivial:
-        G = z - eta_z
+        G, width = z - eta_z, None
     else:
         lam_med = np.linspace(*LAM_WINDOW, LAM_POINTS)
         transform = medium_transform(profile, lam_med, z)
         G = lambda x: transform(scenario.medium_slice(x, lam_med))
+        width = LAM_POINTS
 
     terminal = np.zeros(z.shape + (2, 1), dtype=complex)
     terminal[..., 0, 0] = 1.0
     u0 = magnus_propagate(_x_generator(scenario, z, G),
-                          _refined_grid([0.0, scenario.L], step), terminal,
-                          shift=-1j * eta_z)
+                          _x_grid(scenario, [], step), terminal,
+                          shift=-1j * eta_z, width=width)
     return u0[..., 0, 0], u0[..., 1, 0]          # alpha(z), beta(z)
 
 
@@ -415,14 +480,46 @@ def transition_and_reflection(lam_grid, Phi0, w_plus0, w_minus0):
     )
 
 
+def step_error(scenario, profile, ev, Phi0, w0, t_step, x_step):
+    """Step-doubling estimates {"t", "x"} of the step error of the Jost
+    solutions Phi(0) (t-equation) and w+-(0) (x-equation, both banks
+    stacked as `xbank_propagate` returns them) on the nodes of ev.
+
+    Each equation is solved again at twice its step on every
+    STEP_ERR_STRIDE-th node and the last one; the largest entry of the
+    difference over 2^6 - 1, the scheme being of order 6, estimates the
+    error of the solution at the step itself.  An excited medium is still
+    transformed on all the nodes.
+    """
+    n = ev.lam.size
+    sub = np.append(np.arange(0, n - 1, STEP_ERR_STRIDE), n - 1)
+    coarse, _, _ = jost_phi(scenario, ev.lam[sub], step=2.0 * t_step)
+    err = {"t": np.max(np.abs(coarse - Phi0[sub]))}
+    evs = ev.take(sub)
+    terminal = diag_exp(1j * scenario.L * np.concatenate([evs.eta_plus,
+                                                          evs.eta_minus]))
+    coarse = xbank_propagate(scenario, profile, ev, terminal, [0.0],
+                             step=2.0 * x_step, cols=sub)[0]
+    err["x"] = np.max(np.abs(coarse - w0[np.append(sub, n + sub)]))
+    return {k: float(v) / (2 ** 6 - 1) for k, v in err.items()}
+
+
 # ----------------------------------------------------------------------
 # zeros of the continued a(z) in the upper half-plane
 # ----------------------------------------------------------------------
 
-def continued_a(scenario, profile, z, step=DEFAULT_STEP):
-    """a(z) = alpha(z) A(z) - beta(z) B(z) for Im z > 0."""
-    A, B = phi_column_continuation(scenario, z, step=step)
-    alpha, beta = wplus_column_continuation(scenario, profile, z, step=step)
+def equation_steps(step=None):
+    """Magnus steps (t-equation, x-equation): step for both, or T_STEP and
+    X_STEP when it is None."""
+    return (T_STEP, X_STEP) if step is None else (step, step)
+
+
+def continued_a(scenario, profile, z, step=None):
+    """a(z) = alpha(z) A(z) - beta(z) B(z) for Im z > 0 (Magnus steps as
+    in `equation_steps`)."""
+    t_step, x_step = equation_steps(step)
+    A, B = phi_column_continuation(scenario, z, step=t_step)
+    alpha, beta = wplus_column_continuation(scenario, profile, z, step=x_step)
     return alpha * A - beta * B
 
 
@@ -455,10 +552,52 @@ def _winding_adaptive(afun, window, n0=32, max_pts=4096):
     raise CountMismatch("winding computation failed to resolve the boundary")
 
 
+def axis_zero_count(lam, a):
+    """Zeros of a in the upper half-plane by the argument principle on the
+    real axis, from a on the increasing nodes lam, the path closed by
+    a -> 1 beyond them.
+
+    Returns (count, largest wrapped arg step between neighbouring nodes,
+    largest |a - 1| at the two ends).  The count holds when the steps are
+    well below pi and a is near 1 at the ends, so that the closing pieces
+    from 1 to a(lam[0]) and from a(lam[-1]) to 1 turn by arg a there.
+    """
+    steps = np.angle(a[1:] / a[:-1])
+    turn = np.sum(steps) + np.angle(a[0]) - np.angle(a[-1])
+    return (int(np.round(turn / (2.0 * np.pi))),
+            float(np.max(np.abs(steps), initial=0.0)),
+            float(max(abs(a[0] - 1.0), abs(a[-1] - 1.0))))
+
+
+def counted_a_zeros(scenario, profile, lam, a):
+    """Poles (z_j, m_j) of an attenuator run, the zeros of a counted on the
+    axis first (`axis_zero_count`, from a on the real nodes lam).
+
+    The window search (`locate_a_zeros`) runs only when the axis counts a
+    zero, when an arg step reaches PHASE_STEP_TOL or when |a - 1| exceeds
+    END_DEV_TOL at a window end; its count must then equal the axis count,
+    or CountMismatch names both.  Returns (poles, count) with count
+    {"axis", "window" (None when the search did not run),
+    "max_phase_step"}.
+    """
+    n, max_step, end_dev = axis_zero_count(lam, a)
+    count = {"axis": n, "window": None, "max_phase_step": max_step}
+    if n == 0 and max_step < PHASE_STEP_TOL and end_dev <= END_DEV_TOL:
+        return [], count
+    poles = locate_a_zeros(scenario, profile)
+    count["window"] = len(poles)
+    if len(poles) != n:
+        raise CountMismatch(
+            f"the argument of a on the real axis counts {n} zero(s) in the "
+            f"upper half-plane, the window search found {len(poles)}")
+    return poles, count
+
+
 def locate_a_zeros(scenario, profile, window=(-5.0, 5.0, 0.05, 3.0),
-                   step=0.02):
+                   step=None):
     """Zeros of the continued a(z) with residue constants, in the rectangle
-    window = (re lo, re hi, im lo, im hi), Magnus step `step`.
+    window = (re lo, re hi, im lo, im hi), Magnus steps as in
+    `equation_steps`.
 
     Argument-principle count on the window, recursive subdivision down to
     isolated zeros, then Newton refinement with a central-difference
@@ -471,6 +610,7 @@ def locate_a_zeros(scenario, profile, window=(-5.0, 5.0, 0.05, 3.0),
     if window[2] < 1e-3:
         raise ValueError("window must keep a margin >= 1e-3 above the axis")
 
+    t_step, x_step = equation_steps(step)
     afun = lambda zz: continued_a(scenario, profile, zz, step=step)
     total = _winding_adaptive(afun, window)
     zeros = []
@@ -503,8 +643,8 @@ def locate_a_zeros(scenario, profile, window=(-5.0, 5.0, 0.05, 3.0),
         hstep = 1e-5 * (1.0 + abs(zj))
         vals = afun(np.array([zj - hstep, zj + hstep]))
         adot = (vals[1] - vals[0]) / (2 * hstep)
-        Aj, Bj = phi_column_continuation(scenario, zj, step=step)
-        alj, _ = wplus_column_continuation(scenario, profile, zj, step=step)
+        Aj, Bj = phi_column_continuation(scenario, zj, step=t_step)
+        alj, _ = wplus_column_continuation(scenario, profile, zj, step=x_step)
         gamma = (Bj / alj)[0]
         poles.append((zj, gamma / adot))
     return poles

@@ -27,13 +27,12 @@ from mbrh.errors import (MBRHError, SingularK, SingularResidueSystem,
 from mbrh.jump import DET_TOL, JumpData
 from mbrh.mat2 import dagger, det2, diag_exp, inv2
 from mbrh.rhsolver import residue_constants, sie_solve, soliton_closed_form
-from mbrh.spectral import DEFAULT_STEP, ScenarioData, xbank_propagate
+from mbrh.spectral import X_STEP, ScenarioData, xbank_propagate
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
-_GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
+_GAUSS = (0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0)
 AXIS_FLOOR = 1e-8           # |Im z| below which the adaptive eta path refuses
 EVAL_FLOOR = 2.0            # off-contour M within this many node spacings is refused
 
@@ -84,7 +83,7 @@ def excited_scenario(complex_rho=False):
     if complex_rho:
         table["im"] = (0.25 * bump(0.9, 1.0)).tolist()
     return ScenarioData(T=10.0, L=2.0, E_in=E_in, E0=E0,
-                        rho0=rho0_from_config(table))
+                        rho0=rho0_from_config(table), rho0_x=tuple(xg))
 
 
 def sigma2_conj(a):
@@ -150,14 +149,21 @@ def expm2(m):
 
 
 def magnus_step(Afun, s1, h, Y):
-    """One 4th-order Magnus update of Y from s1 to s1 + h (h of either
-    sign), in extended precision: the generator values stay double, the
-    exponential and the product are formed in np.clongdouble."""
+    """One 6th-order Magnus update of Y from s1 to s1 + h (h of either
+    sign) in matrix form (Blanes, Casas, Oteo & Ros, Phys. Rep. 470
+    (2009) 151, three Gauss nodes), in extended precision: the generator
+    values stay double, Omega, the exponential and the product are formed
+    in np.clongdouble."""
+    A1, A2, A3 = (np.asarray(Afun(s1 + c * h), dtype=np.clongdouble)
+                  for c in _GAUSS)
     h = np.longdouble(h)
-    A1 = np.asarray(Afun(s1 + _GAUSS_C1 * float(h)), dtype=np.clongdouble)
-    A2 = np.asarray(Afun(s1 + _GAUSS_C2 * float(h)), dtype=np.clongdouble)
-    r = np.sqrt(np.longdouble(3.0)) / 12 * h * h
-    Om = (h / 2) * (A1 + A2) + r * (A2 @ A1 - A1 @ A2)
+    comm = lambda x, y: x @ y - y @ x
+    al1 = h * A2
+    al2 = np.sqrt(np.longdouble(15.0)) * h / 3 * (A3 - A1)
+    al3 = 10 * h / 3 * (A3 - 2 * A2 + A1)
+    C1 = comm(al1, al2)
+    C2 = -comm(al1, 2 * al3 + C1) / 60
+    Om = al1 + al3 / 12 + comm(-20 * al1 - al3 + C1, al2 + C2) / 240
     return expm2(Om) @ Y
 
 
@@ -221,7 +227,7 @@ def eta_quadrature(profile, z):
 
 
 def k_solve(scenario, profile, lam_grid, S_plus, S_minus, x_out=None,
-            step=DEFAULT_STEP):
+            step=X_STEP):
     """Solve the x-equations with terminal values e^{i L eta_pm sigma_3} S_pm.
 
     Independent reference for `spectral_data` (different terminal data,

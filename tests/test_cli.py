@@ -451,23 +451,27 @@ class TestCommands:
         assert diag["lu_stamps"] == 0 and diag["residue_cond"] is None
         assert 0 < diag["krylov_iters"]["p50"] <= diag["krylov_iters"]["max"]
         assert 0 < diag["posdef_min"]["min"] <= diag["posdef_min"]["p50"]
-        # stage trace: one t-equation solve, T / DEFAULT_STEP = 600 steps;
-        # the stacked x-sweep takes the plane-wave shortcut here
+        # stage trace: one t-equation solve, T = 6 in 172 steps of at most
+        # T_STEP, and its step-error solve at twice the step, 86 more; the
+        # stacked x-sweep takes the plane-wave shortcut here
         stages = diag["stages"]
         assert set(stages) == {"pole_search_s", "spectral_s", "jost_phi_s",
-                               "jost_w_s", "stamp_loop_s", "jump_s", "sie_s"}
+                               "jost_w_s", "step_err_s", "stamp_loop_s",
+                               "jump_s", "sie_s"}
         assert all(v >= 0.0 for v in stages.values())
-        assert stages["jost_phi_s"] + stages["jost_w_s"] <= stages["spectral_s"]
+        assert (stages["jost_phi_s"] + stages["jost_w_s"]
+                + stages["step_err_s"] <= stages["spectral_s"])
         assert stages["jump_s"] + stages["sie_s"] <= stages["stamp_loop_s"]
-        assert diag["magnus_steps"] == 600
+        assert diag["magnus_steps"] == 172 + 86
         # the lattice holds the x = 0 column but no t = 0 row
         assert set(diag["boundary_err"]) == {"value", "t"}
         assert diag["initial_err"] is None
-        # the scattering table's certificates and the largest det(J0)
-        # error over the stamps
-        assert set(diag["spectral"]) == {"det_Tp_err", "det_Tm_err",
-                                         "reduction_err"}
-        assert all(0.0 <= v < 1e-10 for v in diag["spectral"].values())
+        # the scattering table's certificates, its step-error estimates
+        # and the largest det(J0) error over the stamps
+        spec = dict(diag["spectral"])
+        assert set(spec.pop("step_err")) == {"t", "x"}
+        assert set(spec) == {"det_Tp_err", "det_Tm_err", "reduction_err"}
+        assert all(0.0 <= v < 1e-10 for v in spec.values())
         assert 0.0 <= diag["J0_det_err"] < 1e-10
 
     @pytest.mark.parametrize("argv", [
@@ -617,7 +621,8 @@ class TestCommands:
                             path, "--out", str(tmp_path / "x")]) == 3
 
     def test_solve_rh_runs_one_xbank_solve_per_bank(self, monkeypatch, tmp_path):
-        # both banks in one stacked sweep: one call, 2 x 32 nodes wide
+        # both banks in one stacked sweep: one call, 2 x 32 nodes wide,
+        # and one for the step-error estimate on nodes 0, 16 and 31
         widths = []
         orig = spectral.xbank_propagate
 
@@ -633,10 +638,11 @@ class TestCommands:
         rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:2",
                           "--x", "0:2:3", "--no-poles", "--out", str(out)])
         assert rc == 0
-        assert widths == [2 * 4 * 8]
+        assert widths == [2 * 4 * 8, 2 * 3]
         diag = json.load(open(out / "meta.json"))["diagnostics"]
-        # T = 6 and L = 2 at DEFAULT_STEP: the x-sweep's 200 steps count once
-        assert diag["magnus_steps"] == 600 + 200
+        # T = 6 at T_STEP and L = 2 at X_STEP: the x-sweep's 80 steps count
+        # once; the step-error solves take half as many steps again
+        assert diag["magnus_steps"] == (172 + 80) + (86 + 40)
 
     def test_solve_rh_builds_cauchy_matrix_once(self, monkeypatch, tmp_path):
         # every stamp shares the contour's Cauchy matrix, built before the
@@ -684,22 +690,110 @@ class TestReproductionFigures:
         assert diag["initial_err"]["value"] < 1e-6
         assert 0.0 <= diag["initial_err"]["x"] <= 5.0
 
-    def test_missed_soliton_shows_at_the_boundary(self, tmp_path):
+    def test_missed_soliton_is_refused(self, tmp_path, capsys):
         # 1.04 sech(t - 20) carries a zero of a near 0.02i, below the pole
-        # search window: the run passes every solver certificate and
-        # exits 0, but its x = 0 column is 18 % off E_in at t = 20
-        rc, diag = self.run(tmp_path, "10:20:2", "0:5:2", T=40.0, L=5.0,
-                            E_in={"pulse": "sech", "amplitude": 1.04,
-                                  "center": 20.0, "width": 1.0})
-        assert rc == 0 and diag["n_poles"] == 0
-        assert diag["boundary_err"]["value"] > 0.1
-        assert diag["boundary_err"]["t"] == 20.0
-        assert diag["initial_err"] is None
+        # search window, which used to miss it: the run passed every
+        # solver certificate and exited 0 with its x = 0 column 18 % off
+        # E_in at t = 20.  The argument of a on the axis counts the zero,
+        # so the window search runs, finds none and the run is refused
+        path = write_scenario(tmp_path, T=40.0, L=5.0,
+                              E_in={"pulse": "sech", "amplitude": 1.04,
+                                    "center": 20.0, "width": 1.0})
+        out = tmp_path / "rh"
+        rc = run_command(["solve-rh", "--scenario", path, "--t", "10:20:2",
+                          "--x", "0:5:2", "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "CountMismatch" in err
+        assert "counts 1 zero(s)" in err and "found 0" in err
+        assert not out.exists()
 
     def test_absent_lines_are_null(self, tmp_path):
         rc, diag = self.run(tmp_path, "2:4:2", "1:2:2")
         assert rc == 0
         assert diag["boundary_err"] is None and diag["initial_err"] is None
+
+
+class TestZeroCount:
+    """The zeros of a are counted on the real axis first; the window
+    search (`locate_a_zeros`) runs only when the count asks for it, and
+    must then agree with it."""
+
+    def solve(self, monkeypatch, tmp_path, t="14:18:2", **cfg):
+        found = []
+        orig = spectral.locate_a_zeros
+
+        def counted(*args, **kwargs):
+            found.append(orig(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(spectral, "locate_a_zeros", counted)
+        out = tmp_path / "rh"
+        rc = run_command(["solve-rh", "--scenario", write_scenario(tmp_path, **cfg),
+                          "--t", t, "--x", "0:1:2", "--out", str(out)])
+        diag = (json.load(open(out / "meta.json"))["diagnostics"]
+                if rc == 0 else None)
+        return rc, diag, found
+
+    @staticmethod
+    def pulse(kind, amplitude):
+        return {"T": 32.0, "L": 1.0,
+                "E_in": {"pulse": kind, "amplitude": amplitude,
+                         "center": 16.0, "width": 1.0}}
+
+    def test_pole_free_run_skips_the_window_search(self, monkeypatch, tmp_path):
+        rc, diag, found = self.solve(monkeypatch, tmp_path, t="2:4:2")
+        assert rc == 0 and found == []
+        count = diag["pole_count"]
+        assert (count["axis"], count["window"]) == (0, None)
+        assert 0.0 < count["max_phase_step"] < spectral.PHASE_STEP_TOL
+        assert diag["n_poles"] == 0
+
+    def test_one_node_contour_has_no_phase_step(self, monkeypatch, tmp_path):
+        # a contour of one node has no arg step to take a maximum of
+        rc, diag, found = self.solve(monkeypatch, tmp_path, t="2:4:2",
+                                     n_panels=1, nodes_per_panel=1)
+        assert rc == 0 and found == []
+        assert diag["pole_count"] == {"axis": 0, "window": None,
+                                      "max_phase_step": 0.0}
+
+    @pytest.mark.parametrize("kind, amplitude, zero", [
+        ("sech", 2.0, 0.5j), ("gaussian", 1.95, 0.10434732j)])
+    def test_counts_agree_and_the_zero_is_found(self, monkeypatch, tmp_path,
+                                                kind, amplitude, zero):
+        # 2 sech(t - 16) has its zero at i/2; the Gaussian's lies near the
+        # window floor, where its arg steps reach 0.48 rad
+        rc, diag, found = self.solve(monkeypatch, tmp_path,
+                                     **self.pulse(kind, amplitude))
+        assert rc == 0 and len(found) == 1
+        assert (diag["pole_count"]["axis"], diag["pole_count"]["window"]) == (1, 1)
+        assert diag["n_poles"] == 1
+        assert abs(found[0][0][0] - zero) < 1e-7
+
+    def test_zero_the_window_misses_is_refused(self, monkeypatch, tmp_path,
+                                               capsys):
+        # 3.2 sech(t - 16) e^{it} has zeros near -0.5 + 1.1i and
+        # -0.5 + 0.1i; the window's subdivision finds only the first, and
+        # the run used to exit 0 with E_in 25 % off at x = 0
+        cfg = self.pulse("sech", 3.2)
+        cfg["E_in"]["chirp"] = 1.0
+        rc, _, found = self.solve(monkeypatch, tmp_path, **cfg)
+        assert rc == 3 and len(found) == 1
+        err = capsys.readouterr().err
+        assert "counts 2 zero(s)" in err and "found 1" in err
+
+    def test_under_resolved_axis_calls_the_search(self, monkeypatch, tmp_path,
+                                                  capsys):
+        # on 16 nodes the phase of a jumps by 2.5 rad near the zero at
+        # 0.5i and the axis count aliases to 0; the step alone calls the
+        # window search, which finds the zero, and the mismatch refuses
+        # the run rather than dropping the soliton
+        rc, _, found = self.solve(monkeypatch, tmp_path,
+                                  **self.pulse("sech", 2.0),
+                                  n_panels=4, nodes_per_panel=4)
+        assert rc == 3 and len(found) == 1
+        err = capsys.readouterr().err
+        assert "counts 0 zero(s)" in err and "found 1" in err
 
 
 def test_tabulated_solve_rh_builds_pv_weights_per_run(monkeypatch, tmp_path):

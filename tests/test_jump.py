@@ -112,14 +112,13 @@ class TestKernelReuse:
         step = 0.03
         ev = eta_boundary(ATT, lam)
         jost_w(sc, ATT, ev, x_out=x_out, step=step)
-        steps = spectral._refined_grid(np.union1d(x_out, [0.0, sc.L]), step).size - 1
-        cap = min(spectral.MAGNUS_BLOCK,
-                  spectral.MAGNUS_BLOCK * spectral.MAGNUS_WIDTH // (2 * lam.size))
+        steps = spectral._x_grid(sc, x_out, step).size - 1
+        cap = spectral.MAGNUS_BLOCK * spectral.MAGNUS_WIDTH // (2 * lam.size)
         assert cap < spectral.MAGNUS_BLOCK and steps % cap != 0
         assert len(builds) == 1
-        # one p.v. product per capped block of steps, for both banks and
-        # both Gauss nodes
-        assert len(calls) == -(-steps // cap)
+        # one p.v. product per channel, (N - 1) n and rho n, per capped
+        # block of steps, for both banks and all Gauss nodes
+        assert len(calls) == 2 * -(-steps // cap)
 
     def test_continued_a_builds_cauchy_weights_once(self, monkeypatch):
         builds = []

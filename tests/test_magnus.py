@@ -1,7 +1,8 @@
-"""The block-batched Magnus kernel against the one-step matrix-form
-reference (`references.magnus_propagate`): same scheme, same nodes, so the
-two agree to the kernel's rounding (the reference runs in extended
-precision)."""
+"""The block-batched sixth-order Magnus kernel against the one-step
+matrix-form reference (`references.magnus_propagate`): same scheme, same
+nodes, so the two agree to the kernel's rounding (the reference runs in
+extended precision); its order, and the x-grid's nodes on the rho0
+table's rows."""
 
 import dataclasses
 
@@ -14,11 +15,15 @@ from mbrh.broadening import (LAM_WINDOW, BroadeningProfile, eta_boundary,
 from mbrh.lax import medium_transform
 from mbrh.mat2 import det2, diag_exp
 from mbrh.spectral import (
-    DEFAULT_STEP,
     MAGNUS_BLOCK,
+    MAGNUS_WIDTH,
+    T_STEP,
+    X_STEP,
     _refined_grid,
     _t_generator,
+    _x_grid,
     jost_phi,
+    jost_w,
     magnus_propagate,
     phi_column_continuation,
     wplus_column_continuation,
@@ -46,7 +51,7 @@ def test_jost_phi_matches_matrix_form(name):
     lam = np.linspace(*LAM_WINDOW, 101)
     Phi0, _, _ = jost_phi(sc, lam)
     want = ref.magnus_propagate(ref.t_generator(sc, lam),
-                                _refined_grid([0.0, sc.T], DEFAULT_STEP),
+                                _refined_grid([0.0, sc.T], T_STEP),
                                 diag_exp(-1j * lam * sc.T))[0]
     assert rel(Phi0, want) <= TOL
     assert np.max(np.abs(det2(Phi0) - 1.0)) <= TOL
@@ -58,7 +63,7 @@ def test_phi_continuation_matches_matrix_form():
     z = np.linspace(-5.0, 5.0, 9) + 1j * np.geomspace(1e-3, 5.0, 9)
     A, B = phi_column_continuation(sc, z)
     want = ref.magnus_propagate(ref.t_generator(sc, z, -1j * z),
-                                _refined_grid([0.0, sc.T], DEFAULT_STEP),
+                                _refined_grid([0.0, sc.T], T_STEP),
                                 column_terminal(z, 1))[0]
     assert rel(A, want[:, 1, 0]) <= TOL
     assert rel(B, want[:, 0, 0]) <= TOL
@@ -72,7 +77,7 @@ def _check_stacked_xbank(sc, profile, lam, x_out, banks=("+", "-")):
     terminal = diag_exp(1j * sc.L * np.concatenate([ev.eta_plus, ev.eta_minus]))
     w = xbank_propagate(sc, profile, ev, terminal, x_out)
     assert w.shape == (x_out.size, 2 * lam.size, 2, 2)
-    grid = _refined_grid(np.union1d(x_out, [0.0, sc.L]), DEFAULT_STEP)
+    grid = _x_grid(sc, x_out, X_STEP)
     for bank in banks:
         half = slice(0, lam.size) if bank == "+" else slice(lam.size, None)
         if sc.medium_is_trivial:
@@ -140,13 +145,16 @@ def test_wplus_continuation_matches_matrix_form():
     G = lambda x: transform(sc.medium_slice(x, lam_med))
     want = ref.magnus_propagate(
         ref.x_generator(sc, z, G, -1j * eta_eval(LOR, z)),
-        _refined_grid([0.0, sc.L], DEFAULT_STEP), column_terminal(z, 0))[0]
+        _x_grid(sc, [], X_STEP), column_terminal(z, 0))[0]
     assert rel(alpha, want[:, 0, 0]) <= TOL
     assert rel(beta, want[:, 1, 0]) <= TOL
 
 
-@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
+@pytest.mark.parametrize("steps", sorted({1, MAGNUS_BLOCK - 1, MAGNUS_BLOCK,
+                                          MAGNUS_BLOCK + 1, 63, 64, 65, 1000}))
 def test_block_boundaries(steps):
+    # width MAGNUS_WIDTH holds blocks to MAGNUS_BLOCK steps on 5 columns;
+    # by default 5 columns take all the steps in one block
     sc = ref.desk_scenario()
     rng = np.random.default_rng(steps)
     z = rng.normal(size=5) + 1j * rng.uniform(0.0, 2.0, size=5)
@@ -155,14 +163,48 @@ def test_block_boundaries(steps):
     at = np.unique([0, steps // 3, steps - 1, steps])
     want = ref.magnus_propagate(ref.t_generator(sc, z, -1j * z), s_grid,
                                 terminal)
-    got = magnus_propagate(_t_generator(sc, z), s_grid, terminal,
-                           shift=-1j * z, at=at)
+    sweep = lambda **kw: magnus_propagate(_t_generator(sc, z), s_grid, terminal,
+                                          shift=-1j * z, **kw)
+    got = sweep(at=at, width=MAGNUS_WIDTH)
     assert rel(got, want[at]) <= TOL
-    end = magnus_propagate(_t_generator(sc, z), s_grid, terminal,
-                           shift=-1j * z)
+    end = sweep(width=MAGNUS_WIDTH)
     assert np.array_equal(end, got[0])
     # every node kept, as on a dense x lattice
-    every = magnus_propagate(_t_generator(sc, z), s_grid, terminal,
-                             shift=-1j * z, at=np.arange(steps + 1))
+    every = sweep(at=np.arange(steps + 1), width=MAGNUS_WIDTH)
     assert rel(every, want) <= TOL
     assert np.array_equal(every[0], end)
+    assert rel(sweep(), want[0]) <= TOL
+
+
+@pytest.mark.parametrize("equation", ["t", "x"])
+def test_sixth_order_convergence(equation):
+    # halving the step divides the error by about 2^6; a fourth-order
+    # step would give about 16.  The x steps divide the rho0 rows' 0.05
+    lam = np.linspace(-10.0, 10.0, 21)
+    if equation == "t":
+        sc = ref.desk_scenario()
+        solve = lambda h: jost_phi(sc, lam, step=h)[0]
+        steps = (0.1, 0.05, 0.00625)
+    else:
+        sc, ev = ref.excited_scenario(), eta_boundary(LOR, lam)
+        solve = lambda h: jost_w(sc, LOR, ev, step=h)[1][0]
+        steps = (0.05, 0.025, 0.003125)
+    want = solve(steps[-1])
+    coarse, fine = (np.max(np.abs(solve(h) - want)) for h in steps[:2])
+    assert 0.8 * 2 ** 6 < coarse / fine < 1.25 * 2 ** 6
+
+
+def test_x_grid_has_a_node_on_every_table_row():
+    # the rows read 0.15000000000000002 and the like; a row that rounding
+    # moved off a target or off a step is merged, not given a short step
+    sc = ref.excited_scenario()
+    x_out = np.array([0.0, 0.15, 0.5, 1.35, 2.0])
+    grid = _x_grid(sc, x_out, X_STEP)
+    assert np.all(np.isin(x_out, grid))
+    assert np.allclose(np.diff(grid), X_STEP, rtol=1e-9, atol=0.0)
+    gap = np.min(np.abs(np.array(sc.rho0_x)[:, None] - grid), axis=1)
+    assert np.max(gap) < 1e-15
+    # a step that does not divide the rows' spacing: three of 1/60 each
+    # between neighbouring rows, none shorter
+    steps = np.diff(_x_grid(sc, x_out, 0.02))
+    assert 0.05 / 3 * (1 - 1e-9) < steps.min() and steps.max() < 0.02

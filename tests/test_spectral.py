@@ -7,17 +7,23 @@ from mbrh.broadening import BroadeningProfile, eta_boundary
 from mbrh.errors import CountMismatch, DecayViolation, MediumNotAsymptotic
 from mbrh.mat2 import det2, diag_exp
 from mbrh.spectral import (
+    STEP_ERR_STRIDE,
+    T_STEP,
+    X_STEP,
     ScenarioData,
     _newton_refine,
+    axis_zero_count,
     continued_a,
     jost_phi,
     jost_w,
     locate_a_zeros,
     phi_column_continuation,
+    step_error,
     transition_and_reflection,
     wplus_column_continuation,
 )
-from references import coupling_matrix, sigma2_conj, trivial_scenario
+from references import (coupling_matrix, excited_scenario, sigma2_conj,
+                        trivial_scenario)
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 
@@ -261,3 +267,48 @@ class TestConvergenceOrder:
             errs.append(np.max(np.abs(A - A_ref)))
         order = np.log2(errs[0] / errs[1])
         assert order > 3.0
+
+
+class TestAxisZeroCount:
+    lam = np.linspace(-20.0, 20.0, 801)
+
+    @staticmethod
+    def blaschke(lam, zeros):
+        return np.prod([(lam - z) / (lam - np.conj(z)) for z in zeros], axis=0)
+
+    @pytest.mark.parametrize("zeros", [[], [0.5j], [0.05j, -3.0 + 1.0j],
+                                       [30.0j], [4.0 + 25.0j, 10.0j]])
+    def test_blaschke_products(self, zeros):
+        # zeros far above the window leave a(+-20) far from 1: the count
+        # holds only with the closing arcs from a(+-20) to 1
+        a = self.blaschke(self.lam, zeros) if zeros else np.ones(self.lam.size)
+        n, max_step, end_dev = axis_zero_count(self.lam, a)
+        assert n == len(zeros)
+        steps = np.abs(np.angle(a[1:] / a[:-1]))
+        assert max_step == steps.max()
+        assert end_dev == max(abs(a[0] - 1.0), abs(a[-1] - 1.0))
+
+    def test_zero_free_phase_off_one(self):
+        # a zero-free a whose phase at the window ends is far from 0
+        a = np.exp(2.5j * np.tanh(self.lam / 3.0))
+        assert axis_zero_count(self.lam, a)[0] == 0
+
+
+class TestStepError:
+    def test_estimate_tracks_the_error(self):
+        # the step-doubling estimate against the error at the step itself
+        # (from a solve at a quarter of the step), on the estimate's nodes
+        sc, p = excited_scenario(), BroadeningProfile.lorentzian(1.0, sign=-1)
+        ev = eta_boundary(p, np.linspace(-20.0, 20.0, 97))
+        Phi0, _, _ = jost_phi(sc, ev.lam)
+        _, wp, wm = jost_w(sc, p, ev)
+        w0 = np.concatenate([wp[0], wm[0]])
+        est = step_error(sc, p, ev, Phi0, w0, T_STEP, X_STEP)
+        sub = np.append(np.arange(0, 96, STEP_ERR_STRIDE), 96)
+        fine = jost_phi(sc, ev.lam, step=T_STEP / 4)[0]
+        _, fp, fm = jost_w(sc, p, ev, step=X_STEP / 4)
+        t_err = np.max(np.abs(Phi0 - fine)[sub])
+        x_err = np.max(np.abs(w0 - np.concatenate([fp[0], fm[0]]))[
+            np.append(sub, 97 + sub)])
+        assert 0.5 < est["t"] / t_err < 2.0
+        assert 0.5 < est["x"] / x_err < 2.0
