@@ -43,8 +43,7 @@ from .rhsolver import (
     sie_solve,
     soliton_closed_form,
 )
-from .spectral import (T_STEP, X_STEP, ScenarioData, counted_a_zeros,
-                       magnus_steps_taken)
+from .spectral import T_STEP, X_STEP, ScenarioData, a_zeros, magnus_steps_taken
 
 MAX_MAGNUS_STEPS = 10 ** 6  # --step may ask for at most this many on [0, T] or [0, L]
 
@@ -413,21 +412,24 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                   n_panels=N_PANELS, nodes_per_panel=NODES_PER_PANEL,
                   find_poles=True):
     """Mixed-problem contour pipeline: contour -> spectral data and K_pm on
-    the x lattice -> zeros of a, counted on the axis and searched for only
-    when needed -> per-stamp jump assembly and contour solve.
+    the x lattice -> zeros of a, counted and fitted on the axis and
+    refined by Newton (`a_zeros`) -> per-stamp jump assembly and contour
+    solve.
 
     Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
     wall time of the spectral data (`spectral_s`, of which the t- and
     x-equation Jost solves took `jost_phi_s` and `jost_w_s`, and the
     scattering table with its step-error estimate `step_err_s`), of the
-    zero count and pole search and of the stamp loop,
+    Cauchy kernel build with the zero search (`pole_search_s`) and of the
+    stamp loop,
     and the per-stamp `jump_mixed` and `sie_solve` times summed over
     stamps, whichever process solved them (`workers` counts those
     processes; see parallel_map).  `boundary_err` and `initial_err`
     compare the field on the lattice's x = 0 column with E_in and on its
     t = 0 row with E0.  `spectral` holds the scattering table's det,
-    reduction and step errors, `pole_count` the axis and window counts of
-    the zeros of a (`counted_a_zeros`; None without the search),
+    reduction and step errors, `pole_count` the count, fit residual,
+    Newton steps and clearance of the zeros of a (`a_zeros`; None on a
+    gain or --no-poles run),
     `J0_det_err` the largest det(J0) error of a stamp, and `residue_cond`
     the SVD condition of the stamps' residue systems (None without poles).
     """
@@ -442,13 +444,12 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     table, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals,
                                   stages=stages)
     marks.append(time.perf_counter())
+    contour.kernel()            # built once: the zero fit and every stamp
     poles, pole_count = [], None
     if find_poles and profile.sign < 0:
-        poles, pole_count = counted_a_zeros(scenario, profile, ev.lam,
-                                            table.a_plus)
+        poles, pole_count = a_zeros(scenario, profile, contour, table.a_plus)
     marks.append(time.perf_counter())
 
-    contour.kernel()            # built once, before the stamp loop forks
     if poles:                   # (z_j, c_j) of every stamp, overflow refused
         zj, cj = residue_constants(poles, profile, t_vals[:, None],
                                    x_vals[None, :])

@@ -41,7 +41,8 @@ class SpectralSingularity(MBRHError):
 
 
 class CountMismatch(MBRHError):
-    """Refined zero count disagrees with the winding number."""
+    """The zeros of a found in the upper half-plane disagree with their
+    count on the real axis: the Blaschke fit misses, or Newton fails."""
 
 
 # --- jump ---------------------------------------------------------------

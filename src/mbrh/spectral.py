@@ -5,7 +5,8 @@ at x = 0; the initial data (E0, rho0) enter through the Jost solutions of
 the two half-plane x-equations at t = 0, which differ only in their local
 medium terms and are propagated together in one stacked sweep.
 Transition matrices between the two give the scattering functions a, b
-and the reflection coefficients.
+and the reflection coefficients.  The zeros of a in the upper half-plane
+are counted and fitted from a on the real axis (`a_zeros`).
 
 All integrations use a fixed-step 6th-order Magnus scheme (three Gauss
 nodes per step, three commutators; Blanes, Casas, Oteo & Ros, Phys. Rep.
@@ -33,6 +34,7 @@ from .errors import (
     DecayViolation,
     MediumNotAsymptotic,
     SpectralSingularity,
+    TooCloseToAxis,
 )
 from .lax import medium_from_rho, medium_transform
 from .mat2 import det2, diag_exp, inv2
@@ -49,8 +51,10 @@ _TAYLOR_TERMS = 10          # terms of the cosh and sinh(mu)/mu series in mu^2
 STEP_ERR_STRIDE = 16        # every this many nodes enter the step-error estimate
 SINGULAR_FLOOR = 1e-8       # |a| below this on the axis is a spectral singularity
 NEWTON_TOL = 1e-10          # Newton step at which a zero of a counts as found
-PHASE_STEP_TOL = 0.25       # arg step of a between axis nodes (rad) and
-END_DEV_TOL = 0.5           # |a - 1| at a window end that call for the zero search
+NEWTON_MAX = 30             # Newton steps after which a zero search is refused
+SAME_ZERO_TOL = 1e-6        # Newton roots closer than this are one zero
+FIT_TOL = 1e-2              # Blaschke-fit residual above which the count is refused
+CLEARANCE_MIN = 2.5         # node spacings a zero of a must keep above the axis
 
 
 @dataclass(frozen=True)
@@ -337,7 +341,6 @@ def jost_phi(scenario, lam_grid, step=T_STEP):
     Integrates backward from the plane-wave terminal value at t = T.
     Returns (Phi0, A, B) with A = Phi0[1,1], B = Phi0[0,1].
     """
-    scenario.validate()
     lam = np.asarray(lam_grid, dtype=float)
     Phi0 = magnus_propagate(_t_generator(scenario, lam),
                             _refined_grid([0.0, scenario.T], step),
@@ -411,7 +414,6 @@ def jost_w(scenario, profile, ev, x_out=None, step=X_STEP):
     w_pm(L) = e^{i L eta_pm sigma_3}.  Returns (x_out, w+, w-), each w of
     shape (len(x_out), len(lam), 2, 2).
     """
-    scenario.validate()
     if x_out is None:
         x_out = np.array([0.0, scenario.L])
     x_out = np.asarray(x_out, dtype=float)
@@ -523,149 +525,105 @@ def continued_a(scenario, profile, z, step=None):
     return alpha * A - beta * B
 
 
-def _boundary_path(window, n_per_side):
-    x0, x1, y0, y1 = window
-    bottom = x0 + np.linspace(0, 1, n_per_side, endpoint=False) * (x1 - x0) + 1j * y0
-    right = x1 + 1j * (y0 + np.linspace(0, 1, n_per_side, endpoint=False) * (y1 - y0))
-    top = x1 - np.linspace(0, 1, n_per_side, endpoint=False) * (x1 - x0) + 1j * y1
-    left = x0 + 1j * (y1 - np.linspace(0, 1, n_per_side, endpoint=False) * (y1 - y0))
-    return np.concatenate([bottom, right, top, left])
-
-
-def _winding(fvals_closed):
-    """Winding number of a closed value sequence (last wraps to first)."""
-    ratios = np.roll(fvals_closed, -1) / fvals_closed
-    dargs = np.angle(ratios)
-    if np.any(np.abs(dargs) > 0.9 * np.pi):
-        return None                              # under-resolved
-    return int(np.round(np.sum(dargs) / (2 * np.pi)))
-
-
-def _winding_adaptive(afun, window, n0=32, max_pts=4096):
-    n = n0
-    while n <= max_pts:
-        pts = _boundary_path(window, n)
-        w = _winding(afun(pts))
-        if w is not None:
-            return w
-        n *= 2
-    raise CountMismatch("winding computation failed to resolve the boundary")
-
-
 def axis_zero_count(lam, a):
     """Zeros of a in the upper half-plane by the argument principle on the
     real axis, from a on the increasing nodes lam, the path closed by
-    a -> 1 beyond them.
-
-    Returns (count, largest wrapped arg step between neighbouring nodes,
-    largest |a - 1| at the two ends).  The count holds when the steps are
-    well below pi and a is near 1 at the ends, so that the closing pieces
-    from 1 to a(lam[0]) and from a(lam[-1]) to 1 turn by arg a there.
+    a -> 1 beyond them.  The count holds when the arg steps between
+    neighbouring nodes are well below pi and a is near 1 at the ends, so
+    that the closing pieces from 1 to a(lam[0]) and from a(lam[-1]) to 1
+    turn by arg a there; `a_zeros` refuses a count its Blaschke fit
+    contradicts.
     """
-    steps = np.angle(a[1:] / a[:-1])
-    turn = np.sum(steps) + np.angle(a[0]) - np.angle(a[-1])
-    return (int(np.round(turn / (2.0 * np.pi))),
-            float(np.max(np.abs(steps), initial=0.0)),
-            float(max(abs(a[0] - 1.0), abs(a[-1] - 1.0))))
+    turn = np.sum(np.angle(a[1:] / a[:-1])) + np.angle(a[0]) - np.angle(a[-1])
+    return int(np.round(turn / (2.0 * np.pi)))
 
 
-def counted_a_zeros(scenario, profile, lam, a):
-    """Poles (z_j, m_j) of an attenuator run, the zeros of a counted on the
-    axis first (`axis_zero_count`, from a on the real nodes lam).
+def _blaschke_fit(contour, a, p):
+    """Roots of P and max|B conj(P) - P| / max|P| on the nodes, for the
+    degree-p least-squares fit B conj(P) = P.  B = (a/|a|) exp(-2i H
+    log|a|) is the Blaschke factor of a = B e^g (inner-outer; Garnett,
+    Bounded Analytic Functions, 2007; Im g = 2H log|a| by C+ = I/2 + iH).
+    P = T (x + iy) + T_p in the Chebyshev basis T of the window, and
+    B conj(P) - P = (B - 1) T x - i (B + 1) T y + (B - 1) T_p is
+    real-linear in (x, y)."""
+    mod = np.abs(a)
+    B = a / mod * np.exp(-2j * (contour.kernel() @ np.log(mod)))
+    lo, hi = contour.edges[0], contour.edges[-1]
+    # not imported with this module: loaded ahead of rhsolver's leggauss,
+    # it moved every run's peak RSS up by 0.3 MB
+    cheb = np.polynomial.chebyshev
+    T = cheb.chebvander((2.0 * contour.nodes - lo - hi) / (hi - lo), p)
+    M = np.hstack([(B - 1.0)[:, None] * T[:, :p],
+                   -1j * (B + 1.0)[:, None] * T[:, :p]])
+    rhs = (1.0 - B) * T[:, p]
+    xy = np.linalg.lstsq(np.vstack([M.real, M.imag]),
+                         np.concatenate([rhs.real, rhs.imag]), rcond=None)[0]
+    c = np.append(xy[:p] + 1j * xy[p:], 1.0)
+    P = T @ c
+    return (0.5 * (lo + hi) + 0.5 * (hi - lo) * cheb.chebroots(c),
+            float(np.max(np.abs(B * np.conj(P) - P)) / np.max(np.abs(P))))
 
-    The window search (`locate_a_zeros`) runs only when the axis counts a
-    zero, when an arg step reaches PHASE_STEP_TOL or when |a - 1| exceeds
-    END_DEV_TOL at a window end; its count must then equal the axis count,
-    or CountMismatch names both.  Returns (poles, count) with count
-    {"axis", "window" (None when the search did not run),
-    "max_phase_step"}.
+
+def _newton(afun, z):
+    """Newton on afun from the starts z at once, by central differences.
+    Returns (roots, steps, derivative at the last iterate); CountMismatch
+    when a start or iterate lies off the upper half-plane or overflows
+    (afun is not evaluated there), or the steps stay above NEWTON_TOL."""
+    z = np.array(z, dtype=complex)
+    with np.errstate(all="ignore"):        # a diverging start is refused
+        for k in range(1, NEWTON_MAX + 1):
+            if not np.all(np.isfinite(z) & (z.imag > 0.0)):
+                raise CountMismatch(f"a Newton iterate on a(z) left the upper "
+                                    f"half-plane or overflowed: {z}")
+            h = 1e-5 * (1.0 + np.abs(z))
+            f, fm, fp = np.split(afun(np.concatenate([z, z - h, z + h])), 3)
+            deriv = (fp - fm) / (2.0 * h)
+            dz = f / deriv
+            z = z - dz
+            if np.all(np.abs(dz) < NEWTON_TOL):
+                return z, k, deriv
+    raise CountMismatch(f"Newton on a(z) did not converge in {NEWTON_MAX} "
+                        f"steps (last iterates {z})")
+
+
+def a_zeros(scenario, profile, contour, a):
+    """Poles (z_j, m_j) of an attenuator run, from a on the contour nodes.
+
+    The roots of the Blaschke fit (`_blaschke_fit`) of the p zeros counted
+    on the axis (`axis_zero_count`) start Newton on `continued_a`; m_j =
+    gamma_j / a'(z_j), gamma_j = B(z_j) / alpha(z_j), with a' from the
+    last Newton step.  CountMismatch refuses a fit residual above FIT_TOL
+    (max|B - 1| at p = 0: a B that winds passes through -1), a Newton
+    failure and two roots on one zero; TooCloseToAxis a zero less than
+    CLEARANCE_MIN node spacings of its nearest panel above the axis, where
+    Gauss sums cannot resolve 1/(s - z_j).  Returns (poles, {"axis",
+    "fit_residual", "newton_steps", "clearance": min Im z_j / spacing}).
     """
-    n, max_step, end_dev = axis_zero_count(lam, a)
-    count = {"axis": n, "window": None, "max_phase_step": max_step}
-    if n == 0 and max_step < PHASE_STEP_TOL and end_dev <= END_DEV_TOL:
-        return [], count
-    poles = locate_a_zeros(scenario, profile)
-    count["window"] = len(poles)
-    if len(poles) != n:
+    n = axis_zero_count(contour.nodes, a)
+    roots, residual = _blaschke_fit(contour, a, max(n, 0))
+    report = {"axis": n, "fit_residual": residual, "newton_steps": 0,
+              "clearance": None}
+    if residual > FIT_TOL:
         raise CountMismatch(
             f"the argument of a on the real axis counts {n} zero(s) in the "
-            f"upper half-plane, the window search found {len(poles)}")
-    return poles, count
-
-
-def locate_a_zeros(scenario, profile, window=(-5.0, 5.0, 0.05, 3.0),
-                   step=None):
-    """Zeros of the continued a(z) with residue constants, in the rectangle
-    window = (re lo, re hi, im lo, im hi), Magnus steps as in
-    `equation_steps`.
-
-    Argument-principle count on the window, recursive subdivision down to
-    isolated zeros, then Newton refinement with a central-difference
-    derivative.  Attenuator profiles only (a is analytic in the upper
-    half-plane there).  Raises CountMismatch when a Newton refinement
-    does not converge inside the subwindow its zero was counted in.
-    """
-    if profile.sign > 0:
-        raise ValueError("zero location applies to attenuator profiles")
-    if window[2] < 1e-3:
-        raise ValueError("window must keep a margin >= 1e-3 above the axis")
-
-    t_step, x_step = equation_steps(step)
-    afun = lambda zz: continued_a(scenario, profile, zz, step=step)
-    total = _winding_adaptive(afun, window)
-    zeros = []
-
-    def _search(win, count):
-        if count == 0:
-            return
-        x0, x1, y0, y1 = win
-        if count == 1 or max(x1 - x0, y1 - y0) < 0.02:
-            zeros.append(_newton_refine(afun, win, NEWTON_TOL))
-            return
-        if x1 - x0 >= y1 - y0:
-            xm = 0.5 * (x0 + x1)
-            sub = [(x0, xm, y0, y1), (xm, x1, y0, y1)]
-        else:
-            ym = 0.5 * (y0 + y1)
-            sub = [(x0, x1, y0, ym), (x0, x1, ym, y1)]
-        counts = [_winding_adaptive(afun, s) for s in sub]
-        if sum(counts) != count:
-            raise CountMismatch("subdivision winding counts do not add up")
-        for s, c in zip(sub, counts):
-            _search(s, c)
-
-    _search(window, total)
-    if len(zeros) != total:
-        raise CountMismatch(f"found {len(zeros)} zeros but winding is {total}")
-
-    poles = []
-    for zj in zeros:
-        hstep = 1e-5 * (1.0 + abs(zj))
-        vals = afun(np.array([zj - hstep, zj + hstep]))
-        adot = (vals[1] - vals[0]) / (2 * hstep)
-        Aj, Bj = phi_column_continuation(scenario, zj, step=t_step)
-        alj, _ = wplus_column_continuation(scenario, profile, zj, step=x_step)
-        gamma = (Bj / alj)[0]
-        poles.append((zj, gamma / adot))
-    return poles
-
-
-def _newton_refine(afun, win, tol, max_iter=60):
-    """Newton from the centre of win; the root must converge inside win."""
-    x0, x1, y0, y1 = win
-    z = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-    for _ in range(max_iter):
-        hstep = 1e-5 * (1.0 + abs(z))
-        vals = afun(np.array([z, z - hstep, z + hstep]))
-        deriv = (vals[2] - vals[1]) / (2 * hstep)
-        dz = vals[0] / deriv
-        z = z - dz
-        if abs(dz) < tol:
-            if (x0 - tol <= z.real <= x1 + tol
-                    and y0 - tol <= z.imag <= y1 + tol):
-                return z
-            raise CountMismatch(
-                f"Newton root {z:.6g} lies outside its subwindow {win}")
-    raise CountMismatch(
-        f"Newton refinement in subwindow {win} did not converge "
-        f"in {max_iter} steps (last iterate {z:.6g})")
+            f"upper half-plane, but their Blaschke factor fits a only to "
+            f"{residual:.2e} (above {FIT_TOL:g})")
+    if n <= 0:
+        return [], report
+    z, report["newton_steps"], adot = _newton(
+        lambda zz: continued_a(scenario, profile, zz), roots)
+    if np.min(np.abs(z[:, None] - z[None, :]) + np.eye(n)) < SAME_ZERO_TOL:
+        raise CountMismatch(f"two Newton roots converged to one zero of a: {z}")
+    width = np.diff(contour.edges)
+    k = np.clip(np.searchsorted(contour.edges, z.real) - 1, 0, width.size - 1)
+    clearance = z.imag / (width[k] * width.size / contour.n_nodes)
+    j = int(np.argmin(clearance))
+    report["clearance"] = float(clearance[j])
+    if clearance[j] < CLEARANCE_MIN:
+        raise TooCloseToAxis(
+            f"the zero of a at {z[j].real:.6f}{z[j].imag:+.6f}i lies "
+            f"{clearance[j]:.2f} node spacings above the axis, below the "
+            f"{CLEARANCE_MIN:g} the contour panels resolve")
+    _, B = phi_column_continuation(scenario, z)
+    alpha, _ = wplus_column_continuation(scenario, profile, z)
+    return list(zip(z.tolist(), (B / alpha / adot).tolist())), report

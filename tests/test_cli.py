@@ -691,11 +691,11 @@ class TestReproductionFigures:
         assert 0.0 <= diag["initial_err"]["x"] <= 5.0
 
     def test_missed_soliton_is_refused(self, tmp_path, capsys):
-        # 1.04 sech(t - 20) carries a zero of a near 0.02i, below the pole
-        # search window, which used to miss it: the run passed every
-        # solver certificate and exited 0 with its x = 0 column 18 % off
-        # E_in at t = 20.  The argument of a on the axis counts the zero,
-        # so the window search runs, finds none and the run is refused
+        # 1.04 sech(t - 20) carries a zero of a at 0.02i, below the old
+        # pole search window, which missed it: the run passed every solver
+        # certificate and exited 0 with its x = 0 column 18 % off E_in at
+        # t = 20.  The axis fit and Newton find the zero, 0.19 node
+        # spacings above the axis, where the panels cannot resolve it
         path = write_scenario(tmp_path, T=40.0, L=5.0,
                               E_in={"pulse": "sech", "amplitude": 1.04,
                                     "center": 20.0, "width": 1.0})
@@ -704,8 +704,8 @@ class TestReproductionFigures:
                           "--x", "0:5:2", "--out", str(out)])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "CountMismatch" in err
-        assert "counts 1 zero(s)" in err and "found 0" in err
+        assert "TooCloseToAxis" in err
+        assert "0.000000+0.020000i lies 0.19 node spacings" in err
         assert not out.exists()
 
     def test_absent_lines_are_null(self, tmp_path):
@@ -715,85 +715,137 @@ class TestReproductionFigures:
 
 
 class TestZeroCount:
-    """The zeros of a are counted on the real axis first; the window
-    search (`locate_a_zeros`) runs only when the count asks for it, and
-    must then agree with it."""
+    """The zeros of a are counted on the real axis, fitted as the roots of
+    the Blaschke factor of a and refined by Newton (`a_zeros`); a fit that
+    misses a zero and a zero the panels cannot resolve are refused."""
 
-    def solve(self, monkeypatch, tmp_path, t="14:18:2", **cfg):
-        found = []
-        orig = spectral.locate_a_zeros
-
-        def counted(*args, **kwargs):
-            found.append(orig(*args, **kwargs))
-            return found[-1]
-
-        monkeypatch.setattr(spectral, "locate_a_zeros", counted)
+    def solve(self, tmp_path, t="14:18:2", **cfg):
         out = tmp_path / "rh"
         rc = run_command(["solve-rh", "--scenario", write_scenario(tmp_path, **cfg),
                           "--t", t, "--x", "0:1:2", "--out", str(out)])
         diag = (json.load(open(out / "meta.json"))["diagnostics"]
                 if rc == 0 else None)
-        return rc, diag, found
+        return rc, diag
+
+    @pytest.fixture
+    def found(self, monkeypatch):
+        """The poles of each run's `a_zeros`."""
+        found, orig = [], cli.a_zeros
+
+        def recorded(*args):
+            poles, report = orig(*args)
+            found.append(poles)
+            return poles, report
+
+        monkeypatch.setattr(cli, "a_zeros", recorded)
+        return found
 
     @staticmethod
-    def pulse(kind, amplitude):
+    def pulse(kind, amplitude, chirp=0.0):
         return {"T": 32.0, "L": 1.0,
                 "E_in": {"pulse": kind, "amplitude": amplitude,
-                         "center": 16.0, "width": 1.0}}
+                         "center": 16.0, "width": 1.0, "chirp": chirp}}
 
-    def test_pole_free_run_skips_the_window_search(self, monkeypatch, tmp_path):
-        rc, diag, found = self.solve(monkeypatch, tmp_path, t="2:4:2")
-        assert rc == 0 and found == []
+    def test_pole_free_run_skips_the_window_search(self, monkeypatch,
+                                                   tmp_path):
+        # nothing is searched off the axis: a(z) is never continued, and
+        # the fit of p = 0 zeros is max|B - 1|
+        monkeypatch.setattr(spectral, "continued_a", None)
+        rc, diag = self.solve(tmp_path, t="2:4:2")
+        assert rc == 0
         count = diag["pole_count"]
-        assert (count["axis"], count["window"]) == (0, None)
-        assert 0.0 < count["max_phase_step"] < spectral.PHASE_STEP_TOL
+        assert set(count) == {"axis", "fit_residual", "newton_steps",
+                              "clearance"}
+        assert (count["axis"], count["newton_steps"], count["clearance"]) \
+            == (0, 0, None)
+        assert 0.0 < count["fit_residual"] < spectral.FIT_TOL / 1e4
         assert diag["n_poles"] == 0
 
-    def test_one_node_contour_has_no_phase_step(self, monkeypatch, tmp_path):
-        # a contour of one node has no arg step to take a maximum of
-        rc, diag, found = self.solve(monkeypatch, tmp_path, t="2:4:2",
-                                     n_panels=1, nodes_per_panel=1)
-        assert rc == 0 and found == []
-        assert diag["pole_count"] == {"axis": 0, "window": None,
-                                      "max_phase_step": 0.0}
+    def test_one_node_contour_has_no_phase_step(self, tmp_path):
+        # a contour of one node has no arg step to count, and its H is 0
+        rc, diag = self.solve(tmp_path, t="2:4:2", n_panels=1,
+                              nodes_per_panel=1)
+        assert rc == 0
+        count = diag["pole_count"]
+        assert (count["axis"], count["newton_steps"], count["clearance"]) \
+            == (0, 0, None)
+        assert count["fit_residual"] < spectral.FIT_TOL
 
     @pytest.mark.parametrize("kind, amplitude, zero", [
-        ("sech", 2.0, 0.5j), ("gaussian", 1.95, 0.10434732j)])
-    def test_counts_agree_and_the_zero_is_found(self, monkeypatch, tmp_path,
-                                                kind, amplitude, zero):
-        # 2 sech(t - 16) has its zero at i/2; the Gaussian's lies near the
-        # window floor, where its arg steps reach 0.48 rad
-        rc, diag, found = self.solve(monkeypatch, tmp_path,
-                                     **self.pulse(kind, amplitude))
-        assert rc == 0 and len(found) == 1
-        assert (diag["pole_count"]["axis"], diag["pole_count"]["window"]) == (1, 1)
-        assert diag["n_poles"] == 1
+        ("sech", 2.0, 0.5j), ("sech", 2.0, 5.0 / 6.0 + 0.5j)])
+    def test_counts_agree_and_the_zero_is_found(self, tmp_path, found, kind,
+                                                amplitude, zero):
+        # 2 sech(t - 16) has its zero at i/2; a chirp e^{ict} moves it by
+        # -c/2, and at 5/6 + i/2 Newton from the old window's centre diverged
+        rc, diag = self.solve(tmp_path, t="12:20:5", **self.pulse(
+            kind, amplitude, chirp=-2.0 * zero.real))
+        assert rc == 0 and diag["n_poles"] == 1
         assert abs(found[0][0][0] - zero) < 1e-7
+        count = diag["pole_count"]
+        assert count["axis"] == 1 and count["fit_residual"] < 1e-6
+        assert 1 <= count["newton_steps"] <= 3
+        assert abs(count["clearance"] - 4.8) < 1e-6       # 0.5 / (40/24/16)
+        assert diag["boundary_err"]["value"] < 1e-6
 
-    def test_zero_the_window_misses_is_refused(self, monkeypatch, tmp_path,
-                                               capsys):
+    def test_zero_three_spacings_up_solves(self, tmp_path):
+        # 1.6 sech(t - 16): zero at 0.3i, 2.88 node spacings up
+        rc, diag = self.solve(tmp_path, **self.pulse("sech", 1.6))
+        assert rc == 0 and diag["n_poles"] == 1
+        assert 2.5 < diag["pole_count"]["clearance"] < 3.0
+        assert diag["boundary_err"]["value"] < 5e-3
+
+    def test_zero_below_the_panel_resolution_is_refused(self, tmp_path,
+                                                        capsys):
+        # 1.95 exp(-(t - 16)^2) has its zero at 0.1043i, one node spacing
+        # up: the run used to exit 0 with its x = 0 column 2.5 off E_in
+        rc, _ = self.solve(tmp_path, **self.pulse("gaussian", 1.95))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "TooCloseToAxis" in err and "0.104347i" in err
+        # 24 nodes on each of 48 panels resolve it: 3 spacings up (the
+        # lattice holds the peak t = 16, against which the error is taken)
+        rc, diag = self.solve(tmp_path, t="15:17:3",
+                              **self.pulse("gaussian", 1.95),
+                              n_panels=48, nodes_per_panel=24)
+        assert rc == 0 and diag["pole_count"]["clearance"] > 3.0
+        assert diag["boundary_err"]["value"] < 1e-3
+
+    def test_zero_the_window_misses_is_refused(self, tmp_path, capsys):
         # 3.2 sech(t - 16) e^{it} has zeros near -0.5 + 1.1i and
-        # -0.5 + 0.1i; the window's subdivision finds only the first, and
-        # the run used to exit 0 with E_in 25 % off at x = 0
-        cfg = self.pulse("sech", 3.2)
-        cfg["E_in"]["chirp"] = 1.0
-        rc, _, found = self.solve(monkeypatch, tmp_path, **cfg)
-        assert rc == 3 and len(found) == 1
+        # -0.5 + 0.1i; the old window search found only the first, and the
+        # run used to exit 0 with E_in 25 % off at x = 0.  The fit finds
+        # both, and the second lies below the panels' resolution
+        rc, _ = self.solve(tmp_path, **self.pulse("sech", 3.2, 1.0))
+        assert rc == 3
         err = capsys.readouterr().err
-        assert "counts 2 zero(s)" in err and "found 1" in err
+        assert "TooCloseToAxis" in err and "-0.500000+0.100000i" in err
 
-    def test_under_resolved_axis_calls_the_search(self, monkeypatch, tmp_path,
-                                                  capsys):
+    def test_under_resolved_axis_count_is_refused(self, tmp_path, capsys):
         # on 16 nodes the phase of a jumps by 2.5 rad near the zero at
-        # 0.5i and the axis count aliases to 0; the step alone calls the
-        # window search, which finds the zero, and the mismatch refuses
-        # the run rather than dropping the soliton
-        rc, _, found = self.solve(monkeypatch, tmp_path,
-                                  **self.pulse("sech", 2.0),
-                                  n_panels=4, nodes_per_panel=4)
-        assert rc == 3 and len(found) == 1
+        # 0.5i and the axis count aliases to 0; a Blaschke factor that
+        # winds once is no fit of 1, and the run is refused rather than
+        # dropping the soliton
+        rc, _ = self.solve(tmp_path, **self.pulse("sech", 2.0),
+                           n_panels=4, nodes_per_panel=4)
+        assert rc == 3
         err = capsys.readouterr().err
-        assert "counts 0 zero(s)" in err and "found 1" in err
+        assert "CountMismatch" in err and "counts 0 zero(s)" in err
+        assert "fits a only to 1.17e+00" in err
+
+
+@pytest.mark.parametrize("name", ["desk_rh", "excited_rh"])
+def test_benchmark_scenarios_fit_no_zeros(tmp_path, name):
+    # the benchmark's contour workloads are pole-free; their fit residual
+    # keeps a wide margin below the refusal
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark",
+                        "scenarios", name + ".json")
+    out = tmp_path / "rh"
+    rc = run_command(["solve-rh", "--scenario", path, "--t", "0:2:2",
+                      "--x", "0:1:2", "--out", str(out)])
+    assert rc == 0
+    count = json.load(open(out / "meta.json"))["diagnostics"]["pole_count"]
+    assert count["axis"] == 0 and count["clearance"] is None
+    assert count["fit_residual"] < spectral.FIT_TOL / 50
 
 
 def test_tabulated_solve_rh_builds_pv_weights_per_run(monkeypatch, tmp_path):
@@ -928,8 +980,9 @@ def test_contour_commands_leave_out_numpy_ma(tmp_path):
 
 DESK = dict(T=10.0, L=5.0, E_in={"pulse": "gaussian", "amplitude": 0.8,
                                  "center": 3.0, "width": 0.7})
-# one zero of a near the imaginary axis, on the Krylov path
-POLE = dict(T=32.0, L=1.0, n_panels=8, nodes_per_panel=8,
+# one zero of a at i/2, 3.2 node spacings above the axis (the least
+# `a_zeros` accepts is 2.5), on the Krylov path
+POLE = dict(T=32.0, L=1.0, n_panels=16, nodes_per_panel=16,
             E_in={"pulse": "sech", "amplitude": 2.0, "center": 16.0,
                   "width": 1.0})
 
@@ -1059,7 +1112,7 @@ def test_worker_refusal_exits_as_serial(monkeypatch, capsys, tmp_path):
         return orig(contour, jd, residues)
 
     monkeypatch.setattr(cli, "sie_solve", refusing)
-    path = write_scenario(tmp_path, n_panels=4, nodes_per_panel=8, **DESK)
+    path = write_scenario(tmp_path, n_panels=8, nodes_per_panel=8, **DESK)
     seen = []
     for width in (1, 2):
         monkeypatch.setattr(cli, "thread_width", lambda: width)

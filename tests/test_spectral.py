@@ -3,20 +3,26 @@
 import numpy as np
 import pytest
 
+from mbrh import spectral
 from mbrh.broadening import BroadeningProfile, eta_boundary
-from mbrh.errors import CountMismatch, DecayViolation, MediumNotAsymptotic
+from mbrh.errors import (CountMismatch, DecayViolation, MediumNotAsymptotic,
+                         TooCloseToAxis)
+from mbrh.jump import spectral_data
 from mbrh.mat2 import det2, diag_exp
+from mbrh.rhsolver import contour_build
 from mbrh.spectral import (
+    CLEARANCE_MIN,
     STEP_ERR_STRIDE,
     T_STEP,
     X_STEP,
     ScenarioData,
-    _newton_refine,
+    _blaschke_fit,
+    _newton,
+    a_zeros,
     axis_zero_count,
     continued_a,
     jost_phi,
     jost_w,
-    locate_a_zeros,
     phi_column_continuation,
     step_error,
     transition_and_reflection,
@@ -72,8 +78,9 @@ class TestJostPhi:
     def test_decay_guard(self):
         sc = ScenarioData(T=5.0, L=5.0, E_in=lambda t: np.exp(-((t - 4.5) / 2) ** 2),
                           E0=ZERO, rho0=None)
+        p = BroadeningProfile.lorentzian(1.0, sign=-1)
         with pytest.raises(DecayViolation):
-            jost_phi(sc, np.array([0.0]))
+            spectral_data(sc, p, eta_boundary(p, np.array([0.0])))
 
     def test_continuation_matches_axis_limit(self):
         sc = sech_scenario()
@@ -162,7 +169,7 @@ class TestJostW:
         sc = ScenarioData(T=10.0, L=5.0, E_in=ZERO, E0=ZERO,
                           rho0=lambda x, lam: 0.5 * np.ones(np.shape(lam)))
         with pytest.raises(MediumNotAsymptotic):
-            jost_w(sc, p, eta_boundary(p, np.array([0.0])))
+            spectral_data(sc, p, eta_boundary(p, np.array([0.0])))
 
 
 class TestTransition:
@@ -213,28 +220,61 @@ class TestTransition:
 
 
 class TestLocateAZeros:
+    """`a_zeros` on the default contour: the axis count, the Blaschke fit
+    and Newton from its roots."""
+
     def setup_method(self):
         self.p = BroadeningProfile.lorentzian(1.0, sign=-1)
 
+    def find(self, sc, **contour):
+        c = contour_build(**contour)
+        table, _, _ = spectral_data(sc, self.p, eta_boundary(self.p, c.nodes))
+        return a_zeros(sc, self.p, c, table.a_plus)
+
     def test_trivial_empty(self):
-        sc = trivial_scenario()
-        poles = locate_a_zeros(sc, self.p, window=(-2, 2, 0.05, 2), step=0.05)
+        poles, report = self.find(trivial_scenario())
         assert poles == []
+        assert report["fit_residual"] < 1e-12
+        assert (report["axis"], report["newton_steps"], report["clearance"]) \
+            == (0, 0, None)
 
     def test_sech_eigenvalue(self):
-        sc = sech_scenario()
-        poles = locate_a_zeros(sc, self.p, window=(-1, 1, 0.05, 1.2), step=0.02)
+        poles, report = self.find(sech_scenario())
         assert len(poles) == 1
         zj, mj = poles[0]
-        assert abs(zj - 0.5j) < 1e-4
+        assert abs(zj - 0.5j) < 1e-7
         # a(z) = (z - i/2)/(z + i/2) gives adot(i/2) = 1/(i) = -i;
         # the residue constant stays finite and nonzero
         assert np.isfinite(mj) and abs(mj) > 0
+        # 0.5 over the node spacing 40 / 24 / 16 of the default panels
+        assert report["axis"] == 1 and report["fit_residual"] < 1e-6
+        assert 1 <= report["newton_steps"] <= 3
+        assert abs(report["clearance"] - 4.8) < 1e-6
 
-    def test_window_excluding_zero(self):
-        sc = sech_scenario()
-        poles = locate_a_zeros(sc, self.p, window=(-1, 1, 0.7, 1.5), step=0.05)
-        assert poles == []
+    def test_two_zeros_of_4_sech(self):
+        poles, report = self.find(sech_scenario(amp=4.0))
+        z = np.sort_complex(np.array([zj for zj, _ in poles]))
+        assert report["axis"] == 2
+        assert np.max(np.abs(z - np.array([0.5j, 1.5j]))) < 1e-7
+
+    def test_near_axis_zero_is_refused_until_the_panels_resolve_it(self):
+        # 1.95 exp(-(t - 16)^2) has its zero at 0.1043473i, one node spacing
+        # of the default panels above the axis: the field there was 2.5
+        # off E_in.  24 nodes on each of 48 panels put it 3 spacings up
+        sc = ScenarioData(T=32.0, L=1.0, E_in=lambda t: 1.95 * np.exp(
+            -(np.asarray(t) - 16.0) ** 2) + 0j, E0=ZERO, rho0=None)
+        with pytest.raises(TooCloseToAxis, match="1.00 node spacings"):
+            self.find(sc)
+        poles, report = self.find(sc, n_panels=48, nodes_per_panel=24)
+        assert len(poles) == 1 and abs(poles[0][0] - 0.10434732j) < 1e-7
+        assert report["clearance"] > CLEARANCE_MIN
+
+    def test_two_roots_on_one_zero_are_refused(self, monkeypatch):
+        # two fitted starts either side of i/2 of 4 sech both converge there
+        monkeypatch.setattr(spectral, "_blaschke_fit",
+                            lambda c, a, p: (np.array([0.45j, 0.55j]), 0.0))
+        with pytest.raises(CountMismatch, match="one zero"):
+            self.find(sech_scenario(amp=4.0))
 
     def test_continued_a_matches_closed_form(self):
         sc = sech_scenario()
@@ -244,16 +284,63 @@ class TestLocateAZeros:
         assert np.max(np.abs(got - want)) < 1e-7
 
     def test_newton_refuses_zero_free_function(self):
+        # each step moves exp(iz) up by i
         with pytest.raises(CountMismatch, match="did not converge"):
-            _newton_refine(lambda z: np.exp(1j * z), (-1.0, 1.0, 0.05, 1.0),
-                           1e-10)
+            _newton(lambda z: np.exp(1j * z), np.array([0.5j]))
 
-    def test_newton_refuses_root_outside_subwindow(self):
+    def test_newton_refuses_iterate_below_the_axis(self):
         # a root in the lower half-plane, as a near-axis zero can send
         # the iteration there
-        with pytest.raises(CountMismatch, match="outside its subwindow"):
-            _newton_refine(lambda z: z + 6.4584j, (-1.0, 1.0, 1e-3, 1.0),
-                           1e-10)
+        with pytest.raises(CountMismatch, match="left the upper half-plane"):
+            _newton(lambda z: z + 6.4584j, np.array([0.5j]))
+        # a fit of more zeros than a has puts a root on the axis (see
+        # TestBlaschkeFit): refused before a is continued there
+        with pytest.raises(CountMismatch, match="left the upper half-plane"):
+            _newton(None, np.array([0.5j, 2.47 - 1e-13j]))
+
+    def test_newton_refuses_a_diverging_start_without_a_warning(self):
+        # a flat function has a zero difference quotient: the step is not
+        # finite, which is refused, not warned about
+        with pytest.raises(CountMismatch, match="left the upper half-plane"):
+            _newton(np.ones_like, np.array([0.5j, 1.0 + 1.0j]))
+
+
+class TestBlaschkeFit:
+    lam_zeros = np.array([0.5j, -1.0 + 1.0j])
+
+    def axis_a(self, c, g=lambda z: 0.0 * z):
+        lam = c.nodes
+        return np.exp(g(lam)) * np.prod(
+            [(lam - z) / (lam - np.conj(z)) for z in self.lam_zeros], axis=0)
+
+    def test_roots_of_a_blaschke_product(self):
+        c = contour_build()
+        roots, residual = _blaschke_fit(c, self.axis_a(c), 2)
+        assert np.max(np.abs(np.sort_complex(roots)
+                             - np.sort_complex(self.lam_zeros))) < 1e-10
+        assert residual < 1e-12
+
+    def test_outer_factor_is_divided_out(self):
+        # a = B e^g with g analytic in C+ and decaying: |a| != 1 on the axis
+        c = contour_build()
+        a = self.axis_a(c, lambda z: 0.3 / (z + 2j) ** 4)
+        roots, residual = _blaschke_fit(c, a, 2)
+        assert np.max(np.abs(np.sort_complex(roots)
+                             - np.sort_complex(self.lam_zeros))) < 1e-4
+        assert residual < 1e-5
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_missed_zero_leaves_a_large_residual(self, p):
+        c = contour_build()
+        assert _blaschke_fit(c, self.axis_a(c), p)[1] > 0.1
+
+    def test_extra_zero_lands_on_the_axis(self):
+        # one degree too many fits as well, with a real root: the count
+        # decides p, and Newton refuses a start off the upper half-plane
+        c = contour_build()
+        roots, residual = _blaschke_fit(c, self.axis_a(c), 3)
+        assert residual < 1e-12
+        assert np.min(np.abs(roots.imag)) < 1e-10
 
 
 class TestConvergenceOrder:
@@ -282,16 +369,12 @@ class TestAxisZeroCount:
         # zeros far above the window leave a(+-20) far from 1: the count
         # holds only with the closing arcs from a(+-20) to 1
         a = self.blaschke(self.lam, zeros) if zeros else np.ones(self.lam.size)
-        n, max_step, end_dev = axis_zero_count(self.lam, a)
-        assert n == len(zeros)
-        steps = np.abs(np.angle(a[1:] / a[:-1]))
-        assert max_step == steps.max()
-        assert end_dev == max(abs(a[0] - 1.0), abs(a[-1] - 1.0))
+        assert axis_zero_count(self.lam, a) == len(zeros)
 
     def test_zero_free_phase_off_one(self):
         # a zero-free a whose phase at the window ends is far from 0
         a = np.exp(2.5j * np.tanh(self.lam / 3.0))
-        assert axis_zero_count(self.lam, a)[0] == 0
+        assert axis_zero_count(self.lam, a) == 0
 
 
 class TestStepError:
