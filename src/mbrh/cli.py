@@ -39,6 +39,7 @@ from .rhsolver import (
     N_PANELS,
     NODES_PER_PANEL,
     contour_build,
+    jump_window,
     residue_constants,
     sie_solve,
     soliton_closed_form,
@@ -413,19 +414,25 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                   find_poles=True):
     """Mixed-problem contour pipeline: contour -> spectral data and K_pm on
     the x lattice -> zeros of a, counted and fitted on the axis and
-    refined by Newton (`a_zeros`) -> per-stamp jump assembly and contour
-    solve.
+    refined by Newton (`a_zeros`) -> the window of panels on which J
+    differs from I (`jump_window`) -> per-stamp jump assembly and
+    contour solve on that window.
+
+    window, n_panels and nodes_per_panel give the configured contour,
+    which the spectral data and the zeros of a use; the stamps solve on
+    its panels that `jump_window` keeps.
 
     Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
     wall time of the spectral data (`spectral_s`, of which the t- and
     x-equation Jost solves took `jost_phi_s` and `jost_w_s`, and the
     scattering table with its step-error estimate `step_err_s`), of the
-    Cauchy kernel build with the zero search (`pole_search_s`) and of the
-    stamp loop,
+    zero search with the window and its Cauchy kernel build
+    (`pole_search_s`) and of the stamp loop,
     and the per-stamp `jump_mixed` and `sie_solve` times summed over
     stamps, whichever process solved them (`workers` counts those
-    processes; see parallel_map).  `boundary_err` and `initial_err`
-    compare the field on the lattice's x = 0 column with E_in and on its
+    processes; see parallel_map).  `n_nodes` counts the nodes the stamps
+    solved on, and `window` is `jump_window`'s report.  `boundary_err`
+    and `initial_err` compare the field on the lattice's x = 0 column with E_in and on its
     t = 0 row with E0.  `spectral` holds the scattering table's det,
     reduction and step errors, `pole_count` the count, fit residual,
     Newton steps and clearance of the zeros of a (`a_zeros`; None on a
@@ -444,10 +451,16 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     table, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals,
                                   stages=stages)
     marks.append(time.perf_counter())
-    contour.kernel()            # built once: the zero fit and every stamp
     poles, pole_count = [], None
-    if find_poles and profile.sign < 0:
+    if find_poles and profile.sign < 0:     # on the configured contour
         poles, pole_count = a_zeros(scenario, profile, contour, table.a_plus)
+    # |J - I| is the same at every t: one jump per x column sizes the
+    # window of the whole lattice, and the stamps solve on that window
+    contour, keep, window_report = jump_window(contour, np.array(
+        [jump_mixed(t_vals.max(), x, ev, Kp[ix], Km[ix]).J
+         for ix, x in enumerate(x_vals)]))
+    ev, Kp, Km = ev.take(keep), Kp[:, keep], Km[:, keep]
+    contour.kernel()            # built once for every stamp
     marks.append(time.perf_counter())
 
     if poles:                   # (z_j, c_j) of every stamp, overflow refused
@@ -477,7 +490,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
            for key in ("residual_rel", "cond", "iterations", "posdef_min",
                        "J0_det_err", "lu", "residue_cond")}
     diag = {"n_poles": len(poles), "pole_count": pole_count,
-            "n_nodes": contour.n_nodes,
+            "n_nodes": contour.n_nodes, "window": window_report,
             "n_stamps": len(stamps), "workers": len(set(pids)),
             "lu_stamps": int(np.count_nonzero(col["lu"])),
             "stages": stages, "magnus_steps": magnus_steps_taken() - steps0,

@@ -60,10 +60,11 @@ def spectral_data(scenario, profile, ev, x_out=(0.0,), step=None,
     diagnostics hold their `step_error` as step_err.  A `stages` dict
     receives the wall time of the two solves as jost_phi_s and jost_w_s,
     and that of the table with its step-error estimate as step_err_s.
-    The scenario is validated here, once per run, not by the solves.
+    The scenario is validated here, once per run, on the nodes lam, not
+    by the solves.
     """
-    scenario.validate()
     lam = ev.lam
+    scenario.validate(lam)
     x_out = np.asarray(x_out, dtype=float)
     xs = sorted_union(x_out, [0.0])
     at, at0 = np.searchsorted(xs, x_out), np.searchsorted(xs, 0.0)

@@ -16,6 +16,8 @@ C+ = I/2 + iH with H real, built from those arrays.  The row operator
 is solved matrix-free by GMRES on H, with a Hessenberg (kappa_2 lower
 bound) condition certificate, for 1 + 2p right-hand sides; the
 residues then follow from one complex 2p x 2p system (`sie_solve`).
+A run's stamps solve on the panels where the jump differs from I
+(`jump_window`).
 Any stamp the Krylov path cannot certify takes the dense LU with the
 `zgecon` estimate.  The Krylov path runs on numpy alone;
 `scipy.linalg` is imported by the first LU stamp, so only a run with
@@ -31,7 +33,7 @@ system that does (a pole within about 1e-308 of the axis), are refused.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .broadening import LAM_WINDOW, eta_eval
 from .errors import (
@@ -103,6 +105,58 @@ def contour_build(window=LAM_WINDOW, n_panels=N_PANELS,
     return ContourSigma(edges=edges,
                         nodes=(0.5 * (a + b) + 0.5 * (b - a) * xg).ravel(),
                         weights=(0.5 * (b - a) * wg).ravel())
+
+
+TAIL_TOL = 1e-8             # outer panels with max |J - I| at most this
+                            # times its peak over the axis are dropped
+
+
+def jump_window(contour, J):
+    """The contiguous run of panels on which the jump differs from I.
+
+    J (n, N, 2, 2) holds jumps on the contour nodes, one per x column of
+    a lattice; |J - I| does not depend on t entrywise, so n jumps at one
+    t bound the whole lattice.  rel is max |J - I| on a panel relative to
+    its peak over the axis.  The outer panels with rel <= TAIL_TOL are
+    dropped; none is when the peak is 0.  Returns (sub-contour, slice of
+    its nodes, report).  The sub-contour has the kept panels' nodes and
+    weights and builds its own H; with every panel kept it is contour
+    itself, H and all.  The report holds the `configured` and `kept`
+    [lo, hi], `dropped_max` (the largest rel of a dropped panel, 0 with
+    none), `edge_max` (that of the configured window's two outermost
+    panels) and `tail` {p50, max} over the kept panels of the largest
+    Legendre coefficient of degree m - 2 or m - 1 (m nodes per panel) of
+    an entry of J - I on a panel, relative to the peak: the panel's
+    resolution of the jump (Trefethen, ATAP, ch. 7-8)."""
+    p = contour.edges.size - 1
+    D = J - np.eye(2)
+    dev = np.abs(D).max(axis=(0, 2, 3)).reshape(p, -1).max(axis=1)
+    peak = float(dev.max())
+    rel = dev / (peak or 1.0)
+    kept = np.flatnonzero(rel > TAIL_TOL) if peak > 0.0 else [0, p - 1]
+    k0, k1 = int(kept[0]), int(kept[-1]) + 1
+    m = contour.n_nodes // p
+    keep = slice(k0 * m, k1 * m)
+    sub = contour if (k0, k1) == (0, p) else ContourSigma(
+        edges=contour.edges[k0:k1 + 1], nodes=contour.nodes[keep],
+        weights=contour.weights[keep])
+    xg, wg = leggauss(m)
+    deg = np.arange(max(m - 2, 0), m)
+    # c_n = (2n + 1)/2 sum_k w_k P_n(x_k) f(x_k), exact on the Gauss nodes
+    proj = legvander(xg, m - 1)[:, deg] * wg[:, None] * (deg + 0.5)
+    f = D[:, keep].reshape(J.shape[0], k1 - k0, m, 4)
+    tail = np.sort(np.abs(np.einsum("xpke,kn->xpne", f, proj)).max(
+        axis=(0, 2, 3)) / (peak or 1.0))
+    e = contour.edges
+    dropped = np.concatenate([rel[:k0], rel[k1:]])
+    report = {"configured": [float(e[0]), float(e[-1])],
+              "kept": [float(e[k0]), float(e[k1])],
+              "dropped_max": float(dropped.max(initial=0.0)),
+              "edge_max": float(max(rel[0], rel[-1])),
+              "tail": {"p50": float(0.5 * (tail[(tail.size - 1) // 2]
+                                           + tail[tail.size // 2])),
+                       "max": float(tail[-1])}}
+    return sub, keep, report
 
 
 def _build_cauchy_plus(contour):

@@ -95,14 +95,16 @@ class ScenarioData:
             x = np.asarray(x, dtype=float)[:, None]
         return medium_from_rho(lam_grid, np.asarray(self.rho0(x, lam_grid), complex))
 
-    def validate(self):
+    def validate(self, lam):
+        """Refuse a pulse not decayed at t = T, and a medium not at rest at
+        x = L on the run's detuning nodes lam (sampled there, the table's
+        interpolation along lam is the one the x-sweep reuses)."""
         e = np.asarray(self.E_in(np.linspace(0.0, self.T, 2001)), complex)
         peak = np.max(np.abs(e))
         if peak > 0 and np.abs(e[-1]) > 1e-6 * peak:
             raise DecayViolation(
                 f"boundary pulse at t=T is {abs(e[-1]):.2e}, above 1e-6 of peak")
         if self.rho0 is not None:
-            lam = np.linspace(*LAM_WINDOW, 101)
             tail = np.max(np.abs(np.asarray(self.rho0(self.L, lam))))
             if tail > 1e-8:
                 raise MediumNotAsymptotic(

@@ -13,6 +13,7 @@ import pytest
 
 import mbrh
 from mbrh import broadening, cli, rhsolver, spectral
+from mbrh.broadening import BroadeningProfile
 from mbrh.cli import (
     load_scenario,
     pulse_from_config,
@@ -23,6 +24,7 @@ from mbrh.cli import (
 )
 from mbrh.errors import (IllConditioned, InvariantError, NonDecaying,
                          SchemaError)
+from references import excited_scenario
 
 
 def gaussian_table(sign=-1):
@@ -712,6 +714,107 @@ class TestReproductionFigures:
         rc, diag = self.run(tmp_path, "2:4:2", "1:2:2")
         assert rc == 0
         assert diag["boundary_err"] is None and diag["initial_err"] is None
+
+
+class TestSolveWindow:
+    """solve-rh solves each stamp only on the run of panels where the jump
+    differs from I (`jump_window`); a run with TAIL_TOL = 0 solves on
+    the whole configured window."""
+
+    DESK = {"T": 10.0, "L": 5.0,
+            "E_in": {"pulse": "gaussian", "amplitude": 0.8, "center": 3.0,
+                     "width": 0.7}}
+
+    @staticmethod
+    def both(monkeypatch, solve):
+        """(windowed, untruncated) results of solve()."""
+        windowed = solve()
+        monkeypatch.setattr(rhsolver, "TAIL_TOL", 0.0)
+        return windowed, solve()
+
+    @staticmethod
+    def command(tmp_path, t, x, **cfg):
+        """solve-rh on a scenario: (field, diagnostics)."""
+        out = tmp_path / "rh"
+        assert run_command(["solve-rh", "--scenario",
+                            write_scenario(tmp_path, **cfg), "--t", t,
+                            "--x", x, "--out", str(out)]) == 0
+        data = np.genfromtxt(out / "fields.csv", delimiter=",", names=True)
+        diag = json.load(open(out / "meta.json"))["diagnostics"]
+        return data["re_E"] + 1j * data["im_E"], diag
+
+    def test_desk_field_is_the_untruncated_field(self, monkeypatch, tmp_path):
+        tol = rhsolver.TAIL_TOL
+        (E, diag), (E_all, diag_all) = self.both(
+            monkeypatch, lambda: self.command(tmp_path, "0:10:11", "0:5:3",
+                                              **self.DESK))
+        assert np.max(np.abs(E - E_all)) <= 1e-8 * np.max(np.abs(E_all))
+        win, win_all = diag["window"], diag_all["window"]
+        assert win["configured"] == win_all["kept"] == [-20.0, 20.0]
+        assert win["kept"] == pytest.approx([-25.0 / 3.0, 25.0 / 3.0])
+        assert (diag["n_nodes"], diag_all["n_nodes"]) == (160, 384)
+        assert 0.0 < win["dropped_max"] <= tol
+        assert win_all["dropped_max"] == 0.0
+        assert win["edge_max"] == win_all["edge_max"] < tol
+        assert diag["pole_count"] == diag_all["pole_count"]
+
+    def test_zero_pulse_keeps_every_panel(self, tmp_path):
+        # J - I is rounding alone here, as large at the edges as anywhere
+        E, diag = self.command(tmp_path, "0:6:3", "0:2:2",
+                               E_in={"pulse": "zero"})
+        assert np.array_equal(E, np.zeros(6))
+        assert diag["n_nodes"] == 384
+        assert diag["window"]["kept"] == [-20.0, 20.0]
+        assert diag["window"]["dropped_max"] == 0.0
+
+    def test_excited_run_drops_no_panel(self, monkeypatch):
+        # its relative |J - I| at the window's edges is about 5e-7
+        sc, lor = excited_scenario(), BroadeningProfile.lorentzian(1.0)
+        (E, diag), (E_all, _) = self.both(
+            monkeypatch, lambda: cli.rh_field_grid(
+                sc, lor, np.linspace(0.0, 10.0, 3), np.linspace(0.0, 2.0, 2)))
+        assert np.array_equal(E, E_all)
+        assert diag["n_nodes"] == 384
+        assert diag["window"]["kept"] == [-20.0, 20.0]
+        assert diag["window"]["dropped_max"] == 0.0
+        assert diag["window"]["edge_max"] > 1e-7
+
+    def test_soliton_run_keeps_its_pole(self, monkeypatch, tmp_path):
+        # the zero of a is found on the configured contour either way
+        (E, diag), (E_all, diag_all) = self.both(
+            monkeypatch, lambda: self.command(
+                tmp_path, "14:18:3", "0:1:2",
+                **TestZeroCount.pulse("sech", 2.0)))
+        assert diag["pole_count"] == diag_all["pole_count"]
+        assert diag["pole_count"]["axis"] == diag["n_poles"] == 1
+        assert np.max(np.abs(E - E_all)) <= 1e-8 * np.max(np.abs(E_all))
+
+    def test_coarse_panels_read_a_large_tail(self, tmp_path):
+        # 8 panels of 8 nodes exit 0 with the desk field 0.5 off E_in at
+        # x = 0; the Legendre tail of J - I on the kept panels shows it
+        _, coarse = self.command(tmp_path, "0:10:11", "0:5:6", n_panels=8,
+                                 nodes_per_panel=8, **self.DESK)
+        _, default = self.command(tmp_path, "0:10:11", "0:5:6", **self.DESK)
+        assert coarse["boundary_err"]["value"] > 0.4
+        assert default["boundary_err"]["value"] < 1e-4
+        assert coarse["window"]["tail"]["p50"] \
+            >= 100.0 * default["window"]["tail"]["p50"]
+
+
+def test_excited_run_interpolates_rho0_along_lam_once(monkeypatch):
+    # the medium check at x = L samples rho0 on the run's own nodes, so
+    # the x-sweep reuses the rows it interpolated along lam
+    grids = []
+    orig = cli._slopes
+
+    def counted(grid, f):
+        grids.append(grid.size)
+        return orig(grid, f)
+
+    monkeypatch.setattr(cli, "_slopes", counted)
+    cli.rh_field_grid(excited_scenario(), BroadeningProfile.lorentzian(1.0),
+                      np.linspace(0.0, 10.0, 3), np.linspace(0.0, 2.0, 2))
+    assert grids.count(65) == 1     # the table's 65 lam nodes
 
 
 class TestZeroCount:

@@ -16,6 +16,7 @@ from mbrh.jump import JumpData, jump_mixed, posdef_check, spectral_data
 from mbrh.mat2 import det2, dagger, inv2
 from mbrh.rhsolver import (
     contour_build,
+    jump_window,
     residue_constants,
     sie_solve,
     soliton_closed_form,
@@ -96,6 +97,75 @@ class TestContour:
         f = np.exp(0.7 * c.nodes)
         df = rhsolver._barycentric_diff(c.nodes) @ f
         assert np.max(np.abs(df - 0.7 * f)) < 1e-9
+
+
+class TestJumpWindow:
+    """`jump_window`: the outer panels on which J = I to TAIL_TOL of the
+    peak of |J - I| are dropped, and the rest is a contour of its own."""
+
+    @staticmethod
+    def jumps(contour, bump):
+        """Two x columns of jumps I + bump(lam) [[0, 1], [-1, 0]] / k,
+        column k = 1, 2."""
+        J = np.broadcast_to(np.eye(2, dtype=complex),
+                            (2, contour.n_nodes, 2, 2)).copy()
+        for k in (1, 2):
+            J[k - 1, :, 0, 1] += bump(contour.nodes) / k
+            J[k - 1, :, 1, 0] -= bump(contour.nodes) / k
+        return J
+
+    def test_drops_the_outer_panels_only(self):
+        c = contour_build(window=(-20.0, 20.0), n_panels=20, nodes_per_panel=8)
+        # peak 1 at lam = 0, below 1e-8 beyond |lam| ~ 4.3; the dip at
+        # lam = 1 is kept, as it lies inside the run
+        bump = lambda lam: np.exp(-lam ** 2) * (lam - 1.0) ** 2
+        sub, keep, report = jump_window(c, self.jumps(c, bump))
+        assert report["configured"] == [-20.0, 20.0]
+        assert report["kept"] == [-6.0, 6.0]
+        assert sub.n_nodes == 6 * 8 and keep == slice(7 * 8, 13 * 8)
+        assert np.array_equal(sub.nodes, c.nodes[keep])
+        assert np.array_equal(sub.weights, c.weights[keep])
+        assert np.array_equal(sub.edges, c.edges[7:14])
+        # the sub-contour is the contour built on its own window
+        own = contour_build(window=(-6.0, 6.0), n_panels=6, nodes_per_panel=8)
+        assert np.max(np.abs(sub.nodes - own.nodes)) < 1e-14
+        assert np.max(np.abs(sub.kernel() - own.kernel())) < 1e-12
+        peak = np.max(np.abs(bump(c.nodes)))
+        rel = np.abs(bump(c.nodes)).reshape(20, 8).max(axis=1) / peak
+        assert report["dropped_max"] == pytest.approx(
+            max(rel[6], rel[13]), rel=1e-12)
+        assert 0.0 < report["dropped_max"] <= rhsolver.TAIL_TOL
+        assert report["edge_max"] == pytest.approx(max(rel[0], rel[-1]),
+                                                   rel=1e-12)
+
+    def test_keeps_every_panel_of_a_trivial_jump(self):
+        c = contour_build(window=(-20.0, 20.0), n_panels=6, nodes_per_panel=4)
+        sub, keep, report = jump_window(c, self.jumps(c, np.zeros_like))
+        assert sub is c and keep == slice(0, 24)
+        assert report == {"configured": [-20.0, 20.0], "kept": [-20.0, 20.0],
+                          "dropped_max": 0.0, "edge_max": 0.0,
+                          "tail": {"p50": 0.0, "max": 0.0}}
+
+    def test_whole_window_is_the_contour_itself(self):
+        # nothing to drop: the stamps share the configured contour and its H
+        c = contour_build(window=(-3.0, 3.0), n_panels=3, nodes_per_panel=6)
+        sub, keep, report = jump_window(c, self.jumps(c, lambda l: 1 + 0 * l))
+        assert sub is c and keep == slice(0, 18)
+        assert report["dropped_max"] == 0.0 and report["edge_max"] == 1.0
+
+    def test_tail_reads_the_last_legendre_coefficients(self):
+        # bump = P_5 on each panel's reference interval: of degree 5, it
+        # has no tail on 8 nodes, and on 6 its tail is c_5 = 1 relative
+        # to the peak of |P_5| on the nodes
+        for m, tail in ((8, 0.0), (6, 1.0)):
+            c = contour_build(window=(-1.0, 3.0), n_panels=2,
+                              nodes_per_panel=m)
+            s = c.nodes - np.where(c.nodes < 1.0, 0.0, 2.0)
+            P5 = np.polynomial.legendre.Legendre.basis(5)(s)
+            _, _, report = jump_window(c, self.jumps(c, lambda lam: P5))
+            want = tail / np.max(np.abs(P5))
+            assert report["tail"]["max"] == pytest.approx(want, abs=1e-13)
+            assert report["tail"]["p50"] == pytest.approx(want, abs=1e-13)
 
 
 class TestCauchyPlus:
