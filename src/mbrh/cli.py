@@ -10,21 +10,18 @@ import argparse
 import hashlib
 import json
 import os
-import pickle
-import signal
 import sys
-import threading
 import time
 
-# The stamp loop runs in forked processes (parallel_map), each with one
-# BLAS thread.  BLAS reads these once, when numpy first loads it; a
-# variable the environment already sets is left as it is.
+# The stamp loop runs in this process, one stamp after another, with one
+# BLAS thread: its products are too small to gain from a second, and two
+# OpenBLAS threads on two cores stalled.  BLAS reads these once, when
+# numpy first loads it; a variable the environment already sets is left
+# as it is.
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_BLAS_ONE_THREAD = "numpy" not in sys.modules  # else BLAS read them already
-if _BLAS_ONE_THREAD:
+if "numpy" not in sys.modules:      # else BLAS read them already
     for _var in _BLAS_VARS:
         os.environ.setdefault(_var, "1")
-    _BLAS_ONE_THREAD = all(os.environ[v] == "1" for v in _BLAS_VARS)
 
 import numpy as np  # noqa: E402  (after the BLAS thread variables)
 from scipy import __version__ as _scipy_version
@@ -40,6 +37,7 @@ from .rhsolver import (
     NODES_PER_PANEL,
     contour_build,
     jump_window,
+    median,
     residue_constants,
     sie_solve,
     soliton_closed_form,
@@ -285,116 +283,13 @@ def field_table(t_vals, x_vals, E):
 
 
 # ----------------------------------------------------------------------
-# stamp loop
-# ----------------------------------------------------------------------
-
-def thread_width():
-    """Processes that solve stamps at once: one per CPU this process may
-    run on.  It is 1 where a fork cannot pay or is unsafe: without
-    `os.fork` or `os.sched_getaffinity`, with other threads running, or
-    when BLAS may run more than one thread (numpy loaded before this
-    module, or a variable of _BLAS_VARS set to other than 1).  Workers
-    with two BLAS threads each measured 2-10x slower than the serial
-    loop on two cores.  `benchmark/child.py` reports this as the pool
-    width."""
-    if not (_BLAS_ONE_THREAD and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity")) \
-            or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _run_chunk(fn, chunk):
-    """(results, exception): fn over chunk in order, up to the first
-    item that raises; exception is None when none did."""
-    out = []
-    for it in chunk:
-        try:
-            out.append(fn(it))
-        except Exception as exc:
-            return out, exc
-    return out, None
-
-
-def _worker(fn, chunk, fd):
-    """Body of a forked worker: send _run_chunk's pair, pickled, down
-    the pipe fd and leave without running the parent's exit handlers."""
-    code = 1
-    try:
-        out, exc = _run_chunk(fn, chunk)
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:           # an exception that does not round-trip
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump((out, exc), fh)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def parallel_map(fn, items):
-    """[fn(it) for it in items], split across thread_width() processes.
-
-    The parent forks the workers, so whatever fn reads that was built
-    before the call is shared copy-on-write.  Process w of the width
-    solves items[w::width] in order (w = 0 is the parent) and stops at
-    its first exception; each worker sends back its results pickled
-    through a pipe.  As in the serial loop, the exception of the lowest
-    failing item is raised.  A worker that dies raises RuntimeError, and
-    every worker is reaped before this returns or raises.
-    """
-    items = list(items)
-    width = min(thread_width(), len(items))
-    if width <= 1:
-        return [fn(it) for it in items]
-    procs, blobs = [], []
-    try:
-        for w in range(1, width):
-            r, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(wfd)
-                raise
-            if pid == 0:
-                _worker(fn, items[w::width], wfd)
-            os.close(wfd)
-            procs.append((pid, os.fdopen(r, "rb")))
-        chunks = [_run_chunk(fn, items[0::width])]
-        blobs = [fh.read() for _, fh in procs]
-    finally:
-        statuses = []
-        for i, (pid, fh) in enumerate(procs):
-            fh.close()
-            if i >= len(blobs):         # still at work: this call is leaving
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for w, (blob, code) in enumerate(zip(blobs, statuses), start=1):
-        if code != 0:
-            how = f"signal {-code}" if code < 0 else f"exit code {code}"
-            raise RuntimeError(f"stamp worker {w} of {width} died ({how})")
-        chunks.append(pickle.loads(blob))
-    failures = [(len(out) * width + w, exc)
-                for w, (out, exc) in enumerate(chunks) if exc is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    out = [None] * len(items)
-    for w, (chunk, _) in enumerate(chunks):
-        out[w::width] = chunk
-    return out
-
-
-# ----------------------------------------------------------------------
 # pipelines
 # ----------------------------------------------------------------------
 
-def _median(vals):
-    """np.median of a 1-d array, NaN included, without its numpy.ma import."""
-    v = np.sort(vals)              # a NaN sorts last
-    mid = 0.5 * (v[(v.size - 1) // 2] + v[v.size // 2])
-    return float(v[-1] if np.isnan(v[-1]) else mid)
+def thread_width():
+    """1: the stamps are solved one after another in this process.
+    `benchmark/child.py` reports this as the pool width."""
+    return 1
 
 
 def _line_err(E_line, coords, data, key):
@@ -427,18 +322,18 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     x-equation Jost solves took `jost_phi_s` and `jost_w_s`, and the
     scattering table with its step-error estimate `step_err_s`), of the
     zero search with the window and its Cauchy kernel build
-    (`pole_search_s`) and of the stamp loop,
-    and the per-stamp `jump_mixed` and `sie_solve` times summed over
-    stamps, whichever process solved them (`workers` counts those
-    processes; see parallel_map).  `n_nodes` counts the nodes the stamps
-    solved on, and `window` is `jump_window`'s report.  `boundary_err`
-    and `initial_err` compare the field on the lattice's x = 0 column with E_in and on its
-    t = 0 row with E0.  `spectral` holds the scattering table's det,
-    reduction and step errors, `pole_count` the count, fit residual,
-    Newton steps and clearance of the zeros of a (`a_zeros`; None on a
-    gain or --no-poles run),
-    `J0_det_err` the largest det(J0) error of a stamp, and `residue_cond`
-    the SVD condition of the stamps' residue systems (None without poles).
+    (`pole_search_s`) and of the stamp loop (`stamp_loop_s`), which
+    solves the stamps one after another in lattice order, and the
+    per-stamp `jump_mixed` and `sie_solve` times summed over stamps
+    (`jump_s`, `sie_s`).  `n_nodes` counts the nodes the stamps solved
+    on, and `window` is `jump_window`'s report.  `boundary_err` and
+    `initial_err` compare the field on the lattice's x = 0 column with
+    E_in and on its t = 0 row with E0.  `spectral` holds the scattering
+    table's det, reduction and step errors, `pole_count` the count, fit
+    residual, Newton steps and clearance of the zeros of a (`a_zeros`;
+    None on a gain or --no-poles run), `J0_det_err` the largest det(J0)
+    error of a stamp, and `residue_cond` the SVD condition of the
+    stamps' residue systems (None without poles).
     """
     t_vals = np.asarray(t_vals, dtype=float)
     x_vals = np.asarray(x_vals, dtype=float)
@@ -467,8 +362,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
         zj, cj = residue_constants(poles, profile, t_vals[:, None],
                                    x_vals[None, :])
 
-    def solve_stamp(args):
-        it, ix = args
+    def solve_stamp(it, ix):
         t, x = t_vals[it], x_vals[ix]
         tic = time.perf_counter()
         jd = jump_mixed(t, x, ev, Kp[ix], Km[ix])
@@ -476,11 +370,10 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
         tic = time.perf_counter()
         res = sie_solve(contour, jd, (zj, cj[it, ix]) if poles else None)
         return (res.E, {**res.diagnostics, **jd.diagnostics},
-                (jump_s, time.perf_counter() - tic), os.getpid())
+                (jump_s, time.perf_counter() - tic))
 
-    stamps = [(it, ix) for it in range(t_vals.size)
-              for ix in range(x_vals.size)]
-    E, diags, times, pids = zip(*parallel_map(solve_stamp, stamps))
+    E, diags, times = zip(*[solve_stamp(it, ix) for it in range(t_vals.size)
+                            for ix in range(x_vals.size)])
     marks.append(time.perf_counter())
     stages.update(zip(("spectral_s", "pole_search_s", "stamp_loop_s"),
                       np.diff(marks).tolist()))
@@ -491,7 +384,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                        "J0_det_err", "lu", "residue_cond")}
     diag = {"n_poles": len(poles), "pole_count": pole_count,
             "n_nodes": contour.n_nodes, "window": window_report,
-            "n_stamps": len(stamps), "workers": len(set(pids)),
+            "n_stamps": E.size,
             "lu_stamps": int(np.count_nonzero(col["lu"])),
             "stages": stages, "magnus_steps": magnus_steps_taken() - steps0,
             "spectral": dict(table.diagnostics),
@@ -501,8 +394,8 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                       ("residue_cond", "residue_cond")):
         vals = col[key]         # residue_cond: None on every stamp without poles
         diag[name] = None if vals[0] is None else {
-            "p50": _median(vals), "max": float(vals.max())}
-    diag["posdef_min"] = {"p50": _median(col["posdef_min"]),
+            "p50": median(vals), "max": float(vals.max())}
+    diag["posdef_min"] = {"p50": median(col["posdef_min"]),
                           "min": float(col["posdef_min"].min())}
     diag["max_residual_rel"] = diag["residual_rel"]["max"]
     diag["max_cond"] = diag["cond"]["max"]

@@ -36,6 +36,10 @@ class MediumNotAsymptotic(MBRHError):
     """Initial medium polarization does not vanish at x = L."""
 
 
+class SpectralOverflow(MBRHError):
+    """The transition matrices T+- are not finite on the axis."""
+
+
 class SpectralSingularity(MBRHError):
     """a(lambda) vanishes on the real axis (outside the regular theory)."""
 

@@ -70,11 +70,12 @@ def spectral_data(scenario, profile, ev, x_out=(0.0,), step=None,
     at, at0 = np.searchsorted(xs, x_out), np.searchsorted(xs, 0.0)
     marks = [time.perf_counter()]
     t_step, x_step = equation_steps(step)
-    Phi0, _, _ = jost_phi(scenario, lam, step=t_step)
-    marks.append(time.perf_counter())
-    _, wp, wm = jost_w(scenario, profile, ev, x_out=xs, step=x_step)
-    marks.append(time.perf_counter())
-    table = transition_and_reflection(lam, Phi0, wp[at0], wm[at0])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as not finite
+        Phi0, _, _ = jost_phi(scenario, lam, step=t_step)
+        marks.append(time.perf_counter())
+        _, wp, wm = jost_w(scenario, profile, ev, x_out=xs, step=x_step)
+        marks.append(time.perf_counter())
+        table = transition_and_reflection(lam, Phi0, wp[at0], wm[at0])
     table.diagnostics["step_err"] = step_error(
         scenario, profile, ev, Phi0, np.concatenate([wp[at0], wm[at0]]),
         t_step, x_step)
@@ -97,7 +98,7 @@ def jump_mixed(t, x, ev, K_plus, K_minus) -> JumpData:
     lam = ev.lam
     for name, K in (("K+", K_plus), ("K-", K_minus)):
         err = np.max(np.abs(det2(K) - 1.0))
-        if err > DET_TOL:
+        if not err <= DET_TOL:      # a NaN is refused too
             raise SingularK(f"det {name} deviates from 1 by {err:.2e}")
     (a, b, c, d), k = K_plus.reshape(-1, 4).T, K_minus.reshape(-1, 4).T
     # adj(K+) K- / det K+, row-major entries

@@ -107,6 +107,13 @@ def contour_build(window=LAM_WINDOW, n_panels=N_PANELS,
                         weights=(0.5 * (b - a) * wg).ravel())
 
 
+def median(vals):
+    """np.median of a 1-d array, NaN included, without its numpy.ma import."""
+    v = np.sort(vals)              # a NaN sorts last
+    mid = 0.5 * (v[(v.size - 1) // 2] + v[v.size // 2])
+    return float(v[-1] if np.isnan(v[-1]) else mid)
+
+
 TAIL_TOL = 1e-8             # outer panels with max |J - I| at most this
                             # times its peak over the axis are dropped
 
@@ -145,17 +152,15 @@ def jump_window(contour, J):
     # c_n = (2n + 1)/2 sum_k w_k P_n(x_k) f(x_k), exact on the Gauss nodes
     proj = legvander(xg, m - 1)[:, deg] * wg[:, None] * (deg + 0.5)
     f = D[:, keep].reshape(J.shape[0], k1 - k0, m, 4)
-    tail = np.sort(np.abs(np.einsum("xpke,kn->xpne", f, proj)).max(
-        axis=(0, 2, 3)) / (peak or 1.0))
+    tail = np.abs(np.einsum("xpke,kn->xpne", f, proj)).max(
+        axis=(0, 2, 3)) / (peak or 1.0)
     e = contour.edges
     dropped = np.concatenate([rel[:k0], rel[k1:]])
     report = {"configured": [float(e[0]), float(e[-1])],
               "kept": [float(e[k0]), float(e[k1])],
               "dropped_max": float(dropped.max(initial=0.0)),
               "edge_max": float(max(rel[0], rel[-1])),
-              "tail": {"p50": float(0.5 * (tail[(tail.size - 1) // 2]
-                                           + tail[tail.size // 2])),
-                       "max": float(tail[-1])}}
+              "tail": {"p50": median(tail), "max": float(tail.max())}}
     return sub, keep, report
 
 

@@ -33,6 +33,7 @@ from .errors import (
     CountMismatch,
     DecayViolation,
     MediumNotAsymptotic,
+    SpectralOverflow,
     SpectralSingularity,
     TooCloseToAxis,
 )
@@ -461,6 +462,11 @@ def transition_and_reflection(lam_grid, Phi0, w_plus0, w_minus0):
     lam = np.asarray(lam_grid, dtype=float)
     Tp = inv2(w_plus0) @ Phi0
     Tm = inv2(w_minus0) @ Phi0
+    bad = ~(np.isfinite(Tp) & np.isfinite(Tm)).all(axis=(-2, -1))
+    if bad.any():
+        raise SpectralOverflow(
+            f"T+- not finite at lam={lam[np.argmax(bad)]:.4f} "
+            f"({np.count_nonzero(bad)} of {lam.size} nodes)")
 
     a_plus = Tp[..., 1, 1]
     if np.min(np.abs(a_plus)) < SINGULAR_FLOOR:

@@ -2,11 +2,9 @@
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import textwrap
-import time
 
 import numpy as np
 import pytest
@@ -599,7 +597,6 @@ class TestCommands:
                                                capsys):
         # a condition limit below 1 refuses every certificate, the residue
         # system's (1.0 here) among them; test_rhsolver pins that one alone
-        monkeypatch.setattr(cli, "thread_width", lambda: 1)
         path = write_scenario(tmp_path, **POLE)
         argv = ["solve-rh", "--scenario", path, "--t", "16:16:1",
                 "--x", "0:1:2", "--out", str(tmp_path / "rh")]
@@ -621,6 +618,24 @@ class TestCommands:
                                     "center": 6.0, "width": 2.0})
         assert run_command(["spectra", "--scenario",
                             path, "--out", str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize("cmd", [
+        ["spectra"], ["jump", "--t", "1", "--x", "1"],
+        ["solve-rh", "--t", "0:10:3", "--x", "0:5:2"],
+        ["solve-rh", "--t", "0:10:3", "--x", "0:5:2", "--no-poles"],
+    ], ids=["spectra", "jump", "solve-rh", "no-poles"])
+    def test_overflowing_spectral_data_refused(self, tmp_path, capsys, cmd):
+        # E_in amplitude 1e200 overflows the Jost solves: spectra and jump
+        # exited 0 printing "max |r| = nan" and "det error nan", and
+        # solve-rh died with a ValueError from axis_zero_count or _lu_solve
+        path = write_scenario(tmp_path, **dict(DESK, E_in={
+            **DESK["E_in"], "amplitude": 1e200}))
+        out = tmp_path / "out"
+        assert run_command([cmd[0], "--scenario", path, *cmd[1:],
+                            "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "numerical failure (SpectralOverflow): T+- not finite")
 
     def test_solve_rh_runs_one_xbank_solve_per_bank(self, monkeypatch, tmp_path):
         # both banks in one stacked sweep: one call, 2 x 32 nodes wide,
@@ -648,26 +663,26 @@ class TestCommands:
 
     def test_solve_rh_builds_cauchy_matrix_once(self, monkeypatch, tmp_path):
         # every stamp shares the contour's Cauchy matrix, built before the
-        # stamp loop, so forked workers inherit it rather than build it
-        calls, at_loop = [], []
-        orig, loop = rhsolver._build_cauchy_plus, cli.parallel_map
+        # stamp loop: each stamp's sie_solve finds it built once
+        calls, at_stamp = [], []
+        orig, solve = rhsolver._build_cauchy_plus, cli.sie_solve
 
         def counted(contour):
             calls.append(contour)
             return orig(contour)
 
-        def entered(fn, items):
-            at_loop.append(len(calls))
-            return loop(fn, items)
+        def entered(*args):
+            at_stamp.append(len(calls))
+            return solve(*args)
 
         monkeypatch.setattr(rhsolver, "_build_cauchy_plus", counted)
-        monkeypatch.setattr(cli, "parallel_map", entered)
+        monkeypatch.setattr(cli, "sie_solve", entered)
         path = write_scenario(tmp_path, n_panels=4, nodes_per_panel=8)
         rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:2",
                           "--x", "0:2:2", "--no-poles",
                           "--out", str(tmp_path / "rh")])
         assert rc == 0
-        assert len(calls) == 1 and at_loop == [1]
+        assert len(calls) == 1 and at_stamp == [1] * 4
 
 
 class TestReproductionFigures:
@@ -1034,14 +1049,12 @@ def test_lu_free_runs_leave_out_scipy_linalg(tmp_path):
 
 def test_lu_stamp_loads_scipy_linalg(tmp_path):
     # a one-step Krylov budget leaves every stamp of a pole solve to the
-    # dense LU, which imports scipy.linalg on its first call; one process,
-    # so the import lands in this interpreter
+    # dense LU, which imports scipy.linalg on its first call
     pole = write_scenario(tmp_path, name="pole.json", **POLE)
     code = textwrap.dedent(f"""\
         import sys
         from mbrh import cli, rhsolver
         rhsolver.KRYLOV_BUDGET = 1
-        cli.thread_width = lambda: 1
         before = 'scipy.linalg' in sys.modules
         assert cli.run_command(["solve-rh", "--scenario", {pole!r},
                                 "--t", "14:18:3", "--x", "0:1:2",
@@ -1077,8 +1090,7 @@ def test_contour_commands_leave_out_numpy_ma(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# forked stamp loop (cli.parallel_map): the serial loop's bytes,
-# diagnostics and refusals, and no worker left behind on any exit path
+# the stamp loop: one BLAS thread, lattice order, the first refusal
 # ----------------------------------------------------------------------
 
 DESK = dict(T=10.0, L=5.0, E_in={"pulse": "gaussian", "amplitude": 0.8,
@@ -1090,53 +1102,9 @@ POLE = dict(T=32.0, L=1.0, n_panels=16, nodes_per_panel=16,
                   "width": 1.0})
 
 
-def _solve_rh_width(path, t, x, out, width):
-    """fields.csv bytes and meta.json diagnostics of an `mb-rh solve-rh`
-    process whose stamp loop has `width` processes."""
-    _fresh_interpreter(textwrap.dedent(f"""\
-        from mbrh import cli
-        cli.thread_width = lambda: {width}
-        assert cli.run_command(["solve-rh", "--scenario", {path!r},
-                                "--t", {t!r}, "--x", {x!r},
-                                "--out", {str(out)!r}]) == 0
-        """))
-    with open(out / "meta.json") as fh:
-        diag = json.load(fh)["diagnostics"]
-    return (out / "fields.csv").read_bytes(), diag
-
-
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("cfg, t, x", [
-    (DESK, "0:10:21", "0:5:6"),
-    (POLE, "14:18:3", "0:1:2"),
-], ids=["desk", "poles"])
-def test_forked_stamp_loop_matches_serial(tmp_path, cfg, t, x):
-    path = write_scenario(tmp_path, **cfg)
-    serial, d1 = _solve_rh_width(path, t, x, tmp_path / "serial", 1)
-    forked, d2 = _solve_rh_width(path, t, x, tmp_path / "forked", 2)
-    assert forked == serial
-    assert (d1["workers"], d2["workers"], d2["lu_stamps"]) == (1, 2, 0)
-    # every diagnostic but the timings and the process count
-    untimed = lambda d: {k: v for k, v in d.items()
-                         if k not in ("stages", "workers")}
-    assert untimed(d2) == untimed(d1)
-
-
-def test_thread_width_and_parallel_map_order(monkeypatch):
-    # the two hooks benchmark/child.py and spans.py read
-    width = cli.thread_width()
-    assert isinstance(width, int) and width >= 1
-    items = list(range(11))
-    for w in (1, 3):
-        monkeypatch.setattr(cli, "thread_width", lambda: w)
-        out = cli.parallel_map(lambda i: (i, os.getpid()), items)
-        assert [i for i, _ in out] == items
-        assert len({pid for _, pid in out}) == w
-    _assert_no_child()
 
 
 def test_blas_runs_one_thread_unless_preset():
@@ -1145,83 +1113,29 @@ def test_blas_runs_one_thread_unless_preset():
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                         "MKL_NUM_THREADS")}
-    assert _fresh_interpreter(code, env).split() \
-        == ["1", str(len(os.sched_getaffinity(0)))]
+    assert _fresh_interpreter(code, env) == "1 1"
     assert _fresh_interpreter(code, dict(env, OPENBLAS_NUM_THREADS="2")) \
         == "2 1"
 
 
-@pytest.mark.parametrize("fails, raised", [
-    ({5: "a", 7: "b"}, "a"),        # both in workers: item 5 comes first
-    ({3: "a", 8: "b"}, "a"),        # the parent's own chunk comes first
-    ({6: "a", 4: "b"}, "b"),        # a worker's item comes first
-])
-def test_parallel_map_raises_lowest_failing_item(monkeypatch, fails, raised):
-    monkeypatch.setattr(cli, "thread_width", lambda: 3)
-
-    def fn(i):
-        if i in fails:
-            raise IllConditioned(fails[i])
-        return i
-
-    with pytest.raises(IllConditioned, match=f"^{raised}$"):
-        cli.parallel_map(fn, range(12))
-    _assert_no_child()
-
-
-@pytest.mark.parametrize("die", [
-    lambda: os._exit(5),
-    lambda: os.kill(os.getpid(), signal.SIGKILL),
-], ids=["exit", "signal"])
-def test_parallel_map_worker_death_raises(monkeypatch, die):
-    monkeypatch.setattr(cli, "thread_width", lambda: 3)
-    parent = os.getpid()
-
-    def fn(i):
-        if i == 4 and os.getpid() != parent:
-            die()
-        return i
-
-    with pytest.raises(RuntimeError, match="stamp worker 1 of 3 died"):
-        cli.parallel_map(fn, range(12))
-    _assert_no_child()
-
-
-def test_parallel_map_interrupt_kills_workers(monkeypatch):
-    monkeypatch.setattr(cli, "thread_width", lambda: 2)
-
-    def fn(i):
-        if i % 2:
-            time.sleep(60)          # a worker still at work
-        elif i == 2:
-            raise KeyboardInterrupt
-        return i
-
-    tic = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        cli.parallel_map(fn, range(8))
-    assert time.monotonic() - tic < 30
-    _assert_no_child()
-
-
 def test_worker_refusal_exits_as_serial(monkeypatch, capsys, tmp_path):
-    # stamp 3 (t = 3, x = 1) falls to the worker, stamp 4 (t = 4, x = 0)
-    # to the parent: both runs refuse with stamp 3's message
-    orig = cli.sie_solve
+    # stamps 3 (t = 3, x = 1) and 4 (t = 4, x = 0) both refuse: the loop
+    # stops at stamp 3, the earlier in lattice order, with its message
+    orig, seen = cli.sie_solve, []
 
     def refusing(contour, jd, residues):
+        seen.append((jd.t, jd.x))
         if (jd.t, jd.x) in ((3.0, 1.0), (4.0, 0.0)):
             raise IllConditioned(f"stamp t={jd.t} x={jd.x}")
         return orig(contour, jd, residues)
 
     monkeypatch.setattr(cli, "sie_solve", refusing)
     path = write_scenario(tmp_path, n_panels=8, nodes_per_panel=8, **DESK)
-    seen = []
-    for width in (1, 2):
-        monkeypatch.setattr(cli, "thread_width", lambda: width)
-        rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:3",
-                          "--x", "0:1:2", "--out", str(tmp_path / "rh")])
-        seen.append((rc, capsys.readouterr().err))
-        _assert_no_child()
-    assert seen[0] == seen[1] == (
+    out = tmp_path / "rh"
+    rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:3",
+                      "--x", "0:1:2", "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (
         3, "numerical failure (IllConditioned): stamp t=3.0 x=1.0\n")
+    assert seen == [(2.0, 0.0), (2.0, 1.0), (3.0, 0.0), (3.0, 1.0)]
+    assert not out.exists()
+    _assert_no_child()

@@ -213,6 +213,14 @@ class TestJumpComponentForm:
                 jump_mixed_reference(2.0, 1.0, ev, *bad)
             assert str(new.value) == str(ref.value)
 
+    def test_nan_k_refused(self, banks):
+        # `err > DET_TOL` is false on a NaN, which let a NaN K through
+        _, ev, _, Kp, Km = banks
+        bad = Kp[1].copy()
+        bad[3, 0, 0] = np.nan
+        with pytest.raises(SingularK, match="det K- deviates from 1 by nan"):
+            jump_mixed(2.0, 1.0, ev, Kp[1], bad)
+
 
 class TestJumpWholeline:
     def test_zero_reflection(self):

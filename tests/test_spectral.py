@@ -6,7 +6,7 @@ import pytest
 from mbrh import spectral
 from mbrh.broadening import BroadeningProfile, eta_boundary
 from mbrh.errors import (CountMismatch, DecayViolation, MediumNotAsymptotic,
-                         TooCloseToAxis)
+                         SpectralOverflow, TooCloseToAxis)
 from mbrh.jump import spectral_data
 from mbrh.mat2 import det2, diag_exp
 from mbrh.rhsolver import contour_build
@@ -217,6 +217,20 @@ class TestTransition:
         tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
         assert np.max(np.abs(tab.a_plus - 1)) < 0.2
         assert np.max(np.abs(tab.b_plus)) < 0.2
+
+    def test_non_finite_refused(self):
+        # an overflowed Phi(0) gave a NaN table: max |r| = nan, det error
+        # nan, and |a| < SINGULAR_FLOOR is false on a NaN
+        sc = trivial_scenario()
+        p = BroadeningProfile.lorentzian(1.0, sign=-1)
+        lam = np.linspace(-5, 5, 21)
+        Phi0, _, _ = jost_phi(sc, lam)
+        _, wp, wm = jost_w(sc, p, eta_boundary(p, lam))
+        Phi0[[4, 9], 0, 1] = [np.inf, np.nan]
+        with pytest.raises(SpectralOverflow,
+                           match=r"not finite at lam=-3\.0000 \(2 of 21 nodes\)"), \
+                np.errstate(invalid="ignore"):
+            transition_and_reflection(lam, Phi0, wp[0], wm[0])
 
 
 class TestLocateAZeros:
