@@ -7,11 +7,22 @@ deterministic CSV data plus JSON metadata.
 """
 
 import argparse
-import hashlib
 import json
 import os
+import resource
 import sys
 import time
+
+# config_hash is sha256 from the builtin module that hashlib itself falls
+# back to, so a run does not load OpenSSL (`_hashlib`) for one digest;
+# hashlib only where the build has neither (FIPS)
+try:
+    from _sha2 import sha256            # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 # The stamp loop runs in this process, one stamp after another, with one
 # BLAS thread: its products are too small to gain from a second, and two
@@ -24,7 +35,6 @@ if "numpy" not in sys.modules:      # else BLAS read them already
         os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402  (after the BLAS thread variables)
-from scipy import __version__ as _scipy_version
 
 from . import __version__
 from .broadening import (LAM_POINTS, LAM_WINDOW, BroadeningProfile,
@@ -45,6 +55,7 @@ from .rhsolver import (
 from .spectral import T_STEP, X_STEP, ScenarioData, a_zeros, magnus_steps_taken
 
 MAX_MAGNUS_STEPS = 10 ** 6  # --step may ask for at most this many on [0, T] or [0, L]
+CSV_CHUNK_ROWS = 2048       # rows that write_csv turns into Python floats at a time
 
 
 # ----------------------------------------------------------------------
@@ -248,38 +259,54 @@ def load_scenario(path):
 # ----------------------------------------------------------------------
 
 def write_csv(path, header, columns):
-    """Every value as format(float(v), ".17g"): one %-template per row
-    on columns converted to Python floats once."""
-    cols = [np.asarray(c, dtype=float).ravel().tolist() for c in columns]
+    """Every value as format(float(v), ".17g"): one %-template per row,
+    on CSV_CHUNK_ROWS rows of the columns converted to Python floats at
+    a time."""
+    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
     row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % vals for vals in zip(*cols))
+        for lo in range(0, cols[0].size, CSV_CHUNK_ROWS):
+            chunk = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in cols]
+            fh.writelines(row % vals for vals in zip(*chunk))
+
+
+def peak_rss_mb():
+    """Peak resident memory of this process so far, in MiB (getrusage
+    reports KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2.0 ** 20 if sys.platform == "darwin" else 1024.0)
 
 
 def emit_results(outdir, tables, config, diagnostics):
-    """tables: {filename: (header, columns)}; writes CSVs and meta.json."""
+    """tables: {filename: (header, columns)}; writes CSVs and meta.json.
+    `versions` names the libraries the run loaded: scipy's version is
+    null unless the run imported it (`curve`, an LU stamp)."""
     if not tables:
         raise ValueError("no result tables to emit")
     os.makedirs(outdir, exist_ok=True)
     for name, (header, columns) in tables.items():
         write_csv(os.path.join(outdir, name), header, columns)
     canon = json.dumps(config, sort_keys=True, default=str)
+    scipy = sys.modules.get("scipy")
     meta = {
         "config": config,
-        "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
+        "config_hash": sha256(canon.encode()).hexdigest(),
         "versions": {"mbrh": __version__, "numpy": np.__version__,
-                     "scipy": _scipy_version},
+                     "scipy": getattr(scipy, "__version__", None)},
+        "peak_rss_mb": peak_rss_mb(),
         "diagnostics": diagnostics,
     }
     with open(os.path.join(outdir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
 
 
+FIELD_COLUMNS = ("t", "x", "re_E", "im_E")    # what compare reads of a fields.csv
+
+
 def field_table(t_vals, x_vals, E):
     tt, xx = np.meshgrid(t_vals, x_vals, indexing="ij")
-    return (["t", "x", "re_E", "im_E", "abs_E"],
-            [tt, xx, E.real, E.imag, np.abs(E)])
+    return ([*FIELD_COLUMNS, "abs_E"], [tt, xx, E.real, E.imag, np.abs(E)])
 
 
 # ----------------------------------------------------------------------
@@ -585,6 +612,8 @@ def cmd_solve_direct(args):
 
 
 def cmd_soliton(args):
+    if not (np.isfinite(args.nu) and args.nu > 0.0):
+        raise SchemaError(f"--nu: must be finite and positive, got {args.nu}")
     t_vals = _parse_range(args.t, "--t")
     x_vals = _parse_range(args.x, "--x")
     profile, block = _profile_from_args(args, eps=1e-3)
@@ -600,9 +629,17 @@ def cmd_soliton(args):
 
 
 def _load_field_csv(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    if data.dtype.names is None or "re_E" not in data.dtype.names:
-        raise SchemaError(f"{path}: not a field CSV (need re_E/im_E columns)")
+    """(t, x, E) of a fields.csv; SchemaError names a file that cannot
+    be read, lacks a t, x, re_E or im_E column, or has no rows."""
+    try:
+        data = np.genfromtxt(path, delimiter=",", names=True)
+    except (OSError, ValueError, IndexError) as exc:   # IndexError: empty file
+        raise SchemaError(f"{path}: cannot read a field CSV ({exc})") from exc
+    if not set(FIELD_COLUMNS) <= set(data.dtype.names or ()):
+        raise SchemaError(f"{path}: not a field CSV (need columns "
+                          f"{', '.join(FIELD_COLUMNS)})")
+    if data.size == 0:
+        raise SchemaError(f"{path}: field CSV has no rows")
     return data["t"], data["x"], data["re_E"] + 1j * data["im_E"]
 
 

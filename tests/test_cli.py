@@ -293,16 +293,16 @@ class TestLoadScenario:
 
 def test_write_csv_bytes_match_per_value_format(tmp_path):
     # the %.17g row template writes what format(float(v), ".17g") wrote
-    # value by value, on every kind of double
+    # value by value, on every kind of double, across two chunk edges
     rng = np.random.default_rng(5)
     special = np.array([0.0, -0.0, 5e-324, -2.2e-310, 1e308, -1e308,
                         np.finfo(float).max, np.nan, np.inf, -np.inf, 1.0,
                         0.1, 1 / 3, -123456789.0])
-    n = special.size
-    cols = [special,
+    n = 2 * cli.CSV_CHUNK_ROWS + 1
+    cols = [np.resize(special, n),
             rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
             np.arange(n),
-            rng.standard_normal((2, n // 2))]
+            rng.standard_normal((n, 2)).view(complex).real]  # (n, 1), strided
     header = ["a", "b", "n", "m"]
     path = tmp_path / "t.csv"
     write_csv(str(path), header, cols)
@@ -390,6 +390,27 @@ class TestCommands:
         rc = run_command(["compare", "--run-a", os.path.join(out, "fields.csv"),
                           "--run-b", os.path.join(out, "fields.csv")])
         assert rc == 0
+
+    BAD_FIELD_FILES = {"missing.csv": None,
+                       "header_only.csv": "t,x,re_E,im_E,abs_E\n",
+                       "no_lattice.csv": "re_E,im_E\n0.5,0.25\n",
+                       "empty.csv": ""}
+
+    @pytest.mark.filterwarnings("ignore:genfromtxt")   # the empty file's
+    @pytest.mark.parametrize("name", list(BAD_FIELD_FILES))
+    def test_compare_refuses_a_bad_file(self, tmp_path, capsys, name):
+        # each ended in a traceback with exit 1: FileNotFoundError, a
+        # zero-size max, "no field of name t" and an IndexError
+        good = str(tmp_path / "sol")
+        assert run_command(["soliton", "--nu", "0.3", "--t", "0:5:3",
+                            "--x", "0:2:2", "--out", good]) == 0
+        bad = tmp_path / name
+        if self.BAD_FIELD_FILES[name] is not None:
+            bad.write_text(self.BAD_FIELD_FILES[name])
+        capsys.readouterr()
+        assert run_command(["compare", "--run-a", str(bad), "--run-b",
+                            os.path.join(good, "fields.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {bad}:")
 
     def test_solve_direct_and_determinism(self, tmp_path):
         path = write_scenario(tmp_path, lam_points=41,
@@ -582,6 +603,16 @@ class TestCommands:
         assert not out.exists()
         assert capsys.readouterr().err.startswith(
             "numerical failure (SingularResidueSystem)")
+
+    @pytest.mark.parametrize("nu", ["nan", "inf", "0", "-1"])
+    def test_bad_soliton_nu_refused(self, tmp_path, capsys, nu):
+        # nan and inf exited 3 as an overflowing residue constant, 0 and
+        # -1 exited 3 from residue_constants
+        out = tmp_path / "sol"
+        assert run_command(["soliton", f"--nu={nu}", "--t", "0:1:2",
+                            "--x", "0:1:2", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: --nu:")
 
     def test_soliton_pole_on_the_axis_refused(self, tmp_path, capsys):
         # Im z = 1e-310: c is finite but 1/(z - conj z) overflows; the run
@@ -1045,6 +1076,86 @@ def test_lu_free_runs_leave_out_scipy_linalg(tmp_path):
         with open(tmp_path / out / "meta.json") as fh:
             diag = json.load(fh)["diagnostics"]
         assert (diag["n_poles"], diag["lu_stamps"]) == (n_poles, 0)
+
+
+def test_runs_leave_out_openssl_and_scipy(tmp_path):
+    # config_hash took OpenSSL (_hashlib) and meta.json's version string
+    # the scipy package: import, solve-direct and a pole-free solve-rh
+    # load neither
+    path = write_scenario(tmp_path, T=10.0, L=5.0,
+                          E_in={"pulse": "gaussian", "amplitude": 0.8,
+                                "center": 3.0, "width": 0.7},
+                          lam_points=41)
+    code = textwrap.dedent(f"""\
+        import sys
+        from mbrh.cli import run_command
+        seen = []
+        loaded = lambda: seen.append([m for m in ("_hashlib", "scipy")
+                                      if m in sys.modules])
+        loaded()
+        assert run_command(["solve-direct", "--scenario", {path!r},
+                            "--dt", "0.1", "--out", {str(tmp_path / "d")!r}]) == 0
+        loaded()
+        assert run_command(["solve-rh", "--scenario", {path!r},
+                            "--t", "2:4:2", "--x", "0:1:2",
+                            "--out", {str(tmp_path / "rh")!r}]) == 0
+        loaded()
+        print(seen)
+        """)
+    assert _fresh_interpreter(code) == "[[], [], []]"
+
+
+def test_versions_name_scipy_once_a_run_loads_it(tmp_path):
+    # a pole-free solve-rh runs on numpy alone and records no scipy
+    # version; curve root-finds with scipy.optimize and records it
+    import scipy
+
+    path = write_scenario(tmp_path, lam_points=41)
+    code = textwrap.dedent(f"""\
+        from mbrh.cli import run_command
+        assert run_command(["solve-rh", "--scenario", {path!r},
+                            "--t", "2:4:2", "--x", "0:1:2",
+                            "--out", {str(tmp_path / "rh")!r}]) == 0
+        assert run_command(["curve", "--sign", "1",
+                            "--out", {str(tmp_path / "curve")!r}]) == 0
+        print("ok")
+        """)
+    assert _fresh_interpreter(code) == "ok"
+    versions = {}
+    for out in ("rh", "curve"):
+        with open(tmp_path / out / "meta.json") as fh:
+            versions[out] = json.load(fh)["versions"]
+    assert versions["rh"] == {"mbrh": mbrh.__version__,
+                              "numpy": np.__version__, "scipy": None}
+    assert versions["curve"]["scipy"] == scipy.__version__
+
+
+def test_config_hash_is_sha256_of_the_canonical_config(tmp_path):
+    import hashlib
+
+    out = tmp_path / "sol"
+    assert run_command(["soliton", "--nu", "0.3", "--t", "0:5:3",
+                        "--x", "0:2:2", "--out", str(out)]) == 0
+    with open(out / "meta.json") as fh:
+        meta = json.load(fh)
+    canon = json.dumps(meta["config"], sort_keys=True, default=str)
+    assert meta["config_hash"] == hashlib.sha256(canon.encode()).hexdigest()
+
+
+def test_meta_records_peak_rss(tmp_path):
+    # ru_maxrss is KiB on Linux and bytes on macOS; meta.json holds MiB,
+    # read after the tables were written
+    import resource
+
+    scale = 2.0 ** 20 if sys.platform == "darwin" else 1024.0
+    peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+    before = peak()
+    out = tmp_path / "sol"
+    assert run_command(["soliton", "--nu", "0.3", "--t", "0:5:3",
+                        "--x", "0:2:2", "--out", str(out)]) == 0
+    after = peak()
+    with open(out / "meta.json") as fh:
+        assert before <= json.load(fh)["peak_rss_mb"] <= after
 
 
 def test_lu_stamp_loads_scipy_linalg(tmp_path):
