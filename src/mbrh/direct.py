@@ -11,6 +11,12 @@ The medium is one real workspace per run, rotated in place, and a step
 rotates only the columns behind the causal front: a column with no
 field and no polarization is a fixed point of the rotation and a
 source of nothing.
+
+Real field data on a line shape symmetric about resonance keep E real,
+with rho(-lam) = conj rho(lam) and N(-lam) = N(lam): for such data the
+step runs on the detunings lam >= 0 only, its source takes Re rho with
+the folded weights w(lam) + w(-lam) and Im rho with none, and the final
+slice is unfolded onto the full grid.
 """
 
 import time
@@ -24,6 +30,7 @@ from .errors import CFLViolation, ConstraintDrift
 STEP_TOL = 1e-10            # largest per-step change of N^2 + |rho|^2
 DRIFT_TOL = 1e-6            # largest distance of N^2 + |rho|^2 from 1
 SCRATCH = 7                 # work arrays of one in-place rotation
+MIRROR_TOL = 64 * np.finfo(float).eps   # relative mirror mismatch of rounding
 
 
 @dataclass
@@ -99,18 +106,42 @@ def _sphere(B, out, tmp):
         out += np.multiply(c, c, out=tmp)
 
 
+def _mirror_err(lam, w, E, B):
+    """Largest relative mismatch of the run's data under lam -> -lam, node
+    i against node n - 1 - i: the grid against max|lam|, the weights
+    against sum|w|, Im E on the boundary row and column against their
+    sup|E|, and the initial Bloch vectors B = (Re rho, Im rho, N) (None:
+    the medium at rest) against (Re rho, -Im rho, N) over max|rho|."""
+    def rel(diff, scale):
+        d = float(np.max(np.abs(diff), initial=0.0))
+        return d / scale if d else d
+    edges = np.concatenate((E[:, 0], E[0]))
+    errs = [rel(lam + lam[::-1], np.max(np.abs(lam))),
+            rel(w - w[::-1], np.sum(np.abs(w))),
+            rel(edges.imag, np.max(np.abs(edges)))]
+    if B is not None:
+        flip = B[..., ::-1] * np.array([1.0, -1.0, 1.0])[:, None, None]
+        errs.append(rel(B - flip, np.max(np.hypot(B[0], B[1]))))
+    return float(np.max(errs))
+
+
 def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
     """Advance the coupled system on a characteristics-aligned lattice.
 
     dt is used for both directions (dx = dt) and must divide the scenario
     horizon T and depth L.  Step k rotates the columns up to j0 + k + 1,
-    j0 the last column the initial data excite.  The diagnostics hold
-    the largest per-step change of N^2 + |rho|^2 (refused above
-    STEP_TOL), its largest distance from 1 over all slices (refused
-    above DRIFT_TOL; a NaN fails both tests), the lattice sizes (steps,
-    nx and nlam points), the cells rotated (of steps * nx * nlam), the
-    stage times, and the largest detuning spacing over pi/T: the
-    polarization oscillates like e^{-2 i lam t}, period pi/T in lam.
+    j0 the last column the initial data excite.  It runs on the
+    detunings lam >= 0 alone when the data mirror under lam -> -lam
+    (`_mirror_err` at most MIRROR_TOL, E on the boundary row and column
+    exactly real), and returns the medium on the full grid.  The
+    diagnostics hold the largest per-step change of N^2 + |rho|^2
+    (refused above STEP_TOL), its largest distance from 1 over all
+    slices (refused above DRIFT_TOL; a NaN fails both tests), the
+    lattice sizes (steps, nx and nlam points), the detunings stepped
+    (nlam_solved), the mirror mismatch (mirror_err), the cells rotated
+    (of steps * nx * nlam_solved), the stage times, and the largest
+    detuning spacing over pi/T: the polarization oscillates like
+    e^{-2 i lam t}, period pi/T in lam.
     """
     start = time.perf_counter()
     lam = np.asarray(lam_grid, dtype=float)
@@ -128,14 +159,32 @@ def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
     E = np.zeros((nt + 1, nx + 1), dtype=complex)
     E[0, :] = np.asarray(scenario.E0(x_grid), dtype=complex)
     E[:, 0] = np.asarray(scenario.E_in(t_grid), dtype=complex)
-    # Bloch vector, predictor (Re, Im), N^2 + |rho|^2 of two slices, work
-    ws = np.zeros((7 + SCRATCH, nx + 1, lam.size))
-    B, pred, sphere, work = ws[:3], ws[3:5], ws[5:7], ws[7:]
-    B[2] = 1.0
+    B0 = None
     if scenario.rho0 is not None:
+        B0 = np.empty((3, nx + 1, lam.size))
         for j, xj in enumerate(x_grid):
             sl = scenario.medium_slice(xj, lam)
-            B[:, j] = sl.rho.real, sl.rho.imag, sl.N
+            B0[:, j] = sl.rho.real, sl.rho.imag, sl.N
+    mirror_err = _mirror_err(lam, w, E, B0)
+    fold = (mirror_err <= MIRROR_TOL and not np.any(E[:, 0].imag)
+            and not np.any(E[0].imag))
+    # the step runs on nodes h.. (all, or the half lam >= 0 of an
+    # ascending grid); node i mirrors node n - 1 - i
+    n = lam.size
+    h = n // 2 if fold else 0
+    w_re, w_im = w[h:], w[h:]                      # weights of Re, Im rho
+    if fold:
+        w_re = w_re.copy()
+        w_re[n % 2:] += w[:h][::-1]                # a node at 0 counts once
+        w_im = np.zeros_like(w_re)
+    lam_s = lam[h:]
+    # Bloch vector, predictor (Re, Im), N^2 + |rho|^2 of two slices, work
+    ws = np.zeros((7 + SCRATCH, nx + 1, lam_s.size))
+    B, pred, sphere, work = ws[:3], ws[3:5], ws[5:7], ws[7:]
+    if B0 is None:
+        B[2] = 1.0
+    else:
+        B[:] = B0[..., h:]
     _sphere(B, sphere[0], sphere[1])
     sphere[1] = sphere[0]
     excited = np.flatnonzero((E[0] != 0) | np.any(B[:2] != 0, axis=(0, 2)))
@@ -148,17 +197,17 @@ def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
         m = min(j0 + k + 2, nx + 1)                # columns behind the front
         Bm, Pm, Wm = B[:, :m], pred[:, :m], work[:, :m]
         Ek, Ek1 = E[k, :m], E[k + 1, :m]
-        avg0 = Bm[0] @ w + 1j * (Bm[1] @ w)
+        avg0 = Bm[0] @ w_re + 1j * (Bm[1] @ w_im)
         # predictor: transport Euler along the x - t characteristic
         Ep = np.concatenate((Ek1[:1], Ek[:-1] + dt * avg0[:-1]))
         # predictor polarization with midpoint-frozen field
-        bloch_rotation(0.5 * (Ek + Ep), lam, dt, Bm[:2], Bm[2],
+        bloch_rotation(0.5 * (Ek + Ep), lam_s, dt, Bm[:2], Bm[2],
                        out=(*Pm, None), work=Wm)
-        avg1 = Pm[0] @ w + 1j * (Pm[1] @ w)
+        avg1 = Pm[0] @ w_re + 1j * (Pm[1] @ w_im)
         # corrector: trapezoid of the source along the characteristic
         Ek1[1:] = Ek[:-1] + 0.5 * dt * (avg0[:-1] + avg1[1:])
         # final medium rotation with the corrected midpoint field
-        bloch_rotation(0.5 * (Ek + Ek1), lam, dt, Bm[:2], Bm[2],
+        bloch_rotation(0.5 * (Ek + Ek1), lam_s, dt, Bm[:2], Bm[2],
                        out=Bm, work=Wm)
         rotated += m
         old, new = sphere[k % 2, :m], sphere[(k + 1) % 2, :m]
@@ -172,11 +221,16 @@ def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
 
     if not total <= DRIFT_TOL:
         raise ConstraintDrift(f"cumulative sphere drift {total:.3e}")
+    if fold:                                       # unfold onto the full grid
+        i = np.arange(n)
+        B = B[..., np.maximum(i, n - 1 - i) - h]
+        B[1, :, :h] *= -1.0
     spacing = float(np.max(np.diff(lam))) if lam.size > 1 else 0.0
     diagnostics = {"max_step_drift": max_step_drift,
                    "conservation_error": total,
-                   "steps": nt, "nx": x_grid.size, "nlam": lam.size,
-                   "rotated_cells": rotated * lam.size,
+                   "steps": nt, "nx": x_grid.size, "nlam": n,
+                   "nlam_solved": lam_s.size, "mirror_err": mirror_err,
+                   "rotated_cells": rotated * lam_s.size,
                    "lam_spacing_over_pi_T": spacing * T / np.pi,
                    "stages": {"setup_s": loop_start - start,
                               "step_loop_s": time.perf_counter() - loop_start}}

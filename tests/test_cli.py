@@ -20,6 +20,7 @@ from mbrh.cli import (
     run_command,
     write_csv,
 )
+from mbrh.direct import MIRROR_TOL
 from mbrh.errors import (IllConditioned, InvariantError, NonDecaying,
                          SchemaError)
 from references import excited_scenario
@@ -432,11 +433,32 @@ class TestCommands:
         assert abs(diag["lam_spacing_over_pi_T"] - 0.4 * 6.0 / np.pi) < 1e-12
         assert diag["conservation_error"] <= 1e-6
         # E0 = 0 in an empty medium: step k rotates the k + 2 columns the
-        # pulse can have reached
+        # pulse can have reached, on the 21 detunings lam >= 0 of the
+        # mirror-symmetric data
         front = np.minimum(np.arange(120) + 2, 41)
-        assert diag["rotated_cells"] == front.sum() * 41 < 120 * 41 * 41
+        assert diag["nlam_solved"] == 21
+        assert diag["mirror_err"] <= MIRROR_TOL
+        assert diag["rotated_cells"] == front.sum() * 21 < 120 * 41 * 41
+        fields = np.genfromtxt(os.path.join(out1, "fields.csv"),
+                               delimiter=",", names=True)
+        assert np.all(fields["im_E"] == 0.0)
         assert set(diag["stages"]) == {"setup_s", "step_loop_s"}
         assert all(v >= 0.0 for v in diag["stages"].values())
+
+    def test_solve_direct_chirped_steps_every_detuning(self, tmp_path):
+        # a chirped pulse has no mirror symmetry: meta.json says so
+        path = write_scenario(tmp_path, lam_points=41, lam_window=[-8.0, 8.0],
+                              E_in={"pulse": "gaussian", "amplitude": 0.3,
+                                    "center": 3.0, "width": 0.5,
+                                    "chirp": 1.5})
+        out = str(tmp_path / "d")
+        assert run_command(["solve-direct", "--scenario", path,
+                            "--dt", "0.05", "--out", out]) == 0
+        diag = json.load(open(os.path.join(out, "meta.json")))["diagnostics"]
+        front = np.minimum(np.arange(120) + 2, 41)
+        assert (diag["nlam"], diag["nlam_solved"]) == (41, 41)
+        assert diag["mirror_err"] > MIRROR_TOL
+        assert diag["rotated_cells"] == front.sum() * 41
 
     def test_spectra_command(self, tmp_path):
         path = write_scenario(tmp_path, lam_points=101,

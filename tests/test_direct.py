@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mbrh.broadening import BroadeningProfile, average_weights
+from mbrh.broadening import (BroadeningProfile, average_weights,
+                             profile_normalize)
 from mbrh.direct import integrate_direct
 from mbrh.errors import CFLViolation, ConstraintDrift
 from mbrh.mat2 import dagger
@@ -16,6 +17,10 @@ from references import (bloch_rotation_fresh, coupling_matrix, desk_scenario,
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
+AMP = BroadeningProfile.lorentzian(1.0, sign=+1)
+_SKEW_GRID = np.linspace(-10.0, 10.0, 201)
+SKEWED = profile_normalize(BroadeningProfile.tabulated(
+    _SKEW_GRID, np.exp(-(_SKEW_GRID - 0.7) ** 2 / 2)))
 
 
 def reference_rotation(E_mid, lam, h, rho, N):
@@ -264,17 +269,47 @@ def compact_scenario(T=4.0):
                         E0=E0, rho0=None)
 
 
+def chirped(sc):
+    """sc with its boundary pulse chirped by e^{1.5 i t}: E is complex."""
+    return ScenarioData(T=sc.T, L=sc.L, E0=sc.E0, rho0=sc.rho0,
+                        E_in=lambda t: sc.E_in(t) * np.exp(1.5j * np.asarray(t)))
+
+
+LAM = np.linspace(-16.0, 16.0, 129)
+
+
 class TestAgainstReferenceLoop:
     """The in-place step behind the front against the plain loop that
-    rotates every column with the Cayley-Klein kernel."""
+    rotates every column of the full grid with the Cayley-Klein kernel.
+    Mirror-symmetric data (real E, symmetric grid, line and medium) are
+    stepped on the detunings lam >= 0 only; any other data on all."""
 
-    @pytest.mark.parametrize("make", [desk_scenario, excited_scenario,
-                                      compact_scenario])
-    def test_same_field_and_medium(self, make):
+    @pytest.mark.parametrize("make, profile, lam, solved", [
+        pytest.param(desk_scenario, LOR, LAM, 65, id="desk_scenario"),
+        pytest.param(excited_scenario, LOR, LAM, 65, id="excited_scenario"),
+        pytest.param(compact_scenario, LOR, LAM, 65, id="compact_scenario"),
+        pytest.param(desk_scenario, AMP, LAM, 65, id="amplifier"),
+        pytest.param(desk_scenario, LOR, np.linspace(-16.0, 16.0, 128), 64,
+                     id="even_grid_no_zero_node"),
+        pytest.param(desk_scenario, LOR, np.linspace(-20.0, 20.0, 401), 201,
+                     id="default_cli_grid"),
+        pytest.param(lambda: chirped(desk_scenario()), LOR, LAM, 129,
+                     id="chirped"),
+        pytest.param(lambda: excited_scenario(complex_rho=True), LOR, LAM,
+                     129, id="complex_rho"),
+        pytest.param(desk_scenario, LOR, np.linspace(-16.0, 20.0, 145), 145,
+                     id="asymmetric_grid"),
+        pytest.param(desk_scenario, SKEWED, LAM, 129, id="skewed_line"),
+    ])
+    def test_same_field_and_medium(self, make, profile, lam, solved):
         sc = make()
-        lam = np.linspace(-16.0, 16.0, 129)
-        st = integrate_direct(sc, LOR, lam, dt=0.05)
-        E, rho, N, total = integrate_direct_reference(sc, LOR, lam, 0.05)
+        st = integrate_direct(sc, profile, lam, dt=0.05)
+        assert st.diagnostics["nlam_solved"] == solved
+        assert st.diagnostics["nlam"] == lam.size
+        # a folded run keeps E exactly real; the others have Im E of
+        # their own, which a fold would have dropped
+        assert (np.max(np.abs(st.E.imag)) > 0.0) == (solved == lam.size)
+        E, rho, N, total = integrate_direct_reference(sc, profile, lam, 0.05)
         for got, want in ((st.E, E), (st.rho, rho), (st.N, N)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -296,8 +331,10 @@ class TestCausalFront:
         assert np.all(st.rho[11:] == 0.0) and np.all(st.N[11:] == 1.0)
         assert np.min(np.abs(st.rho[10])) > 0.0
         steps = np.arange(10)
+        # real data on a symmetric grid: 9 of the 17 detunings are stepped
+        assert st.diagnostics["nlam_solved"] == 9
         assert st.diagnostics["rotated_cells"] == \
-            np.sum(np.minimum(steps + 2, 21)) * lam.size
+            np.sum(np.minimum(steps + 2, 21)) * 9
 
     def test_front_starts_behind_the_initial_field(self):
         # E0 vanishes from x = 2 (column 20) on, so the field of row k
