@@ -12,6 +12,9 @@ level curve Im eta = 0 bounding the domains D+-.  Cauchy integrals of
 piecewise-linear data are products f @ W with one weight matrix W per
 (grid, targets) pair; a caller that applies the same pair many times
 builds W once (`pv_weights`, `cauchy_weights`).
+
+Both field routes solve only the detunings lambda >= 0 of data that
+mirror under lambda -> -lambda (`mirror_check`, `mirror_unfold`).
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -415,3 +418,46 @@ def average_weights(profile, grid):
     if abs(total) < 1e-13:
         raise ZeroMass("averaging weights sum to zero; grid misses the line")
     return w * (profile.sign / total)
+
+
+# ----------------------------------------------------------------------
+# mirror symmetry lambda -> -lambda
+# ----------------------------------------------------------------------
+
+MIRROR_TOL = 64 * np.finfo(float).eps   # relative mirror mismatch of rounding
+
+
+def mirror_check(pairs, real=()):
+    """(err, why) of a run's data under lambda -> -lambda.
+
+    pairs: (X, sign, scale), X on the nodes of a grid along its last
+    axis, node i paired with node n - 1 - i, where X(-lam) must be
+    sign * conj X(lam) (sign +-1 or an array broadcasting against X; conj
+    leaves real X as it is).  real: (X, scale), data that must be real.
+    err is the largest mismatch of a check relative to its scale, and an
+    exact match reads 0 whatever the scale.  why is None when err is at
+    most MIRROR_TOL and every X of real is exactly real, so that the run
+    may solve the nodes lam >= 0 alone; otherwise it says why not.
+    """
+    def rel(diff, scale):
+        d = float(np.max(np.abs(diff), initial=0.0))
+        return d / scale if d else d
+    errs = [rel(X - sign * np.conj(X[..., ::-1]), scale)
+            for X, sign, scale in pairs]
+    err = float(max(errs + [rel(np.imag(X), scale) for X, scale in real]))
+    if err > MIRROR_TOL:
+        return err, f"data not mirror-symmetric: mismatch {err:.2e}"
+    if any(np.any(np.imag(X)) for X, _ in real):
+        return err, "field data not exactly real"
+    return err, None
+
+
+def mirror_unfold(X, n, axis=0):
+    """X on the nodes n // 2 .. n - 1 of an n-node grid mirror-symmetric
+    about 0 (node i mirrors n - 1 - i) unfolded onto all n nodes by
+    X(-lam) = conj X(lam); a node at 0 is its own mirror."""
+    h, i = n // 2, np.arange(n)
+    out = np.take(X, np.maximum(i, n - 1 - i) - h, axis=axis)
+    lo = (slice(None),) * axis + (slice(0, h),)
+    out[lo] = np.conj(out[lo])
+    return out

@@ -38,7 +38,8 @@ import numpy as np  # noqa: E402  (after the BLAS thread variables)
 
 from . import __version__
 from .broadening import (LAM_POINTS, LAM_WINDOW, BroadeningProfile,
-                         eta_boundary, gamma_trace, profile_normalize)
+                         eta_boundary, gamma_trace, mirror_check,
+                         profile_normalize)
 from .direct import integrate_direct
 from .errors import InvariantError, MBRHError, SchemaError
 from .jump import jump_mixed, spectral_data
@@ -342,7 +343,10 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
 
     window, n_panels and nodes_per_panel give the configured contour,
     which the spectral data and the zeros of a use; the stamps solve on
-    its panels that `jump_window` keeps.
+    its panels that `jump_window` keeps.  On mirror-symmetric data the
+    Jost solves take the nodes lam >= 0 (`spectral_data`), and each stamp
+    assembles and solves its jump on the kept nodes s > 0 alone
+    (`sie_solve`), unless `_full_axis_reason` gives a reason not to.
 
     Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
     wall time of the spectral data (`spectral_s`, of which the t- and
@@ -352,11 +356,13 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     (`pole_search_s`) and of the stamp loop (`stamp_loop_s`), which
     solves the stamps one after another in lattice order, and the
     per-stamp `jump_mixed` and `sie_solve` times summed over stamps
-    (`jump_s`, `sie_s`).  `n_nodes` counts the nodes the stamps solved
-    on, and `window` is `jump_window`'s report.  `boundary_err` and
+    (`jump_s`, `sie_s`).  `n_nodes` counts the nodes of the kept window,
+    `full_axis` says why the stamps solved all of them (None: the half
+    s > 0), and `window` is `jump_window`'s report.  `boundary_err` and
     `initial_err` compare the field on the lattice's x = 0 column with
     E_in and on its t = 0 row with E0.  `spectral` holds the scattering
-    table's det, reduction and step errors, `pole_count` the count, fit
+    table's det, reduction and step errors and its mirror report
+    (`mirror_err`, `nodes_solved`, `full_axis`), `pole_count` the count, fit
     residual, Newton steps and clearance of the zeros of a (`a_zeros`;
     None on a gain or --no-poles run), `J0_det_err` the largest det(J0)
     error of a stamp, and `residue_cond` the SVD condition of the
@@ -382,7 +388,13 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
         [jump_mixed(t_vals.max(), x, ev, Kp[ix], Km[ix]).J
          for ix, x in enumerate(x_vals)]))
     ev, Kp, Km = ev.take(keep), Kp[:, keep], Km[:, keep]
-    contour.kernel()            # built once for every stamp
+    full_axis = _full_axis_reason(table, contour, poles)
+    if full_axis is None:       # J(-s) = conj J(s): the stamps take s > 0
+        half = slice(contour.n_nodes // 2, None)
+        ev, Kp, Km = ev.take(half), Kp[:, half], Km[:, half]
+        contour.kernel_fold()   # built once for every stamp
+    else:
+        contour.kernel()        # built once for every stamp
     marks.append(time.perf_counter())
 
     if poles:                   # (z_j, c_j) of every stamp, overflow refused
@@ -410,7 +422,8 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
            for key in ("residual_rel", "cond", "iterations", "posdef_min",
                        "J0_det_err", "lu", "residue_cond")}
     diag = {"n_poles": len(poles), "pole_count": pole_count,
-            "n_nodes": contour.n_nodes, "window": window_report,
+            "n_nodes": contour.n_nodes, "full_axis": full_axis,
+            "window": window_report,
             "n_stamps": E.size,
             "lu_stamps": int(np.count_nonzero(col["lu"])),
             "stages": stages, "magnus_steps": magnus_steps_taken() - steps0,
@@ -431,6 +444,25 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     diag["initial_err"] = _line_err(E[t_vals == 0.0].T, x_vals,
                                     scenario.E0, "x")
     return E, diag
+
+
+def _full_axis_reason(table, contour, poles):
+    """Why the stamps solve on the whole kept window, or None when they
+    may take its nodes s > 0 alone: the spectral data were solved folded
+    (`spectral_data`), no pole adds residue conditions, and the window's
+    nodes and weights mirror about 0 (`mirror_check`) with no node at 0."""
+    if table.diagnostics["full_axis"] is not None:
+        return table.diagnostics["full_axis"]
+    if poles:
+        return "poles: their residue conditions take the full axis"
+    z, w = contour.nodes, contour.weights
+    _, why = mirror_check([(z, -1.0, np.max(np.abs(z))),
+                           (w, 1.0, np.sum(np.abs(w)))])
+    if why is not None:
+        return f"window {contour.edges[0]:g}..{contour.edges[-1]:g}: {why}"
+    if contour.n_nodes % 2:
+        return "a contour node at lambda = 0"
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .broadening import average_weights
+from .broadening import average_weights, mirror_check, mirror_unfold
 from .errors import CFLViolation, ConstraintDrift
 
 STEP_TOL = 1e-10            # largest per-step change of N^2 + |rho|^2
 DRIFT_TOL = 1e-6            # largest distance of N^2 + |rho|^2 from 1
 SCRATCH = 7                 # work arrays of one in-place rotation
-MIRROR_TOL = 64 * np.finfo(float).eps   # relative mirror mismatch of rounding
 
 
 @dataclass
@@ -106,23 +105,18 @@ def _sphere(B, out, tmp):
         out += np.multiply(c, c, out=tmp)
 
 
-def _mirror_err(lam, w, E, B):
-    """Largest relative mismatch of the run's data under lam -> -lam, node
-    i against node n - 1 - i: the grid against max|lam|, the weights
-    against sum|w|, Im E on the boundary row and column against their
-    sup|E|, and the initial Bloch vectors B = (Re rho, Im rho, N) (None:
-    the medium at rest) against (Re rho, -Im rho, N) over max|rho|."""
-    def rel(diff, scale):
-        d = float(np.max(np.abs(diff), initial=0.0))
-        return d / scale if d else d
+def _mirror(lam, w, E, B):
+    """`mirror_check` of the run's data: the grid against max|lam|, the
+    weights against sum|w|, E on the boundary row and column real against
+    their sup|E|, and the initial Bloch vectors B = (Re rho, Im rho, N)
+    (None: the medium at rest) against (Re rho, -Im rho, N) mirrored
+    over max|rho|."""
     edges = np.concatenate((E[:, 0], E[0]))
-    errs = [rel(lam + lam[::-1], np.max(np.abs(lam))),
-            rel(w - w[::-1], np.sum(np.abs(w))),
-            rel(edges.imag, np.max(np.abs(edges)))]
+    pairs = [(lam, -1.0, np.max(np.abs(lam))), (w, 1.0, np.sum(np.abs(w)))]
     if B is not None:
-        flip = B[..., ::-1] * np.array([1.0, -1.0, 1.0])[:, None, None]
-        errs.append(rel(B - flip, np.max(np.hypot(B[0], B[1]))))
-    return float(np.max(errs))
+        pairs.append((B, np.array([1.0, -1.0, 1.0])[:, None, None],
+                      np.max(np.hypot(B[0], B[1]))))
+    return mirror_check(pairs, real=[(edges, np.max(np.abs(edges)))])
 
 
 def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
@@ -132,8 +126,8 @@ def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
     horizon T and depth L.  Step k rotates the columns up to j0 + k + 1,
     j0 the last column the initial data excite.  It runs on the
     detunings lam >= 0 alone when the data mirror under lam -> -lam
-    (`_mirror_err` at most MIRROR_TOL, E on the boundary row and column
-    exactly real), and returns the medium on the full grid.  The
+    (`_mirror`: mismatch at most MIRROR_TOL, E on the boundary row and
+    column exactly real), and returns the medium on the full grid.  The
     diagnostics hold the largest per-step change of N^2 + |rho|^2
     (refused above STEP_TOL), its largest distance from 1 over all
     slices (refused above DRIFT_TOL; a NaN fails both tests), the
@@ -165,9 +159,8 @@ def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
         for j, xj in enumerate(x_grid):
             sl = scenario.medium_slice(xj, lam)
             B0[:, j] = sl.rho.real, sl.rho.imag, sl.N
-    mirror_err = _mirror_err(lam, w, E, B0)
-    fold = (mirror_err <= MIRROR_TOL and not np.any(E[:, 0].imag)
-            and not np.any(E[0].imag))
+    mirror_err, why = _mirror(lam, w, E, B0)
+    fold = why is None
     # the step runs on nodes h.. (all, or the half lam >= 0 of an
     # ascending grid); node i mirrors node n - 1 - i
     n = lam.size
@@ -221,10 +214,9 @@ def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
 
     if not total <= DRIFT_TOL:
         raise ConstraintDrift(f"cumulative sphere drift {total:.3e}")
+    rho, N = B[0] + 1j * B[1], B[2].copy()
     if fold:                                       # unfold onto the full grid
-        i = np.arange(n)
-        B = B[..., np.maximum(i, n - 1 - i) - h]
-        B[1, :, :h] *= -1.0
+        rho, N = mirror_unfold(rho, n, axis=1), mirror_unfold(N, n, axis=1)
     spacing = float(np.max(np.diff(lam))) if lam.size > 1 else 0.0
     diagnostics = {"max_step_drift": max_step_drift,
                    "conservation_error": total,
@@ -235,5 +227,5 @@ def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
                    "stages": {"setup_s": loop_start - start,
                               "step_loop_s": time.perf_counter() - loop_start}}
     return FieldState(t_grid=t_grid, x_grid=x_grid, lam_grid=lam,
-                      E=E, rho=B[0] + 1j * B[1], N=B[2].copy(),
+                      E=E, rho=rho, N=N,
                       diagnostics=diagnostics)

@@ -9,10 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .broadening import mirror_unfold
 from .errors import SingularK
 from .mat2 import dagger, det2
-from .spectral import (equation_steps, jost_phi, jost_w, sorted_union,
-                       step_error, transition_and_reflection)
+from .spectral import (data_mirror, equation_steps, jost_phi, jost_w,
+                       sorted_union, step_error, transition_and_reflection)
 
 DET_TOL = 1e-5              # refuse K+- whose det deviates from 1 by more
 
@@ -62,23 +63,39 @@ def spectral_data(scenario, profile, ev, x_out=(0.0,), step=None,
     and that of the table with its step-error estimate as step_err_s.
     The scenario is validated here, once per run, on the nodes lam, not
     by the solves.
+
+    When the data mirror under lam -> -lam (`data_mirror`), both solves
+    and the step-error estimate take the nodes lam >= 0 alone, and Phi(0)
+    and w_pm are unfolded onto all of lam by X(-lam) = conj X(lam) before
+    the table is formed.  The table's diagnostics report the mismatch
+    (mirror_err), the nodes solved (nodes_solved) and, on a run that took
+    every node, why (full_axis; None on a folded run).
     """
     lam = ev.lam
     scenario.validate(lam)
     x_out = np.asarray(x_out, dtype=float)
     xs = sorted_union(x_out, [0.0])
     at, at0 = np.searchsorted(xs, x_out), np.searchsorted(xs, 0.0)
-    marks = [time.perf_counter()]
     t_step, x_step = equation_steps(step)
+    mirror_err, why = data_mirror(scenario, ev, xs, t_step, x_step)
+    n = lam.size
+    h = n // 2 if why is None else 0        # the nodes h.. are solved
+    marks = [time.perf_counter()]
     with np.errstate(over="ignore", invalid="ignore"):  # refused as not finite
-        Phi0, _, _ = jost_phi(scenario, lam, step=t_step)
+        Phi0, _, _ = jost_phi(scenario, lam[h:], step=t_step)
         marks.append(time.perf_counter())
-        _, wp, wm = jost_w(scenario, profile, ev, x_out=xs, step=x_step)
+        _, wp, wm = jost_w(scenario, profile, ev, x_out=xs, step=x_step,
+                           cols=slice(h, None))
         marks.append(time.perf_counter())
+        if h:
+            Phi0 = mirror_unfold(Phi0, n)
+            wp, wm = mirror_unfold(wp, n, axis=1), mirror_unfold(wm, n, axis=1)
         table = transition_and_reflection(lam, Phi0, wp[at0], wm[at0])
-    table.diagnostics["step_err"] = step_error(
-        scenario, profile, ev, Phi0, np.concatenate([wp[at0], wm[at0]]),
-        t_step, x_step)
+    table.diagnostics.update(
+        step_err=step_error(scenario, profile, ev, Phi0,
+                            np.concatenate([wp[at0], wm[at0]]),
+                            t_step, x_step, first=h),
+        mirror_err=mirror_err, nodes_solved=n - h, full_axis=why)
     marks.append(time.perf_counter())
     if stages is not None:
         stages.update(zip(("jost_phi_s", "jost_w_s", "step_err_s"),

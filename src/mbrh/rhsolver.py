@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .broadening import LAM_WINDOW, eta_eval
+from .broadening import LAM_WINDOW, eta_eval, mirror_unfold
 from .errors import (
     EmptyContour,
     IllConditioned,
@@ -60,6 +60,7 @@ class ContourSigma:
     nodes: np.ndarray
     weights: np.ndarray         # reproduce int ds
     _H: np.ndarray = field(default=None, repr=False)    # see kernel
+    _H_fold: np.ndarray = field(default=None, repr=False)   # see kernel_fold
 
     @property
     def n_nodes(self):
@@ -71,6 +72,17 @@ class ContourSigma:
         if self._H is None:
             self._H = _build_cauchy_plus(self)
         return self._H
+
+    def kernel_fold(self):
+        """H+ stacked over H-, H+- = H[P, P] +- H[P, P'] on the nodes P of
+        s > 0 of a contour mirror-symmetric about 0, P' their mirrors: for
+        data with f(-s) = conj f(s), C+f = f/2 - H- Im f + i H+ Re f on
+        P.  Built once from the cached H."""
+        if self._H_fold is None:
+            H, h = self.kernel(), self.n_nodes // 2
+            A, B = H[h:, h:], H[h:, :h][:, ::-1]
+            self._H_fold = np.vstack([A + B, A - B])
+        return self._H_fold
 
     def cauchy_plus(self):
         return 0.5 * np.eye(self.n_nodes) + 1j * self.kernel()
@@ -235,14 +247,29 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
     (`lu`; `iterations` 0, `cond` the `zgecon` estimate), refusing above
     COND_LIMIT (`IllConditioned`).  `residual_rel` is the largest
     residual relative to its right-hand side.
+
+    A pole-free jump given on the contour's nodes s > 0 alone, the upper
+    half of a contour mirror-symmetric about 0 with J(-s) = conj J(s) on
+    the rest, is solved folded (`_fold_solve`); if its Krylov solve is
+    not certified, J is unfolded and the dense LU solves the whole axis.
     """
     J = jd.J
     n = contour.n_nodes
-    if J.shape[0] != n:
+    folded = residues is None and 2 * J.shape[0] == n
+    if J.shape[0] != n and not folded:
         raise ValueError("jump data does not match the contour nodes")
     posdef_min = posdef_check(jd)
     if posdef_min <= 0.0:
         raise PosdefViolated(f"real-axis Hermitian-part minimum {posdef_min:.3e}")
+    diagnostics = {"lu": False, "posdef_min": posdef_min,
+                   "residue_cond": None}
+    if folded:
+        out = _fold_solve(contour, J)
+        if out is not None:
+            q, E, d = out
+            return RHResult(Q=mirror_unfold(q, n), E=E,
+                            diagnostics={**d, **diagnostics})
+        J = mirror_unfold(J, n)
 
     IJ = np.eye(2) - J                                   # (N, 2, 2)
     ij0, ij1 = IJ[:, 0].copy(), IJ[:, 1].copy()          # its rows
@@ -266,12 +293,21 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
         CPg = (B[0], contour.cauchy_apply(ij1))
         B += [(CPg[a] - Cz[l, a]) / (lam - zeta[l])[:, None]
               for l, a in enumerate(row)]
-    V, cond, iterations, res, res_rel, lu = _axis_solve(contour, IJ, op, B)
+    B = [b.ravel() for b in B]
+    krylov = None if folded else _krylov_solve(op, B)
+    if krylov is None:          # one LU for every right-hand side
+        V, cond = _lu_solve(contour.cauchy_plus(), IJ, np.stack(B, axis=1))
+        V, iterations, diagnostics["lu"] = V.T, 0, True
+        res = [_max_abs(op(v) - b) for v, b in zip(V, B)]
+    else:
+        res, V, conds, its = zip(*krylov)
+        V, cond, iterations = np.array(V), max(conds), sum(its)
+    res_rel = max(r / max(_max_abs(b), 1e-300) for r, b in zip(res, B))
     Q = V.reshape(len(B), n, 2)
-    q, pole_m12, residue_cond, w = Q[0], 0.0, None, None
+    q, pole_m12, w = Q[0], 0.0, None
     if residues is not None:
         CQ = kern @ (Q[..., :1] * ij0 + Q[..., 1:] * ij1)   # C[q_l(I-J)](zeta_i)
-        w, residue_cond = _residue_solve(zeta, cj, Cz, Dz, CQ)
+        w, diagnostics["residue_cond"] = _residue_solve(zeta, cj, Cz, Dz, CQ)
         q = q + np.tensordot(w, Q[1:], axes=1)
         pole_m12 = np.sum(w[:p]) - w @ Cz[np.arange(2 * p), row, 1]
 
@@ -281,37 +317,81 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
     m12 = contour.weights @ ((1.0 + q[:, 0]) * J[:, 0, 1]
                              + q[:, 1] * (J[:, 1, 1] - 1.0)) / (2j * np.pi)
     return RHResult(Q=q, E=-4j * (m12 + pole_m12),
-                    diagnostics={"residual": res, "residual_rel": res_rel,
+                    diagnostics={"residual": max(res), "residual_rel": res_rel,
                                  "cond": cond, "iterations": iterations,
-                                 "lu": lu, "posdef_min": posdef_min,
-                                 "residue_cond": residue_cond},
+                                 **diagnostics},
                     residues=w)
 
 
-def _axis_solve(contour, IJ, op, B):
-    """Solutions of op(v) = b for the right-hand sides b (N, 2) of B, as
-    rows of V: GMRES, or one LU for all when any solve is uncertified.
-    Returns (V, cond, iterations, residual, residual_rel, lu)."""
-    B = [b.ravel() for b in B]
+def _fold_solve(contour, J):
+    """Krylov solve of the row operator for the mirror-symmetric jump J
+    given on the nodes s > 0 of the contour, the upper half P.
+
+    The solution has q(-s) = conj q(s), and C+ commutes with that map,
+    so on P the operator is real-linear: C+f = f/2 - H- Im f + i H+ Re f
+    with (H+, H-) of `kernel_fold`.  GMRES runs on the real vector of
+    (Re q, Im q) on P, whose Euclidean inner product is half that of the
+    full axis on mirror-symmetric data: the Krylov space, the Hessenberg
+    matrix, its `cond` and the iterations are those of the full solve.
+    The residual is measured entrywise as a complex modulus, as there.
+    E = -(4/pi) Re sum_P w f, f = (1 + q1) J12 + q2 (J22 - 1), is real.
+    Returns (q on P, E, diagnostics), or None when the solve is not
+    certified (`_krylov_solve`).
+    """
+    m = J.shape[0]
+    HH = contour.kernel_fold()
+    IJ = np.eye(2) - J
+    ij0, ij1 = IJ[:, 0].copy(), IJ[:, 1].copy()
+
+    def cplus(g):
+        """C+[g] on P for g (m, 2) on P, as the float view (m, 4):
+        columns Re g1, Im g1, Re g2, Im g2."""
+        G = g.view(float).reshape(m, 4)
+        R = HH @ G                              # H+ G over H- G
+        out = 0.5 * G
+        out[:, 0::2] -= R[m:, 1::2]             # - H- Im g
+        out[:, 1::2] += R[:m, 0::2]             # + H+ Re g
+        return out
+
+    def op(v):
+        """q - C+[q(I-J)] for q (m, 2) on P, as the float view v."""
+        q = v.view(complex).reshape(m, 2)
+        return (v.reshape(m, 4) - cplus(q[:, :1] * ij0 + q[:, 1:] * ij1)).ravel()
+
+    b = cplus(ij0).ravel()
+    krylov = _krylov_solve(op, [b])
+    if krylov is None:
+        return None
+    [(res, v, cond, iterations)] = krylov
+    q = v.view(complex).reshape(m, 2)
+    f = (1.0 + q[:, 0]) * J[:, 0, 1] + q[:, 1] * (J[:, 1, 1] - 1.0)
+    E = -4.0 / np.pi * (contour.weights[contour.n_nodes - m:] @ f.real)
+    return q, complex(E), {"residual": res,
+                           "residual_rel": res / max(_max_abs(b), 1e-300),
+                           "cond": cond, "iterations": iterations}
+
+
+def _max_abs(v):
+    """Largest modulus of the complex entries of v, or of the complex
+    numbers whose float view a real v is."""
+    return float(np.max(np.abs(v.view(complex))))
+
+
+def _krylov_solve(op, B):
+    """GMRES solutions of op(v) = b for the flat right-hand sides b of B,
+    as (residual, v, cond, iterations) each, or None as soon as one is
+    not certified: cond above COND_LIMIT/1e3, the budget run out, or a
+    max-norm residual above KRYLOV_RESIDUAL relative to b."""
     out = []
     for b in B:
         krylov = _gmres(op, b, COND_LIMIT / 1e3)
         if krylov is None:
-            break
-        res = float(np.max(np.abs(op(krylov[0]) - b)))
-        if res > KRYLOV_RESIDUAL * max(float(np.max(np.abs(b))), 1e-300):
-            break
+            return None
+        res = _max_abs(op(krylov[0]) - b)
+        if res > KRYLOV_RESIDUAL * max(_max_abs(b), 1e-300):
+            return None
         out.append((res, *krylov))
-    lu = len(out) < len(B)
-    if lu:
-        V, cond = _lu_solve(contour.cauchy_plus(), IJ, np.stack(B, axis=1))
-        V, iterations = V.T, 0
-        res = [float(np.max(np.abs(op(v) - b))) for v, b in zip(V, B)]
-    else:
-        res, V, conds, its = zip(*out)
-        V, cond, iterations = np.array(V), max(conds), sum(its)
-    rel = [r / max(float(np.max(np.abs(b))), 1e-300) for r, b in zip(res, B)]
-    return V, cond, iterations, max(res), max(rel), lu
+    return out
 
 
 def _residue_solve(zeta, cj, Cz, Dz, CQ):
@@ -370,20 +450,21 @@ def _gmres(op, b, cond_max):
     """Unrestarted GMRES for op(x) = b from x = 0 (Saad & Schultz 1986).
 
     Arnoldi by classical Gram-Schmidt applied twice; Givens rotations
-    track the residual norm.  Returns (x, cond, iterations), with cond =
-    s_max/s_min of the (k+1) x k Hessenberg matrix, or None when the
-    budget runs out or cond > cond_max.  A vanishing right-hand side has
-    the solution 0, after no step, with cond 1.
+    track the residual norm.  It runs in the dtype of b, real or complex.
+    Returns (x, cond, iterations), with cond = s_max/s_min of the
+    (k+1) x k Hessenberg matrix, or None when the budget runs out or
+    cond > cond_max.  A vanishing right-hand side has the solution 0,
+    after no step, with cond 1.
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return np.zeros_like(b), 1.0, 0
     m = KRYLOV_BUDGET
-    V = np.empty((m + 1, b.size), dtype=complex)
-    H = np.zeros((m + 1, m), dtype=complex)       # Arnoldi Hessenberg
-    U = np.zeros((m, m), dtype=complex)           # its rotated triangle
+    V = np.empty((m + 1, b.size), dtype=b.dtype)
+    H = np.zeros((m + 1, m), dtype=b.dtype)       # Arnoldi Hessenberg
+    U = np.zeros((m, m), dtype=b.dtype)           # its rotated triangle
     cs, sn = [], []
-    g = [complex(beta)]                           # rotated beta e1
+    g = [complex(beta) if np.iscomplexobj(b) else beta]    # rotated beta e1
     V[0] = b / beta
     for k in range(m):
         w = op(V[k])

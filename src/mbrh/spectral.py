@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .broadening import LAM_POINTS, LAM_WINDOW, eta_eval
+from .broadening import LAM_POINTS, LAM_WINDOW, eta_eval, mirror_check
 from .errors import (
     CountMismatch,
     DecayViolation,
@@ -409,21 +409,24 @@ def xbank_propagate(scenario, profile, ev, terminal, x_out, step=X_STEP,
                             at=np.searchsorted(grid, x_out), width=width)
 
 
-def jost_w(scenario, profile, ev, x_out=None, step=X_STEP):
+def jost_w(scenario, profile, ev, x_out=None, step=X_STEP, cols=None):
     """Jost matrices w+ and w- of the half-plane x-equations at t = 0 on
     an x lattice, from one stacked sweep (`xbank_propagate`).
 
-    ev is the `EtaValues` of the real nodes lam.  Integrates backward from
+    ev is the `EtaValues` of the real nodes lam, of which the nodes cols
+    (all by default) are solved.  Integrates backward from
     w_pm(L) = e^{i L eta_pm sigma_3}.  Returns (x_out, w+, w-), each w of
-    shape (len(x_out), len(lam), 2, 2).
+    shape (len(x_out), len(lam[cols]), 2, 2).
     """
     if x_out is None:
         x_out = np.array([0.0, scenario.L])
     x_out = np.asarray(x_out, dtype=float)
-    terminal = diag_exp(1j * scenario.L * np.concatenate([ev.eta_plus,
-                                                          ev.eta_minus]))
-    w = xbank_propagate(scenario, profile, ev, terminal, x_out, step=step)
-    return x_out, w[:, :ev.lam.size], w[:, ev.lam.size:]
+    evc = ev if cols is None else ev.take(cols)
+    terminal = diag_exp(1j * scenario.L * np.concatenate([evc.eta_plus,
+                                                          evc.eta_minus]))
+    w = xbank_propagate(scenario, profile, ev, terminal, x_out, step=step,
+                        cols=cols)
+    return x_out, w[:, :evc.lam.size], w[:, evc.lam.size:]
 
 
 def wplus_column_continuation(scenario, profile, z, step=X_STEP):
@@ -451,6 +454,27 @@ def wplus_column_continuation(scenario, profile, z, step=X_STEP):
                           _x_grid(scenario, [], step), terminal,
                           shift=-1j * eta_z, width=width)
     return u0[..., 0, 0], u0[..., 1, 0]          # alpha(z), beta(z)
+
+
+def data_mirror(scenario, ev, x_out, t_step, x_step):
+    """`mirror_check` of what the Jost solves read, on the run's own
+    nodes: the detuning nodes lam (odd), eta+- and g+- (eta(-lam) =
+    -conj eta(lam)) and n (even), each against its largest modulus; E_in
+    on the t-grid of `jost_phi` and E0 on the x-grid of the sweep to x_out
+    real; and rho0 on that x-grid, rho(-lam) = conj rho(lam) against
+    max|rho|, which makes N = sqrt(1 - |rho|^2) even.  Mirrored data
+    have mirrored Jost solutions, X(-lam) = conj X(lam)."""
+    x_grid = _x_grid(scenario, x_out, x_step)
+    top = lambda X: np.max(np.abs(X), initial=0.0)
+    pairs = [(X, sign, top(X)) for X, sign in (
+        (ev.lam, -1.0), (ev.eta_plus, -1.0), (ev.eta_minus, -1.0),
+        (ev.g_plus, -1.0), (ev.g_minus, -1.0), (ev.n, 1.0))]
+    if not scenario.medium_is_trivial:
+        rho = np.asarray(scenario.rho0(x_grid[:, None], ev.lam), complex)
+        pairs.append((rho, 1.0, top(rho)))
+    pulses = (scenario.E_in(_refined_grid([0.0, scenario.T], t_step)),
+              scenario.E0(x_grid))
+    return mirror_check(pairs, [(np.asarray(E), top(E)) for E in pulses])
 
 
 # ----------------------------------------------------------------------
@@ -490,19 +514,20 @@ def transition_and_reflection(lam_grid, Phi0, w_plus0, w_minus0):
     )
 
 
-def step_error(scenario, profile, ev, Phi0, w0, t_step, x_step):
+def step_error(scenario, profile, ev, Phi0, w0, t_step, x_step, first=0):
     """Step-doubling estimates {"t", "x"} of the step error of the Jost
     solutions Phi(0) (t-equation) and w+-(0) (x-equation, both banks
     stacked as `xbank_propagate` returns them) on the nodes of ev.
 
     Each equation is solved again at twice its step on every
-    STEP_ERR_STRIDE-th node and the last one; the largest entry of the
+    STEP_ERR_STRIDE-th node from node first (the first one solved) and
+    on the last one; the largest entry of the
     difference over 2^6 - 1, the scheme being of order 6, estimates the
     error of the solution at the step itself.  An excited medium is still
     transformed on all the nodes.
     """
     n = ev.lam.size
-    sub = np.append(np.arange(0, n - 1, STEP_ERR_STRIDE), n - 1)
+    sub = np.append(np.arange(first, n - 1, STEP_ERR_STRIDE), n - 1)
     coarse, _, _ = jost_phi(scenario, ev.lam[sub], step=2.0 * t_step)
     err = {"t": np.max(np.abs(coarse - Phi0[sub]))}
     evs = ev.take(sub)

@@ -20,7 +20,7 @@ from mbrh.cli import (
     run_command,
     write_csv,
 )
-from mbrh.direct import MIRROR_TOL
+from mbrh.broadening import MIRROR_TOL
 from mbrh.errors import (IllConditioned, InvariantError, NonDecaying,
                          SchemaError)
 from references import excited_scenario
@@ -513,6 +513,12 @@ class TestCommands:
         # and the largest det(J0) error over the stamps
         spec = dict(diag["spectral"])
         assert set(spec.pop("step_err")) == {"t", "x"}
+        # real data on a line symmetric about resonance: the Jost solves
+        # and the stamps took the 192 contour nodes lam > 0 of 384
+        assert spec.pop("mirror_err") <= MIRROR_TOL
+        assert spec.pop("nodes_solved") == 192
+        assert spec.pop("full_axis") is None and diag["full_axis"] is None
+        assert np.all(data["im_E"] == 0.0)
         assert set(spec) == {"det_Tp_err", "det_Tm_err", "reduction_err"}
         assert all(0.0 <= v < 1e-10 for v in spec.values())
         assert 0.0 <= diag["J0_det_err"] < 1e-10
@@ -691,8 +697,9 @@ class TestCommands:
             "numerical failure (SpectralOverflow): T+- not finite")
 
     def test_solve_rh_runs_one_xbank_solve_per_bank(self, monkeypatch, tmp_path):
-        # both banks in one stacked sweep: one call, 2 x 32 nodes wide,
-        # and one for the step-error estimate on nodes 0, 16 and 31
+        # both banks in one stacked sweep: one call, 2 x 16 nodes wide on
+        # the nodes lam > 0 of the mirror-symmetric data, and one for the
+        # step-error estimate on nodes 16 and 31
         widths = []
         orig = spectral.xbank_propagate
 
@@ -708,7 +715,7 @@ class TestCommands:
         rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:2",
                           "--x", "0:2:3", "--no-poles", "--out", str(out)])
         assert rc == 0
-        assert widths == [2 * 4 * 8, 2 * 3]
+        assert widths == [2 * 2 * 8, 2 * 2]
         diag = json.load(open(out / "meta.json"))["diagnostics"]
         # T = 6 at T_STEP and L = 2 at X_STEP: the x-sweep's 80 steps count
         # once; the step-error solves take half as many steps again
