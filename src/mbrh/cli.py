@@ -63,33 +63,57 @@ CSV_CHUNK_ROWS = 2048       # rows that write_csv turns into Python floats at a 
 # config loading
 # ----------------------------------------------------------------------
 
+NUMBER = (int, float)       # JSON numbers, by type(): a bool is no number
+
+
 def _require(block, key, path, types=None):
+    """block[key]; SchemaError names the key when it is missing or its
+    type() is not one of types."""
     if key not in block:
         raise SchemaError(f"{path}.{key}: missing required field")
     val = block[key]
-    if types is not None and not isinstance(val, types):
-        raise SchemaError(f"{path}.{key}: expected {types}, got {type(val).__name__}")
+    if types is not None and type(val) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise SchemaError(f"{path}.{key}: expected {names}, got {type(val).__name__}")
     return val
+
+
+def _number(block, key, path, default):
+    """block[key] as a float, default when unset; SchemaError names a key
+    that holds no JSON number."""
+    return float(_require(block, key, path, NUMBER) if key in block
+                 else default)
+
+
+def _table(block, key, path):
+    """block[key], a list of JSON numbers or a table of them in rows of
+    one length, as a float array; SchemaError names the key otherwise."""
+    arr = np.array(_require(block, key, path, (list,)), dtype=object)
+    if not all(type(v) in NUMBER for v in arr.flat):
+        raise SchemaError(f"{path}.{key}: expected numbers in rows of one "
+                          "length")
+    return arr.astype(float)
 
 
 def profile_from_config(block, path="profile"):
     if not isinstance(block, dict):
         raise SchemaError(f"{path}: expected an object")
-    shape = _require(block, "shape", path, str)
-    sign = int(block.get("sign", -1))
+    shape = _require(block, "shape", path, (str,))
+    sign = _number(block, "sign", path, -1)
     if sign not in (-1, 1):
         raise SchemaError(f"{path}.sign: must be -1 or +1")
+    sign = int(sign)
     try:
         if shape == "lorentzian":
-            return BroadeningProfile.lorentzian(_require(block, "l", path, (int, float)), sign=sign)
+            return BroadeningProfile.lorentzian(_require(block, "l", path, NUMBER), sign=sign)
         if shape == "rectangular":
-            return BroadeningProfile.rectangular(_require(block, "eps", path, (int, float)), sign=sign)
+            return BroadeningProfile.rectangular(_require(block, "eps", path, NUMBER), sign=sign)
         if shape == "delta_approx":
-            return BroadeningProfile.delta_approx(_require(block, "eps", path, (int, float)), sign=sign)
+            return BroadeningProfile.delta_approx(_require(block, "eps", path, NUMBER), sign=sign)
         if shape == "tabulated":
             return profile_normalize(BroadeningProfile.tabulated(
-                _require(block, "grid", path, list),
-                _require(block, "values", path, list), sign=sign))
+                _require(block, "grid", path, (list,)),
+                _require(block, "values", path, (list,)), sign=sign))
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     raise SchemaError(f"{path}.shape: unknown shape '{shape}'")
@@ -101,13 +125,13 @@ def pulse_from_config(block, domain, path):
         block = {"pulse": "zero"}
     if not isinstance(block, dict):
         raise SchemaError(f"{path}: expected an object or null")
-    kind = _require(block, "pulse", path, str)
+    kind = _require(block, "pulse", path, (str,))
     if kind == "zero":
         return lambda s: np.zeros(np.shape(s), dtype=complex)
-    amp = complex(_require(block, "amplitude", path, (int, float)))
-    center = float(block.get("center", 0.5 * domain))
-    width = float(block.get("width", 1.0))
-    chirp = float(block.get("chirp", 0.0))
+    amp = complex(_require(block, "amplitude", path, NUMBER))
+    center = _number(block, "center", path, 0.5 * domain)
+    width = _number(block, "width", path, 1.0)
+    chirp = _number(block, "chirp", path, 0.0)
     if width <= 0:
         raise SchemaError(f"{path}.width: must be positive")
     if kind == "sech":
@@ -145,13 +169,12 @@ def rho0_from_config(block, path="rho0"):
         return None
     if not isinstance(block, dict):
         raise SchemaError(f"{path}: expected an object or null")
-    xg = np.asarray(_require(block, "x", path, list), dtype=float)
-    lg = np.asarray(_require(block, "lam", path, list), dtype=float)
-    re = np.asarray(_require(block, "re", path, list), dtype=float)
-    im = np.asarray(block.get("im", np.zeros_like(re)), dtype=float)
+    xg, lg, re = (_table(block, key, path) for key in ("x", "lam", "re"))
+    im = _table(block, "im", path) if "im" in block else np.zeros_like(re)
     for key, grid in (("x", xg), ("lam", lg)):
-        if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
-            raise SchemaError(f"{path}.{key}: must be a strictly increasing list")
+        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
+            raise SchemaError(f"{path}.{key}: must be a strictly increasing "
+                              "list of at least 2 numbers")
     if re.shape != (xg.size, lg.size) or im.shape != re.shape:
         raise SchemaError(f"{path}.re/im: table shape must be (len(x), len(lam))")
     mag = np.hypot(re, im)
@@ -208,9 +231,9 @@ def discretization(cfg, names=None):
     config, defaults where unset; SchemaError names a bad key, as
     scenario.<key> or by names[key] (a flag that gave the value)."""
     name = lambda key: (names or {}).get(key, f"scenario.{key}")
-    win = cfg.get("lam_window", LAM_WINDOW)     # type(), as a bool is an int
+    win = cfg.get("lam_window", LAM_WINDOW)
     if not (isinstance(win, (list, tuple)) and len(win) == 2
-            and all(type(v) in (int, float) and np.isfinite(v) for v in win)
+            and all(type(v) in NUMBER and np.isfinite(v) for v in win)
             and win[0] < win[1]):
         raise SchemaError(f"{name('lam_window')}: must be two finite numbers "
                           f"lo < hi, got {win!r}")
@@ -240,15 +263,15 @@ def load_scenario(path):
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise SchemaError("scenario root: expected an object")
-    T = float(_require(cfg, "T", "scenario", (int, float)))
-    L = float(_require(cfg, "L", "scenario", (int, float)))
+    T = float(_require(cfg, "T", "scenario", NUMBER))
+    L = float(_require(cfg, "L", "scenario", NUMBER))
     if T <= 0 or L <= 0:
         raise SchemaError("scenario.T/L: must be positive")
     E_in = pulse_from_config(cfg.get("E_in"), T, "E_in")
     E0 = pulse_from_config(cfg.get("E0"), L, "E0")
     rho0 = rho0_from_config(cfg.get("rho0"))
     rho0_x = () if rho0 is None else tuple(map(float, cfg["rho0"]["x"]))
-    profile = profile_from_config(_require(cfg, "profile", "scenario", dict))
+    profile = profile_from_config(_require(cfg, "profile", "scenario", (dict,)))
     discretization(cfg)
     scenario = ScenarioData(T=T, L=L, E_in=E_in, E0=E0, rho0=rho0,
                             rho0_x=rho0_x)
@@ -662,7 +685,8 @@ def cmd_soliton(args):
 
 def _load_field_csv(path):
     """(t, x, E) of a fields.csv; SchemaError names a file that cannot
-    be read, lacks a t, x, re_E or im_E column, or has no rows."""
+    be read, lacks a t, x, re_E or im_E column, or has no rows, and the
+    column of a value that is not a finite number (read as NaN)."""
     try:
         data = np.genfromtxt(path, delimiter=",", names=True)
     except (OSError, ValueError, IndexError) as exc:   # IndexError: empty file
@@ -672,6 +696,10 @@ def _load_field_csv(path):
                           f"{', '.join(FIELD_COLUMNS)})")
     if data.size == 0:
         raise SchemaError(f"{path}: field CSV has no rows")
+    for col in FIELD_COLUMNS:
+        if not np.all(np.isfinite(data[col])):
+            raise SchemaError(f"{path}: column {col} holds a value that is "
+                              "not a finite number")
     return data["t"], data["x"], data["re_E"] + 1j * data["im_E"]
 
 

@@ -12,10 +12,13 @@ specialized to residue conditions (Deift & Zhou 1993).
 
 The axis is cut into Gauss-Legendre panels (`ContourSigma`: the panel
 edges and the real nodes and weights, panel by panel), on which
-C+ = I/2 + iH with H real, built from those arrays.  The row operator
-is solved matrix-free by GMRES on H, with a Hessenberg (kappa_2 lower
-bound) condition certificate, for 1 + 2p right-hand sides; the
-residues then follow from one complex 2p x 2p system (`sie_solve`).
+C+ = I/2 + iH with H real, built from those arrays.  One operator
+applies C+ (`ContourSigma.cauchy_apply`) with one of two real kernels:
+H on the whole axis, or H+ over H- (`kernel_fold`) on the nodes s > 0
+of mirror-symmetric data.  The row operator is solved matrix-free by
+GMRES on it, with a Hessenberg (kappa_2 lower bound) condition
+certificate, for 1 + 2p right-hand sides; the residues then follow
+from one complex 2p x 2p system (`sie_solve`).
 A run's stamps solve on the panels where the jump differs from I
 (`jump_window`).
 Any stamp the Krylov path cannot certify takes the dense LU with the
@@ -30,7 +33,7 @@ constant c_j that overflows (2 Im z_j t past about 709), and a residue
 system that does (a pole within about 1e-308 of the axis), are refused.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -87,11 +90,20 @@ class ContourSigma:
     def cauchy_plus(self):
         return 0.5 * np.eye(self.n_nodes) + 1j * self.kernel()
 
-    def cauchy_apply(self, X):
-        """C+[X] for nodal data X (N, k): X/2 + i(HX) by one real
-        (N x N)(N x 2k) product on the float view of X."""
-        K = self.kernel()
-        return 0.5 * X + 1j * (K @ np.ascontiguousarray(X).view(float)).view(complex)
+    def cauchy_apply(self, g):
+        """C+g = g/2 - H- Im g + i H+ Re g for nodal data g (m, k), by one
+        real product R = HH G on the float view G of g: H+ G is R[:m],
+        H- G is R[-m:].  On all N nodes HH is `kernel` and H+ = H- = H;
+        on the nodes s > 0 of mirror-symmetric data (m = N/2) it is
+        `kernel_fold`."""
+        m = g.shape[0]
+        HH = self.kernel_fold() if 2 * m == self.n_nodes else self.kernel()
+        G = np.ascontiguousarray(g).view(float)
+        R = HH @ G
+        out = 0.5 * G
+        out[:, 0::2] -= R[-m:, 1::2]            # - H- Im g
+        out[:, 1::2] += R[:m, 0::2]             # + H+ Re g
+        return out.view(complex)
 
 
 def _barycentric_diff(x):
@@ -249,35 +261,35 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
     residual relative to its right-hand side.
 
     A pole-free jump given on the contour's nodes s > 0 alone, the upper
-    half of a contour mirror-symmetric about 0 with J(-s) = conj J(s) on
-    the rest, is solved folded (`_fold_solve`); if its Krylov solve is
-    not certified, J is unfolded and the dense LU solves the whole axis.
+    half P of a contour mirror-symmetric about 0 with J(-s) = conj J(s)
+    on the rest, is solved folded: q(-s) = conj q(s), and the same
+    operator runs on P with `cauchy_apply`'s folded kernel.  It is
+    real-linear there, so GMRES runs on the float view (Re q, Im q),
+    whose inner product is half the whole axis's on mirrored data: the
+    Krylov space, `cond` and `iterations` are the whole solve's.  E is
+    real.  If the folded Krylov solve is not certified, J is unfolded and
+    the stamp solved again on the whole axis: its Krylov solve, which
+    takes the same steps to rounding, then the dense LU.
     """
     J = jd.J
-    n = contour.n_nodes
-    folded = residues is None and 2 * J.shape[0] == n
-    if J.shape[0] != n and not folded:
+    n, m = contour.n_nodes, J.shape[0]
+    folded = residues is None and 2 * m == n
+    if m != n and not folded:
         raise ValueError("jump data does not match the contour nodes")
     posdef_min = posdef_check(jd)
     if posdef_min <= 0.0:
         raise PosdefViolated(f"real-axis Hermitian-part minimum {posdef_min:.3e}")
     diagnostics = {"lu": False, "posdef_min": posdef_min,
                    "residue_cond": None}
-    if folded:
-        out = _fold_solve(contour, J)
-        if out is not None:
-            q, E, d = out
-            return RHResult(Q=mirror_unfold(q, n), E=E,
-                            diagnostics={**d, **diagnostics})
-        J = mirror_unfold(J, n)
-
-    IJ = np.eye(2) - J                                   # (N, 2, 2)
+    IJ = np.eye(2) - J                                   # (m, 2, 2)
     ij0, ij1 = IJ[:, 0].copy(), IJ[:, 1].copy()          # its rows
 
     def op(v):
-        """q - C+[q(I-J)] for a row q (N, 2), flattened to v."""
-        q = v.reshape(n, 2)
-        return (q - contour.cauchy_apply(q[:, :1] * ij0 + q[:, 1:] * ij1)).ravel()
+        """q - C+[q(I-J)] for a row q (m, 2), flattened to v (its float
+        view when folded)."""
+        q = v.view(complex).reshape(m, 2)
+        return (q - contour.cauchy_apply(q[:, :1] * ij0 + q[:, 1:] * ij1)
+                ).ravel().view(v.dtype)
 
     B = [contour.cauchy_apply(ij0)]
     if residues is not None:
@@ -293,17 +305,20 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
         CPg = (B[0], contour.cauchy_apply(ij1))
         B += [(CPg[a] - Cz[l, a]) / (lam - zeta[l])[:, None]
               for l, a in enumerate(row)]
-    B = [b.ravel() for b in B]
-    krylov = None if folded else _krylov_solve(op, B)
+    B = [b.ravel().view(float if folded else complex) for b in B]
+    krylov = _krylov_solve(op, B)
+    if krylov is None and folded:   # again on the whole axis, to its LU
+        return sie_solve(contour, replace(jd, nodes=contour.nodes,
+                                          J=mirror_unfold(J, n)))
     if krylov is None:          # one LU for every right-hand side
         V, cond = _lu_solve(contour.cauchy_plus(), IJ, np.stack(B, axis=1))
         V, iterations, diagnostics["lu"] = V.T, 0, True
         res = [_max_abs(op(v) - b) for v, b in zip(V, B)]
     else:
         res, V, conds, its = zip(*krylov)
-        V, cond, iterations = np.array(V), max(conds), sum(its)
+        V, cond, iterations = np.array(V).view(complex), max(conds), sum(its)
     res_rel = max(r / max(_max_abs(b), 1e-300) for r, b in zip(res, B))
-    Q = V.reshape(len(B), n, 2)
+    Q = V.reshape(len(B), m, 2)
     q, pole_m12, w = Q[0], 0.0, None
     if residues is not None:
         CQ = kern @ (Q[..., :1] * ij0 + Q[..., 1:] * ij1)   # C[q_l(I-J)](zeta_i)
@@ -313,62 +328,16 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
 
     # E = -4i m12, m the z^{-1} moment: sum u_j plus (1/2 pi i) int
     # (e1 + P + q)(J-I) ds; sign fixed by the linearized (Born) limit
-    # against the forward transform
-    m12 = contour.weights @ ((1.0 + q[:, 0]) * J[:, 0, 1]
-                             + q[:, 1] * (J[:, 1, 1] - 1.0)) / (2j * np.pi)
-    return RHResult(Q=q, E=-4j * (m12 + pole_m12),
+    # against the forward transform.  Folded, the integral over s < 0 is
+    # the conjugate of that over s > 0, and E = -(4/pi) Re sum_P w f.
+    f = (1.0 + q[:, 0]) * J[:, 0, 1] + q[:, 1] * (J[:, 1, 1] - 1.0)
+    E = (complex(-4.0 / np.pi * (contour.weights[n - m:] @ f.real)) if folded
+         else -4j * (contour.weights @ f / (2j * np.pi) + pole_m12))
+    return RHResult(Q=mirror_unfold(q, n) if folded else q, E=E,
                     diagnostics={"residual": max(res), "residual_rel": res_rel,
                                  "cond": cond, "iterations": iterations,
                                  **diagnostics},
                     residues=w)
-
-
-def _fold_solve(contour, J):
-    """Krylov solve of the row operator for the mirror-symmetric jump J
-    given on the nodes s > 0 of the contour, the upper half P.
-
-    The solution has q(-s) = conj q(s), and C+ commutes with that map,
-    so on P the operator is real-linear: C+f = f/2 - H- Im f + i H+ Re f
-    with (H+, H-) of `kernel_fold`.  GMRES runs on the real vector of
-    (Re q, Im q) on P, whose Euclidean inner product is half that of the
-    full axis on mirror-symmetric data: the Krylov space, the Hessenberg
-    matrix, its `cond` and the iterations are those of the full solve.
-    The residual is measured entrywise as a complex modulus, as there.
-    E = -(4/pi) Re sum_P w f, f = (1 + q1) J12 + q2 (J22 - 1), is real.
-    Returns (q on P, E, diagnostics), or None when the solve is not
-    certified (`_krylov_solve`).
-    """
-    m = J.shape[0]
-    HH = contour.kernel_fold()
-    IJ = np.eye(2) - J
-    ij0, ij1 = IJ[:, 0].copy(), IJ[:, 1].copy()
-
-    def cplus(g):
-        """C+[g] on P for g (m, 2) on P, as the float view (m, 4):
-        columns Re g1, Im g1, Re g2, Im g2."""
-        G = g.view(float).reshape(m, 4)
-        R = HH @ G                              # H+ G over H- G
-        out = 0.5 * G
-        out[:, 0::2] -= R[m:, 1::2]             # - H- Im g
-        out[:, 1::2] += R[:m, 0::2]             # + H+ Re g
-        return out
-
-    def op(v):
-        """q - C+[q(I-J)] for q (m, 2) on P, as the float view v."""
-        q = v.view(complex).reshape(m, 2)
-        return (v.reshape(m, 4) - cplus(q[:, :1] * ij0 + q[:, 1:] * ij1)).ravel()
-
-    b = cplus(ij0).ravel()
-    krylov = _krylov_solve(op, [b])
-    if krylov is None:
-        return None
-    [(res, v, cond, iterations)] = krylov
-    q = v.view(complex).reshape(m, 2)
-    f = (1.0 + q[:, 0]) * J[:, 0, 1] + q[:, 1] * (J[:, 1, 1] - 1.0)
-    E = -4.0 / np.pi * (contour.weights[contour.n_nodes - m:] @ f.real)
-    return q, complex(E), {"residual": res,
-                           "residual_rel": res / max(_max_abs(b), 1e-300),
-                           "cond": cond, "iterations": iterations}
 
 
 def _max_abs(v):

@@ -204,24 +204,26 @@ def x_generator(scenario, z, G, shift=0.0):
 # ----------------------------------------------------------------------
 
 def eta_quadrature(profile, z):
-    """eta(z) = z - (1/4) int n(s)/(s - z) ds by adaptive quadrature."""
+    """eta(z) = z - (1/4) int n(s)/(s - z) ds by adaptive quadrature: over
+    the real line, or for a tabulated n panel by panel between its knots,
+    where n has no kink."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(np.abs(zs.imag) < AXIS_FLOOR):
         raise TooCloseToAxis(
             f"|Im z| below quadrature floor {AXIS_FLOOR} for the adaptive path")
-    if profile.shape == "tabulated":
-        lo, hi = profile.grid[0], profile.grid[-1]
-    else:
-        lo, hi = -np.inf, np.inf
+    edges = (profile.grid if profile.shape == "tabulated"
+             else np.array([-np.inf, np.inf]))
     out = np.empty(zs.shape, dtype=complex)
     for k, zk in enumerate(zs.ravel()):
         fre = lambda s: (profile.n(s) / (s - zk)).real
         fim = lambda s: (profile.n(s) / (s - zk)).imag
-        kw = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
-        if np.isfinite(lo) and lo < zk.real < hi:
-            kw["points"] = [zk.real]
-        re, _ = quad(fre, lo, hi, **kw)
-        im, _ = quad(fim, lo, hi, **kw)
+        re = im = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            kw = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
+            if np.isfinite(lo) and lo < zk.real < hi:
+                kw["points"] = [zk.real]
+            re += quad(fre, lo, hi, **kw)[0]
+            im += quad(fim, lo, hi, **kw)[0]
         out.ravel()[k] = zk - 0.25 * (re + 1j * im)
     return out.reshape(np.shape(z)) if np.shape(z) else out[()]
 

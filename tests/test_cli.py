@@ -291,6 +291,62 @@ class TestLoadScenario:
         with pytest.raises(SchemaError, match="sign"):
             profile_from_config({"shape": "lorentzian", "l": 1.0, "sign": 2})
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("E_in", "width", "abc"),
+        ("E_in", "width", None),
+        ("E_in", "chirp", "fast"),
+        ("E_in", "center", "3"),
+        ("E_in", "amplitude", True),
+        ("profile", "sign", "x"),
+        ("profile", "sign", -1.5),
+        ("profile", "sign", True),
+        ("profile", "l", False),
+        ("scenario", "T", True),
+        ("scenario", "L", "2"),
+    ])
+    def test_scenario_number_type_checked(self, tmp_path, block, key, value):
+        # the first four ended in a ValueError or TypeError traceback; a
+        # sign of -1.5 ran as an attenuator, "3" was read as 3.0 and true
+        # as 1, each with exit 0
+        cfg = {"E_in": {"pulse": "gaussian", "amplitude": 0.3,
+                        "center": 3.0, "width": 0.5},
+               "profile": {"shape": "lorentzian", "l": 1.0, "sign": -1}}
+        if block == "scenario":
+            cfg[key] = value
+        else:
+            cfg[block][key] = value
+        path = write_scenario(tmp_path, **cfg)
+        with pytest.raises(SchemaError, match=f"{block}.{key}"):
+            load_scenario(path)
+        out = tmp_path / "sp"
+        assert run_command(["spectra", "--scenario", path,
+                            "--out", str(out)]) == 2
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key, value", [
+        ("im", "zz"),
+        ("x", [0.0, "1", 2.0]),
+        ("lam", [-1.0, False, 1.0]),
+        ("re", [[0.0, 0.1, 0.0], [0.0, 0.3], [0.0, 0.0, 0.0]]),
+        ("im", [[0.0, 0.1, 0.0], [0.0, None, 0.0], [0.0, 0.0, 0.0]]),
+        ("re", [0.0, [0.1], 0.0]),
+        ("x", [0.0]),
+        ("lam", [0.0]),
+    ])
+    def test_rho0_table_arrays_checked(self, tmp_path, key, value):
+        # a non-numeric or ragged array ended in a ValueError traceback,
+        # a one-point grid in an IndexError at the first interpolation
+        block = {"x": [0.0, 1.0, 2.0], "lam": [-1.0, 0.0, 1.0],
+                 "re": [[0.0, 0.1, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.0]]}
+        block[key] = value
+        with pytest.raises(SchemaError, match=f"rho0.{key}"):
+            rho0_from_config(block)
+        path = write_scenario(tmp_path, rho0=block)
+        out = tmp_path / "d"
+        assert run_command(["solve-direct", "--scenario", path, "--dt", "0.1",
+                            "--out", str(out)]) == 2
+        assert not os.path.exists(out)
+
 
 def test_write_csv_bytes_match_per_value_format(tmp_path):
     # the %.17g row template writes what format(float(v), ".17g") wrote
@@ -412,6 +468,28 @@ class TestCommands:
         assert run_command(["compare", "--run-a", str(bad), "--run-b",
                             os.path.join(good, "fields.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {bad}:")
+
+    @pytest.mark.parametrize("col", ["t", "x", "re_E", "im_E"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "abc"])
+    def test_compare_refuses_a_value_that_is_no_finite_number(
+            self, tmp_path, capsys, col, text):
+        # each exited 0 and printed "rel L2 nan" (genfromtxt reads a
+        # non-numeric cell as NaN)
+        good = str(tmp_path / "sol")
+        assert run_command(["soliton", "--nu", "0.3", "--t", "0:5:3",
+                            "--x", "0:2:2", "--out", good]) == 0
+        lines = (tmp_path / "sol" / "fields.csv").read_text().splitlines()
+        k = lines[0].split(",").index(col)
+        row = lines[2].split(",")
+        row[k] = text
+        lines[2] = ",".join(row)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_command(["compare", "--run-a", os.path.join(good,
+                            "fields.csv"), "--run-b", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {bad}: column {col}")
 
     def test_solve_direct_and_determinism(self, tmp_path):
         path = write_scenario(tmp_path, lam_points=41,

@@ -159,6 +159,35 @@ class TestFoldedSolve:
                                         J=half[0].J[1:]))
 
 
+class TestSharedOperator:
+    """`cauchy_apply` is one operator with two kernels, chosen by the
+    length of its data."""
+
+    def contour(self):
+        return contour_build(window=(-16.0, 16.0), n_panels=16,
+                             nodes_per_panel=12)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_folded_kernel_gives_the_half_of_the_unfolded_data(self, k):
+        c = self.contour()
+        n, h = c.n_nodes, c.n_nodes // 2
+        rng = np.random.default_rng(k)
+        g = rng.standard_normal((h, k)) + 1j * rng.standard_normal((h, k))
+        full = c.cauchy_apply(mirror_unfold(g, n))
+        half = c.cauchy_apply(g)
+        assert half.shape == (h, k) and half.dtype == complex
+        assert np.max(np.abs(half - full[h:])) <= 1e-14 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_whole_axis_form_is_the_complex_formula(self, k):
+        c = self.contour()
+        rng = np.random.default_rng(10 + k)
+        X = (rng.standard_normal((c.n_nodes, k))
+             + 1j * rng.standard_normal((c.n_nodes, k)))
+        want = 0.5 * X + 1j * (c.kernel() @ X.view(float)).view(complex)
+        assert np.array_equal(c.cauchy_apply(X), want)
+
+
 class TestRealGmres:
     def test_real_system_matches_its_complex_run(self):
         rng = np.random.default_rng(5)
