@@ -332,19 +332,23 @@ def _im_eta(profile, lam, nu):
     return eta_eval(profile, lam + 1j * nu).imag
 
 
-def _nu_root(profile, lam, nu_floor=1e-9, nu_cap=8.0, tol=1e-13):
-    """Height of gamma above lam, or None if the curve does not pass here."""
-    from scipy.optimize import brentq         # loaded by `mb-rh curve` only
-    f0 = _im_eta(profile, lam, nu_floor)
-    if not (f0 < 0.0):
-        return None
-    hi = 0.05
-    while _im_eta(profile, lam, hi) < 0.0:
-        hi *= 2.0
-        if hi > nu_cap:
-            return None
-    return brentq(lambda nu: _im_eta(profile, lam, nu), nu_floor, hi,
-                  xtol=tol, rtol=1e-14)
+def _nu_roots(profile, lams, nu_floor=1e-9, nu_cap=8.0, tol=1e-13):
+    """Height nu of gamma above each lam, or NaN where the curve does not
+    pass.  It passes where Im eta < 0 at nu_floor and >= 0 at a height
+    0.05 * 2^k <= nu_cap, the first such one closing the bracket; all
+    brackets are bisected at once, down to width tol."""
+    lo, hi = np.full(lams.shape, nu_floor), np.full(lams.shape, 0.05)
+    live = grow = _im_eta(profile, lams, lo) < 0.0
+    while np.any(grow):
+        grow = grow & (_im_eta(profile, lams, hi) < 0.0)
+        hi[grow] *= 2.0
+        live = live & (hi <= nu_cap)
+        grow = grow & live
+    while np.any(hi - lo > tol):
+        mid = 0.5 * (lo + hi)
+        below = _im_eta(profile, lams, mid) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.where(live, 0.5 * (lo + hi), np.nan)
 
 
 def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
@@ -355,39 +359,34 @@ def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
     empty.  A curve reaching the lambda-window edge is reported truncated
     (the Lorentzian D+ is unbounded along the real line).
     """
-    from scipy.optimize import minimize_scalar
     empty = GammaCurve(points=np.empty(0, complex), nu_max=0.0, bounded=True,
                        truncated=False)
     if profile.sign < 0:
         return empty
     lams = np.linspace(lam_window[0], lam_window[1], n_scan)
-    roots = [(_nu_root(profile, lam), lam) for lam in lams]
-    found = [(lam, nu) for nu, lam in roots if nu is not None]
-    if not found:
+    nu = _nu_roots(profile, lams)
+    found = ~np.isnan(nu)
+    if not np.any(found):
         return empty
-
-    lam_found = np.array([lam for lam, _ in found])
-    nu_found = np.array([nu for _, nu in found])
+    lam_found, nu_found = lams[found], nu[found]
 
     truncated = bool(lam_found[0] <= lams[0] or lam_found[-1] >= lams[-1])
 
-    # refine nu_max around the scan maximum
+    # refine nu_max around the scan maximum by golden-section search
+    # (Kiefer 1953), both probes in one call, down to a 1e-10 bracket
     k = int(np.argmax(nu_found))
-    lo = lam_found[max(k - 1, 0)]
-    hi = lam_found[min(k + 1, len(lam_found) - 1)]
-    nu_max = nu_found[k]
-    if hi > lo:
-        res = minimize_scalar(lambda lam: -(_nu_root(profile, lam) or 0.0),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10})
-        nu_max = max(nu_max, -res.fun)
+    lo, hi = lam_found[max(k - 1, 0)], lam_found[min(k + 1, nu_found.size - 1)]
+    nu_max, g = nu_found[k], 0.5 * (np.sqrt(5.0) - 1.0)
+    while hi - lo > 1e-10:
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        fc, fd = np.nan_to_num(_nu_roots(profile, np.array([c, d])))
+        lo, hi = (lo, d) if fc >= fd else (c, hi)
+        nu_max = max(nu_max, fc, fd)
 
-    pts = lam_found + 1j * nu_found
-    bad = np.abs(_im_eta(profile, pts.real, pts.imag)) > curve_tol
-    if np.any(bad):
+    if np.any(np.abs(_im_eta(profile, lam_found, nu_found)) > curve_tol):
         raise PrincipalValueFailure("curve tracer left residual Im eta > tol")
-    return GammaCurve(points=pts, nu_max=float(nu_max), bounded=not truncated,
-                      truncated=truncated)
+    return GammaCurve(points=lam_found + 1j * nu_found, nu_max=float(nu_max),
+                      bounded=not truncated, truncated=truncated)
 
 
 # ----------------------------------------------------------------------

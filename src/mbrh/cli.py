@@ -56,6 +56,7 @@ from .rhsolver import (
 from .spectral import T_STEP, X_STEP, ScenarioData, a_zeros, magnus_steps_taken
 
 MAX_MAGNUS_STEPS = 10 ** 6  # --step may ask for at most this many on [0, T] or [0, L]
+MAX_LATTICE = 10 ** 7       # points a (t, x) lattice may have: --t/--x or --dt
 CSV_CHUNK_ROWS = 2048       # rows that write_csv turns into Python floats at a time
 
 
@@ -303,21 +304,17 @@ def peak_rss_mb():
 
 
 def emit_results(outdir, tables, config, diagnostics):
-    """tables: {filename: (header, columns)}; writes CSVs and meta.json.
-    `versions` names the libraries the run loaded: scipy's version is
-    null unless the run imported it (`curve`, an LU stamp)."""
+    """tables: {filename: (header, columns)}; writes CSVs and meta.json."""
     if not tables:
         raise ValueError("no result tables to emit")
     os.makedirs(outdir, exist_ok=True)
     for name, (header, columns) in tables.items():
         write_csv(os.path.join(outdir, name), header, columns)
     canon = json.dumps(config, sort_keys=True, default=str)
-    scipy = sys.modules.get("scipy")
     meta = {
         "config": config,
         "config_hash": sha256(canon.encode()).hexdigest(),
-        "versions": {"mbrh": __version__, "numpy": np.__version__,
-                     "scipy": getattr(scipy, "__version__", None)},
+        "versions": {"mbrh": __version__, "numpy": np.__version__},
         "peak_rss_mb": peak_rss_mb(),
         "diagnostics": diagnostics,
     }
@@ -492,17 +489,20 @@ def _full_axis_reason(table, contour, poles):
 # subcommands
 # ----------------------------------------------------------------------
 
-def _parse_range(spec, path, hi=None):
-    """start:stop:count -> np.linspace; with hi, every value must lie
+def _parse_range(spec, path, hi=None, room=MAX_LATTICE):
+    """start:stop:count -> np.linspace, with at most room values (the
+    lattice points left for this axis); with hi, every value must lie
     in [0, hi]."""
     try:
         a, b, n = spec.split(":")
         a, b, n = float(a), float(b), int(n)
-        if n < 1 or not np.isfinite([a, b]).all():
-            raise ValueError("count below 1 or non-finite end")
+        if not (1 <= n <= room and np.isfinite([a, b]).all()):
+            raise ValueError("count out of range or non-finite end")
     except ValueError as exc:
         raise SchemaError(f"{path}: expected start:stop:count with finite "
-                          f"ends and count >= 1, got '{spec}'") from exc
+                          f"ends and 1 <= count <= {room} (a (t, x) lattice "
+                          f"has at most {MAX_LATTICE:.0e} points), got "
+                          f"'{spec}'") from exc
     vals = np.linspace(a, b, n)
     return vals if hi is None else _check_within(vals, spec, path, hi)
 
@@ -637,7 +637,8 @@ def cmd_jump(args):
 def cmd_solve_rh(args):
     scenario, profile, cfg = load_scenario(args.scenario)
     t_vals = _parse_range(args.t, "--t", scenario.T)
-    x_vals = _parse_range(args.x, "--x", scenario.L)
+    x_vals = _parse_range(args.x, "--x", scenario.L,
+                          room=MAX_LATTICE // t_vals.size)
     window, _, n_panels, nodes_per_panel = discretization(cfg)
     E, diag = rh_field_grid(scenario, profile, t_vals, x_vals, window=window,
                             n_panels=n_panels, nodes_per_panel=nodes_per_panel,
@@ -653,14 +654,18 @@ def cmd_solve_rh(args):
 
 def cmd_solve_direct(args):
     scenario, profile, cfg = load_scenario(args.scenario)
-    if not (np.isfinite(args.dt) and args.dt > 0.0):
-        raise SchemaError(f"--dt: must be finite and positive, got {args.dt}")
-    st = integrate_direct(scenario, profile, _lam_grid(cfg), dt=args.dt)
+    dt = args.dt
+    if not (np.isfinite(dt) and dt > 0.0
+            and (scenario.T / dt + 1) * (scenario.L / dt + 1) <= MAX_LATTICE):
+        raise SchemaError(f"--dt: must be finite and positive with at most "
+                          f"{MAX_LATTICE:.0e} points on [0, T] x [0, L], "
+                          f"got {dt}")
+    st = integrate_direct(scenario, profile, _lam_grid(cfg), dt=dt)
     emit_results(args.out,
                  {"fields.csv": field_table(st.t_grid, st.x_grid, st.E)},
-                 {"command": "solve-direct", "scenario": cfg, "dt": args.dt},
+                 {"command": "solve-direct", "scenario": cfg, "dt": dt},
                  st.diagnostics)
-    print(f"solve-direct: dt={args.dt}, conservation drift "
+    print(f"solve-direct: dt={dt}, conservation drift "
           f"{st.diagnostics['conservation_error']:.3e}, "
           f"|E| peak {np.max(np.abs(st.E)):.6g}")
     return 0
@@ -670,7 +675,7 @@ def cmd_soliton(args):
     if not (np.isfinite(args.nu) and args.nu > 0.0):
         raise SchemaError(f"--nu: must be finite and positive, got {args.nu}")
     t_vals = _parse_range(args.t, "--t")
-    x_vals = _parse_range(args.x, "--x")
+    x_vals = _parse_range(args.x, "--x", room=MAX_LATTICE // t_vals.size)
     profile, block = _profile_from_args(args, eps=1e-3)
     poles = [(1j * args.nu, 1.0 + 0.0j)]
     E, _ = soliton_closed_form(poles, profile, t_vals[:, None],

@@ -21,10 +21,8 @@ certificate, for 1 + 2p right-hand sides; the residues then follow
 from one complex 2p x 2p system (`sie_solve`).
 A run's stamps solve on the panels where the jump differs from I
 (`jump_window`).
-Any stamp the Krylov path cannot certify takes the dense LU with the
-`zgecon` estimate.  The Krylov path runs on numpy alone;
-`scipy.linalg` is imported by the first LU stamp, so only a run with
-one (`lu_stamps` > 0 in `meta.json`) pays for loading it.
+Any stamp the Krylov path cannot certify is solved densely: the matrix
+of the same operator, inverted once, with its exact 1-norm condition.
 
 Pure-soliton (reflectionless) data bypasses the contour entirely: its
 residue conditions are one complex 2p x 2p linear system per stamp, and
@@ -33,7 +31,7 @@ constant c_j that overflows (2 Im z_j t past about 709), and a residue
 system that does (a pole within about 1e-308 of the axis), are refused.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -86,9 +84,6 @@ class ContourSigma:
             A, B = H[h:, h:], H[h:, :h][:, ::-1]
             self._H_fold = np.vstack([A + B, A - B])
         return self._H_fold
-
-    def cauchy_plus(self):
-        return 0.5 * np.eye(self.n_nodes) + 1j * self.kernel()
 
     def cauchy_apply(self, g):
         """C+g = g/2 - H- Im g + i H+ Re g for nodal data g (m, k), by one
@@ -222,7 +217,7 @@ def _build_cauchy_plus(contour):
 
 COND_LIMIT = 1e12           # condition above which a stamp is refused
 KRYLOV_RTOL = 1e-15         # GMRES stops at residual norm <= this * ||b||_2
-KRYLOV_BUDGET = 100         # Arnoldi steps before the LU fallback
+KRYLOV_BUDGET = 100         # Arnoldi steps before the dense fallback
 KRYLOV_RESIDUAL = 1e-13     # a-posteriori max-norm residual, relative to the right-hand side
 
 
@@ -255,10 +250,11 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
     `cond` is the largest s_max/s_min of their Hessenberg matrices, a
     lower bound on kappa_2(A), and `iterations` their total Arnoldi
     steps.  If any estimate exceeds COND_LIMIT/1e3, a budget runs out or
-    a residual exceeds KRYLOV_RESIDUAL, one dense LU solves them all
-    (`lu`; `iterations` 0, `cond` the `zgecon` estimate), refusing above
-    COND_LIMIT (`IllConditioned`).  `residual_rel` is the largest
-    residual relative to its right-hand side.
+    a residual exceeds KRYLOV_RESIDUAL, one dense solve of the same
+    operator solves them all (`_dense_solve`; `lu`, `iterations` 0,
+    `cond` the exact kappa_1(A)), refusing above COND_LIMIT
+    (`IllConditioned`).  `residual_rel` is the largest residual relative
+    to its right-hand side.
 
     A pole-free jump given on the contour's nodes s > 0 alone, the upper
     half P of a contour mirror-symmetric about 0 with J(-s) = conj J(s)
@@ -267,9 +263,7 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
     real-linear there, so GMRES runs on the float view (Re q, Im q),
     whose inner product is half the whole axis's on mirrored data: the
     Krylov space, `cond` and `iterations` are the whole solve's.  E is
-    real.  If the folded Krylov solve is not certified, J is unfolded and
-    the stamp solved again on the whole axis: its Krylov solve, which
-    takes the same steps to rounding, then the dense LU.
+    real, and so is the matrix of a folded dense solve.
     """
     J = jd.J
     n, m = contour.n_nodes, J.shape[0]
@@ -279,8 +273,7 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
     posdef_min = posdef_check(jd)
     if posdef_min <= 0.0:
         raise PosdefViolated(f"real-axis Hermitian-part minimum {posdef_min:.3e}")
-    diagnostics = {"lu": False, "posdef_min": posdef_min,
-                   "residue_cond": None}
+    diagnostics = {"posdef_min": posdef_min, "residue_cond": None}
     IJ = np.eye(2) - J                                   # (m, 2, 2)
     ij0, ij1 = IJ[:, 0].copy(), IJ[:, 1].copy()          # its rows
 
@@ -307,18 +300,11 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
               for l, a in enumerate(row)]
     B = [b.ravel().view(float if folded else complex) for b in B]
     krylov = _krylov_solve(op, B)
-    if krylov is None and folded:   # again on the whole axis, to its LU
-        return sie_solve(contour, replace(jd, nodes=contour.nodes,
-                                          J=mirror_unfold(J, n)))
-    if krylov is None:          # one LU for every right-hand side
-        V, cond = _lu_solve(contour.cauchy_plus(), IJ, np.stack(B, axis=1))
-        V, iterations, diagnostics["lu"] = V.T, 0, True
-        res = [_max_abs(op(v) - b) for v, b in zip(V, B)]
-    else:
-        res, V, conds, its = zip(*krylov)
-        V, cond, iterations = np.array(V).view(complex), max(conds), sum(its)
+    diagnostics["lu"] = krylov is None      # one dense solve for all of B
+    res, V, conds, its = zip(*(krylov or _dense_solve(op, B)))
+    V, cond, iterations = np.array(V), max(conds), sum(its)
     res_rel = max(r / max(_max_abs(b), 1e-300) for r, b in zip(res, B))
-    Q = V.reshape(len(B), m, 2)
+    Q = V.view(complex).reshape(len(B), m, 2)
     q, pole_m12, w = Q[0], 0.0, None
     if residues is not None:
         CQ = kern @ (Q[..., :1] * ij0 + Q[..., 1:] * ij1)   # C[q_l(I-J)](zeta_i)
@@ -395,24 +381,23 @@ def _residue_solve(zeta, cj, Cz, Dz, CQ):
     return w, cond
 
 
-def _lu_solve(CP, IJ, B):
-    """Dense LU of the 2N x 2N operator of one row, with the `zgecon`
-    1-norm condition estimate.  Returns (X, cond) for the flattened
-    right-hand sides, the columns of B."""
-    from scipy.linalg import lu_factor, lu_solve   # loaded by an LU stamp only
-    from scipy.linalg.lapack import zgecon
-
-    n = CP.shape[0]
-    # T[(i,b),(j,a)] = CP[i,j] * (I-J)[j][a,b]
-    T = np.einsum("ij,jab->ibja", CP, IJ).reshape(2 * n, 2 * n)
-    A = np.eye(2 * n, dtype=complex) - T
-
-    lu, piv = lu_factor(A)
-    anorm = np.linalg.norm(A, 1)
-    rcond, _ = zgecon(lu, anorm)
-    if rcond == 0.0 or 1.0 / rcond > COND_LIMIT:
-        raise IllConditioned(f"condition estimate {1.0 / max(rcond, 1e-300):.2e}")
-    return lu_solve((lu, piv), B), 1.0 / rcond
+def _dense_solve(op, B):
+    """op(v) = b for the flat right-hand sides b of B, by the inverse of
+    the matrix A of op: its columns op(e_k), real on the float view of a
+    folded stamp and complex otherwise.  Returns (residual, v, cond, 0)
+    for each b, as `_krylov_solve` does, with cond the exact kappa_1 =
+    ||A||_1 ||A^-1||_1, refused above COND_LIMIT, as is a singular A
+    (`IllConditioned`)."""
+    A = np.array([op(e) for e in np.eye(B[0].size, dtype=B[0].dtype)]).T
+    try:
+        Ainv = np.linalg.inv(A)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"dense operator singular ({exc})") from exc
+    cond = float(np.linalg.norm(A, 1) * np.linalg.norm(Ainv, 1))
+    if not cond <= COND_LIMIT:
+        raise IllConditioned(f"dense operator condition {cond:.2e}")
+    return [(_max_abs(op(v) - b), v, cond, 0)
+            for v, b in zip(np.stack(B) @ Ainv.T, B)]
 
 
 def _gmres(op, b, cond_max):

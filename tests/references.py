@@ -4,13 +4,13 @@ None of this runs in an `mb-rh` command: each function here is a second
 route to a quantity the package computes (the Lax generators and the
 Magnus propagation in matrix form and extended precision, the x-equation
 from other terminal data, the medium term from one complex product per
-channel and bank, eta by adaptive quadrature, the mixed jump by stacked matmuls, both
-rows of the contour solve, the residue algebra as a real 4p-dimensional
-map at one stamp, M off the contour, the medium from the solved
-problem, the direct route as a plain loop), the whole-line and
-amplifier-oval jumps whose identities the tests check, a check that
-tests apply to its output, or the in-place Bloch rotation on fresh
-arrays.
+channel and bank, eta by adaptive quadrature, the mixed jump by stacked
+matmuls, both rows of the contour solve, the residue algebra as a real
+4p-dimensional map at one stamp, M off the contour, the medium from the
+solved problem, the direct route as a plain loop, C+ as a dense matrix),
+the whole-line and amplifier-oval jumps whose identities the tests
+check, a check that tests apply to its output, or the in-place Bloch
+rotation on fresh arrays.
 """
 
 import dataclasses
@@ -490,6 +490,12 @@ def schwartz_error(jd):
         err = max(err, float(np.max(np.abs(
             inv2(jd.J[i]) - dagger(jd.J[j])))))
     return err
+
+
+def cauchy_plus(contour):
+    """C+ = I/2 + iH of a real-axis contour as a dense complex matrix,
+    the reference for `ContourSigma.cauchy_apply`."""
+    return 0.5 * np.eye(contour.n_nodes) + 1j * contour.kernel()
 
 
 def identity_jump(contour, t=0.0, x=0.0):

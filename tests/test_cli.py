@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,7 +397,7 @@ class TestCommands:
         assert data.shape == (399,)
         assert np.all(np.isfinite(data["re_eta_plus"]))
         assert np.min(np.abs(np.abs(data["lambda"]) - 0.5)) > 0.09
-        meta = json.load(open(os.path.join(out, "meta.json")))
+        meta = json.loads(Path(out, "meta.json").read_text())
         assert meta["diagnostics"]["edge_nodes_omitted"] == pytest.approx([-0.5, 0.5])
 
     @pytest.mark.parametrize("argv", [
@@ -500,10 +501,10 @@ class TestCommands:
                             "--dt", "0.05", "--out", out1]) == 0
         assert run_command(["solve-direct", "--scenario", path,
                             "--dt", "0.05", "--out", out2]) == 0
-        b1 = open(os.path.join(out1, "fields.csv"), "rb").read()
-        b2 = open(os.path.join(out2, "fields.csv"), "rb").read()
+        b1 = Path(out1, "fields.csv").read_bytes()
+        b2 = Path(out2, "fields.csv").read_bytes()
         assert b1 == b2
-        meta = json.load(open(os.path.join(out1, "meta.json")))
+        meta = json.loads(Path(out1, "meta.json").read_text())
         assert "config_hash" in meta and "versions" in meta
         diag = meta["diagnostics"]
         # T = 6, L = 2 at dt 0.05; 41 detunings on [-8, 8]
@@ -532,7 +533,7 @@ class TestCommands:
         out = str(tmp_path / "d")
         assert run_command(["solve-direct", "--scenario", path,
                             "--dt", "0.05", "--out", out]) == 0
-        diag = json.load(open(os.path.join(out, "meta.json")))["diagnostics"]
+        diag = json.loads(Path(out, "meta.json").read_text())["diagnostics"]
         front = np.minimum(np.arange(120) + 2, 41)
         assert (diag["nlam"], diag["nlam_solved"]) == (41, 41)
         assert diag["mirror_err"] > MIRROR_TOL
@@ -562,7 +563,7 @@ class TestCommands:
         data = np.genfromtxt(os.path.join(out, "fields.csv"),
                              delimiter=",", names=True)
         assert data.shape == (6,)
-        diag = json.load(open(os.path.join(out, "meta.json")))["diagnostics"]
+        diag = json.loads(Path(out, "meta.json").read_text())["diagnostics"]
         assert diag["n_stamps"] == 6
         for key in ("residual_rel", "cond"):
             spread = diag[key]
@@ -684,6 +685,56 @@ class TestCommands:
         assert "config error: --dt:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dt, refused", [("1e-7", True), ("1e-3", True),
+                                             ("2e-3", False)])
+    def test_dt_past_the_lattice_cap_refused(self, monkeypatch, tmp_path,
+                                             capsys, dt, refused):
+        # --dt 1e-7 died in integrate_direct with a numpy _ArrayMemoryError;
+        # a lattice of more than MAX_LATTICE points on [0, T] x [0, L]
+        # (6001 x 2001 at 1e-3, 3001 x 1001 at 2e-3) is refused before the
+        # integrator builds any array
+        class Reached(Exception):
+            pass
+
+        def no_run(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "integrate_direct", no_run)
+        out = tmp_path / "d"
+        argv = ["solve-direct", "--scenario", write_scenario(tmp_path),
+                f"--dt={dt}", "--out", str(out)]
+        if refused:
+            assert run_command(argv) == 2
+            assert "config error: --dt:" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            with pytest.raises(Reached):
+                run_command(argv)
+
+    @pytest.mark.parametrize("cmd, t, x, flag", [
+        ("solve-rh", "0:6:1000000000000", "0:1:2", "--t"),
+        ("solve-rh", "0:6:10000", "0:1:1001", "--x"),
+        ("soliton", "0:6:100000000", "0:1:1", "--t"),
+        ("soliton", "0:6:2", "0:1:5000001", "--x"),
+    ])
+    def test_range_past_the_lattice_cap_refused(self, monkeypatch, tmp_path,
+                                                capsys, cmd, t, x, flag):
+        # --t 0:10:1000000000000 died in _parse_range with a numpy
+        # _ArrayMemoryError; a count taking the (t, x) lattice past
+        # MAX_LATTICE points is refused before any array is built
+        def no_run(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli, "rh_field_grid", no_run)
+        monkeypatch.setattr(cli, "soliton_closed_form", no_run)
+        out = tmp_path / "run"
+        given = (["--scenario", write_scenario(tmp_path)]
+                 if cmd == "solve-rh" else ["--nu", "0.3"])
+        assert run_command([cmd, *given, "--t", t, "--x", x,
+                            "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flag}:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["--window", "nan", "5"], "--window"),
         (["--window", "-5", "inf"], "--window"),
@@ -794,7 +845,7 @@ class TestCommands:
                           "--x", "0:2:3", "--no-poles", "--out", str(out)])
         assert rc == 0
         assert widths == [2 * 2 * 8, 2 * 2]
-        diag = json.load(open(out / "meta.json"))["diagnostics"]
+        diag = json.loads((out / "meta.json").read_text())["diagnostics"]
         # T = 6 at T_STEP and L = 2 at X_STEP: the x-sweep's 80 steps count
         # once; the step-error solves take half as many steps again
         assert diag["magnus_steps"] == (172 + 80) + (86 + 40)
@@ -832,7 +883,7 @@ class TestReproductionFigures:
         out = str(tmp_path / "rh")
         rc = run_command(["solve-rh", "--scenario", path, "--t", t,
                           "--x", x, "--out", out])
-        return rc, json.load(open(os.path.join(out, "meta.json")))["diagnostics"]
+        return rc, json.loads(Path(out, "meta.json").read_text())["diagnostics"]
 
     def test_desk_run_reproduces_its_data(self, tmp_path):
         rc, diag = self.run(tmp_path, "0:10:21", "0:5:6", T=10.0, L=5.0,
@@ -893,7 +944,7 @@ class TestSolveWindow:
                             write_scenario(tmp_path, **cfg), "--t", t,
                             "--x", x, "--out", str(out)]) == 0
         data = np.genfromtxt(out / "fields.csv", delimiter=",", names=True)
-        diag = json.load(open(out / "meta.json"))["diagnostics"]
+        diag = json.loads((out / "meta.json").read_text())["diagnostics"]
         return data["re_E"] + 1j * data["im_E"], diag
 
     def test_desk_field_is_the_untruncated_field(self, monkeypatch, tmp_path):
@@ -979,7 +1030,7 @@ class TestZeroCount:
         out = tmp_path / "rh"
         rc = run_command(["solve-rh", "--scenario", write_scenario(tmp_path, **cfg),
                           "--t", t, "--x", "0:1:2", "--out", str(out)])
-        diag = (json.load(open(out / "meta.json"))["diagnostics"]
+        diag = (json.loads((out / "meta.json").read_text())["diagnostics"]
                 if rc == 0 else None)
         return rc, diag
 
@@ -1099,7 +1150,7 @@ def test_benchmark_scenarios_fit_no_zeros(tmp_path, name):
     rc = run_command(["solve-rh", "--scenario", path, "--t", "0:2:2",
                       "--x", "0:1:2", "--out", str(out)])
     assert rc == 0
-    count = json.load(open(out / "meta.json"))["diagnostics"]["pole_count"]
+    count = json.loads((out / "meta.json").read_text())["diagnostics"]["pole_count"]
     assert count["axis"] == 0 and count["clearance"] is None
     assert count["fit_residual"] < spectral.FIT_TOL / 50
 
@@ -1137,53 +1188,45 @@ def _fresh_interpreter(code, env=None):
     return out.stdout.splitlines()[-1]
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # adaptive quadrature serves only the test references; an mb-rh
-    # process does not pay for its import
-    code = "import sys, mbrh.cli; print('scipy.integrate' in sys.modules)"
-    assert _fresh_interpreter(code) == "False"
-
-
-def test_cli_import_leaves_out_scipy_optimize():
-    # only `mb-rh curve` root-finds (gamma_trace), so it alone imports it
-    code = "import sys, mbrh.cli; print('scipy.optimize' in sys.modules)"
-    assert _fresh_interpreter(code) == "False"
-
-
-def test_lu_free_runs_leave_out_scipy_linalg(tmp_path):
-    # the Krylov path solves its triangle with numpy, so import, a
-    # solve-direct run, a pole-free solve-rh and one with a pole (residue
-    # conditions, no LU) never load scipy.linalg
+def test_runs_never_load_scipy(tmp_path):
+    # scipy serves only the test references: import, curve, solve-direct,
+    # a pole-free solve-rh and a pole solve whose one-step Krylov budget
+    # leaves all 6 stamps to the dense fallback run on numpy alone, and
+    # meta.json names the two libraries they ran on
     path = write_scenario(tmp_path, T=10.0, L=5.0,
                           E_in={"pulse": "gaussian", "amplitude": 0.8,
                                 "center": 3.0, "width": 0.7},
                           lam_points=41)
     pole = write_scenario(tmp_path, name="pole.json", **POLE)
+    runs = {"curve": ["curve", "--sign", "1"],
+            "d": ["solve-direct", "--scenario", path, "--dt", "0.1"],
+            "rh": ["solve-rh", "--scenario", path,
+                   "--t", "2:4:2", "--x", "0:1:2"],
+            "pole": ["solve-rh", "--scenario", pole,
+                     "--t", "14:18:3", "--x", "0:1:2"]}
     code = textwrap.dedent(f"""\
         import sys
-        from mbrh.cli import run_command
-        seen = []
-        loaded = lambda: seen.append('scipy.linalg' in sys.modules)
-        loaded()
-        assert run_command(["solve-direct", "--scenario", {path!r},
-                            "--dt", "0.1", "--out", {str(tmp_path / "d")!r}]) == 0
-        loaded()
-        assert run_command(["solve-rh", "--scenario", {path!r},
-                            "--t", "2:4:2", "--x", "0:1:2",
-                            "--out", {str(tmp_path / "rh")!r}]) == 0
-        loaded()
-        assert run_command(["solve-rh", "--scenario", {pole!r},
-                            "--t", "14:18:3", "--x", "0:1:2",
-                            "--out", {str(tmp_path / "pole")!r}]) == 0
-        loaded()
+        from mbrh import cli, rhsolver
+        scipy = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        seen = scipy()
+        for name, argv in {runs!r}.items():
+            if name == "pole":
+                rhsolver.KRYLOV_BUDGET = 1
+            out = {str(tmp_path)!r} + "/" + name
+            assert cli.run_command(argv + ["--out", out]) == 0
+            seen += scipy()
         print(seen)
         """)
-    assert _fresh_interpreter(code) == "[False, False, False, False]"
-    for out, n_poles in (("rh", 0), ("pole", 1)):
-        with open(tmp_path / out / "meta.json") as fh:
-            diag = json.load(fh)["diagnostics"]
-        assert (diag["n_poles"], diag["lu_stamps"]) == (n_poles, 0)
-
+    assert _fresh_interpreter(code) == "[]"
+    meta = {name: json.loads((tmp_path / name / "meta.json").read_text())
+            for name in runs}
+    for name in runs:
+        assert meta[name]["versions"] == {"mbrh": mbrh.__version__,
+                                          "numpy": np.__version__}
+    for name, n_poles, lu_stamps in (("rh", 0, 0), ("pole", 1, 6)):
+        diag = meta[name]["diagnostics"]
+        assert (diag["n_poles"], diag["lu_stamps"]) == (n_poles, lu_stamps)
+    assert meta["pole"]["diagnostics"]["krylov_iters"]["max"] == 0
 
 def test_runs_leave_out_openssl_and_scipy(tmp_path):
     # config_hash took OpenSSL (_hashlib) and meta.json's version string
@@ -1212,31 +1255,6 @@ def test_runs_leave_out_openssl_and_scipy(tmp_path):
     assert _fresh_interpreter(code) == "[[], [], []]"
 
 
-def test_versions_name_scipy_once_a_run_loads_it(tmp_path):
-    # a pole-free solve-rh runs on numpy alone and records no scipy
-    # version; curve root-finds with scipy.optimize and records it
-    import scipy
-
-    path = write_scenario(tmp_path, lam_points=41)
-    code = textwrap.dedent(f"""\
-        from mbrh.cli import run_command
-        assert run_command(["solve-rh", "--scenario", {path!r},
-                            "--t", "2:4:2", "--x", "0:1:2",
-                            "--out", {str(tmp_path / "rh")!r}]) == 0
-        assert run_command(["curve", "--sign", "1",
-                            "--out", {str(tmp_path / "curve")!r}]) == 0
-        print("ok")
-        """)
-    assert _fresh_interpreter(code) == "ok"
-    versions = {}
-    for out in ("rh", "curve"):
-        with open(tmp_path / out / "meta.json") as fh:
-            versions[out] = json.load(fh)["versions"]
-    assert versions["rh"] == {"mbrh": mbrh.__version__,
-                              "numpy": np.__version__, "scipy": None}
-    assert versions["curve"]["scipy"] == scipy.__version__
-
-
 def test_config_hash_is_sha256_of_the_canonical_config(tmp_path):
     import hashlib
 
@@ -1263,27 +1281,6 @@ def test_meta_records_peak_rss(tmp_path):
     after = peak()
     with open(out / "meta.json") as fh:
         assert before <= json.load(fh)["peak_rss_mb"] <= after
-
-
-def test_lu_stamp_loads_scipy_linalg(tmp_path):
-    # a one-step Krylov budget leaves every stamp of a pole solve to the
-    # dense LU, which imports scipy.linalg on its first call
-    pole = write_scenario(tmp_path, name="pole.json", **POLE)
-    code = textwrap.dedent(f"""\
-        import sys
-        from mbrh import cli, rhsolver
-        rhsolver.KRYLOV_BUDGET = 1
-        before = 'scipy.linalg' in sys.modules
-        assert cli.run_command(["solve-rh", "--scenario", {pole!r},
-                                "--t", "14:18:3", "--x", "0:1:2",
-                                "--out", {str(tmp_path / "pole")!r}]) == 0
-        print(before, 'scipy.linalg' in sys.modules)
-        """)
-    assert _fresh_interpreter(code) == "False True"
-    with open(tmp_path / "pole" / "meta.json") as fh:
-        diag = json.load(fh)["diagnostics"]
-    assert (diag["n_poles"], diag["lu_stamps"]) == (1, 6)
-    assert diag["krylov_iters"]["max"] == 0
 
 
 def test_contour_commands_leave_out_numpy_ma(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from scipy.special import wofz
 
 from mbrh import rhsolver
-from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
+from mbrh.broadening import (BroadeningProfile, eta_boundary, eta_eval,
+                             mirror_unfold)
 from mbrh.errors import (
     EmptyContour,
     IllConditioned,
@@ -25,6 +26,7 @@ from mbrh.spectral import ScenarioData, jost_phi
 from references import (
     TooCloseToContour,
     WeightVanishes,
+    cauchy_plus,
     evaluate_M,
     identity_jump,
     jump_wholeline,
@@ -173,7 +175,7 @@ class TestCauchyPlus:
         # C+ reproduces boundary values analytic above, kills those below
         c = contour_build(window=(-30.0, 30.0), n_panels=60,
                           nodes_per_panel=16)
-        CP = c.cauchy_plus()
+        CP = cauchy_plus(c)
         z = c.nodes
         f_up = 1.0 / (z - (-0.4 - 1.5j)) ** 4      # analytic in upper half
         f_dn = 1.0 / (z - (0.9 + 1.2j)) ** 4       # analytic in lower half
@@ -189,7 +191,7 @@ class TestRealKernel:
         H = c.kernel()
         assert H.dtype == np.float64 and H.shape == (c.n_nodes, c.n_nodes)
         # on the real axis C+ is exactly I/2 + iH with H real
-        CP = c.cauchy_plus()
+        CP = cauchy_plus(c)
         assert np.array_equal(CP.real, 0.5 * np.eye(c.n_nodes))
         rng = np.random.default_rng(3)
         X = rng.standard_normal((c.n_nodes, 2)) + 1j * rng.standard_normal((c.n_nodes, 2))
@@ -226,7 +228,7 @@ class TestSieSolve:
         r = 0.01 * np.exp(-lam ** 2)
         jd = jump_wholeline(1.0, 0.5, lam, r, LOR)
         Q, _ = sie_solve_full(c, jd)
-        CP = c.cauchy_plus()
+        CP = cauchy_plus(c)
         R = np.einsum("ij,jab->iab", CP, np.eye(2) - jd.J)
         # first Born correction is quadratic in r
         assert np.max(np.abs(Q - R)) < 0.05 * np.max(np.abs(R))
@@ -280,11 +282,12 @@ class TestSieSolve:
             sie_solve(c, jd)
 
 
-def desk_stamps(ts=(2.0, 3.5, 6.0), xs=(0.0, 2.5)):
-    """Mixed-problem jumps of the desk pulse on a 192-node real axis."""
+def desk_stamps(ts=(2.0, 3.5, 6.0), xs=(0.0, 2.5), chirp=0.0):
+    """Mixed-problem jumps of the desk pulse, or of the pulse chirped by
+    e^{i chirp (t - 3)^2}, on a 192-node real axis."""
     sc = ScenarioData(T=10.0, L=5.0,
                       E_in=lambda t: 0.8 * np.exp(-((t - 3.0) / 0.7) ** 2)
-                      + 0j * t,
+                      * np.exp(1j * chirp * (t - 3.0) ** 2),
                       E0=lambda x: np.zeros_like(np.asarray(x, complex)),
                       rho0=None)
     c = contour_build(window=(-16.0, 16.0), n_panels=16, nodes_per_panel=12)
@@ -298,7 +301,7 @@ def desk_stamps(ts=(2.0, 3.5, 6.0), xs=(0.0, 2.5)):
 def dense_operator(contour, jd):
     """I - T of the row-decoupled 2N x 2N system, and the right-hand side."""
     n = contour.n_nodes
-    CP = contour.cauchy_plus()
+    CP = cauchy_plus(contour)
     IJ = np.eye(2) - jd.J
     T = np.einsum("ij,jab->ibja", CP, IJ).reshape(2 * n, 2 * n)
     R = np.einsum("ij,jab->iab", CP, IJ)
@@ -333,7 +336,7 @@ class TestKrylovPath:
             assert np.max(np.abs(Q - want)) < 1e-13
             assert abs(-4j * m[0, 1] - sie_solve(c, jd).E) < 1e-14
             # both rows solve the two-row system
-            CP = c.cauchy_plus()
+            CP = cauchy_plus(c)
             resid = Q - np.einsum("ij,jab->iab", CP, Q @ (np.eye(2) - jd.J)) - R
             assert np.max(np.abs(resid)) < 1e-14 * np.max(np.abs(R))
 
@@ -406,6 +409,54 @@ class TestKrylovPath:
         monkeypatch.setattr(rhsolver, "COND_LIMIT", 0.5)
         with pytest.raises(IllConditioned, match="residue system condition"):
             sie_solve(c, identity_jump(c), residues)
+
+
+class TestDenseFallback:
+    """A stamp GMRES cannot certify is solved by the inverse of the
+    matrix of the same operator, with its exact 1-norm condition."""
+
+    @pytest.mark.parametrize("kind", ["folded", "whole", "poles"])
+    def test_matches_krylov_with_the_exact_condition(self, kind, monkeypatch):
+        c, jds = desk_stamps(ts=(3.0,), xs=(1.0,),
+                             chirp=0.5 if kind == "whole" else 0.0)
+        A, _ = dense_operator(c, jds[0])
+        jd, residues, n, h = jds[0], None, c.n_nodes, c.n_nodes // 2
+        if kind == "folded":
+            # the real matrix of the operator on (Re q, Im q) at s > 0,
+            # applied through the unfolded row q(-s) = conj q(s)
+            jd = JumpData(t=jd.t, x=jd.x, nodes=jd.nodes[h:], J=jd.J[h:])
+            cols = [(A @ mirror_unfold(e.view(complex).reshape(h, 2), n)
+                     .ravel()).reshape(n, 2)[h:].ravel().view(float)
+                    for e in np.eye(2 * n)]
+            A = np.array(cols).T
+        if kind == "poles":
+            residues = residue_constants([(0.5j, 1.0 + 0.0j)], LOR, 3.0, 1.0)
+        krylov = sie_solve(c, jd, residues)
+        monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", 2)
+        dense = sie_solve(c, jd, residues)
+        d = dense.diagnostics
+        assert d["lu"] and d["iterations"] == 0 and d["residual_rel"] < 1e-14
+        assert abs(d["cond"] - np.linalg.cond(A, 1)) <= 1e-12 * d["cond"]
+        assert abs(dense.E - krylov.E) < 1e-14
+        assert np.max(np.abs(dense.Q - krylov.Q)) < 1e-13
+        assert (dense.E.imag == 0.0) == (kind == "folded")
+
+    def test_singular_operator_refused(self):
+        # [[1, 2], [2, 4]] has an exactly zero pivot: numpy's LinAlgError
+        # becomes the typed refusal
+        A = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(IllConditioned, match="singular"):
+            rhsolver._dense_solve(lambda v: A @ v, [np.ones(2)])
+
+    def test_condition_above_the_limit_refused(self, monkeypatch):
+        A = np.array([[1.0, 0.0], [0.0, 1e-3]])
+        [(res, v, cond, its)] = rhsolver._dense_solve(lambda v: A @ v,
+                                                      [np.ones(2)])
+        assert (res, cond, its) == (0.0, 1e3, 0)
+        assert np.array_equal(v, [1.0, 1e3])
+        monkeypatch.setattr(rhsolver, "COND_LIMIT", 999.0)
+        with pytest.raises(IllConditioned, match="condition 1.00e\\+03"):
+            rhsolver._dense_solve(lambda v: A @ v, [np.ones(2)])
 
 
 class TestEvaluateM:
