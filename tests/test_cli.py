@@ -1,5 +1,6 @@
 """Config loading, output emission, and subcommand dispatch."""
 
+import ast
 import json
 import os
 import subprocess
@@ -1188,11 +1189,13 @@ def _fresh_interpreter(code, env=None):
     return out.stdout.splitlines()[-1]
 
 
-def test_runs_never_load_scipy(tmp_path):
-    # scipy serves only the test references: import, curve, solve-direct,
-    # a pole-free solve-rh and a pole solve whose one-step Krylov budget
-    # leaves all 6 stamps to the dense fallback run on numpy alone, and
-    # meta.json names the two libraries they ran on
+@pytest.fixture(scope="module")
+def scipy_free_runs(tmp_path_factory):
+    """One new interpreter imports mbrh.cli, then runs curve, solve-direct,
+    a pole-free solve-rh and a pole solve whose one-step Krylov budget
+    leaves all 6 stamps to the dense fallback. Returns the scipy modules
+    loaded after each stage and each run's meta.json."""
+    tmp_path = tmp_path_factory.mktemp("scipy_free")
     path = write_scenario(tmp_path, T=10.0, L=5.0,
                           E_in={"pulse": "gaussian", "amplitude": 0.8,
                                 "center": 3.0, "width": 0.7},
@@ -1208,25 +1211,61 @@ def test_runs_never_load_scipy(tmp_path):
         import sys
         from mbrh import cli, rhsolver
         scipy = lambda: [m for m in sys.modules if m.split(".")[0] == "scipy"]
-        seen = scipy()
+        seen = {{"import": scipy()}}
         for name, argv in {runs!r}.items():
             if name == "pole":
                 rhsolver.KRYLOV_BUDGET = 1
             out = {str(tmp_path)!r} + "/" + name
             assert cli.run_command(argv + ["--out", out]) == 0
-            seen += scipy()
+            seen[name] = scipy()
         print(seen)
         """)
-    assert _fresh_interpreter(code) == "[]"
+    seen = ast.literal_eval(_fresh_interpreter(code))
     meta = {name: json.loads((tmp_path / name / "meta.json").read_text())
             for name in runs}
-    for name in runs:
+    return seen, meta
+
+
+def test_cli_import_leaves_out_scipy_integrate(scipy_free_runs):
+    # adaptive quadrature serves only the test references; an mb-rh
+    # process loads no scipy module at import, scipy.integrate included
+    seen, _ = scipy_free_runs
+    assert seen["import"] == []
+
+
+def test_cli_import_leaves_out_scipy_optimize(scipy_free_runs):
+    # gamma_trace root-finds and maximises on numpy, so not even
+    # `mb-rh curve` loads scipy.optimize
+    seen, _ = scipy_free_runs
+    assert seen["curve"] == []
+
+
+def test_lu_free_runs_leave_out_scipy_linalg(scipy_free_runs):
+    # the Krylov path solves its triangle with numpy, so a solve-direct
+    # run and a pole-free solve-rh load no scipy module
+    seen, meta = scipy_free_runs
+    assert seen["d"] == [] and seen["rh"] == []
+    diag = meta["rh"]["diagnostics"]
+    assert (diag["n_poles"], diag["lu_stamps"]) == (0, 0)
+
+
+def test_lu_stamp_leaves_out_scipy_linalg(scipy_free_runs):
+    # a one-step Krylov budget leaves every stamp of a pole solve to the
+    # dense fallback, which inverts the operator's matrix with numpy
+    seen, meta = scipy_free_runs
+    assert seen["pole"] == []
+    diag = meta["pole"]["diagnostics"]
+    assert (diag["n_poles"], diag["lu_stamps"]) == (1, 6)
+    assert diag["krylov_iters"]["max"] == 0
+
+
+def test_versions_name_mbrh_and_numpy_alone(scipy_free_runs):
+    # every run records the two libraries it ran on and no scipy version
+    _, meta = scipy_free_runs
+    for name in ("curve", "d", "rh", "pole"):
         assert meta[name]["versions"] == {"mbrh": mbrh.__version__,
                                           "numpy": np.__version__}
-    for name, n_poles, lu_stamps in (("rh", 0, 0), ("pole", 1, 6)):
-        diag = meta[name]["diagnostics"]
-        assert (diag["n_poles"], diag["lu_stamps"]) == (n_poles, lu_stamps)
-    assert meta["pole"]["diagnostics"]["krylov_iters"]["max"] == 0
+
 
 def test_runs_leave_out_openssl_and_scipy(tmp_path):
     # config_hash took OpenSSL (_hashlib) and meta.json's version string
