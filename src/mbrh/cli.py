@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Loads JSON scenario configs, dispatches the computational pipelines
-(line-shape transforms, spectral data, jump assembly, contour solve,
-direct integration, closed-form solitons, run comparison) and emits
+Loads JSON scenario configs, runs one subcommand (line-shape transforms,
+spectral data, jump assembly, the contour route of `pipeline`, direct
+integration, closed-form solitons, run comparison) and emits
 deterministic CSV data plus JSON metadata.
 """
 
@@ -11,7 +11,6 @@ import json
 import os
 import resource
 import sys
-import time
 
 # config_hash is sha256 from the builtin module that hashlib itself falls
 # back to, so a run does not load OpenSSL (`_hashlib`) for one digest;
@@ -38,25 +37,22 @@ import numpy as np  # noqa: E402  (after the BLAS thread variables)
 
 from . import __version__
 from .broadening import (LAM_POINTS, LAM_WINDOW, BroadeningProfile,
-                         eta_boundary, gamma_trace, mirror_check,
-                         profile_normalize)
+                         eta_boundary, gamma_trace, profile_normalize)
 from .direct import integrate_direct
 from .errors import InvariantError, MBRHError, SchemaError
-from .jump import jump_mixed, spectral_data
-from .rhsolver import (
-    N_PANELS,
-    NODES_PER_PANEL,
-    contour_build,
-    jump_window,
-    median,
-    residue_constants,
-    sie_solve,
-    soliton_closed_form,
-)
-from .spectral import T_STEP, X_STEP, ScenarioData, a_zeros, magnus_steps_taken
+from .jump import jump_mixed
+from .pipeline import rh_field_grid, spectral_data
+from .rhsolver import N_PANELS, NODES_PER_PANEL, soliton_closed_form
+from .spectral import T_STEP, X_STEP, ScenarioData
 
 MAX_MAGNUS_STEPS = 10 ** 6  # --step may ask for at most this many on [0, T] or [0, L]
 MAX_LATTICE = 10 ** 7       # points a (t, x) lattice may have: --t/--x or --dt
+# lam_points and the contour's N = n_panels * nodes_per_panel.  N nodes
+# build N x N arrays: the real Cauchy kernel and p.v. weights, 8 N^2 B
+# (32 MiB at the cap), and the dense fallback's complex 2N x 2N matrices,
+# 64 N^2 B (256 MiB), up to four at once: about 1 GiB, as the direct
+# route's workspace of MAX_LATTICE cells (14 x 8 B each) takes
+MAX_NODES = 2048
 CSV_CHUNK_ROWS = 2048       # rows that write_csv turns into Python floats at a time
 
 
@@ -230,7 +226,9 @@ def _float_range_int(text):
 def discretization(cfg, names=None):
     """(lam_window, lam_points, n_panels, nodes_per_panel) of a scenario
     config, defaults where unset; SchemaError names a bad key, as
-    scenario.<key> or by names[key] (a flag that gave the value)."""
+    scenario.<key> or by names[key] (a flag that gave the value).  Each
+    count, and the contour's nodes n_panels * nodes_per_panel, may be
+    at most MAX_NODES."""
     name = lambda key: (names or {}).get(key, f"scenario.{key}")
     win = cfg.get("lam_window", LAM_WINDOW)
     if not (isinstance(win, (list, tuple)) and len(win) == 2
@@ -243,10 +241,14 @@ def discretization(cfg, names=None):
                                 ("n_panels", 1, N_PANELS),
                                 ("nodes_per_panel", 1, NODES_PER_PANEL)):
         val = cfg.get(key, default)
-        if type(val) is not int or val < least:
-            raise SchemaError(f"{name(key)}: must be an integer >= "
-                              f"{least}, got {val!r}")
+        if type(val) is not int or not least <= val <= MAX_NODES:
+            raise SchemaError(f"{name(key)}: must be an integer in "
+                              f"[{least}, {MAX_NODES}], got {val!r}")
         counts.append(val)
+    if counts[1] * counts[2] > MAX_NODES:
+        raise SchemaError(f"{name('n_panels')} * {name('nodes_per_panel')}: "
+                          f"the contour may have at most {MAX_NODES} nodes, "
+                          f"got {counts[1]} * {counts[2]}")
     return ((float(win[0]), float(win[1])), *counts)
 
 
@@ -331,7 +333,7 @@ def field_table(t_vals, x_vals, E):
 
 
 # ----------------------------------------------------------------------
-# pipelines
+# subcommands
 # ----------------------------------------------------------------------
 
 def thread_width():
@@ -339,155 +341,6 @@ def thread_width():
     `benchmark/child.py` reports this as the pool width."""
     return 1
 
-
-def _line_err(E_line, coords, data, key):
-    """{"value", key}: max |E - data| along a lattice line (E_line of
-    shape (n, 1)) relative to sup |data| on it, absolute where the data
-    vanish, and where it occurs; None when the lattice lacks the line."""
-    if E_line.shape[1] == 0:
-        return None
-    want = np.asarray(data(coords), dtype=complex)
-    err = np.abs(E_line[:, 0] - want)
-    i, sup = int(np.argmax(err)), float(np.max(np.abs(want)))
-    return {"value": float(err[i] / (sup or 1.0)), key: float(coords[i])}
-
-
-def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
-                  n_panels=N_PANELS, nodes_per_panel=NODES_PER_PANEL,
-                  find_poles=True):
-    """Mixed-problem contour pipeline: contour -> spectral data and K_pm on
-    the x lattice -> zeros of a, counted and fitted on the axis and
-    refined by Newton (`a_zeros`) -> the window of panels on which J
-    differs from I (`jump_window`) -> per-stamp jump assembly and
-    contour solve on that window.
-
-    window, n_panels and nodes_per_panel give the configured contour,
-    which the spectral data and the zeros of a use; the stamps solve on
-    its panels that `jump_window` keeps.  On mirror-symmetric data the
-    Jost solves take the nodes lam >= 0 (`spectral_data`), and each stamp
-    assembles and solves its jump on the kept nodes s > 0 alone
-    (`sie_solve`), unless `_full_axis_reason` gives a reason not to.
-
-    Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
-    wall time of the spectral data (`spectral_s`, of which the t- and
-    x-equation Jost solves took `jost_phi_s` and `jost_w_s`, and the
-    scattering table with its step-error estimate `step_err_s`), of the
-    zero search with the window and its Cauchy kernel build
-    (`pole_search_s`) and of the stamp loop (`stamp_loop_s`), which
-    solves the stamps one after another in lattice order, and the
-    per-stamp `jump_mixed` and `sie_solve` times summed over stamps
-    (`jump_s`, `sie_s`).  `n_nodes` counts the nodes of the kept window,
-    `full_axis` says why the stamps solved all of them (None: the half
-    s > 0), and `window` is `jump_window`'s report.  `boundary_err` and
-    `initial_err` compare the field on the lattice's x = 0 column with
-    E_in and on its t = 0 row with E0.  `spectral` holds the scattering
-    table's det, reduction and step errors and its mirror report
-    (`mirror_err`, `nodes_solved`, `full_axis`), `pole_count` the count, fit
-    residual, Newton steps and clearance of the zeros of a (`a_zeros`;
-    None on a gain or --no-poles run), `J0_det_err` the largest det(J0)
-    error of a stamp, and `residue_cond` the SVD condition of the
-    stamps' residue systems (None without poles).
-    """
-    t_vals = np.asarray(t_vals, dtype=float)
-    x_vals = np.asarray(x_vals, dtype=float)
-
-    steps0, marks = magnus_steps_taken(), [time.perf_counter()]
-    contour = contour_build(window=window, n_panels=n_panels,
-                            nodes_per_panel=nodes_per_panel)
-    ev = eta_boundary(profile, contour.nodes)
-    stages = {}
-    table, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals,
-                                  stages=stages)
-    marks.append(time.perf_counter())
-    poles, pole_count = [], None
-    if find_poles and profile.sign < 0:     # on the configured contour
-        poles, pole_count = a_zeros(scenario, profile, contour, table.a_plus)
-    # |J - I| is the same at every t: one jump per x column sizes the
-    # window of the whole lattice, and the stamps solve on that window
-    contour, keep, window_report = jump_window(contour, np.array(
-        [jump_mixed(t_vals.max(), x, ev, Kp[ix], Km[ix]).J
-         for ix, x in enumerate(x_vals)]))
-    ev, Kp, Km = ev.take(keep), Kp[:, keep], Km[:, keep]
-    full_axis = _full_axis_reason(table, contour, poles)
-    if full_axis is None:       # J(-s) = conj J(s): the stamps take s > 0
-        half = slice(contour.n_nodes // 2, None)
-        ev, Kp, Km = ev.take(half), Kp[:, half], Km[:, half]
-        contour.kernel_fold()   # built once for every stamp
-    else:
-        contour.kernel()        # built once for every stamp
-    marks.append(time.perf_counter())
-
-    if poles:                   # (z_j, c_j) of every stamp, overflow refused
-        zj, cj = residue_constants(poles, profile, t_vals[:, None],
-                                   x_vals[None, :])
-
-    def solve_stamp(it, ix):
-        t, x = t_vals[it], x_vals[ix]
-        tic = time.perf_counter()
-        jd = jump_mixed(t, x, ev, Kp[ix], Km[ix])
-        jump_s = time.perf_counter() - tic
-        tic = time.perf_counter()
-        res = sie_solve(contour, jd, (zj, cj[it, ix]) if poles else None)
-        return (res.E, {**res.diagnostics, **jd.diagnostics},
-                (jump_s, time.perf_counter() - tic))
-
-    E, diags, times = zip(*[solve_stamp(it, ix) for it in range(t_vals.size)
-                            for ix in range(x_vals.size)])
-    marks.append(time.perf_counter())
-    stages.update(zip(("spectral_s", "pole_search_s", "stamp_loop_s"),
-                      np.diff(marks).tolist()))
-    stages["jump_s"], stages["sie_s"] = np.sum(times, axis=0).tolist()
-    E = np.array(E).reshape(t_vals.size, x_vals.size)
-    col = {key: np.array([d[key] for d in diags])
-           for key in ("residual_rel", "cond", "iterations", "posdef_min",
-                       "J0_det_err", "lu", "residue_cond")}
-    diag = {"n_poles": len(poles), "pole_count": pole_count,
-            "n_nodes": contour.n_nodes, "full_axis": full_axis,
-            "window": window_report,
-            "n_stamps": E.size,
-            "lu_stamps": int(np.count_nonzero(col["lu"])),
-            "stages": stages, "magnus_steps": magnus_steps_taken() - steps0,
-            "spectral": dict(table.diagnostics),
-            "J0_det_err": float(col["J0_det_err"].max())}
-    for key, name in (("residual_rel", "residual_rel"), ("cond", "cond"),
-                      ("iterations", "krylov_iters"),
-                      ("residue_cond", "residue_cond")):
-        vals = col[key]         # residue_cond: None on every stamp without poles
-        diag[name] = None if vals[0] is None else {
-            "p50": median(vals), "max": float(vals.max())}
-    diag["posdef_min"] = {"p50": median(col["posdef_min"]),
-                          "min": float(col["posdef_min"].min())}
-    diag["max_residual_rel"] = diag["residual_rel"]["max"]
-    diag["max_cond"] = diag["cond"]["max"]
-    diag["boundary_err"] = _line_err(E[:, x_vals == 0.0], t_vals,
-                                     scenario.E_in, "t")
-    diag["initial_err"] = _line_err(E[t_vals == 0.0].T, x_vals,
-                                    scenario.E0, "x")
-    return E, diag
-
-
-def _full_axis_reason(table, contour, poles):
-    """Why the stamps solve on the whole kept window, or None when they
-    may take its nodes s > 0 alone: the spectral data were solved folded
-    (`spectral_data`), no pole adds residue conditions, and the window's
-    nodes and weights mirror about 0 (`mirror_check`) with no node at 0."""
-    if table.diagnostics["full_axis"] is not None:
-        return table.diagnostics["full_axis"]
-    if poles:
-        return "poles: their residue conditions take the full axis"
-    z, w = contour.nodes, contour.weights
-    _, why = mirror_check([(z, -1.0, np.max(np.abs(z))),
-                           (w, 1.0, np.sum(np.abs(w)))])
-    if why is not None:
-        return f"window {contour.edges[0]:g}..{contour.edges[-1]:g}: {why}"
-    if contour.n_nodes % 2:
-        return "a contour node at lambda = 0"
-    return None
-
-
-# ----------------------------------------------------------------------
-# subcommands
-# ----------------------------------------------------------------------
 
 def _parse_range(spec, path, hi=None, room=MAX_LATTICE):
     """start:stop:count -> np.linspace, with at most room values (the
@@ -647,19 +500,20 @@ def cmd_solve_rh(args):
                  {"command": "solve-rh", "scenario": cfg,
                   "t": args.t, "x": args.x}, diag)
     print(f"solve-rh: {t_vals.size}x{x_vals.size} stamps, "
-          f"max residual {diag['max_residual_rel']:.3e}, "
+          f"max residual {diag['residual_rel']['max']:.3e}, "
           f"|E| peak {np.max(np.abs(E)):.6g}")
     return 0
 
 
 def cmd_solve_direct(args):
     scenario, profile, cfg = load_scenario(args.scenario)
-    dt = args.dt
+    dt, nlam = args.dt, discretization(cfg)[1]
     if not (np.isfinite(dt) and dt > 0.0
-            and (scenario.T / dt + 1) * (scenario.L / dt + 1) <= MAX_LATTICE):
+            and (scenario.T / dt + 1) * (scenario.L / dt + 1) <= MAX_LATTICE
+            and (scenario.L / dt + 1) * nlam <= MAX_LATTICE):
         raise SchemaError(f"--dt: must be finite and positive with at most "
-                          f"{MAX_LATTICE:.0e} points on [0, T] x [0, L], "
-                          f"got {dt}")
+                          f"{MAX_LATTICE:.0e} points on [0, T] x [0, L] and "
+                          f"on [0, L] x the {nlam} detunings, got {dt}")
     st = integrate_direct(scenario, profile, _lam_grid(cfg), dt=dt)
     emit_results(args.out,
                  {"fields.csv": field_table(st.t_grid, st.x_grid, st.E)},

@@ -19,7 +19,8 @@ from mbrh.broadening import (
     profile_normalize,
 )
 from mbrh.direct import integrate_direct
-from mbrh.jump import jump_mixed, posdef_check, spectral_data
+from mbrh.jump import jump_mixed, posdef_check
+from mbrh.pipeline import spectral_data
 from mbrh.mat2 import det2
 from mbrh.rhsolver import (
     contour_build,
@@ -76,7 +77,7 @@ def desk_direct():
 
 @pytest.fixture(scope="module")
 def desk_rh(desk_direct):
-    from mbrh.cli import rh_field_grid
+    from mbrh.pipeline import rh_field_grid
     sc, _, st = desk_direct
     t_vals = st.t_grid[::10]            # 41 stamps in t
     x_vals = st.x_grid[::20]            # 11 stamps in x

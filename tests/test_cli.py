@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mbrh
-from mbrh import broadening, cli, rhsolver, spectral
+from mbrh import broadening, cli, pipeline, rhsolver, spectral
 from mbrh.broadening import BroadeningProfile
 from mbrh.cli import (
     load_scenario,
@@ -569,7 +569,7 @@ class TestCommands:
         for key in ("residual_rel", "cond"):
             spread = diag[key]
             assert 0 < spread["p50"] <= spread["max"]
-            assert spread["max"] == diag[f"max_{key}"]
+            assert f"max_{key}" not in diag     # the spread holds the max
         # a pole-free contour: every stamp converges on the Krylov path
         assert diag["lu_stamps"] == 0 and diag["residue_cond"] is None
         assert 0 < diag["krylov_iters"]["p50"] <= diag["krylov_iters"]["max"]
@@ -686,14 +686,23 @@ class TestCommands:
         assert "config error: --dt:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("dt, refused", [("1e-7", True), ("1e-3", True),
-                                             ("2e-3", False)])
+    WIDE = dict(T=0.5, L=10.0, lam_points=2000)
+
+    @pytest.mark.parametrize("dt, cfg, refused", [
+        pytest.param("1e-7", {}, True, id="1e-7-True"),
+        pytest.param("1e-3", {}, True, id="1e-3-True"),
+        pytest.param("2e-3", {}, False, id="2e-3-False"),
+        pytest.param("2e-3", WIDE, True, id="wide-2e-3-True"),
+        pytest.param("2.5e-3", WIDE, False, id="wide-2.5e-3-False")])
     def test_dt_past_the_lattice_cap_refused(self, monkeypatch, tmp_path,
-                                             capsys, dt, refused):
+                                             capsys, dt, cfg, refused):
         # --dt 1e-7 died in integrate_direct with a numpy _ArrayMemoryError;
         # a lattice of more than MAX_LATTICE points on [0, T] x [0, L]
         # (6001 x 2001 at 1e-3, 3001 x 1001 at 2e-3) is refused before the
-        # integrator builds any array
+        # integrator builds any array, and so is a medium workspace of
+        # more than MAX_LATTICE cells on [0, L] x the detunings (5001 x
+        # 2000 at 2e-3 on WIDE, whose lattice is 251 x 5001; 4001 x 2000
+        # at 2.5e-3)
         class Reached(Exception):
             pass
 
@@ -702,7 +711,7 @@ class TestCommands:
 
         monkeypatch.setattr(cli, "integrate_direct", no_run)
         out = tmp_path / "d"
-        argv = ["solve-direct", "--scenario", write_scenario(tmp_path),
+        argv = ["solve-direct", "--scenario", write_scenario(tmp_path, **cfg),
                 f"--dt={dt}", "--out", str(out)]
         if refused:
             assert run_command(argv) == 2
@@ -711,6 +720,51 @@ class TestCommands:
         else:
             with pytest.raises(Reached):
                 run_command(argv)
+
+    @pytest.mark.parametrize("argv, cfg, key", [
+        (["eta", "--grid", "1000000000000"], None, "--grid"),
+        (["spectra"], {"lam_points": 10 ** 12}, "scenario.lam_points"),
+        (["jump", "--t", "1", "--x", "1"], {"lam_points": 2049},
+         "scenario.lam_points"),
+        (["solve-direct", "--dt", "0.1"], {"lam_points": 10 ** 12},
+         "scenario.lam_points"),
+        (["solve-rh", "--t", "2:4:2", "--x", "0:1:2"],
+         {"nodes_per_panel": 10 ** 12}, "scenario.nodes_per_panel"),
+        (["solve-rh", "--t", "2:4:2", "--x", "0:1:2"],
+         {"n_panels": 129, "nodes_per_panel": 16},
+         "scenario.n_panels * scenario.nodes_per_panel"),
+    ], ids=["eta", "spectra", "jump", "solve-direct", "nodes_per_panel",
+            "n_panels*nodes_per_panel"])
+    def test_counts_past_the_node_cap_refused(self, monkeypatch, tmp_path,
+                                              capsys, argv, cfg, key):
+        # eta --grid 1000000000000 and "lam_points": 10**12 died in
+        # np.linspace with a numpy _ArrayMemoryError, and a large
+        # nodes_per_panel sent leggauss into a dense eigenproblem of that
+        # size; a count, or a contour, of more than MAX_NODES nodes is
+        # refused before any array is built
+        def no_build(*args, **kwargs):
+            raise AssertionError("an array was built")
+
+        for name in ("eta_boundary", "spectral_data", "integrate_direct",
+                     "rh_field_grid"):
+            monkeypatch.setattr(cli, name, no_build)
+        monkeypatch.setattr(np, "linspace", no_build)
+        out = tmp_path / "run"
+        given = [] if cfg is None else ["--scenario",
+                                        write_scenario(tmp_path, **cfg)]
+        assert run_command([argv[0], *given, *argv[1:],
+                            "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}:")
+        assert not out.exists()
+
+    def test_node_cap_admits_its_bound(self):
+        cap = cli.MAX_NODES
+        assert cli.discretization({"lam_points": cap, "n_panels": cap // 16,
+                                   "nodes_per_panel": 16})[1:] == (
+            cap, cap // 16, 16)
+        with pytest.raises(SchemaError, match="scenario.n_panels"):
+            cli.discretization({"n_panels": cap // 16 + 1,
+                                "nodes_per_panel": 16})
 
     @pytest.mark.parametrize("cmd, t, x, flag", [
         ("solve-rh", "0:6:1000000000000", "0:1:2", "--t"),
@@ -855,7 +909,7 @@ class TestCommands:
         # every stamp shares the contour's Cauchy matrix, built before the
         # stamp loop: each stamp's sie_solve finds it built once
         calls, at_stamp = [], []
-        orig, solve = rhsolver._build_cauchy_plus, cli.sie_solve
+        orig, solve = rhsolver._build_cauchy_plus, pipeline.sie_solve
 
         def counted(contour):
             calls.append(contour)
@@ -866,7 +920,7 @@ class TestCommands:
             return solve(*args)
 
         monkeypatch.setattr(rhsolver, "_build_cauchy_plus", counted)
-        monkeypatch.setattr(cli, "sie_solve", entered)
+        monkeypatch.setattr(pipeline, "sie_solve", entered)
         path = write_scenario(tmp_path, n_panels=4, nodes_per_panel=8)
         rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:2",
                           "--x", "0:2:2", "--no-poles",
@@ -1038,14 +1092,14 @@ class TestZeroCount:
     @pytest.fixture
     def found(self, monkeypatch):
         """The poles of each run's `a_zeros`."""
-        found, orig = [], cli.a_zeros
+        found, orig = [], pipeline.a_zeros
 
         def recorded(*args):
             poles, report = orig(*args)
             found.append(poles)
             return poles, report
 
-        monkeypatch.setattr(cli, "a_zeros", recorded)
+        monkeypatch.setattr(pipeline, "a_zeros", recorded)
         return found
 
     @staticmethod
@@ -1294,6 +1348,30 @@ def test_runs_leave_out_openssl_and_scipy(tmp_path):
     assert _fresh_interpreter(code) == "[[], [], []]"
 
 
+def test_library_modules_load_no_front_end():
+    # the jump algebra and the contour solver load no Jost solver, and
+    # the contour route solves a lattice without the command line
+    code = ("import sys, mbrh.rhsolver, mbrh.jump; print([m for m in "
+            "('mbrh.spectral', 'mbrh.lax') if m in sys.modules])")
+    assert _fresh_interpreter(code) == "[]"
+    code = textwrap.dedent("""\
+        import sys
+        import numpy as np
+        from mbrh.broadening import BroadeningProfile
+        from mbrh.pipeline import rh_field_grid
+        from mbrh.spectral import ScenarioData
+        zero = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
+        E_in = lambda t: 0.8 * np.exp(-((np.asarray(t) - 3.0) / 0.7) ** 2) + 0j
+        sc = ScenarioData(T=10.0, L=5.0, E_in=E_in, E0=zero, rho0=None)
+        E, diag = rh_field_grid(sc, BroadeningProfile.lorentzian(1.0),
+                                [2.0, 3.0], [0.0, 1.0], n_panels=8,
+                                nodes_per_panel=8)
+        assert E.shape == (2, 2) and diag["n_stamps"] == 4
+        print([m for m in ("mbrh.cli", "argparse", "json") if m in sys.modules])
+        """)
+    assert _fresh_interpreter(code) == "[]"
+
+
 def test_config_hash_is_sha256_of_the_canonical_config(tmp_path):
     import hashlib
 
@@ -1375,7 +1453,7 @@ def test_blas_runs_one_thread_unless_preset():
 def test_worker_refusal_exits_as_serial(monkeypatch, capsys, tmp_path):
     # stamps 3 (t = 3, x = 1) and 4 (t = 4, x = 0) both refuse: the loop
     # stops at stamp 3, the earlier in lattice order, with its message
-    orig, seen = cli.sie_solve, []
+    orig, seen = pipeline.sie_solve, []
 
     def refusing(contour, jd, residues):
         seen.append((jd.t, jd.x))
@@ -1383,7 +1461,7 @@ def test_worker_refusal_exits_as_serial(monkeypatch, capsys, tmp_path):
             raise IllConditioned(f"stamp t={jd.t} x={jd.x}")
         return orig(contour, jd, residues)
 
-    monkeypatch.setattr(cli, "sie_solve", refusing)
+    monkeypatch.setattr(pipeline, "sie_solve", refusing)
     path = write_scenario(tmp_path, n_panels=8, nodes_per_panel=8, **DESK)
     out = tmp_path / "rh"
     rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:3",

@@ -12,11 +12,12 @@ import json
 import numpy as np
 import pytest
 
-from mbrh import jump, rhsolver
+from mbrh import pipeline, rhsolver
 from mbrh.broadening import (MIRROR_TOL, BroadeningProfile, eta_boundary,
                              mirror_check, mirror_unfold)
-from mbrh.cli import rh_field_grid, run_command
-from mbrh.jump import JumpData, jump_mixed, spectral_data
+from mbrh.cli import run_command
+from mbrh.jump import JumpData, jump_mixed
+from mbrh.pipeline import rh_field_grid, spectral_data
 from mbrh.rhsolver import contour_build, sie_solve
 from mbrh.spectral import ScenarioData
 from references import excited_scenario
@@ -40,10 +41,10 @@ SCENARIOS = [pytest.param(desk_scenario, id="desk"),
 def unfolded(monkeypatch):
     """Make `spectral_data` solve every node, as for data that do not
     mirror: call it to switch."""
-    orig = jump.data_mirror
+    orig = pipeline.data_mirror
 
     def switch():
-        monkeypatch.setattr(jump, "data_mirror",
+        monkeypatch.setattr(pipeline, "data_mirror",
                             lambda *args: (orig(*args)[0], "switched off"))
     return switch
 

@@ -11,9 +11,9 @@ from mbrh.jump import (
     jump_mixed,
     posdef_check,
     shear_matrices,
-    spectral_data,
 )
 from mbrh.mat2 import diag_exp, inv2
+from mbrh.pipeline import spectral_data
 from mbrh.spectral import (
     continued_a,
     ScenarioData,

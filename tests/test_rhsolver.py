@@ -13,7 +13,8 @@ from mbrh.errors import (
     PosdefViolated,
     SingularResidueSystem,
 )
-from mbrh.jump import JumpData, jump_mixed, posdef_check, spectral_data
+from mbrh.jump import JumpData, jump_mixed, posdef_check
+from mbrh.pipeline import spectral_data
 from mbrh.mat2 import det2, dagger, inv2
 from mbrh.rhsolver import (
     contour_build,
@@ -354,7 +355,7 @@ class TestKrylovPath:
         assert lu.diagnostics["residual_rel"] < 1e-14
 
     def test_fallback_counted_in_field_grid(self, monkeypatch):
-        from mbrh.cli import rh_field_grid
+        from mbrh.pipeline import rh_field_grid
         sc = ScenarioData(T=10.0, L=5.0,
                           E_in=lambda t: 0.8 * np.exp(-((t - 3.0) / 0.7) ** 2)
                           + 0j * t,

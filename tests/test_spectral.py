@@ -7,7 +7,7 @@ from mbrh import spectral
 from mbrh.broadening import BroadeningProfile, eta_boundary
 from mbrh.errors import (CountMismatch, DecayViolation, MediumNotAsymptotic,
                          SpectralOverflow, TooCloseToAxis)
-from mbrh.jump import spectral_data
+from mbrh.pipeline import spectral_data
 from mbrh.mat2 import det2, diag_exp
 from mbrh.rhsolver import contour_build
 from mbrh.spectral import (
