@@ -50,8 +50,11 @@ MAX_LATTICE = 10 ** 7       # points a (t, x) lattice may have: --t/--x or --dt
 # lam_points and the contour's N = n_panels * nodes_per_panel.  N nodes
 # build N x N arrays: the real Cauchy kernel and p.v. weights, 8 N^2 B
 # (32 MiB at the cap), and the dense fallback's complex 2N x 2N matrices,
-# 64 N^2 B (256 MiB), up to four at once: about 1 GiB, as the direct
-# route's workspace of MAX_LATTICE cells (14 x 8 B each) takes
+# 64 N^2 B (256 MiB).  `_dense_solve` holds two of them, A and its
+# inverse (a traced peak of 2.0 x at N = 256, test_rhsolver.py), and
+# np.linalg.inv two LAPACK copies besides (RSS grows by 4.1 x at
+# N = 768): about 1 GiB, as the direct route's workspace of MAX_LATTICE
+# cells (14 x 8 B each) takes.
 MAX_NODES = 2048
 CSV_CHUNK_ROWS = 2048       # rows that write_csv turns into Python floats at a time
 

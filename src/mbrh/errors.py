@@ -49,6 +49,11 @@ class CountMismatch(MBRHError):
     count on the real axis: the Blaschke fit misses, or Newton fails."""
 
 
+class AmplifierZeros(MBRHError):
+    """a has zeros on an amplifier, whose residue conditions are not
+    derived here."""
+
+
 # --- jump ---------------------------------------------------------------
 class SingularK(MBRHError):
     """det K drifted too far from 1."""

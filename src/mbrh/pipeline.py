@@ -3,10 +3,10 @@
 Spectral data (the Jost solves, the scattering table and K_pm = w_pm
 S_pm on the x lattice), the zeros of a, the window of panels on which
 the jump differs from I, and the stamp loop of jump assembly and
-contour solve, with the run's certificates.  Both halves of the mirror
-fold are decided here: whether the Jost solves take the nodes lam >= 0
-alone (`spectral_data`) and whether the stamps then solve on the nodes
-s > 0 alone (`_full_axis_reason`).
+contour solve, block by block of stamps, with the run's certificates.
+Both halves of the mirror fold are decided here: whether the Jost
+solves take the nodes lam >= 0 alone (`spectral_data`) and whether the
+stamps then solve on the nodes s > 0 alone (`_full_axis_reason`).
 """
 
 import time
@@ -14,12 +14,22 @@ import time
 import numpy as np
 
 from .broadening import LAM_WINDOW, eta_boundary, mirror_check, mirror_unfold
-from .jump import jump_mixed, shear_matrices
+from .jump import j0_det_err, jump_base, jump_phased, shear_matrices
 from .rhsolver import (N_PANELS, NODES_PER_PANEL, contour_build, jump_window,
-                       median, residue_constants, sie_solve)
+                       median, residue_constants, sie_solve_block)
 from .spectral import (a_zeros, data_mirror, equation_steps, jost_phi, jost_w,
                        magnus_steps_taken, sorted_union, step_error,
                        transition_and_reflection)
+
+# Stamps solved together, in lattice order, by one block GMRES
+# (`sie_solve_block`).  Its Krylov arrays grow with the steps taken: at
+# MAX_NODES = 2048, a whole-axis row holds at most KRYLOV_BUDGET + 1 = 101
+# vectors of 2N complex numbers (32 N B each, 6.6 MB; half on the folded
+# nodes), so a block of 8 pole-free stamps holds 53 MB, and 87 MB while
+# the basis grows from 64 to 100 steps; a pole adds 2 rows per stamp.
+# That is a third of one complex 2N x 2N matrix of the dense fallback
+# (64 N^2 B = 256 MiB).
+STAMP_BLOCK = 8
 
 
 def spectral_data(scenario, profile, ev, x_out=(0.0,), step=None,
@@ -106,25 +116,36 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     """Mixed-problem contour pipeline: contour -> spectral data and K_pm on
     the x lattice -> zeros of a, counted and fitted on the axis and
     refined by Newton (`a_zeros`) -> the window of panels on which J
-    differs from I (`jump_window`) -> per-stamp jump assembly and
-    contour solve on that window.
+    differs from I (`jump_window`) -> jump assembly and contour solve on
+    that window, block by block of stamps.
 
     window, n_panels and nodes_per_panel give the configured contour,
     which the spectral data and the zeros of a use; the stamps solve on
     its panels that `jump_window` keeps.  On mirror-symmetric data the
     Jost solves take the nodes lam >= 0 (`spectral_data`), and each stamp
-    assembles and solves its jump on the kept nodes s > 0 alone
-    (`sie_solve`), unless `_full_axis_reason` gives a reason not to.
+    assembles and solves its jump on the kept nodes s > 0 alone, unless
+    `_full_axis_reason` gives a reason not to.  The zeros of a are
+    counted on every run; an amplifier with zeros is refused
+    (`a_zeros`).
+
+    The stamps solve in blocks of at most STAMP_BLOCK consecutive stamps
+    in lattice order (t-major).  J0 = K+^-1 K- is formed once per x
+    column (`jump_base`; it does not depend on t), each block's jumps by
+    one `jump_phased`, and each block by one `sie_solve_block`, whose
+    lockstep GMRES keeps every stamp's certificates its own.  A refusal
+    names the earliest refusing stamp of its block, and no later block
+    starts.
 
     Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
     wall time of the spectral data (`spectral_s`, of which the t- and
     x-equation Jost solves took `jost_phi_s` and `jost_w_s`, and the
     scattering table with its step-error estimate `step_err_s`), of the
     zero search with the window and its Cauchy kernel build
-    (`pole_search_s`) and of the stamp loop (`stamp_loop_s`), which
-    solves the stamps one after another in lattice order, and the
-    per-stamp `jump_mixed` and `sie_solve` times summed over stamps
-    (`jump_s`, `sie_s`).  `n_nodes` counts the nodes of the kept window,
+    (`pole_search_s`) and of the stamp loop (`stamp_loop_s`), and the
+    times of the blocks' `jump_phased` and `sie_solve_block` calls
+    summed over blocks (`jump_s`, `sie_s`).  `n_stamps` counts the
+    stamps and `stamp_blocks` {`count`, `largest`} their blocks.
+    `n_nodes` counts the nodes of the kept window,
     `full_axis` says why the stamps solved all of them (None: the half
     s > 0), and `window` is `jump_window`'s report.  `boundary_err` and
     `initial_err` compare the field on the lattice's x = 0 column with
@@ -132,8 +153,8 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     table's det, reduction and step errors and its mirror report
     (`mirror_err`, `nodes_solved`, `full_axis`), `pole_count` the count, fit
     residual, Newton steps and clearance of the zeros of a (`a_zeros`;
-    None on a gain or --no-poles run), `J0_det_err` the largest det(J0)
-    error of a stamp, and `residue_cond` the SVD condition of the
+    None on a --no-poles run), `J0_det_err` the largest det(J0) error
+    on the stamps' nodes, and `residue_cond` the SVD condition of the
     stamps' residue systems (None without poles).
     """
     t_vals = np.asarray(t_vals, dtype=float)
@@ -148,18 +169,19 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                                   stages=stages)
     marks.append(time.perf_counter())
     poles, pole_count = [], None
-    if find_poles and profile.sign < 0:     # on the configured contour
+    if find_poles:              # on the configured contour
         poles, pole_count = a_zeros(scenario, profile, contour, table.a_plus)
-    # |J - I| is the same at every t: one jump per x column sizes the
-    # window of the whole lattice, and the stamps solve on that window
-    contour, keep, window_report = jump_window(contour, np.array(
-        [jump_mixed(t_vals.max(), x, ev, Kp[ix], Km[ix]).J
-         for ix, x in enumerate(x_vals)]))
-    ev, Kp, Km = ev.take(keep), Kp[:, keep], Km[:, keep]
+    # J0 = K+^-1 K- does not depend on t, and |J - I| is the same at every
+    # t: one jump per x column sizes the window of the whole lattice, and
+    # the stamps solve on that window
+    J0 = jump_base(Kp, Km)
+    contour, keep, window_report = jump_window(
+        contour, jump_phased(J0, t_vals.max(), x_vals, ev).J)
+    ev, J0 = ev.take(keep), J0[:, keep]
     full_axis = _full_axis_reason(table, contour, poles)
     if full_axis is None:       # J(-s) = conj J(s): the stamps take s > 0
         half = slice(contour.n_nodes // 2, None)
-        ev, Kp, Km = ev.take(half), Kp[:, half], Km[:, half]
+        ev, J0 = ev.take(half), J0[:, half]
         contour.kernel_fold()   # built once for every stamp
     else:
         contour.kernel()        # built once for every stamp
@@ -168,35 +190,36 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     if poles:                   # (z_j, c_j) of every stamp, overflow refused
         zj, cj = residue_constants(poles, profile, t_vals[:, None],
                                    x_vals[None, :])
-
-    def solve_stamp(it, ix):
-        t, x = t_vals[it], x_vals[ix]
+    it, ix = np.divmod(np.arange(t_vals.size * x_vals.size), x_vals.size)
+    starts = range(0, it.size, STAMP_BLOCK)
+    results, jump_s, sie_s = [], 0.0, 0.0
+    for start in starts:
+        b = slice(start, start + STAMP_BLOCK)
         tic = time.perf_counter()
-        jd = jump_mixed(t, x, ev, Kp[ix], Km[ix])
-        jump_s = time.perf_counter() - tic
-        tic = time.perf_counter()
-        res = sie_solve(contour, jd, (zj, cj[it, ix]) if poles else None)
-        return (res.E, {**res.diagnostics, **jd.diagnostics},
-                (jump_s, time.perf_counter() - tic))
-
-    E, diags, times = zip(*[solve_stamp(it, ix) for it in range(t_vals.size)
-                            for ix in range(x_vals.size)])
+        jd = jump_phased(J0[ix[b]], t_vals[it[b]], x_vals[ix[b]], ev)
+        mid = time.perf_counter()
+        results += sie_solve_block(contour, jd, (zj, cj[it[b], ix[b]])
+                                   if poles else None)
+        jump_s += mid - tic
+        sie_s += time.perf_counter() - mid
     marks.append(time.perf_counter())
     stages.update(zip(("spectral_s", "pole_search_s", "stamp_loop_s"),
                       np.diff(marks).tolist()))
-    stages["jump_s"], stages["sie_s"] = np.sum(times, axis=0).tolist()
-    E = np.array(E).reshape(t_vals.size, x_vals.size)
-    col = {key: np.array([d[key] for d in diags])
+    stages["jump_s"], stages["sie_s"] = jump_s, sie_s
+    E = np.array([res.E for res in results]).reshape(t_vals.size, x_vals.size)
+    col = {key: np.array([res.diagnostics[key] for res in results])
            for key in ("residual_rel", "cond", "iterations", "posdef_min",
-                       "J0_det_err", "lu", "residue_cond")}
+                       "lu", "residue_cond")}
     diag = {"n_poles": len(poles), "pole_count": pole_count,
             "n_nodes": contour.n_nodes, "full_axis": full_axis,
             "window": window_report,
             "n_stamps": E.size,
+            "stamp_blocks": {"count": len(starts),
+                             "largest": min(STAMP_BLOCK, E.size)},
             "lu_stamps": int(np.count_nonzero(col["lu"])),
             "stages": stages, "magnus_steps": magnus_steps_taken() - steps0,
             "spectral": dict(table.diagnostics),
-            "J0_det_err": float(col["J0_det_err"].max())}
+            "J0_det_err": j0_det_err(J0)}
     for key, name in (("residual_rel", "residual_rel"), ("cond", "cond"),
                       ("iterations", "krylov_iters"),
                       ("residue_cond", "residue_cond")):

@@ -18,7 +18,10 @@ H on the whole axis, or H+ over H- (`kernel_fold`) on the nodes s > 0
 of mirror-symmetric data.  The row operator is solved matrix-free by
 GMRES on it, with a Hessenberg (kappa_2 lower bound) condition
 certificate, for 1 + 2p right-hand sides; the residues then follow
-from one complex 2p x 2p system (`sie_solve`).
+from one complex 2p x 2p system.  A block of stamps solves in lockstep
+(`sie_solve_block`): one GMRES steps the right-hand sides of all its
+stamps, each with its own operator and stopping test, through one
+kernel product per step; `sie_solve` is a block of one.
 A run's stamps solve on the panels where the jump differs from I
 (`jump_window`).
 Any stamp the Krylov path cannot certify is solved densely: the matrix
@@ -219,6 +222,8 @@ COND_LIMIT = 1e12           # condition above which a stamp is refused
 KRYLOV_RTOL = 1e-15         # GMRES stops at residual norm <= this * ||b||_2
 KRYLOV_BUDGET = 100         # Arnoldi steps before the dense fallback
 KRYLOV_RESIDUAL = 1e-13     # a-posteriori max-norm residual, relative to the right-hand side
+KRYLOV_START = 16           # Arnoldi steps the Krylov arrays first hold; they
+                            # double as the steps need, up to KRYLOV_BUDGET
 
 
 @dataclass
@@ -230,31 +235,48 @@ class RHResult:
 
 
 def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
-    """Collocation solve for the first row of M: the Cauchy part q of
-    q - C+[q(I-J)] = C+[(e1 + P)(I-J)], whose 2N x 2N operator A each
-    row shares, and the residues of the pole part P.
+    """One stamp's solve: `sie_solve_block` on a block of that stamp alone.
+    residues: the stamp's (z_j, c_j) (`residue_constants`), or None."""
+    block = JumpData(t=jd.t, x=jd.x, nodes=jd.nodes, J=jd.J[None])
+    if residues is not None:
+        residues = (residues[0], np.asarray(residues[1])[None])
+    return sie_solve_block(contour, block, residues)[0]
 
-    residues: the stamp's (z_j, c_j) (`residue_constants`), or None.
-    The jump must have a positive-definite Hermitian part
-    (`PosdefViolated`).  A is solved for b0 = C+[e1(I-J)] and per pole
-    for (C+[g1] - C[g1](z_j))/(lam - z_j) and (C+[g0] - C[g0](conj z_j))
-    /(lam - conj z_j), g_a row a of I - J: partial fractions, so no pole
-    term is sampled on the nodes.  Off the axis C[g] is a plain Gauss sum
-    (its zeta-derivative at the pole itself).  The residue conditions are
-    then a 2p x 2p system, each row divided by max(1, |c_j|); its SVD
-    condition is `residue_cond`, refused above COND_LIMIT
-    (`IllConditioned`), and a non-finite or singular system is refused
-    (`SingularResidueSystem`).
 
-    Each right-hand side is solved by unrestarted GMRES (`_gmres`):
-    `cond` is the largest s_max/s_min of their Hessenberg matrices, a
-    lower bound on kappa_2(A), and `iterations` their total Arnoldi
+def sie_solve_block(contour: ContourSigma, jd: JumpData, residues=None):
+    """Collocation solves for the first row of M at a block of stamps: at
+    each, the Cauchy part q of q - C+[q(I-J)] = C+[(e1 + P)(I-J)], whose
+    2N x 2N operator A each of the stamp's rows shares, and the residues
+    of the pole part P.  Returns one `RHResult` per stamp, in order.
+
+    jd holds the block's jumps J (s, N, 2, 2) and its stamps t and x
+    (`jump_phased`); residues: (z_j, c_j), c_j (s, p) one row per stamp
+    (`residue_constants`), or None.  Each jump must have a
+    positive-definite Hermitian part (`posdef_check`, one minimum per
+    stamp; `PosdefViolated`).  A is solved for b0 = C+[e1(I-J)] and per
+    pole for (C+[g1] - C[g1](z_j))/(lam - z_j) and (C+[g0] - C[g0](conj
+    z_j))/(lam - conj z_j), g_a row a of I - J: partial fractions, so no
+    pole term is sampled on the nodes.  Off the axis C[g] is a plain
+    Gauss sum (its zeta-derivative at the pole itself).  The residue
+    conditions are then a 2p x 2p system, each row divided by
+    max(1, |c_j|); its SVD condition is `residue_cond`, refused above
+    COND_LIMIT (`IllConditioned`), and a non-finite or singular system is
+    refused (`SingularResidueSystem`).
+
+    The block's 1 + 2p right-hand sides per stamp are solved together by
+    unrestarted GMRES in lockstep (`_gmres`): one product with the cached
+    kernel applies every row's operator per Arnoldi step, and a row
+    leaves the block when its own stopping test passes.  A stamp's
+    `cond` is the largest s_max/s_min of its rows' Hessenberg matrices,
+    a lower bound on kappa_2(A), and `iterations` their total Arnoldi
     steps.  If any estimate exceeds COND_LIMIT/1e3, a budget runs out or
-    a residual exceeds KRYLOV_RESIDUAL, one dense solve of the same
-    operator solves them all (`_dense_solve`; `lu`, `iterations` 0,
-    `cond` the exact kappa_1(A)), refusing above COND_LIMIT
-    (`IllConditioned`).  `residual_rel` is the largest residual relative
-    to its right-hand side.
+    a residual exceeds KRYLOV_RESIDUAL, one dense solve of that stamp's
+    operator solves all its right-hand sides (`_dense_solve`; `lu`,
+    `iterations` 0, `cond` the exact kappa_1(A)), refusing above
+    COND_LIMIT (`IllConditioned`).  `residual_rel` is the largest
+    residual relative to its right-hand side.  A refusal names the
+    earliest refusing stamp of the block: the stamps from the first
+    posdef violation on are not solved, and those before it are.
 
     A pole-free jump given on the contour's nodes s > 0 alone, the upper
     half P of a contour mirror-symmetric about 0 with J(-s) = conj J(s)
@@ -266,25 +288,17 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
     real, and so is the matrix of a folded dense solve.
     """
     J = jd.J
-    n, m = contour.n_nodes, J.shape[0]
+    n, m = contour.n_nodes, J.shape[1]
     folded = residues is None and 2 * m == n
     if m != n and not folded:
         raise ValueError("jump data does not match the contour nodes")
-    posdef_min = posdef_check(jd)
-    if posdef_min <= 0.0:
-        raise PosdefViolated(f"real-axis Hermitian-part minimum {posdef_min:.3e}")
-    diagnostics = {"posdef_min": posdef_min, "residue_cond": None}
-    IJ = np.eye(2) - J                                   # (m, 2, 2)
-    ij0, ij1 = IJ[:, 0].copy(), IJ[:, 1].copy()          # its rows
+    posdef = posdef_check(jd)
+    bad = np.flatnonzero(posdef <= 0.0)
+    s = int(bad[0]) if bad.size else J.shape[0]     # the stamps solved
+    IJ = np.eye(2) - J[:s]                               # (s, m, 2, 2)
+    ij0, ij1 = IJ[:, :, 0].copy(), IJ[:, :, 1].copy()    # its rows
 
-    def op(v):
-        """q - C+[q(I-J)] for a row q (m, 2), flattened to v (its float
-        view when folded)."""
-        q = v.view(complex).reshape(m, 2)
-        return (q - contour.cauchy_apply(q[:, :1] * ij0 + q[:, 1:] * ij1)
-                ).ravel().view(v.dtype)
-
-    B = [contour.cauchy_apply(ij0)]
+    B = [_cplus_rows(contour, ij0)]
     if residues is not None:
         # unknown l: u_j (pole z_j, density row 2), then r_j (conj z_j, row 1)
         zj, cj = residues
@@ -292,61 +306,85 @@ def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
         zeta = np.concatenate([zj, np.conj(zj)])
         row, lam = np.repeat([1, 0], p), contour.nodes
         kern = contour.weights / (lam - zeta[:, None]) / (2j * np.pi)
-        # [i, a, :]: C[g_a](zeta_i) and its zeta-derivative, Gauss sums
-        Cz, Dz = [(K @ IJ.reshape(n, 4)).reshape(-1, 2, 2)
+        # [stamp, i, a, :]: C[g_a](zeta_i) and its zeta-derivative, Gauss sums
+        Cz, Dz = [(K @ IJ.reshape(s, n, 4)).reshape(s, -1, 2, 2)
                   for K in (kern, kern / (lam - zeta[:, None]))]
-        CPg = (B[0], contour.cauchy_apply(ij1))
-        B += [(CPg[a] - Cz[l, a]) / (lam - zeta[l])[:, None]
+        CPg = (B[0], _cplus_rows(contour, ij1))
+        B += [(CPg[a] - Cz[:, l, a][:, None]) / (lam - zeta[l])[:, None]
               for l, a in enumerate(row)]
-    B = [b.ravel().view(float if folded else complex) for b in B]
-    krylov = _krylov_solve(op, B)
-    diagnostics["lu"] = krylov is None      # one dense solve for all of B
-    res, V, conds, its = zip(*(krylov or _dense_solve(op, B)))
-    V, cond, iterations = np.array(V), max(conds), sum(its)
-    res_rel = max(r / max(_max_abs(b), 1e-300) for r, b in zip(res, B))
-    Q = V.view(complex).reshape(len(B), m, 2)
-    q, pole_m12, w = Q[0], 0.0, None
-    if residues is not None:
-        CQ = kern @ (Q[..., :1] * ij0 + Q[..., 1:] * ij1)   # C[q_l(I-J)](zeta_i)
-        w, diagnostics["residue_cond"] = _residue_solve(zeta, cj, Cz, Dz, CQ)
-        q = q + np.tensordot(w, Q[1:], axes=1)
-        pole_m12 = np.sum(w[:p]) - w @ Cz[np.arange(2 * p), row, 1]
+    k = len(B)                                  # right-hand sides per stamp
+    B = np.stack(B, axis=1).reshape(s * k, 2 * m)    # row i k + l: stamp i's l
+    B = B.view(float) if folded else B
+    stamp = np.arange(s).repeat(k)
 
-    # E = -4i m12, m the z^{-1} moment: sum u_j plus (1/2 pi i) int
-    # (e1 + P + q)(J-I) ds; sign fixed by the linearized (Born) limit
-    # against the forward transform.  Folded, the integral over s < 0 is
-    # the conjugate of that over s > 0, and E = -(4/pi) Re sum_P w f.
-    f = (1.0 + q[:, 0]) * J[:, 0, 1] + q[:, 1] * (J[:, 1, 1] - 1.0)
-    E = (complex(-4.0 / np.pi * (contour.weights[n - m:] @ f.real)) if folded
-         else -4j * (contour.weights @ f / (2j * np.pi) + pole_m12))
-    return RHResult(Q=mirror_unfold(q, n) if folded else q, E=E,
-                    diagnostics={"residual": max(res), "residual_rel": res_rel,
-                                 "cond": cond, "iterations": iterations,
-                                 **diagnostics},
-                    residues=w)
+    def op(V, rows):
+        """q - C+[q(I-J)] for rows q (m, 2) flattened to V (their float
+        view when folded), each with the jump of its row of B."""
+        q, i = V.view(complex).reshape(len(rows), m, 2), stamp[rows]
+        return (q - _cplus_rows(contour, q[..., :1] * ij0[i]
+                                + q[..., 1:] * ij1[i])
+                ).reshape(len(rows), 2 * m).view(V.dtype)
+
+    sols = _gmres(op, B, COND_LIMIT / 1e3)
+    X, res = np.zeros_like(B), np.zeros(s * k)
+    done = np.flatnonzero([sol is not None for sol in sols])
+    for r in done:
+        X[r] = sols[r][0]
+    res[done] = _max_abs(op(X[done], done) - B[done])
+    bmax = np.maximum(_max_abs(B), 1e-300)
+    certified = np.zeros(s * k, dtype=bool)
+    certified[done] = res[done] <= KRYLOV_RESIDUAL * bmax[done]
+
+    out = []
+    for i in range(s):
+        rows = range(i * k, (i + 1) * k)
+        lu = not certified[rows].all()
+        if lu:          # one dense solve for all of the stamp's rows
+            solved = _dense_solve(lambda v: op(v[None], rows[:1])[0],
+                                  list(B[rows]))
+        else:
+            solved = [(res[r], X[r], *sols[r][1:]) for r in rows]
+        r_i, V, conds, its = zip(*solved)
+        res_rel = max(r / b for r, b in zip(r_i, bmax[rows]))
+        Q = np.array(V).view(complex).reshape(k, m, 2)
+        q, pole_m12, w, residue_cond = Q[0], 0.0, None, None
+        if residues is not None:
+            CQ = kern @ (Q[..., :1] * ij0[i] + Q[..., 1:] * ij1[i])
+            w, residue_cond = _residue_solve(zeta, cj[i], Cz[i], Dz[i], CQ)
+            q = q + np.tensordot(w, Q[1:], axes=1)
+            pole_m12 = np.sum(w[:p]) - w @ Cz[i, np.arange(2 * p), row, 1]
+
+        # E = -4i m12, m the z^{-1} moment: sum u_j plus (1/2 pi i) int
+        # (e1 + P + q)(J-I) ds; sign fixed by the linearized (Born) limit
+        # against the forward transform.  Folded, the integral over s < 0
+        # is the conjugate of that over s > 0, and E = -(4/pi) Re sum_P w f.
+        f = (1.0 + q[:, 0]) * J[i, :, 0, 1] + q[:, 1] * (J[i, :, 1, 1] - 1.0)
+        E = (complex(-4.0 / np.pi * (contour.weights[n - m:] @ f.real))
+             if folded else -4j * (contour.weights @ f / (2j * np.pi) + pole_m12))
+        out.append(RHResult(
+            Q=mirror_unfold(q, n) if folded else q, E=E,
+            diagnostics={"residual": max(r_i), "residual_rel": res_rel,
+                         "cond": max(conds), "iterations": sum(its),
+                         "posdef_min": float(posdef[i]),
+                         "residue_cond": residue_cond, "lu": lu},
+            residues=w))
+    if s < J.shape[0]:
+        raise PosdefViolated(
+            f"real-axis Hermitian-part minimum {posdef[s]:.3e}")
+    return out
+
+
+def _cplus_rows(contour, g):
+    """C+ of every row g[i] (m, 2) of g (r, m, 2), by one `cauchy_apply`."""
+    r, m = g.shape[:2]
+    return contour.cauchy_apply(g.transpose(1, 0, 2).reshape(m, 2 * r)
+                                ).reshape(m, r, 2).transpose(1, 0, 2)
 
 
 def _max_abs(v):
-    """Largest modulus of the complex entries of v, or of the complex
-    numbers whose float view a real v is."""
-    return float(np.max(np.abs(v.view(complex))))
-
-
-def _krylov_solve(op, B):
-    """GMRES solutions of op(v) = b for the flat right-hand sides b of B,
-    as (residual, v, cond, iterations) each, or None as soon as one is
-    not certified: cond above COND_LIMIT/1e3, the budget run out, or a
-    max-norm residual above KRYLOV_RESIDUAL relative to b."""
-    out = []
-    for b in B:
-        krylov = _gmres(op, b, COND_LIMIT / 1e3)
-        if krylov is None:
-            return None
-        res = _max_abs(op(krylov[0]) - b)
-        if res > KRYLOV_RESIDUAL * max(_max_abs(b), 1e-300):
-            return None
-        out.append((res, *krylov))
-    return out
+    """Largest modulus of the complex entries of v along its last axis, or
+    of the complex numbers whose float view a real v is."""
+    return np.max(np.abs(v.view(complex)), axis=-1)
 
 
 def _residue_solve(zeta, cj, Cz, Dz, CQ):
@@ -383,82 +421,133 @@ def _residue_solve(zeta, cj, Cz, Dz, CQ):
 
 def _dense_solve(op, B):
     """op(v) = b for the flat right-hand sides b of B, by the inverse of
-    the matrix A of op: its columns op(e_k), real on the float view of a
-    folded stamp and complex otherwise.  Returns (residual, v, cond, 0)
-    for each b, as `_krylov_solve` does, with cond the exact kappa_1 =
-    ||A||_1 ||A^-1||_1, refused above COND_LIMIT, as is a singular A
-    (`IllConditioned`)."""
-    A = np.array([op(e) for e in np.eye(B[0].size, dtype=B[0].dtype)]).T
+    the matrix A of op: real on the float view of a folded stamp and
+    complex otherwise.  Its columns op(e_k) fill one preallocated matrix
+    from one unit vector, and A is dropped once inverted, so at most two
+    matrices are held besides the two work copies `np.linalg.inv` makes
+    in LAPACK.  Returns (residual, v, cond, 0) for each b, as `_gmres`'s
+    rows do, with cond the exact kappa_1 = ||A||_1 ||A^-1||_1, refused
+    above COND_LIMIT, as is a singular A (`IllConditioned`)."""
+    n = B[0].size
+    A, e = np.empty((n, n), dtype=B[0].dtype), np.zeros(n, dtype=B[0].dtype)
+    for k in range(n):          # row k of A^T is op(e_k)
+        e[k] = 1.0
+        A[k] = op(e)
+        e[k] = 0.0
+    norm = np.linalg.norm(A, np.inf)        # ||A||_1, A holding A^T
     try:
-        Ainv = np.linalg.inv(A)
+        Ainv = np.linalg.inv(A).T
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"dense operator singular ({exc})") from exc
-    cond = float(np.linalg.norm(A, 1) * np.linalg.norm(Ainv, 1))
+    del A
+    cond = float(norm * np.linalg.norm(Ainv, 1))
     if not cond <= COND_LIMIT:
         raise IllConditioned(f"dense operator condition {cond:.2e}")
     return [(_max_abs(op(v) - b), v, cond, 0)
             for v, b in zip(np.stack(B) @ Ainv.T, B)]
 
 
-def _gmres(op, b, cond_max):
-    """Unrestarted GMRES for op(x) = b from x = 0 (Saad & Schultz 1986).
+def _gmres(op, B, cond_max):
+    """Unrestarted GMRES for op(x) = b from x = 0 (Saad & Schultz 1986),
+    for every row b of B in lockstep.
 
-    Arnoldi by classical Gram-Schmidt applied twice; Givens rotations
-    track the residual norm.  It runs in the dtype of b, real or complex.
-    Returns (x, cond, iterations), with cond = s_max/s_min of the
-    (k+1) x k Hessenberg matrix, or None when the budget runs out or
-    cond > cond_max.  A vanishing right-hand side has the solution 0,
-    after no step, with cond 1.
+    op(V, rows) applies to each row of V the operator of the row of B
+    that `rows` names.  Each Arnoldi step applies the operators of all
+    rows still stepping by one call of op, and runs classical
+    Gram-Schmidt twice as batched products.  A row's earlier Givens
+    rotations are one small matrix, applied to the new Hessenberg column
+    by one product; the new rotation tracks the residual norm.  A row
+    leaves as soon as its own stopping test passes.  It runs in the
+    dtype of B, real or complex, and the arrays grow with the steps
+    taken, from KRYLOV_START.  Returns, per row of B, (x, cond,
+    iterations), with cond = s_max/s_min of the row's (k+1) x k
+    Hessenberg matrix, or None when the budget runs out or cond >
+    cond_max.  A vanishing right-hand side has the solution 0, after no
+    step, with cond 1.
     """
-    beta = float(np.linalg.norm(b))
-    if beta == 0.0:
-        return np.zeros_like(b), 1.0, 0
-    m = KRYLOV_BUDGET
-    V = np.empty((m + 1, b.size), dtype=b.dtype)
-    H = np.zeros((m + 1, m), dtype=b.dtype)       # Arnoldi Hessenberg
-    U = np.zeros((m, m), dtype=b.dtype)           # its rotated triangle
-    cs, sn = [], []
-    g = [complex(beta) if np.iscomplexobj(b) else beta]    # rotated beta e1
-    V[0] = b / beta
-    for k in range(m):
-        w = op(V[k])
-        Vk = V[:k + 1]
-        h = (Vk @ w.conj()).conj()
-        w -= h @ Vk
-        h2 = (Vk @ w.conj()).conj()
-        w -= h2 @ Vk
+    n = B.shape[1]
+    beta = np.linalg.norm(B, axis=1)
+    out = [None if b else (np.zeros(n, dtype=B.dtype), 1.0, 0) for b in beta]
+    act = np.flatnonzero(beta)              # the rows still stepping
+    beta, cap = beta[act], min(KRYLOV_START, KRYLOV_BUDGET)
+    # per row: the Krylov basis V, the Arnoldi Hessenberg H, its rotated
+    # triangle U, the product G of the rotations so far, and G beta e1
+    V = np.empty((act.size, cap + 1, n), dtype=B.dtype)
+    H = np.zeros((act.size, cap + 1, cap), dtype=B.dtype)
+    U = np.zeros((act.size, cap, cap), dtype=B.dtype)
+    G = np.zeros((act.size, cap + 1, cap + 1), dtype=B.dtype)
+    g = np.zeros((act.size, cap + 1), dtype=B.dtype)
+    V[:, 0] = B[act] / beta[:, None]
+    G[:, 0, 0], g[:, 0] = 1.0, beta
+    for k in range(KRYLOV_BUDGET):
+        if act.size == 0:
+            break
+        if k == cap:
+            cap = min(2 * cap, KRYLOV_BUDGET)
+            V, H, U, G, g = [_grown(A, shape) for A, shape in (
+                (V, (cap + 1, n)), (H, (cap + 1, cap)), (U, (cap, cap)),
+                (G, (cap + 1, cap + 1)), (g, (cap + 1,)))]
+        w = op(V[:, k], act)
+        Vk = V[:, :k + 1]
+        h = (Vk @ w.conj()[..., None])[..., 0].conj()
+        w -= (h[:, None] @ Vk)[:, 0]
+        h2 = (Vk @ w.conj()[..., None])[..., 0].conj()
+        w -= (h2[:, None] @ Vk)[:, 0]
         h += h2
-        hn = float(np.linalg.norm(w))
-        H[:k + 1, k] = h
-        H[k + 1, k] = hn
+        wf = w.view(float)
+        hn = np.sqrt((wf[:, None] @ wf[..., None])[:, 0, 0])
+        H[:, :k + 1, k], H[:, k + 1, k] = h, hn
 
-        col = h.tolist()
-        for i in range(k):
-            a, d = col[i], col[i + 1]
-            col[i] = cs[i] * a + sn[i] * d
-            col[i + 1] = -sn[i].conjugate() * a + cs[i] * d
-        a = col[k]
-        r = float(np.hypot(abs(a), hn))
-        if a == 0:
-            c, s = 0.0, 1.0
-        else:
-            c, s = abs(a) / r, (a / abs(a)) * hn / r
-        cs.append(c)
-        sn.append(s)
-        col[k] = c * a + s * hn
-        U[:k + 1, k] = col
-        g.append(-s.conjugate() * g[k])
-        g[k] = c * g[k]
+        col = (G[:, :k + 1, :k + 1] @ h[..., None])[..., 0]
+        c, sn = _givens(col[:, k], hn)
+        col[:, k] = c * col[:, k] + sn * hn
+        U[:, :k + 1, k] = col
+        G[:, k + 1, :k + 1] = -sn.conj()[:, None] * G[:, k, :k + 1]
+        G[:, k, :k + 1] *= c[:, None]
+        G[:, k, k + 1], G[:, k + 1, k + 1] = sn, c
+        g[:, k + 1] = -sn.conj() * g[:, k]
+        g[:, k] *= c
 
-        if abs(g[k + 1]) <= KRYLOV_RTOL * beta or hn == 0.0:
-            sv = np.linalg.svd(H[:k + 2, :k + 1], compute_uv=False)
-            cond = float(sv[0] / sv[-1])
-            if cond > cond_max:
-                return None
-            y = np.linalg.solve(U[:k + 1, :k + 1], np.array(g[:k + 1]))
-            return y @ Vk, cond, k + 1
-        V[k + 1] = w / hn
-    return None
+        stop = (np.abs(g[:, k + 1]) <= KRYLOV_RTOL * beta) | (hn == 0.0)
+        if stop.any():
+            d = np.flatnonzero(stop)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sv = np.linalg.svd(H[d, :k + 2, :k + 1], compute_uv=False)
+                cond = sv[:, 0] / sv[:, -1]
+            ok = ~(cond > cond_max)
+            d, cond = d[ok], cond[ok]
+            y = np.linalg.solve(U[d, :k + 1, :k + 1], g[d, :k + 1, None])
+            x = (y.swapaxes(1, 2) @ V[d, :k + 1])[:, 0]
+            for r, xr, cr in zip(act[d], x, cond):
+                out[r] = (xr, float(cr), k + 1)
+            go = np.flatnonzero(~stop)
+            act, beta, w, hn = act[go], beta[go], w[go], hn[go]
+            for to, row in enumerate(go):   # in place: no second basis
+                for A in (V, H, U, G, g):
+                    A[to] = A[row]
+            V, H, U, G, g = (A[:go.size] for A in (V, H, U, G, g))
+        V[:, k + 1] = w / hn[:, None]
+    return out
+
+
+def _givens(a, hn):
+    """Per row, the rotation (c, s) with c real that takes (a, hn) to
+    (r a/|a|, 0), r = hypot(|a|, hn): c = |a|/r, s = (a/|a|) hn/r, and
+    c = 0, s = 1 where a = 0."""
+    absa = np.abs(a)
+    zero = absa == 0.0
+    absa[zero] = 1.0            # no 0/0 there: c and s are set below
+    r = np.hypot(absa, hn)
+    c, sn = absa / r, (a / absa) * hn / r
+    c[zero], sn[zero] = 0.0, 1.0
+    return c, sn
+
+
+def _grown(A, shape):
+    """A copied into zeros of the trailing shape, its first axis kept."""
+    out = np.zeros(A.shape[:1] + shape, dtype=A.dtype)
+    out[tuple(slice(0, size) for size in A.shape)] = A
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ import numpy as np
 
 from .broadening import LAM_POINTS, LAM_WINDOW, eta_eval, mirror_check
 from .errors import (
+    AmplifierZeros,
     CountMismatch,
     DecayViolation,
     MediumNotAsymptotic,
@@ -620,14 +621,16 @@ def _newton(afun, z):
 
 
 def a_zeros(scenario, profile, contour, a):
-    """Poles (z_j, m_j) of an attenuator run, from a on the contour nodes.
+    """Poles (z_j, m_j) of a run, from a on the contour nodes.
 
     The roots of the Blaschke fit (`_blaschke_fit`) of the p zeros counted
     on the axis (`axis_zero_count`) start Newton on `continued_a`; m_j =
     gamma_j / a'(z_j), gamma_j = B(z_j) / alpha(z_j), with a' from the
     last Newton step.  CountMismatch refuses a fit residual above FIT_TOL
     (max|B - 1| at p = 0: a B that winds passes through -1), a Newton
-    failure and two roots on one zero; TooCloseToAxis a zero less than
+    failure and two roots on one zero; AmplifierZeros, before Newton, a
+    zero on an amplifier (profile.sign > 0), whose residue conditions
+    are not derived here; TooCloseToAxis a zero less than
     CLEARANCE_MIN node spacings of its nearest panel above the axis, where
     Gauss sums cannot resolve 1/(s - z_j).  Returns (poles, {"axis",
     "fit_residual", "newton_steps", "clearance": min Im z_j / spacing}).
@@ -643,6 +646,11 @@ def a_zeros(scenario, profile, contour, a):
             f"{residual:.2e} (above {FIT_TOL:g})")
     if n <= 0:
         return [], report
+    if profile.sign > 0:
+        raise AmplifierZeros(
+            f"the argument of a on the real axis counts {n} zero(s) in the "
+            f"upper half-plane on an amplifier, whose residue conditions "
+            f"the contour route does not solve")
     z, report["newton_steps"], adot = _newton(
         lambda zz: continued_a(scenario, profile, zz), roots)
     if np.min(np.abs(z[:, None] - z[None, :]) + np.eye(n)) < SAME_ZERO_TOL:

@@ -907,26 +907,27 @@ class TestCommands:
 
     def test_solve_rh_builds_cauchy_matrix_once(self, monkeypatch, tmp_path):
         # every stamp shares the contour's Cauchy matrix, built before the
-        # stamp loop: each stamp's sie_solve finds it built once
-        calls, at_stamp = [], []
-        orig, solve = rhsolver._build_cauchy_plus, pipeline.sie_solve
+        # stamp loop: each block's sie_solve_block finds it built once
+        calls, at_block = [], []
+        orig, solve = rhsolver._build_cauchy_plus, pipeline.sie_solve_block
 
         def counted(contour):
             calls.append(contour)
             return orig(contour)
 
         def entered(*args):
-            at_stamp.append(len(calls))
+            at_block.append(len(calls))
             return solve(*args)
 
         monkeypatch.setattr(rhsolver, "_build_cauchy_plus", counted)
-        monkeypatch.setattr(pipeline, "sie_solve", entered)
+        monkeypatch.setattr(pipeline, "sie_solve_block", entered)
         path = write_scenario(tmp_path, n_panels=4, nodes_per_panel=8)
         rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:2",
                           "--x", "0:2:2", "--no-poles",
                           "--out", str(tmp_path / "rh")])
         assert rc == 0
-        assert len(calls) == 1 and at_stamp == [1] * 4
+        # the 4 stamps fit one block
+        assert len(calls) == 1 and at_block == [1]
 
 
 class TestReproductionFigures:
@@ -1132,6 +1133,46 @@ class TestZeroCount:
         assert (count["axis"], count["newton_steps"], count["clearance"]) \
             == (0, 0, None)
         assert count["fit_residual"] < spectral.FIT_TOL
+
+    AMPLIFIER = {"shape": "lorentzian", "l": 1.0, "sign": 1}
+
+    def test_amplifier_zero_refused(self, tmp_path, capsys, monkeypatch):
+        # 2 sech(t - 16) has one zero of a at i/2 on an amplifier too: the
+        # run exited 0 with |E| peak 3.1e-7 where E_in peaks at 2.  The
+        # count refuses it before Newton and before the stamp loop;
+        # --no-poles still opts out
+        path = write_scenario(tmp_path, profile=self.AMPLIFIER,
+                              **self.pulse("sech", 2.0))
+        argv = ["solve-rh", "--scenario", path, "--t", "0:32:9",
+                "--x", "0:1:2", "--out", str(tmp_path / "rh")]
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "continued_a", None)
+            m.setattr(pipeline, "sie_solve_block", None)
+            assert run_command(argv) == 3
+        assert not (tmp_path / "rh").exists()
+        assert capsys.readouterr().err.startswith(
+            "numerical failure (AmplifierZeros): the argument of a on the "
+            "real axis counts 1 zero(s) in the upper half-plane on an "
+            "amplifier")
+        assert run_command(argv + ["--no-poles"]) == 0
+        diag = json.loads((tmp_path / "rh" / "meta.json").read_text())[
+            "diagnostics"]
+        assert diag["pole_count"] is None and diag["n_poles"] == 0
+
+    def test_pole_free_amplifier_solves(self, tmp_path):
+        # desk at E_in amplitude 0.4 on an amplifier: no zero of a, and
+        # meta.json records the count
+        out = tmp_path / "rh"
+        path = write_scenario(tmp_path, T=10.0, L=5.0,
+                              profile=self.AMPLIFIER,
+                              E_in={"pulse": "gaussian", "amplitude": 0.4,
+                                    "center": 3.0, "width": 0.7})
+        assert run_command(["solve-rh", "--scenario", path, "--t", "0:10:21",
+                            "--x", "0:5:6", "--out", str(out)]) == 0
+        diag = json.loads((out / "meta.json").read_text())["diagnostics"]
+        assert diag["pole_count"]["axis"] == 0 and diag["n_poles"] == 0
+        assert diag["pole_count"]["fit_residual"] < spectral.FIT_TOL
+        assert diag["lu_stamps"] == 0 and diag["residual_rel"]["max"] < 1e-14
 
     @pytest.mark.parametrize("kind, amplitude, zero", [
         ("sech", 2.0, 0.5j), ("sech", 2.0, 5.0 / 6.0 + 0.5j)])
@@ -1451,23 +1492,28 @@ def test_blas_runs_one_thread_unless_preset():
 
 
 def test_worker_refusal_exits_as_serial(monkeypatch, capsys, tmp_path):
-    # stamps 3 (t = 3, x = 1) and 4 (t = 4, x = 0) both refuse: the loop
-    # stops at stamp 3, the earlier in lattice order, with its message
-    orig, seen = pipeline.sie_solve, []
+    # blocks of 2 stamps in lattice order: (2, 0) (2, 1) | (3, 0) (3, 1) |
+    # (4, 0) (4, 1).  Stamps (3, 1) and (4, 0) both refuse: the loop stops
+    # in the second block with the message of (3, 1), the earlier in
+    # lattice order, and the third block never starts
+    orig, seen = pipeline.sie_solve_block, []
 
     def refusing(contour, jd, residues):
-        seen.append((jd.t, jd.x))
-        if (jd.t, jd.x) in ((3.0, 1.0), (4.0, 0.0)):
-            raise IllConditioned(f"stamp t={jd.t} x={jd.x}")
+        stamps = list(zip(jd.t.tolist(), jd.x.tolist()))
+        seen.append(stamps)
+        for t, x in stamps:
+            if (t, x) in ((3.0, 1.0), (4.0, 0.0)):
+                raise IllConditioned(f"stamp t={t} x={x}")
         return orig(contour, jd, residues)
 
-    monkeypatch.setattr(pipeline, "sie_solve", refusing)
+    monkeypatch.setattr(pipeline, "STAMP_BLOCK", 2)
+    monkeypatch.setattr(pipeline, "sie_solve_block", refusing)
     path = write_scenario(tmp_path, n_panels=8, nodes_per_panel=8, **DESK)
     out = tmp_path / "rh"
     rc = run_command(["solve-rh", "--scenario", path, "--t", "2:4:3",
                       "--x", "0:1:2", "--out", str(out)])
     assert (rc, capsys.readouterr().err) == (
         3, "numerical failure (IllConditioned): stamp t=3.0 x=1.0\n")
-    assert seen == [(2.0, 0.0), (2.0, 1.0), (3.0, 0.0), (3.0, 1.0)]
+    assert seen == [[(2.0, 0.0), (2.0, 1.0)], [(3.0, 0.0), (3.0, 1.0)]]
     assert not out.exists()
     _assert_no_child()

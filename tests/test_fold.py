@@ -197,8 +197,8 @@ class TestRealGmres:
         n = 60
         A = np.eye(n) + 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
         b = rng.standard_normal(n)
-        real = rhsolver._gmres(lambda v: A @ v, b, 1e9)
-        cplx = rhsolver._gmres(lambda v: A @ v, b + 0j, 1e9)
+        [real] = rhsolver._gmres(lambda V, rows: V @ A.T, b[None], 1e9)
+        [cplx] = rhsolver._gmres(lambda V, rows: V @ A.T, b[None] + 0j, 1e9)
         assert real[0].dtype == float and cplx[0].dtype == complex
         assert real[2] == cplx[2] > 1
         assert np.max(np.abs(real[0] - cplx[0])) <= 1e-14 * np.max(np.abs(cplx[0]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from mbrh import rhsolver
+from mbrh import pipeline, rhsolver
 from mbrh.broadening import (BroadeningProfile, eta_boundary, eta_eval,
                              mirror_unfold)
 from mbrh.errors import (
@@ -14,13 +14,14 @@ from mbrh.errors import (
     SingularResidueSystem,
 )
 from mbrh.jump import JumpData, jump_mixed, posdef_check
-from mbrh.pipeline import spectral_data
+from mbrh.pipeline import rh_field_grid, spectral_data
 from mbrh.mat2 import det2, dagger, inv2
 from mbrh.rhsolver import (
     contour_build,
     jump_window,
     residue_constants,
     sie_solve,
+    sie_solve_block,
     soliton_closed_form,
 )
 from mbrh.spectral import ScenarioData, jost_phi
@@ -215,7 +216,8 @@ class TestSieSolve:
         # I - J = 0 makes every right-hand side vanish: GMRES returns the
         # zero solution after no step, and no stamp falls back to LU
         c = contour_build(n_panels=12, nodes_per_panel=8)
-        x, cond, its = rhsolver._gmres(lambda v: v, np.zeros(8, complex), 1.0)
+        [(x, cond, its)] = rhsolver._gmres(lambda V, rows: V,
+                                           np.zeros((1, 8), complex), 1.0)
         assert not np.any(x) and x.shape == (8,) and (cond, its) == (1.0, 0)
         zj, cj = residue_constants([(0.5j, 1.0 + 0.0j)], DELTA, 0.4, 0.2)
         for residues in (None, (zj, cj)):
@@ -458,6 +460,144 @@ class TestDenseFallback:
         monkeypatch.setattr(rhsolver, "COND_LIMIT", 999.0)
         with pytest.raises(IllConditioned, match="condition 1.00e\\+03"):
             rhsolver._dense_solve(lambda v: A @ v, [np.ones(2)])
+
+    def test_memory_holds_two_matrices(self):
+        # the columns fill one preallocated matrix, dropped once inverted:
+        # at N = 256 the traced peak holds two complex 2N x 2N matrices
+        # (64 N^2 B each), where the list of columns and its array held
+        # 2.5 (LAPACK's own copies inside np.linalg.inv are not traced)
+        import tracemalloc
+        n = 256
+        b = np.ones(2 * n, complex)
+        tracemalloc.start()
+        try:
+            [(res, v, cond, its)] = rhsolver._dense_solve(lambda u: 2 * u, [b])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (res, cond, its) == (0.0, 1.0, 0) and np.all(v == 0.5)
+        assert peak <= 2.25 * 64 * n ** 2
+
+
+def desk_lattice():
+    """The acceptance desk scenario and its 21 x 6 lattice."""
+    sc = ScenarioData(T=10.0, L=5.0,
+                      E_in=lambda t: 0.8 * np.exp(-((t - 3.0) / 0.7) ** 2)
+                      + 0j * t,
+                      E0=lambda x: np.zeros_like(np.asarray(x, complex)),
+                      rho0=None)
+    return sc, np.linspace(0.0, 10.0, 21), np.linspace(0.0, 5.0, 6)
+
+
+def solved_stamps(monkeypatch, block, *args, **kwargs):
+    """rh_field_grid(*args, **kwargs) in blocks of `block` stamps: its
+    diagnostics and each stamp's RHResult, in lattice order."""
+    seen, solve = [], pipeline.sie_solve_block
+
+    def recording(*a):
+        out = solve(*a)
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(pipeline, "STAMP_BLOCK", block)
+    monkeypatch.setattr(pipeline, "sie_solve_block", recording)
+    _, diag = rh_field_grid(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "sie_solve_block", solve)
+    return diag, seen
+
+
+def assert_same_stamps(block, alone):
+    """Each stamp of a block solves as it does alone: the same E to 1e-14
+    of sup |E|, iterations, fallback and posdef minimum, and cond and the
+    residue condition to rounding.  residual_rel reads rounding of the
+    batched kernel products, so it is held below 1e-14 on both."""
+    E = np.array([res.E for res in alone])
+    assert len(block) == len(alone)
+    assert np.max(np.abs(np.array([res.E for res in block]) - E)) \
+        <= 1e-14 * np.max(np.abs(E))
+    for a, b in zip(alone, block):
+        da, db = a.diagnostics, b.diagnostics
+        for key in ("iterations", "lu", "posdef_min"):
+            assert da[key] == db[key]
+        for key in ("cond", "residue_cond"):
+            if da[key] is not None:
+                assert abs(db[key] - da[key]) <= 1e-10 * da[key]
+        assert max(da["residual_rel"], db["residual_rel"]) < 1e-14
+
+
+class TestBlockSolve:
+    """`sie_solve_block`: the stamps of a block solve together by one
+    lockstep GMRES, and each keeps its own certificates."""
+
+    def test_desk_lattice_stamps_solve_as_alone(self, monkeypatch):
+        # folded stamps of the 21 x 6 desk lattice, 16 blocks of at most 8
+        sc, t, x = desk_lattice()
+        diag, block = solved_stamps(monkeypatch, 8, sc, LOR, t, x)
+        diag1, alone = solved_stamps(monkeypatch, 1, sc, LOR, t, x)
+        assert diag["full_axis"] is None and len(alone) == 126
+        assert diag["stamp_blocks"] == {"count": 16, "largest": 8}
+        assert diag1["stamp_blocks"] == {"count": 126, "largest": 1}
+        assert_same_stamps(block, alone)
+
+    def test_pole_stamps_solve_as_alone(self, monkeypatch):
+        # the 2 sech pulse (one zero of a at i/2): 1 + 2p = 3 rows per
+        # stamp on the whole axis
+        sc = ScenarioData(T=32.0, L=1.0,
+                          E_in=lambda t: 2.0 / np.cosh(t - 16.0) + 0j * t,
+                          E0=lambda x: np.zeros_like(np.asarray(x, complex)),
+                          rho0=None)
+        args = (sc, LOR, np.linspace(14.0, 18.0, 3), np.linspace(0.0, 1.0, 2))
+        kw = dict(n_panels=16, nodes_per_panel=16)
+        diag, block = solved_stamps(monkeypatch, 8, *args, **kw)
+        _, alone = solved_stamps(monkeypatch, 1, *args, **kw)
+        assert diag["n_poles"] == 1 and diag["stamp_blocks"]["count"] == 1
+        assert all(res.residues.shape == (2,) for res in block)
+        assert_same_stamps(block, alone)
+
+    def test_identity_stamp_takes_no_step(self):
+        c, jds = desk_stamps()
+        eye = np.broadcast_to(np.eye(2, dtype=complex), jds[0].J.shape)
+        J = np.stack([jds[0].J, eye, jds[1].J])
+        out = sie_solve_block(c, JumpData(t=np.array([2.0, 0.0, 2.0]),
+                                          x=np.array([0.0, 0.0, 2.5]),
+                                          nodes=c.nodes, J=J))
+        d = out[1].diagnostics
+        assert out[1].E == 0.0 and not np.any(out[1].Q)
+        assert (d["iterations"], d["cond"], d["lu"]) == (0, 1.0, False)
+        assert_same_stamps([out[0], out[2]],
+                           [sie_solve(c, jds[0]), sie_solve(c, jds[1])])
+
+    def test_only_the_slowest_stamp_falls_back(self, monkeypatch):
+        # a budget one step short of the slowest stamp's steps: that stamp
+        # alone takes the dense path, on the same field
+        sc, t, x = desk_lattice()
+        diag, block = solved_stamps(monkeypatch, 8, sc, LOR, t[:1], x)
+        its = [res.diagnostics["iterations"] for res in block]
+        slow = int(np.argmax(its))
+        assert its.count(its[slow]) == 1 and diag["lu_stamps"] == 0
+        monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", its[slow] - 1)
+        diag_lu, block_lu = solved_stamps(monkeypatch, 8, sc, LOR, t[:1], x)
+        assert diag_lu["lu_stamps"] == 1
+        assert [res.diagnostics["lu"] for res in block_lu] == \
+            [i == slow for i in range(len(its))]
+        assert block_lu[slow].diagnostics["iterations"] == 0
+        assert abs(block_lu[slow].E - block[slow].E) < 1e-14
+        assert_same_stamps(block_lu[:slow] + block_lu[slow + 1:],
+                           block[:slow] + block[slow + 1:])
+
+    def test_earliest_refusing_stamp_refuses(self, monkeypatch):
+        # stamp 2 violates posdef, which is checked first; stamp 1 refuses
+        # later, in its dense solve, but is the earlier in the block
+        c, jds = desk_stamps()
+        bad = np.broadcast_to(np.diag([-2.0 + 0j, 1.0]), jds[0].J.shape)
+        eye = np.broadcast_to(np.eye(2, dtype=complex), jds[0].J.shape)
+        jd = JumpData(t=np.zeros(3), x=np.zeros(3), nodes=c.nodes,
+                      J=np.stack([eye, jds[0].J, bad]))
+        with pytest.raises(PosdefViolated, match="minimum -2.000e\\+00"):
+            sie_solve_block(c, jd)
+        monkeypatch.setattr(rhsolver, "COND_LIMIT", 0.5)
+        with pytest.raises(IllConditioned, match="dense operator condition"):
+            sie_solve_block(c, jd)
 
 
 class TestEvaluateM:
