@@ -335,25 +335,46 @@ def _im_eta(profile, lam, nu):
 def _nu_roots(profile, lams, nu_floor=1e-9, nu_cap=8.0, tol=1e-13):
     """Height nu of gamma above each lam, or NaN where the curve does not
     pass.  It passes where Im eta < 0 at nu_floor and >= 0 at a height
-    0.05 * 2^k <= nu_cap, the first such one closing the bracket; all
-    brackets are bisected at once, down to width tol."""
+    0.05 * 2^k <= nu_cap, the first such one closing the bracket.  All
+    brackets shrink at once, down to width tol, by the Illinois step:
+    regula falsi that halves the value kept at an end which stays twice
+    in a row (Dowell & Jarratt, BIT 11, 1971), bisecting where the step
+    would not land inside.  Im eta is evaluated only where it is still
+    needed."""
     lo, hi = np.full(lams.shape, nu_floor), np.full(lams.shape, 0.05)
-    live = grow = _im_eta(profile, lams, lo) < 0.0
-    while np.any(grow):
-        grow = grow & (_im_eta(profile, lams, hi) < 0.0)
+    f_lo, f_hi = _im_eta(profile, lams, lo), np.zeros(lams.shape)
+    live = f_lo < 0.0
+    grow = np.flatnonzero(live)
+    while grow.size:
+        f_hi[grow] = _im_eta(profile, lams[grow], hi[grow])
+        grow = grow[f_hi[grow] < 0.0]
         hi[grow] *= 2.0
-        live = live & (hi <= nu_cap)
-        grow = grow & live
-    while np.any(hi - lo > tol):
-        mid = 0.5 * (lo + hi)
-        below = _im_eta(profile, lams, mid) < 0.0
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        live[grow[hi[grow] > nu_cap]] = False
+        grow = grow[hi[grow] <= nu_cap]
+    kept = np.zeros(lams.shape, dtype=int)      # end kept last: -1 lo, +1 hi
+    act = np.flatnonzero(live & (hi - lo > tol))
+    while act.size:
+        a, b, fa, fb = lo[act], hi[act], f_lo[act], f_hi[act]
+        x = b - fb * (b - a) / (fb - fa)        # fa < 0 <= fb
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        f = _im_eta(profile, lams[act], x)
+        below = f < 0.0                         # x replaces lo, else hi
+        lo[act] = np.where(below | (f == 0.0), x, a)    # a root closes it
+        hi[act] = np.where(below, b, x)
+        f_lo[act], f_hi[act] = np.where(below, f, fa), np.where(below, fb, f)
+        keep = np.where(below, 1, -1)
+        twice = kept[act] == keep
+        f_hi[act[twice & below]] *= 0.5
+        f_lo[act[twice & ~below]] *= 0.5
+        kept[act] = keep
+        act = act[hi[act] - lo[act] > tol]
     return np.where(live, 0.5 * (lo + hi), np.nan)
 
 
 def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
                 curve_tol=1e-9) -> GammaCurve:
-    """Trace gamma = {Im eta = 0, Im z > 0} by lambda-scan with nu-bisection.
+    """Trace gamma = {Im eta = 0, Im z > 0} by lambda-scan with a nu root
+    per scan node (`_nu_roots`).
 
     Attenuators have sign Im eta = sign Im z everywhere, so the curve is
     empty.  A curve reaching the lambda-window edge is reported truncated

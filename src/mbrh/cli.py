@@ -56,7 +56,7 @@ MAX_LATTICE = 10 ** 7       # points a (t, x) lattice may have: --t/--x or --dt
 # N = 768): about 1 GiB, as the direct route's workspace of MAX_LATTICE
 # cells (14 x 8 B each) takes.
 MAX_NODES = 2048
-CSV_CHUNK_ROWS = 2048       # rows that write_csv turns into Python floats at a time
+CSV_CHUNK_ROWS = 1024       # rows that write_csv formats at a time
 
 
 # ----------------------------------------------------------------------
@@ -289,16 +289,36 @@ def load_scenario(path):
 # ----------------------------------------------------------------------
 
 def write_csv(path, header, columns):
-    """Every value as format(float(v), ".17g"): one %-template per row,
-    on CSV_CHUNK_ROWS rows of the columns converted to Python floats at
-    a time."""
+    """Every value as format(float(v), ".17g"), CSV_CHUNK_ROWS rows at a
+    time.  Within a chunk each distinct value is formatted once
+    (`_texts`): a field table repeats its t and x values across rows,
+    the grids of t and x share values, a folded run's im_E holds only
+    zeros, and abs_E repeats re_E wherever that is positive."""
     cols = [np.asarray(c, dtype=float).ravel() for c in columns]
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, cols[0].size, CSV_CHUNK_ROWS):
-            chunk = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in cols]
-            fh.writelines(row % vals for vals in zip(*chunk))
+            chunk = np.stack([c[lo:lo + CSV_CHUNK_ROWS] for c in cols])
+            fh.write("\n".join(map(",".join, zip(*_texts(chunk)))))
+            fh.write("\n")
+
+
+def _texts(values):
+    """The "%.17g" texts of a contiguous float array, as nested lists,
+    formatted once per distinct bit pattern, so that -0.0, 0.0 and NaNs
+    each keep their own text.  Distinct by a sort and a neighbour mask:
+    np.unique imports numpy.ma."""
+    bits = values.view(np.int64).ravel()
+    order = np.argsort(bits)
+    bits = bits[order]
+    first = np.empty(bits.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    text = np.array(["%.17g" % v for v in bits[first].view(float).tolist()],
+                    dtype=object)
+    inv = np.empty(bits.size, dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1
+    return text[inv.reshape(values.shape)].tolist()
 
 
 def peak_rss_mb():

@@ -16,7 +16,9 @@ Real field data on a line shape symmetric about resonance keep E real,
 with rho(-lam) = conj rho(lam) and N(-lam) = N(lam): for such data the
 step runs on the detunings lam >= 0 only, its source takes Re rho with
 the folded weights w(lam) + w(-lam) and Im rho with none, and the final
-slice is unfolded onto the full grid.
+slice is unfolded onto the full grid.  So the rotation there takes the
+midpoint field as real, with no Omega_x terms, and the predictor forms
+Re rho alone.
 """
 
 import time
@@ -30,6 +32,9 @@ from .errors import CFLViolation, ConstraintDrift
 STEP_TOL = 1e-10            # largest per-step change of N^2 + |rho|^2
 DRIFT_TOL = 1e-6            # largest distance of N^2 + |rho|^2 from 1
 SCRATCH = 7                 # work arrays of one in-place rotation
+TINY = np.finfo(float).tiny
+# (i, j, k) of the cross product (u x v)_i = u_j v_k - u_k v_j
+CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 @dataclass
@@ -62,40 +67,53 @@ def bloch_rotation(E_mid, lam, h, rho, N, out, work):
     t = tan(hw/2), for every hw.  At w = 0 the identity is exact.
 
     rho is the real pair (Re rho, Im rho) and N is real, each (m, Nlam)
-    or broadcasting to it against E_mid (one value per row) and lam.  It
-    writes (Re rho', Im rho', N') into the arrays out, which may be the
-    inputs (N' None: not formed), using SCRATCH work arrays.
+    or broadcasting to it against E_mid (one value per row) and lam.  A
+    real E_mid has no Omega_x: the terms of that component are left out,
+    not formed as zeros.  It writes (Re rho', Im rho', N') into the
+    arrays out, which may be the inputs (a None output is not formed),
+    using SCRATCH work arrays.
     """
-    E = np.asarray(E_mid, dtype=complex)
+    E = np.asarray(E_mid)
     lam = np.asarray(lam, dtype=float)
     E = E[..., None] if E.ndim else E                # per x, against lam
+    cplx = np.iscomplexobj(E)
     s, cs, acc, tmp, *P = work
-    np.sqrt(np.add(lam * lam, 0.25 * (E.real ** 2 + E.imag ** 2), out=acc),
-            out=acc)                                 # w
+    E2 = E.real ** 2 + E.imag ** 2 if cplx else E * E
+    np.sqrt(np.add(lam * lam, 0.25 * E2, out=acc), out=acc)     # w
     np.tan(np.multiply(acc, 0.5 * h, out=s), out=s)
     np.multiply(s, s, out=cs)
     cs += 1.0
     np.divide(2.0, cs, out=cs)                       # 2/(1 + t^2)
     s *= cs                                          # sin(hw)
     cs -= 1.0                                        # cos(hw)
-    np.maximum(acc, np.finfo(float).tiny, out=acc)   # w = 0: s = 0
+    np.maximum(acc, TINY, out=acc)                   # w = 0: s = 0
     s /= acc
     cs *= s
     s *= s
-    # with P = 2 Omega x r the step is r' = r + cs P + s^2 Omega x P
-    r, a = (*rho, N), (-E.imag, E.real, -2.0 * lam)  # a = 2 Omega
-    b = (0.5 * a[0], 0.5 * a[1], -lam)
-    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    for i, j, k in cyclic:
-        np.multiply(a[j], r[k], out=P[i])
-        P[i] -= np.multiply(a[k], r[j], out=tmp)
-    for i, j, k in cyclic:
+    # with P = 2 Omega x r the step is r' = r + cs P + s^2 Omega x P;
+    # a = 2 Omega and b = Omega, None where a component is absent
+    r = (*rho, N)
+    a = (-E.imag if cplx else None, E.real, -2.0 * lam)
+    b = (0.5 * a[0] if cplx else None, 0.5 * a[1], -lam)
+    for i, j, k in CYCLIC:
+        _cross(a[j], r[k], a[k], r[j], P[i], tmp)
+    for i, j, k in CYCLIC:
         if out[i] is not None:
-            np.multiply(b[j], P[k], out=acc)
-            acc -= np.multiply(b[k], P[j], out=tmp)
+            _cross(b[j], P[k], b[k], P[j], acc, tmp)
             acc *= s
             acc += np.multiply(cs, P[i], out=tmp)
             np.add(r[i], acc, out=out[i])
+
+
+def _cross(u, p, v, q, out, tmp):
+    """out = u p - v q, without the term whose coefficient (u or v) is
+    None."""
+    if u is None:
+        np.multiply(-v, q, out=out)
+    else:
+        np.multiply(u, p, out=out)
+        if v is not None:
+            out -= np.multiply(v, q, out=tmp)
 
 
 def _sphere(B, out, tmp):
@@ -165,11 +183,16 @@ def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
     # ascending grid); node i mirrors node n - 1 - i
     n = lam.size
     h = n // 2 if fold else 0
-    w_re, w_im = w[h:], w[h:]                      # weights of Re, Im rho
-    if fold:
+    w_re = w[h:]                                   # weights of Re rho
+    if fold:                                       # and of Im rho: none
         w_re = w_re.copy()
         w_re[n % 2:] += w[:h][::-1]                # a node at 0 counts once
-        w_im = np.zeros_like(w_re)
+
+    def average(Bv):
+        """<rho> from the Bloch components Bv; real on a fold."""
+        avg = Bv[0] @ w_re
+        return avg if fold else avg + 1j * (Bv[1] @ w_re)
+
     lam_s = lam[h:]
     # Bloch vector, predictor (Re, Im), N^2 + |rho|^2 of two slices, work
     ws = np.zeros((7 + SCRATCH, nx + 1, lam_s.size))
@@ -190,17 +213,20 @@ def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
         m = min(j0 + k + 2, nx + 1)                # columns behind the front
         Bm, Pm, Wm = B[:, :m], pred[:, :m], work[:, :m]
         Ek, Ek1 = E[k, :m], E[k + 1, :m]
-        avg0 = Bm[0] @ w_re + 1j * (Bm[1] @ w_im)
+        avg0 = average(Bm)
         # predictor: transport Euler along the x - t characteristic
         Ep = np.concatenate((Ek1[:1], Ek[:-1] + dt * avg0[:-1]))
-        # predictor polarization with midpoint-frozen field
-        bloch_rotation(0.5 * (Ek + Ep), lam_s, dt, Bm[:2], Bm[2],
-                       out=(*Pm, None), work=Wm)
-        avg1 = Pm[0] @ w_re + 1j * (Pm[1] @ w_im)
+        # predictor polarization with midpoint-frozen field; a fold
+        # forms Re rho' alone, as the source reads nothing else
+        mid = 0.5 * (Ek + Ep)
+        bloch_rotation(mid.real if fold else mid, lam_s, dt, Bm[:2], Bm[2],
+                       out=(Pm[0], None if fold else Pm[1], None), work=Wm)
+        avg1 = average(Pm)
         # corrector: trapezoid of the source along the characteristic
         Ek1[1:] = Ek[:-1] + 0.5 * dt * (avg0[:-1] + avg1[1:])
         # final medium rotation with the corrected midpoint field
-        bloch_rotation(0.5 * (Ek + Ek1), lam_s, dt, Bm[:2], Bm[2],
+        mid = 0.5 * (Ek + Ek1)
+        bloch_rotation(mid.real if fold else mid, lam_s, dt, Bm[:2], Bm[2],
                        out=Bm, work=Wm)
         rotated += m
         old, new = sphere[k % 2, :m], sphere[(k + 1) % 2, :m]

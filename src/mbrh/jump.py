@@ -48,26 +48,31 @@ def jump_mixed(t, x, ev, K_plus, K_minus) -> JumpData:
     """Mixed-problem jump J = e^{-i(lam t - x eta+) s3} K+^{-1} K- e^{i(lam t - x eta-) s3}
     at one stamp: `jump_phased` of `jump_base`, with the largest
     |det J0 - 1| as J0_det_err."""
-    J0 = jump_base(K_plus, K_minus)
+    J0, _ = jump_base(K_plus, K_minus)
     jd = jump_phased(J0, float(t), float(x), ev)
     jd.diagnostics["J0_det_err"] = j0_det_err(J0)
     return jd
 
 
 def jump_base(K_plus, K_minus):
-    """J0 = K+^{-1} K- entry by entry, as row-major entries (..., N, 4)
-    for K+- of shape (..., N, 2, 2).  K+- whose det deviates from 1 by
-    more than DET_TOL anywhere are refused (`SingularK`)."""
-    for name, K in (("K+", K_plus), ("K-", K_minus)):
-        err = np.max(np.abs(det2(K) - 1.0))
+    """(J0, det_err): J0 = K+^{-1} K- entry by entry, as row-major
+    entries (..., N, 4) for K+- of shape (..., N, 2, 2), and det_err
+    {"plus", "minus"}, the largest |det K+- - 1|.  K+- whose det
+    deviates from 1 by more than DET_TOL anywhere are refused
+    (`SingularK`)."""
+    det_err = {}
+    for key, name, K in (("plus", "K+", K_plus), ("minus", "K-", K_minus)):
+        err = float(np.max(np.abs(det2(K) - 1.0)))
         if not err <= DET_TOL:      # a NaN is refused too
             raise SingularK(f"det {name} deviates from 1 by {err:.2e}")
+        det_err[key] = err
     a, b, c, d = np.moveaxis(K_plus.reshape(K_plus.shape[:-2] + (4,)), -1, 0)
     k = np.moveaxis(K_minus.reshape(K_minus.shape[:-2] + (4,)), -1, 0)
     # adj(K+) K- / det K+, row-major entries
-    return np.stack([d * k[0] - b * k[2], d * k[1] - b * k[3],
-                     a * k[2] - c * k[0], a * k[3] - c * k[1]],
-                    axis=-1) / (a * d - b * c)[..., None]
+    J0 = np.stack([d * k[0] - b * k[2], d * k[1] - b * k[3],
+                   a * k[2] - c * k[0], a * k[3] - c * k[1]],
+                  axis=-1) / (a * d - b * c)[..., None]
+    return J0, det_err
 
 
 def j0_det_err(J0):

@@ -153,8 +153,10 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     table's det, reduction and step errors and its mirror report
     (`mirror_err`, `nodes_solved`, `full_axis`), `pole_count` the count, fit
     residual, Newton steps and clearance of the zeros of a (`a_zeros`;
-    None on a --no-poles run), `J0_det_err` the largest det(J0) error
-    on the stamps' nodes, and `residue_cond` the SVD condition of the
+    None on a --no-poles run), `K_det_err` {`plus`, `minus`} the largest
+    |det K+- - 1| on the x lattice (refused above `DET_TOL` by
+    `jump_base`), `J0_det_err` the largest det(J0) error on the stamps'
+    nodes, and `residue_cond` the SVD condition of the
     stamps' residue systems (None without poles).
     """
     t_vals = np.asarray(t_vals, dtype=float)
@@ -174,7 +176,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     # J0 = K+^-1 K- does not depend on t, and |J - I| is the same at every
     # t: one jump per x column sizes the window of the whole lattice, and
     # the stamps solve on that window
-    J0 = jump_base(Kp, Km)
+    J0, k_det_err = jump_base(Kp, Km)
     contour, keep, window_report = jump_window(
         contour, jump_phased(J0, t_vals.max(), x_vals, ev).J)
     ev, J0 = ev.take(keep), J0[:, keep]
@@ -219,7 +221,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
             "lu_stamps": int(np.count_nonzero(col["lu"])),
             "stages": stages, "magnus_steps": magnus_steps_taken() - steps0,
             "spectral": dict(table.diagnostics),
-            "J0_det_err": j0_det_err(J0)}
+            "K_det_err": k_det_err, "J0_det_err": j0_det_err(J0)}
     for key, name in (("residual_rel", "residual_rel"), ("cond", "cond"),
                       ("iterations", "krylov_iters"),
                       ("residue_cond", "residue_cond")):

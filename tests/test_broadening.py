@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mbrh import broadening
 from mbrh.broadening import (
     BroadeningProfile,
     average_weights,
@@ -441,6 +442,25 @@ class TestGammaCurve:
         p = BroadeningProfile.lorentzian(1.0, sign=+1)
         c = gamma_trace(p, lam_window=(-20, 20), n_scan=201)
         assert c.truncated and not c.bounded
+
+    def test_tabulated_curve_evaluations_bounded(self, monkeypatch):
+        # 101 scan nodes on a 121-node Gaussian table: the Illinois step
+        # evaluates Im eta at 2200 points, where bisecting every bracket
+        # to 1e-13 took 8890 (and a per-node brentq 1494)
+        grid = np.linspace(-6.0, 6.0, 121)
+        p = profile_normalize(BroadeningProfile.tabulated(
+            grid, np.exp(-grid ** 2), sign=+1))
+        points, eta = [], broadening.eta_eval
+
+        def counted(profile, z):
+            points.append(np.size(z))
+            return eta(profile, z)
+
+        monkeypatch.setattr(broadening, "eta_eval", counted)
+        c = gamma_trace(p, lam_window=(-2.0, 2.0), n_scan=101)
+        assert c.points.size == 101 and c.truncated
+        assert abs(c.nu_max - 0.31933206107841) < 1e-12
+        assert sum(points) <= 3000
 
 
 # ---------------------------------------------------------------------------

@@ -351,18 +351,25 @@ class TestLoadScenario:
 
 
 def test_write_csv_bytes_match_per_value_format(tmp_path):
-    # the %.17g row template writes what format(float(v), ".17g") wrote
-    # value by value, on every kind of double, across two chunk edges
+    # each distinct value's text, formatted once per chunk, is what
+    # format(float(v), ".17g") wrote value by value, on every kind of
+    # double, across two chunk edges; the field table's columns repeat
+    # their t and x values across both edges, and its im_E is all zeros
     rng = np.random.default_rng(5)
     special = np.array([0.0, -0.0, 5e-324, -2.2e-310, 1e308, -1e308,
                         np.finfo(float).max, np.nan, np.inf, -np.inf, 1.0,
                         0.1, 1 / 3, -123456789.0])
     n = 2 * cli.CSV_CHUNK_ROWS + 1
+    nan2 = np.array([0x7FF8000000000001], dtype=np.int64).view(float)
+    tt, xx = (g.ravel()[:n] for g in np.meshgrid(
+        np.arange(17) * 0.05, np.arange(n // 17 + 1) * 0.05, indexing="ij"))
     cols = [np.resize(special, n),
             rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
             np.arange(n),
-            rng.standard_normal((n, 2)).view(complex).real]  # (n, 1), strided
-    header = ["a", "b", "n", "m"]
+            rng.standard_normal((n, 2)).view(complex).real,  # (n, 1), strided
+            tt, xx, np.zeros(n),
+            np.resize(np.concatenate((special, -special, nan2)), n)]
+    header = ["a", "b", "n", "m", "t", "x", "zero", "signs"]
     path = tmp_path / "t.csv"
     write_csv(str(path), header, cols)
     flat = [np.asarray(c).ravel() for c in cols]
@@ -370,6 +377,29 @@ def test_write_csv_bytes_match_per_value_format(tmp_path):
         ",".join(format(float(c[i]), ".17g") for c in flat) + "\n"
         for i in range(flat[0].size))
     assert path.read_bytes() == expected.encode()
+
+
+def test_write_csv_memory_is_chunked(tmp_path, monkeypatch):
+    # a 201 x 101 field table is formatted CSV_CHUNK_ROWS rows at a
+    # time: the traced peak stays under 2 MiB (0.7 MiB), where the whole
+    # table formatted at once holds its texts and rows (7.7 MiB)
+    import tracemalloc
+    t, x = np.arange(201) * 0.05, np.arange(101) * 0.05
+    E = np.exp(-(t[:, None] - x[None, :] - 3.0) ** 2) * np.cos(x) + 0j
+    header, cols = cli.field_table(t, x, E)
+    bound = 2 * 2 ** 20
+
+    def peak():
+        tracemalloc.start()
+        try:
+            write_csv(str(tmp_path / "f.csv"), header, cols)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= bound
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", E.size)
+    assert peak() > bound
 
 
 class TestCommands:
@@ -602,6 +632,8 @@ class TestCommands:
         assert set(spec) == {"det_Tp_err", "det_Tm_err", "reduction_err"}
         assert all(0.0 <= v < 1e-10 for v in spec.values())
         assert 0.0 <= diag["J0_det_err"] < 1e-10
+        assert set(diag["K_det_err"]) == {"plus", "minus"}
+        assert all(0.0 <= v < 1e-10 for v in diag["K_det_err"].values())
 
     @pytest.mark.parametrize("argv", [
         ["solve-rh", "--scenario", "SCENARIO", "--t", "0:10:0", "--x", "0:1:2"],

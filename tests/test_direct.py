@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from mbrh.broadening import (BroadeningProfile, average_weights,
                              profile_normalize)
-from mbrh.direct import integrate_direct
+from mbrh.direct import SCRATCH, bloch_rotation, integrate_direct
 from mbrh.errors import CFLViolation, ConstraintDrift
 from mbrh.mat2 import dagger
 from mbrh.rhsolver import soliton_closed_form
@@ -153,6 +153,71 @@ class TestClosedFormAgainstExpm:
         E = np.array([0.0, 1e-5 * (1 + 1j)])
         rho, N = random_bloch(rng, (2, lam.size))
         self.assert_matches(E, lam, h, rho, N)
+
+
+SENTINEL = 7.25          # fills an output that must stay untouched
+
+
+def rotate(E, lam, h, rho, N, keep=(True, True, True)):
+    """`bloch_rotation` on fresh arrays filled with SENTINEL: returns the
+    three output arrays, those not kept passed to it as None."""
+    lam = np.asarray(lam, dtype=float)
+    shape = np.broadcast_shapes(np.shape(E) + (1,) if np.ndim(E) else (),
+                                lam.shape, np.shape(rho), np.shape(N))
+    out = [np.full(shape, SENTINEL) for _ in range(3)]
+    bloch_rotation(E, lam, h, (np.real(rho), np.imag(rho)),
+                   np.asarray(N, dtype=float),
+                   out=[o if k else None for o, k in zip(out, keep)],
+                   work=[np.empty(shape) for _ in range(SCRATCH)])
+    return out
+
+
+def real_field_cases():
+    """(E real, lam, h, rho, N): a scalar field and detuning, a field per
+    x against a detuning grid, and zero fields at lam = 0 (w = 0)."""
+    rng = np.random.default_rng(21)
+    rho, N = random_bloch(rng, ())
+    yield 0.7, 1.3, 0.1, complex(rho), float(N)
+    rho, N = random_bloch(rng, (31, 65))
+    yield rng.normal(size=31), np.linspace(-8.0, 8.0, 65), 0.05, rho, N
+    rho, N = random_bloch(rng, (3, 9))
+    yield np.array([0.0, -0.5, 0.0]), np.linspace(-2.0, 2.0, 9), 0.2, rho, N
+
+
+class TestRealField:
+    """A real E_mid has no Omega_x term; what it computes is what its
+    complex twin (imaginary part 0) computes, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(real_field_cases()),
+                             ids=["scalar", "per_x", "zero_w"])
+    def test_bits_of_the_complex_twin(self, case):
+        E, lam, h, rho, N = case
+        real = rotate(np.asarray(E, dtype=float), lam, h, rho, N)
+        twin = rotate(np.asarray(E, dtype=complex), lam, h, rho, N)
+        for got, want in zip(real, twin):
+            assert got.tobytes() == want.tobytes()
+        # and both against the 2 x 2 exponential
+        r0, N0 = reference_rotation(E, lam, h, rho, N)
+        assert np.max(np.abs(real[0] + 1j * real[1] - r0)) < 1e-14
+        assert np.max(np.abs(real[2] - N0)) < 1e-14
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("keep", [(True, False, False),
+                                      (False, True, False),
+                                      (True, True, False),
+                                      (False, False, True)])
+    def test_none_output_is_left_alone(self, dtype, keep):
+        # an output passed as None is not formed: its array keeps the
+        # sentinel, and the outputs formed are those of the full call
+        E, lam, h, rho, N = list(real_field_cases())[1]
+        E = E * (1.0 + 0.3j) if dtype is complex else E
+        full = rotate(E, lam, h, rho, N)
+        part = rotate(E, lam, h, rho, N, keep)
+        for k, got, want in zip(keep, part, full):
+            if k:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.all(got == SENTINEL)
 
 
 def gaussian_scenario():

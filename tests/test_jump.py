@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from scipy.special import gamma as cgamma
 
-from mbrh import broadening, lax, spectral
+from mbrh import broadening, lax, pipeline, spectral
 from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
 from mbrh.errors import SingularK
 from mbrh.jump import (
+    DET_TOL,
     jump_mixed,
     posdef_check,
     shear_matrices,
 )
 from mbrh.mat2 import diag_exp, inv2
-from mbrh.pipeline import spectral_data
+from mbrh.pipeline import rh_field_grid, spectral_data
 from mbrh.spectral import (
     continued_a,
     ScenarioData,
@@ -220,6 +221,41 @@ class TestJumpComponentForm:
         bad[3, 0, 0] = np.nan
         with pytest.raises(SingularK, match="det K- deviates from 1 by nan"):
             jump_mixed(2.0, 1.0, ev, Kp[1], bad)
+
+
+class TestKDetErr:
+    """`rh_field_grid` reports the det K+- errors that `jump_base`
+    refuses above DET_TOL."""
+
+    ARGS = (ATT, np.linspace(0.0, 10.0, 3), np.linspace(0.0, 5.0, 2))
+
+    def test_desk_reports_both(self):
+        _, diag = rh_field_grid(desk_scenario(), *self.ARGS)
+        err = diag["K_det_err"]
+        assert set(err) == {"plus", "minus"}
+        assert all(np.isfinite(v) and 0.0 <= v <= DET_TOL
+                   for v in err.values())
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_singular_k_refusal_unchanged(self, monkeypatch, bad):
+        # a K scaled off det 1 is refused as before, with the message of
+        # the per-stamp reference on the same K+-
+        solve, seen = pipeline.spectral_data, []
+
+        def scaled(*a, **kw):
+            table, *K = solve(*a, **kw)
+            K[bad] = 1.001 * K[bad]
+            seen.append((a[2], K))
+            return (table, *K)
+
+        monkeypatch.setattr(pipeline, "spectral_data", scaled)
+        with pytest.raises(SingularK) as new:
+            rh_field_grid(desk_scenario(), *self.ARGS)
+        ev, K = seen[0]
+        with pytest.raises(SingularK) as ref:
+            jump_mixed_reference(0.0, 0.0, ev, *K)
+        assert str(new.value) == str(ref.value)
+        assert f"det K{'+-'[bad]} deviates" in str(new.value)
 
 
 class TestJumpWholeline:
