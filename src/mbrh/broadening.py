@@ -142,7 +142,6 @@ class GammaCurve:
 
     points: np.ndarray            # complex, ordered by Re z, Im > 0; may be empty
     nu_max: float
-    bounded: bool
     truncated: bool               # curve left the lambda-window
 
 
@@ -380,7 +379,7 @@ def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
     empty.  A curve reaching the lambda-window edge is reported truncated
     (the Lorentzian D+ is unbounded along the real line).
     """
-    empty = GammaCurve(points=np.empty(0, complex), nu_max=0.0, bounded=True,
+    empty = GammaCurve(points=np.empty(0, complex), nu_max=0.0,
                        truncated=False)
     if profile.sign < 0:
         return empty
@@ -407,7 +406,7 @@ def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
     if np.any(np.abs(_im_eta(profile, lam_found, nu_found)) > curve_tol):
         raise PrincipalValueFailure("curve tracer left residual Im eta > tol")
     return GammaCurve(points=lam_found + 1j * nu_found, nu_max=float(nu_max),
-                      bounded=not truncated, truncated=truncated)
+                      truncated=truncated)
 
 
 # ----------------------------------------------------------------------

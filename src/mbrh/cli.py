@@ -40,7 +40,7 @@ from .broadening import (LAM_POINTS, LAM_WINDOW, BroadeningProfile,
                          eta_boundary, gamma_trace, profile_normalize)
 from .direct import integrate_direct
 from .errors import InvariantError, MBRHError, SchemaError
-from .jump import jump_mixed
+from .jump import det_err, jump_base, jump_phased
 from .pipeline import rh_field_grid, spectral_data
 from .rhsolver import N_PANELS, NODES_PER_PANEL, soliton_closed_form
 from .spectral import T_STEP, X_STEP, ScenarioData
@@ -450,7 +450,7 @@ def cmd_curve(args):
     tables = {"curve.csv": (["re_z", "im_z"], [pts.real, pts.imag])}
     emit_results(args.out, tables,
                  {"command": "curve", "profile": block},
-                 {"nu_max": curve.nu_max, "bounded": curve.bounded,
+                 {"nu_max": curve.nu_max, "bounded": not curve.truncated,
                   "truncated": curve.truncated})
     print(f"curve: {pts.size} points, nu_max={curve.nu_max:.6g}, "
           f"truncated={curve.truncated}")
@@ -495,8 +495,7 @@ def cmd_jump(args):
         _check_within(val, val, flag, hi)
     ev = eta_boundary(profile, _lam_grid(cfg))
     _, Kp, Km = spectral_data(scenario, profile, ev, x_out=[args.x])
-    jd = jump_mixed(args.t, args.x, ev, Kp[0], Km[0])
-    J = jd.J
+    J = jump_phased(jump_base(Kp[0], Km[0])[0], args.t, args.x, ev)
     tables = {"jump.csv": (
         ["lambda", "re_J11", "im_J11", "re_J12", "im_J12",
          "re_J21", "im_J21", "re_J22", "im_J22"],
@@ -505,8 +504,8 @@ def cmd_jump(args):
          J[:, 1, 1].real, J[:, 1, 1].imag])}
     emit_results(args.out, tables,
                  {"command": "jump", "scenario": cfg, "t": args.t, "x": args.x},
-                 {"det_error": jd.det_error()})
-    print(f"jump: t={args.t} x={args.x}, det error {jd.det_error():.3e}")
+                 {"det_error": det_err(J)})
+    print(f"jump: t={args.t} x={args.x}, det error {det_err(J):.3e}")
     return 0
 
 

@@ -23,20 +23,18 @@ class MediumSlice:
     """Medium state (inversion N, polarization rho) on a detuning grid at
     fixed t, x; F = [[N, rho], [rho*, -N]] is its Hermitian medium matrix."""
 
-    lam_grid: np.ndarray
     N: np.ndarray
     rho: np.ndarray
 
 
-def medium_from_rho(lam_grid, rho):
+def medium_from_rho(rho):
     """Slice with the inversion fixed by the positive square-root branch
     (rho of shape (Ngrid,), or (m, Ngrid) for m stacked slices)."""
     rho = np.asarray(rho, dtype=complex)
     mag2 = np.abs(rho) ** 2
     if np.any(mag2 > 1.0 + 1e-12):
         raise ValueError("|rho| > 1 has no admissible inversion")
-    return MediumSlice(lam_grid=np.asarray(lam_grid, float), rho=rho,
-                       N=np.sqrt(np.maximum(1.0 - mag2, 0.0)))
+    return MediumSlice(rho=rho, N=np.sqrt(np.maximum(1.0 - mag2, 0.0)))
 
 
 def check_coverage(profile, grid):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .broadening import LAM_WINDOW, eta_boundary, mirror_check, mirror_unfold
-from .jump import j0_det_err, jump_base, jump_phased, shear_matrices
+from .jump import det_err, jump_base, jump_phased, shear_matrices
 from .rhsolver import (N_PANELS, NODES_PER_PANEL, contour_build, jump_window,
                        median, residue_constants, sie_solve_block)
 from .spectral import (a_zeros, data_mirror, equation_steps, jost_phi, jost_w,
@@ -69,10 +69,10 @@ def spectral_data(scenario, profile, ev, x_out=(0.0,), step=None,
     h = n // 2 if why is None else 0        # the nodes h.. are solved
     marks = [time.perf_counter()]
     with np.errstate(over="ignore", invalid="ignore"):  # refused as not finite
-        Phi0, _, _ = jost_phi(scenario, lam[h:], step=t_step)
+        Phi0 = jost_phi(scenario, lam[h:], step=t_step)
         marks.append(time.perf_counter())
-        _, wp, wm = jost_w(scenario, profile, ev, x_out=xs, step=x_step,
-                           cols=slice(h, None))
+        wp, wm = jost_w(scenario, profile, ev, x_out=xs, step=x_step,
+                        cols=slice(h, None))
         marks.append(time.perf_counter())
         if h:
             Phi0 = mirror_unfold(Phi0, n)
@@ -178,7 +178,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     # the stamps solve on that window
     J0, k_det_err = jump_base(Kp, Km)
     contour, keep, window_report = jump_window(
-        contour, jump_phased(J0, t_vals.max(), x_vals, ev).J)
+        contour, jump_phased(J0, t_vals.max(), x_vals, ev))
     ev, J0 = ev.take(keep), J0[:, keep]
     full_axis = _full_axis_reason(table, contour, poles)
     if full_axis is None:       # J(-s) = conj J(s): the stamps take s > 0
@@ -198,9 +198,9 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     for start in starts:
         b = slice(start, start + STAMP_BLOCK)
         tic = time.perf_counter()
-        jd = jump_phased(J0[ix[b]], t_vals[it[b]], x_vals[ix[b]], ev)
+        J = jump_phased(J0[ix[b]], t_vals[it[b]], x_vals[ix[b]], ev)
         mid = time.perf_counter()
-        results += sie_solve_block(contour, jd, (zj, cj[it[b], ix[b]])
+        results += sie_solve_block(contour, J, (zj, cj[it[b], ix[b]])
                                    if poles else None)
         jump_s += mid - tic
         sie_s += time.perf_counter() - mid
@@ -221,7 +221,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
             "lu_stamps": int(np.count_nonzero(col["lu"])),
             "stages": stages, "magnus_steps": magnus_steps_taken() - steps0,
             "spectral": dict(table.diagnostics),
-            "K_det_err": k_det_err, "J0_det_err": j0_det_err(J0)}
+            "K_det_err": k_det_err, "J0_det_err": det_err(J0)}
     for key, name in (("residual_rel", "residual_rel"), ("cond", "cond"),
                       ("iterations", "krylov_iters"),
                       ("residue_cond", "residue_cond")):

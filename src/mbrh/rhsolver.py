@@ -21,7 +21,8 @@ certificate, for 1 + 2p right-hand sides; the residues then follow
 from one complex 2p x 2p system.  A block of stamps solves in lockstep
 (`sie_solve_block`): one GMRES steps the right-hand sides of all its
 stamps, each with its own operator and stopping test, through one
-kernel product per step; `sie_solve` is a block of one.
+kernel product per step.  It takes the block's jumps as one array
+J (s, N, 2, 2).
 A run's stamps solve on the panels where the jump differs from I
 (`jump_window`).
 Any stamp the Krylov path cannot certify is solved densely: the matrix
@@ -46,7 +47,7 @@ from .errors import (
     PosdefViolated,
     SingularResidueSystem,
 )
-from .jump import JumpData, posdef_check
+from .mat2 import dagger
 
 
 # ----------------------------------------------------------------------
@@ -234,29 +235,32 @@ class RHResult:
     residues: np.ndarray = None     # (u_j, then r_j) of the pole part, with poles
 
 
-def sie_solve(contour: ContourSigma, jd: JumpData, residues=None) -> RHResult:
-    """One stamp's solve: `sie_solve_block` on a block of that stamp alone.
-    residues: the stamp's (z_j, c_j) (`residue_constants`), or None."""
-    block = JumpData(t=jd.t, x=jd.x, nodes=jd.nodes, J=jd.J[None])
-    if residues is not None:
-        residues = (residues[0], np.asarray(residues[1])[None])
-    return sie_solve_block(contour, block, residues)[0]
+def posdef_check(J):
+    """Smallest eigenvalue of the Hermitian part of the jumps J (s, N, 2, 2)
+    over their (real) nodes, one per stamp (s,); a float for one jump
+    (N, 2, 2)."""
+    H = 0.5 * (J + dagger(J))
+    mean = 0.5 * (H[..., 0, 0] + H[..., 1, 1]).real
+    rad = np.sqrt((0.5 * (H[..., 0, 0] - H[..., 1, 1]).real) ** 2
+                  + np.abs(H[..., 0, 1]) ** 2)
+    low = np.min(mean - rad, axis=-1)
+    return float(low) if low.ndim == 0 else low
 
 
-def sie_solve_block(contour: ContourSigma, jd: JumpData, residues=None):
+def sie_solve_block(contour: ContourSigma, J, residues=None):
     """Collocation solves for the first row of M at a block of stamps: at
     each, the Cauchy part q of q - C+[q(I-J)] = C+[(e1 + P)(I-J)], whose
     2N x 2N operator A each of the stamp's rows shares, and the residues
     of the pole part P.  Returns one `RHResult` per stamp, in order.
 
-    jd holds the block's jumps J (s, N, 2, 2) and its stamps t and x
-    (`jump_phased`); residues: (z_j, c_j), c_j (s, p) one row per stamp
-    (`residue_constants`), or None.  Each jump must have a
-    positive-definite Hermitian part (`posdef_check`, one minimum per
-    stamp; `PosdefViolated`).  A is solved for b0 = C+[e1(I-J)] and per
-    pole for (C+[g1] - C[g1](z_j))/(lam - z_j) and (C+[g0] - C[g0](conj
-    z_j))/(lam - conj z_j), g_a row a of I - J: partial fractions, so no
-    pole term is sampled on the nodes.  Off the axis C[g] is a plain
+    J holds the block's jumps (s, N, 2, 2) (`jump_phased`); residues:
+    (z_j, c_j), c_j (s, p) one row per stamp (`residue_constants`), or
+    None.  Each jump must have a positive-definite Hermitian part
+    (`posdef_check`, one minimum per stamp; `PosdefViolated`).  A is
+    solved for b0 = C+[e1(I-J)] and per pole for (C+[g1] -
+    C[g1](z_j))/(lam - z_j) and (C+[g0] - C[g0](conj z_j))/(lam - conj
+    z_j), g_a row a of I - J: partial fractions, so no pole term is
+    sampled on the nodes.  Off the axis C[g] is a plain
     Gauss sum (its zeta-derivative at the pole itself).  The residue
     conditions are then a 2p x 2p system, each row divided by
     max(1, |c_j|); its SVD condition is `residue_cond`, refused above
@@ -287,12 +291,11 @@ def sie_solve_block(contour: ContourSigma, jd: JumpData, residues=None):
     Krylov space, `cond` and `iterations` are the whole solve's.  E is
     real, and so is the matrix of a folded dense solve.
     """
-    J = jd.J
     n, m = contour.n_nodes, J.shape[1]
     folded = residues is None and 2 * m == n
     if m != n and not folded:
         raise ValueError("jump data does not match the contour nodes")
-    posdef = posdef_check(jd)
+    posdef = posdef_check(J)
     bad = np.flatnonzero(posdef <= 0.0)
     s = int(bad[0]) if bad.size else J.shape[0]     # the stamps solved
     IJ = np.eye(2) - J[:s]                               # (s, m, 2, 2)

@@ -95,7 +95,7 @@ class ScenarioData:
         gives the stacked slices, one row per depth."""
         if np.ndim(x):
             x = np.asarray(x, dtype=float)[:, None]
-        return medium_from_rho(lam_grid, np.asarray(self.rho0(x, lam_grid), complex))
+        return medium_from_rho(np.asarray(self.rho0(x, lam_grid), complex))
 
     def validate(self, lam):
         """Refuse a pulse not decayed at t = T, and a medium not at rest at
@@ -343,13 +343,12 @@ def jost_phi(scenario, lam_grid, step=T_STEP):
     """Jost matrix of the t-equation at t = 0 for each real lam.
 
     Integrates backward from the plane-wave terminal value at t = T.
-    Returns (Phi0, A, B) with A = Phi0[1,1], B = Phi0[0,1].
+    Returns Phi0, whose entries [1, 1] and [0, 1] are A and B.
     """
     lam = np.asarray(lam_grid, dtype=float)
-    Phi0 = magnus_propagate(_t_generator(scenario, lam),
+    return magnus_propagate(_t_generator(scenario, lam),
                             _refined_grid([0.0, scenario.T], step),
                             diag_exp(-1j * lam * scenario.T))
-    return Phi0, Phi0[..., 1, 1], Phi0[..., 0, 1]
 
 
 def phi_column_continuation(scenario, z, step=T_STEP):
@@ -416,18 +415,17 @@ def jost_w(scenario, profile, ev, x_out=None, step=X_STEP, cols=None):
 
     ev is the `EtaValues` of the real nodes lam, of which the nodes cols
     (all by default) are solved.  Integrates backward from
-    w_pm(L) = e^{i L eta_pm sigma_3}.  Returns (x_out, w+, w-), each w of
-    shape (len(x_out), len(lam[cols]), 2, 2).
+    w_pm(L) = e^{i L eta_pm sigma_3}.  Returns (w+, w-), each of shape
+    (len(x_out), len(lam[cols]), 2, 2).
     """
     if x_out is None:
         x_out = np.array([0.0, scenario.L])
-    x_out = np.asarray(x_out, dtype=float)
     evc = ev if cols is None else ev.take(cols)
     terminal = diag_exp(1j * scenario.L * np.concatenate([evc.eta_plus,
                                                           evc.eta_minus]))
     w = xbank_propagate(scenario, profile, ev, terminal, x_out, step=step,
                         cols=cols)
-    return x_out, w[:, :evc.lam.size], w[:, evc.lam.size:]
+    return w[:, :evc.lam.size], w[:, evc.lam.size:]
 
 
 def wplus_column_continuation(scenario, profile, z, step=X_STEP):
@@ -529,7 +527,7 @@ def step_error(scenario, profile, ev, Phi0, w0, t_step, x_step, first=0):
     """
     n = ev.lam.size
     sub = np.append(np.arange(first, n - 1, STEP_ERR_STRIDE), n - 1)
-    coarse, _, _ = jost_phi(scenario, ev.lam[sub], step=2.0 * t_step)
+    coarse = jost_phi(scenario, ev.lam[sub], step=2.0 * t_step)
     err = {"t": np.max(np.abs(coarse - Phi0[sub]))}
     evs = ev.take(sub)
     terminal = diag_exp(1j * scenario.L * np.concatenate([evs.eta_plus,

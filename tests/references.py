@@ -9,11 +9,10 @@ matmuls, both rows of the contour solve, the residue algebra as a real
 4p-dimensional map at one stamp, M off the contour, the medium from the
 solved problem, the direct route as a plain loop, C+ as a dense matrix),
 the whole-line and amplifier-oval jumps whose identities the tests
-check, a check that tests apply to its output, or the in-place Bloch
-rotation on fresh arrays.
+check, a check that tests apply to its output, the in-place Bloch
+rotation on fresh arrays, or the one-stamp forms of the package's jump
+assembly and block solve (`mixed_jump`, `solve_stamp`).
 """
-
-import dataclasses
 
 import numpy as np
 from scipy.integrate import quad
@@ -24,9 +23,10 @@ from mbrh.cli import rho0_from_config
 from mbrh.direct import SCRATCH, bloch_rotation
 from mbrh.errors import (MBRHError, SingularK, SingularResidueSystem,
                          TooCloseToAxis)
-from mbrh.jump import DET_TOL, JumpData
+from mbrh.jump import DET_TOL, jump_base, jump_phased
 from mbrh.mat2 import dagger, det2, diag_exp, inv2
-from mbrh.rhsolver import residue_constants, sie_solve, soliton_closed_form
+from mbrh.rhsolver import (residue_constants, sie_solve_block,
+                           soliton_closed_form)
 from mbrh.spectral import X_STEP, ScenarioData, xbank_propagate
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -279,8 +279,9 @@ def medium_transform_bank(profile, grid, ev, bank, slice_):
 # whole-line and amplifier-oval jumps: the paper's other problem classes
 # ----------------------------------------------------------------------
 
-def jump_wholeline(t, x, lam_grid, r_plus, profile) -> JumpData:
-    """Explicit whole-line jump; unimodular by construction.
+def jump_wholeline(t, x, lam_grid, r_plus, profile):
+    """Explicit whole-line jump J (N, 2, 2) on lam_grid; unimodular by
+    construction.
 
     The diagonal growth factor e^{2ix(eta+ - eta-)} = e^{pi n(lam) x} decays
     for attenuators, which is the transparency mechanism.
@@ -294,12 +295,11 @@ def jump_wholeline(t, x, lam_grid, r_plus, profile) -> JumpData:
     J[..., 0, 1] = -r * np.exp(-2j * lam * t + 2j * x * ev.eta_plus)
     J[..., 1, 0] = -np.conj(r) * np.exp(2j * lam * t - 2j * x * ev.eta_minus)
     J[..., 1, 1] = 1.0
-    return JumpData(t=float(t), x=float(x), nodes=lam, J=J)
+    return J
 
 
-def jump_oval(z_nodes, a_vals, b_vals, t, x, eta_vals,
-              floor=1e-8) -> JumpData:
-    """Amplifier oval jump at off-axis nodes.
+def jump_oval(z_nodes, a_vals, b_vals, t, x, eta_vals, floor=1e-8):
+    """Amplifier oval jump J (N, 2, 2) at the off-axis nodes z_nodes.
 
     For a node z in the upper half-plane a_vals/b_vals are the continued
     a(z), b(z); for a node in the lower half-plane they are the values at
@@ -323,13 +323,19 @@ def jump_oval(z_nodes, a_vals, b_vals, t, x, eta_vals,
     J0[dn, 1, 0] = (np.conj(b) / np.conj(a))[dn]
     J0[dn, 1, 1] = 0.0
     theta = z * t - x * np.asarray(eta_vals, dtype=complex)
-    J = diag_exp(-1j * theta) @ J0 @ diag_exp(1j * theta)
-    return JumpData(t=float(t), x=float(x), nodes=z, J=J)
+    return diag_exp(-1j * theta) @ J0 @ diag_exp(1j * theta)
 
 
-def jump_mixed_reference(t, x, ev, K_plus, K_minus) -> JumpData:
-    """`mbrh.jump.jump_mixed` by stacked 2x2 matmuls: J0 = K+^{-1} K- and
-    J = e^{-i(lam t - x eta+) s3} J0 e^{i(lam t - x eta-) s3}."""
+def mixed_jump(t, x, ev, K_plus, K_minus):
+    """The mixed-problem jump J (N, 2, 2) at one stamp, as `mb-rh jump`
+    assembles it: `jump_phased` of `jump_base`."""
+    return jump_phased(jump_base(K_plus, K_minus)[0], t, x, ev)
+
+
+def jump_mixed_reference(t, x, ev, K_plus, K_minus):
+    """`mixed_jump` by stacked 2x2 matmuls: J0 = K+^{-1} K- and
+    J = e^{-i(lam t - x eta+) s3} J0 e^{i(lam t - x eta-) s3}.  Returns
+    (J, the largest |det J0 - 1|)."""
     lam = ev.lam
     for name, K in (("K+", K_plus), ("K-", K_minus)):
         err = np.max(np.abs(det2(K) - 1.0))
@@ -338,9 +344,7 @@ def jump_mixed_reference(t, x, ev, K_plus, K_minus) -> JumpData:
     J0 = inv2(K_plus) @ K_minus
     left = diag_exp(-1j * (lam * t - x * ev.eta_plus))
     right = diag_exp(1j * (lam * t - x * ev.eta_minus))
-    return JumpData(t=float(t), x=float(x),
-                    nodes=lam, J=left @ J0 @ right,
-                    diagnostics={"J0_det_err": float(np.max(np.abs(det2(J0) - 1.0)))})
+    return left @ J0 @ right, float(np.max(np.abs(det2(J0) - 1.0)))
 
 
 # ----------------------------------------------------------------------
@@ -475,9 +479,9 @@ def mb_residual(state, profile):
 # contour route: M off the contour, symmetry, medium readout
 # ----------------------------------------------------------------------
 
-def schwartz_error(jd):
-    """Max over conjugate node pairs of |J^{-1}(z) - J(z*)^dagger|."""
-    z = jd.nodes
+def schwartz_error(z, J):
+    """Max over conjugate pairs of the nodes z of
+    |J^{-1}(z) - J(z*)^dagger|."""
     up = np.nonzero(z.imag > 0)[0]
     if up.size == 0:
         return 0.0
@@ -488,7 +492,7 @@ def schwartz_error(jd):
         if abs(z[j] - zc[i]) > 1e-12:
             continue
         err = max(err, float(np.max(np.abs(
-            inv2(jd.J[i]) - dagger(jd.J[j])))))
+            inv2(J[i]) - dagger(J[j])))))
     return err
 
 
@@ -498,28 +502,35 @@ def cauchy_plus(contour):
     return 0.5 * np.eye(contour.n_nodes) + 1j * contour.kernel()
 
 
-def identity_jump(contour, t=0.0, x=0.0):
+def identity_jump(contour):
     """The trivial jump J = I on the contour nodes."""
-    J = np.broadcast_to(np.eye(2, dtype=complex), (contour.n_nodes, 2, 2)).copy()
-    return JumpData(t=t, x=x, nodes=contour.nodes, J=J)
+    return np.broadcast_to(np.eye(2, dtype=complex),
+                           (contour.n_nodes, 2, 2)).copy()
 
 
-def sie_solve_full(contour, jd):
+def solve_stamp(contour, J, residues=None):
+    """One stamp's solve: `mbrh.rhsolver.sie_solve_block` on the block of
+    the one jump J (N, 2, 2).  residues: the stamp's (z_j, c_j)
+    (`residue_constants`), or None.  Returns its `RHResult`."""
+    if residues is not None:
+        residues = (residues[0], np.asarray(residues[1])[None])
+    return sie_solve_block(contour, J[None], residues)[0]
+
+
+def sie_solve_full(contour, J):
     """Both rows of Q = M+ - I, shape (N, 2, 2), and the z^{-1} moment m
-    of M, from two first-row solves by `mbrh.rhsolver.sie_solve`.
+    of M, from one block of two first-row solves (`sie_solve_block`).
 
     Row 2 of Q - C+[Q(I-J)] = C+[I-J] is row 1 of the problem with jump
     sigma1 J sigma1, multiplied on the right by sigma1.
     """
-    row1 = sie_solve(contour, jd).Q
-    swapped = dataclasses.replace(jd, J=SIGMA1 @ jd.J @ SIGMA1)
-    row2 = sie_solve(contour, swapped).Q @ SIGMA1
-    Q = np.stack([row1, row2], axis=1)
-    X = (np.eye(2) + Q) @ (jd.J - np.eye(2))
+    row1, row2 = sie_solve_block(contour, np.stack([J, SIGMA1 @ J @ SIGMA1]))
+    Q = np.stack([row1.Q, row2.Q @ SIGMA1], axis=1)
+    X = (np.eye(2) + Q) @ (J - np.eye(2))
     return Q, np.einsum("j,jab->ab", contour.weights, X) / (2j * np.pi)
 
 
-def evaluate_M(Q, contour, jd, z):
+def evaluate_M(Q, contour, J, z):
     """Off-contour M(z) = I + (1/2 pi i) int (I+Q)(I-J)/(s-z) ds, with Q
     both rows of M+ - I (`sie_solve_full`).
 
@@ -533,7 +544,7 @@ def evaluate_M(Q, contour, jd, z):
     if np.any(dist < floor):
         raise TooCloseToContour(f"evaluation point within {floor:.3e} of a node")
     P = np.eye(2) + Q
-    Y = P @ (np.eye(2) - jd.J)                           # (N, 2, 2)
+    Y = P @ (np.eye(2) - J)                              # (N, 2, 2)
     kern = contour.weights[None, :] / (contour.nodes[None, :] - z[:, None])
     return np.eye(2) + np.einsum("zj,jab->zab", kern, Y) / (2j * np.pi)
 
@@ -601,21 +612,21 @@ def soliton_evaluate_M(poles, profile, t, x, z):
     return out
 
 
-def reconstruct_F_nodes(Q, Q_xp, Q_xm, jd, jd_xp, jd_xm,
+def reconstruct_F_nodes(nodes, Q, Q_xp, Q_xm, J, J_xp, J_xm,
                         profile, hx, node_mask=None):
     """Medium state at real collocation nodes from boundary values.
 
-    Uses the solved plus-boundary M+ = I + Q at the nodes (Q of both
-    rows, `sie_solve_full`), M- = M+ J, and
+    Q and J are given on the nodes, at x and at x +- hx.  Uses the
+    solved plus-boundary M+ = I + Q at the nodes (Q of both rows,
+    `sie_solve_full`), M- = M+ J, and
     Phi_x Phi^{-1} = M_x M^{-1} + i eta M sigma3 M^{-1} on each side,
     with Q_x and J_x by central differences from solves at x +- hx; the
     jump of that derivative is (pi i / 2) n F.  Returns (lam, N, rho)
     over the selected real nodes.
     """
-    lam_all = jd.nodes
     if node_mask is None:
-        node_mask = lam_all.imag == 0.0
-    lam = lam_all[node_mask].real
+        node_mask = nodes.imag == 0.0
+    lam = nodes[node_mask].real
     nv = profile.n(lam)
     if np.any(np.abs(nv) < 1e-6):
         raise WeightVanishes("n(lambda) too small for the jump formula")
@@ -624,11 +635,11 @@ def reconstruct_F_nodes(Q, Q_xp, Q_xm, jd, jd_xp, jd_xm,
 
     Mp = np.eye(2) + Q[node_mask]
     Mp_x = (Q_xp[node_mask] - Q_xm[node_mask]) / (2 * hx)
-    J = jd.J[node_mask]
+    J = J[node_mask]
     # the jump carries x-dependence beyond the explicit phases (its
     # undressed factor evolves with the medium), so differentiate the
     # assembled jump numerically
-    J_x = (jd_xp.J[node_mask] - jd_xm.J[node_mask]) / (2 * hx)
+    J_x = (J_xp[node_mask] - J_xm[node_mask]) / (2 * hx)
     Mm = Mp @ J
     Mm_x = Mp_x @ J + Mp @ J_x
     up = Mp_x @ inv2(Mp) \

@@ -4,7 +4,6 @@ Each test prints a single pass/fail line with the measured figure of
 merit before asserting, so a full run doubles as a report.
 """
 
-import dataclasses
 import time
 import types
 
@@ -19,13 +18,14 @@ from mbrh.broadening import (
     profile_normalize,
 )
 from mbrh.direct import integrate_direct
-from mbrh.jump import jump_mixed, posdef_check
+from mbrh.jump import det_err
 from mbrh.pipeline import spectral_data
 from mbrh.mat2 import det2
 from mbrh.rhsolver import (
     contour_build,
+    posdef_check,
     residue_constants,
-    sie_solve,
+    sie_solve_block,
     soliton_closed_form,
 )
 from mbrh.spectral import ScenarioData, a_zeros, jost_phi
@@ -38,8 +38,10 @@ from references import (
     k_solve,
     mb_residual,
     medium_history,
+    mixed_jump,
     reconstruct_F_nodes,
     sie_solve_full,
+    solve_stamp,
     soliton_evaluate_M,
     trivial_scenario,
 )
@@ -150,11 +152,11 @@ def test_criterion_04_trivial_scenario_end_to_end():
     ev = eta_boundary(LOR, lam)
     jerr = 0.0
     emax = 0.0
-    for it, t in enumerate(t_vals):
-        for ix, x in enumerate(x_vals):
-            jd = jump_mixed(t, x, ev, Kp[ix], Km[ix])
-            jerr = max(jerr, float(np.max(np.abs(jd.J - np.eye(2)))))
-            res = sie_solve(contour, jd)
+    for t in t_vals:          # one block of stamps per t
+        J = np.stack([mixed_jump(t, x, ev, Kp[ix], Km[ix])
+                      for ix, x in enumerate(x_vals)])
+        jerr = max(jerr, float(np.max(np.abs(J - np.eye(2)))))
+        for res in sie_solve_block(contour, J):
             emax = max(emax, abs(res.E))
     dt = time.perf_counter() - tic
     report(4, jerr <= 1e-10 and emax <= 1e-10 and dt < 10.0,
@@ -173,7 +175,7 @@ def test_criterion_05_unimodularity_and_symmetry_suite():
     contour = contour_build(window=(-16.0, 16.0), n_panels=16,
                             nodes_per_panel=12)
     lam = contour.nodes
-    Phi0, _, _ = jost_phi(sc, lam)
+    Phi0 = jost_phi(sc, lam)
     ev = eta_boundary(LOR, lam)
     table, Kp, Km = spectral_data(sc, LOR, ev, x_out=[1.0])
     # det K = det w since the shears S are unimodular
@@ -184,11 +186,11 @@ def test_criterion_05_unimodularity_and_symmetry_suite():
         "T+": table.diagnostics["det_Tp_err"],
         "T-": table.diagnostics["det_Tm_err"],
     }
-    jd = jump_mixed(2.5, 1.0, ev, Kp[0], Km[0])
-    det_errs["J"] = jd.det_error()
-    Q, _ = sie_solve_full(contour, jd)
+    J = mixed_jump(2.5, 1.0, ev, Kp[0], Km[0])
+    det_errs["J"] = det_err(J)
+    Q, _ = sie_solve_full(contour, J)
     z_off = np.array([0.7 + 1.5j, -2.0 + 2.0j, 1.0 - 1.8j])
-    M = evaluate_M(Q, contour, jd, z_off)
+    M = evaluate_M(Q, contour, J, z_off)
     det_errs["M"] = float(np.max(np.abs(det2(M) - 1.0)))
     det_worst = max(det_errs.values())
 
@@ -202,9 +204,9 @@ def test_criterion_05_unimodularity_and_symmetry_suite():
     # has the jump s3 conj(J(-lam)) s3 (the nodes are symmetric), poles
     # -conj z_j with constants conj c_j, and the field -conj E
     zj, cj = residue_constants([(0.3 + 0.5j, 0.8 - 0.4j)], LOR, 2.5, 1.0)
-    mirror = dataclasses.replace(jd, J=SIG3 @ np.conj(jd.J[::-1]) @ SIG3)
-    E = sie_solve(contour, jd, (zj, cj)).E
-    E_mirror = sie_solve(contour, mirror, (-np.conj(zj), np.conj(cj))).E
+    mirror = SIG3 @ np.conj(J[::-1]) @ SIG3
+    E = solve_stamp(contour, J, (zj, cj)).E
+    E_mirror = solve_stamp(contour, mirror, (-np.conj(zj), np.conj(cj))).E
     sym_err = abs(E_mirror + np.conj(E)) / abs(E)
     ok = det_worst <= 1e-6 and red_err <= 1e-8 and sym_err <= 1e-8
     report(5, ok, f"max |det-1| {det_worst:.2e}, reduction sym {red_err:.2e}, "
@@ -226,8 +228,7 @@ def test_criterion_06_posdef_randomized_attenuators():
                 if k % 2 == 0 else
                 BroadeningProfile.rectangular(rng.uniform(0.3, 1.0), sign=-1))
         t, x = rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)
-        jd = jump_wholeline(t, x, lam, r, prof)
-        worst = min(worst, posdef_check(jd))
+        worst = min(worst, posdef_check(jump_wholeline(t, x, lam, r, prof)))
     report(6, worst > 0.0,
            f"min Hermitian-part eigenvalue over 5 random scenarios {worst:.3e}")
 
@@ -241,7 +242,7 @@ def test_criterion_07_reflectionless_sech_pulse():
         E0=lambda x: np.zeros_like(np.asarray(x, dtype=complex)),
         rho0=None)
     lam = np.linspace(-10.0, 10.0, 201)
-    _, _, B = jost_phi(sc, lam, step=0.02)
+    B = jost_phi(sc, lam, step=0.02)[..., 0, 1]
     b_max = float(np.max(np.abs(B)))
     contour = contour_build()
     table, _, _ = spectral_data(sc, LOR, eta_boundary(LOR, contour.nodes))
@@ -263,8 +264,8 @@ def test_criterion_08_transparency_decay_exponent():
     for k in range(lam.size):
         norms = []
         for x in xs:
-            jd = jump_wholeline(0.0, x, lam[k:k + 1], r[k:k + 1], LOR)
-            norms.append(np.max(np.abs(jd.J[0] - np.eye(2))))
+            J = jump_wholeline(0.0, x, lam[k:k + 1], r[k:k + 1], LOR)
+            norms.append(np.max(np.abs(J[0] - np.eye(2))))
         slope = -np.polyfit(xs, np.log(norms), 1)[0]
         want = 0.5 * np.pi * abs(LOR.n(lam[k:k + 1])[0])
         rates.append((slope, want))
@@ -302,13 +303,13 @@ def test_criterion_09_one_soliton_triangle():
     # contour route: residue conditions with trivial axis jump
     contour = contour_build(window=(-16.0, 16.0), n_panels=16,
                             nodes_per_panel=12)
-    jd = identity_jump(contour)
-    err_sie = 0.0
-    for t in ts[::40]:
-        for x in xs[::40]:
-            res = sie_solve(contour, jd,
-                            residue_constants(poles, prof, t - t0, x))
-            err_sie = max(err_sie, abs(res.E - E_cl(t, x)) / sup)
+    tt, xx = [v.ravel() for v in np.meshgrid(ts[::40], xs[::40],
+                                              indexing="ij")]
+    J = np.broadcast_to(identity_jump(contour), (tt.size, contour.n_nodes, 2, 2))
+    out = sie_solve_block(contour, J,
+                          residue_constants(poles, prof, tt - t0, xx))
+    err_sie = max(abs(res.E - E_cl(t, x)) / sup
+                  for res, t, x in zip(out, tt, xx))
     dt = time.perf_counter() - tic
     report(9, err_sie <= 1e-3 and err_direct <= 1e-2 and dt < 300.0,
            f"closed vs contour {err_sie:.2e}, closed vs direct {err_direct:.2e} "
@@ -368,11 +369,11 @@ def test_criterion_12_medium_reconstruction_consistency(desk_direct):
     x_out = np.array([x - hx, x, x + hx])
     ev = eta_boundary(LOR, lam)
     _, Kp, Km = spectral_data(sc, LOR, ev, x_out=x_out)
-    jds = [jump_mixed(t, xv, ev, Kp[i], Km[i]) for i, xv in enumerate(x_out)]
-    sols = [sie_solve_full(contour, jd)[0] for jd in jds]
+    Js = [mixed_jump(t, xv, ev, Kp[i], Km[i]) for i, xv in enumerate(x_out)]
+    sols = [sie_solve_full(contour, J)[0] for J in Js]
     mask = np.abs(lam) <= 2.5
     lam_out, N, rho = reconstruct_F_nodes(
-        sols[1], sols[2], sols[0], jds[1], jds[2], jds[0], LOR, hx,
+        lam, sols[1], sols[2], sols[0], Js[1], Js[2], Js[0], LOR, hx,
         node_mask=mask)
     pick = np.linspace(0, lam_out.size - 1, 10).astype(int)
     sphere = float(np.max(np.abs(N[pick] ** 2 + np.abs(rho[pick]) ** 2 - 1.0)))

@@ -441,7 +441,7 @@ class TestGammaCurve:
     def test_lorentzian_truncation_flag(self):
         p = BroadeningProfile.lorentzian(1.0, sign=+1)
         c = gamma_trace(p, lam_window=(-20, 20), n_scan=201)
-        assert c.truncated and not c.bounded
+        assert c.truncated
 
     def test_tabulated_curve_evaluations_bounded(self, monkeypatch):
         # 101 scan nodes on a 121-node Gaussian table: the Illinois step

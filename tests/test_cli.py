@@ -1528,17 +1528,24 @@ def test_worker_refusal_exits_as_serial(monkeypatch, capsys, tmp_path):
     # (4, 0) (4, 1).  Stamps (3, 1) and (4, 0) both refuse: the loop stops
     # in the second block with the message of (3, 1), the earlier in
     # lattice order, and the third block never starts
-    orig, seen = pipeline.sie_solve_block, []
+    # each block's stamps are the t and x of the `jump_phased` call that
+    # built its jumps, the call just before its `sie_solve_block`
+    orig, phased, seen, last = pipeline.sie_solve_block, pipeline.jump_phased, [], []
 
-    def refusing(contour, jd, residues):
-        stamps = list(zip(jd.t.tolist(), jd.x.tolist()))
+    def phasing(J0, t, x, ev):
+        last[:] = [t, x]
+        return phased(J0, t, x, ev)
+
+    def refusing(contour, J, residues):
+        stamps = list(zip(*(v.tolist() for v in last)))
         seen.append(stamps)
         for t, x in stamps:
             if (t, x) in ((3.0, 1.0), (4.0, 0.0)):
                 raise IllConditioned(f"stamp t={t} x={x}")
-        return orig(contour, jd, residues)
+        return orig(contour, J, residues)
 
     monkeypatch.setattr(pipeline, "STAMP_BLOCK", 2)
+    monkeypatch.setattr(pipeline, "jump_phased", phasing)
     monkeypatch.setattr(pipeline, "sie_solve_block", refusing)
     path = write_scenario(tmp_path, n_panels=8, nodes_per_panel=8, **DESK)
     out = tmp_path / "rh"

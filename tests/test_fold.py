@@ -2,7 +2,7 @@
 
 A real field on a line shape symmetric about resonance has Jost
 solutions with X(-lambda) = conj X(lambda), so `spectral_data` solves
-the nodes lambda >= 0 and unfolds, and `sie_solve` takes a jump given on
+the nodes lambda >= 0 and unfolds, and `sie_solve_block` takes jumps given on
 the nodes s > 0 as a real system there.  Every other run takes the full
 axis, exactly as before, and says why.
 """
@@ -16,11 +16,10 @@ from mbrh import pipeline, rhsolver
 from mbrh.broadening import (MIRROR_TOL, BroadeningProfile, eta_boundary,
                              mirror_check, mirror_unfold)
 from mbrh.cli import run_command
-from mbrh.jump import JumpData, jump_mixed
 from mbrh.pipeline import rh_field_grid, spectral_data
-from mbrh.rhsolver import contour_build, sie_solve
+from mbrh.rhsolver import contour_build, sie_solve_block
 from mbrh.spectral import ScenarioData
-from references import excited_scenario
+from references import excited_scenario, mixed_jump, solve_stamp
 
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
 
@@ -57,11 +56,9 @@ def stamps(make, contour, ts=(2.0, 3.5, 6.0)):
     table, Kp, Km = spectral_data(sc, LOR, ev, x_out=xs)
     assert table.diagnostics["full_axis"] is None
     h = contour.n_nodes // 2
-    full = [jump_mixed(t, x, ev, Kp[i], Km[i])
+    full = [mixed_jump(t, x, ev, Kp[i], Km[i])
             for t in ts for i, x in enumerate(xs)]
-    half = [JumpData(t=jd.t, x=jd.x, nodes=jd.nodes[h:], J=jd.J[h:])
-            for jd in full]
-    return full, half
+    return full, [J[h:] for J in full]
 
 
 class TestFoldedSpectralData:
@@ -113,14 +110,12 @@ class TestFoldedSolve:
         contour = contour_build(window=(-16.0, 16.0), n_panels=16,
                                 nodes_per_panel=12)
         full, half = stamps(make, contour)
-        E = np.array([sie_solve(contour, jd).E for jd in full])
-        sup = np.max(np.abs(E))
-        for jd, jd_half, E_full in zip(full, half, E):
-            ref = sie_solve(contour, jd)
-            res = sie_solve(contour, jd_half)
+        refs = sie_solve_block(contour, np.stack(full))
+        sup = np.max(np.abs([ref.E for ref in refs]))
+        for ref, res in zip(refs, sie_solve_block(contour, np.stack(half))):
             d, d_ref = res.diagnostics, ref.diagnostics
             assert res.E.imag == 0.0
-            assert abs(res.E - E_full) <= 1e-14 * sup
+            assert abs(res.E - ref.E) <= 1e-14 * sup
             assert np.max(np.abs(res.Q - ref.Q)) <= 1e-13
             # the same Krylov space: the same steps and Hessenberg matrix
             assert d["iterations"] == d_ref["iterations"] > 0
@@ -134,9 +129,9 @@ class TestFoldedSolve:
         contour = contour_build(window=(-16.0, 16.0), n_panels=16,
                                 nodes_per_panel=12)
         full, half = stamps(desk_scenario, contour, ts=(3.0,))
-        krylov = sie_solve(contour, half[0])
+        krylov = solve_stamp(contour, half[0])
         monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", 2)
-        lu = sie_solve(contour, half[0])
+        lu = solve_stamp(contour, half[0])
         assert krylov.diagnostics["iterations"] > 2
         assert lu.diagnostics["lu"] and lu.diagnostics["iterations"] == 0
         assert abs(lu.E - krylov.E) < 1e-14
@@ -144,8 +139,7 @@ class TestFoldedSolve:
         assert lu.diagnostics["residual_rel"] < 1e-14
         # the fallback stays folded: E exactly real, and the whole axis's
         # dense solve of the unfolded jump to rounding
-        ref = sie_solve(contour, JumpData(t=3.0, x=0.0, nodes=contour.nodes,
-                                          J=mirror_unfold(half[0].J, 192)))
+        ref = solve_stamp(contour, mirror_unfold(half[0], 192))
         assert ref.diagnostics["lu"] and lu.E.imag == 0.0
         assert abs(lu.E - ref.E) < 1e-14
 
@@ -156,10 +150,9 @@ class TestFoldedSolve:
         residues = rhsolver.residue_constants([(0.5j, 1.0 + 0.0j)], LOR,
                                               3.0, 0.0)
         with pytest.raises(ValueError, match="does not match"):
-            sie_solve(contour, half[0], residues)
+            solve_stamp(contour, half[0], residues)
         with pytest.raises(ValueError, match="does not match"):
-            sie_solve(contour, JumpData(t=3.0, x=0.0, nodes=half[0].nodes[1:],
-                                        J=half[0].J[1:]))
+            solve_stamp(contour, half[0][1:])
 
 
 class TestSharedOperator:

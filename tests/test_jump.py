@@ -1,19 +1,17 @@
 """Jump-matrix assembly: mixed, whole-line, and amplifier-oval classes."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.special import gamma as cgamma
 
 from mbrh import broadening, lax, pipeline, spectral
 from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
+from mbrh.cli import run_command
 from mbrh.errors import SingularK
-from mbrh.jump import (
-    DET_TOL,
-    jump_mixed,
-    posdef_check,
-    shear_matrices,
-)
-from mbrh.mat2 import diag_exp, inv2
+from mbrh.jump import DET_TOL, det_err, jump_base, jump_phased, shear_matrices
+from mbrh.mat2 import det2, diag_exp, inv2
 from mbrh.pipeline import rh_field_grid, spectral_data
 from mbrh.spectral import (
     continued_a,
@@ -23,10 +21,10 @@ from mbrh.spectral import (
     phi_column_continuation,
     transition_and_reflection,
 )
-from mbrh.rhsolver import contour_build
+from mbrh.rhsolver import contour_build, posdef_check
 from references import (RegularityViolation, desk_scenario, excited_scenario,
                         jump_mixed_reference, jump_oval, jump_wholeline,
-                        k_solve, schwartz_error, trivial_scenario)
+                        k_solve, mixed_jump, schwartz_error, trivial_scenario)
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 ATT = BroadeningProfile.lorentzian(1.0, sign=-1)
@@ -42,9 +40,9 @@ def smooth_scenario():
 def smooth_data():
     sc = smooth_scenario()
     lam = np.linspace(-20, 20, 81)
-    Phi0, _, _ = jost_phi(sc, lam)
+    Phi0 = jost_phi(sc, lam)
     ev = eta_boundary(ATT, lam)
-    _, wp, wm = jost_w(sc, ATT, ev)
+    wp, wm = jost_w(sc, ATT, ev)
     tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
     return sc, lam, tab, wp[0], wm[0]
 
@@ -138,30 +136,30 @@ class TestJumpMixed:
         ev = eta_boundary(ATT, lam)
         for (t, x) in ((0.0, 0.0), (3.7, 1.2), (10.0, 5.0)):
             _, Kp, Km = k_solve(sc, ATT, lam, eye, eye, x_out=np.array([x]))
-            jd = jump_mixed(t, x, ev, Kp[0], Km[0])
-            assert np.max(np.abs(jd.J - np.eye(2))) < 1e-10
+            J = mixed_jump(t, x, ev, Kp[0], Km[0])
+            assert np.max(np.abs(J - np.eye(2))) < 1e-10
 
     def test_origin_equals_spectral_product(self, smooth_data):
         sc, lam, tab, wp0, wm0 = smooth_data
         sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
         _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([0.0]))
-        jd = jump_mixed(0.0, 0.0, eta_boundary(ATT, lam), Kp[0], Km[0])
+        J = mixed_jump(0.0, 0.0, eta_boundary(ATT, lam), Kp[0], Km[0])
         want = inv2(sp) @ inv2(wp0) @ wm0 @ sm
-        assert np.max(np.abs(jd.J - want)) < 1e-7
+        assert np.max(np.abs(J - want)) < 1e-7
 
     def test_unimodular(self, smooth_data):
         sc, lam, tab, _, _ = smooth_data
         sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
         _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([2.0]))
-        jd = jump_mixed(1.5, 2.0, eta_boundary(ATT, lam), Kp[0], Km[0])
-        assert jd.det_error() < 1e-8
+        J = mixed_jump(1.5, 2.0, eta_boundary(ATT, lam), Kp[0], Km[0])
+        assert det_err(J) < 1e-8
 
     def test_tail_decay_in_lambda(self, smooth_data):
         sc, lam, tab, _, _ = smooth_data
         sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
         _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([0.0]))
-        jd = jump_mixed(0.0, 0.0, eta_boundary(ATT, lam), Kp[0], Km[0])
-        dist = np.max(np.abs(jd.J - np.eye(2)), axis=(-2, -1))
+        J = mixed_jump(0.0, 0.0, eta_boundary(ATT, lam), Kp[0], Km[0])
+        dist = np.max(np.abs(J - np.eye(2)), axis=(-2, -1))
         at = lambda v: dist[np.argmin(np.abs(lam - v))]
         assert at(20.0) <= 0.1 and at(-20.0) <= 0.1
         assert at(20.0) < at(10.0) and at(-20.0) < at(-10.0)
@@ -175,12 +173,13 @@ class TestJumpMixed:
             t = rng.uniform(0, 10)
             x = rng.uniform(0, 5)
             _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([x]))
-            jd = jump_mixed(t, x, ev, Kp[0], Km[0])
-            assert posdef_check(jd) > 0.0
+            J = mixed_jump(t, x, ev, Kp[0], Km[0])
+            assert posdef_check(J) > 0.0
 
 
 class TestJumpComponentForm:
-    """`jump_mixed` entry by entry against the stacked-matmul reference,
+    """`jump_base` and `jump_phased` entry by entry against the
+    stacked-matmul reference,
     on the K banks of a run's real contour nodes."""
 
     @pytest.fixture(scope="class", params=["desk", "excited"])
@@ -197,19 +196,19 @@ class TestJumpComponentForm:
             for i, x in enumerate(xs):
                 if t == 0.0 and x == 0.0:
                     continue
-                jd = jump_mixed(t, x, ev, Kp[i], Km[i])
-                ref = jump_mixed_reference(t, x, ev, Kp[i], Km[i])
-                scale = np.max(np.abs(ref.J))
-                assert np.max(np.abs(jd.J - ref.J)) <= 1e-14 * scale
-                assert jd.J.shape == ref.J.shape and jd.J.flags.c_contiguous
-                assert abs(jd.diagnostics["J0_det_err"]
-                           - ref.diagnostics["J0_det_err"]) <= 1e-15
+                J0, _ = jump_base(Kp[i], Km[i])
+                J = jump_phased(J0, t, x, ev)
+                ref, ref_err = jump_mixed_reference(t, x, ev, Kp[i], Km[i])
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(J - ref)) <= 1e-14 * scale
+                assert J.shape == ref.shape and J.flags.c_contiguous
+                assert abs(det_err(J0) - ref_err) <= 1e-15
 
     def test_singular_k_refusal_unchanged(self, banks):
         _, ev, _, Kp, Km = banks
         for bad in ((1.001 * Kp[1], Km[1]), (Kp[1], 1.001 * Km[1])):
             with pytest.raises(SingularK) as new:
-                jump_mixed(2.0, 1.0, ev, *bad)
+                mixed_jump(2.0, 1.0, ev, *bad)
             with pytest.raises(SingularK) as ref:
                 jump_mixed_reference(2.0, 1.0, ev, *bad)
             assert str(new.value) == str(ref.value)
@@ -220,7 +219,45 @@ class TestJumpComponentForm:
         bad = Kp[1].copy()
         bad[3, 0, 0] = np.nan
         with pytest.raises(SingularK, match="det K- deviates from 1 by nan"):
-            jump_mixed(2.0, 1.0, ev, Kp[1], bad)
+            mixed_jump(2.0, 1.0, ev, Kp[1], bad)
+
+
+class TestDetErr:
+    """`det_err` is max |det2(J) - 1| to the bit, on 2x2 matrices and on
+    their row-major entries, and `mb-rh jump` reports it of its J."""
+
+    def test_both_layouts_give_the_det2_bits(self):
+        rng = np.random.default_rng(3)
+        J = rng.normal(size=(3, 50, 2, 2)) + 1j * rng.normal(size=(3, 50, 2, 2))
+        want = float(np.max(np.abs(det2(J) - 1.0)))
+        J4 = J.reshape(3, 50, 4)
+        assert det_err(J) == want
+        assert det_err(J4) == want
+        # a strided slice of the entries, as the stamps' half axis takes
+        assert det_err(J4[:, 25:]) == float(np.max(np.abs(
+            J4[:, 25:, 0] * J4[:, 25:, 3] - J4[:, 25:, 1] * J4[:, 25:, 2]
+            - 1.0)))
+
+    @pytest.mark.parametrize("rho0", [None, {
+        "x": [0.0, 1.0, 2.0], "lam": [-8.0, 0.0, 8.0],
+        "re": [[0.0, 0.3, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.0]]}],
+        ids=["desk", "excited"])
+    def test_mb_rh_jump_reports_det_err_of_its_J(self, tmp_path, rho0):
+        cfg = {"T": 10.0, "L": 2.0, "rho0": rho0,
+               "E_in": {"pulse": "gaussian", "amplitude": 0.8,
+                        "center": 3.0, "width": 0.7},
+               "E0": {"pulse": "zero"},
+               "profile": {"shape": "lorentzian", "l": 1.0, "sign": -1}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "jump"
+        assert run_command(["jump", "--scenario", str(path), "--t", "2.5",
+                            "--x", "1.0", "--out", str(out)]) == 0
+        cols = np.loadtxt(out / "jump.csv", delimiter=",", skiprows=1)
+        J = (cols[:, 1::2] + 1j * cols[:, 2::2]).reshape(-1, 2, 2)
+        with open(out / "meta.json") as fh:
+            got = json.load(fh)["diagnostics"]["det_error"]
+        assert 0.0 < got == float(np.max(np.abs(det2(J) - 1.0)))
 
 
 class TestKDetErr:
@@ -261,20 +298,20 @@ class TestKDetErr:
 class TestJumpWholeline:
     def test_zero_reflection(self):
         lam = np.linspace(-5, 5, 21)
-        jd = jump_wholeline(1.0, 2.0, lam, np.zeros(21), ATT)
-        assert np.max(np.abs(jd.J - np.eye(2))) < 1e-14
+        J = jump_wholeline(1.0, 2.0, lam, np.zeros(21), ATT)
+        assert np.max(np.abs(J - np.eye(2))) < 1e-14
 
     def test_det_identity(self):
         lam = np.linspace(-5, 5, 21)
         r = 0.5 * np.exp(-lam ** 2) * np.exp(1j * lam)
-        jd = jump_wholeline(0.7, 3.0, lam, r, ATT)
-        assert jd.det_error() < 1e-12
+        J = jump_wholeline(0.7, 3.0, lam, r, ATT)
+        assert det_err(J) < 1e-12
 
     def test_sit_decay_ratio(self):
         lam = np.array([0.0])
         r = np.array([0.5 + 0.0j])
-        j5 = jump_wholeline(0.0, 5.0, lam, r, ATT).J
-        j10 = jump_wholeline(0.0, 10.0, lam, r, ATT).J
+        j5 = jump_wholeline(0.0, 5.0, lam, r, ATT)
+        j10 = jump_wholeline(0.0, 10.0, lam, r, ATT)
         ratio = abs(j10[0, 0, 1]) / abs(j5[0, 0, 1])
         # exponent pi n(0) x / 2 with n(0) = -1/pi: e^{-2.5}
         assert abs(ratio - np.exp(-2.5)) < 1e-10
@@ -283,8 +320,8 @@ class TestJumpWholeline:
         amp = BroadeningProfile.lorentzian(1.0, sign=+1)
         lam = np.array([0.0])
         r = np.array([0.5 + 0.0j])
-        j5 = jump_wholeline(0.0, 5.0, lam, r, amp).J
-        j10 = jump_wholeline(0.0, 10.0, lam, r, amp).J
+        j5 = jump_wholeline(0.0, 5.0, lam, r, amp)
+        j10 = jump_wholeline(0.0, 10.0, lam, r, amp)
         ratio = abs(j10[0, 0, 1]) / abs(j5[0, 0, 1])
         assert abs(ratio - np.exp(2.5)) < 1e-9
 
@@ -293,7 +330,7 @@ class TestJumpWholeline:
         lam = np.array([lam0])
         r = np.array([0.4 - 0.2j])
         xs = np.linspace(2.0, 10.0, 17)
-        dist = [np.max(np.abs(jump_wholeline(0.3, x, lam, r, ATT).J - np.eye(2)))
+        dist = [np.max(np.abs(jump_wholeline(0.3, x, lam, r, ATT) - np.eye(2)))
                 for x in xs]
         slope = np.polyfit(xs, np.log(dist), 1)[0]
         want = np.pi * ATT.n(lam0) / 2.0
@@ -301,16 +338,16 @@ class TestJumpWholeline:
 
     def test_posdef_certificate_value(self):
         lam = np.array([0.0])
-        jd = jump_wholeline(0.0, 0.0, lam, np.array([0.5 + 0j]), ATT)
+        J = jump_wholeline(0.0, 0.0, lam, np.array([0.5 + 0j]), ATT)
         want = 1.125 - np.sqrt(0.5 ** 2 + 0.125 ** 2)
-        assert abs(posdef_check(jd) - want) < 1e-12
+        assert abs(posdef_check(J) - want) < 1e-12
 
     def test_posdef_all_stamps(self):
         lam = np.linspace(-5, 5, 41)
         r = 0.8 * np.exp(-lam ** 2 / 2)
         for (t, x) in ((0.0, 0.0), (2.0, 7.0), (9.0, 1.0)):
-            jd = jump_wholeline(t, x, lam, r, ATT)
-            assert posdef_check(jd) > 0.0
+            J = jump_wholeline(t, x, lam, r, ATT)
+            assert posdef_check(J) > 0.0
 
 
 class TestJumpOval:
@@ -318,19 +355,19 @@ class TestJumpOval:
         z = np.array([0.3 + 0.4j])
         a = np.array([np.exp(0.3j)])
         b = np.array([np.exp(-1.1j)])
-        jd = jump_oval(z, a, b, 0.0, 0.0, np.array([0.5j]))
+        J = jump_oval(z, a, b, 0.0, 0.0, np.array([0.5j]))
         want = np.array([[0, -b[0] / a[0]], [a[0] / b[0], 1]])
-        assert np.max(np.abs(jd.J[0] - want)) < 1e-14
-        assert jd.det_error() < 1e-14
+        assert np.max(np.abs(J[0] - want)) < 1e-14
+        assert det_err(J) < 1e-14
 
     def test_conjugate_node_form(self):
         z = np.array([0.3 - 0.4j])
         a = np.array([1.2 + 0.1j])      # values at the reflected point z*
         b = np.array([0.4 - 0.8j])
-        jd = jump_oval(z, a, b, 0.0, 0.0, np.array([-0.5j]))
+        J = jump_oval(z, a, b, 0.0, 0.0, np.array([-0.5j]))
         want = np.array([[1, -np.conj(a[0]) / np.conj(b[0])],
                          [np.conj(b[0]) / np.conj(a[0]), 0]])
-        assert np.max(np.abs(jd.J[0] - want)) < 1e-14
+        assert np.max(np.abs(J[0] - want)) < 1e-14
 
     def test_regularity_guard(self):
         z = np.array([0.5j])
@@ -359,6 +396,6 @@ class TestJumpOval:
         eta = np.where(z.imag > 0,
                        eta_eval(amp_prof, z),
                        np.conj(eta_eval(amp_prof, np.conj(z))))
-        jd = jump_oval(z, a, b, t=1.3, x=0.7, eta_vals=eta)
-        assert schwartz_error(jd) < 1e-8
-        assert jd.det_error() < 1e-10
+        J = jump_oval(z, a, b, t=1.3, x=0.7, eta_vals=eta)
+        assert schwartz_error(z, J) < 1e-8
+        assert det_err(J) < 1e-10

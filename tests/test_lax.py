@@ -27,8 +27,7 @@ from references import (
 
 
 def _trivial_slice(grid):
-    return MediumSlice(lam_grid=grid, N=np.ones(grid.size),
-                       rho=np.zeros(grid.size, complex))
+    return MediumSlice(N=np.ones(grid.size), rho=np.zeros(grid.size, complex))
 
 
 class TestCauchyTransformF:
@@ -54,7 +53,7 @@ class TestCauchyTransformF:
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
         grid = np.linspace(-8, 8, 16001)
         rho = 0.5 * np.exp(-grid ** 2) * (1 + 0.3j)
-        s = medium_from_rho(grid, rho)
+        s = medium_from_rho(rho)
         z = 1 + 1j
         G = medium_matrix(medium_transform(p, grid, z)(s))
         # brute oracle: trapezoid of the full integrand, dense where the
@@ -88,7 +87,7 @@ class TestCauchyTransformF:
         offaxis = medium_transform(p, grid, z)
         boundary = medium_transform(p, grid, ev)
         for amp in (0.0, 0.2, 0.5):
-            s = medium_from_rho(grid, amp * np.exp(-grid ** 2) * (1 - 0.4j))
+            s = medium_from_rho(amp * np.exp(-grid ** 2) * (1 - 0.4j))
             fresh = medium_transform(p, grid, z)(s)
             assert np.array_equal(offaxis(s), fresh)
             assert np.array_equal(boundary(s), medium_transform(p, grid, ev)(s))
@@ -116,8 +115,8 @@ class TestStackedSlices:
                                  + 1j * rng.uniform(-1, 1, (5, 1)))
 
     def _check(self, G, cols=slice(None)):
-        stacked = medium_matrix(G(medium_from_rho(self.grid, self.rho)))[:, cols]
-        single = np.array([medium_matrix(G(medium_from_rho(self.grid, r)))[cols]
+        stacked = medium_matrix(G(medium_from_rho(self.rho)))[:, cols]
+        single = np.array([medium_matrix(G(medium_from_rho(r)))[cols]
                            for r in self.rho])
         assert stacked.shape == single.shape
         assert np.max(np.abs(stacked - single)) <= 1e-15 * np.max(np.abs(single))
@@ -142,9 +141,9 @@ class TestStackedSlices:
         G = medium_transform(self.p, self.grid, ev)
         rho = self.rho.copy()
         rho[3, -1] = 0.1
-        G(medium_from_rho(self.grid, np.delete(rho, 3, axis=0)))
+        G(medium_from_rho(np.delete(rho, 3, axis=0)))
         with pytest.raises(PrincipalValueFailure):
-            G(medium_from_rho(self.grid, rho))
+            G(medium_from_rho(rho))
 
     @pytest.mark.parametrize("end", [0, -1])
     @pytest.mark.parametrize("value", [0.1, 0.1j, 1e-3 * (1 + 1j)])
@@ -156,7 +155,7 @@ class TestStackedSlices:
         rho = self.rho[0].copy()
         rho[end] = value
         with pytest.raises(PrincipalValueFailure):
-            G(medium_from_rho(self.grid, rho))
+            G(medium_from_rho(rho))
 
 
 class TestOneRealProduct:
@@ -169,7 +168,7 @@ class TestOneRealProduct:
     def _slices(self):
         rng = np.random.default_rng(4)
         bump = np.exp(-self.grid ** 2 / 2)
-        return medium_from_rho(self.grid, 0.5 * bump * (
+        return medium_from_rho(0.5 * bump * (
             rng.uniform(-1, 1, (4, 1)) + 1j * rng.uniform(-1, 1, (4, 1))))
 
     @staticmethod
@@ -227,7 +226,7 @@ class TestAknsMatrices:
         # G inherits the reduction from Hermitian F, so V does too
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
         grid = np.linspace(-10, 10, 801)
-        s = medium_from_rho(grid, 0.4 * np.exp(-grid ** 2) * (0.6 - 0.2j))
+        s = medium_from_rho(0.4 * np.exp(-grid ** 2) * (0.6 - 0.2j))
         z = 0.8 + 0.5j
         E = 0.3 + 0.1j
         Vz = V(z, E, medium_matrix(medium_transform(p, grid, z)(s)))
@@ -240,19 +239,19 @@ class TestConservation:
     """`medium_from_rho` puts a slice on the sphere N^2 + |rho|^2 = 1."""
 
     def test_trivial(self):
-        s = medium_from_rho(np.linspace(-1, 1, 5), np.zeros(5))
+        s = medium_from_rho(np.zeros(5))
         assert np.array_equal(s.N, np.ones(5))
         assert np.max(np.abs(s.N ** 2 + np.abs(s.rho) ** 2 - 1.0)) == 0.0
 
     def test_on_sphere(self):
-        s = medium_from_rho(np.zeros(1), np.array([0.8 + 0j]))
+        s = medium_from_rho(np.array([0.8 + 0j]))
         assert abs(s.N[0] - 0.6) < 1e-15
         assert np.max(np.abs(s.N ** 2 + np.abs(s.rho) ** 2 - 1.0)) < 1e-15
 
     def test_off_sphere(self):
         # |rho| > 1 has no point on the sphere
         with pytest.raises(ValueError):
-            medium_from_rho(np.zeros(1), np.array([1.1 + 0j]))
+            medium_from_rho(np.array([1.1 + 0j]))
 
 
 class _State:

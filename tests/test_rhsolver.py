@@ -13,14 +13,13 @@ from mbrh.errors import (
     PosdefViolated,
     SingularResidueSystem,
 )
-from mbrh.jump import JumpData, jump_mixed, posdef_check
 from mbrh.pipeline import rh_field_grid, spectral_data
 from mbrh.mat2 import det2, dagger, inv2
 from mbrh.rhsolver import (
     contour_build,
     jump_window,
+    posdef_check,
     residue_constants,
-    sie_solve,
     sie_solve_block,
     soliton_closed_form,
 )
@@ -32,10 +31,12 @@ from references import (
     evaluate_M,
     identity_jump,
     jump_wholeline,
+    mixed_jump,
     reconstruct_F_nodes,
     sie_solve_full,
     soliton_closed_form_real,
     soliton_evaluate_M,
+    solve_stamp,
 )
 
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
@@ -205,7 +206,7 @@ class TestRealKernel:
 class TestSieSolve:
     def test_trivial_jump(self):
         c = contour_build(n_panels=12, nodes_per_panel=8)
-        res = sie_solve(c, identity_jump(c))
+        res = solve_stamp(c, identity_jump(c))
         Q, m = sie_solve_full(c, identity_jump(c))
         assert np.max(np.abs(Q)) < 1e-13
         assert abs(res.E) < 1e-13
@@ -221,7 +222,7 @@ class TestSieSolve:
         assert not np.any(x) and x.shape == (8,) and (cond, its) == (1.0, 0)
         zj, cj = residue_constants([(0.5j, 1.0 + 0.0j)], DELTA, 0.4, 0.2)
         for residues in (None, (zj, cj)):
-            d = sie_solve(c, identity_jump(c), residues).diagnostics
+            d = solve_stamp(c, identity_jump(c), residues).diagnostics
             assert (d["lu"], d["iterations"], d["cond"]) == (False, 0, 1.0)
             assert d["residual"] == 0.0
 
@@ -229,10 +230,10 @@ class TestSieSolve:
         c = contour_build(window=(-12, 12), n_panels=24, nodes_per_panel=12)
         lam = c.nodes
         r = 0.01 * np.exp(-lam ** 2)
-        jd = jump_wholeline(1.0, 0.5, lam, r, LOR)
-        Q, _ = sie_solve_full(c, jd)
+        J = jump_wholeline(1.0, 0.5, lam, r, LOR)
+        Q, _ = sie_solve_full(c, J)
         CP = cauchy_plus(c)
-        R = np.einsum("ij,jab->iab", CP, np.eye(2) - jd.J)
+        R = np.einsum("ij,jab->iab", CP, np.eye(2) - J)
         # first Born correction is quadratic in r
         assert np.max(np.abs(Q - R)) < 0.05 * np.max(np.abs(R))
 
@@ -243,9 +244,10 @@ class TestSieSolve:
         eps = 0.01
         c = contour_build(window=(-12, 12), n_panels=24, nodes_per_panel=16)
         lam = c.nodes
-        for t in (0.0, 0.4, -0.8):
-            jd = jump_wholeline(t, 0.0, lam, eps * np.exp(-lam ** 2), LOR)
-            res = sie_solve(c, jd)
+        ts = (0.0, 0.4, -0.8)
+        J = np.stack([jump_wholeline(t, 0.0, lam, eps * np.exp(-lam ** 2), LOR)
+                      for t in ts])
+        for t, res in zip(ts, sie_solve_block(c, J)):
             want = (2 * eps / np.sqrt(np.pi)) * np.exp(-t ** 2)
             assert abs(res.E - want) < 5e-5
 
@@ -258,11 +260,11 @@ class TestSieSolve:
                           rho0=None)
         c = contour_build(window=(-20, 20), n_panels=24, nodes_per_panel=16)
         lam = c.nodes
-        Phi0, A, B = jost_phi(sc, lam)
-        r = B / A
-        for t in (3.2, 4.0, 5.0):
-            jd = jump_wholeline(t, 0.0, lam, r, LOR)
-            res = sie_solve(c, jd)
+        Phi0 = jost_phi(sc, lam)
+        r = Phi0[:, 0, 1] / Phi0[:, 1, 1]
+        ts = (3.2, 4.0, 5.0)
+        J = np.stack([jump_wholeline(t, 0.0, lam, r, LOR) for t in ts])
+        for t, res in zip(ts, sie_solve_block(c, J)):
             want = sc.E_in(t)
             assert abs(res.E - want) < 1e-3 * abs(want)
 
@@ -272,17 +274,16 @@ class TestSieSolve:
             c = contour_build(window=(-16, 16), n_panels=np_,
                               nodes_per_panel=nn)
             lam = c.nodes
-            jd = jump_wholeline(0.7, 0.5, lam, 0.3 * np.exp(-lam ** 2), LOR)
-            vals.append(sie_solve(c, jd).E)
+            J = jump_wholeline(0.7, 0.5, lam, 0.3 * np.exp(-lam ** 2), LOR)
+            vals.append(solve_stamp(c, J).E)
         assert abs(vals[0] - vals[1]) < 1e-6
 
     def test_posdef_guard(self):
         c = contour_build(n_panels=6, nodes_per_panel=6)
         J = np.broadcast_to(np.diag([-2.0 + 0j, 1.0]),
                             (c.n_nodes, 2, 2)).copy()
-        jd = JumpData(t=0.0, x=0.0, nodes=c.nodes, J=J)
         with pytest.raises(PosdefViolated):
-            sie_solve(c, jd)
+            solve_stamp(c, J)
 
 
 def desk_stamps(ts=(2.0, 3.5, 6.0), xs=(0.0, 2.5), chirp=0.0):
@@ -297,15 +298,15 @@ def desk_stamps(ts=(2.0, 3.5, 6.0), xs=(0.0, 2.5), chirp=0.0):
     lam = c.nodes
     ev = eta_boundary(LOR, lam)
     _, Kp, Km = spectral_data(sc, LOR, ev, x_out=xs)
-    return c, [jump_mixed(t, x, ev, Kp[i], Km[i])
+    return c, [mixed_jump(t, x, ev, Kp[i], Km[i])
                for t in ts for i, x in enumerate(xs)]
 
 
-def dense_operator(contour, jd):
+def dense_operator(contour, J):
     """I - T of the row-decoupled 2N x 2N system, and the right-hand side."""
     n = contour.n_nodes
     CP = cauchy_plus(contour)
-    IJ = np.eye(2) - jd.J
+    IJ = np.eye(2) - J
     T = np.einsum("ij,jab->ibja", CP, IJ).reshape(2 * n, 2 * n)
     R = np.einsum("ij,jab->iab", CP, IJ)
     return np.eye(2 * n) - T, R
@@ -313,10 +314,9 @@ def dense_operator(contour, jd):
 
 class TestKrylovPath:
     def test_matches_dense_solve_and_svd_condition(self):
-        c, jds = desk_stamps()
-        for jd in jds:
-            res = sie_solve(c, jd)
-            A, R = dense_operator(c, jd)
+        c, Js = desk_stamps()
+        for J, res in zip(Js, sie_solve_block(c, np.stack(Js))):
+            A, R = dense_operator(c, J)
             q = np.linalg.solve(A, R[:, 0, :].ravel()).reshape(-1, 2)
             assert np.max(np.abs(res.Q - q)) < 1e-13
             d = res.diagnostics
@@ -326,30 +326,30 @@ class TestKrylovPath:
             # the Hessenberg estimate is a lower bound, and a tight one here
             assert 0.9 * kappa2 <= d["cond"] <= kappa2 * (1 + 1e-12)
             assert d["residual_rel"] < 1e-14
-            assert d["posdef_min"] == posdef_check(jd)
+            assert d["posdef_min"] == posdef_check(J)
 
     def test_full_reference_matches_dense_two_row_solve(self):
         # row 2 through the sigma1-swapped jump, on the Krylov path
-        c, jds = desk_stamps()
-        for jd in jds:
-            Q, m = sie_solve_full(c, jd)
-            A, R = dense_operator(c, jd)
+        c, Js = desk_stamps()
+        for J, res in zip(Js, sie_solve_block(c, np.stack(Js))):
+            Q, m = sie_solve_full(c, J)
+            A, R = dense_operator(c, J)
             want = np.stack([np.linalg.solve(A, R[:, r, :].ravel()).reshape(-1, 2)
                              for r in range(2)], axis=1)
             assert np.max(np.abs(Q - want)) < 1e-13
-            assert abs(-4j * m[0, 1] - sie_solve(c, jd).E) < 1e-14
+            assert abs(-4j * m[0, 1] - res.E) < 1e-14
             # both rows solve the two-row system
             CP = cauchy_plus(c)
-            resid = Q - np.einsum("ij,jab->iab", CP, Q @ (np.eye(2) - jd.J)) - R
+            resid = Q - np.einsum("ij,jab->iab", CP, Q @ (np.eye(2) - J)) - R
             assert np.max(np.abs(resid)) < 1e-14 * np.max(np.abs(R))
 
     def test_budget_exhausted_falls_back_to_lu(self, monkeypatch):
-        c, jds = desk_stamps(ts=(3.0,), xs=(1.0,))
-        krylov = sie_solve(c, jds[0])
-        Q_krylov, _ = sie_solve_full(c, jds[0])
+        c, Js = desk_stamps(ts=(3.0,), xs=(1.0,))
+        krylov = solve_stamp(c, Js[0])
+        Q_krylov, _ = sie_solve_full(c, Js[0])
         monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", 2)
-        lu = sie_solve(c, jds[0])
-        Q_lu, _ = sie_solve_full(c, jds[0])
+        lu = solve_stamp(c, Js[0])
+        Q_lu, _ = sie_solve_full(c, Js[0])
         assert krylov.diagnostics["iterations"] > 2
         assert lu.diagnostics["iterations"] == 0
         assert abs(lu.E - krylov.E) < 1e-14
@@ -394,10 +394,10 @@ class TestKrylovPath:
     def test_pole_stamps_solve_without_lu(self):
         # 1 + 2p right-hand sides on the Krylov path: `iterations` sums
         # their Arnoldi steps, `cond` is the largest Hessenberg estimate
-        c, jds = desk_stamps(ts=(3.0,), xs=(1.0,))
-        plain = sie_solve(c, jds[0]).diagnostics
+        c, Js = desk_stamps(ts=(3.0,), xs=(1.0,))
+        plain = solve_stamp(c, Js[0]).diagnostics
         poles = [(0.5j, 1.0 + 0.0j), (-0.4 + 0.8j, 0.3 - 2.0j)]
-        d = sie_solve(c, jds[0], residue_constants(poles, LOR, 3.0, 1.0)).diagnostics
+        d = solve_stamp(c, Js[0], residue_constants(poles, LOR, 3.0, 1.0)).diagnostics
         assert not d["lu"] and d["iterations"] > 2 * plain["iterations"]
         assert d["cond"] >= plain["cond"] and d["residual_rel"] < 1e-14
         assert 1.0 <= d["residue_cond"] < 1e2 and plain["residue_cond"] is None
@@ -407,11 +407,11 @@ class TestKrylovPath:
         # on a trivial axis jump no other certificate can refuse
         c = contour_build(window=(-16.0, 16.0), n_panels=16, nodes_per_panel=12)
         residues = residue_constants([(0.5j, 1.0 + 0.0j)], LOR, 16.0, 0.0)
-        ok = sie_solve(c, identity_jump(c), residues)
+        ok = solve_stamp(c, identity_jump(c), residues)
         assert abs(ok.diagnostics["residue_cond"] - 1.0) < 1e-12
         monkeypatch.setattr(rhsolver, "COND_LIMIT", 0.5)
         with pytest.raises(IllConditioned, match="residue system condition"):
-            sie_solve(c, identity_jump(c), residues)
+            solve_stamp(c, identity_jump(c), residues)
 
 
 class TestDenseFallback:
@@ -420,23 +420,23 @@ class TestDenseFallback:
 
     @pytest.mark.parametrize("kind", ["folded", "whole", "poles"])
     def test_matches_krylov_with_the_exact_condition(self, kind, monkeypatch):
-        c, jds = desk_stamps(ts=(3.0,), xs=(1.0,),
-                             chirp=0.5 if kind == "whole" else 0.0)
-        A, _ = dense_operator(c, jds[0])
-        jd, residues, n, h = jds[0], None, c.n_nodes, c.n_nodes // 2
+        c, Js = desk_stamps(ts=(3.0,), xs=(1.0,),
+                            chirp=0.5 if kind == "whole" else 0.0)
+        A, _ = dense_operator(c, Js[0])
+        J, residues, n, h = Js[0], None, c.n_nodes, c.n_nodes // 2
         if kind == "folded":
             # the real matrix of the operator on (Re q, Im q) at s > 0,
             # applied through the unfolded row q(-s) = conj q(s)
-            jd = JumpData(t=jd.t, x=jd.x, nodes=jd.nodes[h:], J=jd.J[h:])
+            J = J[h:]
             cols = [(A @ mirror_unfold(e.view(complex).reshape(h, 2), n)
                      .ravel()).reshape(n, 2)[h:].ravel().view(float)
                     for e in np.eye(2 * n)]
             A = np.array(cols).T
         if kind == "poles":
             residues = residue_constants([(0.5j, 1.0 + 0.0j)], LOR, 3.0, 1.0)
-        krylov = sie_solve(c, jd, residues)
+        krylov = solve_stamp(c, J, residues)
         monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", 2)
-        dense = sie_solve(c, jd, residues)
+        dense = solve_stamp(c, J, residues)
         d = dense.diagnostics
         assert d["lu"] and d["iterations"] == 0 and d["residual_rel"] < 1e-14
         assert abs(d["cond"] - np.linalg.cond(A, 1)) <= 1e-12 * d["cond"]
@@ -555,17 +555,14 @@ class TestBlockSolve:
         assert_same_stamps(block, alone)
 
     def test_identity_stamp_takes_no_step(self):
-        c, jds = desk_stamps()
-        eye = np.broadcast_to(np.eye(2, dtype=complex), jds[0].J.shape)
-        J = np.stack([jds[0].J, eye, jds[1].J])
-        out = sie_solve_block(c, JumpData(t=np.array([2.0, 0.0, 2.0]),
-                                          x=np.array([0.0, 0.0, 2.5]),
-                                          nodes=c.nodes, J=J))
+        c, Js = desk_stamps()
+        eye = np.broadcast_to(np.eye(2, dtype=complex), Js[0].shape)
+        out = sie_solve_block(c, np.stack([Js[0], eye, Js[1]]))
         d = out[1].diagnostics
         assert out[1].E == 0.0 and not np.any(out[1].Q)
         assert (d["iterations"], d["cond"], d["lu"]) == (0, 1.0, False)
         assert_same_stamps([out[0], out[2]],
-                           [sie_solve(c, jds[0]), sie_solve(c, jds[1])])
+                           [solve_stamp(c, Js[0]), solve_stamp(c, Js[1])])
 
     def test_only_the_slowest_stamp_falls_back(self, monkeypatch):
         # a budget one step short of the slowest stamp's steps: that stamp
@@ -588,16 +585,15 @@ class TestBlockSolve:
     def test_earliest_refusing_stamp_refuses(self, monkeypatch):
         # stamp 2 violates posdef, which is checked first; stamp 1 refuses
         # later, in its dense solve, but is the earlier in the block
-        c, jds = desk_stamps()
-        bad = np.broadcast_to(np.diag([-2.0 + 0j, 1.0]), jds[0].J.shape)
-        eye = np.broadcast_to(np.eye(2, dtype=complex), jds[0].J.shape)
-        jd = JumpData(t=np.zeros(3), x=np.zeros(3), nodes=c.nodes,
-                      J=np.stack([eye, jds[0].J, bad]))
+        c, Js = desk_stamps()
+        bad = np.broadcast_to(np.diag([-2.0 + 0j, 1.0]), Js[0].shape)
+        eye = np.broadcast_to(np.eye(2, dtype=complex), Js[0].shape)
+        J = np.stack([eye, Js[0], bad])
         with pytest.raises(PosdefViolated, match="minimum -2.000e\\+00"):
-            sie_solve_block(c, jd)
+            sie_solve_block(c, J)
         monkeypatch.setattr(rhsolver, "COND_LIMIT", 0.5)
         with pytest.raises(IllConditioned, match="dense operator condition"):
-            sie_solve_block(c, jd)
+            sie_solve_block(c, J)
 
 
 class TestEvaluateM:
@@ -605,26 +601,26 @@ class TestEvaluateM:
         self.c = contour_build(window=(-16, 16), n_panels=24,
                                nodes_per_panel=16)
         lam = self.c.nodes
-        self.jd = jump_wholeline(0.5, 0.3, lam, 0.3 * np.exp(-lam ** 2), LOR)
-        self.Q, self.m = sie_solve_full(self.c, self.jd)
+        self.J = jump_wholeline(0.5, 0.3, lam, 0.3 * np.exp(-lam ** 2), LOR)
+        self.Q, self.m = sie_solve_full(self.c, self.J)
 
     def test_unimodular_off_contour(self):
         zs = np.array([2j, -3j, 1.5 + 2.5j, -4 - 1j])
-        M = evaluate_M(self.Q, self.c, self.jd, zs)
+        M = evaluate_M(self.Q, self.c, self.J, zs)
         assert np.max(np.abs(det2(M) - 1.0)) < 1e-6
 
     def test_moment_asymptotics(self):
         # M(z) - I - m/z = O(1/z^2)
         for R in (30.0, 60.0):
             z = np.array([R * np.exp(1j * np.pi / 3)])
-            M = evaluate_M(self.Q, self.c, self.jd, z)
+            M = evaluate_M(self.Q, self.c, self.J, z)
             err = np.max(np.abs(M[0] - np.eye(2) - self.m / z[0]))
             assert err < 10.0 / R ** 2
 
     def test_too_close_guard(self):
         z0 = self.c.nodes[10] + 1e-8j
         with pytest.raises(TooCloseToContour):
-            evaluate_M(self.Q, self.c, self.jd, np.array([z0]))
+            evaluate_M(self.Q, self.c, self.J, np.array([z0]))
 
 
 class TestSolitonClosedForm:
@@ -746,8 +742,8 @@ def test_overflowing_residue_system_refused():
     poles = [(1e-310j, 1.0 + 0.0j)]
     c = contour_build(n_panels=4, nodes_per_panel=8)
     for call in (lambda: soliton_closed_form(poles, DELTA, [0.0, 1.0], 0.5),
-                 lambda: sie_solve(c, identity_jump(c),
-                                   residue_constants(poles, DELTA, 1.0, 0.5))):
+                 lambda: solve_stamp(c, identity_jump(c),
+                                     residue_constants(poles, DELTA, 1.0, 0.5))):
         with pytest.raises(SingularResidueSystem, match="not finite"):
             call()
 
@@ -786,8 +782,7 @@ class TestResidueRoute:
                      axis=-1).reshape(-1, 2, 2)
         zj, cj = residue_constants(self.poles, LOR, t, x)
         delta, _ = self.gauge(zj)
-        res = sie_solve(c, JumpData(t=t, x=x, nodes=c.nodes, J=J),
-                        (zj, cj / delta ** 2))
+        res = solve_stamp(c, J, (zj, cj / delta ** 2))
         return c, J, zj, delta, res
 
     def test_field_matches_closed_form(self):
@@ -860,29 +855,29 @@ class TestReconstructFNodes:
         lam = c.nodes
 
         def solve(xv):
-            jd = jump_wholeline(t, xv, lam, r_amp * np.exp(-lam ** 2), LOR)
-            return jd, sie_solve_full(c, jd)[0]
+            J = jump_wholeline(t, xv, lam, r_amp * np.exp(-lam ** 2), LOR)
+            return J, sie_solve_full(c, J)[0]
 
-        jd, Q = solve(x)
-        jd_p, Q_p = solve(x + hx)
-        jd_m, Q_m = solve(x - hx)
-        return c, lam, jd, Q, jd_p, Q_p, jd_m, Q_m
+        J, Q = solve(x)
+        J_p, Q_p = solve(x + hx)
+        J_m, Q_m = solve(x - hx)
+        return c, lam, J, Q, J_p, Q_p, J_m, Q_m
 
     def test_trivial_gives_rest_state(self):
-        c, lam, jd, Q, jd_p, Q_p, jd_m, Q_m = \
+        c, lam, J, Q, J_p, Q_p, J_m, Q_m = \
             self.make_solves(0.0, 0.3, 0.5, 1e-3)
-        lam_out, N, rho = reconstruct_F_nodes(Q, Q_p, Q_m,
-                                              jd, jd_p, jd_m, LOR, 1e-3)
+        lam_out, N, rho = reconstruct_F_nodes(lam, Q, Q_p, Q_m,
+                                              J, J_p, J_m, LOR, 1e-3)
         assert np.max(np.abs(N - 1.0)) < 1e-10
         assert np.max(np.abs(rho)) < 1e-10
 
     def test_sphere_and_route_agreement(self):
         t, x, hx = 0.6, 0.8, 1e-3
-        c, lam, jd, Q, jd_p, Q_p, jd_m, Q_m = \
+        c, lam, J, Q, J_p, Q_p, J_m, Q_m = \
             self.make_solves(0.3, t, x, hx)
         mask = np.abs(lam) < 3.0
-        lam_out, N, rho = reconstruct_F_nodes(Q, Q_p, Q_m,
-                                              jd, jd_p, jd_m, LOR, hx,
+        lam_out, N, rho = reconstruct_F_nodes(lam, Q, Q_p, Q_m,
+                                              J, J_p, J_m, LOR, hx,
                                               node_mask=mask)
         assert np.max(np.abs(N ** 2 + np.abs(rho) ** 2 - 1.0)) < 1e-6
 
@@ -892,11 +887,11 @@ class TestReconstructFNodes:
         def evalM(tv, xv, zs):
             key = round(xv, 12)
             if key not in cache:
-                jdx = jump_wholeline(tv, xv, lam,
-                                     0.3 * np.exp(-lam ** 2), LOR)
-                cache[key] = (jdx, sie_solve_full(c, jdx)[0])
-            jdx, Qx = cache[key]
-            return evaluate_M(Qx, c, jdx, zs)
+                Jx = jump_wholeline(tv, xv, lam,
+                                    0.3 * np.exp(-lam ** 2), LOR)
+                cache[key] = (Jx, sie_solve_full(c, Jx)[0])
+            Jx, Qx = cache[key]
+            return evaluate_M(Qx, c, Jx, zs)
 
         targets = lam_out[::16]
         N2, rho2 = reconstruct_F(evalM, LOR, t, x, targets,
