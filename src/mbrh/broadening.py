@@ -377,7 +377,8 @@ def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
 
     Attenuators have sign Im eta = sign Im z everywhere, so the curve is
     empty.  A curve reaching the lambda-window edge is reported truncated
-    (the Lorentzian D+ is unbounded along the real line).
+    (the Lorentzian D+ is unbounded along the real line).  nu_max is the
+    largest height on the scan nodes.
     """
     empty = GammaCurve(points=np.empty(0, complex), nu_max=0.0,
                        truncated=False)
@@ -391,22 +392,10 @@ def gamma_trace(profile, lam_window=LAM_WINDOW, n_scan=401,
     lam_found, nu_found = lams[found], nu[found]
 
     truncated = bool(lam_found[0] <= lams[0] or lam_found[-1] >= lams[-1])
-
-    # refine nu_max around the scan maximum by golden-section search
-    # (Kiefer 1953), both probes in one call, down to a 1e-10 bracket
-    k = int(np.argmax(nu_found))
-    lo, hi = lam_found[max(k - 1, 0)], lam_found[min(k + 1, nu_found.size - 1)]
-    nu_max, g = nu_found[k], 0.5 * (np.sqrt(5.0) - 1.0)
-    while hi - lo > 1e-10:
-        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
-        fc, fd = np.nan_to_num(_nu_roots(profile, np.array([c, d])))
-        lo, hi = (lo, d) if fc >= fd else (c, hi)
-        nu_max = max(nu_max, fc, fd)
-
     if np.any(np.abs(_im_eta(profile, lam_found, nu_found)) > curve_tol):
         raise PrincipalValueFailure("curve tracer left residual Im eta > tol")
-    return GammaCurve(points=lam_found + 1j * nu_found, nu_max=float(nu_max),
-                      truncated=truncated)
+    return GammaCurve(points=lam_found + 1j * nu_found,
+                      nu_max=float(np.max(nu_found)), truncated=truncated)
 
 
 # ----------------------------------------------------------------------

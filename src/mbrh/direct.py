@@ -173,10 +173,8 @@ def integrate_direct(scenario, profile, lam_grid, dt) -> FieldState:
     E[:, 0] = np.asarray(scenario.E_in(t_grid), dtype=complex)
     B0 = None
     if scenario.rho0 is not None:
-        B0 = np.empty((3, nx + 1, lam.size))
-        for j, xj in enumerate(x_grid):
-            sl = scenario.medium_slice(xj, lam)
-            B0[:, j] = sl.rho.real, sl.rho.imag, sl.N
+        sl = scenario.medium_slice(x_grid, lam)
+        B0 = np.stack([sl.rho.real, sl.rho.imag, sl.N])
     mirror_err, why = _mirror(lam, w, E, B0)
     fold = why is None
     # the step runs on nodes h.. (all, or the half lam >= 0 of an

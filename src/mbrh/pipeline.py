@@ -79,8 +79,7 @@ def spectral_data(scenario, profile, ev, x_out=(0.0,), step=None,
             wp, wm = mirror_unfold(wp, n, axis=1), mirror_unfold(wm, n, axis=1)
         table = transition_and_reflection(lam, Phi0, wp[at0], wm[at0])
     table.diagnostics.update(
-        step_err=step_error(scenario, profile, ev, Phi0,
-                            np.concatenate([wp[at0], wm[at0]]),
+        step_err=step_error(scenario, profile, ev, Phi0, (wp[at0], wm[at0]),
                             t_step, x_step, first=h),
         mirror_err=mirror_err, nodes_solved=n - h, full_axis=why)
     marks.append(time.perf_counter())
@@ -172,7 +171,8 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     marks.append(time.perf_counter())
     poles, pole_count = [], None
     if find_poles:              # on the configured contour
-        poles, pole_count = a_zeros(scenario, profile, contour, table.a_plus)
+        poles, pole_count = a_zeros(scenario, profile, ev, contour,
+                                    table.a_plus)
     # J0 = K+^-1 K- does not depend on t, and |J - I| is the same at every
     # t: one jump per x column sizes the window of the whole lattice, and
     # the stamps solve on that window

@@ -366,9 +366,8 @@ def sie_solve_block(contour: ContourSigma, J, residues=None):
              if folded else -4j * (contour.weights @ f / (2j * np.pi) + pole_m12))
         out.append(RHResult(
             Q=mirror_unfold(q, n) if folded else q, E=E,
-            diagnostics={"residual": max(r_i), "residual_rel": res_rel,
-                         "cond": max(conds), "iterations": sum(its),
-                         "posdef_min": float(posdef[i]),
+            diagnostics={"residual_rel": res_rel, "cond": max(conds),
+                         "iterations": sum(its), "posdef_min": float(posdef[i]),
                          "residue_cond": residue_cond, "lu": lu},
             residues=w))
     if s < J.shape[0]:

@@ -3,10 +3,14 @@
 The boundary pulse E_in enters through the Jost solution of the t-equation
 at x = 0; the initial data (E0, rho0) enter through the Jost solutions of
 the two half-plane x-equations at t = 0, which differ only in their local
-medium terms and are propagated together in one stacked sweep.
-Transition matrices between the two give the scattering functions a, b
-and the reflection coefficients.  The zeros of a in the upper half-plane
-are counted and fitted from a on the real axis (`a_zeros`).
+medium terms and are propagated together in one stacked sweep
+(`xbank_propagate`).  Transition matrices between the two give the
+scattering functions a, b and the reflection coefficients.  The zeros of
+a in the upper half-plane are counted and fitted from a on the real axis
+and refined on a(z) = alpha A - beta B continued off it (`a_zeros`), from
+one t-sweep and one x-sweep at the points z (`continued_columns`); the
+x-sweep is the same `xbank_propagate`, its excited medium transformed on
+the run's own detuning nodes.
 
 All integrations use a fixed-step 6th-order Magnus scheme (three Gauss
 nodes per step, three commutators; Blanes, Casas, Oteo & Ros, Phys. Rep.
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .broadening import LAM_POINTS, LAM_WINDOW, eta_eval, mirror_check
+from .broadening import eta_eval, mirror_check
 from .errors import (
     AmplifierZeros,
     CountMismatch,
@@ -351,28 +355,14 @@ def jost_phi(scenario, lam_grid, step=T_STEP):
                             diag_exp(-1j * lam * scenario.T))
 
 
-def phi_column_continuation(scenario, z, step=T_STEP):
-    """Analytic continuation of (A, B) to complex z (second Jost column).
-
-    The rephased column v = Phi[:, 2] e^{-izt} obeys v' = (U - iz) v with
-    v(T) = (0, 1); backward integration is contractive for Im z > 0.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    terminal = np.zeros(z.shape + (2, 1), dtype=complex)
-    terminal[..., 1, 0] = 1.0
-    v0 = magnus_propagate(_t_generator(scenario, z),
-                          _refined_grid([0.0, scenario.T], step), terminal,
-                          shift=-1j * z)
-    return v0[..., 1, 0], v0[..., 0, 0]          # A(z), B(z)
-
-
 # ----------------------------------------------------------------------
 # x-equation Jost solutions at t = 0
 # ----------------------------------------------------------------------
 
 def xbank_propagate(scenario, profile, ev, terminal, x_out, step=X_STEP,
-                    cols=None):
-    """Backward-propagate both half-plane x-equations from x = L at once.
+                    cols=None, z=None):
+    """Backward-propagate both half-plane x-equations from x = L at once,
+    or the x-equation of w+ continued to the points z.
 
     ev is the `EtaValues` of the real nodes lam, of which the nodes cols
     (all by default) are propagated.  The two banks are stacked on the
@@ -385,28 +375,44 @@ def xbank_propagate(scenario, profile, ev, terminal, x_out, step=X_STEP,
     both banks.  A field-free x-equation is the exact phase.  The
     terminal value sits at x = L, so an x_out outside [0, L] is refused
     (`ValueError`).
+
+    With z (points of the upper half-plane; cols is then not read) the
+    sweep propagates those points instead, terminal (Nz, 2, k), rephased
+    by -i eta(z) so that the backward integration stays bounded; an
+    excited medium is transformed off the axis, on the same lam.
     """
     medium_lam = ev.lam
-    if cols is not None:
-        ev = ev.take(cols)
-    lam = np.concatenate([ev.lam, ev.lam])
     x_out = np.asarray(x_out, dtype=float)
     if not np.all((0.0 <= x_out) & (x_out <= scenario.L)):
         raise ValueError(f"x_out must lie in [0, L] = [0, {scenario.L:g}]")
+    if z is None:
+        if cols is not None:
+            ev = ev.take(cols)
+        points, targets, shift = np.concatenate([ev.lam, ev.lam]), ev, 0.0
+        g = np.concatenate([ev.g_plus, ev.g_minus])
+        eta = np.concatenate([ev.eta_plus, ev.eta_minus])   # lam - g
+    else:
+        points = targets = np.atleast_1d(np.asarray(z, dtype=complex))
+        eta = eta_eval(profile, points)
+        g, shift = points - eta, -1j * eta
     if scenario.medium_is_trivial:
-        g = np.concatenate([ev.g_plus, ev.g_minus])     # eta_pm = lam - g_pm
         if scenario.field_free:
-            # exact solution: pure phase relative to the terminal data
-            return diag_exp(1j * (x_out[:, None] - scenario.L) * (lam - g)) @ terminal
+            # exact solution: pure phase relative to the terminal data;
+            # rephased, the first row's phase cancels
+            exact = diag_exp(1j * (x_out[:, None] - scenario.L) * eta)
+            if z is not None:
+                exact[..., 0, 0], exact[..., 1, 1] = 1.0, exact[..., 1, 1] ** 2
+            return exact @ terminal
         G, width = g, None
     else:
-        transform = medium_transform(profile, medium_lam, ev)
+        transform = medium_transform(profile, medium_lam, targets)
         G = lambda x: transform(scenario.medium_slice(x, medium_lam))
         width = medium_lam.size
 
     grid = _x_grid(scenario, x_out, step)
-    return magnus_propagate(_x_generator(scenario, lam, G), grid, terminal,
-                            at=np.searchsorted(grid, x_out), width=width)
+    return magnus_propagate(_x_generator(scenario, points, G), grid, terminal,
+                            shift=shift, at=np.searchsorted(grid, x_out),
+                            width=width)
 
 
 def jost_w(scenario, profile, ev, x_out=None, step=X_STEP, cols=None):
@@ -426,33 +432,6 @@ def jost_w(scenario, profile, ev, x_out=None, step=X_STEP, cols=None):
     w = xbank_propagate(scenario, profile, ev, terminal, x_out, step=step,
                         cols=cols)
     return w[:, :evc.lam.size], w[:, evc.lam.size:]
-
-
-def wplus_column_continuation(scenario, profile, z, step=X_STEP):
-    """Continuation of (alpha, beta) to complex z (first column of w+).
-
-    The rephased column u = w[:, 1] e^{-i eta(z) x} obeys
-    u' = (V - i eta(z)) u with u(L) = (1, 0).  An excited medium is
-    transformed on LAM_POINTS nodes of LAM_WINDOW.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    eta_z = eta_eval(profile, z)
-    if scenario.field_free:
-        return np.ones(z.shape, complex), np.zeros(z.shape, complex)
-    if scenario.medium_is_trivial:
-        G, width = z - eta_z, None
-    else:
-        lam_med = np.linspace(*LAM_WINDOW, LAM_POINTS)
-        transform = medium_transform(profile, lam_med, z)
-        G = lambda x: transform(scenario.medium_slice(x, lam_med))
-        width = LAM_POINTS
-
-    terminal = np.zeros(z.shape + (2, 1), dtype=complex)
-    terminal[..., 0, 0] = 1.0
-    u0 = magnus_propagate(_x_generator(scenario, z, G),
-                          _x_grid(scenario, [], step), terminal,
-                          shift=-1j * eta_z, width=width)
-    return u0[..., 0, 0], u0[..., 1, 0]          # alpha(z), beta(z)
 
 
 def data_mirror(scenario, ev, x_out, t_step, x_step):
@@ -515,8 +494,8 @@ def transition_and_reflection(lam_grid, Phi0, w_plus0, w_minus0):
 
 def step_error(scenario, profile, ev, Phi0, w0, t_step, x_step, first=0):
     """Step-doubling estimates {"t", "x"} of the step error of the Jost
-    solutions Phi(0) (t-equation) and w+-(0) (x-equation, both banks
-    stacked as `xbank_propagate` returns them) on the nodes of ev.
+    solutions Phi(0) (t-equation) and w0 = (w+(0), w-(0)) (x-equation)
+    on the nodes of ev.
 
     Each equation is solved again at twice its step on every
     STEP_ERR_STRIDE-th node from node first (the first one solved) and
@@ -529,12 +508,8 @@ def step_error(scenario, profile, ev, Phi0, w0, t_step, x_step, first=0):
     sub = np.append(np.arange(first, n - 1, STEP_ERR_STRIDE), n - 1)
     coarse = jost_phi(scenario, ev.lam[sub], step=2.0 * t_step)
     err = {"t": np.max(np.abs(coarse - Phi0[sub]))}
-    evs = ev.take(sub)
-    terminal = diag_exp(1j * scenario.L * np.concatenate([evs.eta_plus,
-                                                          evs.eta_minus]))
-    coarse = xbank_propagate(scenario, profile, ev, terminal, [0.0],
-                             step=2.0 * x_step, cols=sub)[0]
-    err["x"] = np.max(np.abs(coarse - w0[np.append(sub, n + sub)]))
+    coarse = jost_w(scenario, profile, ev, [0.0], step=2.0 * x_step, cols=sub)
+    err["x"] = max(np.max(np.abs(c[0] - w[sub])) for c, w in zip(coarse, w0))
     return {k: float(v) / (2 ** 6 - 1) for k, v in err.items()}
 
 
@@ -548,12 +523,33 @@ def equation_steps(step=None):
     return (T_STEP, X_STEP) if step is None else (step, step)
 
 
-def continued_a(scenario, profile, z, step=None):
-    """a(z) = alpha(z) A(z) - beta(z) B(z) for Im z > 0 (Magnus steps as
-    in `equation_steps`)."""
+def continued_columns(scenario, profile, z, ev, step=None):
+    """(A, B, alpha, beta) continued to the points z of the upper
+    half-plane: the second Jost column of the t-equation at x = 0 and the
+    first of w+ at t = 0 (Magnus steps as in `equation_steps`).
+
+    The rephased columns v = Phi[:, 2] e^{-izt} and u = w+[:, 1]
+    e^{-i eta(z) x} obey v' = (U - iz) v, v(T) = (0, 1), and
+    u' = (V - i eta(z)) u, u(L) = (1, 0); backward integration is
+    contractive for Im z > 0.  The x-sweep is `xbank_propagate`'s, so an
+    excited medium is transformed on the nodes of ev, the run's own.
+    """
     t_step, x_step = equation_steps(step)
-    A, B = phi_column_continuation(scenario, z, step=t_step)
-    alpha, beta = wplus_column_continuation(scenario, profile, z, step=x_step)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    terminal = np.zeros(z.shape + (2, 1), dtype=complex)
+    terminal[..., 1, 0] = 1.0
+    v = magnus_propagate(_t_generator(scenario, z),
+                         _refined_grid([0.0, scenario.T], t_step), terminal,
+                         shift=-1j * z)
+    u = xbank_propagate(scenario, profile, ev, terminal[..., ::-1, :], [0.0],
+                        step=x_step, z=z)[0]           # u(L) = (1, 0)
+    return v[..., 1, 0], v[..., 0, 0], u[..., 0, 0], u[..., 1, 0]
+
+
+def continued_a(scenario, profile, z, ev, step=None):
+    """a(z) = alpha(z) A(z) - beta(z) B(z) for Im z > 0
+    (`continued_columns`)."""
+    A, B, alpha, beta = continued_columns(scenario, profile, z, ev, step)
     return alpha * A - beta * B
 
 
@@ -618,8 +614,9 @@ def _newton(afun, z):
                         f"steps (last iterates {z})")
 
 
-def a_zeros(scenario, profile, contour, a):
-    """Poles (z_j, m_j) of a run, from a on the contour nodes.
+def a_zeros(scenario, profile, ev, contour, a):
+    """Poles (z_j, m_j) of a run, from a on the contour nodes, whose
+    `EtaValues` are ev.
 
     The roots of the Blaschke fit (`_blaschke_fit`) of the p zeros counted
     on the axis (`axis_zero_count`) start Newton on `continued_a`; m_j =
@@ -650,7 +647,7 @@ def a_zeros(scenario, profile, contour, a):
             f"upper half-plane on an amplifier, whose residue conditions "
             f"the contour route does not solve")
     z, report["newton_steps"], adot = _newton(
-        lambda zz: continued_a(scenario, profile, zz), roots)
+        lambda zz: continued_a(scenario, profile, zz, ev), roots)
     if np.min(np.abs(z[:, None] - z[None, :]) + np.eye(n)) < SAME_ZERO_TOL:
         raise CountMismatch(f"two Newton roots converged to one zero of a: {z}")
     width = np.diff(contour.edges)
@@ -663,6 +660,5 @@ def a_zeros(scenario, profile, contour, a):
             f"the zero of a at {z[j].real:.6f}{z[j].imag:+.6f}i lies "
             f"{clearance[j]:.2f} node spacings above the axis, below the "
             f"{CLEARANCE_MIN:g} the contour panels resolve")
-    _, B = phi_column_continuation(scenario, z)
-    alpha, _ = wplus_column_continuation(scenario, profile, z)
+    _, B, alpha, _ = continued_columns(scenario, profile, z, ev)
     return list(zip(z.tolist(), (B / alpha / adot).tolist())), report

@@ -53,6 +53,16 @@ class RegularityViolation(MBRHError):
     """a or b vanishes on the oval contour."""
 
 
+def depthwise(rho0):
+    """rho0(x, lam) of one depth x extended to a column (m, 1) of depths,
+    one row each, as `ScenarioData.medium_slice` calls it."""
+    def rows(x, lam):
+        if np.ndim(x) == 0:
+            return rho0(x, lam)
+        return np.array([rho0(xj, lam) for xj in np.ravel(x)])
+    return rows
+
+
 def trivial_scenario(T=10.0, L=5.0):
     """Zero pulse, zero initial field, unexcited medium."""
     zero = lambda s: np.zeros_like(np.asarray(s, dtype=complex))

@@ -30,6 +30,7 @@ from mbrh.rhsolver import (
 )
 from mbrh.spectral import ScenarioData, a_zeros, jost_phi
 from references import (
+    depthwise,
     eta_quadrature,
     evaluate_M,
     excited_scenario,
@@ -245,8 +246,9 @@ def test_criterion_07_reflectionless_sech_pulse():
     B = jost_phi(sc, lam, step=0.02)[..., 0, 1]
     b_max = float(np.max(np.abs(B)))
     contour = contour_build()
-    table, _, _ = spectral_data(sc, LOR, eta_boundary(LOR, contour.nodes))
-    poles, count = a_zeros(sc, LOR, contour, table.a_plus)
+    ev = eta_boundary(LOR, contour.nodes)
+    table, _, _ = spectral_data(sc, LOR, ev)
+    poles, count = a_zeros(sc, LOR, ev, contour, table.a_plus)
     n_zeros = len(poles)
     zerr = abs(poles[0][0] - 0.5j) if n_zeros == 1 else np.inf
     report(7, b_max <= 1e-5 and n_zeros == 1 and zerr <= 1e-4,
@@ -291,7 +293,7 @@ def test_criterion_09_one_soliton_triangle():
         return F[..., 0, 1]
 
     sc = ScenarioData(T=16.0, L=2.0, E_in=lambda t: E_cl(t, 0.0),
-                      E0=lambda x: E_cl(0.0, x), rho0=rho0)
+                      E0=lambda x: E_cl(0.0, x), rho0=depthwise(rho0))
     lam = np.linspace(-1e-3, 1e-3, 9)
     st = integrate_direct(sc, prof, lam, dt=0.01)
     ts = st.t_grid[::8][:200]

@@ -445,7 +445,7 @@ class TestGammaCurve:
 
     def test_tabulated_curve_evaluations_bounded(self, monkeypatch):
         # 101 scan nodes on a 121-node Gaussian table: the Illinois step
-        # evaluates Im eta at 2200 points, where bisecting every bracket
+        # evaluates Im eta at 1098 points, where bisecting every bracket
         # to 1e-13 took 8890 (and a per-node brentq 1494)
         grid = np.linspace(-6.0, 6.0, 121)
         p = profile_normalize(BroadeningProfile.tabulated(
@@ -460,7 +460,7 @@ class TestGammaCurve:
         c = gamma_trace(p, lam_window=(-2.0, 2.0), n_scan=101)
         assert c.points.size == 101 and c.truncated
         assert abs(c.nu_max - 0.31933206107841) < 1e-12
-        assert sum(points) <= 3000
+        assert sum(points) <= 1200
 
 
 # ---------------------------------------------------------------------------

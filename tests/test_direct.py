@@ -11,9 +11,10 @@ from mbrh.errors import CFLViolation, ConstraintDrift
 from mbrh.mat2 import dagger
 from mbrh.rhsolver import soliton_closed_form
 from mbrh.spectral import ScenarioData
-from references import (bloch_rotation_fresh, coupling_matrix, desk_scenario,
-                        excited_scenario, expm2, integrate_direct_reference,
-                        medium_history, soliton_evaluate_M, trivial_scenario)
+from references import (bloch_rotation_fresh, coupling_matrix, depthwise,
+                        desk_scenario, excited_scenario, expm2,
+                        integrate_direct_reference, medium_history,
+                        soliton_evaluate_M, trivial_scenario)
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=complex))
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
@@ -268,7 +269,7 @@ class TestIntegrateDirect:
             return table[min(int(x / 0.5), 4)]
 
         sc = ScenarioData(T=2.0, L=2.0, E_in=gaussian_scenario().E_in,
-                          E0=ZERO, rho0=rho0)
+                          E0=ZERO, rho0=depthwise(rho0))
         st = integrate_direct(sc, LOR, lam, dt=0.1)
         rho, N = medium_history(sc, st)
         assert np.array_equal(rho[-1], st.rho) and np.array_equal(N[-1], st.N)
@@ -317,7 +318,7 @@ class TestIntegrateDirect:
             return F[..., 0, 1]
 
         sc = ScenarioData(T=16.0, L=2.0, E_in=lambda t: E_cl(t, 0.0),
-                          E0=lambda x: E_cl(0.0, x), rho0=rho0)
+                          E0=lambda x: E_cl(0.0, x), rho0=depthwise(rho0))
         lam = np.linspace(-1e-3, 1e-3, 9)
         st = integrate_direct(sc, prof, lam, dt=0.02)
         want = E_cl(st.t_grid, 2.0)

@@ -15,10 +15,10 @@ from mbrh.mat2 import det2, diag_exp, inv2
 from mbrh.pipeline import rh_field_grid, spectral_data
 from mbrh.spectral import (
     continued_a,
+    continued_columns,
     ScenarioData,
     jost_phi,
     jost_w,
-    phi_column_continuation,
     transition_and_reflection,
 )
 from mbrh.rhsolver import contour_build, posdef_check
@@ -124,7 +124,7 @@ class TestKernelReuse:
         self._count(monkeypatch, lax, "cauchy_weights", builds)
         sc = excited_scenario()
         continued_a(sc, ATT, np.array([0.3 + 0.5j, -1.0 + 0.2j, 2.0 + 1.0j]),
-                    step=0.05)
+                    eta_boundary(ATT, np.linspace(-20.0, 20.0, 401)), step=0.05)
         assert len(builds) == 1
 
 
@@ -384,7 +384,8 @@ class TestJumpOval:
                           E0=ZERO, rho0=None)
         ang = np.array([30, 60, 120, 150]) * np.pi / 180
         z_up = 0.5 * np.exp(1j * ang)
-        A, B = phi_column_continuation(sc, z_up)
+        A, B, _, _ = continued_columns(sc, amp_prof, z_up,
+                                       eta_boundary(amp_prof, np.zeros(1)))
         # Satsuma-Yajima closed form for amplitude-A sech potentials
         s = 0.5 - 1j * z_up
         a_want = cgamma(s) ** 2 / (cgamma(s + amp / 2) * cgamma(s - amp / 2))

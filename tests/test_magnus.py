@@ -14,6 +14,7 @@ from mbrh.broadening import (LAM_WINDOW, BroadeningProfile, eta_boundary,
                              eta_eval, profile_normalize)
 from mbrh.lax import medium_transform
 from mbrh.mat2 import det2, diag_exp
+from mbrh.rhsolver import contour_build
 from mbrh.spectral import (
     MAGNUS_BLOCK,
     MAGNUS_WIDTH,
@@ -22,11 +23,10 @@ from mbrh.spectral import (
     _refined_grid,
     _t_generator,
     _x_grid,
+    continued_columns,
     jost_phi,
     jost_w,
     magnus_propagate,
-    phi_column_continuation,
-    wplus_column_continuation,
     xbank_propagate,
 )
 
@@ -37,6 +37,11 @@ SCENARIOS = {"desk": ref.desk_scenario, "excited": ref.excited_scenario}
 
 def rel(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def run_ev():
+    """The `EtaValues` of a run's nodes, those of the default contour."""
+    return eta_boundary(LOR, contour_build().nodes)
 
 
 def column_terminal(z, row):
@@ -61,7 +66,7 @@ def test_phi_continuation_matches_matrix_form():
     # the shift path: v' = (U - i z) v, Im z from 1e-3 to 5
     sc = ref.desk_scenario()
     z = np.linspace(-5.0, 5.0, 9) + 1j * np.geomspace(1e-3, 5.0, 9)
-    A, B = phi_column_continuation(sc, z)
+    A, B, _, _ = continued_columns(sc, LOR, z, run_ev())
     want = ref.magnus_propagate(ref.t_generator(sc, z, -1j * z),
                                 _refined_grid([0.0, sc.T], T_STEP),
                                 column_terminal(z, 1))[0]
@@ -139,10 +144,10 @@ def test_xbank_refuses_depths_outside_the_medium(x_out):
 def test_wplus_continuation_matches_matrix_form():
     sc = ref.excited_scenario()
     z = np.array([0.3 + 0.5j, -1.0 + 0.2j, 2.0 + 1.0j, 0.1 + 1e-3j, -3.0 + 5.0j])
-    alpha, beta = wplus_column_continuation(sc, LOR, z)
-    lam_med = np.linspace(*LAM_WINDOW, 401)
-    transform = medium_transform(LOR, lam_med, z)
-    G = lambda x: transform(sc.medium_slice(x, lam_med))
+    ev = run_ev()
+    _, _, alpha, beta = continued_columns(sc, LOR, z, ev)
+    transform = medium_transform(LOR, ev.lam, z)
+    G = lambda x: transform(sc.medium_slice(x, ev.lam))
     want = ref.magnus_propagate(
         ref.x_generator(sc, z, G, -1j * eta_eval(LOR, z)),
         _x_grid(sc, [], X_STEP), column_terminal(z, 0))[0]

@@ -1,10 +1,13 @@
 """Jost solutions, transition matrices, reflection data, zeros of a."""
 
+import os
+
 import numpy as np
 import pytest
 
 from mbrh import spectral
 from mbrh.broadening import BroadeningProfile, eta_boundary
+from mbrh.cli import load_scenario
 from mbrh.errors import (CountMismatch, DecayViolation, MediumNotAsymptotic,
                          SpectralOverflow, TooCloseToAxis)
 from mbrh.pipeline import spectral_data
@@ -21,12 +24,11 @@ from mbrh.spectral import (
     a_zeros,
     axis_zero_count,
     continued_a,
+    continued_columns,
     jost_phi,
     jost_w,
-    phi_column_continuation,
     step_error,
     transition_and_reflection,
-    wplus_column_continuation,
 )
 from references import (coupling_matrix, excited_scenario, sigma2_conj,
                         trivial_scenario)
@@ -88,7 +90,9 @@ class TestJostPhi:
         sc = sech_scenario()
         lam = 0.7
         A = jost_phi(sc, np.array([lam]))[:, 1, 1]
-        Az, _ = phi_column_continuation(sc, np.array([lam + 1e-6j]))
+        p = BroadeningProfile.lorentzian(1.0, sign=-1)
+        Az = continued_columns(sc, p, np.array([lam + 1e-6j]),
+                               eta_boundary(p, np.array([lam])))[0]
         assert abs(Az[0] - A[0]) < 1e-5
 
 
@@ -146,25 +150,36 @@ class TestJostW:
         # continued column and the x-bank share one x-generator
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
         E0 = lambda x: 0.3 * np.exp(-((np.asarray(x) - 1.0) / 0.3) ** 2) + 0j
-        if excited:
-            rho0 = lambda x, lam: 0.3 * np.exp(
-                -((x - 0.7) / 0.25) ** 2 - np.asarray(lam) ** 2 / 2) + 0j
-            # the x-bank transforms the medium on its own lam grid: use the
-            # continuation's medium grid
-            lam = np.linspace(-20, 20, 401)
-            pick = np.array([190, 203, 215])
-        else:
-            rho0 = None
-            lam = np.array([-1.1, 0.3, 2.7])
-            pick = np.arange(3)
+        rho0 = (lambda x, lam: 0.3 * np.exp(
+            -((x - 0.7) / 0.25) ** 2 - np.asarray(lam) ** 2 / 2) + 0j) \
+            if excited else None
+        lam = np.linspace(-12, 12, 161)
+        pick = np.array([70, 83, 95])
         sc = ScenarioData(T=10.0, L=2.0, E_in=ZERO, E0=E0, rho0=rho0)
-        w, _ = jost_w(sc, p, eta_boundary(p, lam), x_out=np.array([0.0]))
-        alpha, beta = wplus_column_continuation(sc, p, lam[pick] + 1e-8j)
+        ev = eta_boundary(p, lam)
+        w, _ = jost_w(sc, p, ev, x_out=np.array([0.0]))
+        _, _, alpha, beta = continued_columns(sc, p, lam[pick] + 1e-8j, ev)
         # measured: at most 3.4e-11 in alpha and 1.5e-9 in beta
         # (|beta| >= 0.04), both falling linearly with eps
         assert np.max(np.abs(alpha - w[0, pick, 0, 0])) < 1e-9
         assert np.max(np.abs(beta - w[0, pick, 1, 0])) < 1e-8
         assert np.min(np.abs(beta)) > 1e-3
+
+    @pytest.mark.parametrize("window", [(-20.0, 20.0), (-10.0, 10.0)])
+    def test_continued_a_meets_a_plus_on_the_run_nodes(self, window):
+        # a(lam + i eps) tends to the axis a+ of the run's spectral data:
+        # the continued x-sweep transforms the excited medium on the run's
+        # own nodes, as the axis banks do.  Measured: at most 2.7e-8 (on a
+        # medium grid of its own, 401 nodes on [-20, 20]: 1.5e-5)
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark",
+                            "scenarios", "excited_rh.json")
+        sc, p, _ = load_scenario(path)
+        c = contour_build(window=window)
+        ev = eta_boundary(p, c.nodes)
+        table, _, _ = spectral_data(sc, p, ev)
+        pick = np.linspace(c.n_nodes // 4, 3 * c.n_nodes // 4, 12).astype(int)
+        a = continued_a(sc, p, c.nodes[pick] + 1e-7j, ev)
+        assert np.max(np.abs(a - table.a_plus[pick])) < 1e-6
 
     def test_medium_guard(self):
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
@@ -244,8 +259,9 @@ class TestLocateAZeros:
 
     def find(self, sc, **contour):
         c = contour_build(**contour)
-        table, _, _ = spectral_data(sc, self.p, eta_boundary(self.p, c.nodes))
-        return a_zeros(sc, self.p, c, table.a_plus)
+        ev = eta_boundary(self.p, c.nodes)
+        table, _, _ = spectral_data(sc, self.p, ev)
+        return a_zeros(sc, self.p, ev, c, table.a_plus)
 
     def test_trivial_empty(self):
         poles, report = self.find(trivial_scenario())
@@ -295,7 +311,8 @@ class TestLocateAZeros:
     def test_continued_a_matches_closed_form(self):
         sc = sech_scenario()
         zs = np.array([0.3 + 0.4j, -0.5 + 0.9j, 1j])
-        got = continued_a(sc, self.p, zs, step=0.01)
+        ev = eta_boundary(self.p, contour_build().nodes)
+        got = continued_a(sc, self.p, zs, ev, step=0.01)
         want = (zs - 0.5j) / (zs + 0.5j)
         assert np.max(np.abs(got - want)) < 1e-7
 
@@ -402,7 +419,7 @@ class TestStepError:
         Phi0 = jost_phi(sc, ev.lam)
         wp, wm = jost_w(sc, p, ev)
         w0 = np.concatenate([wp[0], wm[0]])
-        est = step_error(sc, p, ev, Phi0, w0, T_STEP, X_STEP)
+        est = step_error(sc, p, ev, Phi0, (wp[0], wm[0]), T_STEP, X_STEP)
         sub = np.append(np.arange(0, 96, STEP_ERR_STRIDE), 96)
         fine = jost_phi(sc, ev.lam, step=T_STEP / 4)
         fp, fm = jost_w(sc, p, ev, step=X_STEP / 4)
