@@ -22,14 +22,20 @@ from .spectral import (a_zeros, data_mirror, equation_steps, jost_phi, jost_w,
                        transition_and_reflection)
 
 # Stamps solved together, in lattice order, by one block GMRES
-# (`sie_solve_block`).  Its Krylov arrays grow with the steps taken: at
-# MAX_NODES = 2048, a whole-axis row holds at most KRYLOV_BUDGET + 1 = 101
-# vectors of 2N complex numbers (32 N B each, 6.6 MB; half on the folded
-# nodes), so a block of 8 pole-free stamps holds 53 MB, and 87 MB while
-# the basis grows from 64 to 100 steps; a pole adds 2 rows per stamp.
-# That is a third of one complex 2N x 2N matrix of the dense fallback
-# (64 N^2 B = 256 MiB).
+# (`sie_solve_block`): max(STAMP_BLOCK, BLOCK_FLOATS // (k n)), with n = 4m
+# the floats of one Krylov row on the m nodes solved and k = 1 + 2p its
+# rows per stamp.  Each lockstep step has a fixed cost in Python calls,
+# so short rows take more stamps per block, up to the BLOCK_FLOATS of 8
+# rows of 768 floats (one Krylov vector of a whole block, 48 KB); rows of
+# 768 floats or more get STAMP_BLOCK.  The Krylov arrays grow with the
+# steps taken: at MAX_NODES = 2048, a whole-axis row holds at most
+# KRYLOV_BUDGET + 1 = 101 vectors of 2N complex numbers (32 N B each,
+# 6.6 MB; half on the folded nodes), so a block of 8 pole-free stamps
+# holds 53 MB, and 87 MB while the basis grows from 64 to 100 steps; a
+# pole adds 2 rows per stamp.  That is a third of one complex 2N x 2N
+# matrix of the dense fallback (64 N^2 B = 256 MiB).
 STAMP_BLOCK = 8
+BLOCK_FLOATS = 6144
 
 
 def spectral_data(scenario, profile, ev, x_out=(0.0,), step=None,
@@ -127,13 +133,15 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     counted on every run; an amplifier with zeros is refused
     (`a_zeros`).
 
-    The stamps solve in blocks of at most STAMP_BLOCK consecutive stamps
-    in lattice order (t-major).  J0 = K+^-1 K- is formed once per x
+    The stamps solve in blocks of consecutive stamps in lattice order
+    (t-major), STAMP_BLOCK of them or more on short Krylov rows (see
+    BLOCK_FLOATS).  J0 = K+^-1 K- is formed once per x
     column (`jump_base`; it does not depend on t), each block's jumps by
     one `jump_phased`, and each block by one `sie_solve_block`, whose
-    lockstep GMRES keeps every stamp's certificates its own.  A refusal
-    names the earliest refusing stamp of its block, and no later block
-    starts.
+    lockstep GMRES keeps every stamp's certificates its own.  The loop
+    keeps each stamp's E and the diagnostics reported below, and drops
+    its density.  A refusal names the earliest refusing stamp of its
+    block, and no later block starts.
 
     Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
     wall time of the spectral data (`spectral_s`, of which the t- and
@@ -143,7 +151,9 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     (`pole_search_s`) and of the stamp loop (`stamp_loop_s`), and the
     times of the blocks' `jump_phased` and `sie_solve_block` calls
     summed over blocks (`jump_s`, `sie_s`).  `n_stamps` counts the
-    stamps and `stamp_blocks` {`count`, `largest`} their blocks.
+    stamps and `stamp_blocks` {`count`, `largest`, `steps`, `row_steps`}
+    their blocks, the lockstep Arnoldi steps summed over blocks (one
+    kernel product each) and the rows' own steps summed.
     `n_nodes` counts the nodes of the kept window,
     `full_axis` says why the stamps solved all of them (None: the half
     s > 0), and `window` is `jump_window`'s report.  `boundary_err` and
@@ -192,32 +202,40 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     if poles:                   # (z_j, c_j) of every stamp, overflow refused
         zj, cj = residue_constants(poles, profile, t_vals[:, None],
                                    x_vals[None, :])
-    it, ix = np.divmod(np.arange(t_vals.size * x_vals.size), x_vals.size)
-    starts = range(0, it.size, STAMP_BLOCK)
-    results, jump_s, sie_s = [], 0.0, 0.0
+    n_stamps = t_vals.size * x_vals.size
+    it, ix = np.divmod(np.arange(n_stamps), x_vals.size)
+    size = max(STAMP_BLOCK,
+               BLOCK_FLOATS // ((1 + 2 * len(poles)) * 4 * J0.shape[1]))
+    starts = range(0, n_stamps, size)
+    E = np.empty(n_stamps, dtype=complex)
+    col = {key: np.empty(n_stamps) for key in (
+        "residual_rel", "cond", "iterations", "posdef_min", "lu",
+        *(("residue_cond",) if poles else ()))}
+    counts, jump_s, sie_s = {"steps": 0, "row_steps": 0}, 0.0, 0.0
     for start in starts:
-        b = slice(start, start + STAMP_BLOCK)
+        b = slice(start, start + size)
         tic = time.perf_counter()
         J = jump_phased(J0[ix[b]], t_vals[it[b]], x_vals[ix[b]], ev)
         mid = time.perf_counter()
-        results += sie_solve_block(contour, J, (zj, cj[it[b], ix[b]])
-                                   if poles else None)
+        block = sie_solve_block(contour, J, (zj, cj[it[b], ix[b]])
+                                if poles else None, counts)
         jump_s += mid - tic
         sie_s += time.perf_counter() - mid
+        for i, res in enumerate(block, start):
+            E[i] = res.E
+            for key, vals in col.items():
+                vals[i] = res.diagnostics[key]
     marks.append(time.perf_counter())
     stages.update(zip(("spectral_s", "pole_search_s", "stamp_loop_s"),
                       np.diff(marks).tolist()))
     stages["jump_s"], stages["sie_s"] = jump_s, sie_s
-    E = np.array([res.E for res in results]).reshape(t_vals.size, x_vals.size)
-    col = {key: np.array([res.diagnostics[key] for res in results])
-           for key in ("residual_rel", "cond", "iterations", "posdef_min",
-                       "lu", "residue_cond")}
+    E = E.reshape(t_vals.size, x_vals.size)
     diag = {"n_poles": len(poles), "pole_count": pole_count,
             "n_nodes": contour.n_nodes, "full_axis": full_axis,
             "window": window_report,
-            "n_stamps": E.size,
+            "n_stamps": n_stamps,
             "stamp_blocks": {"count": len(starts),
-                             "largest": min(STAMP_BLOCK, E.size)},
+                             "largest": min(size, n_stamps), **counts},
             "lu_stamps": int(np.count_nonzero(col["lu"])),
             "stages": stages, "magnus_steps": magnus_steps_taken() - steps0,
             "spectral": dict(table.diagnostics),
@@ -225,8 +243,8 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     for key, name in (("residual_rel", "residual_rel"), ("cond", "cond"),
                       ("iterations", "krylov_iters"),
                       ("residue_cond", "residue_cond")):
-        vals = col[key]         # residue_cond: None on every stamp without poles
-        diag[name] = None if vals[0] is None else {
+        vals = col.get(key)     # residue_cond: none without poles
+        diag[name] = None if vals is None else {
             "p50": median(vals), "max": float(vals.max())}
     diag["posdef_min"] = {"p50": median(col["posdef_min"]),
                           "min": float(col["posdef_min"].min())}

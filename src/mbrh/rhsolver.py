@@ -90,18 +90,23 @@ class ContourSigma:
         return self._H_fold
 
     def cauchy_apply(self, g):
-        """C+g = g/2 - H- Im g + i H+ Re g for nodal data g (m, k), by one
-        real product R = HH G on the float view G of g: H+ G is R[:m],
-        H- G is R[-m:].  On all N nodes HH is `kernel` and H+ = H- = H;
-        on the nodes s > 0 of mirror-symmetric data (m = N/2) it is
-        `kernel_fold`."""
+        """C+g = g/2 - H- Im g + i H+ Re g for nodal data g (m, k), on the
+        float view G of g.  On all N nodes H+ = H- = H (`kernel`), and one
+        real product H G gives both.  On the nodes s > 0 of
+        mirror-symmetric data (m = N/2), H+ and H- are the halves of
+        `kernel_fold`, and only the two products read are formed, each on
+        a contiguous copy of its columns of G."""
         m = g.shape[0]
-        HH = self.kernel_fold() if 2 * m == self.n_nodes else self.kernel()
         G = np.ascontiguousarray(g).view(float)
-        R = HH @ G
         out = 0.5 * G
-        out[:, 0::2] -= R[-m:, 1::2]            # - H- Im g
-        out[:, 1::2] += R[:m, 0::2]             # + H+ Re g
+        if 2 * m == self.n_nodes:
+            HH = self.kernel_fold()             # H+ over H-
+            out[:, 0::2] -= HH[m:] @ np.ascontiguousarray(G[:, 1::2])
+            out[:, 1::2] += HH[:m] @ np.ascontiguousarray(G[:, 0::2])
+        else:
+            R = self.kernel() @ G
+            out[:, 0::2] -= R[:, 1::2]          # - H Im g
+            out[:, 1::2] += R[:, 0::2]          # + H Re g
         return out.view(complex)
 
 
@@ -247,7 +252,7 @@ def posdef_check(J):
     return float(low) if low.ndim == 0 else low
 
 
-def sie_solve_block(contour: ContourSigma, J, residues=None):
+def sie_solve_block(contour: ContourSigma, J, residues=None, counts=None):
     """Collocation solves for the first row of M at a block of stamps: at
     each, the Cauchy part q of q - C+[q(I-J)] = C+[(e1 + P)(I-J)], whose
     2N x 2N operator A each of the stamp's rows shares, and the residues
@@ -268,9 +273,11 @@ def sie_solve_block(contour: ContourSigma, J, residues=None):
     refused (`SingularResidueSystem`).
 
     The block's 1 + 2p right-hand sides per stamp are solved together by
-    unrestarted GMRES in lockstep (`_gmres`): one product with the cached
-    kernel applies every row's operator per Arnoldi step, and a row
-    leaves the block when its own stopping test passes.  A stamp's
+    unrestarted GMRES in lockstep (`_gmres`): one kernel product
+    (`cauchy_apply`) applies every row's operator per Arnoldi step, and a
+    row leaves the block when its own stopping test passes.  A `counts`
+    dict, when given, has the block's lockstep steps added to its `steps`
+    and its rows' own steps to its `row_steps`.  A stamp's
     `cond` is the largest s_max/s_min of its rows' Hessenberg matrices,
     a lower bound on kappa_2(A), and `iterations` their total Arnoldi
     steps.  If any estimate exceeds COND_LIMIT/1e3, a budget runs out or
@@ -328,7 +335,7 @@ def sie_solve_block(contour: ContourSigma, J, residues=None):
                                 + q[..., 1:] * ij1[i])
                 ).reshape(len(rows), 2 * m).view(V.dtype)
 
-    sols = _gmres(op, B, COND_LIMIT / 1e3)
+    sols = _gmres(op, B, COND_LIMIT / 1e3, counts)
     X, res = np.zeros_like(B), np.zeros(s * k)
     done = np.flatnonzero([sol is not None for sol in sols])
     for r in done:
@@ -449,7 +456,7 @@ def _dense_solve(op, B):
             for v, b in zip(np.stack(B) @ Ainv.T, B)]
 
 
-def _gmres(op, B, cond_max):
+def _gmres(op, B, cond_max, counts=None):
     """Unrestarted GMRES for op(x) = b from x = 0 (Saad & Schultz 1986),
     for every row b of B in lockstep.
 
@@ -461,11 +468,12 @@ def _gmres(op, B, cond_max):
     by one product; the new rotation tracks the residual norm.  A row
     leaves as soon as its own stopping test passes.  It runs in the
     dtype of B, real or complex, and the arrays grow with the steps
-    taken, from KRYLOV_START.  Returns, per row of B, (x, cond,
-    iterations), with cond = s_max/s_min of the row's (k+1) x k
-    Hessenberg matrix, or None when the budget runs out or cond >
-    cond_max.  A vanishing right-hand side has the solution 0, after no
-    step, with cond 1.
+    taken, from KRYLOV_START.  A `counts` dict, when given, has the
+    steps added to its `steps` and the rows' own steps, summed, to its
+    `row_steps`.  Returns, per row of B, (x, cond, iterations), with
+    cond = s_max/s_min of the row's (k+1) x k Hessenberg matrix, or None
+    when the budget runs out or cond > cond_max.  A vanishing right-hand
+    side has the solution 0, after no step, with cond 1.
     """
     n = B.shape[1]
     beta = np.linalg.norm(B, axis=1)
@@ -481,9 +489,12 @@ def _gmres(op, B, cond_max):
     g = np.zeros((act.size, cap + 1), dtype=B.dtype)
     V[:, 0] = B[act] / beta[:, None]
     G[:, 0, 0], g[:, 0] = 1.0, beta
+    counts = dict(steps=0, row_steps=0) if counts is None else counts
     for k in range(KRYLOV_BUDGET):
         if act.size == 0:
             break
+        counts["steps"] += 1
+        counts["row_steps"] += act.size
         if k == cap:
             cap = min(2 * cap, KRYLOV_BUDGET)
             V, H, U, G, g = [_grown(A, shape) for A, shape in (

@@ -29,6 +29,7 @@ from references import (
     WeightVanishes,
     cauchy_plus,
     evaluate_M,
+    excited_scenario,
     identity_jump,
     jump_wholeline,
     mixed_jump,
@@ -490,8 +491,9 @@ def desk_lattice():
 
 
 def solved_stamps(monkeypatch, block, *args, **kwargs):
-    """rh_field_grid(*args, **kwargs) in blocks of `block` stamps: its
-    diagnostics and each stamp's RHResult, in lattice order."""
+    """rh_field_grid(*args, **kwargs) in blocks of `block` stamps, or of
+    the pipeline's own size when block is None: its diagnostics and each
+    stamp's RHResult, in lattice order."""
     seen, solve = [], pipeline.sie_solve_block
 
     def recording(*a):
@@ -499,7 +501,9 @@ def solved_stamps(monkeypatch, block, *args, **kwargs):
         seen.extend(out)
         return out
 
-    monkeypatch.setattr(pipeline, "STAMP_BLOCK", block)
+    if block is not None:
+        monkeypatch.setattr(pipeline, "STAMP_BLOCK", block)
+        monkeypatch.setattr(pipeline, "BLOCK_FLOATS", 0)
     monkeypatch.setattr(pipeline, "sie_solve_block", recording)
     _, diag = rh_field_grid(*args, **kwargs)
     monkeypatch.setattr(pipeline, "sie_solve_block", solve)
@@ -530,29 +534,81 @@ class TestBlockSolve:
     lockstep GMRES, and each keeps its own certificates."""
 
     def test_desk_lattice_stamps_solve_as_alone(self, monkeypatch):
-        # folded stamps of the 21 x 6 desk lattice, 16 blocks of at most 8
+        # folded stamps of the 21 x 6 desk lattice on 80 nodes: rows of
+        # 320 floats, so 6144 // 320 = 19 stamps a block, 7 blocks
         sc, t, x = desk_lattice()
-        diag, block = solved_stamps(monkeypatch, 8, sc, LOR, t, x)
+        diag, block = solved_stamps(monkeypatch, None, sc, LOR, t, x)
         diag1, alone = solved_stamps(monkeypatch, 1, sc, LOR, t, x)
         assert diag["full_axis"] is None and len(alone) == 126
-        assert diag["stamp_blocks"] == {"count": 16, "largest": 8}
-        assert diag1["stamp_blocks"] == {"count": 126, "largest": 1}
+        assert diag["n_nodes"] == 160
+        blocks, blocks1 = diag["stamp_blocks"], diag1["stamp_blocks"]
+        assert (blocks["count"], blocks["largest"]) == (7, 19)
+        assert (blocks1["count"], blocks1["largest"]) == (126, 1)
+        # the same rows step, fewer products step them
+        assert blocks["row_steps"] == blocks1["row_steps"] == sum(
+            res.diagnostics["iterations"] for res in alone)
+        assert blocks1["steps"] == blocks1["row_steps"]
+        assert blocks["steps"] < blocks1["steps"] / 10
         assert_same_stamps(block, alone)
 
     def test_pole_stamps_solve_as_alone(self, monkeypatch):
         # the 2 sech pulse (one zero of a at i/2): 1 + 2p = 3 rows per
-        # stamp on the whole axis
+        # stamp on the whole axis, of 4 x 256 floats: blocks of 8 remain
         sc = ScenarioData(T=32.0, L=1.0,
                           E_in=lambda t: 2.0 / np.cosh(t - 16.0) + 0j * t,
                           E0=lambda x: np.zeros_like(np.asarray(x, complex)),
                           rho0=None)
-        args = (sc, LOR, np.linspace(14.0, 18.0, 3), np.linspace(0.0, 1.0, 2))
+        args = (sc, LOR, np.linspace(14.0, 18.0, 5), np.linspace(0.0, 1.0, 2))
         kw = dict(n_panels=16, nodes_per_panel=16)
-        diag, block = solved_stamps(monkeypatch, 8, *args, **kw)
+        diag, block = solved_stamps(monkeypatch, None, *args, **kw)
         _, alone = solved_stamps(monkeypatch, 1, *args, **kw)
-        assert diag["n_poles"] == 1 and diag["stamp_blocks"]["count"] == 1
+        assert diag["n_poles"] == 1
+        assert (diag["stamp_blocks"]["count"],
+                diag["stamp_blocks"]["largest"]) == (2, 8)
         assert all(res.residues.shape == (2,) for res in block)
         assert_same_stamps(block, alone)
+
+    def test_excited_stamps_keep_blocks_of_8(self, monkeypatch):
+        # the excited medium keeps 192 folded nodes: rows of 768 floats,
+        # whose 8 to a block fill BLOCK_FLOATS
+        args = (excited_scenario(), LOR, np.linspace(0.0, 10.0, 5),
+                np.linspace(0.0, 2.0, 3))
+        diag, block = solved_stamps(monkeypatch, None, *args)
+        _, alone = solved_stamps(monkeypatch, 1, *args)
+        assert diag["full_axis"] is None and diag["n_nodes"] == 384
+        assert (diag["stamp_blocks"]["count"],
+                diag["stamp_blocks"]["largest"]) == (2, 8)
+        assert_same_stamps(block, alone)
+
+    def test_stamp_loop_keeps_no_density(self, monkeypatch):
+        # the loop keeps E and the reported diagnostics of each stamp, not
+        # its RHResult with the unfolded density Q (about 6 KB a stamp on
+        # desk): the traced peak from the first block on grows by less
+        # than 1 KB a stamp.  Every stamp is the same, so that each block
+        # holds the same Krylov arrays
+        import tracemalloc
+        sc, _, _ = desk_lattice()
+        solve, seen = pipeline.sie_solve_block, []
+
+        def reset_first(*a):
+            if not seen:
+                tracemalloc.reset_peak()
+            seen.append(1)
+            return solve(*a)
+
+        monkeypatch.setattr(pipeline, "sie_solve_block", reset_first)
+
+        def peak(n):
+            seen.clear()
+            tracemalloc.start()
+            try:
+                rh_field_grid(sc, LOR, np.full(n, 10.0), [0.0])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 38, 228
+        assert (peak(large) - peak(small)) / (large - small) < 1024
 
     def test_identity_stamp_takes_no_step(self):
         c, Js = desk_stamps()
@@ -771,33 +827,42 @@ class TestResidueRoute:
         return (np.where(up, delta, 1.0 / np.conj(delta)),
                 np.where(up, psi, -0.7 * np.conj(psi)))
 
-    def solve(self, t, x):
+    @classmethod
+    def setup_class(cls):
+        """The one contour, with its Cauchy kernel, and the jump on it."""
         c = contour_build(window=(-16.0, 16.0), n_panels=24, nodes_per_panel=16)
         lam = c.nodes
-        _, psi = self.gauge(lam + 0j, up=True)
-        _, chi = self.gauge(lam + 0j, up=False)
+        _, psi = cls.gauge(lam + 0j, up=True)
+        _, chi = cls.gauge(lam + 0j, up=False)
         ef = np.exp(0.3 * np.exp(-lam ** 2))
         # J = T+^{-1} diag(1/ef, ef) T-, entry by entry
-        J = np.stack([1.0 / ef - psi * ef * chi, -psi * ef, ef * chi, ef],
-                     axis=-1).reshape(-1, 2, 2)
+        cls.c, cls.J = c, np.stack(
+            [1.0 / ef - psi * ef * chi, -psi * ef, ef * chi, ef],
+            axis=-1).reshape(-1, 2, 2)
+
+    def solve(self, t, x):
+        """zj, delta(z_j) and one `RHResult` per stamp of the arrays t and
+        x, all solved as one block."""
         zj, cj = residue_constants(self.poles, LOR, t, x)
         delta, _ = self.gauge(zj)
-        res = solve_stamp(c, J, (zj, cj / delta ** 2))
-        return c, J, zj, delta, res
+        J = np.broadcast_to(self.J, (len(t),) + self.J.shape)
+        return zj, delta, sie_solve_block(self.c, J, (zj, cj / delta ** 2))
 
     def test_field_matches_closed_form(self):
-        for t, x in ((0.0, 0.0), (0.8, 0.3), (-1.2, 0.6), (4.0, 0.5)):
-            *_, res = self.solve(t, x)
-            E_closed, _ = soliton_closed_form(self.poles, LOR, t, x)
+        t, x = np.array([0.0, 0.8, -1.2, 4.0]), np.array([0.0, 0.3, 0.6, 0.5])
+        *_, out = self.solve(t, x)
+        E_closed, _ = soliton_closed_form(self.poles, LOR, t, x)
+        for res, E in zip(out, E_closed):
             assert res.diagnostics["residue_cond"] < 1e2
-            assert abs(res.E - E_closed) < 1e-8
+            assert abs(res.E - E) < 1e-8
 
     def test_first_row_matches_gauged_soliton(self):
         # residues u_j / delta(z_j) of m12 at z_j and conj(v_j / delta(z_j))
         # of m11 at conj z_j; m = e1 + P + C[(e1 + P + q)(I-J)] off the
         # axis against the first row of M D
         t, x = 0.3, 0.1
-        c, J, zj, delta, res = self.solve(t, x)
+        zj, delta, [res] = self.solve([t], [x])
+        c, J = self.c, self.J
         _, a = soliton_closed_form(self.poles, LOR, t, x)
         u, r = res.residues[:2], res.residues[2:]
         assert np.max(np.abs(u - a[:, 0] / delta)) < 1e-8
