@@ -139,9 +139,9 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     column (`jump_base`; it does not depend on t), each block's jumps by
     one `jump_phased`, and each block by one `sie_solve_block`, whose
     lockstep GMRES keeps every stamp's certificates its own.  The loop
-    keeps each stamp's E and the diagnostics reported below, and drops
-    its density.  A refusal names the earliest refusing stamp of its
-    block, and no later block starts.
+    puts each block's E and per-stamp diagnostics into slices of the
+    lattice's arrays and drops its densities Q.  A refusal names the
+    earliest refusing stamp of its block, and no later block starts.
 
     Returns (E grid (Nt, Nx), diagnostics dict); its `stages` holds the
     wall time of the spectral data (`spectral_s`, of which the t- and
@@ -217,14 +217,14 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
         tic = time.perf_counter()
         J = jump_phased(J0[ix[b]], t_vals[it[b]], x_vals[ix[b]], ev)
         mid = time.perf_counter()
-        block = sie_solve_block(contour, J, (zj, cj[it[b], ix[b]])
-                                if poles else None, counts)
+        E[b], _, d = sie_solve_block(contour, J, (zj, cj[it[b], ix[b]])
+                                     if poles else None)
         jump_s += mid - tic
         sie_s += time.perf_counter() - mid
-        for i, res in enumerate(block, start):
-            E[i] = res.E
-            for key, vals in col.items():
-                vals[i] = res.diagnostics[key]
+        for key, vals in col.items():
+            vals[b] = d[key]
+        for key in counts:
+            counts[key] += d[key]
     marks.append(time.perf_counter())
     stages.update(zip(("spectral_s", "pole_search_s", "stamp_loop_s"),
                       np.diff(marks).tolist()))

@@ -22,7 +22,7 @@ from one complex 2p x 2p system.  A block of stamps solves in lockstep
 (`sie_solve_block`): one GMRES steps the right-hand sides of all its
 stamps, each with its own operator and stopping test, through one
 kernel product per step.  It takes the block's jumps as one array
-J (s, N, 2, 2).
+J (s, N, 2, 2) and returns arrays: E, q and the per-stamp certificates.
 A run's stamps solve on the panels where the jump differs from I
 (`jump_window`).
 Any stamp the Krylov path cannot certify is solved densely: the matrix
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .broadening import LAM_WINDOW, eta_eval, mirror_unfold
+from .broadening import LAM_WINDOW, eta_eval
 from .errors import (
     EmptyContour,
     IllConditioned,
@@ -232,31 +232,21 @@ KRYLOV_START = 16           # Arnoldi steps the Krylov arrays first hold; they
                             # double as the steps need, up to KRYLOV_BUDGET
 
 
-@dataclass
-class RHResult:
-    Q: np.ndarray               # (N, 2) Cauchy part q of the first row of M+ - I
-    E: complex
-    diagnostics: dict = field(default_factory=dict)
-    residues: np.ndarray = None     # (u_j, then r_j) of the pole part, with poles
-
-
 def posdef_check(J):
     """Smallest eigenvalue of the Hermitian part of the jumps J (s, N, 2, 2)
-    over their (real) nodes, one per stamp (s,); a float for one jump
-    (N, 2, 2)."""
+    over their (real) nodes, one per stamp (s,)."""
     H = 0.5 * (J + dagger(J))
     mean = 0.5 * (H[..., 0, 0] + H[..., 1, 1]).real
     rad = np.sqrt((0.5 * (H[..., 0, 0] - H[..., 1, 1]).real) ** 2
                   + np.abs(H[..., 0, 1]) ** 2)
-    low = np.min(mean - rad, axis=-1)
-    return float(low) if low.ndim == 0 else low
+    return np.min(mean - rad, axis=-1)
 
 
-def sie_solve_block(contour: ContourSigma, J, residues=None, counts=None):
+def sie_solve_block(contour: ContourSigma, J, residues=None):
     """Collocation solves for the first row of M at a block of stamps: at
     each, the Cauchy part q of q - C+[q(I-J)] = C+[(e1 + P)(I-J)], whose
     2N x 2N operator A each of the stamp's rows shares, and the residues
-    of the pole part P.  Returns one `RHResult` per stamp, in order.
+    of the pole part P.
 
     J holds the block's jumps (s, N, 2, 2) (`jump_phased`); residues:
     (z_j, c_j), c_j (s, p) one row per stamp (`residue_constants`), or
@@ -272,12 +262,17 @@ def sie_solve_block(contour: ContourSigma, J, residues=None, counts=None):
     COND_LIMIT (`IllConditioned`), and a non-finite or singular system is
     refused (`SingularResidueSystem`).
 
+    Returns (E, Q, diag): E (s,), q (s, m, 2) on the m nodes solved, and
+    the per-stamp arrays `residual_rel`, `cond`, `iterations`,
+    `posdef_min`, `lu` and, with poles, `residue_cond` and `residues`
+    (u_j, then r_j), and the block's `steps` and `row_steps` in diag.
+
     The block's 1 + 2p right-hand sides per stamp are solved together by
     unrestarted GMRES in lockstep (`_gmres`): one kernel product
     (`cauchy_apply`) applies every row's operator per Arnoldi step, and a
-    row leaves the block when its own stopping test passes.  A `counts`
-    dict, when given, has the block's lockstep steps added to its `steps`
-    and its rows' own steps to its `row_steps`.  A stamp's
+    row leaves the block when its own stopping test passes.  `steps`
+    counts the lockstep steps, the largest of the rows' own, and
+    `row_steps` sums the rows' own steps.  A stamp's
     `cond` is the largest s_max/s_min of its rows' Hessenberg matrices,
     a lower bound on kappa_2(A), and `iterations` their total Arnoldi
     steps.  If any estimate exceeds COND_LIMIT/1e3, a budget runs out or
@@ -285,9 +280,10 @@ def sie_solve_block(contour: ContourSigma, J, residues=None, counts=None):
     operator solves all its right-hand sides (`_dense_solve`; `lu`,
     `iterations` 0, `cond` the exact kappa_1(A)), refusing above
     COND_LIMIT (`IllConditioned`).  `residual_rel` is the largest
-    residual relative to its right-hand side.  A refusal names the
-    earliest refusing stamp of the block: the stamps from the first
-    posdef violation on are not solved, and those before it are.
+    residual relative to its right-hand side.  The dense and residue
+    solves run stamp by stamp, so a refusal names the earliest refusing
+    stamp of the block: the stamps from the first posdef violation on
+    are not solved, and those before it are.
 
     A pole-free jump given on the contour's nodes s > 0 alone, the upper
     half P of a contour mirror-symmetric about 0 with J(-s) = conj J(s)
@@ -296,7 +292,7 @@ def sie_solve_block(contour: ContourSigma, J, residues=None, counts=None):
     real-linear there, so GMRES runs on the float view (Re q, Im q),
     whose inner product is half the whole axis's on mirrored data: the
     Krylov space, `cond` and `iterations` are the whole solve's.  E is
-    real, and so is the matrix of a folded dense solve.
+    real, and so is the matrix of a folded dense solve; Q is left on P.
     """
     n, m = contour.n_nodes, J.shape[1]
     folded = residues is None and 2 * m == n
@@ -335,52 +331,52 @@ def sie_solve_block(contour: ContourSigma, J, residues=None, counts=None):
                                 + q[..., 1:] * ij1[i])
                 ).reshape(len(rows), 2 * m).view(V.dtype)
 
-    sols = _gmres(op, B, COND_LIMIT / 1e3, counts)
-    X, res = np.zeros_like(B), np.zeros(s * k)
-    done = np.flatnonzero([sol is not None for sol in sols])
-    for r in done:
-        X[r] = sols[r][0]
+    X, cond, its = _gmres(op, B, COND_LIMIT / 1e3)
+    diag = {"steps": int(its.max(initial=0)), "row_steps": int(its.sum())}
+    done, res = np.flatnonzero(~np.isnan(cond)), np.full(s * k, np.inf)
     res[done] = _max_abs(op(X[done], done) - B[done])
     bmax = np.maximum(_max_abs(B), 1e-300)
-    certified = np.zeros(s * k, dtype=bool)
-    certified[done] = res[done] <= KRYLOV_RESIDUAL * bmax[done]
+    lu = ~(res <= KRYLOV_RESIDUAL * bmax).reshape(s, k).all(axis=1)
 
-    out = []
-    for i in range(s):
-        rows = range(i * k, (i + 1) * k)
-        lu = not certified[rows].all()
-        if lu:          # one dense solve for all of the stamp's rows
-            solved = _dense_solve(lambda v: op(v[None], rows[:1])[0],
-                                  list(B[rows]))
-        else:
-            solved = [(res[r], X[r], *sols[r][1:]) for r in rows]
-        r_i, V, conds, its = zip(*solved)
-        res_rel = max(r / b for r, b in zip(r_i, bmax[rows]))
-        Q = np.array(V).view(complex).reshape(k, m, 2)
-        q, pole_m12, w, residue_cond = Q[0], 0.0, None, None
+    Q = X.view(complex).reshape(s, k, m, 2)     # q_l of row i k + l
+    pole_m12 = np.zeros(s, dtype=complex)
+    if residues is not None:
+        W, residue_cond = np.empty((s, 2 * p), dtype=complex), np.empty(s)
+    for i in np.flatnonzero(lu | (residues is not None)):
+        rows = slice(i * k, (i + 1) * k)
+        if lu[i]:       # one dense solve for all of the stamp's rows
+            X[rows], res[rows], cond[rows] = _dense_solve(
+                lambda v: op(v[None], [i * k])[0], B[rows])
+            its[rows] = 0
         if residues is not None:
-            CQ = kern @ (Q[..., :1] * ij0[i] + Q[..., 1:] * ij1[i])
-            w, residue_cond = _residue_solve(zeta, cj[i], Cz[i], Dz[i], CQ)
-            q = q + np.tensordot(w, Q[1:], axes=1)
-            pole_m12 = np.sum(w[:p]) - w @ Cz[i, np.arange(2 * p), row, 1]
+            CQ = kern @ (Q[i, ..., :1] * ij0[i] + Q[i, ..., 1:] * ij1[i])
+            W[i], residue_cond[i] = _residue_solve(zeta, cj[i], Cz[i], Dz[i],
+                                                   CQ)
+            Q[i, 0] = Q[i, 0] + np.tensordot(W[i], Q[i, 1:], axes=1)
+            pole_m12[i] = (np.sum(W[i, :p])
+                           - W[i] @ Cz[i, np.arange(2 * p), row, 1])
+    q = Q[:, 0]
 
-        # E = -4i m12, m the z^{-1} moment: sum u_j plus (1/2 pi i) int
-        # (e1 + P + q)(J-I) ds; sign fixed by the linearized (Born) limit
-        # against the forward transform.  Folded, the integral over s < 0
-        # is the conjugate of that over s > 0, and E = -(4/pi) Re sum_P w f.
-        f = (1.0 + q[:, 0]) * J[i, :, 0, 1] + q[:, 1] * (J[i, :, 1, 1] - 1.0)
-        E = (complex(-4.0 / np.pi * (contour.weights[n - m:] @ f.real))
-             if folded else -4j * (contour.weights @ f / (2j * np.pi) + pole_m12))
-        out.append(RHResult(
-            Q=mirror_unfold(q, n) if folded else q, E=E,
-            diagnostics={"residual_rel": res_rel, "cond": max(conds),
-                         "iterations": sum(its), "posdef_min": float(posdef[i]),
-                         "residue_cond": residue_cond, "lu": lu},
-            residues=w))
+    # E = -4i m12, m the z^{-1} moment: sum u_j plus (1/2 pi i) int
+    # (e1 + P + q)(J-I) ds; sign fixed by the linearized (Born) limit
+    # against the forward transform.  Folded, the integral over s < 0
+    # is the conjugate of that over s > 0, and E = -(4/pi) Re sum_P w f.
+    # One dot product per stamp: a batched product rounds differently.
+    f = (1.0 + q[..., 0]) * J[:s, :, 0, 1] + q[..., 1] * (J[:s, :, 1, 1] - 1.0)
+    w = contour.weights[n - m:]
+    dot = np.array([w @ fi for fi in (f.real if folded else f)])
+    E = ((-4.0 / np.pi * dot).astype(complex) if folded
+         else -4j * (dot / (2j * np.pi) + pole_m12))
+    diag.update(residual_rel=(res / bmax).reshape(s, k).max(axis=1),
+                cond=cond.reshape(s, k).max(axis=1),
+                iterations=its.reshape(s, k).sum(axis=1),
+                posdef_min=posdef[:s], lu=lu)
+    if residues is not None:
+        diag.update(residue_cond=residue_cond, residues=W)
     if s < J.shape[0]:
         raise PosdefViolated(
             f"real-axis Hermitian-part minimum {posdef[s]:.3e}")
-    return out
+    return E, q, diag
 
 
 def _cplus_rows(contour, g):
@@ -434,9 +430,9 @@ def _dense_solve(op, B):
     complex otherwise.  Its columns op(e_k) fill one preallocated matrix
     from one unit vector, and A is dropped once inverted, so at most two
     matrices are held besides the two work copies `np.linalg.inv` makes
-    in LAPACK.  Returns (residual, v, cond, 0) for each b, as `_gmres`'s
-    rows do, with cond the exact kappa_1 = ||A||_1 ||A^-1||_1, refused
-    above COND_LIMIT, as is a singular A (`IllConditioned`)."""
+    in LAPACK.  Returns (V, residuals, cond): the solutions v by row, the
+    max-norm residual of each, and the exact kappa_1 = ||A||_1 ||A^-1||_1,
+    refused above COND_LIMIT, as is a singular A (`IllConditioned`)."""
     n = B[0].size
     A, e = np.empty((n, n), dtype=B[0].dtype), np.zeros(n, dtype=B[0].dtype)
     for k in range(n):          # row k of A^T is op(e_k)
@@ -452,11 +448,11 @@ def _dense_solve(op, B):
     cond = float(norm * np.linalg.norm(Ainv, 1))
     if not cond <= COND_LIMIT:
         raise IllConditioned(f"dense operator condition {cond:.2e}")
-    return [(_max_abs(op(v) - b), v, cond, 0)
-            for v, b in zip(np.stack(B) @ Ainv.T, B)]
+    V = np.stack(B) @ Ainv.T
+    return V, np.array([_max_abs(op(v) - b) for v, b in zip(V, B)]), cond
 
 
-def _gmres(op, B, cond_max, counts=None):
+def _gmres(op, B, cond_max):
     """Unrestarted GMRES for op(x) = b from x = 0 (Saad & Schultz 1986),
     for every row b of B in lockstep.
 
@@ -468,16 +464,17 @@ def _gmres(op, B, cond_max, counts=None):
     by one product; the new rotation tracks the residual norm.  A row
     leaves as soon as its own stopping test passes.  It runs in the
     dtype of B, real or complex, and the arrays grow with the steps
-    taken, from KRYLOV_START.  A `counts` dict, when given, has the
-    steps added to its `steps` and the rows' own steps, summed, to its
-    `row_steps`.  Returns, per row of B, (x, cond, iterations), with
-    cond = s_max/s_min of the row's (k+1) x k Hessenberg matrix, or None
-    when the budget runs out or cond > cond_max.  A vanishing right-hand
-    side has the solution 0, after no step, with cond 1.
+    taken, from KRYLOV_START.  Returns (X, cond, its) by row of B: the
+    solution x, cond = s_max/s_min of the row's (k+1) x k Hessenberg
+    matrix and the row's Arnoldi steps.  A row whose budget runs out or
+    whose cond is not at most cond_max has x = 0 and cond NaN, and its
+    steps are still counted.  A vanishing right-hand side has the
+    solution 0, after no step, with cond 1.
     """
     n = B.shape[1]
     beta = np.linalg.norm(B, axis=1)
-    out = [None if b else (np.zeros(n, dtype=B.dtype), 1.0, 0) for b in beta]
+    X, cond = np.zeros_like(B), np.where(beta > 0.0, np.nan, 1.0)
+    its = np.zeros(B.shape[0], dtype=int)
     act = np.flatnonzero(beta)              # the rows still stepping
     beta, cap = beta[act], min(KRYLOV_START, KRYLOV_BUDGET)
     # per row: the Krylov basis V, the Arnoldi Hessenberg H, its rotated
@@ -489,12 +486,9 @@ def _gmres(op, B, cond_max, counts=None):
     g = np.zeros((act.size, cap + 1), dtype=B.dtype)
     V[:, 0] = B[act] / beta[:, None]
     G[:, 0, 0], g[:, 0] = 1.0, beta
-    counts = dict(steps=0, row_steps=0) if counts is None else counts
     for k in range(KRYLOV_BUDGET):
         if act.size == 0:
             break
-        counts["steps"] += 1
-        counts["row_steps"] += act.size
         if k == cap:
             cap = min(2 * cap, KRYLOV_BUDGET)
             V, H, U, G, g = [_grown(A, shape) for A, shape in (
@@ -524,23 +518,25 @@ def _gmres(op, B, cond_max, counts=None):
         stop = (np.abs(g[:, k + 1]) <= KRYLOV_RTOL * beta) | (hn == 0.0)
         if stop.any():
             d = np.flatnonzero(stop)
+            its[act[d]] = k + 1
             with np.errstate(divide="ignore", invalid="ignore"):
                 sv = np.linalg.svd(H[d, :k + 2, :k + 1], compute_uv=False)
-                cond = sv[:, 0] / sv[:, -1]
-            ok = ~(cond > cond_max)
-            d, cond = d[ok], cond[ok]
-            y = np.linalg.solve(U[d, :k + 1, :k + 1], g[d, :k + 1, None])
-            x = (y.swapaxes(1, 2) @ V[d, :k + 1])[:, 0]
-            for r, xr, cr in zip(act[d], x, cond):
-                out[r] = (xr, float(cr), k + 1)
+                cd = sv[:, 0] / sv[:, -1]
+            ok = cd <= cond_max
+            e = d[ok]
+            y = np.linalg.solve(U[e, :k + 1, :k + 1], g[e, :k + 1, None])
+            X[act[e]] = (y.swapaxes(1, 2) @ V[e, :k + 1])[:, 0]
+            cond[act[e]] = cd[ok]
             go = np.flatnonzero(~stop)
             act, beta, w, hn = act[go], beta[go], w[go], hn[go]
-            for to, row in enumerate(go):   # in place: no second basis
+            # in place, no second basis; rows before d[0] keep their index
+            for to, row in enumerate(go[d[0]:], d[0]):
                 for A in (V, H, U, G, g):
                     A[to] = A[row]
             V, H, U, G, g = (A[:go.size] for A in (V, H, U, G, g))
         V[:, k + 1] = w / hn[:, None]
-    return out
+    its[act] = KRYLOV_BUDGET
+    return X, cond, its
 
 
 def _givens(a, hn):

@@ -518,13 +518,21 @@ def identity_jump(contour):
                            (contour.n_nodes, 2, 2)).copy()
 
 
+def stamp(block, i):
+    """Stamp i of a `mbrh.rhsolver.sie_solve_block` block (E, Q, diag):
+    its E, its q and the entries i of the per-stamp arrays of diag."""
+    E, Q, diag = block
+    return E[i], Q[i], {key: val[i] for key, val in diag.items()
+                        if np.ndim(val)}
+
+
 def solve_stamp(contour, J, residues=None):
     """One stamp's solve: `mbrh.rhsolver.sie_solve_block` on the block of
     the one jump J (N, 2, 2).  residues: the stamp's (z_j, c_j)
-    (`residue_constants`), or None.  Returns its `RHResult`."""
+    (`residue_constants`), or None.  Returns its (E, q, diag) (`stamp`)."""
     if residues is not None:
         residues = (residues[0], np.asarray(residues[1])[None])
-    return sie_solve_block(contour, J[None], residues)[0]
+    return stamp(sie_solve_block(contour, J[None], residues), 0)
 
 
 def sie_solve_full(contour, J):
@@ -534,8 +542,9 @@ def sie_solve_full(contour, J):
     Row 2 of Q - C+[Q(I-J)] = C+[I-J] is row 1 of the problem with jump
     sigma1 J sigma1, multiplied on the right by sigma1.
     """
-    row1, row2 = sie_solve_block(contour, np.stack([J, SIGMA1 @ J @ SIGMA1]))
-    Q = np.stack([row1.Q, row2.Q @ SIGMA1], axis=1)
+    _, (row1, row2), _ = sie_solve_block(contour,
+                                         np.stack([J, SIGMA1 @ J @ SIGMA1]))
+    Q = np.stack([row1, row2 @ SIGMA1], axis=1)
     X = (np.eye(2) + Q) @ (J - np.eye(2))
     return Q, np.einsum("j,jab->ab", contour.weights, X) / (2j * np.pi)
 

@@ -19,7 +19,7 @@ from mbrh.cli import run_command
 from mbrh.pipeline import rh_field_grid, spectral_data
 from mbrh.rhsolver import contour_build, sie_solve_block
 from mbrh.spectral import ScenarioData
-from references import excited_scenario, mixed_jump, solve_stamp
+from references import excited_scenario, mixed_jump, solve_stamp, stamp
 
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
 
@@ -111,37 +111,39 @@ class TestFoldedSolve:
                                 nodes_per_panel=12)
         full, half = stamps(make, contour)
         refs = sie_solve_block(contour, np.stack(full))
-        sup = np.max(np.abs([ref.E for ref in refs]))
-        for ref, res in zip(refs, sie_solve_block(contour, np.stack(half))):
-            d, d_ref = res.diagnostics, ref.diagnostics
-            assert res.E.imag == 0.0
-            assert abs(res.E - ref.E) <= 1e-14 * sup
-            assert np.max(np.abs(res.Q - ref.Q)) <= 1e-13
+        E, Q, diag = sie_solve_block(contour, np.stack(half))
+        block = E, mirror_unfold(Q, contour.n_nodes, axis=1), diag
+        sup = np.max(np.abs(refs[0]))
+        for i in range(len(full)):
+            (E_i, Q_i, d), (E_ref, Q_ref, d_ref) = stamp(block, i), stamp(refs, i)
+            assert E_i.imag == 0.0
+            assert abs(E_i - E_ref) <= 1e-14 * sup
+            assert np.max(np.abs(Q_i - Q_ref)) <= 1e-13
             # the same Krylov space: the same steps and Hessenberg matrix
             assert d["iterations"] == d_ref["iterations"] > 0
             assert abs(d["cond"] - d_ref["cond"]) <= 1e-12 * d_ref["cond"]
             assert d["residual_rel"] < 1e-14 and not d["lu"]
             assert d["posdef_min"] == pytest.approx(d_ref["posdef_min"],
                                                     rel=1e-14)
-            assert d["residue_cond"] is None
+            assert d.get("residue_cond") is None
 
     def test_uncertified_fold_takes_the_full_lu(self, monkeypatch):
         contour = contour_build(window=(-16.0, 16.0), n_panels=16,
                                 nodes_per_panel=12)
         full, half = stamps(desk_scenario, contour, ts=(3.0,))
-        krylov = solve_stamp(contour, half[0])
+        E_krylov, Q_krylov, d_krylov = solve_stamp(contour, half[0])
         monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", 2)
-        lu = solve_stamp(contour, half[0])
-        assert krylov.diagnostics["iterations"] > 2
-        assert lu.diagnostics["lu"] and lu.diagnostics["iterations"] == 0
-        assert abs(lu.E - krylov.E) < 1e-14
-        assert np.max(np.abs(lu.Q - krylov.Q)) < 1e-13
-        assert lu.diagnostics["residual_rel"] < 1e-14
+        E_lu, Q_lu, d_lu = solve_stamp(contour, half[0])
+        assert d_krylov["iterations"] > 2
+        assert d_lu["lu"] and d_lu["iterations"] == 0
+        assert abs(E_lu - E_krylov) < 1e-14
+        assert np.max(np.abs(Q_lu - Q_krylov)) < 1e-13
+        assert d_lu["residual_rel"] < 1e-14
         # the fallback stays folded: E exactly real, and the whole axis's
         # dense solve of the unfolded jump to rounding
-        ref = solve_stamp(contour, mirror_unfold(half[0], 192))
-        assert ref.diagnostics["lu"] and lu.E.imag == 0.0
-        assert abs(lu.E - ref.E) < 1e-14
+        E_ref, _, d_ref = solve_stamp(contour, mirror_unfold(half[0], 192))
+        assert d_ref["lu"] and E_lu.imag == 0.0
+        assert abs(E_lu - E_ref) < 1e-14
 
     def test_poles_and_odd_halves_are_refused_the_fold(self):
         contour = contour_build(window=(-16.0, 16.0), n_panels=16,
@@ -190,8 +192,10 @@ class TestRealGmres:
         n = 60
         A = np.eye(n) + 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
         b = rng.standard_normal(n)
-        [real] = rhsolver._gmres(lambda V, rows: V @ A.T, b[None], 1e9)
-        [cplx] = rhsolver._gmres(lambda V, rows: V @ A.T, b[None] + 0j, 1e9)
+        real = [v[0] for v in rhsolver._gmres(lambda V, rows: V @ A.T,
+                                              b[None], 1e9)]
+        cplx = [v[0] for v in rhsolver._gmres(lambda V, rows: V @ A.T,
+                                              b[None] + 0j, 1e9)]
         assert real[0].dtype == float and cplx[0].dtype == complex
         assert real[2] == cplx[2] > 1
         assert np.max(np.abs(real[0] - cplx[0])) <= 1e-14 * np.max(np.abs(cplx[0]))

@@ -38,6 +38,7 @@ from references import (
     soliton_closed_form_real,
     soliton_evaluate_M,
     solve_stamp,
+    stamp,
 )
 
 LOR = BroadeningProfile.lorentzian(1.0, sign=-1)
@@ -207,23 +208,23 @@ class TestRealKernel:
 class TestSieSolve:
     def test_trivial_jump(self):
         c = contour_build(n_panels=12, nodes_per_panel=8)
-        res = solve_stamp(c, identity_jump(c))
+        E, _, d = solve_stamp(c, identity_jump(c))
         Q, m = sie_solve_full(c, identity_jump(c))
         assert np.max(np.abs(Q)) < 1e-13
-        assert abs(res.E) < 1e-13
+        assert abs(E) < 1e-13
         assert np.max(np.abs(m)) < 1e-13
-        assert res.diagnostics["residual_rel"] < 1e-13
+        assert d["residual_rel"] < 1e-13
 
     def test_zero_right_hand_sides_solve_without_lu(self):
         # I - J = 0 makes every right-hand side vanish: GMRES returns the
         # zero solution after no step, and no stamp falls back to LU
         c = contour_build(n_panels=12, nodes_per_panel=8)
-        [(x, cond, its)] = rhsolver._gmres(lambda V, rows: V,
-                                           np.zeros((1, 8), complex), 1.0)
+        [x], [cond], [its] = rhsolver._gmres(lambda V, rows: V,
+                                             np.zeros((1, 8), complex), 1.0)
         assert not np.any(x) and x.shape == (8,) and (cond, its) == (1.0, 0)
         zj, cj = residue_constants([(0.5j, 1.0 + 0.0j)], DELTA, 0.4, 0.2)
         for residues in (None, (zj, cj)):
-            d = solve_stamp(c, identity_jump(c), residues).diagnostics
+            _, _, d = solve_stamp(c, identity_jump(c), residues)
             assert (d["lu"], d["iterations"], d["cond"]) == (False, 0, 1.0)
             assert d["residual_rel"] == 0.0
 
@@ -248,9 +249,10 @@ class TestSieSolve:
         ts = (0.0, 0.4, -0.8)
         J = np.stack([jump_wholeline(t, 0.0, lam, eps * np.exp(-lam ** 2), LOR)
                       for t in ts])
-        for t, res in zip(ts, sie_solve_block(c, J)):
+        E, _, _ = sie_solve_block(c, J)
+        for t, E_t in zip(ts, E):
             want = (2 * eps / np.sqrt(np.pi)) * np.exp(-t ** 2)
-            assert abs(res.E - want) < 5e-5
+            assert abs(E_t - want) < 5e-5
 
     def test_roundtrip_forward_inverse(self):
         # forward scattering of a soliton-free pulse, then the inverse
@@ -265,9 +267,10 @@ class TestSieSolve:
         r = Phi0[:, 0, 1] / Phi0[:, 1, 1]
         ts = (3.2, 4.0, 5.0)
         J = np.stack([jump_wholeline(t, 0.0, lam, r, LOR) for t in ts])
-        for t, res in zip(ts, sie_solve_block(c, J)):
+        E, _, _ = sie_solve_block(c, J)
+        for t, E_t in zip(ts, E):
             want = sc.E_in(t)
-            assert abs(res.E - want) < 1e-3 * abs(want)
+            assert abs(E_t - want) < 1e-3 * abs(want)
 
     def test_self_convergence_under_refinement(self):
         vals = []
@@ -276,7 +279,7 @@ class TestSieSolve:
                               nodes_per_panel=nn)
             lam = c.nodes
             J = jump_wholeline(0.7, 0.5, lam, 0.3 * np.exp(-lam ** 2), LOR)
-            vals.append(solve_stamp(c, J).E)
+            vals.append(solve_stamp(c, J)[0])
         assert abs(vals[0] - vals[1]) < 1e-6
 
     def test_posdef_guard(self):
@@ -316,11 +319,12 @@ def dense_operator(contour, J):
 class TestKrylovPath:
     def test_matches_dense_solve_and_svd_condition(self):
         c, Js = desk_stamps()
-        for J, res in zip(Js, sie_solve_block(c, np.stack(Js))):
+        block = sie_solve_block(c, np.stack(Js))
+        for i, J in enumerate(Js):
+            _, Q, d = stamp(block, i)
             A, R = dense_operator(c, J)
             q = np.linalg.solve(A, R[:, 0, :].ravel()).reshape(-1, 2)
-            assert np.max(np.abs(res.Q - q)) < 1e-13
-            d = res.diagnostics
+            assert np.max(np.abs(Q - q)) < 1e-13
             assert 0 < d["iterations"] <= rhsolver.KRYLOV_BUDGET
             sv = np.linalg.svd(A, compute_uv=False)
             kappa2 = sv[0] / sv[-1]
@@ -332,13 +336,14 @@ class TestKrylovPath:
     def test_full_reference_matches_dense_two_row_solve(self):
         # row 2 through the sigma1-swapped jump, on the Krylov path
         c, Js = desk_stamps()
-        for J, res in zip(Js, sie_solve_block(c, np.stack(Js))):
+        E, _, _ = sie_solve_block(c, np.stack(Js))
+        for J, E_J in zip(Js, E):
             Q, m = sie_solve_full(c, J)
             A, R = dense_operator(c, J)
             want = np.stack([np.linalg.solve(A, R[:, r, :].ravel()).reshape(-1, 2)
                              for r in range(2)], axis=1)
             assert np.max(np.abs(Q - want)) < 1e-13
-            assert abs(-4j * m[0, 1] - res.E) < 1e-14
+            assert abs(-4j * m[0, 1] - E_J) < 1e-14
             # both rows solve the two-row system
             CP = cauchy_plus(c)
             resid = Q - np.einsum("ij,jab->iab", CP, Q @ (np.eye(2) - J)) - R
@@ -346,16 +351,16 @@ class TestKrylovPath:
 
     def test_budget_exhausted_falls_back_to_lu(self, monkeypatch):
         c, Js = desk_stamps(ts=(3.0,), xs=(1.0,))
-        krylov = solve_stamp(c, Js[0])
+        E_krylov, _, d_krylov = solve_stamp(c, Js[0])
         Q_krylov, _ = sie_solve_full(c, Js[0])
         monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", 2)
-        lu = solve_stamp(c, Js[0])
+        E_lu, _, d_lu = solve_stamp(c, Js[0])
         Q_lu, _ = sie_solve_full(c, Js[0])
-        assert krylov.diagnostics["iterations"] > 2
-        assert lu.diagnostics["iterations"] == 0
-        assert abs(lu.E - krylov.E) < 1e-14
+        assert d_krylov["iterations"] > 2
+        assert d_lu["iterations"] == 0
+        assert abs(E_lu - E_krylov) < 1e-14
         assert np.max(np.abs(Q_lu - Q_krylov)) < 1e-13
-        assert lu.diagnostics["residual_rel"] < 1e-14
+        assert d_lu["residual_rel"] < 1e-14
 
     def test_fallback_counted_in_field_grid(self, monkeypatch):
         from mbrh.pipeline import rh_field_grid
@@ -396,20 +401,20 @@ class TestKrylovPath:
         # 1 + 2p right-hand sides on the Krylov path: `iterations` sums
         # their Arnoldi steps, `cond` is the largest Hessenberg estimate
         c, Js = desk_stamps(ts=(3.0,), xs=(1.0,))
-        plain = solve_stamp(c, Js[0]).diagnostics
+        _, _, plain = solve_stamp(c, Js[0])
         poles = [(0.5j, 1.0 + 0.0j), (-0.4 + 0.8j, 0.3 - 2.0j)]
-        d = solve_stamp(c, Js[0], residue_constants(poles, LOR, 3.0, 1.0)).diagnostics
+        _, _, d = solve_stamp(c, Js[0], residue_constants(poles, LOR, 3.0, 1.0))
         assert not d["lu"] and d["iterations"] > 2 * plain["iterations"]
         assert d["cond"] >= plain["cond"] and d["residual_rel"] < 1e-14
-        assert 1.0 <= d["residue_cond"] < 1e2 and plain["residue_cond"] is None
+        assert 1.0 <= d["residue_cond"] < 1e2 and plain.get("residue_cond") is None
 
     def test_residue_condition_refused(self, monkeypatch):
         # the SVD condition of the scaled residue system is a certificate:
         # on a trivial axis jump no other certificate can refuse
         c = contour_build(window=(-16.0, 16.0), n_panels=16, nodes_per_panel=12)
         residues = residue_constants([(0.5j, 1.0 + 0.0j)], LOR, 16.0, 0.0)
-        ok = solve_stamp(c, identity_jump(c), residues)
-        assert abs(ok.diagnostics["residue_cond"] - 1.0) < 1e-12
+        _, _, ok = solve_stamp(c, identity_jump(c), residues)
+        assert abs(ok["residue_cond"] - 1.0) < 1e-12
         monkeypatch.setattr(rhsolver, "COND_LIMIT", 0.5)
         with pytest.raises(IllConditioned, match="residue system condition"):
             solve_stamp(c, identity_jump(c), residues)
@@ -435,15 +440,14 @@ class TestDenseFallback:
             A = np.array(cols).T
         if kind == "poles":
             residues = residue_constants([(0.5j, 1.0 + 0.0j)], LOR, 3.0, 1.0)
-        krylov = solve_stamp(c, J, residues)
+        E_krylov, Q_krylov, _ = solve_stamp(c, J, residues)
         monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", 2)
-        dense = solve_stamp(c, J, residues)
-        d = dense.diagnostics
+        E_dense, Q_dense, d = solve_stamp(c, J, residues)
         assert d["lu"] and d["iterations"] == 0 and d["residual_rel"] < 1e-14
         assert abs(d["cond"] - np.linalg.cond(A, 1)) <= 1e-12 * d["cond"]
-        assert abs(dense.E - krylov.E) < 1e-14
-        assert np.max(np.abs(dense.Q - krylov.Q)) < 1e-13
-        assert (dense.E.imag == 0.0) == (kind == "folded")
+        assert abs(E_dense - E_krylov) < 1e-14
+        assert np.max(np.abs(Q_dense - Q_krylov)) < 1e-13
+        assert (E_dense.imag == 0.0) == (kind == "folded")
 
     def test_singular_operator_refused(self):
         # [[1, 2], [2, 4]] has an exactly zero pivot: numpy's LinAlgError
@@ -454,9 +458,9 @@ class TestDenseFallback:
 
     def test_condition_above_the_limit_refused(self, monkeypatch):
         A = np.array([[1.0, 0.0], [0.0, 1e-3]])
-        [(res, v, cond, its)] = rhsolver._dense_solve(lambda v: A @ v,
-                                                      [np.ones(2)])
-        assert (res, cond, its) == (0.0, 1e3, 0)
+        [v], [res], cond = rhsolver._dense_solve(lambda v: A @ v,
+                                                 [np.ones(2)])
+        assert (res, cond) == (0.0, 1e3)
         assert np.array_equal(v, [1.0, 1e3])
         monkeypatch.setattr(rhsolver, "COND_LIMIT", 999.0)
         with pytest.raises(IllConditioned, match="condition 1.00e\\+03"):
@@ -472,11 +476,11 @@ class TestDenseFallback:
         b = np.ones(2 * n, complex)
         tracemalloc.start()
         try:
-            [(res, v, cond, its)] = rhsolver._dense_solve(lambda u: 2 * u, [b])
+            [v], [res], cond = rhsolver._dense_solve(lambda u: 2 * u, [b])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (res, cond, its) == (0.0, 1.0, 0) and np.all(v == 0.5)
+        assert (res, cond) == (0.0, 1.0) and np.all(v == 0.5)
         assert peak <= 2.25 * 64 * n ** 2
 
 
@@ -493,12 +497,12 @@ def desk_lattice():
 def solved_stamps(monkeypatch, block, *args, **kwargs):
     """rh_field_grid(*args, **kwargs) in blocks of `block` stamps, or of
     the pipeline's own size when block is None: its diagnostics and each
-    stamp's RHResult, in lattice order."""
+    block's (E, Q, diag), in lattice order."""
     seen, solve = [], pipeline.sie_solve_block
 
     def recording(*a):
         out = solve(*a)
-        seen.extend(out)
+        seen.append(out)
         return out
 
     if block is not None:
@@ -510,23 +514,29 @@ def solved_stamps(monkeypatch, block, *args, **kwargs):
     return diag, seen
 
 
+def per_stamp(blocks, keep=slice(None)):
+    """The stamps' E and per-stamp diagnostics of the blocks (E, Q, diag),
+    each joined over the blocks, at the stamps keep."""
+    E = np.concatenate([E for E, _, _ in blocks])[keep]
+    return E, {key: np.concatenate([d[key] for _, _, d in blocks])[keep]
+               for key, val in blocks[0][2].items() if np.ndim(val)}
+
+
 def assert_same_stamps(block, alone):
     """Each stamp of a block solves as it does alone: the same E to 1e-14
     of sup |E|, iterations, fallback and posdef minimum, and cond and the
     residue condition to rounding.  residual_rel reads rounding of the
-    batched kernel products, so it is held below 1e-14 on both."""
-    E = np.array([res.E for res in alone])
-    assert len(block) == len(alone)
-    assert np.max(np.abs(np.array([res.E for res in block]) - E)) \
-        <= 1e-14 * np.max(np.abs(E))
-    for a, b in zip(alone, block):
-        da, db = a.diagnostics, b.diagnostics
-        for key in ("iterations", "lu", "posdef_min"):
-            assert da[key] == db[key]
-        for key in ("cond", "residue_cond"):
-            if da[key] is not None:
-                assert abs(db[key] - da[key]) <= 1e-10 * da[key]
-        assert max(da["residual_rel"], db["residual_rel"]) < 1e-14
+    batched kernel products, so it is held below 1e-14 on both.  block
+    and alone are (E, per-stamp diagnostics) (`per_stamp`)."""
+    (E_block, db), (E, da) = block, alone
+    assert E_block.size == E.size
+    assert np.max(np.abs(E_block - E)) <= 1e-14 * np.max(np.abs(E))
+    for key in ("iterations", "lu", "posdef_min"):
+        assert np.array_equal(da[key], db[key])
+    for key in ("cond", "residue_cond"):
+        if key in da:
+            assert np.all(np.abs(db[key] - da[key]) <= 1e-10 * da[key])
+    assert max(da["residual_rel"].max(), db["residual_rel"].max()) < 1e-14
 
 
 class TestBlockSolve:
@@ -539,14 +549,15 @@ class TestBlockSolve:
         sc, t, x = desk_lattice()
         diag, block = solved_stamps(monkeypatch, None, sc, LOR, t, x)
         diag1, alone = solved_stamps(monkeypatch, 1, sc, LOR, t, x)
-        assert diag["full_axis"] is None and len(alone) == 126
+        block, alone = per_stamp(block), per_stamp(alone)
+        assert diag["full_axis"] is None and alone[0].size == 126
         assert diag["n_nodes"] == 160
         blocks, blocks1 = diag["stamp_blocks"], diag1["stamp_blocks"]
         assert (blocks["count"], blocks["largest"]) == (7, 19)
         assert (blocks1["count"], blocks1["largest"]) == (126, 1)
         # the same rows step, fewer products step them
         assert blocks["row_steps"] == blocks1["row_steps"] == sum(
-            res.diagnostics["iterations"] for res in alone)
+            alone[1]["iterations"])
         assert blocks1["steps"] == blocks1["row_steps"]
         assert blocks["steps"] < blocks1["steps"] / 10
         assert_same_stamps(block, alone)
@@ -565,8 +576,8 @@ class TestBlockSolve:
         assert diag["n_poles"] == 1
         assert (diag["stamp_blocks"]["count"],
                 diag["stamp_blocks"]["largest"]) == (2, 8)
-        assert all(res.residues.shape == (2,) for res in block)
-        assert_same_stamps(block, alone)
+        assert all(d["residues"].shape[1:] == (2,) for _, _, d in block)
+        assert_same_stamps(per_stamp(block), per_stamp(alone))
 
     def test_excited_stamps_keep_blocks_of_8(self, monkeypatch):
         # the excited medium keeps 192 folded nodes: rows of 768 floats,
@@ -578,12 +589,12 @@ class TestBlockSolve:
         assert diag["full_axis"] is None and diag["n_nodes"] == 384
         assert (diag["stamp_blocks"]["count"],
                 diag["stamp_blocks"]["largest"]) == (2, 8)
-        assert_same_stamps(block, alone)
+        assert_same_stamps(per_stamp(block), per_stamp(alone))
 
     def test_stamp_loop_keeps_no_density(self, monkeypatch):
         # the loop keeps E and the reported diagnostics of each stamp, not
-        # its RHResult with the unfolded density Q (about 6 KB a stamp on
-        # desk): the traced peak from the first block on grows by less
+        # its density Q (about 6 KB a stamp on desk, unfolded): the traced
+        # peak from the first block on grows by less
         # than 1 KB a stamp.  Every stamp is the same, so that each block
         # holds the same Krylov arrays
         import tracemalloc
@@ -614,29 +625,56 @@ class TestBlockSolve:
         c, Js = desk_stamps()
         eye = np.broadcast_to(np.eye(2, dtype=complex), Js[0].shape)
         out = sie_solve_block(c, np.stack([Js[0], eye, Js[1]]))
-        d = out[1].diagnostics
-        assert out[1].E == 0.0 and not np.any(out[1].Q)
+        E, Q, d = stamp(out, 1)
+        assert E == 0.0 and not np.any(Q)
         assert (d["iterations"], d["cond"], d["lu"]) == (0, 1.0, False)
-        assert_same_stamps([out[0], out[2]],
-                           [solve_stamp(c, Js[0]), solve_stamp(c, Js[1])])
+        assert_same_stamps(per_stamp([out], [0, 2]),
+                           per_stamp([sie_solve_block(c, J[None])
+                                      for J in Js[:2]]))
 
     def test_only_the_slowest_stamp_falls_back(self, monkeypatch):
         # a budget one step short of the slowest stamp's steps: that stamp
         # alone takes the dense path, on the same field
         sc, t, x = desk_lattice()
         diag, block = solved_stamps(monkeypatch, 8, sc, LOR, t[:1], x)
-        its = [res.diagnostics["iterations"] for res in block]
+        E, d = per_stamp(block)
+        its = list(d["iterations"])
         slow = int(np.argmax(its))
         assert its.count(its[slow]) == 1 and diag["lu_stamps"] == 0
         monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", its[slow] - 1)
         diag_lu, block_lu = solved_stamps(monkeypatch, 8, sc, LOR, t[:1], x)
+        E_lu, d_lu = per_stamp(block_lu)
         assert diag_lu["lu_stamps"] == 1
-        assert [res.diagnostics["lu"] for res in block_lu] == \
-            [i == slow for i in range(len(its))]
-        assert block_lu[slow].diagnostics["iterations"] == 0
-        assert abs(block_lu[slow].E - block[slow].E) < 1e-14
-        assert_same_stamps(block_lu[:slow] + block_lu[slow + 1:],
-                           block[:slow] + block[slow + 1:])
+        assert list(d_lu["lu"]) == [i == slow for i in range(len(its))]
+        assert d_lu["iterations"][slow] == 0
+        assert abs(E_lu[slow] - E[slow]) < 1e-14
+        others = np.arange(len(its)) != slow
+        assert_same_stamps(per_stamp(block_lu, others),
+                           per_stamp(block, others))
+
+    def test_fallen_back_rows_keep_their_steps(self, monkeypatch):
+        # with the slowest stamp's row one step past the budget, that row
+        # still counts the budget's steps in its block's `row_steps`
+        # though its stamp reads 0 iterations; each block's `steps` is
+        # its largest row's, and `stamp_blocks` sums the blocks
+        sc, t, x = desk_lattice()
+        _, block = solved_stamps(monkeypatch, 4, sc, LOR, t[:1], x)
+        its = per_stamp(block)[1]["iterations"]
+        slow, budget = int(np.argmax(its)), int(its.max()) - 1
+        monkeypatch.setattr(rhsolver, "KRYLOV_BUDGET", budget)
+        diag, block_lu = solved_stamps(monkeypatch, 4, sc, LOR, t[:1], x)
+        lu = per_stamp(block_lu)[1]["lu"]
+        assert list(lu) == [i == slow for i in range(its.size)]
+        rows = np.where(lu, budget, its)        # one row per folded stamp
+        assert sum(d["row_steps"] for *_, d in block_lu) == \
+            its.sum() - its[slow] + budget == rows.sum()
+        starts = range(0, its.size, 4)
+        assert [d["steps"] for *_, d in block_lu] == \
+            [rows[i:i + 4].max() for i in starts]
+        assert diag["stamp_blocks"] == {
+            "count": len(starts), "largest": 4,
+            "steps": sum(d["steps"] for *_, d in block_lu),
+            "row_steps": sum(d["row_steps"] for *_, d in block_lu)}
 
     def test_earliest_refusing_stamp_refuses(self, monkeypatch):
         # stamp 2 violates posdef, which is checked first; stamp 1 refuses
@@ -841,8 +879,8 @@ class TestResidueRoute:
             axis=-1).reshape(-1, 2, 2)
 
     def solve(self, t, x):
-        """zj, delta(z_j) and one `RHResult` per stamp of the arrays t and
-        x, all solved as one block."""
+        """zj, delta(z_j) and the block (E, Q, diag) of the stamps of the
+        arrays t and x, all solved as one block."""
         zj, cj = residue_constants(self.poles, LOR, t, x)
         delta, _ = self.gauge(zj)
         J = np.broadcast_to(self.J, (len(t),) + self.J.shape)
@@ -850,21 +888,22 @@ class TestResidueRoute:
 
     def test_field_matches_closed_form(self):
         t, x = np.array([0.0, 0.8, -1.2, 4.0]), np.array([0.0, 0.3, 0.6, 0.5])
-        *_, out = self.solve(t, x)
+        *_, (E_block, _, d) = self.solve(t, x)
         E_closed, _ = soliton_closed_form(self.poles, LOR, t, x)
-        for res, E in zip(out, E_closed):
-            assert res.diagnostics["residue_cond"] < 1e2
-            assert abs(res.E - E) < 1e-8
+        for E_t, residue_cond, E in zip(E_block, d["residue_cond"], E_closed):
+            assert residue_cond < 1e2
+            assert abs(E_t - E) < 1e-8
 
     def test_first_row_matches_gauged_soliton(self):
         # residues u_j / delta(z_j) of m12 at z_j and conj(v_j / delta(z_j))
         # of m11 at conj z_j; m = e1 + P + C[(e1 + P + q)(I-J)] off the
         # axis against the first row of M D
         t, x = 0.3, 0.1
-        zj, delta, [res] = self.solve([t], [x])
+        zj, delta, block = self.solve([t], [x])
+        _, Q, d = stamp(block, 0)
         c, J = self.c, self.J
         _, a = soliton_closed_form(self.poles, LOR, t, x)
-        u, r = res.residues[:2], res.residues[2:]
+        u, r = d["residues"][:2], d["residues"][2:]
         assert np.max(np.abs(u - a[:, 0] / delta)) < 1e-8
         assert np.max(np.abs(r - np.conj(a[:, 1] / delta))) < 1e-8
 
@@ -873,7 +912,7 @@ class TestResidueRoute:
                              np.sum(u / (z[:, None] - zj), axis=1)], axis=1)
 
         lam, w = c.nodes, c.weights
-        mu = np.array([1.0, 0.0]) + pole_part(lam) + res.Q
+        mu = np.array([1.0, 0.0]) + pole_part(lam) + Q
         dens = np.einsum("ka,kab->kb", mu, np.eye(2) - J)
         zs = np.array([2.0 + 1.0j, 0.5 + 2.5j, -1.0 - 2.0j, 0.5 - 1.0j])
         m = (np.array([1.0, 0.0]) + pole_part(zs)
