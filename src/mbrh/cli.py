@@ -8,6 +8,7 @@ deterministic CSV data plus JSON metadata.
 
 import argparse
 import json
+import math
 import os
 import resource
 import sys
@@ -207,12 +208,21 @@ def rho0_from_config(block, path="rho0"):
     return rho0
 
 
-def _finite_float(text):
-    """JSON number (or NaN/Infinity constant) -> float, refusing non-finite."""
-    val = float(text)
-    if not np.isfinite(val):
-        raise SchemaError(f"non-finite number {text} in the scenario file")
-    return val
+def _non_finite(text):
+    """Refuse a JSON NaN or Infinity constant."""
+    raise SchemaError(f"non-finite number {text} in the scenario file")
+
+
+def _refuse_non_finite(node):
+    """Refuse a non-finite float anywhere in a parsed config, as JSON reads
+    a literal beyond float range (1e999): one walk of its containers."""
+    for val in node.values() if isinstance(node, dict) else node:
+        if type(val) is float:
+            if not math.isfinite(val):
+                raise SchemaError(f"non-finite number {val} in the scenario "
+                                  "file")
+        elif isinstance(val, (dict, list)):
+            _refuse_non_finite(val)
 
 
 def _float_range_int(text):
@@ -260,15 +270,15 @@ def load_scenario(path):
     discretization key is refused here, before any command computes."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_float=_finite_float,
-                            parse_int=_float_range_int,
-                            parse_constant=_finite_float)
+            cfg = json.load(fh, parse_int=_float_range_int,
+                            parse_constant=_non_finite)
     except FileNotFoundError as exc:
         raise SchemaError(f"scenario file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise SchemaError("scenario root: expected an object")
+    _refuse_non_finite(cfg)
     T = float(_require(cfg, "T", "scenario", NUMBER))
     L = float(_require(cfg, "L", "scenario", NUMBER))
     if T <= 0 or L <= 0:
@@ -344,7 +354,7 @@ def emit_results(outdir, tables, config, diagnostics):
         "diagnostics": diagnostics,
     }
     with open(os.path.join(outdir, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=str)
+        fh.write(json.dumps(meta, indent=2, sort_keys=True, default=str))
 
 
 FIELD_COLUMNS = ("t", "x", "re_E", "im_E")    # what compare reads of a fields.csv
@@ -475,8 +485,8 @@ def cmd_spectra(args):
     scenario, profile, cfg = load_scenario(args.scenario)
     _check_step(args.step, scenario)
     lam = _lam_grid(cfg)
-    table, _, _ = spectral_data(scenario, profile, eta_boundary(profile, lam),
-                                step=args.step)
+    table, _ = spectral_data(scenario, profile, eta_boundary(profile, lam),
+                             step=args.step)
     tables = {"spectra.csv": (
         ["lambda", "re_a", "im_a", "re_b", "im_b", "abs_r"],
         [lam, table.a_plus.real, table.a_plus.imag, table.b_plus.real,
@@ -494,8 +504,8 @@ def cmd_jump(args):
                           ("--x", args.x, scenario.L)):
         _check_within(val, val, flag, hi)
     ev = eta_boundary(profile, _lam_grid(cfg))
-    _, Kp, Km = spectral_data(scenario, profile, ev, x_out=[args.x])
-    J = jump_phased(jump_base(Kp[0], Km[0])[0], args.t, args.x, ev)
+    _, Kp = spectral_data(scenario, profile, ev, x_out=[args.x])
+    J = jump_phased(jump_base(Kp[0])[0], args.t, args.x, ev)
     tables = {"jump.csv": (
         ["lambda", "re_J11", "im_J11", "re_J12", "im_J12",
          "re_J21", "im_J21", "re_J22", "im_J22"],

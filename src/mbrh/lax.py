@@ -1,10 +1,12 @@
 """Medium term of the Maxwell-Bloch Lax pair.
 
-The time equation is generated by U = -i z sigma_3 - H(E) and the two
-half-plane x-equations by V = i z sigma_3 - i G + H(E), with the field
-coupling H(E) = [[0, E/2], [-E*/2, 0]] (`spectral` builds both in
-component form).  G is the Cauchy transform of the medium matrix F
-against the weight n, built per propagation by `medium_transform`.
+The time equation is generated by U = -i z sigma_3 - H(E) and the
+x-equation by V = i z sigma_3 - i G + H(E), with the field coupling
+H(E) = [[0, E/2], [-E*/2, 0]] (`spectral` builds both in component
+form).  G is the Cauchy transform of the medium matrix F against the
+weight n, built per propagation by `medium_transform`.  On the real axis
+G has the limits G+- from the two half-planes, and G- = G+^dagger (F is
+Hermitian, n real), so V- = -V+^dagger: only G+ is built there.
 """
 
 from dataclasses import dataclass
@@ -59,17 +61,15 @@ def medium_transform(profile, grid, targets):
 
     G = (1/4) integral F(s) n(s) / (s - z) ds at complex points z off the
     axis (targets), or, when targets is the `EtaValues` of real points
-    lam, its limits lam + i0 and lam - i0 for the two banks, which add
-    the local +-(pi i / 4) F(lam) n(lam) term to one shared p.v.
-    integral.  The constant part of F (sigma_3 at infinity) is
+    lam, its limit G+ at lam + i0, the p.v. integral plus the local
+    (pi i / 4) F(lam) n(lam) term (the limit lam - i0 is G+^dagger, the
+    p.v. part being Hermitian).  The constant part of F (sigma_3 at infinity) is
     transformed exactly through eta, so tail truncation only touches the
     deviation F - sigma_3.  What depends on (grid, targets) alone -- the
     coverage check, n on the grid, eta, the local weight and the weight
     matrix W -- is computed here once.  The returned function maps a
     slice to the entries (g11, g12, g21) of G = [[g11, g12], [g21, -g11]],
-    each (Nz,), or (m, Nz) for m stacked slices; in the boundary form Nz
-    is 2 Nlam, the + bank on the first Nlam columns and the - bank on the
-    last.  rho* n is the conjugate of rho n, so F n enters through two
+    each (Nz,), or (m, Nz) for m stacked slices.  rho* n is the conjugate of rho n, so F n enters through two
     channels, (N - 1) n and rho n, all slices at once: in the p.v. form
     `pv_apply` multiplies the real (N - 1) n, and the real and imaginary
     parts of rho n, by the real W, and in the off-axis form the real rows
@@ -99,8 +99,6 @@ def medium_transform(profile, grid, targets):
 
     lam = targets.lam
     W = 0.25 * pv_weights(grid, lam)
-    n = lam.size
-    base = np.concatenate([targets.g_plus, targets.g_minus])
     local = 0.25j * np.pi * targets.n
     if np.array_equal(lam, grid):
         at = lambda f: f                     # the slice data are on lam
@@ -115,15 +113,8 @@ def medium_transform(profile, grid, targets):
         pv11 = pv_apply(grid, (slice_.N - 1.0) * nvals, lam, W)
         pv12 = pv_apply(grid, slice_.rho * nvals, lam, W)
         rho = at(slice_.rho)
-        # (g11, g12, g21) of both banks, written in place: the p.v. part
-        # plus the local term on the + bank, minus it on the - bank
-        g = np.empty((3,) + pv11.shape[:-1] + (2 * n,), dtype=complex)
-        for out, p, loc in ((g[0], pv11, local * (at(slice_.N) - 1.0)),
-                            (g[1], pv12, local * rho),
-                            (g[2], np.conj(pv12), local * np.conj(rho))):
-            np.add(p, loc, out=out[..., :n])
-            np.subtract(p, loc, out=out[..., n:])
-        g[0] += base
-        return g[0], g[1], g[2]
+        # the p.v. part plus the local term
+        return (pv11 + local * (at(slice_.N) - 1.0) + targets.g_plus,
+                pv12 + local * rho, np.conj(pv12) + local * np.conj(rho))
 
     return G

@@ -1,7 +1,7 @@
 """The contour route from a scenario to its field on a (t, x) lattice.
 
-Spectral data (the Jost solves, the scattering table and K_pm = w_pm
-S_pm on the x lattice), the zeros of a, the window of panels on which
+Spectral data (the Jost solves, the scattering table and K+ = w+ S+ on
+the x lattice; the lower side is (K+^{-1})^dagger, see `jump`), the zeros of a, the window of panels on which
 the jump differs from I, and the stamp loop of jump assembly and
 contour solve, block by block of stamps, with the run's certificates.
 Both halves of the mirror fold are decided here: whether the Jost
@@ -40,16 +40,16 @@ BLOCK_FLOATS = 6144
 
 def spectral_data(scenario, profile, ev, x_out=(0.0,), step=None,
                   stages=None):
-    """Scattering table and mixed-problem terminal data K_pm on x_out.
+    """Scattering table and mixed-problem terminal data K+ on x_out.
 
     ev is the `EtaValues` of the real nodes lam (`eta_boundary`), which a
     run evaluates once.  One t-equation solve (Phi at x = 0) and one
-    stacked x-equation sweep for both banks (w_pm on x_out and x = 0).
-    The table comes from w_pm(0), the shears S_pm from its reflection
-    coefficients, and K_pm = w_pm S_pm: the x-equation is linear in its
-    terminal data, so this is the solution with terminal value
-    e^{i L eta_pm sigma_3} S_pm.  Returns (table, K+, K-) with K of shape
-    (len(x_out), len(lam), 2, 2).  step is the Magnus step of both
+    x-equation sweep (w+ on x_out and x = 0).  The table comes from
+    w+(0), the shear S+ from its reflection coefficient, and K+ = w+ S+:
+    the x-equation is linear in its terminal data, so this is the
+    solution with terminal value e^{i L eta+ sigma_3} S+.  The lower side
+    K- = (K+^{-1})^dagger is not formed (`jump_base`).  Returns (table,
+    K+) with K+ of shape (len(x_out), len(lam), 2, 2).  step is the Magnus step of both
     equations, each its own (`equation_steps`) when None; the table's
     diagnostics hold their `step_error` as step_err.  A `stages` dict
     receives the wall time of the two solves as jost_phi_s and jost_w_s,
@@ -59,7 +59,7 @@ def spectral_data(scenario, profile, ev, x_out=(0.0,), step=None,
 
     When the data mirror under lam -> -lam (`data_mirror`), both solves
     and the step-error estimate take the nodes lam >= 0 alone, and Phi(0)
-    and w_pm are unfolded onto all of lam by X(-lam) = conj X(lam) before
+    and w+ are unfolded onto all of lam by X(-lam) = conj X(lam) before
     the table is formed.  The table's diagnostics report the mismatch
     (mirror_err), the nodes solved (nodes_solved) and, on a run that took
     every node, why (full_axis; None on a folded run).
@@ -77,23 +77,21 @@ def spectral_data(scenario, profile, ev, x_out=(0.0,), step=None,
     with np.errstate(over="ignore", invalid="ignore"):  # refused as not finite
         Phi0 = jost_phi(scenario, lam[h:], step=t_step)
         marks.append(time.perf_counter())
-        wp, wm = jost_w(scenario, profile, ev, x_out=xs, step=x_step,
-                        cols=slice(h, None))
+        wp = jost_w(scenario, profile, ev, x_out=xs, step=x_step,
+                    cols=slice(h, None))
         marks.append(time.perf_counter())
         if h:
-            Phi0 = mirror_unfold(Phi0, n)
-            wp, wm = mirror_unfold(wp, n, axis=1), mirror_unfold(wm, n, axis=1)
-        table = transition_and_reflection(lam, Phi0, wp[at0], wm[at0])
+            Phi0, wp = mirror_unfold(Phi0, n), mirror_unfold(wp, n, axis=1)
+        table = transition_and_reflection(lam, Phi0, wp[at0])
     table.diagnostics.update(
-        step_err=step_error(scenario, profile, ev, Phi0, (wp[at0], wm[at0]),
+        step_err=step_error(scenario, profile, ev, Phi0, wp[at0],
                             t_step, x_step, first=h),
         mirror_err=mirror_err, nodes_solved=n - h, full_axis=why)
     marks.append(time.perf_counter())
     if stages is not None:
         stages.update(zip(("jost_phi_s", "jost_w_s", "step_err_s"),
                           np.diff(marks).tolist()))
-    Sp, Sm = shear_matrices(table.r_plus, table.r_bar_minus)
-    return table, wp[at] @ Sp, wm[at] @ Sm
+    return table, wp[at] @ shear_matrices(table.r_plus)
 
 
 def _full_axis_reason(table, contour, poles):
@@ -118,7 +116,7 @@ def _full_axis_reason(table, contour, poles):
 def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                   n_panels=N_PANELS, nodes_per_panel=NODES_PER_PANEL,
                   find_poles=True):
-    """Mixed-problem contour pipeline: contour -> spectral data and K_pm on
+    """Mixed-problem contour pipeline: contour -> spectral data and K+ on
     the x lattice -> zeros of a, counted and fitted on the axis and
     refined by Newton (`a_zeros`) -> the window of panels on which J
     differs from I (`jump_window`) -> jump assembly and contour solve on
@@ -135,7 +133,7 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
 
     The stamps solve in blocks of consecutive stamps in lattice order
     (t-major), STAMP_BLOCK of them or more on short Krylov rows (see
-    BLOCK_FLOATS).  J0 = K+^-1 K- is formed once per x
+    BLOCK_FLOATS).  J0 = (K+^dagger K+)^{-1} is formed once per x
     column (`jump_base`; it does not depend on t), each block's jumps by
     one `jump_phased`, and each block by one `sie_solve_block`, whose
     lockstep GMRES keeps every stamp's certificates its own.  The loop
@@ -162,9 +160,9 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
     table's det, reduction and step errors and its mirror report
     (`mirror_err`, `nodes_solved`, `full_axis`), `pole_count` the count, fit
     residual, Newton steps and clearance of the zeros of a (`a_zeros`;
-    None on a --no-poles run), `K_det_err` {`plus`, `minus`} the largest
-    |det K+- - 1| on the x lattice (refused above `DET_TOL` by
-    `jump_base`), `J0_det_err` the largest det(J0) error on the stamps'
+    None on a --no-poles run), `K_det_err` the largest |det K+ - 1| on
+    the x lattice (refused above `DET_TOL` by `jump_base`), `J0_det_err`
+    the largest det(J0) error on the stamps'
     nodes, and `residue_cond` the SVD condition of the
     stamps' residue systems (None without poles).
     """
@@ -176,17 +174,17 @@ def rh_field_grid(scenario, profile, t_vals, x_vals, window=LAM_WINDOW,
                             nodes_per_panel=nodes_per_panel)
     ev = eta_boundary(profile, contour.nodes)
     stages = {}
-    table, Kp, Km = spectral_data(scenario, profile, ev, x_out=x_vals,
-                                  stages=stages)
+    table, Kp = spectral_data(scenario, profile, ev, x_out=x_vals,
+                              stages=stages)
     marks.append(time.perf_counter())
     poles, pole_count = [], None
     if find_poles:              # on the configured contour
         poles, pole_count = a_zeros(scenario, profile, ev, contour,
                                     table.a_plus)
-    # J0 = K+^-1 K- does not depend on t, and |J - I| is the same at every
-    # t: one jump per x column sizes the window of the whole lattice, and
-    # the stamps solve on that window
-    J0, k_det_err = jump_base(Kp, Km)
+    # J0 does not depend on t, and |J - I| is the same at every t: one
+    # jump per x column sizes the window of the whole lattice, and the
+    # stamps solve on that window
+    J0, k_det_err = jump_base(Kp)
     contour, keep, window_report = jump_window(
         contour, jump_phased(J0, t_vals.max(), x_vals, ev))
     ev, J0 = ev.take(keep), J0[:, keep]

@@ -1,16 +1,17 @@
 """Spectral data of the Lax pair from the physical data.
 
 The boundary pulse E_in enters through the Jost solution of the t-equation
-at x = 0; the initial data (E0, rho0) enter through the Jost solutions of
-the two half-plane x-equations at t = 0, which differ only in their local
-medium terms and are propagated together in one stacked sweep
-(`xbank_propagate`).  Transition matrices between the two give the
-scattering functions a, b and the reflection coefficients.  The zeros of
-a in the upper half-plane are counted and fitted from a on the real axis
-and refined on a(z) = alpha A - beta B continued off it (`a_zeros`), from
-one t-sweep and one x-sweep at the points z (`continued_columns`); the
-x-sweep is the same `xbank_propagate`, its excited medium transformed on
-the run's own detuning nodes.
+at x = 0; the initial data (E0, rho0) through the Jost solution w+ of the
+x-equation at t = 0 (`xbank_propagate`).  On the real axis U is in su(2)
+and the lower x-equation is V- = -V+^dagger (eta- = conj eta+, F
+Hermitian, n real), so w- = (w+^{-1})^dagger: only w+ is solved.  T+ =
+w+(0)^{-1} Phi(0) gives the scattering functions a, b and the reflection
+coefficient r+.  The zeros of a in the upper half-plane are counted and
+fitted from a on the real axis and refined on a(z) = alpha A - beta B
+continued off it (`a_zeros`), from one t-sweep and one x-sweep at the
+points z (`continued_columns`); the x-sweep is the same
+`xbank_propagate`, its excited medium transformed on the run's own
+detuning nodes.
 
 All integrations use a fixed-step 6th-order Magnus scheme (three Gauss
 nodes per step, three commutators; Blanes, Casas, Oteo & Ros, Phys. Rep.
@@ -43,7 +44,7 @@ from .errors import (
     TooCloseToAxis,
 )
 from .lax import medium_from_rho, medium_transform
-from .mat2 import det2, diag_exp, inv2
+from .mat2 import dagger, det2, diag_exp, inv2
 
 _SQRT15 = np.sqrt(15.0)
 _GAUSS = (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
@@ -124,7 +125,6 @@ class SpectralTable:
     a_plus: np.ndarray
     b_plus: np.ndarray
     r_plus: np.ndarray
-    r_bar_minus: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -361,20 +361,16 @@ def jost_phi(scenario, lam_grid, step=T_STEP):
 
 def xbank_propagate(scenario, profile, ev, terminal, x_out, step=X_STEP,
                     cols=None, z=None):
-    """Backward-propagate both half-plane x-equations from x = L at once,
-    or the x-equation of w+ continued to the points z.
+    """Backward-propagate the x-equation of w+ from x = L, on the real
+    nodes or continued to the points z.
 
     ev is the `EtaValues` of the real nodes lam, of which the nodes cols
-    (all by default) are propagated.  The two banks are stacked on the
-    node axis: terminal is the (2 Nlam, 2, 2) value at x = L, that of w+
-    on the first Nlam propagated nodes and that of w- on the last, and the
-    solution on x_out is returned in the same layout.  The banks share the
-    generator but for their medium terms G+- (g+- sigma_3 for an
-    unexcited medium), so one Magnus sweep of width 2 Nlam serves both;
-    an excited medium is transformed on all of lam, each slice once for
-    both banks.  A field-free x-equation is the exact phase.  The
-    terminal value sits at x = L, so an x_out outside [0, L] is refused
-    (`ValueError`).
+    (all by default) are propagated: terminal is the (Nlam, 2, k) value
+    at x = L on them, and the solution on x_out is returned, (len(x_out),
+    Nlam, 2, k).  The medium term is G+ (g+ sigma_3 for an unexcited
+    medium); an excited medium is transformed on all of lam.  A
+    field-free x-equation is the exact phase.  The terminal value sits
+    at x = L, so an x_out outside [0, L] is refused (`ValueError`).
 
     With z (points of the upper half-plane; cols is then not read) the
     sweep propagates those points instead, terminal (Nz, 2, k), rephased
@@ -388,9 +384,8 @@ def xbank_propagate(scenario, profile, ev, terminal, x_out, step=X_STEP,
     if z is None:
         if cols is not None:
             ev = ev.take(cols)
-        points, targets, shift = np.concatenate([ev.lam, ev.lam]), ev, 0.0
-        g = np.concatenate([ev.g_plus, ev.g_minus])
-        eta = np.concatenate([ev.eta_plus, ev.eta_minus])   # lam - g
+        points, targets, shift = ev.lam, ev, 0.0
+        g, eta = ev.g_plus, ev.eta_plus                     # eta = lam - g
     else:
         points = targets = np.atleast_1d(np.asarray(z, dtype=complex))
         eta = eta_eval(profile, points)
@@ -416,27 +411,25 @@ def xbank_propagate(scenario, profile, ev, terminal, x_out, step=X_STEP,
 
 
 def jost_w(scenario, profile, ev, x_out=None, step=X_STEP, cols=None):
-    """Jost matrices w+ and w- of the half-plane x-equations at t = 0 on
-    an x lattice, from one stacked sweep (`xbank_propagate`).
+    """Jost matrix w+ of the upper half-plane x-equation at t = 0 on an x
+    lattice (`xbank_propagate`).
 
     ev is the `EtaValues` of the real nodes lam, of which the nodes cols
     (all by default) are solved.  Integrates backward from
-    w_pm(L) = e^{i L eta_pm sigma_3}.  Returns (w+, w-), each of shape
-    (len(x_out), len(lam[cols]), 2, 2).
+    w+(L) = e^{i L eta+ sigma_3}.  Returns w+ of shape
+    (len(x_out), len(lam[cols]), 2, 2); w- = (w+^{-1})^dagger.
     """
     if x_out is None:
         x_out = np.array([0.0, scenario.L])
     evc = ev if cols is None else ev.take(cols)
-    terminal = diag_exp(1j * scenario.L * np.concatenate([evc.eta_plus,
-                                                          evc.eta_minus]))
-    w = xbank_propagate(scenario, profile, ev, terminal, x_out, step=step,
-                        cols=cols)
-    return w[:, :evc.lam.size], w[:, evc.lam.size:]
+    return xbank_propagate(scenario, profile, ev,
+                           diag_exp(1j * scenario.L * evc.eta_plus), x_out,
+                           step=step, cols=cols)
 
 
 def data_mirror(scenario, ev, x_out, t_step, x_step):
     """`mirror_check` of what the Jost solves read, on the run's own
-    nodes: the detuning nodes lam (odd), eta+- and g+- (eta(-lam) =
+    nodes: the detuning nodes lam (odd), eta+ and g+ (eta(-lam) =
     -conj eta(lam)) and n (even), each against its largest modulus; E_in
     on the t-grid of `jost_phi` and E0 on the x-grid of the sweep to x_out
     real; and rho0 on that x-grid, rho(-lam) = conj rho(lam) against
@@ -445,8 +438,8 @@ def data_mirror(scenario, ev, x_out, t_step, x_step):
     x_grid = _x_grid(scenario, x_out, x_step)
     top = lambda X: np.max(np.abs(X), initial=0.0)
     pairs = [(X, sign, top(X)) for X, sign in (
-        (ev.lam, -1.0), (ev.eta_plus, -1.0), (ev.eta_minus, -1.0),
-        (ev.g_plus, -1.0), (ev.g_minus, -1.0), (ev.n, 1.0))]
+        (ev.lam, -1.0), (ev.eta_plus, -1.0), (ev.g_plus, -1.0),
+        (ev.n, 1.0))]
     if not scenario.medium_is_trivial:
         rho = np.asarray(scenario.rho0(x_grid[:, None], ev.lam), complex)
         pairs.append((rho, 1.0, top(rho)))
@@ -459,13 +452,15 @@ def data_mirror(scenario, ev, x_out, t_step, x_step):
 # transition matrices and reflection coefficients
 # ----------------------------------------------------------------------
 
-def transition_and_reflection(lam_grid, Phi0, w_plus0, w_minus0):
-    """Scattering table from T_pm = (w_pm(0))^{-1} Phi(0)."""
+def transition_and_reflection(lam_grid, Phi0, w_plus0):
+    """Scattering table from T+ = (w+(0))^{-1} Phi(0).  reduction_err is
+    Phi(0)'s residual of SU(2), max(|Phi11 - conj Phi00|, |Phi10 + conj
+    Phi01|), on which T- = (T+^{-1})^dagger rests, and with it a- =
+    conj(a-bar+), b-bar+ = conj(b-) and the jump's r-bar- = conj r+."""
     lam = np.asarray(lam_grid, dtype=float)
     Tp = inv2(w_plus0) @ Phi0
-    Tm = inv2(w_minus0) @ Phi0
-    bad = ~(np.isfinite(Tp) & np.isfinite(Tm)).all(axis=(-2, -1))
-    if bad.any():
+    bad = ~np.isfinite(Tp).all(axis=(-2, -1))
+    if bad.any():           # T- = (T+^{-1})^dagger overflows with T+
         raise SpectralOverflow(
             f"T+- not finite at lam={lam[np.argmax(bad)]:.4f} "
             f"({np.count_nonzero(bad)} of {lam.size} nodes)")
@@ -476,17 +471,14 @@ def transition_and_reflection(lam_grid, Phi0, w_plus0, w_minus0):
         raise SpectralSingularity(
             f"a vanishes on the real axis near lam={lam[k]:.4f}")
 
-    # reductions a- = conj(a-bar+) and b-bar+ = conj(b-)
-    reduction = np.maximum(np.abs(Tm[..., 1, 1] - np.conj(Tp[..., 0, 0])),
-                           np.abs(Tp[..., 1, 0] + np.conj(Tm[..., 0, 1])))
+    reduction = np.maximum(np.abs(Phi0[..., 1, 1] - np.conj(Phi0[..., 0, 0])),
+                           np.abs(Phi0[..., 1, 0] + np.conj(Phi0[..., 0, 1])))
     return SpectralTable(
         a_plus=a_plus,
         b_plus=Tp[..., 0, 1],
         r_plus=Tp[..., 0, 1] / a_plus,
-        r_bar_minus=-Tm[..., 1, 0] / Tm[..., 0, 0],
         diagnostics={
             "det_Tp_err": float(np.max(np.abs(det2(Tp) - 1.0))),
-            "det_Tm_err": float(np.max(np.abs(det2(Tm) - 1.0))),
             "reduction_err": float(np.max(reduction)),
         },
     )
@@ -494,8 +486,8 @@ def transition_and_reflection(lam_grid, Phi0, w_plus0, w_minus0):
 
 def step_error(scenario, profile, ev, Phi0, w0, t_step, x_step, first=0):
     """Step-doubling estimates {"t", "x"} of the step error of the Jost
-    solutions Phi(0) (t-equation) and w0 = (w+(0), w-(0)) (x-equation)
-    on the nodes of ev.
+    solutions Phi(0) (t-equation) and w0 = w+(0) (x-equation) on the
+    nodes of ev; "x" reads w+ and w- = (w+^{-1})^dagger.
 
     Each equation is solved again at twice its step on every
     STEP_ERR_STRIDE-th node from node first (the first one solved) and
@@ -508,8 +500,10 @@ def step_error(scenario, profile, ev, Phi0, w0, t_step, x_step, first=0):
     sub = np.append(np.arange(first, n - 1, STEP_ERR_STRIDE), n - 1)
     coarse = jost_phi(scenario, ev.lam[sub], step=2.0 * t_step)
     err = {"t": np.max(np.abs(coarse - Phi0[sub]))}
-    coarse = jost_w(scenario, profile, ev, [0.0], step=2.0 * x_step, cols=sub)
-    err["x"] = max(np.max(np.abs(c[0] - w[sub])) for c, w in zip(coarse, w0))
+    coarse = jost_w(scenario, profile, ev, [0.0], step=2.0 * x_step,
+                    cols=sub)[0]
+    err["x"] = max(np.max(np.abs(c - w)) for c, w in (
+        (coarse, w0[sub]), (dagger(inv2(coarse)), dagger(inv2(w0[sub])))))
     return {k: float(v) / (2 ** 6 - 1) for k, v in err.items()}
 
 

@@ -238,21 +238,20 @@ def eta_quadrature(profile, z):
     return out.reshape(np.shape(z)) if np.shape(z) else out[()]
 
 
-def k_solve(scenario, profile, lam_grid, S_plus, S_minus, x_out=None,
-            step=X_STEP):
-    """Solve the x-equations with terminal values e^{i L eta_pm sigma_3} S_pm.
+def k_solve(scenario, profile, lam_grid, S_plus, x_out=None, step=X_STEP):
+    """Solve the x-equation of w+ with terminal value
+    e^{i L eta+ sigma_3} S+.
 
     Independent reference for `spectral_data` (different terminal data,
-    same discretization): by linearity it equals w_pm S_pm.  Returns
-    (x_out, K+, K-).
+    same discretization): by linearity it equals w+ S+.  Returns
+    (x_out, K+).
     """
     ev = eta_boundary(profile, lam_grid)
     if x_out is None:
         x_out = np.array([0.0, scenario.L])
-    terminal = np.concatenate([diag_exp(1j * scenario.L * ev.eta_plus) @ S_plus,
-                               diag_exp(1j * scenario.L * ev.eta_minus) @ S_minus])
+    terminal = diag_exp(1j * scenario.L * ev.eta_plus) @ S_plus
     K = xbank_propagate(scenario, profile, ev, terminal, x_out, step=step)
-    return np.asarray(x_out, float), K[:, :ev.lam.size], K[:, ev.lam.size:]
+    return np.asarray(x_out, float), K
 
 
 def medium_channels(slice_, nvals):
@@ -336,22 +335,22 @@ def jump_oval(z_nodes, a_vals, b_vals, t, x, eta_vals, floor=1e-8):
     return diag_exp(-1j * theta) @ J0 @ diag_exp(1j * theta)
 
 
-def mixed_jump(t, x, ev, K_plus, K_minus):
+def mixed_jump(t, x, ev, K_plus):
     """The mixed-problem jump J (N, 2, 2) at one stamp, as `mb-rh jump`
     assembles it: `jump_phased` of `jump_base`."""
-    return jump_phased(jump_base(K_plus, K_minus)[0], t, x, ev)
+    return jump_phased(jump_base(K_plus)[0], t, x, ev)
 
 
-def jump_mixed_reference(t, x, ev, K_plus, K_minus):
-    """`mixed_jump` by stacked 2x2 matmuls: J0 = K+^{-1} K- and
+def jump_mixed_reference(t, x, ev, K_plus):
+    """`mixed_jump` by stacked 2x2 matmuls: J0 = K+^{-1} K- with
+    K- = (K+^{-1})^dagger and
     J = e^{-i(lam t - x eta+) s3} J0 e^{i(lam t - x eta-) s3}.  Returns
     (J, the largest |det J0 - 1|)."""
     lam = ev.lam
-    for name, K in (("K+", K_plus), ("K-", K_minus)):
-        err = np.max(np.abs(det2(K) - 1.0))
-        if err > DET_TOL:
-            raise SingularK(f"det {name} deviates from 1 by {err:.2e}")
-    J0 = inv2(K_plus) @ K_minus
+    err = np.max(np.abs(det2(K_plus) - 1.0))
+    if err > DET_TOL:
+        raise SingularK(f"det K+ deviates from 1 by {err:.2e}")
+    J0 = inv2(K_plus) @ dagger(inv2(K_plus))
     left = diag_exp(-1j * (lam * t - x * ev.eta_plus))
     right = diag_exp(1j * (lam * t - x * ev.eta_minus))
     return left @ J0 @ right, float(np.max(np.abs(det2(J0) - 1.0)))

@@ -53,10 +53,10 @@ def stamps(make, contour, ts=(2.0, 3.5, 6.0)):
     sc = make()
     xs = np.linspace(0.0, sc.L, 3)
     ev = eta_boundary(LOR, contour.nodes)
-    table, Kp, Km = spectral_data(sc, LOR, ev, x_out=xs)
+    table, Kp = spectral_data(sc, LOR, ev, x_out=xs)
     assert table.diagnostics["full_axis"] is None
     h = contour.n_nodes // 2
-    full = [mixed_jump(t, x, ev, Kp[i], Km[i])
+    full = [mixed_jump(t, x, ev, Kp[i])
             for t in ts for i, x in enumerate(xs)]
     return full, [J[h:] for J in full]
 
@@ -75,30 +75,29 @@ class TestFoldedSpectralData:
         assert d["mirror_err"] == d_full["mirror_err"] <= MIRROR_TOL
         assert (d["nodes_solved"], d_full["nodes_solved"]) == (192, 384)
         assert d["full_axis"] is None and d_full["full_axis"] == "switched off"
-        for name in ("a_plus", "b_plus", "r_plus", "r_bar_minus"):
+        for name in ("a_plus", "b_plus", "r_plus"):
             got, want = getattr(folded[0], name), getattr(full[0], name)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         for got, want in zip(folded[1:], full[1:]):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         # the certificates read the same, to rounding
-        for key in ("det_Tp_err", "det_Tm_err", "reduction_err"):
+        for key in ("det_Tp_err", "reduction_err"):
             assert d[key] < 1e-13 and d_full[key] < 1e-13
 
     def test_unfolded_data_are_exactly_mirrored(self):
         contour = contour_build(window=(-16.0, 16.0), n_panels=16,
                                 nodes_per_panel=12)
         ev = eta_boundary(LOR, contour.nodes)
-        _, Kp, Km = spectral_data(excited_scenario(), LOR, ev, x_out=[0.0, 1.0])
-        for K in (Kp, Km):
-            assert np.array_equal(K[:, :96], np.conj(K[:, :95:-1]))
+        _, Kp = spectral_data(excited_scenario(), LOR, ev, x_out=[0.0, 1.0])
+        assert np.array_equal(Kp[:, :96], np.conj(Kp[:, :95:-1]))
 
     def test_node_at_zero_counts_once(self, unfolded):
         # 401 nodes on [-20, 20]: node 200 is lambda = 0, its own mirror
         lam = np.linspace(-20.0, 20.0, 401)
         ev = eta_boundary(LOR, lam)
-        table, Kp, _ = spectral_data(desk_scenario(), LOR, ev)
+        table, Kp = spectral_data(desk_scenario(), LOR, ev)
         unfolded()
-        full, Kp_full, _ = spectral_data(desk_scenario(), LOR, ev)
+        full, Kp_full = spectral_data(desk_scenario(), LOR, ev)
         assert table.diagnostics["nodes_solved"] == 201
         assert np.max(np.abs(Kp - Kp_full)) <= 1e-13 * np.max(np.abs(Kp_full))
         assert np.max(np.abs(table.r_plus - full.r_plus)) <= 1e-13

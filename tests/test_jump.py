@@ -11,7 +11,7 @@ from mbrh.broadening import BroadeningProfile, eta_boundary, eta_eval
 from mbrh.cli import run_command
 from mbrh.errors import SingularK
 from mbrh.jump import DET_TOL, det_err, jump_base, jump_phased, shear_matrices
-from mbrh.mat2 import det2, diag_exp, inv2
+from mbrh.mat2 import dagger, det2, diag_exp, inv2
 from mbrh.pipeline import rh_field_grid, spectral_data
 from mbrh.spectral import (
     continued_a,
@@ -42,9 +42,9 @@ def smooth_data():
     lam = np.linspace(-20, 20, 81)
     Phi0 = jost_phi(sc, lam)
     ev = eta_boundary(ATT, lam)
-    wp, wm = jost_w(sc, ATT, ev)
-    tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
-    return sc, lam, tab, wp[0], wm[0]
+    wp = jost_w(sc, ATT, ev)
+    tab = transition_and_reflection(lam, Phi0, wp[0])
+    return sc, lam, tab, wp[0]
 
 
 class TestKSolve:
@@ -53,10 +53,9 @@ class TestKSolve:
         lam = np.linspace(-4, 4, 17)
         eye = np.broadcast_to(np.eye(2, dtype=complex), (17, 2, 2))
         x_out = np.array([0.0, 1.5, 5.0])
-        _, Kp, Km = k_solve(sc, ATT, lam, eye, eye, x_out=x_out)
+        _, Kp = k_solve(sc, ATT, lam, eye, x_out=x_out)
         ev = eta_boundary(ATT, lam)
         assert np.max(np.abs(Kp - diag_exp(1j * x_out[:, None] * ev.eta_plus))) < 1e-12
-        assert np.max(np.abs(Km - diag_exp(1j * x_out[:, None] * ev.eta_minus))) < 1e-12
 
     def test_trivial_generic_terminal(self):
         sc = trivial_scenario()
@@ -64,10 +63,8 @@ class TestKSolve:
         rng = np.random.default_rng(11)
         S = rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))
         x_out = np.array([0.0, 2.0])
-        _, Kp, Km = k_solve(sc, ATT, lam, S, S.conj(), x_out=x_out)
+        _, Kp = k_solve(sc, ATT, lam, S, x_out=x_out)
         ev = eta_boundary(ATT, lam)
-        want = diag_exp(1j * x_out[:, None] * ev.eta_minus) @ S.conj()
-        assert np.max(np.abs(Km - want)) < 1e-12
         want = diag_exp(1j * x_out[:, None] * ev.eta_plus) @ S
         assert np.max(np.abs(Kp - want)) < 1e-12
 
@@ -77,12 +74,11 @@ class TestKSolve:
         lam = np.linspace(-20, 20, 41)
         for sc in (smooth_scenario(), excited_scenario()):
             x_out = np.linspace(0, sc.L, 6)
-            tab, Kp, Km = spectral_data(sc, ATT, eta_boundary(ATT, lam),
-                                        x_out=x_out)
-            sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
-            _, ref_p, ref_m = k_solve(sc, ATT, lam, sp, sm, x_out=x_out)
-            for K, ref in ((Kp, ref_p), (Km, ref_m)):
-                assert np.max(np.abs(K - ref)) < 1e-12 * np.max(np.abs(ref))
+            tab, Kp = spectral_data(sc, ATT, eta_boundary(ATT, lam),
+                                    x_out=x_out)
+            _, ref = k_solve(sc, ATT, lam, shear_matrices(tab.r_plus),
+                             x_out=x_out)
+            assert np.max(np.abs(Kp - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 class TestKernelReuse:
@@ -105,18 +101,18 @@ class TestKernelReuse:
         self._count(monkeypatch, lax, "pv_weights", builds)
         self._count(monkeypatch, lax, "pv_apply", calls)
         sc = excited_scenario()
-        # 241 nodes: the stacked sweep is 482 wide, so its blocks are capped
-        lam = np.linspace(-20, 20, 241)
+        # 481 nodes: the sweep is 481 wide, so its blocks are capped
+        lam = np.linspace(-20, 20, 481)
         x_out = np.linspace(0, sc.L, 3)
         step = 0.03
         ev = eta_boundary(ATT, lam)
         jost_w(sc, ATT, ev, x_out=x_out, step=step)
         steps = spectral._x_grid(sc, x_out, step).size - 1
-        cap = spectral.MAGNUS_BLOCK * spectral.MAGNUS_WIDTH // (2 * lam.size)
+        cap = spectral.MAGNUS_BLOCK * spectral.MAGNUS_WIDTH // lam.size
         assert cap < spectral.MAGNUS_BLOCK and steps % cap != 0
         assert len(builds) == 1
         # one p.v. product per channel, (N - 1) n and rho n, per capped
-        # block of steps, for both banks and all Gauss nodes
+        # block of steps, for all Gauss nodes
         assert len(calls) == 2 * -(-steps // cap)
 
     def test_continued_a_builds_cauchy_weights_once(self, monkeypatch):
@@ -135,46 +131,49 @@ class TestJumpMixed:
         eye = np.broadcast_to(np.eye(2, dtype=complex), (25, 2, 2)).copy()
         ev = eta_boundary(ATT, lam)
         for (t, x) in ((0.0, 0.0), (3.7, 1.2), (10.0, 5.0)):
-            _, Kp, Km = k_solve(sc, ATT, lam, eye, eye, x_out=np.array([x]))
-            J = mixed_jump(t, x, ev, Kp[0], Km[0])
+            _, Kp = k_solve(sc, ATT, lam, eye, x_out=np.array([x]))
+            J = mixed_jump(t, x, ev, Kp[0])
             assert np.max(np.abs(J - np.eye(2))) < 1e-10
 
     def test_origin_equals_spectral_product(self, smooth_data):
-        sc, lam, tab, wp0, wm0 = smooth_data
-        sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
-        _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([0.0]))
-        J = mixed_jump(0.0, 0.0, eta_boundary(ATT, lam), Kp[0], Km[0])
-        want = inv2(sp) @ inv2(wp0) @ wm0 @ sm
+        sc, lam, tab, wp0 = smooth_data
+        sp = shear_matrices(tab.r_plus)
+        _, Kp = k_solve(sc, ATT, lam, sp, x_out=np.array([0.0]))
+        J = mixed_jump(0.0, 0.0, eta_boundary(ATT, lam), Kp[0])
+        # w- = (w+^{-1})^dagger and S- = (S+^{-1})^dagger
+        want = inv2(sp) @ inv2(wp0) @ dagger(inv2(wp0)) @ dagger(inv2(sp))
         assert np.max(np.abs(J - want)) < 1e-7
 
     def test_unimodular(self, smooth_data):
-        sc, lam, tab, _, _ = smooth_data
-        sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
-        _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([2.0]))
-        J = mixed_jump(1.5, 2.0, eta_boundary(ATT, lam), Kp[0], Km[0])
+        sc, lam, tab, _ = smooth_data
+        _, Kp = k_solve(sc, ATT, lam, shear_matrices(tab.r_plus),
+                        x_out=np.array([2.0]))
+        J = mixed_jump(1.5, 2.0, eta_boundary(ATT, lam), Kp[0])
         assert det_err(J) < 1e-8
 
     def test_tail_decay_in_lambda(self, smooth_data):
-        sc, lam, tab, _, _ = smooth_data
-        sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
-        _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([0.0]))
-        J = mixed_jump(0.0, 0.0, eta_boundary(ATT, lam), Kp[0], Km[0])
+        sc, lam, tab, _ = smooth_data
+        _, Kp = k_solve(sc, ATT, lam, shear_matrices(tab.r_plus),
+                        x_out=np.array([0.0]))
+        J = mixed_jump(0.0, 0.0, eta_boundary(ATT, lam), Kp[0])
         dist = np.max(np.abs(J - np.eye(2)), axis=(-2, -1))
         at = lambda v: dist[np.argmin(np.abs(lam - v))]
         assert at(20.0) <= 0.1 and at(-20.0) <= 0.1
         assert at(20.0) < at(10.0) and at(-20.0) < at(-10.0)
 
     def test_posdef_at_random_stamps(self, smooth_data):
-        sc, lam, tab, _, _ = smooth_data
-        sp, sm = shear_matrices(tab.r_plus, tab.r_bar_minus)
+        sc, lam, tab, _ = smooth_data
+        sp = shear_matrices(tab.r_plus)
         ev = eta_boundary(ATT, lam)
         rng = np.random.default_rng(5)
         for _ in range(5):
             t = rng.uniform(0, 10)
             x = rng.uniform(0, 5)
-            _, Kp, Km = k_solve(sc, ATT, lam, sp, sm, x_out=np.array([x]))
-            J = mixed_jump(t, x, ev, Kp[0], Km[0])
+            _, Kp = k_solve(sc, ATT, lam, sp, x_out=np.array([x]))
+            J = mixed_jump(t, x, ev, Kp[0])
             assert posdef_check(J) > 0.0
+            # the axis jump is Hermitian
+            assert np.max(np.abs(J - dagger(J))) <= 1e-13 * np.max(np.abs(J))
 
 
 class TestJumpComponentForm:
@@ -187,39 +186,38 @@ class TestJumpComponentForm:
         sc = desk_scenario() if request.param == "desk" else excited_scenario()
         ev = eta_boundary(ATT, contour_build().nodes)
         xs = np.linspace(0.0, sc.L, 5)
-        _, Kp, Km = spectral_data(sc, ATT, ev, x_out=xs)
-        return sc, ev, xs, Kp, Km
+        _, Kp = spectral_data(sc, ATT, ev, x_out=xs)
+        return sc, ev, xs, Kp
 
     def test_matches_stacked_reference(self, banks):
-        sc, ev, xs, Kp, Km = banks
+        sc, ev, xs, Kp = banks
         for t in np.linspace(0.0, sc.T, 6):
             for i, x in enumerate(xs):
                 if t == 0.0 and x == 0.0:
                     continue
-                J0, _ = jump_base(Kp[i], Km[i])
+                J0, _ = jump_base(Kp[i])
                 J = jump_phased(J0, t, x, ev)
-                ref, ref_err = jump_mixed_reference(t, x, ev, Kp[i], Km[i])
+                ref, ref_err = jump_mixed_reference(t, x, ev, Kp[i])
                 scale = np.max(np.abs(ref))
                 assert np.max(np.abs(J - ref)) <= 1e-14 * scale
                 assert J.shape == ref.shape and J.flags.c_contiguous
                 assert abs(det_err(J0) - ref_err) <= 1e-15
 
     def test_singular_k_refusal_unchanged(self, banks):
-        _, ev, _, Kp, Km = banks
-        for bad in ((1.001 * Kp[1], Km[1]), (Kp[1], 1.001 * Km[1])):
-            with pytest.raises(SingularK) as new:
-                mixed_jump(2.0, 1.0, ev, *bad)
-            with pytest.raises(SingularK) as ref:
-                jump_mixed_reference(2.0, 1.0, ev, *bad)
-            assert str(new.value) == str(ref.value)
+        _, ev, _, Kp = banks
+        with pytest.raises(SingularK) as new:
+            mixed_jump(2.0, 1.0, ev, 1.001 * Kp[1])
+        with pytest.raises(SingularK) as ref:
+            jump_mixed_reference(2.0, 1.0, ev, 1.001 * Kp[1])
+        assert str(new.value) == str(ref.value)
 
     def test_nan_k_refused(self, banks):
         # `err > DET_TOL` is false on a NaN, which let a NaN K through
-        _, ev, _, Kp, Km = banks
+        _, ev, _, Kp = banks
         bad = Kp[1].copy()
         bad[3, 0, 0] = np.nan
-        with pytest.raises(SingularK, match="det K- deviates from 1 by nan"):
-            mixed_jump(2.0, 1.0, ev, Kp[1], bad)
+        with pytest.raises(SingularK, match="det K\\+ deviates from 1 by nan"):
+            mixed_jump(2.0, 1.0, ev, bad)
 
 
 class TestDetErr:
@@ -261,38 +259,35 @@ class TestDetErr:
 
 
 class TestKDetErr:
-    """`rh_field_grid` reports the det K+- errors that `jump_base`
-    refuses above DET_TOL."""
+    """`rh_field_grid` reports the det K+ error that `jump_base` refuses
+    above DET_TOL, and the det J0 error."""
 
     ARGS = (ATT, np.linspace(0.0, 10.0, 3), np.linspace(0.0, 5.0, 2))
 
     def test_desk_reports_both(self):
         _, diag = rh_field_grid(desk_scenario(), *self.ARGS)
-        err = diag["K_det_err"]
-        assert set(err) == {"plus", "minus"}
-        assert all(np.isfinite(v) and 0.0 <= v <= DET_TOL
-                   for v in err.values())
+        for key in ("K_det_err", "J0_det_err"):
+            err = diag[key]
+            assert type(err) is float and 0.0 <= err <= DET_TOL
 
-    @pytest.mark.parametrize("bad", [0, 1])
-    def test_singular_k_refusal_unchanged(self, monkeypatch, bad):
-        # a K scaled off det 1 is refused as before, with the message of
-        # the per-stamp reference on the same K+-
+    def test_singular_k_refusal_unchanged(self, monkeypatch):
+        # a K+ scaled off det 1 is refused as before, with the message of
+        # the per-stamp reference on the same K+
         solve, seen = pipeline.spectral_data, []
 
         def scaled(*a, **kw):
-            table, *K = solve(*a, **kw)
-            K[bad] = 1.001 * K[bad]
-            seen.append((a[2], K))
-            return (table, *K)
+            table, K = solve(*a, **kw)
+            seen.append((a[2], 1.001 * K))
+            return table, 1.001 * K
 
         monkeypatch.setattr(pipeline, "spectral_data", scaled)
         with pytest.raises(SingularK) as new:
             rh_field_grid(desk_scenario(), *self.ARGS)
         ev, K = seen[0]
         with pytest.raises(SingularK) as ref:
-            jump_mixed_reference(0.0, 0.0, ev, *K)
+            jump_mixed_reference(0.0, 0.0, ev, K)
         assert str(new.value) == str(ref.value)
-        assert f"det K{'+-'[bad]} deviates" in str(new.value)
+        assert "det K+ deviates" in str(new.value)
 
 
 class TestJumpWholeline:

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import references as ref
+from mbrh import spectral
 from mbrh.broadening import (LAM_WINDOW, BroadeningProfile, eta_boundary,
                              eta_eval, profile_normalize)
 from mbrh.lax import medium_transform
-from mbrh.mat2 import det2, diag_exp
+from mbrh.mat2 import dagger, det2, diag_exp, inv2
 from mbrh.rhsolver import contour_build
 from mbrh.spectral import (
     MAGNUS_BLOCK,
@@ -74,26 +75,27 @@ def test_phi_continuation_matches_matrix_form():
     assert rel(B, want[:, 0, 0]) <= TOL
 
 
-def _check_stacked_xbank(sc, profile, lam, x_out, banks=("+", "-")):
-    """The stacked sweep of both banks against each bank's own one-step
-    matrix-form propagation, with its medium term from complex channels
+def _check_xbank(sc, profile, lam, x_out, banks=("+", "-")):
+    """The sweep of w+ (`jost_w`), and w- = (w+^{-1})^dagger derived from
+    it, against each bank's own one-step matrix-form propagation from
+    e^{i L eta_pm sigma_3}, with its medium term from complex channels
     (`references.medium_transform_bank`)."""
     ev = eta_boundary(profile, lam)
-    terminal = diag_exp(1j * sc.L * np.concatenate([ev.eta_plus, ev.eta_minus]))
-    w = xbank_propagate(sc, profile, ev, terminal, x_out)
-    assert w.shape == (x_out.size, 2 * lam.size, 2, 2)
+    w = jost_w(sc, profile, ev, x_out)
+    assert w.shape == (x_out.size, lam.size, 2, 2)
     grid = _x_grid(sc, x_out, X_STEP)
     for bank in banks:
-        half = slice(0, lam.size) if bank == "+" else slice(lam.size, None)
+        eta, g = ((ev.eta_plus, ev.g_plus) if bank == "+"
+                  else (ev.eta_minus, ev.g_minus))
         if sc.medium_is_trivial:
-            g = ev.g_plus if bank == "+" else ev.g_minus
             G = g[:, None, None] * ref.SIGMA3
         else:
             G = lambda x: ref.medium_transform_bank(
                 profile, lam, ev, bank, sc.medium_slice(x, lam))
         traj = ref.magnus_propagate(ref.x_generator(sc, lam, G), grid,
-                                    terminal[half])
-        assert rel(w[:, half], traj[np.searchsorted(grid, x_out)]) <= TOL
+                                    diag_exp(1j * sc.L * eta))
+        got = w if bank == "+" else dagger(inv2(w))
+        assert rel(got, traj[np.searchsorted(grid, x_out)]) <= TOL
     assert np.max(np.abs(det2(w) - 1.0)) <= TOL
     return grid
 
@@ -103,18 +105,19 @@ def test_xbank_matches_matrix_form(bank):
     # output depths off the block boundaries, unsorted, L included
     sc = ref.excited_scenario()
     lam = np.linspace(*LAM_WINDOW, 161)
-    grid = _check_stacked_xbank(sc, LOR, lam,
-                                np.array([1.3, 0.0, 0.641, 2.0, 0.37]), (bank,))
+    grid = _check_xbank(sc, LOR, lam, np.array([1.3, 0.0, 0.641, 2.0, 0.37]),
+                        (bank,))
     assert (grid.size - 1) % MAGNUS_BLOCK != 0
 
 
 @pytest.mark.parametrize("medium", ["tabulated", "unexcited", "complex_rho"])
-def test_stacked_xbank_other_media(medium):
+def test_stacked_xbank_other_media(monkeypatch, medium):
     # a tabulated line under the excited medium, the constant medium
     # terms g+- sigma_3 of an unexcited medium with E0 != 0, and a
     # complex rho0, whose g21 differs from the p.v. part of g12; 241
-    # nodes make the stacked width 482, so its blocks are capped below
-    # MAGNUS_BLOCK steps
+    # nodes on half of MAGNUS_WIDTH cap the blocks at 12 steps, below
+    # MAGNUS_BLOCK
+    monkeypatch.setattr(spectral, "MAGNUS_WIDTH", MAGNUS_WIDTH // 2)
     lam = np.linspace(*LAM_WINDOW, 241)
     if medium == "tabulated":
         profile = profile_normalize(BroadeningProfile.tabulated(
@@ -126,7 +129,38 @@ def test_stacked_xbank_other_media(medium):
         profile = LOR
         sc = dataclasses.replace(ref.excited_scenario(), rho0=None)
         assert not sc.field_free
-    _check_stacked_xbank(sc, profile, lam, np.array([0.0, 0.5, 1.7, 2.0]))
+    _check_xbank(sc, profile, lam, np.array([0.0, 0.5, 1.7, 2.0]))
+
+
+def _chirped(s, amp, center, width, chirp):
+    s = np.asarray(s, dtype=float)
+    return amp * np.exp(-((s - center) / width) ** 2 + 1j * chirp * s)
+
+
+MINUS_LAM = np.linspace(-12.0, 12.0, 97)
+MINUS_CASES = {
+    "desk_E0": lambda: (dataclasses.replace(
+        ref.desk_scenario(), E0=lambda x: _chirped(x, 0.3, 2.5, 0.5, 0.0)), LOR),
+    "complex_rho0": lambda: (ref.excited_scenario(complex_rho=True), LOR),
+    "amplifier": lambda: (ref.excited_scenario(),
+                          BroadeningProfile.lorentzian(1.0, sign=+1)),
+    "chirped": lambda: (dataclasses.replace(
+        ref.excited_scenario(complex_rho=True),
+        E_in=lambda t: _chirped(t, 0.8, 3.0, 0.7, 0.4),
+        E0=lambda x: _chirped(x, 0.3, 1.0, 0.3, 0.7)), LOR),
+    "tabulated": lambda: (ref.excited_scenario(), profile_normalize(
+        BroadeningProfile.tabulated(MINUS_LAM, np.exp(-MINUS_LAM ** 2 / 4)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MINUS_CASES))
+def test_derived_minus_bank_matches_its_own_sweep(case):
+    # w- = (w+^{-1})^dagger from V- = -V+^dagger: the lower bank, which no
+    # run propagates, against its own sweep from e^{i L eta- sigma_3}
+    # with the medium term's - limit; the chirped pulses (E0 complex)
+    # and the complex rho0 make data that do not mirror under lam -> -lam
+    sc, profile = MINUS_CASES[case]()
+    _check_xbank(sc, profile, MINUS_LAM, np.array([0.0, 0.6, sc.L]), ("-",))
 
 
 @pytest.mark.parametrize("x_out", [[1.0, 3.0], [-0.5], [np.nan]])
@@ -135,7 +169,7 @@ def test_xbank_refuses_depths_outside_the_medium(x_out):
     # put at x = 3, and a+ moved by 2.0 from its value at x_out = 1
     sc = ref.excited_scenario()
     ev = eta_boundary(LOR, np.linspace(-4.0, 4.0, 9))
-    terminal = diag_exp(1j * sc.L * np.concatenate([ev.eta_plus, ev.eta_minus]))
+    terminal = diag_exp(1j * sc.L * ev.eta_plus)
     for case in (sc, dataclasses.replace(sc, E0=lambda x: 0.0 * x, rho0=None)):
         with pytest.raises(ValueError, match="x_out must lie in"):
             xbank_propagate(case, LOR, ev, terminal, np.array(x_out))
@@ -192,7 +226,7 @@ def test_sixth_order_convergence(equation):
         steps = (0.1, 0.05, 0.00625)
     else:
         sc, ev = ref.excited_scenario(), eta_boundary(LOR, lam)
-        solve = lambda h: jost_w(sc, LOR, ev, step=h)[0][0]
+        solve = lambda h: jost_w(sc, LOR, ev, step=h)[0]
         steps = (0.05, 0.025, 0.003125)
     want = solve(steps[-1])
     coarse, fine = (np.max(np.abs(solve(h) - want)) for h in steps[:2])

@@ -301,8 +301,8 @@ def desk_stamps(ts=(2.0, 3.5, 6.0), xs=(0.0, 2.5), chirp=0.0):
     c = contour_build(window=(-16.0, 16.0), n_panels=16, nodes_per_panel=12)
     lam = c.nodes
     ev = eta_boundary(LOR, lam)
-    _, Kp, Km = spectral_data(sc, LOR, ev, x_out=xs)
-    return c, [mixed_jump(t, x, ev, Kp[i], Km[i])
+    _, Kp = spectral_data(sc, LOR, ev, x_out=xs)
+    return c, [mixed_jump(t, x, ev, Kp[i])
                for t in ts for i, x in enumerate(xs)]
 
 

@@ -11,7 +11,7 @@ from mbrh.cli import load_scenario
 from mbrh.errors import (CountMismatch, DecayViolation, MediumNotAsymptotic,
                          SpectralOverflow, TooCloseToAxis)
 from mbrh.pipeline import spectral_data
-from mbrh.mat2 import det2, diag_exp
+from mbrh.mat2 import dagger, det2, diag_exp, inv2
 from mbrh.rhsolver import contour_build
 from mbrh.spectral import (
     CLEARANCE_MIN,
@@ -103,8 +103,8 @@ class TestJostW:
         lam = np.linspace(-5, 5, 41)
         x_out = np.linspace(0, sc.L, 6)
         ev = eta_boundary(p, lam)
-        wp, wm = jost_w(sc, p, ev, x_out=x_out)
-        for w, eta in ((wp, ev.eta_plus), (wm, ev.eta_minus)):
+        wp = jost_w(sc, p, ev, x_out=x_out)
+        for w, eta in ((wp, ev.eta_plus), (dagger(inv2(wp)), ev.eta_minus)):
             assert np.max(np.abs(w - diag_exp(1j * x_out[:, None] * eta))) < 1e-12
             assert np.max(np.abs(w[0] - np.eye(2))) < 1e-12
 
@@ -129,8 +129,8 @@ class TestJostW:
                 P = tw[:, None, None] * (free_inv @ H @ w)
                 S = np.cumsum(P[::-1], axis=0)[::-1] - 0.5 * P    # suffix trapezoid
                 w = free @ (np.eye(2) - S)
-            wode, _ = jost_w(sc, p, eta_boundary(p, lam[k]),
-                             x_out=np.array([0.0, 2.5, 5.0]))
+            wode = jost_w(sc, p, eta_boundary(p, lam[k]),
+                          x_out=np.array([0.0, 2.5, 5.0]))
             for j, idx in ((0, 0), (1, 4000), (2, 8000)):
                 assert np.max(np.abs(wode[j, 0] - w[idx])) < 1e-7
 
@@ -140,8 +140,8 @@ class TestJostW:
         lam = np.linspace(-6, 6, 25)
         x_out = np.array([0.0, 2.0, 5.0])
         ev = eta_boundary(p, lam)
-        wp, wm = jost_w(sc, p, ev, x_out=x_out)
-        assert np.max(np.abs(wm - sigma2_conj(wp))) < 1e-8
+        wp = jost_w(sc, p, ev, x_out=x_out)
+        assert np.max(np.abs(dagger(inv2(wp)) - sigma2_conj(wp))) < 1e-8
         assert np.max(np.abs(det2(wp) - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("excited", [False, True])
@@ -157,7 +157,7 @@ class TestJostW:
         pick = np.array([70, 83, 95])
         sc = ScenarioData(T=10.0, L=2.0, E_in=ZERO, E0=E0, rho0=rho0)
         ev = eta_boundary(p, lam)
-        w, _ = jost_w(sc, p, ev, x_out=np.array([0.0]))
+        w = jost_w(sc, p, ev, x_out=np.array([0.0]))
         _, _, alpha, beta = continued_columns(sc, p, lam[pick] + 1e-8j, ev)
         # measured: at most 3.4e-11 in alpha and 1.5e-9 in beta
         # (|beta| >= 0.04), both falling linearly with eps
@@ -176,7 +176,7 @@ class TestJostW:
         sc, p, _ = load_scenario(path)
         c = contour_build(window=window)
         ev = eta_boundary(p, c.nodes)
-        table, _, _ = spectral_data(sc, p, ev)
+        table, _ = spectral_data(sc, p, ev)
         pick = np.linspace(c.n_nodes // 4, 3 * c.n_nodes // 4, 12).astype(int)
         a = continued_a(sc, p, c.nodes[pick] + 1e-7j, ev)
         assert np.max(np.abs(a - table.a_plus[pick])) < 1e-6
@@ -196,8 +196,8 @@ class TestTransition:
         lam = np.linspace(-5, 5, 21)
         Phi0 = jost_phi(sc, lam)
         ev = eta_boundary(p, lam)
-        wp, wm = jost_w(sc, p, ev)
-        tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
+        wp = jost_w(sc, p, ev)
+        tab = transition_and_reflection(lam, Phi0, wp[0])
         assert np.max(np.abs(tab.a_plus - 1)) < 1e-12
         assert np.max(np.abs(tab.r_plus)) < 1e-12
 
@@ -207,8 +207,8 @@ class TestTransition:
         lam = np.linspace(-20, 20, 201)
         Phi0 = jost_phi(sc, lam)
         ev = eta_boundary(p, lam)
-        wp, wm = jost_w(sc, p, ev)
-        tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
+        wp = jost_w(sc, p, ev)
+        tab = transition_and_reflection(lam, Phi0, wp[0])
         assert np.max(np.abs(tab.r_plus)) <= 1e-5
 
     def test_determinants_and_reductions(self):
@@ -217,11 +217,11 @@ class TestTransition:
         lam = np.linspace(-10, 10, 81)
         Phi0 = jost_phi(sc, lam)
         ev = eta_boundary(p, lam)
-        wp, wm = jost_w(sc, p, ev)
-        tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
+        wp = jost_w(sc, p, ev)
+        tab = transition_and_reflection(lam, Phi0, wp[0])
         assert tab.diagnostics["det_Tp_err"] < 1e-8
-        assert tab.diagnostics["det_Tm_err"] < 1e-8
-        # a_bar_plus = conj(a_minus) and b_bar_plus = conj(b_minus)
+        # Phi(0) in SU(2), which carries a_bar_plus = conj(a_minus) and
+        # b_bar_plus = conj(b_minus)
         assert tab.diagnostics["reduction_err"] < 1e-8
 
     def test_tail_asymptotics(self):
@@ -230,8 +230,8 @@ class TestTransition:
         lam = np.array([-20.0, 20.0, -10.0, 10.0])
         Phi0 = jost_phi(sc, lam)
         ev = eta_boundary(p, lam)
-        wp, wm = jost_w(sc, p, ev)
-        tab = transition_and_reflection(lam, Phi0, wp[0], wm[0])
+        wp = jost_w(sc, p, ev)
+        tab = transition_and_reflection(lam, Phi0, wp[0])
         assert np.max(np.abs(tab.a_plus - 1)) < 0.2
         assert np.max(np.abs(tab.b_plus)) < 0.2
 
@@ -242,12 +242,12 @@ class TestTransition:
         p = BroadeningProfile.lorentzian(1.0, sign=-1)
         lam = np.linspace(-5, 5, 21)
         Phi0 = jost_phi(sc, lam)
-        wp, wm = jost_w(sc, p, eta_boundary(p, lam))
+        wp = jost_w(sc, p, eta_boundary(p, lam))
         Phi0[[4, 9], 0, 1] = [np.inf, np.nan]
         with pytest.raises(SpectralOverflow,
                            match=r"not finite at lam=-3\.0000 \(2 of 21 nodes\)"), \
                 np.errstate(invalid="ignore"):
-            transition_and_reflection(lam, Phi0, wp[0], wm[0])
+            transition_and_reflection(lam, Phi0, wp[0])
 
 
 class TestLocateAZeros:
@@ -260,7 +260,7 @@ class TestLocateAZeros:
     def find(self, sc, **contour):
         c = contour_build(**contour)
         ev = eta_boundary(self.p, c.nodes)
-        table, _, _ = spectral_data(sc, self.p, ev)
+        table, _ = spectral_data(sc, self.p, ev)
         return a_zeros(sc, self.p, ev, c, table.a_plus)
 
     def test_trivial_empty(self):
@@ -417,14 +417,14 @@ class TestStepError:
         sc, p = excited_scenario(), BroadeningProfile.lorentzian(1.0, sign=-1)
         ev = eta_boundary(p, np.linspace(-20.0, 20.0, 97))
         Phi0 = jost_phi(sc, ev.lam)
-        wp, wm = jost_w(sc, p, ev)
-        w0 = np.concatenate([wp[0], wm[0]])
-        est = step_error(sc, p, ev, Phi0, (wp[0], wm[0]), T_STEP, X_STEP)
+        wp = jost_w(sc, p, ev)
+        w0 = np.concatenate([wp[0], dagger(inv2(wp[0]))])
+        est = step_error(sc, p, ev, Phi0, wp[0], T_STEP, X_STEP)
         sub = np.append(np.arange(0, 96, STEP_ERR_STRIDE), 96)
         fine = jost_phi(sc, ev.lam, step=T_STEP / 4)
-        fp, fm = jost_w(sc, p, ev, step=X_STEP / 4)
+        fp = jost_w(sc, p, ev, step=X_STEP / 4)
         t_err = np.max(np.abs(Phi0 - fine)[sub])
-        x_err = np.max(np.abs(w0 - np.concatenate([fp[0], fm[0]]))[
+        x_err = np.max(np.abs(w0 - np.concatenate([fp[0], dagger(inv2(fp[0]))]))[
             np.append(sub, 97 + sub)])
         assert 0.5 < est["t"] / t_err < 2.0
         assert 0.5 < est["x"] / x_err < 2.0
